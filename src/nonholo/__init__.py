@@ -11,7 +11,6 @@ and the failure of the Jacobi identity before gauging.
 from .brackets import (
     BracketKind,
     ScalarField,
-    bivector_gm,
     bivector_packed,
     bracket,
     casimir_residuals,
@@ -36,7 +35,6 @@ from .errors import (
     DegeneracyError,
     DomainError,
     NonholoError,
-    SingularMatrixError,
 )
 from .geomforms import LQPValues, qp_matrix, qpl_values
 from .momenta import (
@@ -74,7 +72,7 @@ from .phase import (
     omega_from_M,
 )
 from .profile import ProfileEval, ProfileSpec, contact_vector, eval_profile, profile_scalars
-from .smallalg import SmallMatrix, cross, dot, grad_fd, invert_small, rk4_step, vec3
+from .smallalg import cross, dot, grad_fd, rk4_step, vec3
 
 __version__ = "0.1.0"
 
@@ -95,11 +93,8 @@ __all__ = [
     "ProfileEval",
     "ProfileSpec",
     "ScalarField",
-    "SingularMatrixError",
-    "SmallMatrix",
     "StateGM",
     "TrajectorySample",
-    "bivector_gm",
     "bivector_packed",
     "bracket",
     "casimir_residuals",
@@ -118,7 +113,6 @@ __all__ = [
     "hamiltonian_field",
     "integrate",
     "invariants",
-    "invert_small",
     "jacobiator",
     "M_from_omega",
     "momenta_ode_rhs",

@@ -32,10 +32,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .geomforms import qp_matrix, qpl_packed, qpl_values
+from .geomforms import qp_matrix, qpl_packed
 from .phase import BodyParams, InvariantPoint, StateGM, energy_packed
-from .profile import ProfileEval, ProfileSpec
-from .smallalg import SmallMatrix, grad_fd
+from .profile import ProfileSpec
+from .smallalg import grad_fd, hat
 
 #: outer finite-difference step scale for nested (Jacobiator) gradients
 JACOBIATOR_OUTER_SCALE = 1e-4
@@ -115,48 +115,21 @@ def hamiltonian_field(params: BodyParams, spec: ProfileSpec) -> ScalarField:
     return ScalarField(lambda x: energy_packed(params, spec, x), name="H")
 
 
-def _hat(v) -> np.ndarray:
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
-
-
 def bivector_packed(params: BodyParams, spec: ProfileSpec, x: np.ndarray, kind: BracketKind) -> np.ndarray:
-    """6x6 bracket matrix at a packed point (no state validation)."""
-    vals = qpl_packed(params, spec, x)
-    v = vals.Lvec if kind == BracketKind.GAUGED else vals.Kvec
-    pi = np.zeros((6, 6))
-    hg = _hat(x[:3])
-    pi[:3, 3:] = hg
-    pi[3:, :3] = hg
-    pi[3:, 3:] = _hat(x[3:6] + v)
-    return pi
-
-
-def bivector_gm(
-    params: BodyParams, ev: ProfileEval, state: StateGM, kind: BracketKind
-) -> SmallMatrix:
-    """The 6x6 bracket matrix at a state, antisymmetric by construction.
+    """The 6x6 bracket matrix at a packed point (no state validation).
 
     Entries: {gamma_a, gamma_b} = 0, {gamma_a, M_i} = (gamma x e_i)_a,
     {M_i, M_j} = -eps_ijk (M + V)_k with V = L_vec (gauged) or K_vec (nh).
+    Every block is a hat matrix, so antisymmetry is exact by construction.
     """
-    vals = qpl_values(params, ev, state)
+    vals = qpl_packed(params, spec, x)
     v = vals.Lvec if kind == BracketKind.GAUGED else vals.Kvec
-    out = SmallMatrix.zeros(6, antisymmetric=True)
-    g, w = state.gamma, state.M + v
-    hg = _hat(g)
-    for a in range(3):
-        for i in range(3):
-            out.set_pair(a, 3 + i, hg[a, i])
-    out.set_pair(3, 4, -w[2])
-    out.set_pair(3, 5, w[1])
-    out.set_pair(4, 5, -w[0])
-    return out
+    pi = np.zeros((6, 6))
+    hg = hat(x[:3])
+    pi[:3, 3:] = hg
+    pi[3:, :3] = hg
+    pi[3:, 3:] = hat(x[3:6] + v)
+    return pi
 
 
 def bracket(
@@ -217,7 +190,7 @@ def s1_generator(x: np.ndarray) -> np.ndarray:
 
 def reduced_bivector_tau(
     params: BodyParams, spec: ProfileSpec, point: InvariantPoint
-) -> SmallMatrix:
+) -> np.ndarray:
     """Explicit 5x5 bracket table on the invariants tau1..tau5.
 
     This is the pushforward of the gauged 6x6 bracket (the table as
@@ -244,20 +217,20 @@ def reduced_bivector_tau(
     t1, t2, t3, t4, t5 = point.t1, point.t2, point.t3, point.t4, point.t5
     if abs(t1) > 1.0 - 1e-9:
         raise DomainError(f"tau1={t1!r} too close to the singular strata +-1")
-    qp = qp_matrix(params, spec, t1).data
+    qp = qp_matrix(params, spec, t1)
     q = qp[0, 0] * t3 + qp[0, 1] * t4
     p = qp[1, 0] * t3 + qp[1, 1] * t4
     l3 = q * t1 + p
     one_t2 = 1.0 - t1 * t1
-    out = SmallMatrix.zeros(5, antisymmetric=True)
-    out.set_pair(0, 1, one_t2)
-    out.set_pair(0, 4, 2.0 * t2)
-    out.set_pair(1, 2, one_t2 * (t4 + l3))
-    out.set_pair(1, 3, -one_t2 * q)
-    out.set_pair(1, 4, -2.0 * (t1 * t5 - t3 * (t4 + l3)))
-    out.set_pair(2, 4, -2.0 * t2 * (t4 + l3))
-    out.set_pair(3, 4, 2.0 * t2 * q)
-    return out
+    upper = np.zeros((5, 5))
+    upper[0, 1] = one_t2
+    upper[0, 4] = 2.0 * t2
+    upper[1, 2] = one_t2 * (t4 + l3)
+    upper[1, 3] = -one_t2 * q
+    upper[1, 4] = -2.0 * (t1 * t5 - t3 * (t4 + l3))
+    upper[2, 4] = -2.0 * t2 * (t4 + l3)
+    upper[3, 4] = 2.0 * t2 * q
+    return upper - upper.T  # antisymmetric by construction
 
 
 def pushforward_residual(params: BodyParams, spec: ProfileSpec, state: StateGM) -> float:
@@ -267,7 +240,7 @@ def pushforward_residual(params: BodyParams, spec: ProfileSpec, state: StateGM) 
     x = state.packed()
     pi = bivector_packed(params, spec, x, BracketKind.GAUGED)
     grads = [t.gradient(x) for t in TAUS]
-    table = reduced_bivector_tau(params, spec, invariants(state)).data
+    table = reduced_bivector_tau(params, spec, invariants(state))
     worst = 0.0
     for a in range(5):
         for b in range(a + 1, 5):

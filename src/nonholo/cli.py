@@ -35,7 +35,6 @@ from .brackets import (
 )
 from .dynamics import (
     IntegratorConfig,
-    default_momenta,
     drift_report,
     integrate,
     nonconservation_rates,
@@ -45,7 +44,6 @@ from .errors import ConfigError, NonholoError
 from .geomforms import qp_matrix, qpl_values
 from .momenta import (
     closed_form_momenta,
-    grid_pair,
     ode_residual,
     routh_closed_form,
     routh_pair,
@@ -158,8 +156,9 @@ def _vector(obj: dict, key: str, n: int, pointer: str) -> tuple:
         not isinstance(v, list)
         or len(v) != n
         or any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in v)
+        or not all(math.isfinite(c) for c in v)
     ):
-        raise _err(f"{key!r} must be a list of {n} numbers", f"{pointer}/{key}")
+        raise _err(f"{key!r} must be a list of {n} finite numbers", f"{pointer}/{key}")
     return tuple(float(c) for c in v)
 
 
@@ -233,17 +232,14 @@ def parse_config(text: str) -> RunConfig:
     integ = raw.get("integrator", {})
     if not isinstance(integ, dict):
         raise _err("'integrator' must be an object", "/integrator")
-    _check_keys(integ, {"dt", "t_final", "method", "renormalize_gamma"}, "/integrator")
+    _check_keys(integ, {"dt", "t_final", "renormalize_gamma"}, "/integrator")
     dt = _number(integ, "dt", "/integrator", default=1e-3)
     t_final = _number(integ, "t_final", "/integrator", default=10.0)
-    method = integ.get("method", "rk4")
-    if not isinstance(method, str):
-        raise _err("'method' must be a string", "/integrator/method")
     renorm = integ.get("renormalize_gamma", True)
     if not isinstance(renorm, bool):
         raise _err("'renormalize_gamma' must be a boolean", "/integrator/renormalize_gamma")
     try:
-        integrator = IntegratorConfig(dt, t_final, method, renorm)
+        integrator = IntegratorConfig(dt, t_final, renorm)
     except ValueError as exc:
         raise _err(str(exc), "/integrator") from exc
 
@@ -278,7 +274,6 @@ def serialize_config(cfg: RunConfig) -> str:
     out["integrator"] = {
         "dt": cfg.integrator.dt,
         "t_final": cfg.integrator.t_final,
-        "method": cfg.integrator.method,
         "renormalize_gamma": cfg.integrator.renormalize_gamma,
     }
     out["seed"] = cfg.seed
@@ -408,7 +403,7 @@ def _solid_checks(cfg: RunConfig) -> list[CheckResult]:
         )
         leib = max(leib, abs(lhs - rhs_leib))
 
-        qp = qp_matrix(params, spec, inv.t1).data
+        qp = qp_matrix(params, spec, inv.t1)
         qv = qp[0, 0] * inv.t3 + qp[0, 1] * inv.t4
         pv = qp[1, 0] * inv.t3 + qp[1, 1] * inv.t4
         den = max(abs(vals.Q), abs(vals.P), 1e-3)
@@ -483,7 +478,7 @@ def _solid_checks(cfg: RunConfig) -> list[CheckResult]:
         p1cf = routh_pair(params, spec, 0)
         p2cf = routh_pair(params, spec, 1)
         for t1 in grid:
-            qp = qp_matrix(params, spec, float(t1)).data
+            qp = qp_matrix(params, spec, float(t1))
             kern = max(kern, abs(qp[0, 0] * l + qp[1, 0] * r), abs(qp[0, 1] * l + qp[1, 1] * r))
             oderes = max(
                 oderes,

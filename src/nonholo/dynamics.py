@@ -18,13 +18,14 @@ over the standard runs instead of < 1e-9).
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, DomainError
 from .geomforms import qpl_values
 from .momenta import MomentaSolution, closed_form_momenta, eval_gauge_momenta, solve_momenta
 from .phase import (
@@ -37,7 +38,7 @@ from .phase import (
     momentum_components,
 )
 from .profile import ProfileEval, ProfileSpec, eval_profile, profile_scalars
-from .smallalg import E3, Vec3, cross, dot, rk4_step
+from .smallalg import E3, Vec3, cross, dot, hat, rk4_step
 
 
 @dataclass(frozen=True)
@@ -46,16 +47,13 @@ class IntegratorConfig:
 
     dt: float
     t_final: float
-    method: str = "rk4"
     renormalize_gamma: bool = True
 
     def __post_init__(self) -> None:
-        if not self.dt > 0:
-            raise ValueError(f"dt={self.dt!r} must be > 0")
-        if not self.t_final >= self.dt:
-            raise ValueError(f"t_final={self.t_final!r} must be >= dt")
-        if self.method != "rk4":
-            raise ValueError(f"unsupported method {self.method!r}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt={self.dt!r} must be finite and > 0")
+        if not (math.isfinite(self.t_final) and self.t_final >= self.dt):
+            raise ValueError(f"t_final={self.t_final!r} must be finite and >= dt")
 
 
 @dataclass(frozen=True)
@@ -117,7 +115,7 @@ def _sample(
     e = energy_packed(params, spec, x)
     try:
         j1g, j2g = eval_gauge_momenta(momenta, state)
-    except Exception:  # outside the momenta grid: keep sampling, flag with NaN
+    except DomainError:  # outside the momenta grid: keep sampling, flag with NaN
         j1g = j2g = float("nan")
     j1, j2 = momentum_components(state)
     return TrajectorySample(t, state, inv, e, j1g, j2g, j1, j2)
@@ -239,7 +237,7 @@ def reconstruct_full(
         ev = eval_profile(spec, gamma[2])
         omega = _omega_raw(params, ev, gamma, m)
         s = ev.rho * gamma - ev.L * E3
-        gd = gm @ _hat(omega)
+        gd = gm @ hat(omega)
         ad = -(gm @ cross(omega, s))
         md = _rhs_from_ev(params, ev, gamma, m)[3:6]
         return np.concatenate([gd.reshape(9), ad, md])
@@ -254,16 +252,6 @@ def reconstruct_full(
         gm = _reorthonormalize(y[:9].reshape(3, 3))
         y[:9] = gm.reshape(9)
     return out
-
-
-def _hat(v: Vec3) -> np.ndarray:
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
 
 
 def drift_report(traj: list[TrajectorySample]) -> dict:

@@ -13,10 +13,6 @@ class DegeneracyError(NonholoError):
     """A denominator that must stay positive has (numerically) collapsed."""
 
 
-class SingularMatrixError(NonholoError):
-    """Matrix inversion refused; carries the condition estimate in args."""
-
-
 class ConsistencyError(NonholoError):
     """Arguments that must describe the same point/state disagree."""
 

@@ -33,8 +33,8 @@ import numpy as np
 
 from .errors import DomainError
 from .phase import BodyParams, StateGM, _omega_raw, omega_from_M
-from .profile import ProfileEval, ProfileSpec, contact_vector, eval_profile
-from .smallalg import E3, SmallMatrix, Vec3, cross, dot
+from .profile import ProfileEval, ProfileSpec, contact_vector, eval_profile, legendre_ptau
+from .smallalg import E3, Vec3, cross, dot
 
 
 @dataclass(frozen=True)
@@ -73,19 +73,10 @@ def _qpl_raw(params: BodyParams, ev: ProfileEval, gamma: Vec3, omega: Vec3) -> L
 def qpl_packed(params: BodyParams, spec: ProfileSpec, x: np.ndarray) -> LQPValues:
     """qpl_values on a packed 6-vector without state validation."""
     ev = eval_profile(spec, x[2])
-    gamma, M = x[:3], x[3:6]
-    omega = _omega_raw(params, ev, gamma, M)
-    s = ev.rho * gamma - ev.L * E3
-    c3 = cross(gamma, cross(omega, s))[2]
-    og = dot(omega, gamma)
-    q = params.m * (-ev.rho**2 * og + ev.rho_p * c3)
-    p = params.m * (ev.L * ev.rho * og - ev.L_p * c3)
-    lvec = q * gamma + p * E3
-    kvec = -params.m * ev.rho * dot(gamma, s) * omega + lvec
-    return LQPValues(float(c3), float(q), float(p), lvec, kvec)
+    return _qpl_raw(params, ev, x[:3], _omega_raw(params, ev, x[:3], x[3:6]))
 
 
-def qp_matrix(params: BodyParams, spec: ProfileSpec, tau1: float) -> SmallMatrix:
+def qp_matrix(params: BodyParams, spec: ProfileSpec, tau1: float) -> np.ndarray:
     """The 2x2 matrix [QP](tau1) with (Q, P) = [QP] . (tau3, tau4).
 
     Both <Omega, gamma> and c3 are linear in (tau3, tau4) once tau1 is
@@ -114,8 +105,7 @@ def qp_matrix(params: BodyParams, spec: ProfileSpec, tau1: float) -> SmallMatrix
     ss = rho * rho * one_t2 + zeta * zeta
     a1 = params.I1 + m * ss
     a3 = params.I3 + m * ss
-    ptau = params.I1 * params.I3 + m * (params.I1 * rho * rho * one_t2 + params.I3 * zeta * zeta)
-    e = ptau / (a1 * a3)
+    e = legendre_ptau(params, rho, zeta, one_t2) / (a1 * a3)
     big_g = rho * one_t2 / a1 + zeta * t1 / a3
     gs = rho - L * t1
 
@@ -125,17 +115,15 @@ def qp_matrix(params: BodyParams, spec: ProfileSpec, tau1: float) -> SmallMatrix
     om3 = (m * som[0] * zeta / a3, 1.0 / a3 + m * som[1] * zeta / a3)
     c3 = (om3[0] * gs - zeta * og[0], om3[1] * gs - zeta * og[1])
 
-    return SmallMatrix(
-        np.array(
+    return np.array(
+        [
             [
-                [
-                    m * (-rho * rho * og[0] + ev.rho_p * c3[0]),
-                    m * (-rho * rho * og[1] + ev.rho_p * c3[1]),
-                ],
-                [
-                    m * (L * rho * og[0] - ev.L_p * c3[0]),
-                    m * (L * rho * og[1] - ev.L_p * c3[1]),
-                ],
-            ]
-        )
+                m * (-rho * rho * og[0] + ev.rho_p * c3[0]),
+                m * (-rho * rho * og[1] + ev.rho_p * c3[1]),
+            ],
+            [
+                m * (L * rho * og[0] - ev.L_p * c3[0]),
+                m * (L * rho * og[1] - ev.L_p * c3[1]),
+            ],
+        ]
     )

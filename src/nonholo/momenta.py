@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .brackets import ScalarField
+from .brackets import J1_COMPONENT, J2_COMPONENT, ScalarField
 from .errors import DomainError
 from .geomforms import qp_matrix
 from .phase import BodyParams, StateGM, momentum_components
@@ -42,7 +42,7 @@ def momenta_ode_rhs(
     params: BodyParams, spec: ProfileSpec, tau1: float, fg
 ) -> np.ndarray:
     """Right-hand side (f', g') of the coefficient ODE at tau1."""
-    qp = qp_matrix(params, spec, tau1).data
+    qp = qp_matrix(params, spec, tau1)
     f, g = float(fg[0]), float(fg[1])
     qf = qp[0, 0] * f + qp[1, 0] * g   # [QP]^T . (f, g)
     qg = qp[0, 1] * f + qp[1, 1] * g
@@ -136,14 +136,24 @@ def solve_momenta(
     return MomentaSolution(params, spec, grid, pairs, delta, h)
 
 
-def routh_closed_form(
-    params: BodyParams, r: float, l: float, gamma3: float
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """The two closed-form coefficient pairs of the Routh sphere at gamma3."""
+def _routh_zeta_p(params: BodyParams, r: float, l: float, gamma3: float) -> tuple[float, float]:
+    """zeta and P(gamma3) of the Routh sphere.
+
+    Written out here rather than taken from the profile module: the closed
+    forms are the independent oracle that the numeric path is checked against.
+    """
     zeta = -r * gamma3 + l
     p = params.I1 * params.I3 + params.m * (
         params.I1 * r * r * (1.0 - gamma3 * gamma3) + params.I3 * zeta * zeta
     )
+    return zeta, p
+
+
+def routh_closed_form(
+    params: BodyParams, r: float, l: float, gamma3: float
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The two closed-form coefficient pairs of the Routh sphere at gamma3."""
+    zeta, p = _routh_zeta_p(params, r, l, gamma3)
     sq = math.sqrt(p)
     return (l, r), (-(params.I1 + params.m * l * zeta) / sq, -params.m * r * zeta / sq)
 
@@ -152,10 +162,7 @@ def routh_closed_form_derivative(
     params: BodyParams, r: float, l: float, gamma3: float
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """gamma3-derivatives of the closed-form pairs (pair1 is constant)."""
-    zeta = -r * gamma3 + l
-    p = params.I1 * params.I3 + params.m * (
-        params.I1 * r * r * (1.0 - gamma3 * gamma3) + params.I3 * zeta * zeta
-    )
+    zeta, p = _routh_zeta_p(params, r, l, gamma3)
     sq = math.sqrt(p)
     dp = 2.0 * params.m * (-params.I1 * r * r * gamma3 - r * params.I3 * zeta)
     u = -(params.I1 + params.m * l * zeta)
@@ -253,9 +260,7 @@ def gauge_momentum_fields(
 
         def fn(x):
             f, g = coeffs(x[2])
-            j1 = -x[5]
-            j2 = x[0] * x[3] + x[1] * x[4] + x[2] * x[5]
-            return f * j1 + g * j2
+            return f * J1_COMPONENT.fn(x) + g * J2_COMPONENT.fn(x)
 
         def grad(x):
             f, g = coeffs(x[2])
@@ -265,11 +270,9 @@ def gauge_momentum_fields(
                 )[index]
             else:
                 dp = momenta_ode_rhs(params, spec, x[2], (f, g))
-            j1 = -x[5]
-            j2 = x[0] * x[3] + x[1] * x[4] + x[2] * x[5]
-            out = g * np.array([x[3], x[4], x[5], x[0], x[1], x[2]])
-            out[5] -= f
-            out[2] += dp[0] * j1 + dp[1] * j2
+            out = g * J2_COMPONENT.grad(x)
+            out[5] -= f  # + f * grad(j1)
+            out[2] += dp[0] * J1_COMPONENT.fn(x) + dp[1] * J2_COMPONENT.fn(x)
             return out
 
         return ScalarField(fn, grad, name=f"J{index + 1}")

@@ -15,11 +15,14 @@ constraint) the constrained 2-form has the matrix (rows/cols e1..e4)
     [ -1   0   0   0 ]
     [  0  -1   0   0 ]
 
-and the bracket matrix is minus its inverse.  The w entry is the constraint
-curvature coupling: it carries the pxdot = w*py force, and on triples that
-keep the unreduced x it makes the bracket fail Jacobi (the (x, px, py)
-Jacobiator is y/(1+y^2) on the nose; particle_jacobiator_unreduced measures
-it).  The reduction by the (x, z)-translations leaves (y, px, py), where
+and the bracket matrix is minus its inverse, in closed form
+
+    B = [[0, I], [-I, -A(w)]],      A(w) = [[0, -w], [w, 0]].
+
+The w entry is the constraint curvature coupling: it carries the
+pxdot = w*py force, and on triples that keep the unreduced x it makes the
+bracket fail Jacobi (the (x, px, py) Jacobiator is y/(1+y^2) on the nose;
+particle_jacobiator_unreduced measures it).  The reduction by the (x, z)-translations leaves (y, px, py), where
 the bracket is genuinely Poisson and J is a Casimir.
 """
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .smallalg import SmallMatrix, grad_fd, invert_small, rk4_step
+from .smallalg import grad_fd, rk4_step
 
 OUTER_SCALE = 1e-4  # nested-bracket FD step (matches the solids convention)
 
@@ -70,24 +73,40 @@ def particle_rhs(state) -> np.ndarray:
     return np.array([c1, py, y * c1, w * py, 0.0])
 
 
-def frame_form(state, include_coupling: bool = True) -> SmallMatrix:
+def _coupling(v: np.ndarray, include_coupling: bool) -> float:
+    """w = y*px/(1+y^2), or 0 when the coupling is switched off."""
+    return v[1] * v[3] / (1.0 + v[1] ** 2) if include_coupling else 0.0
+
+
+def frame_form(state, include_coupling: bool = True) -> np.ndarray:
     """The 4x4 constrained 2-form in the frame (e1, e2, e3, e4).
 
     ``include_coupling=False`` zeroes the w = y*px/(1+y^2) entry — a
     diagnostic: the resulting flow loses the pxdot = w*py force, stops
     matching particle_rhs, and no longer conserves J.
     """
-    v = _coerce(state)
-    w = v[1] * v[3] / (1.0 + v[1] ** 2) if include_coupling else 0.0
-    out = SmallMatrix.zeros(4, antisymmetric=True)
-    out.set_pair(0, 1, -w)
-    out.set_pair(0, 2, 1.0)
-    out.set_pair(1, 3, 1.0)
-    return out
+    w = _coupling(_coerce(state), include_coupling)
+    return np.array(
+        [
+            [0.0, -w, 1.0, 0.0],
+            [w, 0.0, 0.0, 1.0],
+            [-1.0, 0.0, 0.0, 0.0],
+            [0.0, -1.0, 0.0, 0.0],
+        ]
+    )
 
 
 def _bracket_matrix(v: np.ndarray, include_coupling: bool) -> np.ndarray:
-    return -invert_small(frame_form(v, include_coupling))
+    """B = -frame_form^-1 = [[0, I], [-I, -A(w)]] (see the module docstring)."""
+    w = _coupling(v, include_coupling)
+    return np.array(
+        [
+            [0.0, 0.0, 1.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+            [-1.0, 0.0, 0.0, w],
+            [0.0, -1.0, -w, 0.0],
+        ]
+    )
 
 
 def _frame_gradient(f: Callable[[np.ndarray], float], v: np.ndarray, scale: float) -> np.ndarray:

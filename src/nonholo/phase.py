@@ -24,11 +24,12 @@ the S^1 x S^1 symmetry are linear in (tau3, tau4):
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .profile import ProfileEval, ProfileSpec, contact_vector, eval_profile, profile_scalars
+from .profile import ProfileEval, ProfileSpec, contact_vector, eval_profile
 from .smallalg import Vec3, dot
 
 _NORM_TOL = 1e-6  # loose enough for renormalization-off trajectories
@@ -44,6 +45,8 @@ class BodyParams:
     grav: float = 0.0
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (self.m, self.I1, self.I3, self.grav)):
+            raise ValueError(f"need finite m, I1, I3, grav, got {self}")
         if not (self.m > 0 and self.I1 > 0 and self.I3 > 0):
             raise ValueError(f"need m, I1, I3 > 0, got {self}")
         if self.grav < 0:
@@ -63,8 +66,11 @@ class StateGM:
         if self.gamma.shape != (3,) or self.M.shape != (3,):
             raise ValueError("gamma and M must be 3-vectors")
         n = float(np.sqrt(dot(self.gamma, self.gamma)))
-        if abs(n - 1.0) > _NORM_TOL:
+        if not abs(n - 1.0) <= _NORM_TOL:
             raise ValueError(f"|gamma| = {n!r} is not 1 within {_NORM_TOL:g}")
+        M = self.M
+        if not (math.isfinite(M[0]) and math.isfinite(M[1]) and math.isfinite(M[2])):
+            raise ValueError(f"M = {M!r} is not finite")
 
     def packed(self) -> np.ndarray:
         """Return the state as a flat 6-vector (gamma, M)."""
@@ -146,6 +152,13 @@ def M_from_omega(params: BodyParams, ev: ProfileEval, gamma: Vec3, omega: Vec3) 
     )
 
 
+def _energy_raw(params: BodyParams, ev: ProfileEval, gamma: Vec3, M: Vec3) -> float:
+    """The one energy formula behind energy and energy_packed (no validation)."""
+    omega = _omega_raw(params, ev, gamma, M)
+    gs = dot(gamma, ev.rho * gamma) - ev.L * gamma[2]
+    return 0.5 * dot(M, omega) - params.m * params.grav * gs
+
+
 def energy(params: BodyParams, ev: ProfileEval, state: StateGM) -> float:
     """Total energy H = (1/2)<M, Omega> - m*grav*<gamma, s>.
 
@@ -153,22 +166,10 @@ def energy(params: BodyParams, ev: ProfileEval, state: StateGM) -> float:
     potential term is +m*grav*height.  This restriction of the full-space
     hamiltonian is pinned by the energy-conservation tests.
     """
-    omega = omega_from_M(params, ev, state)
-    s = contact_vector(ev, state.gamma)
-    return 0.5 * dot(state.M, omega) - params.m * params.grav * dot(state.gamma, s)
+    contact_vector(ev, state.gamma)  # consistency check only
+    return _energy_raw(params, ev, state.gamma, state.M)
 
 
 def energy_packed(params: BodyParams, spec: ProfileSpec, x: np.ndarray) -> float:
     """Energy as a plain function of the packed 6-vector (used by FD gradients)."""
-    ev = eval_profile(spec, x[2])
-    gamma, M = x[:3], x[3:6]
-    omega = _omega_raw(params, ev, gamma, M)
-    s = ev.rho * gamma
-    gs = dot(gamma, s) - ev.L * gamma[2]
-    return 0.5 * dot(M, omega) - params.m * params.grav * gs
-
-
-def scalars_at(params: BodyParams, spec: ProfileSpec, state: StateGM):
-    """Convenience: profile_scalars at the state's gamma3."""
-    ev = eval_profile(spec, state.gamma[2])
-    return profile_scalars(params, ev, state.gamma)
+    return _energy_raw(params, eval_profile(spec, x[2]), x[:3], x[3:6])

@@ -165,9 +165,13 @@ def profile_scalars(params: "BodyParams", ev: ProfileEval, gamma: Vec3) -> Profi
     e = 1.0 - params.m * ainv_s_s
     if e <= 1e-10:
         raise DegeneracyError(f"Legendre denominator E={e!r} <= 1e-10")
-    g3 = ev.gamma3
-    ptau = params.I1 * params.I3 + params.m * (
-        params.I1 * ev.rho**2 * (1.0 - g3 * g3) + params.I3 * ev.zeta**2
-    )
+    ptau = legendre_ptau(params, ev.rho, ev.zeta, 1.0 - ev.gamma3 * ev.gamma3)
     gs = dot(gamma, s)
     return ProfileScalars(params.m * gs, a1, e, ptau, gs, ss)
+
+
+def legendre_ptau(params: "BodyParams", rho: float, zeta: float, one_t2: float) -> float:
+    """Ptau = I1*I3 + m*(I1*rho^2*(1-tau1^2) + I3*zeta^2), given one_t2 = 1-tau1^2."""
+    return params.I1 * params.I3 + params.m * (
+        params.I1 * rho * rho * one_t2 + params.I3 * zeta * zeta
+    )

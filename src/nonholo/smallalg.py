@@ -1,17 +1,13 @@
-"""Small dense linear algebra: 3-vectors, n<=6 matrices, finite differences.
+"""Small linear algebra: 3-vectors, the hat map, RK4 step, finite differences.
 
 Everything here is deliberately written out (no LAPACK dispatch) so results
-are bit-reproducible across platforms and the singularity/error behaviour is
-ours to specify.
+are bit-reproducible across platforms.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from .errors import SingularMatrixError
 
 Vec3 = np.ndarray  # shape (3,), float64
 
@@ -41,78 +37,15 @@ def dot(a: Vec3, b: Vec3) -> float:
     return float(a[0] * b[0] + a[1] * b[1] + a[2] * b[2])
 
 
-@dataclass
-class SmallMatrix:
-    """Dense n x n matrix, 2 <= n <= 6.
-
-    ``antisymmetric`` is a construction tag: matrices carrying it were filled
-    through :meth:`set_pair`, which writes both (i,j) and (j,i), so
-    antisymmetry is exact by construction rather than checked after the fact.
-    """
-
-    data: np.ndarray
-    antisymmetric: bool = False
-
-    def __post_init__(self) -> None:
-        self.data = np.asarray(self.data, dtype=float)
-        n = self.data.shape[0]
-        if self.data.shape != (n, n) or not 2 <= n <= 6:
-            raise ValueError(f"SmallMatrix must be square with 2 <= n <= 6, got {self.data.shape}")
-
-    @classmethod
-    def zeros(cls, n: int, antisymmetric: bool = False) -> "SmallMatrix":
-        """Return an n x n zero matrix."""
-        return cls(np.zeros((n, n)), antisymmetric=antisymmetric)
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
-
-    def set_pair(self, i: int, j: int, value: float) -> None:
-        """Set entry (i, j) to value and (j, i) to -value."""
-        if not self.antisymmetric:
-            raise ValueError("set_pair is reserved for antisymmetric-tagged matrices")
-        self.data[i, j] = value
-        self.data[j, i] = -value
-
-    def __matmul__(self, other):
-        if isinstance(other, SmallMatrix):
-            return SmallMatrix(self.data @ other.data)
-        return self.data @ other
-
-
-def invert_small(a: SmallMatrix | np.ndarray) -> np.ndarray:
-    """Invert an n x n matrix (n <= 6) by Gaussian elimination with partial pivoting.
-
-    Raises:
-        SingularMatrixError: if |det| <= 1e-12 * ||A||_max^n. The message
-            carries the condition estimate ||A||_max^n / |det|.
-    """
-    m = a.data if isinstance(a, SmallMatrix) else np.asarray(a, dtype=float)
-    n = m.shape[0]
-    if m.shape != (n, n) or n > 6 or n < 1:
-        raise ValueError(f"invert_small expects square n <= 6, got {m.shape}")
-    work = np.concatenate([m.copy(), np.eye(n)], axis=1)
-    det = 1.0
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(work[col:, col])))
-        if piv != col:
-            work[[col, piv]] = work[[piv, col]]
-            det = -det
-        p = work[col, col]
-        det *= p
-        if p == 0.0:
-            break
-        work[col] /= p
-        for row in range(n):
-            if row != col and work[row, col] != 0.0:
-                work[row] -= work[row, col] * work[col]
-    scale = float(np.max(np.abs(m))) or 1.0
-    if abs(det) <= 1e-12 * scale**n:
-        cond = np.inf if det == 0.0 else scale**n / abs(det)
-        raise SingularMatrixError(f"matrix numerically singular (condition estimate {cond:.3e})")
-    inv = work[:, n:]
-    return inv
+def hat(v: Vec3) -> np.ndarray:
+    """The antisymmetric 3x3 matrix with hat(v) @ w = v x w."""
+    return np.array(
+        [
+            [0.0, -v[2], v[1]],
+            [v[2], 0.0, -v[0]],
+            [-v[1], v[0], 0.0],
+        ]
+    )
 
 
 def rk4_step(f: Callable[[float, np.ndarray], np.ndarray], t: float, y: np.ndarray, h: float) -> np.ndarray:

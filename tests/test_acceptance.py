@@ -159,7 +159,7 @@ def test_qp_linearity_and_kernel(capsys, routh_preset, ellipsoid_preset):
             inv = invariants(st)
             ev = eval_profile(spec, st.gamma[2])
             vals = qpl_values(params, ev, st)
-            qp = qp_matrix(params, spec, inv.t1).data
+            qp = qp_matrix(params, spec, inv.t1)
             den = max(abs(vals.Q), abs(vals.P), 1e-3)
             worst = max(
                 worst,
@@ -175,7 +175,7 @@ def test_qp_linearity_and_kernel(capsys, routh_preset, ellipsoid_preset):
         r = rng.uniform(0.2, 2.0)
         l = r * rng.uniform(-0.95, 0.95)
         t1 = rng.uniform(-0.999, 0.999)
-        qp = qp_matrix(params, ProfileSpec.routh(r, l), t1).data
+        qp = qp_matrix(params, ProfileSpec.routh(r, l), t1)
         scale = max(1.0, float(np.max(np.abs(qp))))
         kernel = max(
             kernel,
@@ -234,7 +234,7 @@ def test_balanced_ellipsoid_degeneration(capsys, chaplygin_run):
     params, spec, momenta, traj = chaplygin_run
     pmax = 0.0
     for t1 in momenta.grid:
-        qp = qp_matrix(params, spec, float(t1)).data
+        qp = qp_matrix(params, spec, float(t1))
         pmax = max(pmax, abs(qp[1, 0]), abs(qp[1, 1]))
     for st in make_states(41, 100):
         ev = eval_profile(spec, st.gamma[2])

@@ -74,7 +74,6 @@ def test_defaults():
     assert cfg.body.grav == 0.0
     assert cfg.integrator.dt == 1e-3
     assert cfg.integrator.t_final == 10.0
-    assert cfg.integrator.method == "rk4"
     assert cfg.integrator.renormalize_gamma is True
     assert (cfg.seed, cfg.samples) == (0, 100)
     assert (cfg.delta, cfg.h) == (1e-3, 1e-4)
@@ -108,13 +107,17 @@ BAD_CASES = [
     (ROUTH_RAW, ("params", "I1"), "big", "/params/I1"),
     (ELLIPSOID_RAW, ("params", "c"), -2.0, "/params"),
     (ROUTH_RAW, ("integrator", "dt"), 0.0, "/integrator"),
-    (ROUTH_RAW, ("integrator", "method"), "euler", "/integrator"),
+    (ROUTH_RAW, ("integrator", "method"), "euler", "/integrator/method"),
     (ROUTH_RAW, ("integrator", "renormalize_gamma"), "yes", "/integrator/renormalize_gamma"),
     (ROUTH_RAW, ("seed",), -1, "/seed"),
     (ROUTH_RAW, ("seed",), 1.5, "/seed"),
     (ROUTH_RAW, ("samples",), True, "/samples"),
     (ROUTH_RAW, ("delta",), 0.5, "/delta"),
     (ROUTH_RAW, ("h",), 0.01, "/h"),
+    (ROUTH_RAW, ("params", "grav"), float("nan"), "/params"),
+    (ROUTH_RAW, ("initial", "gamma"), [float("nan"), 0.0, 0.8], "/initial/gamma"),
+    (ROUTH_RAW, ("initial", "M"), [float("nan"), 2.0, 3.0], "/initial/M"),
+    (ROUTH_RAW, ("integrator", "t_final"), float("inf"), "/integrator"),
 ]
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from nonholo import (
     IntegratorConfig,
+    MomentaSolution,
     StateGM,
     drift_report,
     eval_profile,
@@ -39,7 +40,9 @@ def test_integrator_config_guards():
     with pytest.raises(ValueError):
         IntegratorConfig(dt=0.1, t_final=0.01)
     with pytest.raises(ValueError):
-        IntegratorConfig(dt=0.1, t_final=1.0, method="euler")
+        IntegratorConfig(dt=0.1, t_final=float("inf"))
+    with pytest.raises(ValueError):
+        IntegratorConfig(dt=float("nan"), t_final=1.0)
 
 
 def test_integrate_sampling(routh_preset):
@@ -77,6 +80,20 @@ def test_pole_grazing_run_degrades_to_nan(ellipsoid_preset):
     rep = drift_report(traj)
     assert np.isnan(rep["dJ1"]) and np.isnan(rep["dJ2"])
     assert rep["dE"] <= 1e-10  # energy is grid-free and stays certified
+
+
+def test_unexpected_momenta_errors_propagate(routh_preset, monkeypatch):
+    # Only DomainError (off the momenta grid) degrades to NaN; anything
+    # else is a bug and must surface.
+    params, spec = routh_preset
+    state = StateGM(np.array([0.6, 0.0, 0.8]), np.array([1.0, 2.0, 3.0]))
+
+    def broken(self, tau1):
+        raise RuntimeError("broken lookup")
+
+    monkeypatch.setattr(MomentaSolution, "eval", broken)
+    with pytest.raises(RuntimeError, match="broken lookup"):
+        integrate(params, spec, state, IntegratorConfig(1e-2, 0.1))
 
 
 def test_closed_form_momenta_do_not_warn_at_the_pole(routh_preset):

@@ -60,7 +60,7 @@ def test_qp_linearity_dual_route(seed, kind):
     ev = eval_profile(spec, state.gamma[2])
     vals = qpl_values(params, ev, state)
     p = invariants(state)
-    mat = qp_matrix(params, spec, p.t1).data
+    mat = qp_matrix(params, spec, p.t1)
     q2 = mat[0, 0] * p.t3 + mat[0, 1] * p.t4
     p2 = mat[1, 0] * p.t3 + mat[1, 1] * p.t4
     den = max(abs(vals.Q), abs(vals.P), 1e-3)
@@ -79,7 +79,7 @@ def test_routh_kernel_pair(r, l_frac, tau1):
     # closed-form momentum has constant coefficients.
     params = BodyParams(m=1.4, I1=2.0, I3=3.0)
     l = l_frac * r
-    mat = qp_matrix(params, ProfileSpec.routh(r, l), tau1).data
+    mat = qp_matrix(params, ProfileSpec.routh(r, l), tau1)
     resid = mat.T @ np.array([l, r])
     assert np.max(np.abs(resid)) <= 1e-12 * max(1.0, np.max(np.abs(mat)))
 
@@ -88,7 +88,7 @@ def test_routh_kernel_pair(r, l_frac, tau1):
 @given(st.floats(0.3, 4.0, allow_nan=False), st.floats(-0.99, 0.99, allow_nan=False))
 def test_spherical_ellipsoid_has_no_P(b, tau1):
     params = BodyParams(m=1.0, I1=2.0, I3=3.0)
-    mat = qp_matrix(params, ProfileSpec.ellipsoid(b, b), tau1).data
+    mat = qp_matrix(params, ProfileSpec.ellipsoid(b, b), tau1)
     assert np.max(np.abs(mat[1, :])) <= 1e-12
 
 

@@ -14,7 +14,7 @@ from nonholo import (
     particle_momentum,
     particle_rhs,
 )
-from nonholo.particle import hamiltonian_frame_flow
+from nonholo.particle import _bracket_matrix, frame_form, hamiltonian_frame_flow
 
 coords = st.floats(-2.0, 2.0, allow_nan=False)
 
@@ -45,6 +45,14 @@ def test_frame_flow_reproduces_rhs(x, y, z, px, py):
     c = hamiltonian_frame_flow(s)
     coord_rate = np.array([c[0], c[1], y * c[0], c[2], c[3]])
     assert np.max(np.abs(coord_rate - particle_rhs(s))) <= 1e-9
+
+
+@settings(max_examples=50)
+@given(coords, coords, coords, coords, coords, st.booleans())
+def test_bracket_is_minus_the_inverse_frame_form(x, y, z, px, py, include_coupling):
+    v = np.array([x, y, z, px, py])
+    b = _bracket_matrix(v, include_coupling)
+    assert np.max(np.abs(b @ frame_form(v, include_coupling) + np.eye(4))) <= 1e-15
 
 
 def test_uncoupled_flow_is_wrong():

@@ -1,10 +1,8 @@
 import numpy as np
-import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from nonholo import SmallMatrix, cross, dot, grad_fd, invert_small, rk4_step, vec3
-from nonholo.errors import SingularMatrixError
+from nonholo import cross, dot, grad_fd, rk4_step, vec3
 
 finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 triples = st.tuples(finite, finite, finite)
@@ -27,39 +25,6 @@ def test_jacobi_identity_of_cross(a, b, c):
     a, b, c = np.array(a), np.array(b), np.array(c)
     total = cross(a, cross(b, c)) + cross(b, cross(c, a)) + cross(c, cross(a, b))
     assert np.max(np.abs(total)) <= 1e-8
-
-
-def test_small_matrix_shape_guard():
-    with pytest.raises(ValueError):
-        SmallMatrix(np.zeros((7, 7)))
-    with pytest.raises(ValueError):
-        SmallMatrix(np.zeros((1, 1)))
-    with pytest.raises(ValueError):
-        SmallMatrix(np.zeros((3, 4)))
-
-
-def test_set_pair_requires_antisymmetric_tag():
-    m = SmallMatrix.zeros(3)
-    with pytest.raises(ValueError):
-        m.set_pair(0, 1, 2.0)
-    m = SmallMatrix.zeros(3, antisymmetric=True)
-    m.set_pair(0, 2, 1.5)
-    assert m.data[0, 2] == 1.5 and m.data[2, 0] == -1.5
-    assert np.max(np.abs(m.data + m.data.T)) == 0.0
-
-
-@settings(max_examples=50)
-@given(st.integers(2, 6), st.integers(0, 2**32 - 1))
-def test_invert_small_matches_numpy(n, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n, n)) + n * np.eye(n)
-    inv = invert_small(a)
-    assert np.max(np.abs(inv @ a - np.eye(n))) <= 1e-9
-
-
-def test_invert_small_refuses_singular():
-    with pytest.raises(SingularMatrixError):
-        invert_small(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
 
 def test_rk4_is_fourth_order():
