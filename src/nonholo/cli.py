@@ -510,10 +510,10 @@ def _solid_checks(cfg: RunConfig) -> list[CheckResult]:
 def _span_residual(params: BodyParams, spec: ProfileSpec, numeric) -> float:
     """Worst deviation of closed-form pairs from the numeric span (routh)."""
     r, l = spec.p1, spec.p2
+    c10, c20 = routh_closed_form(params, r, l, 0.0)
     worst = 0.0
     for t1, row in zip(numeric.grid, numeric.pairs):
         cf1, cf2 = routh_closed_form(params, r, l, float(t1))
-        c10, c20 = routh_closed_form(params, r, l, 0.0)
         pred1 = (c10[0] * row[0] + c10[1] * row[2], c10[0] * row[1] + c10[1] * row[3])
         pred2 = (c20[0] * row[0] + c20[1] * row[2], c20[0] * row[1] + c20[1] * row[3])
         worst = max(

@@ -56,7 +56,7 @@ class IntegratorConfig:
             raise ValueError(f"t_final={self.t_final!r} must be finite and >= dt")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrajectorySample:
     t: float
     state: StateGM

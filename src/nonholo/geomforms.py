@@ -33,7 +33,14 @@ import numpy as np
 
 from .errors import DomainError
 from .phase import BodyParams, StateGM, _omega_raw, omega_from_M
-from .profile import ProfileEval, ProfileSpec, contact_vector, eval_profile, legendre_ptau
+from .profile import (
+    ProfileEval,
+    ProfileSpec,
+    contact_vector,
+    eval_profile,
+    legendre_ptau,
+    profile_terms,
+)
 from .smallalg import E3, Vec3, cross, dot
 
 
@@ -80,16 +87,10 @@ def qp_matrix(params: BodyParams, spec: ProfileSpec, tau1: float) -> np.ndarray:
     """The 2x2 matrix [QP](tau1) with (Q, P) = [QP] . (tau3, tau4).
 
     Both <Omega, gamma> and c3 are linear in (tau3, tau4) once tau1 is
-    fixed, because Omega depends linearly on M.  The entries below are the
-    exact coefficients of that expansion, written with
-
-        A1 = I1 + m*<s,s>,  A3 = I3 + m*<s,s>,
-        E  = Ptau / (A1*A3),
-        Ptau = I1*I3 + m*(I1*rho^2*(1-tau1^2) + I3*zeta^2),
-        G  = rho*(1-tau1^2)/A1 + zeta*tau1/A3   (this is <A^-1 s, gamma>).
-
-    For the spherical profile (rho', L' = 0) the c3 columns drop out and
-    the matrix has the constant kernel (L, -rho) up to scale.
+    fixed, because Omega depends linearly on M.  The entries are the exact
+    coefficients of that expansion (see ``_qp_entries``).  For the spherical
+    profile (rho', L' = 0) the c3 columns drop out and the matrix has the
+    constant kernel (L, -rho) up to scale.
 
     Raises:
         DomainError: if |tau1| > 1 - 1e-9 (reduced space is singular at the
@@ -99,8 +100,38 @@ def qp_matrix(params: BodyParams, spec: ProfileSpec, tau1: float) -> np.ndarray:
     if abs(t1) > 1.0 - 1e-9:
         raise DomainError(f"tau1={t1!r} too close to the singular strata +-1")
     ev = eval_profile(spec, t1)
+    q00, q01, q10, q11 = _qp_entries(params, t1, ev.rho, ev.zeta, ev.L, ev.rho_p, ev.L_p)
+    return np.array([[q00, q01], [q10, q11]])
+
+
+def qp_grid(params: BodyParams, spec: ProfileSpec, tau1: np.ndarray) -> tuple:
+    """The entries (QP00, QP01, QP10, QP11) of [QP] at every point of a tau1 array.
+
+    Each array equals ``qp_matrix`` evaluated point by point, bit for bit:
+    the profile terms and the expansion are the same bodies, applied
+    elementwise.
+
+    Raises:
+        DomainError: if any |tau1| > 1 - 1e-9.
+    """
+    t1 = np.asarray(tau1, dtype=float)
+    if float(np.max(np.abs(t1))) > 1.0 - 1e-9:
+        raise DomainError("tau1 grid reaches the singular strata +-1")
+    rho, zeta, L, rho_p, _, L_p = profile_terms(spec, t1, np.sqrt)
+    return _qp_entries(params, t1, rho, zeta, L, rho_p, L_p)
+
+
+def _qp_entries(params: BodyParams, t1, rho, zeta, L, rho_p, L_p) -> tuple:
+    """Entries of [QP] from the profile terms; floats or elementwise on arrays.
+
+    Written with
+
+        A1 = I1 + m*<s,s>,  A3 = I3 + m*<s,s>,
+        E  = Ptau / (A1*A3),
+        Ptau = I1*I3 + m*(I1*rho^2*(1-tau1^2) + I3*zeta^2),
+        G  = rho*(1-tau1^2)/A1 + zeta*tau1/A3   (this is <A^-1 s, gamma>).
+    """
     m = params.m
-    rho, zeta, L = ev.rho, ev.zeta, ev.L
     one_t2 = 1.0 - t1 * t1
     ss = rho * rho * one_t2 + zeta * zeta
     a1 = params.I1 + m * ss
@@ -115,15 +146,9 @@ def qp_matrix(params: BodyParams, spec: ProfileSpec, tau1: float) -> np.ndarray:
     om3 = (m * som[0] * zeta / a3, 1.0 / a3 + m * som[1] * zeta / a3)
     c3 = (om3[0] * gs - zeta * og[0], om3[1] * gs - zeta * og[1])
 
-    return np.array(
-        [
-            [
-                m * (-rho * rho * og[0] + ev.rho_p * c3[0]),
-                m * (-rho * rho * og[1] + ev.rho_p * c3[1]),
-            ],
-            [
-                m * (L * rho * og[0] - ev.L_p * c3[0]),
-                m * (L * rho * og[1] - ev.L_p * c3[1]),
-            ],
-        ]
+    return (
+        m * (-rho * rho * og[0] + rho_p * c3[0]),
+        m * (-rho * rho * og[1] + rho_p * c3[1]),
+        m * (L * rho * og[0] - L_p * c3[0]),
+        m * (L * rho * og[1] - L_p * c3[1]),
     )

@@ -21,6 +21,18 @@ Numeric solutions integrate outward from tau1 = 0 with fixed-step RK4 and
 are tabulated on a uniform grid in (-1+delta, 1-delta); evaluation between
 nodes is linear interpolation.  Independence of the two solutions (the
 determinant f1*g2 - f2*g1 per node) is *reported*, not assumed.
+
+The solve never calls ``qp_matrix`` per stage.  [QP] is closed-form in
+tau1, so it is evaluated up front, as numpy arrays, at every stage time of
+a chunk of steps (t, t + h/2 and t + h; ``geomforms.qp_grid``).  The RK4
+steps of both pairs then run on Python floats with the operation order of
+``smallalg.rk4_step`` applied to ``momenta_ode_rhs``, whose arithmetic
+(``_ode_slope``) they share.  The table is therefore bit-identical to
+stepping the two pairs with ``rk4_step``, at a few percent of its cost;
+chunking bounds the transient arrays to a few hundred nodes.  A lookup
+(``MomentaSolution.eval``) finds its row pair with one ``searchsorted`` and
+interpolates all four columns with ``np.interp``'s formula, again bit for
+bit.
 """
 from __future__ import annotations
 
@@ -32,10 +44,19 @@ import numpy as np
 
 from .brackets import J1_COMPONENT, J2_COMPONENT, ScalarField
 from .errors import DomainError
-from .geomforms import qp_matrix
+from .geomforms import qp_grid, qp_matrix
 from .phase import BodyParams, StateGM, momentum_components
 from .profile import ProfileSpec
-from .smallalg import rk4_step
+
+#: RK4 steps whose stage values of [QP] are evaluated in one array pass
+_CHUNK = 256
+
+
+def _ode_slope(q00, q01, q10, q11, tau1, f, g) -> tuple:
+    """(f', g') from the entries of [QP] at tau1, on floats."""
+    qf = q00 * f + q10 * g   # [QP]^T . (f, g)
+    qg = q01 * f + q11 * g
+    return tau1 * qf - qg, qf
 
 
 def momenta_ode_rhs(
@@ -43,10 +64,9 @@ def momenta_ode_rhs(
 ) -> np.ndarray:
     """Right-hand side (f', g') of the coefficient ODE at tau1."""
     qp = qp_matrix(params, spec, tau1)
-    f, g = float(fg[0]), float(fg[1])
-    qf = qp[0, 0] * f + qp[1, 0] * g   # [QP]^T . (f, g)
-    qg = qp[0, 1] * f + qp[1, 1] * g
-    return np.array([tau1 * qf - qg, qf])
+    return np.array(
+        _ode_slope(qp[0, 0], qp[0, 1], qp[1, 0], qp[1, 1], tau1, float(fg[0]), float(fg[1]))
+    )
 
 
 @dataclass
@@ -69,6 +89,10 @@ class MomentaSolution:
     def eval(self, tau1: float) -> np.ndarray:
         """Return (f1, g1, f2, g2) at tau1.
 
+        Tabulated mode interpolates linearly between the two nodes around
+        tau1, with the same bits as ``np.interp`` on each column of a
+        finite table.
+
         Raises:
             DomainError: if tau1 falls outside the grid (tabulated mode)
                 or beyond [-1, 1] (closed-form mode).
@@ -79,13 +103,25 @@ class MomentaSolution:
                 raise DomainError(f"tau1={t1!r} outside [-1, 1]")
             p1, p2 = routh_closed_form(self.params, self.spec.p1, self.spec.p2, t1)
             return np.array([p1[0], p1[1], p2[0], p2[1]])
-        if t1 < self.grid[0] - 1e-12 or t1 > self.grid[-1] + 1e-12:
+        grid, pairs = self.grid, self.pairs
+        if t1 < grid[0] - 1e-12 or t1 > grid[-1] + 1e-12:
             raise DomainError(
-                f"tau1={t1!r} outside the momenta grid [{self.grid[0]!r}, {self.grid[-1]!r}]"
+                f"tau1={t1!r} outside the momenta grid [{grid[0]!r}, {grid[-1]!r}]"
             )
-        return np.array(
-            [np.interp(t1, self.grid, self.pairs[:, i]) for i in range(4)]
-        )
+        # np.interp on each column, from one row pair: its NaN, end and node
+        # cases, and its formula slope*(t - x0) + p0.
+        if t1 != t1:
+            return np.full(4, t1)
+        j = int(grid.searchsorted(t1, "right")) - 1
+        if j < 0:
+            return pairs[0].copy()
+        if j >= len(grid) - 1:
+            return pairs[-1].copy()
+        (x0, x1), (row0, row1) = grid[j : j + 2].tolist(), pairs[j : j + 2].tolist()
+        if x0 == t1:
+            return np.array(row0)
+        dx, dt = x1 - x0, t1 - x0
+        return np.array([(p1 - p0) / dx * dt + p0 for p0, p1 in zip(row0, row1)])
 
     def independence(self) -> np.ndarray:
         """Determinant f1*g2 - f2*g1 per grid node."""
@@ -119,21 +155,55 @@ def solve_momenta(
     grid = _grid(delta, h)
     n = (len(grid) - 1) // 2
     pairs = np.empty((len(grid), 4))
-
-    def f(t, y):
-        return np.concatenate(
-            [momenta_ode_rhs(params, spec, t, y[:2]), momenta_ode_rhs(params, spec, t, y[2:])]
-        )
-
-    y0 = np.array([1.0, 0.0, 0.0, 1.0])
+    y0 = (1.0, 0.0, 0.0, 1.0)
     pairs[n] = y0
     for direction in (+1, -1):
-        y = y0.copy()
-        for k in range(1, n + 1):
-            t = direction * (k - 1) * h
-            y = rk4_step(f, t, y, direction * h)
-            pairs[n + direction * k] = y
+        step = direction * h
+        y = y0
+        for k0 in range(1, n + 1, _CHUNK):
+            ks = np.arange(k0, min(k0 + _CHUNK, n + 1))
+            t = (direction * (ks - 1)) * h  # as rk4_step's t = direction*(k-1)*h
+            stage_t = np.concatenate([t, t + 0.5 * step, t + step])
+            qp = [q.tolist() for q in qp_grid(params, spec, stage_t)]
+            rows = _rk4_pairs(y, step, stage_t.tolist(), qp)
+            pairs[n + direction * ks] = rows
+            y = rows[-1]
     return MomentaSolution(params, spec, grid, pairs, delta, h)
+
+
+def _rk4_pairs(y: tuple, h: float, stage_t: list, qp: list) -> list:
+    """RK4 steps of both coefficient pairs y = (f1, g1, f2, g2), on floats.
+
+    ``stage_t`` lists the m step starts, then their midpoints, then their
+    ends; ``qp`` holds the four [QP] entries at those times.  The operation
+    order is that of ``rk4_step`` with ``momenta_ode_rhs`` as right-hand
+    side, so the values are bit-identical to it.  Returns the m new states.
+    """
+    m = len(stage_t) // 3
+    q00, q01, q10, q11 = qp
+    half, sixth = 0.5 * h, h / 6.0
+    f1, g1, f2, g2 = y
+    out = []
+    for i in range(m):
+        a, b, c, d, t = q00[i], q01[i], q10[i], q11[i], stage_t[i]
+        k1f1, k1g1 = _ode_slope(a, b, c, d, t, f1, g1)
+        k1f2, k1g2 = _ode_slope(a, b, c, d, t, f2, g2)
+        j = m + i
+        a, b, c, d, t = q00[j], q01[j], q10[j], q11[j], stage_t[j]
+        k2f1, k2g1 = _ode_slope(a, b, c, d, t, f1 + half * k1f1, g1 + half * k1g1)
+        k2f2, k2g2 = _ode_slope(a, b, c, d, t, f2 + half * k1f2, g2 + half * k1g2)
+        k3f1, k3g1 = _ode_slope(a, b, c, d, t, f1 + half * k2f1, g1 + half * k2g1)
+        k3f2, k3g2 = _ode_slope(a, b, c, d, t, f2 + half * k2f2, g2 + half * k2g2)
+        j += m
+        a, b, c, d, t = q00[j], q01[j], q10[j], q11[j], stage_t[j]
+        k4f1, k4g1 = _ode_slope(a, b, c, d, t, f1 + h * k3f1, g1 + h * k3g1)
+        k4f2, k4g2 = _ode_slope(a, b, c, d, t, f2 + h * k3f2, g2 + h * k3g2)
+        f1 = f1 + sixth * (k1f1 + 2.0 * k2f1 + 2.0 * k3f1 + k4f1)
+        g1 = g1 + sixth * (k1g1 + 2.0 * k2g1 + 2.0 * k3g1 + k4g1)
+        f2 = f2 + sixth * (k1f2 + 2.0 * k2f2 + 2.0 * k3f2 + k4f2)
+        g2 = g2 + sixth * (k1g2 + 2.0 * k2g2 + 2.0 * k3g2 + k4g2)
+        out.append((f1, g1, f2, g2))
+    return out
 
 
 def _routh_zeta_p(params: BodyParams, r: float, l: float, gamma3: float) -> tuple[float, float]:

@@ -53,7 +53,7 @@ class BodyParams:
             raise ValueError(f"need grav >= 0, got {self.grav}")
 
 
-@dataclass
+@dataclass(slots=True)
 class StateGM:
     """A point (gamma, M) with gamma on the unit sphere."""
 
@@ -81,7 +81,7 @@ class StateGM:
         return cls(np.array(x[:3]), np.array(x[3:6]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InvariantPoint:
     """Values of the S^1-invariant coordinates tau1..tau5 at a state."""
 

@@ -89,20 +89,30 @@ def eval_profile(spec: ProfileSpec, gamma3: float) -> ProfileEval:
     g3 = float(gamma3)
     if abs(g3) > 1.0 + DOMAIN_SLACK:
         raise DomainError(f"gamma3={g3!r} outside [-1-{DOMAIN_SLACK:g}, 1+{DOMAIN_SLACK:g}]")
+    return ProfileEval(g3, *profile_terms(spec, g3))
+
+
+def profile_terms(spec: ProfileSpec, g3, sqrt=math.sqrt) -> tuple:
+    """(rho, zeta, L, rho', zeta', L') of ``spec`` at g3, without the domain check.
+
+    The one body of the profile formulas: ``g3`` is a float (``eval_profile``)
+    or a float array with ``sqrt=np.sqrt`` (the coefficient-ODE grid pass).
+    Both give the same bits, since every operation is elementwise IEEE
+    arithmetic.  Terms that do not depend on g3 stay scalars.
+    """
     if spec.kind == "routh":
         r, l = spec.p1, spec.p2
         rho = -r
         zeta = -r * g3 + l
-        return ProfileEval(g3, rho, zeta, rho * g3 - zeta, 0.0, -r, 0.0)
+        return rho, zeta, rho * g3 - zeta, 0.0, -r, 0.0
     if spec.kind == "ellipsoid":
         b, c = spec.p1, spec.p2
         d = b * (1.0 - g3 * g3) + c * g3 * g3
-        sq = math.sqrt(d)
+        sq = sqrt(d)
         d32 = d * sq
         rho = -b / sq
         zeta = -c * g3 / sq
-        return ProfileEval(
-            g3,
+        return (
             rho,
             zeta,
             rho * g3 - zeta,

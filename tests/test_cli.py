@@ -1,5 +1,6 @@
 """Config parsing, deterministic sampling, and end-to-end command tests."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -286,3 +287,40 @@ def test_error_exits(tmp_path, capsys):
     assert main(["simulate", "--config", sim, "--out", str(tmp_path / "no" / "dir" / "t.csv")]) == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 4
+
+
+# ---------------------------------------------------------------------------
+# byte-identity guard: the .17g output contract across performance changes
+
+# sha256 of (stdout, CSV) for each run below, recorded before the coefficient
+# ODE solve and the momenta lookup were vectorized; a change that moves any
+# output byte of these runs must say so and re-record them.
+FROZEN_SHA256 = {
+    "ellipsoid-momenta": (
+        "5cafae4f8d2ae806979f334cc6e897a81ce579590a0fefaac088dbe0aa0b24a6",
+        "800cd1cec1d75f9b0dc49290f6d4a329fba857af2faae4ef00d1f0f0bc88320c",
+    ),
+    "ellipsoid-simulate": (
+        "ed005118067088dff5b5e522d143d9c3fb06807c42ed8b75c18a07195850f883",
+        "f1ddfe327aa4b739e677d7962b9be4de2fe84601a12b6efcf20d50d978095c7b",
+    ),
+    "routh-momenta": (
+        "c801bd1b82ad5fb0b5d38394f96d48b3fc0dac1d119e52e2ac453fb6f08b6d20",
+        "02965cb5e2b1115e719bd3b8bd6645cacb5628ac3a2255fd7e25bbc3db48863c",
+    ),
+}
+FROZEN_RUNS = {
+    "routh-momenta": ("momenta", dict(ROUTH_RAW, h=1e-3)),
+    "ellipsoid-momenta": ("momenta", ELLIPSOID_RAW),
+    "ellipsoid-simulate": ("simulate", dict(ELLIPSOID_RAW, integrator={"dt": 1e-3, "t_final": 0.2})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_RUNS))
+def test_outputs_are_byte_identical_to_the_frozen_hashes(tmp_path, capsys, name):
+    command, raw = FROZEN_RUNS[name]
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", write_config(tmp_path, raw), "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out.encode()
+    digests = (hashlib.sha256(stdout).hexdigest(), hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests == FROZEN_SHA256[name]

@@ -18,6 +18,7 @@ from nonholo import (
     qpl_values,
 )
 from nonholo.errors import DomainError
+from nonholo.geomforms import qp_grid
 
 from conftest import make_states
 
@@ -107,3 +108,27 @@ def test_P_vanishes_for_balanced_sphere_states(worked_params, worked_spec):
     for state in make_states(7, 10):
         ev = eval_profile(worked_spec, state.gamma[2])
         assert qpl_values(worked_params, ev, state).P == pytest.approx(0.0, abs=1e-14)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [*PRESETS.values(), ProfileSpec.ellipsoid(1.5, 1.5)],
+    ids=[*PRESETS, "balanced-ellipsoid"],
+)
+def test_qp_grid_equals_qp_matrix_exactly(spec):
+    # The coefficient-ODE solve evaluates [QP] as arrays; every entry must be
+    # the scalar qp_matrix value, bit for bit, or the table would move.
+    params = BodyParams(m=1.0, I1=2.0, I3=3.0, grav=9.8)
+    tau1 = np.concatenate([np.linspace(-0.999999, 0.999999, 20001), [0.0, -0.0, 0.5e-4]])
+    grid = np.array(qp_grid(params, spec, tau1))
+    scalar = np.array([qp_matrix(params, spec, t).reshape(4) for t in tau1.tolist()]).T
+    assert np.array_equal(grid, scalar)
+
+
+def test_qp_grid_domain_guard():
+    params = BodyParams(m=1.0, I1=2.0, I3=3.0)
+    spec = ProfileSpec.routh(1.0, 0.1)
+    with pytest.raises(DomainError):
+        qp_grid(params, spec, np.array([0.0, 1.0]))
+    with pytest.raises(DomainError):
+        qp_grid(params, spec, np.array([-1.0 - 1e-12]))

@@ -25,6 +25,8 @@ from nonholo import (
     solve_momenta,
 )
 from nonholo.errors import DomainError
+from nonholo.momenta import _grid
+from nonholo.smallalg import rk4_step
 
 from conftest import make_states
 
@@ -156,3 +158,81 @@ def test_momentum_fields_gradients(seed):
     x = state.packed()
     for f in (f1, f2):
         assert np.max(np.abs(f.gradient(x) - grad_fd(f.value, x))) <= 1e-7
+
+
+# ---------------------------------------------------------------------------
+# the solver against the step-by-step RK4 it replaces, and the one-lookup table
+
+
+def _solve_with_rk4_step(params, spec, delta, h):
+    """The coefficient ODE stepped with rk4_step + momenta_ode_rhs: one scalar
+    [QP] evaluation per pair and stage, the way the table used to be built."""
+    grid = _grid(delta, h)
+    n = (len(grid) - 1) // 2
+    pairs = np.empty((len(grid), 4))
+
+    def f(t, y):
+        return np.concatenate(
+            [momenta_ode_rhs(params, spec, t, y[:2]), momenta_ode_rhs(params, spec, t, y[2:])]
+        )
+
+    y0 = np.array([1.0, 0.0, 0.0, 1.0])
+    pairs[n] = y0
+    for direction in (+1, -1):
+        y = y0.copy()
+        for k in range(1, n + 1):
+            y = rk4_step(f, direction * (k - 1) * h, y, direction * h)
+            pairs[n + direction * k] = y
+    return grid, pairs
+
+
+SOLVER_SPECS = {
+    "routh": ProfileSpec.routh(1.0, 0.1),
+    "ellipsoid": ProfileSpec.ellipsoid(2.0, 1.0),
+    "balanced-ellipsoid": ProfileSpec.ellipsoid(1.5, 1.5),
+}
+
+
+@pytest.mark.parametrize(
+    "name, delta, h",
+    [
+        (name, delta, h)
+        for name in SOLVER_SPECS
+        for delta, h in ((1e-2, 1e-3), (1e-3, 3.7e-4))  # 3.7e-4 does not divide 1 - delta
+    ]
+    + [("ellipsoid", 1e-3, 1e-4)],  # the default grid
+)
+def test_solver_matches_rk4_step_bit_for_bit(name, delta, h):
+    spec = SOLVER_SPECS[name]
+    grid, pairs = _solve_with_rk4_step(P98, spec, delta, h)
+    sol = solve_momenta(P98, spec, delta, h)
+    assert np.array_equal(sol.grid, grid)
+    assert np.array_equal(sol.pairs, pairs)
+
+
+def _interp_columns(sol, t1):
+    return np.array([np.interp(t1, sol.grid, sol.pairs[:, i]) for i in range(4)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-0.999, 0.999, allow_nan=False))
+def test_eval_equals_np_interp_inside_the_grid(ellipsoid_momenta, t1):
+    assert np.array_equal(ellipsoid_momenta.eval(t1), _interp_columns(ellipsoid_momenta, t1))
+
+
+def test_eval_equals_np_interp_at_nodes_and_ends(ellipsoid_momenta):
+    sol = ellipsoid_momenta
+    lo, hi = float(sol.grid[0]), float(sol.grid[-1])
+    points = sol.grid.tolist() + [
+        lo - 1e-12,
+        np.nextafter(lo, 0.0),
+        np.nextafter(hi, 0.0),
+        hi + 1e-12,
+    ]
+    for t1 in points:
+        assert np.array_equal(sol.eval(t1), _interp_columns(sol, t1)), t1
+    assert np.isnan(sol.eval(float("nan"))).all()
+    with pytest.raises(DomainError):
+        sol.eval(lo - 1e-11)
+    with pytest.raises(DomainError):
+        sol.eval(hi + 1e-11)
