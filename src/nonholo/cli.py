@@ -20,48 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brackets import (
-    BracketKind,
-    J2_COMPONENT,
-    TAU1,
-    TAU4,
-    TAUS,
-    bivector_packed,
-    bracket,
-    casimir_residuals,
-    hamiltonian_field,
-    jacobiator,
-    pushforward_residual,
-)
-from .dynamics import (
-    IntegratorConfig,
-    drift_report,
-    integrate,
-    nonconservation_rates,
-    _rhs_packed,
-)
+from . import certify
+from .certify import CheckResult
+from .dynamics import IntegratorConfig, drift_report, integrate
 from .errors import ConfigError, NonholoError
-from .geomforms import qp_matrix, qpl_values
-from .momenta import (
-    closed_form_momenta,
-    ode_residual,
-    routh_closed_form,
-    routh_pair,
-    solve_momenta,
-)
-from .particle import (
-    ParticleState,
-    hamiltonian_frame_flow,
-    particle_bracket,
-    particle_integrate,
-    particle_jacobiator_reduced,
-    particle_jacobiator_unreduced,
-    particle_momentum,
-    particle_rhs,
-)
-from .phase import BodyParams, StateGM, invariants, omega_from_M
-from .profile import ProfileSpec, eval_profile, profile_scalars
-from .smallalg import E1, E2, E3, cross, dot
+from .momenta import closed_form_momenta, solve_momenta
+from .particle import ParticleState, particle_integrate
+from .phase import BodyParams, StateGM
+from .profile import ProfileSpec
 
 SYSTEMS = ("routh", "ellipsoid", "particle")
 
@@ -79,16 +45,6 @@ class RunConfig:
     samples: int
     delta: float
     h: float
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    status: str
-    measured: float
-    tolerance: float
-    citation: str
-    mode: str = "upper"  # "upper": pass iff measured < tolerance; "lower": >
 
 
 @dataclass
@@ -333,10 +289,7 @@ def cmd_simulate(cfg: RunConfig, out_path: str) -> int:
                 for s in traj
             )
             _write_csv(out_path, ["t", "x", "y", "z", "px", "py", "J", "E"], rows)
-            summary = {
-                "dE": max(abs(s.E - traj[0].E) for s in traj),
-                "dJ": max(abs(s.J - traj[0].J) for s in traj),
-            }
+            summary = {"dE": certify.drift(traj, "E"), "dJ": certify.drift(traj, "J")}
         else:
             state0 = StateGM(np.array(cfg.gamma0), np.array(cfg.M0))
             traj = integrate(cfg.body, cfg.profile, state0, cfg.integrator)
@@ -368,218 +321,14 @@ def cmd_simulate(cfg: RunConfig, out_path: str) -> int:
     return 0
 
 
-def _solid_checks(cfg: RunConfig) -> list[CheckResult]:
-    params, spec = cfg.body, cfg.profile
-    states = [sample_state(cfg.seed, k) for k in range(cfg.samples)]
-    if spec.kind == "routh":
-        momenta = closed_form_momenta(params, spec, cfg.delta)
-    else:
-        momenta = solve_momenta(params, spec, cfg.delta, cfg.h)
-    ham = hamiltonian_field(params, spec)
-    kinds = (BracketKind.GAUGED, BracketKind.NH)
-
-    antisym = leib = qp_rel = gauge_c = jac_g = 0.0
-    notp_rel = cas1 = cas2 = invol = vert = push = rate = rel = consist = 0.0
-    for st in states:
-        x = st.packed()
-        ev = eval_profile(spec, x[2])
-        sc = profile_scalars(params, ev, st.gamma)
-        vals = qpl_values(params, ev, st)
-        inv = invariants(st)
-
-        for kind in kinds:
-            pi = bivector_packed(params, spec, x, kind)
-            antisym = max(antisym, float(np.max(np.abs(pi + pi.T))))
-            xd = _rhs_packed(params, spec, x)
-            consist = max(consist, float(np.max(np.abs(xd - pi @ ham.gradient(x)))))
-
-        def fg(y):
-            return (y[0] * y[4] - y[1] * y[3]) * (y[0] * y[3] + y[1] * y[4])
-
-        lhs = bracket(params, spec, fg, TAUS[3], st, BracketKind.GAUGED)
-        t2v, t3v = inv.t2, inv.t3
-        rhs_leib = t2v * bracket(params, spec, TAUS[2], TAUS[3], st, BracketKind.GAUGED) + (
-            t3v * bracket(params, spec, TAUS[1], TAUS[3], st, BracketKind.GAUGED)
-        )
-        leib = max(leib, abs(lhs - rhs_leib))
-
-        qp = qp_matrix(params, spec, inv.t1)
-        qv = qp[0, 0] * inv.t3 + qp[0, 1] * inv.t4
-        pv = qp[1, 0] * inv.t3 + qp[1, 1] * inv.t4
-        den = max(abs(vals.Q), abs(vals.P), 1e-3)
-        qp_rel = max(qp_rel, abs(qv - vals.Q) / den, abs(pv - vals.P) / den)
-
-        omega = omega_from_M(params, ev, st)
-        for e in (E1, E2, E3):
-            gauge_c = max(gauge_c, abs(dot(omega, cross(omega, e))))
-
-        for a in range(5):
-            for b in range(a + 1, 5):
-                for c in range(b + 1, 5):
-                    jac_g = max(
-                        jac_g,
-                        abs(jacobiator(params, spec, TAUS[a], TAUS[b], TAUS[c], st, BracketKind.GAUGED)),
-                    )
-
-        jac_nh = jacobiator(params, spec, TAU1, J2_COMPONENT, TAU4, st, BracketKind.NH)
-        closed = -params.m * ev.rho * sc.gs * (1.0 - inv.t1**2) / sc.A1
-        notp_rel = max(notp_rel, abs(jac_nh - closed) / abs(closed))
-
-        res = casimir_residuals(params, spec, st, momenta)
-        cas1 = max(cas1, res.max_j1)
-        cas2 = max(cas2, res.max_j2)
-        invol = max(invol, res.involution)
-        vert = max(vert, res.vertical1, res.vertical2)
-
-        push = max(push, pushforward_residual(params, spec, st))
-
-        rl = nonconservation_rates(params, ev, st)
-        scale = max(abs(rl.pred1), abs(rl.pred2), 1e-6)
-        rate = max(rate, abs(rl.dj1 - rl.pred1) / scale, abs(rl.dj2 - rl.pred2) / scale)
-
-        rel = max(rel, abs(inv.relation_residual()))
-
-    checks = [
-        CheckResult("antisymmetry", _status(antisym, 1e-9), antisym, 1e-9,
-                    "bracket matrix is antisymmetric by construction"),
-        CheckResult("leibniz", _status(leib, 1e-7), leib, 1e-7,
-                    "bracket satisfies the Leibniz rule"),
-        CheckResult("qp-linearity", _status(qp_rel, 1e-9), qp_rel, 1e-9,
-                    "Q and P are linear in (tau3, tau4)"),
-        CheckResult("gauge-compatibility", _status(gauge_c, 1e-14), gauge_c, 1e-14,
-                    "gauge 2-form annihilates the constrained dynamics"),
-        CheckResult("jacobi-gauged", _status(jac_g, 1e-6), jac_g, 1e-6,
-                    "gauged reduced bracket satisfies the Jacobi identity"),
-        CheckResult("jacobi-ungauged-closed-form", _status(notp_rel, 1e-4), notp_rel, 1e-4,
-                    "ungauged Jacobiator matches its closed-form obstruction"),
-        CheckResult("casimir-J1", _status(cas1, 1e-8), cas1, 1e-8,
-                    "gauge momenta are Casimirs of the gauged bracket"),
-        CheckResult("casimir-J2", _status(cas2, 1e-8), cas2, 1e-8,
-                    "gauge momenta are Casimirs of the gauged bracket"),
-        CheckResult("involution", _status(invol, 1e-8), invol, 1e-8,
-                    "the two gauge momenta are in involution"),
-        CheckResult("vertical-generator", _status(vert, 1e-8), vert, 1e-8,
-                    "momentum flows are proportional to the S1 generator"),
-        CheckResult("pushforward-table", _status(push, 1e-8), push, 1e-8,
-                    "tau-pushforward of the bracket matches the explicit table"),
-        CheckResult("rate-law", _status(rate, 1e-9), rate, 1e-9,
-                    "momentum components drift at the predicted rate"),
-        CheckResult("relation-residual", _status(rel, 1e-12), rel, 1e-12,
-                    "invariant coordinates satisfy their defining relation"),
-        CheckResult("bracket-dynamics-consistency", _status(consist, 1e-8), consist, 1e-8,
-                    "dynamics is bracket-hamiltonian for both bracket kinds"),
-    ]
-
-    if spec.kind == "routh":
-        r, l = spec.p1, spec.p2
-        grid = np.linspace(-0.999, 0.999, 1000)
-        kern = 0.0
-        oderes = 0.0
-        p1cf = routh_pair(params, spec, 0)
-        p2cf = routh_pair(params, spec, 1)
-        for t1 in grid:
-            qp = qp_matrix(params, spec, float(t1))
-            kern = max(kern, abs(qp[0, 0] * l + qp[1, 0] * r), abs(qp[0, 1] * l + qp[1, 1] * r))
-            oderes = max(
-                oderes,
-                ode_residual(params, spec, p1cf, float(t1)),
-                ode_residual(params, spec, p2cf, float(t1)),
-            )
-        numeric = solve_momenta(params, spec, cfg.delta, cfg.h)
-        span = _span_residual(params, spec, numeric)
-        checks += [
-            CheckResult("kernel-pair", _status(kern, 1e-12), kern, 1e-12,
-                        "the constant pair spans the coefficient-ODE kernel"),
-            CheckResult("closed-form-ode-residual", _status(oderes, 1e-9), oderes, 1e-9,
-                        "closed-form pairs solve the coefficient ODE"),
-            CheckResult("span-containment", _status(span, 1e-6), span, 1e-6,
-                        "numeric solution span contains the closed forms"),
-        ]
-    elif spec.p1 == spec.p2:
-        pmax = 0.0
-        for st in states:
-            ev = eval_profile(spec, st.gamma[2])
-            pmax = max(pmax, abs(qpl_values(params, ev, st).P))
-        checks.append(
-            CheckResult("chaplygin-P-zero", _status(pmax, 1e-12), pmax, 1e-12,
-                        "balanced ellipsoid limit has identically vanishing P")
-        )
-    return checks
-
-
-def _span_residual(params: BodyParams, spec: ProfileSpec, numeric) -> float:
-    """Worst deviation of closed-form pairs from the numeric span (routh)."""
-    r, l = spec.p1, spec.p2
-    c10, c20 = routh_closed_form(params, r, l, 0.0)
-    worst = 0.0
-    for t1, row in zip(numeric.grid, numeric.pairs):
-        cf1, cf2 = routh_closed_form(params, r, l, float(t1))
-        pred1 = (c10[0] * row[0] + c10[1] * row[2], c10[0] * row[1] + c10[1] * row[3])
-        pred2 = (c20[0] * row[0] + c20[1] * row[2], c20[0] * row[1] + c20[1] * row[3])
-        worst = max(
-            worst,
-            abs(pred1[0] - cf1[0]),
-            abs(pred1[1] - cf1[1]),
-            abs(pred2[0] - cf2[0]),
-            abs(pred2[1] - cf2[1]),
-        )
-    return worst
-
-
-def _particle_checks(cfg: RunConfig) -> list[CheckResult]:
-    run_cfg = IntegratorConfig(1e-3, 10.0)
-    traj = particle_integrate(ParticleState(0.0, 0.0, 0.0, 1.0, 1.0), run_cfg)
-    dj = max(abs(s.J - traj[0].J) for s in traj)
-    de = max(abs(s.E - traj[0].E) for s in traj)
-
-    jac = casj = anchor = neg = negdev = 0.0
-    coords = [lambda u: u[1], lambda u: u[3], lambda u: u[4]]
-    for k in range(cfg.samples):
-        v = sample_particle(cfg.seed, k)
-        jac = max(jac, particle_jacobiator_reduced(v))
-        ju = particle_jacobiator_unreduced(v)
-        neg = max(neg, abs(ju))
-        negdev = max(negdev, abs(ju - v[1] / (1.0 + v[1] ** 2)))
-        for f in coords:
-            casj = max(casj, abs(particle_bracket(particle_momentum, f, v)))
-        c = hamiltonian_frame_flow(v)
-        coord_rate = np.array([c[0], c[1], v[1] * c[0], c[2], c[3]])
-        anchor = max(anchor, float(np.max(np.abs(coord_rate - particle_rhs(v)))))
-
-    feq = 0.0
-    for y in np.linspace(-3.0, 3.0, 601):
-        f = 1.0 / math.sqrt(1.0 + y * y)
-        fp = -y * (1.0 + y * y) ** -1.5
-        feq = max(feq, abs(fp + f * y / (1.0 + y * y)))
-
-    return [
-        CheckResult("energy-drift", _status(de, 1e-8), de, 1e-8,
-                    "constrained particle conserves H"),
-        CheckResult("momentum-drift", _status(dj, 1e-8), dj, 1e-8,
-                    "constrained particle conserves J"),
-        CheckResult("reduced-jacobi", _status(jac, 1e-7), jac, 1e-7,
-                    "reduced particle bracket is Poisson"),
-        CheckResult("jacobi-negative-control", "pass" if neg > 1e-3 else "fail", neg, 1e-3,
-                    "triples keeping the unreduced x must fail Jacobi", mode="lower"),
-        CheckResult("jacobi-unreduced-closed-form", _status(negdev, 1e-9), negdev, 1e-9,
-                    "the (x, px, py) Jacobiator equals y/(1+y^2)"),
-        CheckResult("casimir-momentum", _status(casj, 1e-8), casj, 1e-8,
-                    "J is a Casimir of the reduced particle bracket"),
-        CheckResult("rhs-anchor", _status(anchor, 1e-9), anchor, 1e-9,
-                    "bracket-hamiltonian flow equals the constrained dynamics"),
-        CheckResult("momentum-equation", _status(feq, 1e-12), feq, 1e-12,
-                    "coefficient f solves its momentum equation"),
-    ]
-
-
-def _status(measured: float, tol: float) -> str:
-    return "pass" if measured < tol else "fail"
-
-
 def cmd_check(cfg: RunConfig) -> Report:
-    """Run the invariant battery for the configured system."""
-    checks = _particle_checks(cfg) if cfg.system == "particle" else _solid_checks(cfg)
-    return Report(cfg.system, cfg.seed, cfg.samples, checks)
+    """Run the certification battery (``nonholo.certify``) for the configured system."""
+    if cfg.system == "particle":
+        subject = certify.Particle([sample_particle(cfg.seed, k) for k in range(cfg.samples)])
+    else:
+        states = [sample_state(cfg.seed, k) for k in range(cfg.samples)]
+        subject = certify.solid_subject(cfg.body, cfg.profile, states, cfg.delta, cfg.h)
+    return Report(cfg.system, cfg.seed, cfg.samples, certify.run(subject.records, subject))
 
 
 def cmd_momenta(cfg: RunConfig, out_path: str) -> int:
@@ -594,16 +343,12 @@ def cmd_momenta(cfg: RunConfig, out_path: str) -> int:
     }
     try:
         if cfg.profile.kind == "routh":
-            r, l = cfg.profile.p1, cfg.profile.p2
             header = ["tau1", "f1", "g1", "f2", "g2", "f1_cf", "g1_cf", "f2_cf", "g2_cf"]
-
-            def rows():
-                for t1, row in zip(sol.grid, sol.pairs):
-                    cf1, cf2 = routh_closed_form(cfg.body, r, l, float(t1))
-                    yield (t1, row[0], row[1], row[2], row[3], cf1[0], cf1[1], cf2[0], cf2[1])
-
-            _write_csv(out_path, header, rows())
-            summary["max_closed_form_deviation"] = _span_residual(cfg.body, cfg.profile, sol)
+            closed = closed_form_momenta(cfg.body, cfg.profile, cfg.delta, cfg.h).pairs  # on sol.grid
+            _write_csv(out_path, header, ((t1, *row, *cf) for t1, row, cf in zip(sol.grid, sol.pairs, closed)))
+            summary["max_closed_form_deviation"] = certify.span_residual(
+                cfg.body, cfg.profile, sol, closed.reshape(-1, 2, 2)
+            )
         else:
             _write_csv(
                 out_path,
@@ -664,6 +409,9 @@ def main(argv=None) -> int:
         return 0 if report.passed else 1
     except NonholoError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: arithmetic overflow ({exc}); the configured values are too large", file=sys.stderr)
         return 2
 
 

@@ -52,6 +52,8 @@ class ProfileSpec:
     @staticmethod
     def routh(r: float, l: float) -> "ProfileSpec":
         """Ball of radius r, center of mass offset l along the symmetry axis."""
+        if not (math.isfinite(r) and math.isfinite(l)):
+            raise ValueError(f"routh: need finite r, l, got r={r}, l={l}")
         if not r > 0:
             raise ValueError(f"routh: need r > 0, got r={r}")
         if not abs(l) < r:
@@ -61,6 +63,8 @@ class ProfileSpec:
     @staticmethod
     def ellipsoid(b: float, c: float) -> "ProfileSpec":
         """Axisymmetric ellipsoid with squared semi-axes b (equatorial), c (polar)."""
+        if not (math.isfinite(b) and math.isfinite(c)):
+            raise ValueError(f"ellipsoid: need finite b, c, got b={b}, c={c}")
         if not (b > 0 and c > 0):
             raise ValueError(f"ellipsoid: need b, c > 0, got b={b}, c={c}")
         return ProfileSpec("ellipsoid", float(b), float(c))

@@ -1,49 +1,52 @@
 """Top-level certification battery.
 
-Each test certifies one headline claim at its stated tolerance and prints a
-single PASS/FAIL line (visible with plain ``pytest``, no -s needed), so a run
-of this module doubles as a human-readable scorecard.  Tolerances here are
-contracts, not measurements: they must not be tightened or loosened to track
-the implementation.
+Each test certifies one headline claim and prints a single PASS/FAIL line
+(visible with plain ``pytest``, no -s needed), so a run of this module
+doubles as a human-readable scorecard.  The measurements and tolerances are
+the ``nonholo.certify`` records that ``nonholo check`` runs, taken over this
+module's own seeded states and fixtures.  A contract that differs from every
+record's keeps a named tolerance below, with its reason.  Tolerances are
+contracts, not measurements: they must not be tightened or loosened to
+track the implementation.
 """
-import itertools
-
 import numpy as np
 import pytest
 
-from conftest import ELLIPSOID_START, RUN_CFG, WORKED_GAMMA, WORKED_M, make_states
-from nonholo import (
-    BodyParams,
-    BracketKind,
-    IntegratorConfig,
-    ParticleState,
-    ProfileSpec,
-    StateGM,
-    casimir_residuals,
-    default_momenta,
-    drift_report,
-    eval_profile,
-    integrate,
-    invariants,
-    jacobiator,
-    nonconservation_rates,
-    ode_residual,
-    particle_integrate,
-    particle_jacobiator_reduced,
-    profile_scalars,
-    pushforward_residual,
-    qp_matrix,
-    qpl_values,
-    routh_closed_form,
-    routh_pair,
-    solve_momenta,
-)
-from nonholo.brackets import J2_COMPONENT, TAU1, TAU4, TAUS
+from conftest import ELLIPSOID_START, RUN_CFG, make_states
+from nonholo import (BodyParams, BracketKind, ProfileSpec, StateGM, default_momenta, drift_report, eval_profile,
+                     integrate, jacobiator, nonconservation_rates, qp_matrix, solve_momenta)
+from nonholo.brackets import J2_COMPONENT, TAU1, TAU4
+from nonholo.certify import RECORDS, Particle, Solid, drift
+
+# A03: drift of E, J1, J2 over the t=10 reference trajectories (no record).
+DRIFT_ROUTH, DRIFT_ELLIPSOID = 1e-6, 1e-5
+# A04: the rate law along the reference trajectories, not rate-law's sampled states.
+RATE_ON_TRAJECTORIES = 1e-5
+# A08: the kernel scaled by max|[QP]| over random (r, l), not kernel-pair's one body.
+KERNEL_OVER_BODIES = 1e-12
+# A10: P over the solve grid as well as at states, and the j2 drift of a trajectory.
+P_ON_GRID_AND_STATES, J2_DRIFT = 1e-12, 1e-8
+# A11: the relation along integrated trajectories, not relation-residual's sampled states.
+RELATION_ON_TRAJECTORIES = 1e-8
 
 
-def _gate(capsys, tag, label, measured, tolerance, passed=None):
-    if passed is None:
-        passed = measured < tolerance
+def _certify(names, subjects):
+    """(worst measure of the named records over the subjects, their tightest tolerance)."""
+    records = [RECORDS[name] for name in names]
+    return max(rec.measure(s) for rec in records for s in subjects), min(rec.tolerance for rec in records)
+
+
+def _solids(presets, states):
+    """One Solid per (params, spec) preset over the same states, without momenta."""
+    return [Solid(params, spec, states, None, None) for params, spec in presets]
+
+
+def _gate(capsys, tag, label, *parts):
+    """Print one PASS/FAIL line and assert it.  A part is (measured, tolerance),
+    or (name, measured, tolerance) when a claim has several parts."""
+    passed = all(part[-2] < part[-1] for part in parts)
+    measured = ", ".join(" ".join(str(v) for v in part[:-1]) for part in parts)
+    tolerance = " / ".join(str(part[-1]) for part in parts)
     verdict = "PASS" if passed else "FAIL"
     with capsys.disabled():
         print(f"[{tag}] {verdict} {label}: {measured} (tolerance {tolerance})")
@@ -62,111 +65,70 @@ def chaplygin_run():
 
 
 def test_particle_first_integrals(capsys):
-    traj = particle_integrate(ParticleState(0.0, 0.0, 0.0, 1.0, 1.0), IntegratorConfig(1e-3, 10.0))
-    drift = max(
-        max(abs(s.J - traj[0].J) for s in traj),
-        max(abs(s.E - traj[0].E) for s in traj),
-    )
-    _gate(capsys, "A01", "particle J and H conserved over t=10", drift, 1e-8)
+    result = _certify(["momentum-drift", "energy-drift"], [Particle([])])
+    _gate(capsys, "A01", "particle J and H conserved over t=10", result)
 
 
 def test_particle_reduced_jacobiator(capsys):
     rng = np.random.default_rng(11)
-    worst = max(particle_jacobiator_reduced(rng.uniform(-2.0, 2.0, 5)) for _ in range(100))
-    _gate(capsys, "A02", "reduced particle bracket satisfies Jacobi", worst, 1e-7)
+    points = [rng.uniform(-2.0, 2.0, 5) for _ in range(100)]
+    result = _certify(["reduced-jacobi"], [Particle(points)])
+    _gate(capsys, "A02", "reduced particle bracket satisfies Jacobi", result)
 
 
 def test_trajectory_conservation(capsys, routh_traj, ellipsoid_traj):
     dr = drift_report(routh_traj)
     de = drift_report(ellipsoid_traj)
-    worst_r = max(dr["dE"], dr["dJ1"], dr["dJ2"])
-    worst_e = max(de["dE"], de["dJ1"], de["dJ2"])
-    ok = worst_r < 1e-6 and worst_e < 1e-5
     _gate(
-        capsys,
-        "A03",
-        "E, J1, J2 conserved over t=10",
-        f"routh {worst_r}, ellipsoid {worst_e}",
-        "1e-06 / 1e-05",
-        passed=ok,
+        capsys, "A03", "E, J1, J2 conserved over t=10",
+        ("routh", max(dr["dE"], dr["dJ1"], dr["dJ2"]), DRIFT_ROUTH),
+        ("ellipsoid", max(de["dE"], de["dJ1"], de["dJ2"]), DRIFT_ELLIPSOID),
     )
 
 
-def test_momentum_rate_law(capsys, worked_params, worked_spec, routh_preset, ellipsoid_preset,
-                           routh_traj, ellipsoid_traj):
+def test_momentum_rate_law(capsys, worked_params, worked_spec, worked_state, routh_preset,
+                           ellipsoid_preset, routh_traj, ellipsoid_traj):
     # frozen anchor first: dj1/dt = +4/9 at the worked state
-    ev = eval_profile(worked_spec, WORKED_GAMMA[2])
-    anchor = nonconservation_rates(
-        worked_params, ev, StateGM(np.array(WORKED_GAMMA), np.array(WORKED_M))
-    )
+    anchor = nonconservation_rates(worked_params, eval_profile(worked_spec, worked_state.gamma[2]), worked_state)
     assert anchor.dj1 == pytest.approx(4.0 / 9.0, rel=1e-12)
 
-    worst = 0.0
-    for (params, spec), traj in ((routh_preset, routh_traj), (ellipsoid_preset, ellipsoid_traj)):
-        for sample in traj[::10]:
-            rl = nonconservation_rates(params, eval_profile(spec, sample.state.gamma[2]), sample.state)
-            scale = max(abs(rl.pred1), abs(rl.pred2), 1e-6)
-            worst = max(worst, abs(rl.dj1 - rl.pred1) / scale, abs(rl.dj2 - rl.pred2) / scale)
-    _gate(capsys, "A04", "momenta drift at the predicted rate along trajectories", worst, 1e-5)
+    subjects = [
+        Solid(params, spec, [sample.state for sample in traj[::10]], None, None)
+        for (params, spec), traj in ((routh_preset, routh_traj), (ellipsoid_preset, ellipsoid_traj))
+    ]
+    worst, _ = _certify(["rate-law"], subjects)
+    _gate(capsys, "A04", "momenta drift at the predicted rate along trajectories",
+          (worst, RATE_ON_TRAJECTORIES))
 
 
-def test_ungauged_jacobiator_closed_form(capsys, worked_params, worked_spec, routh_preset,
+def test_ungauged_jacobiator_closed_form(capsys, worked_params, worked_spec, worked_state, routh_preset,
                                          ellipsoid_preset):
-    anchor = jacobiator(
-        worked_params, worked_spec, TAU1, J2_COMPONENT, TAU4,
-        StateGM(np.array(WORKED_GAMMA), np.array(WORKED_M)), BracketKind.NH,
-    )
+    anchor = jacobiator(worked_params, worked_spec, TAU1, J2_COMPONENT, TAU4, worked_state, BracketKind.NH)
     assert anchor == pytest.approx(-0.12, abs=2e-5)
 
-    worst = 0.0
-    for params, spec in (routh_preset, ellipsoid_preset):
-        for st in make_states(17, 100):
-            jac = jacobiator(params, spec, TAU1, J2_COMPONENT, TAU4, st, BracketKind.NH)
-            ev = eval_profile(spec, st.gamma[2])
-            sc = profile_scalars(params, ev, st.gamma)
-            closed = -params.m * ev.rho * sc.gs * (1.0 - st.gamma[2] ** 2) / sc.A1
-            worst = max(worst, abs(jac - closed) / abs(closed))
-    _gate(capsys, "A05", "ungauged Jacobiator matches its closed form", worst, 1e-4)
+    subjects = _solids((routh_preset, ellipsoid_preset), make_states(17, 100))
+    result = _certify(["jacobi-ungauged-closed-form"], subjects)
+    _gate(capsys, "A05", "ungauged Jacobiator matches its closed form", result)
 
 
 def test_gauged_jacobi_identity(capsys, routh_preset, ellipsoid_preset):
-    worst = 0.0
-    for params, spec in (routh_preset, ellipsoid_preset):
-        for st in make_states(23, 100):
-            for a, b, c in itertools.combinations(range(5), 3):
-                worst = max(
-                    worst,
-                    abs(jacobiator(params, spec, TAUS[a], TAUS[b], TAUS[c], st, BracketKind.GAUGED)),
-                )
-    _gate(capsys, "A06", "gauged bracket satisfies Jacobi on all invariant triples", worst, 1e-6)
+    subjects = _solids((routh_preset, ellipsoid_preset), make_states(23, 100))
+    result = _certify(["jacobi-gauged"], subjects)
+    _gate(capsys, "A06", "gauged bracket satisfies Jacobi on all invariant triples", result)
 
 
 def test_gauge_momenta_are_casimirs(capsys, routh_preset, ellipsoid_preset, ellipsoid_momenta):
-    worst = 0.0
-    rp, rs = routh_preset
-    ep, es = ellipsoid_preset
-    for params, spec, momenta in ((rp, rs, default_momenta(rp, rs)), (ep, es, ellipsoid_momenta)):
-        for st in make_states(29, 100):
-            res = casimir_residuals(params, spec, st, momenta)
-            worst = max(worst, res.max_j1, res.max_j2, res.involution)
-    _gate(capsys, "A07", "J1, J2 are Casimirs and in involution", worst, 1e-8)
+    (rp, rs), (ep, es) = routh_preset, ellipsoid_preset
+    states = make_states(29, 100)
+    subjects = [
+        Solid(rp, rs, states, default_momenta(rp, rs), None), Solid(ep, es, states, ellipsoid_momenta, None)
+    ]
+    result = _certify(["casimir-J1", "casimir-J2", "involution"], subjects)
+    _gate(capsys, "A07", "J1, J2 are Casimirs and in involution", result)
 
 
 def test_qp_linearity_and_kernel(capsys, routh_preset, ellipsoid_preset):
-    worst = 0.0
-    for params, spec in (routh_preset, ellipsoid_preset):
-        for st in make_states(31, 100):
-            inv = invariants(st)
-            ev = eval_profile(spec, st.gamma[2])
-            vals = qpl_values(params, ev, st)
-            qp = qp_matrix(params, spec, inv.t1)
-            den = max(abs(vals.Q), abs(vals.P), 1e-3)
-            worst = max(
-                worst,
-                abs(qp[0, 0] * inv.t3 + qp[0, 1] * inv.t4 - vals.Q) / den,
-                abs(qp[1, 0] * inv.t3 + qp[1, 1] * inv.t4 - vals.P) / den,
-            )
-    assert worst < 1e-9
+    linearity = _certify(["qp-linearity"], _solids((routh_preset, ellipsoid_preset), make_states(31, 100)))
 
     rng = np.random.default_rng(37)
     params = BodyParams(m=1.0, I1=2.0, I3=3.0, grav=9.8)
@@ -182,51 +144,21 @@ def test_qp_linearity_and_kernel(capsys, routh_preset, ellipsoid_preset):
             abs(qp[0, 0] * l + qp[1, 0] * r) / scale,
             abs(qp[0, 1] * l + qp[1, 1] * r) / scale,
         )
-    ok = kernel < 1e-12
     _gate(
-        capsys,
-        "A08",
-        "coefficient matrix is linear in (tau3, tau4) with (l, r) kernel",
-        f"linearity {worst}, kernel {kernel}",
-        "1e-09 / 1e-12",
-        passed=worst < 1e-9 and ok,
+        capsys, "A08", "coefficient matrix is linear in (tau3, tau4) with (l, r) kernel",
+        ("linearity", *linearity), ("kernel", kernel, KERNEL_OVER_BODIES),
     )
 
 
 def test_routh_closed_forms_solve_ode(capsys, routh_preset):
-    params, spec = routh_preset
-    pair1 = routh_pair(params, spec, 0)
-    pair2 = routh_pair(params, spec, 1)
-    residual = 0.0
-    for t1 in np.linspace(-0.999, 0.999, 1000):
-        residual = max(
-            residual,
-            ode_residual(params, spec, pair1, float(t1)),
-            ode_residual(params, spec, pair2, float(t1)),
-        )
-    assert residual < 1e-9
-
     # the closed forms must lie in the span of the numeric solutions, whose
     # basis is normalized at the central grid node
-    numeric = solve_momenta(params, spec)
-    c1, c2 = routh_closed_form(params, spec.p1, spec.p2, 0.0)
-    span = 0.0
-    for t1, row in zip(numeric.grid, numeric.pairs):
-        cf1, cf2 = routh_closed_form(params, spec.p1, spec.p2, float(t1))
-        for coeff, cf in ((c1, cf1), (c2, cf2)):
-            span = max(
-                span,
-                abs(coeff[0] * row[0] + coeff[1] * row[2] - cf[0]),
-                abs(coeff[0] * row[1] + coeff[1] * row[3] - cf[1]),
-            )
-    ok = residual < 1e-9 and span < 1e-6
+    params, spec = routh_preset
+    subject = Solid(params, spec, [], None, solve_momenta(params, spec))
     _gate(
-        capsys,
-        "A09",
-        "closed-form pairs solve the coefficient equation and span the numeric solution",
-        f"residual {residual}, span {span}",
-        "1e-09 / 1e-06",
-        passed=ok,
+        capsys, "A09", "closed-form pairs solve the coefficient equation and span the numeric solution",
+        ("residual", *_certify(["closed-form-ode-residual"], [subject])),
+        ("span", *_certify(["span-containment"], [subject])),
     )
 
 
@@ -236,37 +168,19 @@ def test_balanced_ellipsoid_degeneration(capsys, chaplygin_run):
     for t1 in momenta.grid:
         qp = qp_matrix(params, spec, float(t1))
         pmax = max(pmax, abs(qp[1, 0]), abs(qp[1, 1]))
-    for st in make_states(41, 100):
-        ev = eval_profile(spec, st.gamma[2])
-        pmax = max(pmax, abs(qpl_values(params, ev, st).P))
-    drift = max(abs(s.j2 - traj[0].j2) for s in traj)
-    ok = pmax < 1e-12 and drift < 1e-8
+    at_states, _ = _certify(["chaplygin-P-zero"], _solids([(params, spec)], make_states(41, 100)))
+    j2_drift = drift(traj, "j2")
     _gate(
-        capsys,
-        "A10",
-        "balanced ellipsoid: P vanishes and <gamma, M> is conserved",
-        f"P {pmax}, drift {drift}",
-        "1e-12 / 1e-08",
-        passed=ok,
+        capsys, "A10", "balanced ellipsoid: P vanishes and <gamma, M> is conserved",
+        ("P", max(pmax, at_states), P_ON_GRID_AND_STATES), ("drift", j2_drift, J2_DRIFT),
     )
 
 
 def test_reduced_table_and_relation(capsys, routh_preset, ellipsoid_preset, routh_traj,
                                     ellipsoid_traj, chaplygin_run):
-    worst = 0.0
-    for params, spec in (routh_preset, ellipsoid_preset):
-        for st in make_states(43, 100):
-            worst = max(worst, pushforward_residual(params, spec, st))
-
-    relation = 0.0
-    for traj in (routh_traj, ellipsoid_traj, chaplygin_run[3]):
-        relation = max(relation, max(abs(s.inv.relation_residual()) for s in traj))
-    ok = worst < 1e-8 and relation < 1e-8
+    table = _certify(["pushforward-table"], _solids((routh_preset, ellipsoid_preset), make_states(43, 100)))
+    relation = max(drift_report(traj)["dRel"] for traj in (routh_traj, ellipsoid_traj, chaplygin_run[3]))
     _gate(
-        capsys,
-        "A11",
-        "bracket pushforward matches the invariant table; relation holds on trajectories",
-        f"table {worst}, relation {relation}",
-        "1e-08 / 1e-08",
-        passed=ok,
+        capsys, "A11", "bracket pushforward matches the invariant table; relation holds on trajectories",
+        ("table", *table), ("relation", relation, RELATION_ON_TRAJECTORIES),
     )

@@ -119,6 +119,8 @@ BAD_CASES = [
     (ROUTH_RAW, ("initial", "gamma"), [float("nan"), 0.0, 0.8], "/initial/gamma"),
     (ROUTH_RAW, ("initial", "M"), [float("nan"), 2.0, 3.0], "/initial/M"),
     (ROUTH_RAW, ("integrator", "t_final"), float("inf"), "/integrator"),
+    (ROUTH_RAW, ("params", "r"), float("inf"), "/params"),
+    (ELLIPSOID_RAW, ("params", "b"), float("inf"), "/params"),
 ]
 
 
@@ -289,13 +291,27 @@ def test_error_exits(tmp_path, capsys):
     assert err.count("error:") == 4
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflow_is_a_usage_error_not_a_check_failure(tmp_path, capsys):
+    huge = dict(ROUTH_RAW, initial={"gamma": [0.6, 0.0, 0.8], "M": [1e308, 2.0, 3.0]})
+    huge["integrator"] = {"dt": 1e-3, "t_final": 0.01}
+    path = write_config(tmp_path, huge)
+    with pytest.warns(UserWarning, match="non-finite state"):
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "t.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: arithmetic overflow")
+
+
 # ---------------------------------------------------------------------------
 # byte-identity guard: the .17g output contract across performance changes
 
-# sha256 of (stdout, CSV) for each run below, recorded before the coefficient
-# ODE solve and the momenta lookup were vectorized; a change that moves any
-# output byte of these runs must say so and re-record them.
+# sha256 of (stdout, CSV) for each run below (stdout only for ``check``,
+# which writes no CSV).  The momenta and simulate hashes were recorded before
+# the coefficient ODE solve and the momenta lookup were vectorized, the check
+# hashes before the battery moved into the ``nonholo.certify`` records; a
+# change that moves any output byte of these runs must say so and re-record
+# them.
 FROZEN_SHA256 = {
+    "ellipsoid-check": ("c2b2383c3ef5624be60fcb6700a60fe3f87667be42a19ab34e921ded1c7d4fe1",),
     "ellipsoid-momenta": (
         "5cafae4f8d2ae806979f334cc6e897a81ce579590a0fefaac088dbe0aa0b24a6",
         "800cd1cec1d75f9b0dc49290f6d4a329fba857af2faae4ef00d1f0f0bc88320c",
@@ -304,6 +320,8 @@ FROZEN_SHA256 = {
         "ed005118067088dff5b5e522d143d9c3fb06807c42ed8b75c18a07195850f883",
         "f1ddfe327aa4b739e677d7962b9be4de2fe84601a12b6efcf20d50d978095c7b",
     ),
+    "particle-check": ("c708641567a0fbcb08bc1713150c8ea6f1231be9779e82cc9189f8bd777660e6",),
+    "routh-check": ("391b3a41c4416ea6cf3abc5d661d1da0caa0f9ba4051d99bb71f3f5d8d6c2ab6",),
     "routh-momenta": (
         "c801bd1b82ad5fb0b5d38394f96d48b3fc0dac1d119e52e2ac453fb6f08b6d20",
         "02965cb5e2b1115e719bd3b8bd6645cacb5628ac3a2255fd7e25bbc3db48863c",
@@ -313,6 +331,9 @@ FROZEN_RUNS = {
     "routh-momenta": ("momenta", dict(ROUTH_RAW, h=1e-3)),
     "ellipsoid-momenta": ("momenta", ELLIPSOID_RAW),
     "ellipsoid-simulate": ("simulate", dict(ELLIPSOID_RAW, integrator={"dt": 1e-3, "t_final": 0.2})),
+    "routh-check": ("check", ROUTH_RAW),
+    "ellipsoid-check": ("check", ELLIPSOID_RAW),
+    "particle-check": ("check", PARTICLE_RAW),
 }
 
 
@@ -320,7 +341,11 @@ FROZEN_RUNS = {
 def test_outputs_are_byte_identical_to_the_frozen_hashes(tmp_path, capsys, name):
     command, raw = FROZEN_RUNS[name]
     out = tmp_path / "out.csv"
-    assert main([command, "--config", write_config(tmp_path, raw), "--out", str(out)]) == 0
-    stdout = capsys.readouterr().out.encode()
-    digests = (hashlib.sha256(stdout).hexdigest(), hashlib.sha256(out.read_bytes()).hexdigest())
-    assert digests == FROZEN_SHA256[name]
+    argv = [command, "--config", write_config(tmp_path, raw)]
+    if command != "check":
+        argv += ["--out", str(out)]
+    assert main(argv) == 0
+    digests = [hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()]
+    if command != "check":
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert tuple(digests) == FROZEN_SHA256[name]
