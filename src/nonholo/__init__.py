@@ -21,8 +21,8 @@ from .brackets import (
 )
 from .dynamics import (
     IntegratorConfig,
-    TrajectorySample,
     default_momenta,
+    drift,
     drift_report,
     integrate,
     nonconservation_rates,
@@ -94,7 +94,6 @@ __all__ = [
     "ProfileSpec",
     "ScalarField",
     "StateGM",
-    "TrajectorySample",
     "bivector_packed",
     "bracket",
     "casimir_residuals",
@@ -103,6 +102,7 @@ __all__ = [
     "cross",
     "default_momenta",
     "dot",
+    "drift",
     "drift_report",
     "energy",
     "eval_gauge_momenta",

@@ -22,12 +22,12 @@ import numpy as np
 
 from .brackets import (BracketKind, J2_COMPONENT, TAU1, TAU4, TAUS, bivector_packed, bracket, casimir_residuals,
                        hamiltonian_field, jacobiator, pushforward_residual)
-from .dynamics import IntegratorConfig, nonconservation_rates, _rhs_packed
+from .dynamics import IntegratorConfig, drift, nonconservation_rates, _rhs_packed
 from .geomforms import qp_matrix, qpl_values
 from .momenta import closed_form_momenta, ode_residual, routh_closed_form, routh_pair, solve_momenta
-from .particle import (ParticleState, hamiltonian_frame_flow, particle_bracket, particle_integrate,
-                       particle_jacobiator_reduced, particle_jacobiator_unreduced, particle_momentum,
-                       particle_rhs)
+from .particle import (COLUMNS as PARTICLE_COLUMNS, ParticleState, hamiltonian_frame_flow, particle_bracket,
+                       particle_integrate, particle_jacobiator_reduced, particle_jacobiator_unreduced,
+                       particle_momentum, particle_rhs)
 from .phase import invariants, omega_from_M
 from .profile import eval_profile, profile_scalars
 from .smallalg import E1, E2, E3, cross, dot
@@ -244,9 +244,9 @@ def span_residual(params, spec, numeric, closed) -> float:
     return worst
 
 
-def drift(traj, attr: str) -> float:
-    """Largest change of the sample attribute ``attr`` along a trajectory."""
-    return max(abs(getattr(s, attr) - getattr(traj[0], attr)) for s in traj)
+def _particle_drift(column: str):
+    """The measure: drift of one column of the particle's reference trajectory."""
+    return lambda s: drift(s.trajectory[:, PARTICLE_COLUMNS.index(column)])
 
 
 _COORDS = (lambda u: u[1], lambda u: u[3], lambda u: u[4])
@@ -310,9 +310,9 @@ BALANCED = (
 )
 PARTICLE = (
     Record("energy-drift", 1e-8, "constrained particle conserves H", "upper",
-           lambda s: drift(s.trajectory, "E")),
+           _particle_drift("E")),
     Record("momentum-drift", 1e-8, "constrained particle conserves J", "upper",
-           lambda s: drift(s.trajectory, "J")),
+           _particle_drift("J")),
     Record("reduced-jacobi", 1e-7, "reduced particle bracket is Poisson", "upper",
            _worst(lambda s, v: particle_jacobiator_reduced(v))),
     Record("jacobi-negative-control", 1e-3, "triples keeping the unreduced x must fail Jacobi", "lower",

@@ -17,15 +17,16 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import certify
 from .certify import CheckResult
-from .dynamics import IntegratorConfig, drift_report, integrate
+from .dynamics import COLUMNS, IntegratorConfig, drift, drift_report, integrate
 from .errors import ConfigError, NonholoError
-from .momenta import closed_form_momenta, solve_momenta
-from .particle import ParticleState, particle_integrate
+from .momenta import _grid, closed_form_momenta, solve_momenta
+from .particle import COLUMNS as PARTICLE_COLUMNS, ParticleState, particle_integrate
 from .phase import BodyParams, StateGM
 from .profile import ProfileSpec
 
@@ -242,8 +243,8 @@ def serialize_config(cfg: RunConfig) -> str:
 # ---------------------------------------------------------------------------
 # deterministic sampling
 
-def sample_state(seed: int, index: int) -> StateGM:
-    """gamma uniform on S^2 with |gamma3| < 0.95, M uniform in [-3, 3]^3."""
+def sample_state(seed: int, index: int, cap: float = 0.95) -> StateGM:
+    """gamma uniform on S^2 with |gamma3| < cap, M uniform in [-3, 3]^3."""
     rng = np.random.default_rng((seed, index))
     while True:
         v = rng.standard_normal(3)
@@ -251,7 +252,7 @@ def sample_state(seed: int, index: int) -> StateGM:
         if n < 1e-12:
             continue
         g = v / n
-        if abs(g[2]) < 0.95:
+        if abs(g[2]) < cap:
             break
     return StateGM(g, rng.uniform(-3.0, 3.0, 3))
 
@@ -269,7 +270,7 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write_csv(path: str, header: Sequence[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -280,40 +281,25 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 # commands
 
 def cmd_simulate(cfg: RunConfig, out_path: str) -> int:
-    """Run the configured trajectory, write the CSV, print a drift summary."""
+    """Run the configured trajectory, print a drift summary, write the CSV.
+
+    A run aborted by a non-finite state exits 2 and writes no CSV.
+    """
+    if cfg.system == "particle":
+        columns, traj = PARTICLE_COLUMNS, particle_integrate(ParticleState(*cfg.particle0), cfg.integrator)
+    else:
+        state0 = StateGM(np.array(cfg.gamma0), np.array(cfg.M0))
+        columns, traj = COLUMNS, integrate(cfg.body, cfg.profile, state0, cfg.integrator)
+    if len(traj) < cfg.integrator.steps + 1:
+        at = f"step {len(traj)} of {cfg.integrator.steps}"
+        print(f"error: arithmetic overflow: non-finite state at {at}; no CSV written", file=sys.stderr)
+        return 2
+    if cfg.system == "particle":
+        summary = {"dE": drift(traj[:, -1]), "dJ": drift(traj[:, -2])}  # columns ..., J, E
+    else:
+        summary = drift_report(traj)
     try:
-        if cfg.system == "particle":
-            traj = particle_integrate(ParticleState(*cfg.particle0), cfg.integrator)
-            rows = (
-                (s.t, s.state.x, s.state.y, s.state.z, s.state.px, s.state.py, s.J, s.E)
-                for s in traj
-            )
-            _write_csv(out_path, ["t", "x", "y", "z", "px", "py", "J", "E"], rows)
-            summary = {"dE": certify.drift(traj, "E"), "dJ": certify.drift(traj, "J")}
-        else:
-            state0 = StateGM(np.array(cfg.gamma0), np.array(cfg.M0))
-            traj = integrate(cfg.body, cfg.profile, state0, cfg.integrator)
-            rows = (
-                (
-                    s.t,
-                    *s.state.gamma,
-                    *s.state.M,
-                    s.inv.t1,
-                    s.inv.t2,
-                    s.inv.t3,
-                    s.inv.t4,
-                    s.inv.t5,
-                    s.E,
-                    s.J1,
-                    s.J2,
-                    s.j1,
-                    s.j2,
-                )
-                for s in traj
-            )
-            header = "t,g1,g2,g3,M1,M2,M3,tau1,tau2,tau3,tau4,tau5,E,J1,J2,j1,j2".split(",")
-            _write_csv(out_path, header, rows)
-            summary = drift_report(traj)
+        _write_csv(out_path, columns, traj.tolist())
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -326,7 +312,8 @@ def cmd_check(cfg: RunConfig) -> Report:
     if cfg.system == "particle":
         subject = certify.Particle([sample_particle(cfg.seed, k) for k in range(cfg.samples)])
     else:
-        states = [sample_state(cfg.seed, k) for k in range(cfg.samples)]
+        cap = min(0.95, float(_grid(cfg.delta, cfg.h)[-1]))  # where the solved momenta table ends
+        states = [sample_state(cfg.seed, k, cap) for k in range(cfg.samples)]
         subject = certify.solid_subject(cfg.body, cfg.profile, states, cfg.delta, cfg.h)
     return Report(cfg.system, cfg.seed, cfg.samples, certify.run(subject.records, subject))
 

@@ -27,18 +27,18 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError
 from .geomforms import qpl_values
-from .momenta import MomentaSolution, closed_form_momenta, eval_gauge_momenta, solve_momenta
-from .phase import (
-    BodyParams,
-    InvariantPoint,
-    StateGM,
-    _omega_raw,
-    energy_packed,
-    invariants,
-    momentum_components,
-)
+from .momenta import MomentaSolution, closed_form_momenta, solve_momenta
+from .phase import BodyParams, StateGM, _omega_raw, energy_packed, relation_residual
 from .profile import ProfileEval, ProfileSpec, eval_profile, profile_scalars
 from .smallalg import E3, Vec3, cross, dot, hat, rk4_step
+
+
+#: Largest t_final/dt accepted; a trajectory is preallocated as one array.
+MAX_STEPS = 10_000_000
+
+#: The columns of a trajectory array, which are also the ``simulate`` CSV header.
+COLUMNS = ("t", "g1", "g2", "g3", "M1", "M2", "M3", "tau1", "tau2", "tau3", "tau4", "tau5",
+           "E", "J1", "J2", "j1", "j2")
 
 
 @dataclass(frozen=True)
@@ -54,18 +54,13 @@ class IntegratorConfig:
             raise ValueError(f"dt={self.dt!r} must be finite and > 0")
         if not (math.isfinite(self.t_final) and self.t_final >= self.dt):
             raise ValueError(f"t_final={self.t_final!r} must be finite and >= dt")
+        if self.t_final / self.dt > MAX_STEPS:  # an overflowing quotient is inf
+            raise ValueError(f"t_final/dt = {self.t_final / self.dt:g} exceeds {MAX_STEPS} steps")
 
-
-@dataclass(frozen=True, slots=True)
-class TrajectorySample:
-    t: float
-    state: StateGM
-    inv: InvariantPoint
-    E: float
-    J1: float
-    J2: float
-    j1: float
-    j2: float
+    @property
+    def steps(self) -> int:
+        """Number of fixed steps from 0 to t_final."""
+        return int(round(self.t_final / self.dt))
 
 
 def _rhs_from_ev(params: BodyParams, ev: ProfileEval, gamma: Vec3, M: Vec3) -> np.ndarray:
@@ -103,62 +98,75 @@ def default_momenta(params: BodyParams, spec: ProfileSpec) -> MomentaSolution:
     return solve_momenta(params, spec)
 
 
-def _sample(
-    params: BodyParams,
-    spec: ProfileSpec,
-    momenta: MomentaSolution,
-    t: float,
-    x: np.ndarray,
-) -> TrajectorySample:
-    state = StateGM(x[:3].copy(), x[3:6].copy())
-    inv = invariants(state)
-    e = energy_packed(params, spec, x)
-    try:
-        j1g, j2g = eval_gauge_momenta(momenta, state)
-    except DomainError:  # outside the momenta grid: keep sampling, flag with NaN
-        j1g = j2g = float("nan")
-    j1, j2 = momentum_components(state)
-    return TrajectorySample(t, state, inv, e, j1g, j2g, j1, j2)
-
-
 def integrate(
     params: BodyParams,
     spec: ProfileSpec,
     state0: StateGM,
     cfg: IntegratorConfig,
     momenta: MomentaSolution | None = None,
-) -> list[TrajectorySample]:
-    """Integrate the reduced equations; one sample per step, t=0 included.
+) -> np.ndarray:
+    """Integrate the reduced equations; one row per step, t=0 included.
 
-    gamma is renormalized to the unit sphere after every accepted step
+    Returns a float array whose columns are ``COLUMNS``.  gamma is
+    renormalized to the unit sphere after every accepted step
     (cfg.renormalize_gamma).  A non-finite state aborts the run with a
-    warning, returning the samples collected so far.  Approaching the
+    warning, returning the rows completed so far.  Approaching the
     singular strata |gamma3| -> 1 warns once (tabulated momenta only; the
     closed forms are pole-safe); gauge-momentum values outside a tabulated
     grid degrade to NaN rather than aborting.
+
+    Per step only the state, E and the momenta coefficients are computed;
+    the other columns are filled from them afterwards, with the operation
+    order of ``invariants``, ``momentum_components`` and
+    ``eval_gauge_momenta``, so each value has the bits of those kernels.
     """
     if momenta is None:
         momenta = default_momenta(params, spec)
+    n_steps = cfg.steps
+    out = np.empty((n_steps + 1, len(COLUMNS)))
+    coeffs = np.empty((n_steps + 1, 4))  # (f1, g1, f2, g2) per row
     x = state0.packed()
-    n_steps = int(round(cfg.t_final / cfg.dt))
-    samples = [_sample(params, spec, momenta, 0.0, x)]
     warned_pole = False
 
     def f(t, y):
         return _rhs_packed(params, spec, y)
 
+    def record(k, x):
+        out[k, 1:7] = x
+        out[k, 12] = energy_packed(params, spec, x)  # E
+        try:
+            coeffs[k] = momenta.eval(x[2])
+        except DomainError:  # outside the momenta grid: keep going, flag with NaN
+            coeffs[k] = np.nan
+
+    record(0, x)
+    rows = n_steps + 1
     for k in range(1, n_steps + 1):
         x = rk4_step(f, (k - 1) * cfg.dt, x, cfg.dt)
         if not np.all(np.isfinite(x)):
-            warnings.warn(f"non-finite state at step {k}; aborting with {len(samples)} samples")
+            warnings.warn(f"non-finite state at step {k}; aborting with {k} samples")
+            rows = k
             break
         if cfg.renormalize_gamma:
             x[:3] /= np.sqrt(dot(x[:3], x[:3]))
         if not warned_pole and not momenta.routh_exact and abs(x[2]) > 1.0 - momenta.delta:
             warnings.warn(f"|gamma3| exceeded 1 - {momenta.delta:g} at t={k * cfg.dt:g}")
             warned_pole = True
-        samples.append(_sample(params, spec, momenta, k * cfg.dt, x))
-    return samples
+        record(k, x)
+
+    out, cf = out[:rows], coeffs[:rows]
+    g1, g2, g3, m1, m2, m3 = out[:, 1:7].T
+    tau3 = g1 * m1 + g2 * m2
+    j1, j2 = -m3, tau3 + g3 * m3  # j2 = <gamma, M>, summed in dot's order
+    out[:, 0] = np.arange(rows) * cfg.dt
+    out[:, 7:12] = np.column_stack([g3, g1 * m2 - g2 * m1, tau3, m3, m1 * m1 + m2 * m2])
+    out[:, 13:] = np.column_stack([cf[:, 0] * j1 + cf[:, 1] * j2, cf[:, 2] * j1 + cf[:, 3] * j2, j1, j2])
+    return out
+
+
+def drift(column: np.ndarray) -> float:
+    """Largest change of a trajectory column from its first value (NaN if any is NaN)."""
+    return float(np.max(np.abs(column - column[0])))
 
 
 @dataclass(frozen=True)
@@ -200,30 +208,30 @@ def _reorthonormalize(g: np.ndarray) -> np.ndarray:
 def reconstruct_full(
     params: BodyParams,
     spec: ProfileSpec,
-    traj: list[TrajectorySample],
+    traj: np.ndarray,
     g0: np.ndarray,
     a0: tuple[float, float],
 ) -> list[tuple[np.ndarray, tuple[float, float]]]:
     """Reconstruct attitude and contact trace from a reduced trajectory.
 
     Integrates g_dot = g*hat(Omega), a_dot = -g*(Omega x s) with the same
-    fixed step as the reduced run, re-orthonormalizing g each step (polar
-    projection).  gamma is identified with the third row of g; its match
-    with the reduced trajectory (< 1e-6 over the standard runs) is the
-    consistency test of the reconstruction.
+    fixed step as the reduced run (an ``integrate`` array), re-orthonormalizing
+    g each step (polar projection).  gamma is identified with the third row
+    of g; its match with the reduced trajectory (< 1e-6 over the standard
+    runs) is the consistency test of the reconstruction.
 
     Raises:
         ConsistencyError: if g0 is not a rotation within 1e-8 or its third
-            row differs from traj[0].gamma by more than 1e-8.
+            row differs from the initial gamma by more than 1e-8.
     """
     g0 = np.asarray(g0, dtype=float)
     if np.max(np.abs(g0.T @ g0 - np.eye(3))) > 1e-8 or np.linalg.det(g0) < 0:
         raise ConsistencyError("g0 is not a rotation matrix (1e-8 tolerance)")
-    if np.max(np.abs(g0[2] - traj[0].state.gamma)) > 1e-8:
+    t, gamma0, m0 = traj[:, 0], traj[0, 1:4], traj[0, 4:7]
+    if np.max(np.abs(g0[2] - gamma0)) > 1e-8:
         raise ConsistencyError("third row of g0 does not match the initial gamma")
-    dt = traj[1].t - traj[0].t
+    dt = t[1] - t[0]
     g = g0.copy()
-    gamma0 = traj[0].state.gamma
     ev0 = eval_profile(spec, gamma0[2])
     s0 = ev0.rho * gamma0 - ev0.L * E3
     a = np.array([a0[0], a0[1], -dot(gamma0, s0)])
@@ -242,31 +250,29 @@ def reconstruct_full(
         md = _rhs_from_ev(params, ev, gamma, m)[3:6]
         return np.concatenate([gd.reshape(9), ad, md])
 
-    y = np.concatenate([g.reshape(9), a, traj[0].state.M])
-    for k, sample in enumerate(traj):
+    y = np.concatenate([g.reshape(9), a, m0])
+    for k, tk in enumerate(t):
         gm = y[:9].reshape(3, 3)
         out.append((gm.copy(), (float(y[9]), float(y[10]))))
-        if k == len(traj) - 1:
+        if k == len(t) - 1:
             break
-        y = rk4_step(f, sample.t, y, dt)
+        y = rk4_step(f, tk, y, dt)
         gm = _reorthonormalize(y[:9].reshape(3, 3))
         y[:9] = gm.reshape(9)
     return out
 
 
-def drift_report(traj: list[TrajectorySample]) -> dict:
+def drift_report(traj: np.ndarray) -> dict:
     """Max absolute drifts of E, J1, J2 and the invariant-relation residual.
 
     NaN gauge-momentum samples (a trajectory that left the tabulated grid)
     make dJ1/dJ2 NaN; an off-grid run is never reported as clean.
     """
-    e = np.array([s.E for s in traj])
-    j1 = np.array([s.J1 for s in traj])
-    j2 = np.array([s.J2 for s in traj])
-    rel = np.array([abs(s.inv.relation_residual()) for s in traj])
+    col = dict(zip(COLUMNS, traj.T))
+    rel = [relation_residual(t1, t2, t3, t5) for t1, t2, t3, _, t5 in traj[:, 7:12].tolist()]
     return {
-        "dE": float(np.max(np.abs(e - e[0]))),
-        "dJ1": float(np.max(np.abs(j1 - j1[0]))),
-        "dJ2": float(np.max(np.abs(j2 - j2[0]))),
-        "dRel": float(np.max(rel)),
+        "dE": drift(col["E"]),
+        "dJ1": drift(col["J1"]),
+        "dJ2": drift(col["J2"]),
+        "dRel": float(np.max(np.abs(rel))),
     }

@@ -106,7 +106,7 @@ class MomentaSolution:
         grid, pairs = self.grid, self.pairs
         if t1 < grid[0] - 1e-12 or t1 > grid[-1] + 1e-12:
             raise DomainError(
-                f"tau1={t1!r} outside the momenta grid [{grid[0]!r}, {grid[-1]!r}]"
+                f"tau1={t1!r} outside the momenta grid [{float(grid[0])!r}, {float(grid[-1])!r}]"
             )
         # np.interp on each column, from one row pair: its NaN, end and node
         # cases, and its formula slope*(t - x0) + p0.

@@ -49,10 +49,6 @@ class ParticleState:
     def packed(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z, self.px, self.py], dtype=float)
 
-    @classmethod
-    def from_packed(cls, v: np.ndarray) -> "ParticleState":
-        return cls(*(float(c) for c in v))
-
 
 def _coerce(state) -> np.ndarray:
     return state.packed() if isinstance(state, ParticleState) else np.asarray(state, dtype=float)
@@ -175,28 +171,27 @@ def particle_jacobiator_unreduced(state) -> float:
     return _jacobiator(v, [lambda u: u[0], lambda u: u[3], lambda u: u[4]])
 
 
-@dataclass(frozen=True)
-class ParticleSample:
-    t: float
-    state: ParticleState
-    J: float
-    E: float
+#: The columns of a particle trajectory array, which are also the ``simulate`` CSV header.
+COLUMNS = ("t", "x", "y", "z", "px", "py", "J", "E")
 
 
-def particle_integrate(state0: ParticleState, cfg) -> list[ParticleSample]:
-    """Fixed-step RK4 run of the particle; one sample per step, t=0 included."""
+def particle_integrate(state0: ParticleState, cfg) -> np.ndarray:
+    """Fixed-step RK4 run of the particle; one row per step, t=0 included.
+
+    Returns a float array whose columns are ``COLUMNS``; J and E are the
+    scalar kernels ``particle_momentum`` and ``particle_hamiltonian`` at each
+    row's state.
+    """
+    n_steps = cfg.steps
+    out = np.empty((n_steps + 1, len(COLUMNS)))
+    out[:, 0] = np.arange(n_steps + 1) * cfg.dt
     v = state0.packed()
-    n_steps = int(round(cfg.t_final / cfg.dt))
 
     def f(t, y):
         return particle_rhs(y)
 
-    def sample(t, y):
-        st = ParticleState.from_packed(y)
-        return ParticleSample(t, st, particle_momentum(y), particle_hamiltonian(y))
-
-    out = [sample(0.0, v)]
+    out[0, 1:] = (*v, particle_momentum(v), particle_hamiltonian(v))
     for k in range(1, n_steps + 1):
         v = rk4_step(f, (k - 1) * cfg.dt, v, cfg.dt)
-        out.append(sample(k * cfg.dt, v))
+        out[k, 1:] = (*v, particle_momentum(v), particle_hamiltonian(v))
     return out

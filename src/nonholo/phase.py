@@ -93,7 +93,13 @@ class InvariantPoint:
 
     def relation_residual(self) -> float:
         """Residual of tau2^2 + tau3^2 - (1 - tau1^2)*tau5 (zero on states)."""
-        return self.t2**2 + self.t3**2 - (1.0 - self.t1**2) * self.t5
+        return relation_residual(self.t1, self.t2, self.t3, self.t5)
+
+
+def relation_residual(t1: float, t2: float, t3: float, t5: float) -> float:
+    """tau2^2 + tau3^2 - (1 - tau1^2)*tau5 on floats (their ``**`` is libm pow,
+    which differs from numpy's array square in the last bit for ~0.1% of values)."""
+    return t2**2 + t3**2 - (1.0 - t1**2) * t5
 
 
 def invariants(state: StateGM) -> InvariantPoint:

@@ -16,7 +16,8 @@ from conftest import ELLIPSOID_START, RUN_CFG, make_states
 from nonholo import (BodyParams, BracketKind, ProfileSpec, StateGM, default_momenta, drift_report, eval_profile,
                      integrate, jacobiator, nonconservation_rates, qp_matrix, solve_momenta)
 from nonholo.brackets import J2_COMPONENT, TAU1, TAU4
-from nonholo.certify import RECORDS, Particle, Solid, drift
+from nonholo.certify import RECORDS, Particle, Solid
+from nonholo.dynamics import COLUMNS, drift
 
 # A03: drift of E, J1, J2 over the t=10 reference trajectories (no record).
 DRIFT_ROUTH, DRIFT_ELLIPSOID = 1e-6, 1e-5
@@ -93,7 +94,7 @@ def test_momentum_rate_law(capsys, worked_params, worked_spec, worked_state, rou
     assert anchor.dj1 == pytest.approx(4.0 / 9.0, rel=1e-12)
 
     subjects = [
-        Solid(params, spec, [sample.state for sample in traj[::10]], None, None)
+        Solid(params, spec, [StateGM.from_packed(row[1:7]) for row in traj[::10]], None, None)
         for (params, spec), traj in ((routh_preset, routh_traj), (ellipsoid_preset, ellipsoid_traj))
     ]
     worst, _ = _certify(["rate-law"], subjects)
@@ -169,7 +170,7 @@ def test_balanced_ellipsoid_degeneration(capsys, chaplygin_run):
         qp = qp_matrix(params, spec, float(t1))
         pmax = max(pmax, abs(qp[1, 0]), abs(qp[1, 1]))
     at_states, _ = _certify(["chaplygin-P-zero"], _solids([(params, spec)], make_states(41, 100)))
-    j2_drift = drift(traj, "j2")
+    j2_drift = drift(traj[:, COLUMNS.index("j2")])
     _gate(
         capsys, "A10", "balanced ellipsoid: P vanishes and <gamma, M> is conserved",
         ("P", max(pmax, at_states), P_ON_GRID_AND_STATES), ("drift", j2_drift, J2_DRIFT),

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -35,6 +36,10 @@ ELLIPSOID_RAW = {
     "delta": 1e-2,
     "h": 1e-3,
 }
+
+# Climbs past |gamma3| = 0.999 before t = 1 (the pole-grazing start of
+# test_dynamics.test_pole_grazing_run_degrades_to_nan).
+POLE_GRAZING_START = ([c / math.sqrt(0.77) for c in (0.3, 0.2, 0.8)], [0.5, -0.3, 2.5])
 
 PARTICLE_RAW = {
     "system": "particle",
@@ -121,6 +126,7 @@ BAD_CASES = [
     (ROUTH_RAW, ("integrator", "t_final"), float("inf"), "/integrator"),
     (ROUTH_RAW, ("params", "r"), float("inf"), "/params"),
     (ELLIPSOID_RAW, ("params", "b"), float("inf"), "/params"),
+    (ROUTH_RAW, ("integrator", "dt"), 1e-9, "/integrator"),  # 5e8 steps, over MAX_STEPS
 ]
 
 
@@ -299,6 +305,18 @@ def test_overflow_is_a_usage_error_not_a_check_failure(tmp_path, capsys):
     with pytest.warns(UserWarning, match="non-finite state"):
         assert main(["simulate", "--config", path, "--out", str(tmp_path / "t.csv")]) == 2
     assert capsys.readouterr().err.startswith("error: arithmetic overflow")
+    assert not (tmp_path / "t.csv").exists()  # an aborted run leaves no CSV
+
+
+@pytest.mark.parametrize("h,samples,seed", [(1e-3, 40, 0), (7e-4, 10, 18)])
+def test_check_samples_inside_a_short_momenta_table(tmp_path, capsys, h, samples, seed):
+    # With delta = 0.1 the solved table ends at |tau1| = 0.9 (h = 1e-3), or
+    # at 0.8995 (h = 7e-4 does not divide 0.9), inside the sampler's default
+    # cap of 0.95; sampled states must stay on the table.  Each config drew
+    # states past its table's end under a fixed 0.95 or 1 - delta cap.
+    cfg = dict(ELLIPSOID_RAW, delta=0.1, h=h, samples=samples, seed=seed)
+    assert main(["check", "--config", write_config(tmp_path, cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +325,10 @@ def test_overflow_is_a_usage_error_not_a_check_failure(tmp_path, capsys):
 # sha256 of (stdout, CSV) for each run below (stdout only for ``check``,
 # which writes no CSV).  The momenta and simulate hashes were recorded before
 # the coefficient ODE solve and the momenta lookup were vectorized, the check
-# hashes before the battery moved into the ``nonholo.certify`` records; a
-# change that moves any output byte of these runs must say so and re-record
-# them.
+# hashes before the battery moved into the ``nonholo.certify`` records, the
+# routh, particle and pole-grazing simulate hashes before trajectories became
+# column arrays; a change that moves any output byte of these runs must say
+# so and re-record them.
 FROZEN_SHA256 = {
     "ellipsoid-check": ("c2b2383c3ef5624be60fcb6700a60fe3f87667be42a19ab34e921ded1c7d4fe1",),
     "ellipsoid-momenta": (
@@ -320,11 +339,23 @@ FROZEN_SHA256 = {
         "ed005118067088dff5b5e522d143d9c3fb06807c42ed8b75c18a07195850f883",
         "f1ddfe327aa4b739e677d7962b9be4de2fe84601a12b6efcf20d50d978095c7b",
     ),
+    "ellipsoid-pole-simulate": (
+        "f7f1ccead6d55c0bee4ac7cb8ef6147322552a09ac68c882f5a441b1f167dd05",
+        "7e4cdd7080840c28529d6397bb79d543514c32f17381932a42d71071637c1781",
+    ),
     "particle-check": ("c708641567a0fbcb08bc1713150c8ea6f1231be9779e82cc9189f8bd777660e6",),
+    "particle-simulate": (
+        "642e76a0f174bdf26652e2e542132ed5dfbc5d5d41d1f5c4edcdb6b6eaab7b8e",
+        "3b36efee4f8138e82c88f9ea382183e97af094353b59df6c3c0e80af6a276972",
+    ),
     "routh-check": ("391b3a41c4416ea6cf3abc5d661d1da0caa0f9ba4051d99bb71f3f5d8d6c2ab6",),
     "routh-momenta": (
         "c801bd1b82ad5fb0b5d38394f96d48b3fc0dac1d119e52e2ac453fb6f08b6d20",
         "02965cb5e2b1115e719bd3b8bd6645cacb5628ac3a2255fd7e25bbc3db48863c",
+    ),
+    "routh-simulate": (
+        "ff28f49aa9072c2c2d76744151b2ddeb0502a9f27f736da3ad36945dbd93f828",
+        "10be59b734b89f580a5e1e82a0086e729a7d7464902629b329e44c4f1c78ed0f",
     ),
 }
 FROZEN_RUNS = {
@@ -334,6 +365,14 @@ FROZEN_RUNS = {
     "routh-check": ("check", ROUTH_RAW),
     "ellipsoid-check": ("check", ELLIPSOID_RAW),
     "particle-check": ("check", PARTICLE_RAW),
+    "routh-simulate": ("simulate", ROUTH_RAW),
+    "particle-simulate": ("simulate", PARTICLE_RAW),
+    # climbs past the momenta table's end: NaN J1, J2 columns and dJ1, dJ2
+    "ellipsoid-pole-simulate": (
+        "simulate",
+        dict(ELLIPSOID_RAW, initial={"gamma": POLE_GRAZING_START[0], "M": POLE_GRAZING_START[1]},
+             integrator={"dt": 1e-3, "t_final": 2.0}),
+    ),
 }
 
 

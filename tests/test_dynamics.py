@@ -8,14 +8,18 @@ from nonholo import (
     MomentaSolution,
     StateGM,
     drift_report,
+    energy,
+    eval_gauge_momenta,
     eval_profile,
     integrate,
+    invariants,
+    momentum_components,
     nonconservation_rates,
     reconstruct_full,
     rhs,
     solve_momenta,
 )
-from nonholo.dynamics import default_momenta
+from nonholo.dynamics import COLUMNS, MAX_STEPS, default_momenta
 from nonholo.errors import ConsistencyError
 
 from conftest import make_states
@@ -43,17 +47,40 @@ def test_integrator_config_guards():
         IntegratorConfig(dt=0.1, t_final=float("inf"))
     with pytest.raises(ValueError):
         IntegratorConfig(dt=float("nan"), t_final=1.0)
+    with pytest.raises(ValueError, match="steps"):  # checked before anything is allocated
+        IntegratorConfig(dt=1e-9, t_final=MAX_STEPS * 1e-9 * 1.5)
 
 
 def test_integrate_sampling(routh_preset):
     params, spec = routh_preset
     state = StateGM(np.array([0.6, 0.0, 0.8]), np.array([1.0, 2.0, 3.0]))
     traj = integrate(params, spec, state, IntegratorConfig(1e-2, 0.1))
-    assert len(traj) == 11
-    assert traj[0].t == 0.0
-    assert traj[-1].t == pytest.approx(0.1)
-    for s in traj:
-        assert abs(np.dot(s.state.gamma, s.state.gamma) - 1.0) <= 1e-12
+    assert traj.shape == (11, len(COLUMNS))
+    assert traj[0, 0] == 0.0
+    assert traj[-1, 0] == pytest.approx(0.1)
+    for gamma in traj[:, 1:4]:
+        assert abs(np.dot(gamma, gamma) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("body", ["routh", "ellipsoid"])
+def test_columns_equal_the_scalar_kernels(body, routh_preset, ellipsoid_preset):
+    # The derived columns are filled after the loop as arrays; each must keep
+    # the bits of its one scalar definition at that row's state.
+    params, spec = routh_preset if body == "routh" else ellipsoid_preset
+    momenta = default_momenta(params, spec) if body == "routh" else solve_momenta(params, spec, 1e-2, 1e-3)
+    state0 = StateGM(np.array([3.0 / 7.0, 2.0 / 7.0, 6.0 / 7.0]), np.array([1.2, -0.8, 1.0]))
+    cfg = IntegratorConfig(1e-2, 0.2)
+    traj = integrate(params, spec, state0, cfg, momenta=momenta)
+    assert traj.shape == (21, 17) and ",".join(COLUMNS) == "t,g1,g2,g3,M1,M2,M3,tau1,tau2,tau3,tau4,tau5,E,J1,J2,j1,j2"
+    for k, row in enumerate(traj):
+        state = StateGM.from_packed(row[1:7])
+        inv = invariants(state)
+        expected = [
+            k * cfg.dt, *state.gamma, *state.M, inv.t1, inv.t2, inv.t3, inv.t4, inv.t5,
+            energy(params, eval_profile(spec, state.gamma[2]), state),
+            *eval_gauge_momenta(momenta, state), *momentum_components(state),
+        ]
+        assert row.tolist() == expected
 
 
 def test_short_run_conservation(routh_preset):
@@ -140,9 +167,9 @@ def test_reconstruction_tracks_gamma(routh_preset):
     full = reconstruct_full(params, spec, traj, g0, (0.0, 0.0))
     assert len(full) == len(traj)
     worst = 0.0
-    for (g, _), s in zip(full, traj):
+    for (g, _), row in zip(full, traj):
         assert np.max(np.abs(g.T @ g - np.eye(3))) <= 1e-9
-        worst = max(worst, float(np.max(np.abs(g[2] - s.state.gamma))))
+        worst = max(worst, float(np.max(np.abs(g[2] - row[1:4]))))
     assert worst <= 1e-6
 
 

@@ -14,7 +14,7 @@ from nonholo import (
     particle_momentum,
     particle_rhs,
 )
-from nonholo.particle import _bracket_matrix, frame_form, hamiltonian_frame_flow
+from nonholo.particle import COLUMNS, _bracket_matrix, frame_form, hamiltonian_frame_flow
 
 coords = st.floats(-2.0, 2.0, allow_nan=False)
 
@@ -33,9 +33,21 @@ def test_momentum_and_energy():
 def test_conservation_short_run():
     traj = particle_integrate(ParticleState(0.0, 0.0, 0.0, 1.0, 1.0), IntegratorConfig(1e-3, 2.0))
     assert len(traj) == 2001
-    dj = max(abs(s.J - traj[0].J) for s in traj)
-    de = max(abs(s.E - traj[0].E) for s in traj)
+    col = dict(zip(COLUMNS, traj.T))
+    dj = np.max(np.abs(col["J"] - col["J"][0]))
+    de = np.max(np.abs(col["E"] - col["E"][0]))
     assert dj <= 1e-10 and de <= 1e-10
+
+
+def test_columns_equal_the_scalar_kernels():
+    cfg = IntegratorConfig(1e-2, 0.2)
+    traj = particle_integrate(ParticleState(0.1, -0.5, 0.2, 1.3, -0.7), cfg)
+    assert traj.shape == (21, len(COLUMNS)) and COLUMNS == ("t", "x", "y", "z", "px", "py", "J", "E")
+    for k, row in enumerate(traj):
+        state = ParticleState(*row[1:6].tolist())
+        assert row[0] == k * cfg.dt
+        assert row[6] == particle_momentum(state)
+        assert row[7] == particle_hamiltonian(state)
 
 
 @settings(max_examples=30)
