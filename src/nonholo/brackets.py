@@ -35,10 +35,7 @@ from .errors import ConsistencyError, DomainError
 from .geomforms import qp_matrix, qpl_packed
 from .phase import BodyParams, InvariantPoint, StateGM, energy_packed
 from .profile import ProfileSpec
-from .smallalg import grad_fd, hat
-
-#: outer finite-difference step scale for nested (Jacobiator) gradients
-JACOBIATOR_OUTER_SCALE = 1e-4
+from .smallalg import grad_fd, hat, jacobi_trivector
 
 
 class BracketKind(str, Enum):
@@ -67,47 +64,19 @@ def _as_field(f) -> ScalarField:
     return f if isinstance(f, ScalarField) else ScalarField(f)
 
 
-def _grad_tau1(x):
-    g = np.zeros(6)
-    g[2] = 1.0
-    return g
-
-
-def _grad_tau2(x):
-    return np.array([x[4], -x[3], 0.0, -x[1], x[0], 0.0])
-
-
-def _grad_tau3(x):
-    return np.array([x[3], x[4], 0.0, x[0], x[1], 0.0])
-
-
-def _grad_tau4(x):
-    g = np.zeros(6)
-    g[5] = 1.0
-    return g
-
-
-def _grad_tau5(x):
-    return np.array([0.0, 0.0, 0.0, 2.0 * x[3], 2.0 * x[4], 0.0])
-
-
-TAU1 = ScalarField(lambda x: x[2], _grad_tau1, "tau1")
-TAU2 = ScalarField(lambda x: x[0] * x[4] - x[1] * x[3], _grad_tau2, "tau2")
-TAU3 = ScalarField(lambda x: x[0] * x[3] + x[1] * x[4], _grad_tau3, "tau3")
-TAU4 = ScalarField(lambda x: x[5], _grad_tau4, "tau4")
-TAU5 = ScalarField(lambda x: x[3] ** 2 + x[4] ** 2, _grad_tau5, "tau5")
+TAU1 = ScalarField(lambda x: x[2], lambda x: np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0]), "tau1")
+TAU2 = ScalarField(lambda x: x[0] * x[4] - x[1] * x[3],
+                   lambda x: np.array([x[4], -x[3], 0.0, -x[1], x[0], 0.0]), "tau2")
+TAU3 = ScalarField(lambda x: x[0] * x[3] + x[1] * x[4],
+                   lambda x: np.array([x[3], x[4], 0.0, x[0], x[1], 0.0]), "tau3")
+TAU4 = ScalarField(lambda x: x[5], lambda x: np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0]), "tau4")
+TAU5 = ScalarField(lambda x: x[3] ** 2 + x[4] ** 2,
+                   lambda x: np.array([0.0, 0.0, 0.0, 2.0 * x[3], 2.0 * x[4], 0.0]), "tau5")
 TAUS: tuple[ScalarField, ...] = (TAU1, TAU2, TAU3, TAU4, TAU5)
 
-J1_COMPONENT = ScalarField(
-    lambda x: -x[5],
-    lambda x: np.array([0.0, 0.0, 0.0, 0.0, 0.0, -1.0]),
-    "j1",
-)
-J2_COMPONENT = ScalarField(
-    lambda x: x[0] * x[3] + x[1] * x[4] + x[2] * x[5],
-    lambda x: np.array([x[3], x[4], x[5], x[0], x[1], x[2]]),
-    "j2",
-)
+J1_COMPONENT = ScalarField(lambda x: -x[5], lambda x: np.array([0.0, 0.0, 0.0, 0.0, 0.0, -1.0]), "j1")
+J2_COMPONENT = ScalarField(lambda x: x[0] * x[3] + x[1] * x[4] + x[2] * x[5],
+                           lambda x: np.array([x[3], x[4], x[5], x[0], x[1], x[2]]), "j2")
 
 
 def hamiltonian_field(params: BodyParams, spec: ProfileSpec) -> ScalarField:
@@ -153,34 +122,15 @@ def bracket(
 
 
 def jacobiator(
-    params: BodyParams,
-    spec: ProfileSpec,
-    f,
-    g,
-    h,
-    state: StateGM | np.ndarray,
-    kind: BracketKind,
+    params: BodyParams, spec: ProfileSpec, f, g, h, state: StateGM | np.ndarray, kind: BracketKind
 ) -> float:
-    """Cyclic sum {f,{g,h}} + {g,{h,f}} + {h,{f,g}} at a state.
-
-    Inner brackets are evaluated as fields and differentiated by central
-    differences with relative step 1e-4 (tolerances downstream account for
-    the ~1e-8 truncation this leaves on O(1) fields).
+    """Cyclic sum {f,{g,h}} + {g,{h,f}} + {h,{f,g}} at a state: the Jacobi
+    trivector of ``bivector_packed`` contracted with the three gradients.
     """
     x = state.packed() if isinstance(state, StateGM) else np.asarray(state, dtype=float)
-    fields = [_as_field(f), _as_field(g), _as_field(h)]
-    total = 0.0
-    for i in range(3):
-        a = fields[i]
-        b, c = fields[(i + 1) % 3], fields[(i + 2) % 3]
-
-        def inner(y, b=b, c=c):
-            return bracket(params, spec, b, c, y, kind)
-
-        pi = bivector_packed(params, spec, x, kind)
-        grad_inner = grad_fd(inner, x, JACOBIATOR_OUTER_SCALE)
-        total += float(a.gradient(x) @ pi @ grad_inner)
-    return total
+    t = jacobi_trivector(lambda y: bivector_packed(params, spec, y, kind), x)
+    df, dg, dh = (_as_field(u).gradient(x) for u in (f, g, h))
+    return float(np.einsum("iab,i,a,b->", t, df, dg, dh))
 
 
 def s1_generator(x: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from .particle import (COLUMNS as PARTICLE_COLUMNS, ParticleState, hamiltonian_f
                        particle_momentum, particle_rhs)
 from .phase import invariants, omega_from_M
 from .profile import eval_profile, profile_scalars
-from .smallalg import E1, E2, E3, cross, dot
+from .smallalg import E1, E2, E3, cross, dot, jacobi_trivector
 
 
 @dataclass(frozen=True)
@@ -180,10 +180,10 @@ def _gauge_compatibility(s, p):
 
 
 def _jacobi_gauged(s, p):
-    return max(
-        abs(jacobiator(s.params, s.spec, TAUS[a], TAUS[b], TAUS[c], p.state, BracketKind.GAUGED))
-        for a, b, c in itertools.combinations(range(5), 3)
-    )
+    t = jacobi_trivector(lambda y: bivector_packed(s.params, s.spec, y, BracketKind.GAUGED), p.x)
+    d = np.array([tau.gradient(p.x) for tau in TAUS])
+    jac = np.einsum("iab,pi,qa,rb->pqr", t, d, d, d)  # the Jacobiator of every triple of invariants
+    return max(abs(float(jac[a, b, c])) for a, b, c in itertools.combinations(range(5), 3))
 
 
 def _jacobi_ungauged(s, p):

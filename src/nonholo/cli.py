@@ -25,12 +25,14 @@ from . import certify
 from .certify import CheckResult
 from .dynamics import COLUMNS, IntegratorConfig, drift, drift_report, integrate
 from .errors import ConfigError, NonholoError
-from .momenta import _grid, closed_form_momenta, solve_momenta
+from .momenta import closed_form_momenta, grid_half, solve_momenta
 from .particle import COLUMNS as PARTICLE_COLUMNS, ParticleState, particle_integrate
 from .phase import BodyParams, StateGM
 from .profile import ProfileSpec
 
 SYSTEMS = ("routh", "ellipsoid", "particle")
+#: Largest ``samples`` of a config (100 times the default)
+MAX_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -202,12 +204,18 @@ def parse_config(text: str) -> RunConfig:
 
     seed = _integer(raw, "seed", "", 0)
     samples = _integer(raw, "samples", "", 100)
+    if samples > MAX_SAMPLES:
+        raise _err(f"'samples' must be at most {MAX_SAMPLES}", "/samples")
     delta = _number(raw, "delta", "", default=1e-3)
     h = _number(raw, "h", "", default=1e-4)
     if not 1e-6 <= delta <= 0.1:
         raise _err("'delta' must lie in [1e-6, 0.1]", "/delta")
     if not 0 < h <= 1e-3:
         raise _err("'h' must lie in (0, 1e-3]", "/h")
+    try:
+        grid_half(delta, h)
+    except ValueError as exc:
+        raise _err(str(exc), "/h") from exc
     return RunConfig(system, body, profile, gamma0, M0, particle0, integrator, seed, samples, delta, h)
 
 
@@ -312,7 +320,7 @@ def cmd_check(cfg: RunConfig) -> Report:
     if cfg.system == "particle":
         subject = certify.Particle([sample_particle(cfg.seed, k) for k in range(cfg.samples)])
     else:
-        cap = min(0.95, float(_grid(cfg.delta, cfg.h)[-1]))  # where the solved momenta table ends
+        cap = min(0.95, grid_half(cfg.delta, cfg.h) * cfg.h)  # where the solved momenta table ends
         states = [sample_state(cfg.seed, k, cap) for k in range(cfg.samples)]
         subject = certify.solid_subject(cfg.body, cfg.profile, states, cfg.delta, cfg.h)
     return Report(cfg.system, cfg.seed, cfg.samples, certify.run(subject.records, subject))

@@ -50,6 +50,8 @@ from .profile import ProfileSpec
 
 #: RK4 steps whose stage values of [QP] are evaluated in one array pass
 _CHUNK = 256
+#: Largest (1 - delta)/h, the nodes on each side of tau1 = 0, of a momenta table
+MAX_HALF_GRID = 1_000_000
 
 
 def _ode_slope(q00, q01, q10, q11, tau1, f, g) -> tuple:
@@ -132,8 +134,16 @@ class MomentaSolution:
         return float(np.min(np.abs(self.independence())))
 
 
+def grid_half(delta: float, h: float) -> int:
+    """Nodes on each side of tau1 = 0 of the (delta, h) grid; ValueError if
+    (1 - delta)/h, an overflowing inf included, exceeds MAX_HALF_GRID."""
+    if not (1.0 - delta) / h <= MAX_HALF_GRID:
+        raise ValueError(f"(1 - delta)/h = {(1.0 - delta) / h:g} exceeds {MAX_HALF_GRID} nodes per half-grid")
+    return int(math.floor((1.0 - delta) / h + 1e-9))
+
+
 def _grid(delta: float, h: float) -> np.ndarray:
-    n = int(math.floor((1.0 - delta) / h + 1e-9))
+    n = grid_half(delta, h)
     return np.arange(-n, n + 1) * h
 
 
@@ -146,7 +156,7 @@ def solve_momenta(
     +-(1 - delta) with step h.
 
     Raises:
-        ValueError: if delta is outside [1e-6, 0.1] or h > 1e-3.
+        ValueError: if delta is outside [1e-6, 0.1], h > 1e-3 or (1 - delta)/h > MAX_HALF_GRID.
     """
     if not 1e-6 <= delta <= 0.1:
         raise ValueError(f"delta={delta!r} outside [1e-6, 0.1]")

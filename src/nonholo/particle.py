@@ -28,14 +28,13 @@ the bracket is genuinely Poisson and J is a Casimir.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .smallalg import grad_fd, rk4_step
-
-OUTER_SCALE = 1e-4  # nested-bracket FD step (matches the solids convention)
+from .smallalg import grad_fd, jacobi_trivector, rk4_step
 
 
 @dataclass
@@ -139,25 +138,17 @@ def hamiltonian_frame_flow(state, include_coupling: bool = True) -> np.ndarray:
     return b @ _frame_gradient(particle_hamiltonian, v, 1e-5)
 
 
-def _jacobiator(v: np.ndarray, fields) -> float:
-    bm = _bracket_matrix(v, include_coupling=True)
-    total = 0.0
-    for i in range(3):
-        a = fields[i]
-        b, c = fields[(i + 1) % 3], fields[(i + 2) % 3]
-
-        def inner(u, b=b, c=c):
-            return particle_bracket(b, c, u)
-
-        gi = _frame_gradient(inner, v, OUTER_SCALE)
-        total += float(_frame_gradient(a, v, 1e-5) @ bm @ gi)
-    return total
+def _coordinate_bivector(v: np.ndarray) -> np.ndarray:
+    """E B E^T, the bracket on coordinate gradients; the columns of the 5x4 E
+    are the frame e1 = d/dx + y d/dz, e2, e3, e4."""
+    e = np.zeros((5, 4))
+    e[0, 0], e[2, 0], e[1, 1], e[3, 2], e[4, 3] = 1.0, v[1], 1.0, 1.0, 1.0
+    return e @ _bracket_matrix(v, include_coupling=True) @ e.T
 
 
 def particle_jacobiator_reduced(state) -> float:
     """|cyclic Jacobiator| on the reduced coordinate triple (y, px, py)."""
-    v = _coerce(state)
-    return abs(_jacobiator(v, [lambda u: u[1], lambda u: u[3], lambda u: u[4]]))
+    return abs(float(jacobi_trivector(_coordinate_bivector, _coerce(state))[1, 3, 4]))
 
 
 def particle_jacobiator_unreduced(state) -> float:
@@ -167,8 +158,7 @@ def particle_jacobiator_unreduced(state) -> float:
     it the bracket genuinely fails Jacobi — the negative control showing
     the vanishing reduced-triple Jacobiator is not vacuous.
     """
-    v = _coerce(state)
-    return _jacobiator(v, [lambda u: u[0], lambda u: u[3], lambda u: u[4]])
+    return float(jacobi_trivector(_coordinate_bivector, _coerce(state))[0, 3, 4])
 
 
 #: The columns of a particle trajectory array, which are also the ``simulate`` CSV header.
@@ -180,7 +170,8 @@ def particle_integrate(state0: ParticleState, cfg) -> np.ndarray:
 
     Returns a float array whose columns are ``COLUMNS``; J and E are the
     scalar kernels ``particle_momentum`` and ``particle_hamiltonian`` at each
-    row's state.
+    row's state.  The array ends, with a warning, before the first row with a
+    non-finite state, J or E (an H that overflows at a finite state included).
     """
     n_steps = cfg.steps
     out = np.empty((n_steps + 1, len(COLUMNS)))
@@ -194,4 +185,8 @@ def particle_integrate(state0: ParticleState, cfg) -> np.ndarray:
     for k in range(1, n_steps + 1):
         v = rk4_step(f, (k - 1) * cfg.dt, v, cfg.dt)
         out[k, 1:] = (*v, particle_momentum(v), particle_hamiltonian(v))
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if bad.size:
+        warnings.warn(f"non-finite state at step {bad[0]}; aborting with {bad[0]} samples")
+        return out[: bad[0]]
     return out

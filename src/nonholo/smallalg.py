@@ -15,6 +15,9 @@ E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
 
+#: relative step of the 5-point stencil that differentiates a bivector field
+TRIVECTOR_STEP = 1e-3
+
 
 def vec3(x: float, y: float, z: float) -> Vec3:
     """Return a float 3-vector."""
@@ -78,3 +81,22 @@ def grad_fd(f: Callable[[np.ndarray], float], x: np.ndarray, scale: float = 1e-5
         xm[i] -= h
         g[i] = (f(xp) - f(xm)) / (2.0 * h)
     return g
+
+
+def jacobi_trivector(pi_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+    """The (n, n, n) array T with T(df, dg, dh) = {f,{g,h}} + {g,{h,f}} + {h,{f,g}}
+    for the bracket {f, g} = df . pi_fn(x) . dg.
+
+    T is the cyclic sum of A[i,a,b] = sum_k pi[i,k] d_k pi[a,b] (the Schouten
+    bracket [pi, pi] up to a constant factor).  The second derivatives of f, g, h
+    cancel in the cyclic sum because pi is antisymmetric, so gradients suffice.
+    d_k pi is the 5-point central stencil, step TRIVECTOR_STEP * max(1, |x_k|).
+    """
+    x = np.asarray(x, dtype=float)
+    dpi = np.empty((x.size, x.size, x.size))
+    for k in range(x.size):
+        e = np.zeros(x.size)
+        e[k] = h = TRIVECTOR_STEP * max(1.0, abs(x[k]))
+        dpi[k] = (8.0 * (pi_fn(x + e) - pi_fn(x - e)) - (pi_fn(x + 2.0 * e) - pi_fn(x - 2.0 * e))) / (12.0 * h)
+    a = np.einsum("ik,kab->iab", pi_fn(x), dpi)
+    return a + a.transpose(1, 2, 0) + a.transpose(2, 0, 1)

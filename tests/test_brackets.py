@@ -1,5 +1,7 @@
 """Bracket machinery: the 6x6 bivectors, the Jacobiator in both gauges,
 and the explicit 5x5 table on the invariants."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,10 +19,11 @@ from nonholo import (
     pushforward_residual,
     reduced_bivector_tau,
 )
-from nonholo.brackets import s1_generator
+from nonholo.brackets import J2_COMPONENT, TAUS, _as_field, s1_generator
 from nonholo.dynamics import default_momenta
 from nonholo.errors import ConsistencyError, DomainError
 from nonholo.phase import energy_packed
+from nonholo.smallalg import grad_fd
 
 from conftest import make_states
 
@@ -76,7 +79,41 @@ class TestBracket:
         assert lhs == pytest.approx(rhs, abs=1e-7)
 
 
+def nested_fd_jacobiator(params, spec, f, g, h, state, kind):
+    """The cyclic sum as central differences (outer step 1e-4) of brackets
+    whose gradients are central differences themselves: the Jacobiator
+    before the Jacobi trivector, kept as an independent oracle.  Its own
+    truncation error is about 5e-8 on O(1) fields."""
+    x = state.packed()
+    fields = [_as_field(f), _as_field(g), _as_field(h)]
+    total = 0.0
+    for i in range(3):
+        a, b, c = fields[i], fields[(i + 1) % 3], fields[(i + 2) % 3]
+
+        def inner(y, b=b, c=c):
+            return bracket(params, spec, b, c, y, kind)
+
+        pi = bivector_packed(params, spec, x, kind)
+        total += float(a.gradient(x) @ pi @ grad_fd(inner, x, 1e-4))
+    return total
+
+
 class TestJacobiator:
+    @pytest.mark.parametrize("kind", list(BracketKind))
+    @pytest.mark.parametrize("preset", ["routh", "ellipsoid"])
+    def test_matches_the_nested_fd_oracle(self, preset, kind, routh_preset, ellipsoid_preset):
+        params, spec = routh_preset if preset == "routh" else ellipsoid_preset
+        triples = [*itertools.combinations(TAUS, 3), (TAUS[0], J2_COMPONENT, TAUS[3])]
+        for state in make_states(31, 4):
+            for f, g, h in triples:
+                new = jacobiator(params, spec, f, g, h, state, kind)
+                assert abs(new - nested_fd_jacobiator(params, spec, f, g, h, state, kind)) <= 2e-7
+            # Plain callables get central-difference gradients, which are
+            # exact on these quadratics up to rounding.  (The oracle, which
+            # differences those gradients again, is off by about 1e-6 here.)
+            fd = jacobiator(params, spec, TAU2, TAU5, J2F, state, kind)
+            assert abs(fd - jacobiator(params, spec, TAUS[1], TAUS[4], J2_COMPONENT, state, kind)) <= 1e-10
+
     def test_ungauged_anchor(self, worked_params, worked_spec, worked_state):
         val = jacobiator(
             worked_params, worked_spec, TAU1, J2F, TAU4, worked_state, BracketKind.NH

@@ -6,8 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonholo.cli import (
+    MAX_SAMPLES,
     CheckResult,
     Report,
     main,
@@ -70,6 +73,48 @@ def test_serialize_parse_round_trip(raw):
     assert parse_config(serialize_config(cfg)) == cfg
 
 
+_finite = st.floats(-5.0, 5.0, allow_nan=False)
+_positive = st.floats(0.1, 10.0)
+
+
+@st.composite
+def _valid_configs(draw):
+    """Raw configs that parse, with seed, samples, delta and h up to their bounds."""
+    system = draw(st.sampled_from(["routh", "ellipsoid", "particle"]))
+    raw = {"system": system}
+    if system == "particle":
+        raw["initial"] = {"position": draw(st.lists(_finite, min_size=3, max_size=3)),
+                          "momentum": draw(st.lists(_finite, min_size=2, max_size=2))}
+    else:
+        params = {"m": draw(_positive), "I1": draw(_positive), "I3": draw(_positive),
+                  "grav": draw(st.floats(0.0, 20.0))}
+        if system == "routh":
+            params["r"] = r = draw(_positive)
+            params["l"] = draw(st.floats(-0.99 * r, 0.99 * r))
+        else:
+            params["b"], params["c"] = draw(_positive), draw(_positive)
+        g = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)))
+        n = math.sqrt(float(g @ g))
+        gamma = (g / n).tolist() if n > 0.1 else [0.0, 0.0, 1.0]
+        raw["params"] = params
+        raw["initial"] = {"gamma": gamma, "M": draw(st.lists(_finite, min_size=3, max_size=3))}
+    dt = draw(st.floats(1e-4, 0.1))
+    raw["integrator"] = {"dt": dt, "t_final": dt * draw(st.floats(1.0, 1000.0)),
+                         "renormalize_gamma": draw(st.booleans())}
+    raw["seed"] = draw(st.integers(0, 2**32))
+    raw["samples"] = draw(st.integers(0, MAX_SAMPLES))
+    raw["delta"] = draw(st.floats(1e-6, 0.1))
+    raw["h"] = draw(st.floats(1e-6, 1e-3))  # (1 - delta)/h <= MAX_HALF_GRID for every delta
+    return raw
+
+
+@settings(max_examples=200, deadline=None)
+@given(_valid_configs())
+def test_serialize_parse_round_trip_over_valid_configs(raw):
+    cfg = parse_config(json.dumps(raw))
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
 def test_defaults():
     minimal = {
         "system": "routh",
@@ -127,6 +172,10 @@ BAD_CASES = [
     (ROUTH_RAW, ("params", "r"), float("inf"), "/params"),
     (ELLIPSOID_RAW, ("params", "b"), float("inf"), "/params"),
     (ROUTH_RAW, ("integrator", "dt"), 1e-9, "/integrator"),  # 5e8 steps, over MAX_STEPS
+    (ROUTH_RAW, ("h",), 1e-300, "/h"),  # (1 - delta)/h over momenta.MAX_HALF_GRID, never allocated
+    (ROUTH_RAW, ("h",), 1e-7, "/h"),
+    (PARTICLE_RAW, ("samples",), 100_000_000_000, "/samples"),
+    (ROUTH_RAW, ("samples",), MAX_SAMPLES + 1, "/samples"),
 ]
 
 
@@ -308,6 +357,28 @@ def test_overflow_is_a_usage_error_not_a_check_failure(tmp_path, capsys):
     assert not (tmp_path / "t.csv").exists()  # an aborted run leaves no CSV
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_particle_overflow_exits_2_without_a_csv(tmp_path, capsys):
+    # The state stays finite but H = px^2/2/(1+y^2) + py^2/2 overflows.
+    huge = dict(PARTICLE_RAW, initial={"position": [0.0, 0.0, 0.0], "momentum": [1e200, 1.0]})
+    huge["integrator"] = {"dt": 1e-3, "t_final": 0.01}
+    path = write_config(tmp_path, huge)
+    with pytest.warns(UserWarning, match="non-finite state"):
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "t.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: arithmetic overflow: non-finite state at step 0 of 10")
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("key,value", [("h", 1e-300), ("samples", 100_000_000_000)])
+def test_grid_and_samples_bounds_exit_2(tmp_path, capsys, key, value):
+    path = write_config(tmp_path, dict(PARTICLE_RAW, **{key: value}))
+    assert main(["check", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.rstrip().endswith(f"(at '/{key}')")
+
+
 @pytest.mark.parametrize("h,samples,seed", [(1e-3, 40, 0), (7e-4, 10, 18)])
 def test_check_samples_inside_a_short_momenta_table(tmp_path, capsys, h, samples, seed):
     # With delta = 0.1 the solved table ends at |tau1| = 0.9 (h = 1e-3), or
@@ -327,10 +398,12 @@ def test_check_samples_inside_a_short_momenta_table(tmp_path, capsys, h, samples
 # the coefficient ODE solve and the momenta lookup were vectorized, the check
 # hashes before the battery moved into the ``nonholo.certify`` records, the
 # routh, particle and pole-grazing simulate hashes before trajectories became
-# column arrays; a change that moves any output byte of these runs must say
-# so and re-record them.
+# column arrays.  The check hashes were re-recorded when the Jacobiators
+# became contractions of the Jacobi trivector, which moved only the
+# measured values of the jacobi-* and reduced-jacobi records.  A change that
+# moves any output byte of these runs must say so and re-record them.
 FROZEN_SHA256 = {
-    "ellipsoid-check": ("c2b2383c3ef5624be60fcb6700a60fe3f87667be42a19ab34e921ded1c7d4fe1",),
+    "ellipsoid-check": ("4c62d2a0dd3b7d08ee95a5e49e214d91f55a774e6e0f5cc7b07a854f36092f42",),
     "ellipsoid-momenta": (
         "5cafae4f8d2ae806979f334cc6e897a81ce579590a0fefaac088dbe0aa0b24a6",
         "800cd1cec1d75f9b0dc49290f6d4a329fba857af2faae4ef00d1f0f0bc88320c",
@@ -343,12 +416,12 @@ FROZEN_SHA256 = {
         "f7f1ccead6d55c0bee4ac7cb8ef6147322552a09ac68c882f5a441b1f167dd05",
         "7e4cdd7080840c28529d6397bb79d543514c32f17381932a42d71071637c1781",
     ),
-    "particle-check": ("c708641567a0fbcb08bc1713150c8ea6f1231be9779e82cc9189f8bd777660e6",),
+    "particle-check": ("70ee02cd864c3f6a7486179b4e5dd8ecd72ffd0ef3034e40b39f4c794b921d43",),
     "particle-simulate": (
         "642e76a0f174bdf26652e2e542132ed5dfbc5d5d41d1f5c4edcdb6b6eaab7b8e",
         "3b36efee4f8138e82c88f9ea382183e97af094353b59df6c3c0e80af6a276972",
     ),
-    "routh-check": ("391b3a41c4416ea6cf3abc5d661d1da0caa0f9ba4051d99bb71f3f5d8d6c2ab6",),
+    "routh-check": ("f4892047ef5a776cc4b524c62953d4d75b81b9739af783952e0fce68f140fb99",),
     "routh-momenta": (
         "c801bd1b82ad5fb0b5d38394f96d48b3fc0dac1d119e52e2ac453fb6f08b6d20",
         "02965cb5e2b1115e719bd3b8bd6645cacb5628ac3a2255fd7e25bbc3db48863c",

@@ -25,7 +25,7 @@ from nonholo import (
     solve_momenta,
 )
 from nonholo.errors import DomainError
-from nonholo.momenta import _grid
+from nonholo.momenta import MAX_HALF_GRID, _grid, grid_half
 from nonholo.smallalg import rk4_step
 
 from conftest import make_states
@@ -117,6 +117,18 @@ def test_solution_grid_bounds():
         solve_momenta(P98, ProfileSpec.routh(1.0, 0.1), delta=0.5)
     with pytest.raises(ValueError):
         solve_momenta(P98, ProfileSpec.routh(1.0, 0.1), h=0.01)
+
+
+@pytest.mark.parametrize("h", [1e-300, 1e-7])
+def test_grid_size_is_bounded_before_allocation(h):
+    # (1 - delta)/h above MAX_HALF_GRID is refused from the quotient alone;
+    # no grid of that size is ever built.
+    spec = ProfileSpec.routh(1.0, 0.1)
+    assert (1.0 - 1e-3) / h > MAX_HALF_GRID
+    for build in (solve_momenta, closed_form_momenta):
+        with pytest.raises(ValueError, match="nodes per half-grid"):
+            build(P98, spec, 1e-3, h)
+    assert grid_half(1e-3, 1e-6) == 999_000  # the finest step at the default delta
 
 
 def test_closed_form_mode_covers_the_poles():

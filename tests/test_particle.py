@@ -14,7 +14,7 @@ from nonholo import (
     particle_momentum,
     particle_rhs,
 )
-from nonholo.particle import COLUMNS, _bracket_matrix, frame_form, hamiltonian_frame_flow
+from nonholo.particle import COLUMNS, _bracket_matrix, _frame_gradient, frame_form, hamiltonian_frame_flow
 
 coords = st.floats(-2.0, 2.0, allow_nan=False)
 
@@ -74,6 +74,31 @@ def test_uncoupled_flow_is_wrong():
     c = hamiltonian_frame_flow(s, include_coupling=False)
     coord_rate = np.array([c[0], c[1], 1.0 * c[0], c[2], c[3]])
     assert abs(coord_rate[3] - particle_rhs(s)[3]) > 0.1
+
+
+def nested_fd_jacobiator(v, fields):
+    """The cyclic sum as frame central differences (outer step 1e-4) of
+    particle brackets: the Jacobiator before the Jacobi trivector, kept as an
+    independent oracle."""
+    bm = _bracket_matrix(v, include_coupling=True)
+    total = 0.0
+    for i in range(3):
+        a, b, c = fields[i], fields[(i + 1) % 3], fields[(i + 2) % 3]
+
+        def inner(u, b=b, c=c):
+            return particle_bracket(b, c, u)
+
+        total += float(_frame_gradient(a, v, 1e-5) @ bm @ _frame_gradient(inner, v, 1e-4))
+    return total
+
+
+def test_jacobiators_match_the_nested_fd_oracle():
+    rng = np.random.default_rng(19)
+    x, y, px, py = (lambda u: u[0]), (lambda u: u[1]), (lambda u: u[3]), (lambda u: u[4])
+    for _ in range(30):
+        v = rng.uniform(-2.0, 2.0, 5)
+        assert abs(particle_jacobiator_reduced(v) - abs(nested_fd_jacobiator(v, [y, px, py]))) <= 2e-7
+        assert abs(particle_jacobiator_unreduced(v) - nested_fd_jacobiator(v, [x, px, py])) <= 2e-7
 
 
 def test_reduced_jacobiator_vanishes():

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nonholo import cross, dot, grad_fd, rk4_step, vec3
+from nonholo.smallalg import hat, jacobi_trivector
 
 finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 triples = st.tuples(finite, finite, finite)
@@ -49,3 +50,25 @@ def test_grad_fd_on_a_polynomial():
 
     g = grad_fd(f, np.array([1.0, 2.0, -1.0]))
     assert np.max(np.abs(g - np.array([4.0, 1.0, 3.0]))) <= 1e-8
+
+
+def test_jacobi_trivector_of_the_lie_poisson_bracket_vanishes():
+    # pi(x) = hat(x) on so(3)* is Poisson ({x_a, x_b} = -eps_abk x_k).
+    rng = np.random.default_rng(5)
+    for scale in (1.0, 3.0, 10.0):
+        for _ in range(20):
+            t = jacobi_trivector(hat, rng.uniform(-scale, scale, 3))
+            assert t.shape == (3, 3, 3)
+            assert np.max(np.abs(t)) <= 1e-14
+
+
+def test_jacobi_trivector_of_a_non_poisson_bivector():
+    # {x1, x2} = 1, {x2, x3} = x2, {x1, x3} = 0: the cyclic sum on (x1, x2, x3)
+    # is {x1, {x2, x3}} = {x1, x2} = 1, and T is totally antisymmetric.
+    def pi(x):
+        return np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, x[1]], [0.0, -x[1], 0.0]])
+
+    t = jacobi_trivector(pi, np.array([0.3, -2.0, 5.0]))
+    assert abs(t[0, 1, 2] - 1.0) <= 1e-12
+    assert np.max(np.abs(t + t.transpose(1, 0, 2))) <= 1e-15
+    assert np.max(np.abs(t - t.transpose(1, 2, 0))) <= 1e-15
