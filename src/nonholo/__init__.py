@@ -52,7 +52,6 @@ from .momenta import (
     solve_momenta,
 )
 from .particle import (
-    ParticleState,
     particle_bracket,
     particle_hamiltonian,
     particle_integrate,
@@ -63,7 +62,6 @@ from .particle import (
 )
 from .phase import (
     BodyParams,
-    InvariantPoint,
     StateGM,
     energy,
     invariants,
@@ -85,11 +83,9 @@ __all__ = [
     "DegeneracyError",
     "DomainError",
     "IntegratorConfig",
-    "InvariantPoint",
     "LQPValues",
     "MomentaSolution",
     "NonholoError",
-    "ParticleState",
     "ProfileEval",
     "ProfileSpec",
     "ScalarField",

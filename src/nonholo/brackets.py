@@ -32,10 +32,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .geomforms import qp_matrix, qpl_packed
-from .phase import BodyParams, InvariantPoint, StateGM, energy_packed
-from .profile import ProfileSpec
-from .smallalg import grad_fd, hat, jacobi_trivector
+from .geomforms import qp_matrix, qpl_values
+from .phase import BodyParams, energy, invariants, relation_residual
+from .profile import ProfileSpec, eval_profile
+from .smallalg import grad_fd, hat, jacobi_trivector, nan_max
 
 
 class BracketKind(str, Enum):
@@ -81,7 +81,7 @@ J2_COMPONENT = ScalarField(lambda x: x[0] * x[3] + x[1] * x[4] + x[2] * x[5],
 
 def hamiltonian_field(params: BodyParams, spec: ProfileSpec) -> ScalarField:
     """The energy as a ScalarField (gradient by finite differences)."""
-    return ScalarField(lambda x: energy_packed(params, spec, x), name="H")
+    return ScalarField(lambda x: energy(params, eval_profile(spec, x[2]), x), name="H")
 
 
 def bivector_packed(params: BodyParams, spec: ProfileSpec, x: np.ndarray, kind: BracketKind) -> np.ndarray:
@@ -91,7 +91,7 @@ def bivector_packed(params: BodyParams, spec: ProfileSpec, x: np.ndarray, kind: 
     {M_i, M_j} = -eps_ijk (M + V)_k with V = L_vec (gauged) or K_vec (nh).
     Every block is a hat matrix, so antisymmetry is exact by construction.
     """
-    vals = qpl_packed(params, spec, x)
+    vals = qpl_values(params, eval_profile(spec, x[2]), x)
     v = vals.Lvec if kind == BracketKind.GAUGED else vals.Kvec
     pi = np.zeros((6, 6))
     hg = hat(x[:3])
@@ -106,28 +106,28 @@ def bracket(
     spec: ProfileSpec,
     f,
     g,
-    state: StateGM | np.ndarray,
+    x,
     kind: BracketKind,
     scale: float = 1e-5,
 ) -> float:
-    """Evaluate {f, g} = grad(f)^T Pi grad(g) at a state.
+    """Evaluate {f, g} = grad(f)^T Pi grad(g) at a packed state.
 
     f and g may be ScalarFields (analytic gradients used when registered)
     or plain callables of the packed 6-vector (central differences).
     """
-    x = state.packed() if isinstance(state, StateGM) else np.asarray(state, dtype=float)
+    x = np.asarray(x, dtype=float)
     ff, gg = _as_field(f), _as_field(g)
     pi = bivector_packed(params, spec, x, kind)
     return float(ff.gradient(x, scale) @ pi @ gg.gradient(x, scale))
 
 
 def jacobiator(
-    params: BodyParams, spec: ProfileSpec, f, g, h, state: StateGM | np.ndarray, kind: BracketKind
+    params: BodyParams, spec: ProfileSpec, f, g, h, x, kind: BracketKind
 ) -> float:
-    """Cyclic sum {f,{g,h}} + {g,{h,f}} + {h,{f,g}} at a state: the Jacobi
+    """Cyclic sum {f,{g,h}} + {g,{h,f}} + {h,{f,g}} at a packed state: the Jacobi
     trivector of ``bivector_packed`` contracted with the three gradients.
     """
-    x = state.packed() if isinstance(state, StateGM) else np.asarray(state, dtype=float)
+    x = np.asarray(x, dtype=float)
     t = jacobi_trivector(lambda y: bivector_packed(params, spec, y, kind), x)
     df, dg, dh = (_as_field(u).gradient(x) for u in (f, g, h))
     return float(np.einsum("iab,i,a,b->", t, df, dg, dh))
@@ -138,10 +138,8 @@ def s1_generator(x: np.ndarray) -> np.ndarray:
     return np.array([-x[1], x[0], 0.0, -x[4], x[3], 0.0])
 
 
-def reduced_bivector_tau(
-    params: BodyParams, spec: ProfileSpec, point: InvariantPoint
-) -> np.ndarray:
-    """Explicit 5x5 bracket table on the invariants tau1..tau5.
+def reduced_bivector_tau(params: BodyParams, spec: ProfileSpec, tau) -> np.ndarray:
+    """Explicit 5x5 bracket table at the invariants ``tau`` = (tau1, ..., tau5).
 
     This is the pushforward of the gauged 6x6 bracket (the table as
     sometimes displayed carries sign/factor slips in the tau2/tau5 rows and
@@ -157,14 +155,14 @@ def reduced_bivector_tau(
     with (Q, P) = [QP](t1) . (t3, t4) and L3 = Q t1 + P.
 
     Raises:
-        ConsistencyError: if the point violates the semialgebraic relation
+        ConsistencyError: if tau violates the semialgebraic relation
             by more than 1e-6.
         DomainError: if |t1| > 1 - 1e-9.
     """
-    res = point.relation_residual()
+    t1, t2, t3, t4, t5 = np.asarray(tau, dtype=float).tolist()
+    res = relation_residual(t1, t2, t3, t5)
     if abs(res) > 1e-6:
         raise ConsistencyError(f"invariant relation violated by {res!r}")
-    t1, t2, t3, t4, t5 = point.t1, point.t2, point.t3, point.t4, point.t5
     if abs(t1) > 1.0 - 1e-9:
         raise DomainError(f"tau1={t1!r} too close to the singular strata +-1")
     qp = qp_matrix(params, spec, t1)
@@ -183,20 +181,14 @@ def reduced_bivector_tau(
     return upper - upper.T  # antisymmetric by construction
 
 
-def pushforward_residual(params: BodyParams, spec: ProfileSpec, state: StateGM) -> float:
-    """max over pairs |{tau_a, tau_b}_gauged - explicit table entry| at a state."""
-    from .phase import invariants
-
-    x = state.packed()
+def pushforward_residual(params: BodyParams, spec: ProfileSpec, x) -> float:
+    """max over pairs |{tau_a, tau_b}_gauged - explicit table entry| at a packed state."""
+    x = np.asarray(x, dtype=float)
     pi = bivector_packed(params, spec, x, BracketKind.GAUGED)
     grads = [t.gradient(x) for t in TAUS]
-    table = reduced_bivector_tau(params, spec, invariants(state))
-    worst = 0.0
-    for a in range(5):
-        for b in range(a + 1, 5):
-            direct = float(grads[a] @ pi @ grads[b])
-            worst = max(worst, abs(direct - table[a, b]))
-    return worst
+    table = reduced_bivector_tau(params, spec, invariants(x))
+    return nan_max(abs(float(grads[a] @ pi @ grads[b]) - table[a, b])
+                   for a in range(5) for b in range(a + 1, 5))
 
 
 @dataclass(frozen=True)
@@ -220,11 +212,11 @@ class CasimirResiduals:
 def casimir_residuals(
     params: BodyParams,
     spec: ProfileSpec,
-    state: StateGM,
+    x,
     momenta,
     kind: BracketKind = BracketKind.GAUGED,
 ) -> CasimirResiduals:
-    """Evaluate the Casimir certificate at a state.
+    """Evaluate the Casimir certificate at a packed state.
 
     ``momenta`` is a MomentaSolution; J-field gradients use the coefficient
     ODE for the tau1-derivatives, so the residuals measure the structure,
@@ -234,7 +226,7 @@ def casimir_residuals(
     """
     from .momenta import gauge_momentum_fields
 
-    x = state.packed()
+    x = np.asarray(x, dtype=float)
     pi = bivector_packed(params, spec, x, kind)
     gen = s1_generator(x)
     fields = gauge_momentum_fields(params, spec, momenta)
@@ -244,10 +236,7 @@ def casimir_residuals(
     for idx, jf in enumerate(fields):
         gj = jf.gradient(x)
         flow = pi @ gj
-        worst = 0.0
-        for t in TAUS:
-            worst = max(worst, abs(float(t.gradient(x) @ flow)))
-        out.append(worst)
+        out.append(nan_max(abs(float(t.gradient(x) @ flow)) for t in TAUS))
         f_i = pairs[2 * idx]
         verts.append(float(np.max(np.abs(flow - f_i * gen))))
     inv = abs(float(fields[0].gradient(x) @ pi @ fields[1].gradient(x)))

@@ -22,15 +22,14 @@ import numpy as np
 
 from .brackets import (BracketKind, J2_COMPONENT, TAU1, TAU4, TAUS, bivector_packed, bracket, casimir_residuals,
                        hamiltonian_field, jacobiator, pushforward_residual)
-from .dynamics import IntegratorConfig, drift, nonconservation_rates, _rhs_packed
+from .dynamics import IntegratorConfig, drift, nonconservation_rates, rhs
 from .geomforms import qp_matrix, qpl_values
 from .momenta import closed_form_momenta, ode_residual, routh_closed_form, routh_pair, solve_momenta
-from .particle import (COLUMNS as PARTICLE_COLUMNS, ParticleState, hamiltonian_frame_flow, particle_bracket,
-                       particle_integrate, particle_jacobiator_reduced, particle_jacobiator_unreduced,
-                       particle_momentum, particle_rhs)
-from .phase import invariants, omega_from_M
+from .particle import (COLUMNS as PARTICLE_COLUMNS, hamiltonian_frame_flow, particle_bracket, particle_integrate,
+                       particle_jacobiator_reduced, particle_jacobiator_unreduced, particle_momentum, particle_rhs)
+from .phase import invariants, omega_from_M, relation_residual
 from .profile import eval_profile, profile_scalars
-from .smallalg import E1, E2, E3, cross, dot, jacobi_trivector
+from .smallalg import E1, E2, E3, cross, dot, jacobi_trivector, nan_max
 
 
 @dataclass(frozen=True)
@@ -68,24 +67,26 @@ def run(records, subject) -> list[CheckResult]:
 
 
 def _worst(value):
-    """The measure that keeps the largest ``value(subject, sample)``, or 0 with no samples."""
-    return lambda subject: max([0.0, *(value(subject, p) for p in subject.samples)])
+    """The measure that keeps the largest ``value(subject, sample)``, or 0 with no
+    samples; NaN if any value is NaN."""
+    return lambda subject: nan_max(value(subject, p) for p in subject.samples)
 
 
 # ---------------------------------------------------------------------------
 # subjects
 
 class Sample:
-    """One state of a Solid and what several records read at it, each computed once."""
+    """One packed state of a Solid and what several records read at it, each
+    computed once; ``inv`` holds tau1..tau5 as floats."""
 
     def __init__(self, solid: "Solid", state):
-        self.solid, self.state, self.x = solid, state, state.packed()
+        self.solid, self.x = solid, np.asarray(state, dtype=float)
         self.ev = eval_profile(solid.spec, self.x[2])
-        self.inv = invariants(state)
+        self.inv = invariants(self.x).tolist()
 
     @cached_property
     def vals(self):
-        return qpl_values(self.solid.params, self.ev, self.state)
+        return qpl_values(self.solid.params, self.ev, self.x)
 
     @cached_property
     def pis(self):
@@ -96,7 +97,7 @@ class Sample:
     @cached_property
     def casimir(self):
         s = self.solid
-        return casimir_residuals(s.params, s.spec, self.state, s.momenta)
+        return casimir_residuals(s.params, s.spec, self.x, s.momenta)
 
 
 class Solid:
@@ -141,7 +142,7 @@ class Particle:
     @cached_property
     def trajectory(self):
         """The run the drift records read: t = 10 from (0, 0, 0, 1, 1)."""
-        return particle_integrate(ParticleState(0.0, 0.0, 0.0, 1.0, 1.0), IntegratorConfig(1e-3, 10.0))
+        return particle_integrate(np.array([0.0, 0.0, 0.0, 1.0, 1.0]), IntegratorConfig(1e-3, 10.0))
 
     @cached_property
     def unreduced(self):
@@ -158,51 +159,48 @@ def _fg(y):
 
 def _leibniz(s, p):
     def br(f, g):
-        return bracket(s.params, s.spec, f, g, p.state, BracketKind.GAUGED)
+        return bracket(s.params, s.spec, f, g, p.x, BracketKind.GAUGED)
 
-    lhs = br(_fg, TAUS[3])
-    return abs(lhs - (p.inv.t2 * br(TAUS[2], TAUS[3]) + p.inv.t3 * br(TAUS[1], TAUS[3])))
+    _, t2, t3, _, _ = p.inv
+    return abs(br(_fg, TAUS[3]) - (t2 * br(TAUS[2], TAUS[3]) + t3 * br(TAUS[1], TAUS[3])))
 
 
 def _qp_linearity(s, p):
-    inv, vals = p.inv, p.vals
-    qp = qp_matrix(s.params, s.spec, inv.t1)
+    (t1, _, t3, t4, _), vals = p.inv, p.vals
+    qp = qp_matrix(s.params, s.spec, t1)
     den = max(abs(vals.Q), abs(vals.P), 1e-3)
-    return max(
-        abs(qp[0, 0] * inv.t3 + qp[0, 1] * inv.t4 - vals.Q) / den,
-        abs(qp[1, 0] * inv.t3 + qp[1, 1] * inv.t4 - vals.P) / den,
-    )
+    return nan_max((abs(qp[0, 0] * t3 + qp[0, 1] * t4 - vals.Q) / den,
+                    abs(qp[1, 0] * t3 + qp[1, 1] * t4 - vals.P) / den))
 
 
 def _gauge_compatibility(s, p):
-    omega = omega_from_M(s.params, p.ev, p.state)
-    return max(abs(dot(omega, cross(omega, e))) for e in (E1, E2, E3))
+    omega = omega_from_M(s.params, p.ev, p.x)
+    return nan_max(abs(dot(omega, cross(omega, e))) for e in (E1, E2, E3))
 
 
 def _jacobi_gauged(s, p):
     t = jacobi_trivector(lambda y: bivector_packed(s.params, s.spec, y, BracketKind.GAUGED), p.x)
     d = np.array([tau.gradient(p.x) for tau in TAUS])
     jac = np.einsum("iab,pi,qa,rb->pqr", t, d, d, d)  # the Jacobiator of every triple of invariants
-    return max(abs(float(jac[a, b, c])) for a, b, c in itertools.combinations(range(5), 3))
+    return nan_max(abs(float(jac[a, b, c])) for a, b, c in itertools.combinations(range(5), 3))
 
 
 def _jacobi_ungauged(s, p):
-    jac = jacobiator(s.params, s.spec, TAU1, J2_COMPONENT, TAU4, p.state, BracketKind.NH)
-    sc = profile_scalars(s.params, p.ev, p.state.gamma)
-    closed = -s.params.m * p.ev.rho * sc.gs * (1.0 - p.inv.t1**2) / sc.A1
+    jac = jacobiator(s.params, s.spec, TAU1, J2_COMPONENT, TAU4, p.x, BracketKind.NH)
+    sc = profile_scalars(s.params, p.ev, p.x[:3])
+    closed = -s.params.m * p.ev.rho * sc.gs * (1.0 - p.inv[0]**2) / sc.A1
     return abs(jac - closed) / abs(closed)
 
 
 def _rate_law(s, p):
-    rl = nonconservation_rates(s.params, p.ev, p.state)
+    rl = nonconservation_rates(s.params, s.spec, p.x)
     scale = max(abs(rl.pred1), abs(rl.pred2), 1e-6)
-    return max(abs(rl.dj1 - rl.pred1) / scale, abs(rl.dj2 - rl.pred2) / scale)
+    return nan_max((abs(rl.dj1 - rl.pred1) / scale, abs(rl.dj2 - rl.pred2) / scale))
 
 
 def _consistency(s, p):
-    return max(
-        float(np.max(np.abs(_rhs_packed(s.params, s.spec, p.x) - pi @ s.ham.gradient(p.x)))) for pi in p.pis
-    )
+    xd = rhs(s.params, s.spec, p.x)
+    return nan_max(float(np.max(np.abs(xd - pi @ s.ham.gradient(p.x)))) for pi in p.pis)
 
 
 _TAU1_GRID = np.linspace(-0.999, 0.999, 1000)
@@ -210,16 +208,13 @@ _TAU1_GRID = np.linspace(-0.999, 0.999, 1000)
 
 def _kernel_pair(s):
     r, l = s.spec.p1, s.spec.p2
-    worst = 0.0
-    for t1 in _TAU1_GRID:
-        qp = qp_matrix(s.params, s.spec, float(t1))
-        worst = max(worst, abs(qp[0, 0] * l + qp[1, 0] * r), abs(qp[0, 1] * l + qp[1, 1] * r))
-    return worst
+    qps = (qp_matrix(s.params, s.spec, float(t1)) for t1 in _TAU1_GRID)
+    return nan_max(v for qp in qps for v in (abs(qp[0, 0] * l + qp[1, 0] * r), abs(qp[0, 1] * l + qp[1, 1] * r)))
 
 
 def _closed_form_ode_residual(s):
     pairs = (routh_pair(s.params, s.spec, 0), routh_pair(s.params, s.spec, 1))
-    return max([0.0, *(ode_residual(s.params, s.spec, pair, float(t1)) for t1 in _TAU1_GRID for pair in pairs)])
+    return nan_max(ode_residual(s.params, s.spec, pair, float(t1)) for t1 in _TAU1_GRID for pair in pairs)
 
 
 def _span_containment(s):
@@ -235,13 +230,12 @@ def span_residual(params, spec, numeric, closed) -> float:
     are at tau1 = 0, where the numeric basis is normalized.
     """
     at_zero = routh_closed_form(params, spec.p1, spec.p2, 0.0)
-    worst = 0.0
-    for row, cfs in zip(numeric.pairs, closed):
-        for c, cf in zip(at_zero, cfs):
-            worst = max(
-                worst, abs(c[0] * row[0] + c[1] * row[2] - cf[0]), abs(c[0] * row[1] + c[1] * row[3] - cf[1])
-            )
-    return worst
+    return nan_max(
+        v
+        for row, cfs in zip(numeric.pairs, closed)
+        for c, cf in zip(at_zero, cfs)
+        for v in (abs(c[0] * row[0] + c[1] * row[2] - cf[0]), abs(c[0] * row[1] + c[1] * row[3] - cf[1]))
+    )
 
 
 def _particle_drift(column: str):
@@ -259,12 +253,12 @@ def _rhs_anchor(s, v):
 
 
 def _momentum_equation(subject):
-    worst = 0.0
-    for y in np.linspace(-3.0, 3.0, 601):
+    def residual(y):
         f = 1.0 / math.sqrt(1.0 + y * y)
         fp = -y * (1.0 + y * y) ** -1.5
-        worst = max(worst, abs(fp + f * y / (1.0 + y * y)))
-    return worst
+        return abs(fp + f * y / (1.0 + y * y))
+
+    return nan_max(residual(y) for y in np.linspace(-3.0, 3.0, 601))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +266,7 @@ def _momentum_equation(subject):
 
 SOLID = (
     Record("antisymmetry", 1e-9, "bracket matrix is antisymmetric by construction", "upper",
-           _worst(lambda s, p: max(float(np.max(np.abs(pi + pi.T))) for pi in p.pis))),
+           _worst(lambda s, p: nan_max(float(np.max(np.abs(pi + pi.T))) for pi in p.pis))),
     Record("leibniz", 1e-7, "bracket satisfies the Leibniz rule", "upper", _worst(_leibniz)),
     Record("qp-linearity", 1e-9, "Q and P are linear in (tau3, tau4)", "upper", _worst(_qp_linearity)),
     Record("gauge-compatibility", 1e-14, "gauge 2-form annihilates the constrained dynamics", "upper",
@@ -288,12 +282,12 @@ SOLID = (
     Record("involution", 1e-8, "the two gauge momenta are in involution", "upper",
            _worst(lambda s, p: p.casimir.involution)),
     Record("vertical-generator", 1e-8, "momentum flows are proportional to the S1 generator", "upper",
-           _worst(lambda s, p: max(p.casimir.vertical1, p.casimir.vertical2))),
+           _worst(lambda s, p: nan_max((p.casimir.vertical1, p.casimir.vertical2)))),
     Record("pushforward-table", 1e-8, "tau-pushforward of the bracket matches the explicit table", "upper",
-           _worst(lambda s, p: pushforward_residual(s.params, s.spec, p.state))),
+           _worst(lambda s, p: pushforward_residual(s.params, s.spec, p.x))),
     Record("rate-law", 1e-9, "momentum components drift at the predicted rate", "upper", _worst(_rate_law)),
     Record("relation-residual", 1e-12, "invariant coordinates satisfy their defining relation", "upper",
-           _worst(lambda s, p: abs(p.inv.relation_residual()))),
+           _worst(lambda s, p: abs(relation_residual(*p.inv[:3], p.inv[4])))),
     Record("bracket-dynamics-consistency", 1e-8, "dynamics is bracket-hamiltonian for both bracket kinds",
            "upper", _worst(_consistency)),
 )
@@ -316,12 +310,11 @@ PARTICLE = (
     Record("reduced-jacobi", 1e-7, "reduced particle bracket is Poisson", "upper",
            _worst(lambda s, v: particle_jacobiator_reduced(v))),
     Record("jacobi-negative-control", 1e-3, "triples keeping the unreduced x must fail Jacobi", "lower",
-           lambda s: max([0.0, *map(abs, s.unreduced)])),
+           lambda s: nan_max(map(abs, s.unreduced))),
     Record("jacobi-unreduced-closed-form", 1e-9, "the (x, px, py) Jacobiator equals y/(1+y^2)", "upper",
-           lambda s: max([0.0, *(abs(ju - v[1] / (1.0 + v[1] ** 2))
-                                  for v, ju in zip(s.samples, s.unreduced))])),
+           lambda s: nan_max(abs(ju - v[1] / (1.0 + v[1] ** 2)) for v, ju in zip(s.samples, s.unreduced))),
     Record("casimir-momentum", 1e-8, "J is a Casimir of the reduced particle bracket", "upper",
-           _worst(lambda s, v: max(abs(particle_bracket(particle_momentum, f, v)) for f in _COORDS))),
+           _worst(lambda s, v: nan_max(abs(particle_bracket(particle_momentum, f, v)) for f in _COORDS))),
     Record("rhs-anchor", 1e-9, "bracket-hamiltonian flow equals the constrained dynamics", "upper",
            _worst(_rhs_anchor)),
     Record("momentum-equation", 1e-12, "coefficient f solves its momentum equation", "upper",

@@ -5,7 +5,8 @@ deterministic for a fixed seed: per-sample random generators are seeded by
 (seed, sample index), CSV floats carry 17 significant digits, and report
 checks are sorted by name, so identical inputs give byte-identical outputs.
 
-Exit codes: 0 success, 1 check failure, 2 usage or I/O error.  The
+Exit codes: 0 success, 1 check failure, 2 usage or I/O error or a result
+that is not finite (no report or CSV is written then).  The
 environment variable NONHOLO_SEED overrides the config seed.
 """
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .certify import CheckResult
 from .dynamics import COLUMNS, IntegratorConfig, drift, drift_report, integrate
 from .errors import ConfigError, NonholoError
 from .momenta import closed_form_momenta, grid_half, solve_momenta
-from .particle import COLUMNS as PARTICLE_COLUMNS, ParticleState, particle_integrate
+from .particle import COLUMNS as PARTICLE_COLUMNS, particle_integrate
 from .phase import BodyParams, StateGM
 from .profile import ProfileSpec
 
@@ -294,7 +295,7 @@ def cmd_simulate(cfg: RunConfig, out_path: str) -> int:
     A run aborted by a non-finite state exits 2 and writes no CSV.
     """
     if cfg.system == "particle":
-        columns, traj = PARTICLE_COLUMNS, particle_integrate(ParticleState(*cfg.particle0), cfg.integrator)
+        columns, traj = PARTICLE_COLUMNS, particle_integrate(np.array(cfg.particle0), cfg.integrator)
     else:
         state0 = StateGM(np.array(cfg.gamma0), np.array(cfg.M0))
         columns, traj = COLUMNS, integrate(cfg.body, cfg.profile, state0, cfg.integrator)
@@ -316,14 +317,23 @@ def cmd_simulate(cfg: RunConfig, out_path: str) -> int:
 
 
 def cmd_check(cfg: RunConfig) -> Report:
-    """Run the certification battery (``nonholo.certify``) for the configured system."""
+    """Run the certification battery (``nonholo.certify``) for the configured system.
+
+    Raises:
+        NonholoError: if a record measures a non-finite value, which no
+            report could carry as strict JSON.
+    """
     if cfg.system == "particle":
         subject = certify.Particle([sample_particle(cfg.seed, k) for k in range(cfg.samples)])
     else:
         cap = min(0.95, grid_half(cfg.delta, cfg.h) * cfg.h)  # where the solved momenta table ends
         states = [sample_state(cfg.seed, k, cap) for k in range(cfg.samples)]
         subject = certify.solid_subject(cfg.body, cfg.profile, states, cfg.delta, cfg.h)
-    return Report(cfg.system, cfg.seed, cfg.samples, certify.run(subject.records, subject))
+    checks = certify.run(subject.records, subject)
+    bad = [f"{c.name} = {float(c.measured)}" for c in checks if not math.isfinite(c.measured)]
+    if bad:
+        raise NonholoError(f"non-finite measurement ({', '.join(bad)}); no report")
+    return Report(cfg.system, cfg.seed, cfg.samples, checks)
 
 
 def cmd_momenta(cfg: RunConfig, out_path: str) -> int:
@@ -405,8 +415,9 @@ def main(argv=None) -> int:
     except NonholoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OverflowError as exc:
-        print(f"error: arithmetic overflow ({exc}); the configured values are too large", file=sys.stderr)
+    except ArithmeticError as exc:
+        print(f"error: {type(exc).__name__} ({exc}); the configured values are outside floating-point range",
+              file=sys.stderr)
         return 2
 
 

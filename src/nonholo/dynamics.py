@@ -28,9 +28,9 @@ import numpy as np
 from .errors import ConsistencyError, DomainError
 from .geomforms import qpl_values
 from .momenta import MomentaSolution, closed_form_momenta, solve_momenta
-from .phase import BodyParams, StateGM, _omega_raw, energy_packed, relation_residual
-from .profile import ProfileEval, ProfileSpec, eval_profile, profile_scalars
-from .smallalg import E3, Vec3, cross, dot, hat, rk4_step
+from .phase import BodyParams, StateGM, energy, invariants, momentum_components, omega_from_M, relation_residual
+from .profile import ProfileSpec, eval_profile, profile_scalars
+from .smallalg import E3, cross, dot, hat, rk4_step
 
 
 #: Largest t_final/dt accepted; a trajectory is preallocated as one array.
@@ -63,8 +63,12 @@ class IntegratorConfig:
         return int(round(self.t_final / self.dt))
 
 
-def _rhs_from_ev(params: BodyParams, ev: ProfileEval, gamma: Vec3, M: Vec3) -> np.ndarray:
-    omega = _omega_raw(params, ev, gamma, M)
+def rhs(params: BodyParams, spec: ProfileSpec, x) -> np.ndarray:
+    """The vector field (gamma_dot, M_dot) at a packed state, as a 6-vector."""
+    x = np.asarray(x, dtype=float)
+    ev = eval_profile(spec, x[2])
+    gamma, M = x[:3], x[3:6]
+    omega = omega_from_M(params, ev, x)
     s = ev.rho * gamma - ev.L * E3
     gd = cross(gamma, omega)
     sd = ev.rho_p * gd[2] * gamma + ev.rho * gd
@@ -75,15 +79,7 @@ def _rhs_from_ev(params: BodyParams, ev: ProfileEval, gamma: Vec3, M: Vec3) -> n
     return np.concatenate([gd, md])
 
 
-def _rhs_packed(params: BodyParams, spec: ProfileSpec, x: np.ndarray) -> np.ndarray:
-    ev = eval_profile(spec, x[2])
-    return _rhs_from_ev(params, ev, x[:3], x[3:6])
-
-
-def rhs(params: BodyParams, spec: ProfileSpec, state: StateGM) -> tuple[Vec3, Vec3]:
-    """(gamma_dot, M_dot) at a state."""
-    out = _rhs_packed(params, spec, state.packed())
-    return out[:3], out[3:6]
+_rhs_packed = rhs  # the name bench/kernels.py imports
 
 
 @lru_cache(maxsize=8)
@@ -101,11 +97,12 @@ def default_momenta(params: BodyParams, spec: ProfileSpec) -> MomentaSolution:
 def integrate(
     params: BodyParams,
     spec: ProfileSpec,
-    state0: StateGM,
+    state0: np.ndarray,
     cfg: IntegratorConfig,
     momenta: MomentaSolution | None = None,
 ) -> np.ndarray:
-    """Integrate the reduced equations; one row per step, t=0 included.
+    """Integrate the reduced equations from the packed state ``state0``; one
+    row per step, t=0 included.
 
     Returns a float array whose columns are ``COLUMNS``.  gamma is
     renormalized to the unit sphere after every accepted step
@@ -116,24 +113,27 @@ def integrate(
     grid degrade to NaN rather than aborting.
 
     Per step only the state, E and the momenta coefficients are computed;
-    the other columns are filled from them afterwards, with the operation
-    order of ``invariants``, ``momentum_components`` and
-    ``eval_gauge_momenta``, so each value has the bits of those kernels.
+    the invariant and momentum columns are filled afterwards by
+    ``invariants`` and ``momentum_components`` on the whole state block.
+
+    Raises:
+        ValueError: if ``state0`` is not a state: not six numbers, |gamma|
+            not 1 within 1e-6, or M not finite (``StateGM``'s checks).
     """
     if momenta is None:
         momenta = default_momenta(params, spec)
     n_steps = cfg.steps
     out = np.empty((n_steps + 1, len(COLUMNS)))
     coeffs = np.empty((n_steps + 1, 4))  # (f1, g1, f2, g2) per row
-    x = state0.packed()
+    x = StateGM.from_packed(state0).packed()
     warned_pole = False
 
     def f(t, y):
-        return _rhs_packed(params, spec, y)
+        return rhs(params, spec, y)
 
     def record(k, x):
         out[k, 1:7] = x
-        out[k, 12] = energy_packed(params, spec, x)  # E
+        out[k, 12] = energy(params, eval_profile(spec, x[2]), x)  # E
         try:
             coeffs[k] = momenta.eval(x[2])
         except DomainError:  # outside the momenta grid: keep going, flag with NaN
@@ -155,11 +155,9 @@ def integrate(
         record(k, x)
 
     out, cf = out[:rows], coeffs[:rows]
-    g1, g2, g3, m1, m2, m3 = out[:, 1:7].T
-    tau3 = g1 * m1 + g2 * m2
-    j1, j2 = -m3, tau3 + g3 * m3  # j2 = <gamma, M>, summed in dot's order
     out[:, 0] = np.arange(rows) * cfg.dt
-    out[:, 7:12] = np.column_stack([g3, g1 * m2 - g2 * m1, tau3, m3, m1 * m1 + m2 * m2])
+    out[:, 7:12] = invariants(out[:, 1:7])
+    j1, j2 = momentum_components(out[:, 1:7]).T
     out[:, 13:] = np.column_stack([cf[:, 0] * j1 + cf[:, 1] * j2, cf[:, 2] * j1 + cf[:, 3] * j2, j1, j2])
     return out
 
@@ -179,7 +177,7 @@ class RateLaw:
     pred2: float
 
 
-def nonconservation_rates(params: BodyParams, ev: ProfileEval, state: StateGM) -> RateLaw:
+def nonconservation_rates(params: BodyParams, spec: ProfileSpec, x) -> RateLaw:
     """dj_i/dt along the dynamics vs. the predictions -Q*tau2/A1, -P*tau2/A1.
 
     The rates follow by the chain rule from the equations of motion; the
@@ -187,12 +185,15 @@ def nonconservation_rates(params: BodyParams, ev: ProfileEval, state: StateGM) -
     relative, a standing test) certifies that j1, j2 fail to be conserved
     by exactly the computable defect.
     """
-    xd = _rhs_from_ev(params, ev, state.gamma, state.M)
+    x = np.asarray(x, dtype=float)
+    gamma, M = x[:3], x[3:6]
+    xd = rhs(params, spec, x)
     dj1 = -xd[5]
-    dj2 = dot(xd[:3], state.M) + dot(state.gamma, xd[3:6])
-    vals = qpl_values(params, ev, state)
-    sc = profile_scalars(params, ev, state.gamma)
-    t2 = state.gamma[0] * state.M[1] - state.gamma[1] * state.M[0]
+    dj2 = dot(xd[:3], M) + dot(gamma, xd[3:6])
+    ev = eval_profile(spec, x[2])
+    vals = qpl_values(params, ev, x)
+    sc = profile_scalars(params, ev, gamma)
+    t2 = gamma[0] * M[1] - gamma[1] * M[0]
     return RateLaw(float(dj1), float(dj2), -vals.Q * t2 / sc.A1, -vals.P * t2 / sc.A1)
 
 
@@ -242,13 +243,13 @@ def reconstruct_full(
         gm = y[:9].reshape(3, 3)
         m = y[12:15]
         gamma = gm[2] / np.sqrt(dot(gm[2], gm[2]))
+        x = np.concatenate([gamma, m])
         ev = eval_profile(spec, gamma[2])
-        omega = _omega_raw(params, ev, gamma, m)
+        omega = omega_from_M(params, ev, x)
         s = ev.rho * gamma - ev.L * E3
         gd = gm @ hat(omega)
         ad = -(gm @ cross(omega, s))
-        md = _rhs_from_ev(params, ev, gamma, m)[3:6]
-        return np.concatenate([gd.reshape(9), ad, md])
+        return np.concatenate([gd.reshape(9), ad, rhs(params, spec, x)[3:6]])
 
     y = np.concatenate([g.reshape(9), a, m0])
     for k, tk in enumerate(t):

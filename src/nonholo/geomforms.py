@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .phase import BodyParams, StateGM, _omega_raw, omega_from_M
+from .phase import BodyParams, omega_from_M
 from .profile import (
     ProfileEval,
     ProfileSpec,
@@ -60,13 +60,11 @@ class LQPValues:
     Kvec: Vec3
 
 
-def qpl_values(params: BodyParams, ev: ProfileEval, state: StateGM) -> LQPValues:
-    """Evaluate c3, Q, P, L_vec, K_vec at a state."""
-    omega = omega_from_M(params, ev, state)
-    return _qpl_raw(params, ev, state.gamma, omega)
-
-
-def _qpl_raw(params: BodyParams, ev: ProfileEval, gamma: Vec3, omega: Vec3) -> LQPValues:
+def qpl_values(params: BodyParams, ev: ProfileEval, x) -> LQPValues:
+    """Evaluate c3, Q, P, L_vec, K_vec at a packed state."""
+    x = np.asarray(x, dtype=float)
+    omega = omega_from_M(params, ev, x)
+    gamma = x[:3]
     s = contact_vector(ev, gamma)
     c3 = cross(gamma, cross(omega, s))[2]
     og = dot(omega, gamma)
@@ -75,12 +73,6 @@ def _qpl_raw(params: BodyParams, ev: ProfileEval, gamma: Vec3, omega: Vec3) -> L
     lvec = q * gamma + p * E3
     kvec = -params.m * ev.rho * dot(gamma, s) * omega + lvec
     return LQPValues(float(c3), float(q), float(p), lvec, kvec)
-
-
-def qpl_packed(params: BodyParams, spec: ProfileSpec, x: np.ndarray) -> LQPValues:
-    """qpl_values on a packed 6-vector without state validation."""
-    ev = eval_profile(spec, x[2])
-    return _qpl_raw(params, ev, x[:3], _omega_raw(params, ev, x[:3], x[3:6]))
 
 
 def qp_matrix(params: BodyParams, spec: ProfileSpec, tau1: float) -> np.ndarray:

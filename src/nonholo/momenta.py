@@ -43,10 +43,11 @@ from typing import Callable
 import numpy as np
 
 from .brackets import J1_COMPONENT, J2_COMPONENT, ScalarField
-from .errors import DomainError
+from .errors import DomainError, NonholoError
 from .geomforms import qp_grid, qp_matrix
-from .phase import BodyParams, StateGM, momentum_components
+from .phase import BodyParams, momentum_components
 from .profile import ProfileSpec
+from .smallalg import nan_max
 
 #: RK4 steps whose stage values of [QP] are evaluated in one array pass
 _CHUNK = 256
@@ -147,6 +148,7 @@ def _grid(delta: float, h: float) -> np.ndarray:
     return np.arange(-n, n + 1) * h
 
 
+@np.errstate(all="ignore")  # a non-finite table is raised as an error instead
 def solve_momenta(
     params: BodyParams, spec: ProfileSpec, delta: float = 1e-3, h: float = 1e-4
 ) -> MomentaSolution:
@@ -157,6 +159,7 @@ def solve_momenta(
 
     Raises:
         ValueError: if delta is outside [1e-6, 0.1], h > 1e-3 or (1 - delta)/h > MAX_HALF_GRID.
+        NonholoError: if a node of the table is not finite.
     """
     if not 1e-6 <= delta <= 0.1:
         raise ValueError(f"delta={delta!r} outside [1e-6, 0.1]")
@@ -178,6 +181,10 @@ def solve_momenta(
             rows = _rk4_pairs(y, step, stage_t.tolist(), qp)
             pairs[n + direction * ks] = rows
             y = rows[-1]
+    bad = np.flatnonzero(~np.isfinite(pairs).all(axis=1))
+    if bad.size:
+        raise NonholoError(f"momenta table not finite at {bad.size} of {len(grid)} nodes"
+                           " (the configured values are outside floating-point range)")
     return MomentaSolution(params, spec, grid, pairs, delta, h)
 
 
@@ -266,10 +273,11 @@ def closed_form_momenta(
     return MomentaSolution(params, spec, grid, pairs, delta, h, routh_exact=True)
 
 
-def eval_gauge_momenta(solution: MomentaSolution, state: StateGM) -> tuple[float, float]:
-    """Evaluate (J1, J2) = (f_i*j1 + g_i*j2) at a state."""
-    f1, g1, f2, g2 = solution.eval(float(state.gamma[2]))
-    j1, j2 = momentum_components(state)
+def eval_gauge_momenta(solution: MomentaSolution, x) -> tuple[float, float]:
+    """Evaluate (J1, J2) = (f_i*j1 + g_i*j2) at a packed state."""
+    x = np.asarray(x, dtype=float)
+    j1, j2 = momentum_components(x)
+    f1, g1, f2, g2 = solution.eval(float(x[2]))
     return f1 * j1 + g1 * j2, f2 * j1 + g2 * j2
 
 
@@ -319,7 +327,7 @@ def ode_residual(
     """max-norm of pair.derivative(tau1) minus the ODE right-hand side."""
     rhs = momenta_ode_rhs(params, spec, tau1, pair.value(tau1))
     d = pair.derivative(tau1)
-    return max(abs(d[0] - rhs[0]), abs(d[1] - rhs[1]))
+    return nan_max(abs(d[i] - rhs[i]) for i in (0, 1))
 
 
 def gauge_momentum_fields(

@@ -24,12 +24,13 @@ pxdot = w*py force, and on triples that keep the unreduced x it makes the
 bracket fail Jacobi (the (x, px, py) Jacobiator is y/(1+y^2) on the nose;
 particle_jacobiator_unreduced measures it).  The reduction by the (x, z)-translations leaves (y, px, py), where
 the bracket is genuinely Poisson and J is a Casimir.
+
+Every function reads a state as the packed 5-vector v = (x, y, z, px, py).
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -37,31 +38,15 @@ import numpy as np
 from .smallalg import grad_fd, jacobi_trivector, rk4_step
 
 
-@dataclass
-class ParticleState:
-    x: float
-    y: float
-    z: float
-    px: float
-    py: float
-
-    def packed(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z, self.px, self.py], dtype=float)
-
-
-def _coerce(state) -> np.ndarray:
-    return state.packed() if isinstance(state, ParticleState) else np.asarray(state, dtype=float)
-
-
-def particle_hamiltonian(state) -> float:
-    """H = (px^2/(1+y^2) + py^2)/2."""
-    v = _coerce(state)
+def particle_hamiltonian(v) -> float:
+    """H = (px^2/(1+y^2) + py^2)/2 at the packed state v = (x, y, z, px, py)."""
+    v = np.asarray(v, dtype=float)
     return 0.5 * (v[3] ** 2 / (1.0 + v[1] ** 2) + v[4] ** 2)
 
 
-def particle_rhs(state) -> np.ndarray:
+def particle_rhs(v) -> np.ndarray:
     """(xdot, ydot, zdot, pxdot, pydot) of the constrained dynamics."""
-    v = _coerce(state)
+    v = np.asarray(v, dtype=float)
     y, px, py = v[1], v[3], v[4]
     c1 = px / (1.0 + y * y)
     w = y * c1
@@ -73,14 +58,14 @@ def _coupling(v: np.ndarray, include_coupling: bool) -> float:
     return v[1] * v[3] / (1.0 + v[1] ** 2) if include_coupling else 0.0
 
 
-def frame_form(state, include_coupling: bool = True) -> np.ndarray:
+def frame_form(v, include_coupling: bool = True) -> np.ndarray:
     """The 4x4 constrained 2-form in the frame (e1, e2, e3, e4).
 
     ``include_coupling=False`` zeroes the w = y*px/(1+y^2) entry — a
     diagnostic: the resulting flow loses the pxdot = w*py force, stops
     matching particle_rhs, and no longer conserves J.
     """
-    w = _coupling(_coerce(state), include_coupling)
+    w = _coupling(np.asarray(v, dtype=float), include_coupling)
     return np.array(
         [
             [0.0, -w, 1.0, 0.0],
@@ -109,31 +94,31 @@ def _frame_gradient(f: Callable[[np.ndarray], float], v: np.ndarray, scale: floa
     return np.array([g[0] + v[1] * g[2], g[1], g[3], g[4]])
 
 
-def particle_bracket(f, g, state, include_coupling: bool = True, scale: float = 1e-5) -> float:
+def particle_bracket(f, g, v, include_coupling: bool = True, scale: float = 1e-5) -> float:
     """{f, g} for scalar functions of the packed 5-vector.
 
     Built as (frame grad f)^T B (frame grad g) with B = -(frame form)^-1;
     the overall sign is the one that makes B . frame-grad(H) reproduce
     particle_rhs (the convention anchor, tested first).
     """
-    v = _coerce(state)
+    v = np.asarray(v, dtype=float)
     b = _bracket_matrix(v, include_coupling)
     return float(_frame_gradient(f, v, scale) @ b @ _frame_gradient(g, v, scale))
 
 
-def particle_momentum(state) -> float:
+def particle_momentum(v) -> float:
     """J = px / sqrt(1 + y^2)."""
-    v = _coerce(state)
+    v = np.asarray(v, dtype=float)
     return v[3] / math.sqrt(1.0 + v[1] ** 2)
 
 
-def hamiltonian_frame_flow(state, include_coupling: bool = True) -> np.ndarray:
+def hamiltonian_frame_flow(v, include_coupling: bool = True) -> np.ndarray:
     """Frame coefficients of the bracket-hamiltonian flow B . frame-grad(H).
 
     Coordinate velocities follow as (c1, c2, y*c1, c3, c4); equality with
     particle_rhs is the sign anchor for the whole particle module.
     """
-    v = _coerce(state)
+    v = np.asarray(v, dtype=float)
     b = _bracket_matrix(v, include_coupling)
     return b @ _frame_gradient(particle_hamiltonian, v, 1e-5)
 
@@ -146,26 +131,26 @@ def _coordinate_bivector(v: np.ndarray) -> np.ndarray:
     return e @ _bracket_matrix(v, include_coupling=True) @ e.T
 
 
-def particle_jacobiator_reduced(state) -> float:
+def particle_jacobiator_reduced(v) -> float:
     """|cyclic Jacobiator| on the reduced coordinate triple (y, px, py)."""
-    return abs(float(jacobi_trivector(_coordinate_bivector, _coerce(state))[1, 3, 4]))
+    return abs(float(jacobi_trivector(_coordinate_bivector, v)[1, 3, 4]))
 
 
-def particle_jacobiator_unreduced(state) -> float:
+def particle_jacobiator_unreduced(v) -> float:
     """Signed cyclic Jacobiator on (x, px, py); equals y/(1+y^2).
 
     x does not survive the translation reduction, and on triples that keep
     it the bracket genuinely fails Jacobi — the negative control showing
     the vanishing reduced-triple Jacobiator is not vacuous.
     """
-    return float(jacobi_trivector(_coordinate_bivector, _coerce(state))[0, 3, 4])
+    return float(jacobi_trivector(_coordinate_bivector, v)[0, 3, 4])
 
 
 #: The columns of a particle trajectory array, which are also the ``simulate`` CSV header.
 COLUMNS = ("t", "x", "y", "z", "px", "py", "J", "E")
 
 
-def particle_integrate(state0: ParticleState, cfg) -> np.ndarray:
+def particle_integrate(state0, cfg) -> np.ndarray:
     """Fixed-step RK4 run of the particle; one row per step, t=0 included.
 
     Returns a float array whose columns are ``COLUMNS``; J and E are the
@@ -176,7 +161,7 @@ def particle_integrate(state0: ParticleState, cfg) -> np.ndarray:
     n_steps = cfg.steps
     out = np.empty((n_steps + 1, len(COLUMNS)))
     out[:, 0] = np.arange(n_steps + 1) * cfg.dt
-    v = state0.packed()
+    v = np.array(state0, dtype=float)
 
     def f(t, y):
         return particle_rhs(y)

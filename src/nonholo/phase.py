@@ -21,6 +21,10 @@ tau2^2 + tau3^2 = (1 - tau1^2) * tau5.  The two momentum-map components of
 the S^1 x S^1 symmetry are linear in (tau3, tau4):
 
     j1 = -M3 = -tau4,         j2 = <gamma, M> = tau3 + tau1*tau4.
+
+Every kernel of the package reads a state as the packed 6-vector
+x = (gamma, M), via ``np.asarray(x, dtype=float)``; ``StateGM`` validates a
+state once, at the boundary, and converts to that vector.
 """
 from __future__ import annotations
 
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profile import ProfileEval, ProfileSpec, contact_vector, eval_profile
+from .profile import ProfileEval, check_gamma3, contact_vector
 from .smallalg import Vec3, dot
 
 _NORM_TOL = 1e-6  # loose enough for renormalization-off trajectories
@@ -55,7 +59,11 @@ class BodyParams:
 
 @dataclass(slots=True)
 class StateGM:
-    """A point (gamma, M) with gamma on the unit sphere."""
+    """A point (gamma, M) with gamma on the unit sphere, validated on construction.
+
+    The kernels read states as the packed 6-vector (gamma, M); a StateGM
+    converts to it wherever an array is expected (``np.asarray(state)``).
+    """
 
     gamma: Vec3
     M: Vec3
@@ -76,70 +84,57 @@ class StateGM:
         """Return the state as a flat 6-vector (gamma, M)."""
         return np.concatenate([self.gamma, self.M])
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return self.packed() if dtype is None else self.packed().astype(dtype, copy=False)
+
     @classmethod
-    def from_packed(cls, x: np.ndarray) -> "StateGM":
-        return cls(np.array(x[:3]), np.array(x[3:6]))
-
-
-@dataclass(frozen=True, slots=True)
-class InvariantPoint:
-    """Values of the S^1-invariant coordinates tau1..tau5 at a state."""
-
-    t1: float
-    t2: float
-    t3: float
-    t4: float
-    t5: float
-
-    def relation_residual(self) -> float:
-        """Residual of tau2^2 + tau3^2 - (1 - tau1^2)*tau5 (zero on states)."""
-        return relation_residual(self.t1, self.t2, self.t3, self.t5)
+    def from_packed(cls, x) -> "StateGM":
+        """Validate a packed 6-vector (gamma, M) (or a StateGM) as a state."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (6,):
+            raise ValueError(f"a packed state has shape (6,), got {x.shape}")
+        return cls(x[:3].copy(), x[3:6].copy())
 
 
 def relation_residual(t1: float, t2: float, t3: float, t5: float) -> float:
-    """tau2^2 + tau3^2 - (1 - tau1^2)*tau5 on floats (their ``**`` is libm pow,
-    which differs from numpy's array square in the last bit for ~0.1% of values)."""
+    """tau2^2 + tau3^2 - (1 - tau1^2)*tau5, zero on states, on floats (their ``**``
+    is libm pow, which differs from numpy's array square in the last bit for
+    ~0.1% of values)."""
     return t2**2 + t3**2 - (1.0 - t1**2) * t5
 
 
-def invariants(state: StateGM) -> InvariantPoint:
-    """Evaluate tau1..tau5 at a state."""
-    g, M = state.gamma, state.M
-    return InvariantPoint(
-        float(g[2]),
-        float(g[0] * M[1] - g[1] * M[0]),
-        float(g[0] * M[0] + g[1] * M[1]),
-        float(M[2]),
-        float(M[0] * M[0] + M[1] * M[1]),
-    )
+def invariants(x) -> np.ndarray:
+    """tau1..tau5 of packed states: a (..., 5) array for a (..., 6) one."""
+    g1, g2, g3, m1, m2, m3 = np.asarray(x, dtype=float).T
+    return np.array([g3, g1 * m2 - g2 * m1, g1 * m1 + g2 * m2, m3, m1 * m1 + m2 * m2]).T
 
 
-def momentum_components(state: StateGM) -> tuple[float, float]:
-    """Return (j1, j2) = (-M3, <gamma, M>)."""
-    return -float(state.M[2]), dot(state.gamma, state.M)
+def momentum_components(x) -> np.ndarray:
+    """(j1, j2) = (-M3, <gamma, M>) of packed states: a (..., 2) array."""
+    g1, g2, g3, m1, m2, m3 = np.asarray(x, dtype=float).T
+    return np.array([-m3, g1 * m1 + g2 * m2 + g3 * m3]).T
 
 
-def _omega_raw(params: BodyParams, ev: ProfileEval, gamma: Vec3, M: Vec3) -> Vec3:
-    """Omega from M without state validation (shared fast path)."""
-    s = ev.rho * gamma
-    s = np.array([s[0], s[1], s[2] - ev.L])
-    ss = dot(s, s)
-    a1 = params.I1 + params.m * ss
-    a3 = params.I3 + params.m * ss
-    ainv_m = np.array([M[0] / a1, M[1] / a1, M[2] / a3])
-    ainv_s = np.array([s[0] / a1, s[1] / a1, s[2] / a3])
-    e = 1.0 - params.m * dot(ainv_s, s)
-    s_omega = dot(ainv_m, s) / e
-    return ainv_m + (params.m * s_omega) * ainv_s
-
-
-def omega_from_M(params: BodyParams, ev: ProfileEval, state: StateGM) -> Vec3:
+def omega_from_M(params: BodyParams, ev: ProfileEval, x) -> Vec3:
     """Invert M = A*Omega - m*<s,Omega>*s for Omega (closed form).
 
     The round trip M -> Omega -> M is an identity to ~1e-15; tested at 1e-10.
+
+    Raises:
+        ConsistencyError: if ``ev`` was evaluated at another gamma3 than the state's.
     """
-    contact_vector(ev, state.gamma)  # consistency check only
-    return _omega_raw(params, ev, state.gamma, state.M)
+    x = np.asarray(x, dtype=float)
+    check_gamma3(ev, x[2])
+    s = ev.rho * x[:3]
+    s[2] -= ev.L
+    ss = dot(s, s)
+    a1 = params.I1 + params.m * ss
+    a = np.array([a1, a1, params.I3 + params.m * ss])  # the diagonal of A
+    ainv_m = x[3:6] / a
+    ainv_s = s / a
+    e = 1.0 - params.m * dot(ainv_s, s)
+    s_omega = dot(ainv_m, s) / e
+    return ainv_m + (params.m * s_omega) * ainv_s
 
 
 def M_from_omega(params: BodyParams, ev: ProfileEval, gamma: Vec3, omega: Vec3) -> Vec3:
@@ -158,24 +153,15 @@ def M_from_omega(params: BodyParams, ev: ProfileEval, gamma: Vec3, omega: Vec3) 
     )
 
 
-def _energy_raw(params: BodyParams, ev: ProfileEval, gamma: Vec3, M: Vec3) -> float:
-    """The one energy formula behind energy and energy_packed (no validation)."""
-    omega = _omega_raw(params, ev, gamma, M)
-    gs = dot(gamma, ev.rho * gamma) - ev.L * gamma[2]
-    return 0.5 * dot(M, omega) - params.m * params.grav * gs
-
-
-def energy(params: BodyParams, ev: ProfileEval, state: StateGM) -> float:
-    """Total energy H = (1/2)<M, Omega> - m*grav*<gamma, s>.
+def energy(params: BodyParams, ev: ProfileEval, x) -> float:
+    """Total energy H = (1/2)<M, Omega> - m*grav*<gamma, s> at a packed state.
 
     The height of the center of mass above the plane is -<gamma, s>, so the
     potential term is +m*grav*height.  This restriction of the full-space
     hamiltonian is pinned by the energy-conservation tests.
     """
-    contact_vector(ev, state.gamma)  # consistency check only
-    return _energy_raw(params, ev, state.gamma, state.M)
-
-
-def energy_packed(params: BodyParams, spec: ProfileSpec, x: np.ndarray) -> float:
-    """Energy as a plain function of the packed 6-vector (used by FD gradients)."""
-    return _energy_raw(params, eval_profile(spec, x[2]), x[:3], x[3:6])
+    x = np.asarray(x, dtype=float)
+    omega = omega_from_M(params, ev, x)
+    gamma = x[:3]
+    gs = dot(gamma, ev.rho * gamma) - ev.L * gamma[2]
+    return 0.5 * dot(x[3:6], omega) - params.m * params.grav * gs

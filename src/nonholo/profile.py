@@ -134,11 +134,14 @@ def contact_vector(ev: ProfileEval, gamma: Vec3) -> Vec3:
         ConsistencyError: if ``ev`` was evaluated at a gamma3 that differs
             from gamma[2] by more than 1e-9.
     """
-    if abs(ev.gamma3 - gamma[2]) > 1e-9:
-        raise ConsistencyError(
-            f"profile evaluated at gamma3={ev.gamma3!r} but state has gamma3={gamma[2]!r}"
-        )
+    check_gamma3(ev, gamma[2])
     return ev.rho * gamma - ev.L * E3
+
+
+def check_gamma3(ev: ProfileEval, gamma3: float) -> None:
+    """Raise ConsistencyError if ``ev`` was evaluated more than 1e-9 away from gamma3."""
+    if abs(ev.gamma3 - gamma3) > 1e-9:
+        raise ConsistencyError(f"profile evaluated at gamma3={ev.gamma3!r} but state has gamma3={gamma3!r}")
 
 
 @dataclass(frozen=True)

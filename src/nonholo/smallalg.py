@@ -51,6 +51,21 @@ def hat(v: Vec3) -> np.ndarray:
     )
 
 
+def nan_max(values):
+    """The largest of 0.0 and ``values``, or NaN if any value is NaN.
+
+    Python's ``max`` drops a NaN that is not its first argument; otherwise
+    this picks the same element.
+    """
+    worst = 0.0
+    for v in values:
+        if v != v:
+            return v
+        if v > worst:
+            worst = v
+    return worst
+
+
 def rk4_step(f: Callable[[float, np.ndarray], np.ndarray], t: float, y: np.ndarray, h: float) -> np.ndarray:
     """One classical Runge-Kutta step of size h for y' = f(t, y).
 

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from conftest import ELLIPSOID_START, RUN_CFG, make_states
-from nonholo import (BodyParams, BracketKind, ProfileSpec, StateGM, default_momenta, drift_report, eval_profile,
-                     integrate, jacobiator, nonconservation_rates, qp_matrix, solve_momenta)
+from nonholo import (BodyParams, BracketKind, ProfileSpec, StateGM, default_momenta, drift_report, integrate,
+                     jacobiator, nonconservation_rates, qp_matrix, solve_momenta)
 from nonholo.brackets import J2_COMPONENT, TAU1, TAU4
 from nonholo.certify import RECORDS, Particle, Solid
 from nonholo.dynamics import COLUMNS, drift
@@ -90,11 +90,11 @@ def test_trajectory_conservation(capsys, routh_traj, ellipsoid_traj):
 def test_momentum_rate_law(capsys, worked_params, worked_spec, worked_state, routh_preset,
                            ellipsoid_preset, routh_traj, ellipsoid_traj):
     # frozen anchor first: dj1/dt = +4/9 at the worked state
-    anchor = nonconservation_rates(worked_params, eval_profile(worked_spec, worked_state.gamma[2]), worked_state)
+    anchor = nonconservation_rates(worked_params, worked_spec, worked_state)
     assert anchor.dj1 == pytest.approx(4.0 / 9.0, rel=1e-12)
 
     subjects = [
-        Solid(params, spec, [StateGM.from_packed(row[1:7]) for row in traj[::10]], None, None)
+        Solid(params, spec, [row[1:7] for row in traj[::10]], None, None)
         for (params, spec), traj in ((routh_preset, routh_traj), (ellipsoid_preset, ellipsoid_traj))
     ]
     worst, _ = _certify(["rate-law"], subjects)

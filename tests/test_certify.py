@@ -1,11 +1,12 @@
 """The check registry: well-formed records, the batteries ``check`` runs, grading."""
 import json
+import math
 
 import numpy as np
 import pytest
 
-from nonholo import certify
-from nonholo.cli import cmd_check, parse_config
+from nonholo import BodyParams, ProfileSpec, certify, closed_form_momenta
+from nonholo.cli import cmd_check, parse_config, sample_state
 from test_cli import ELLIPSOID_RAW, PARTICLE_RAW, ROUTH_RAW
 
 SOLID_NAMES = {
@@ -84,3 +85,24 @@ def test_negative_control_fails_where_the_obstruction_vanishes():
     (off_axis,) = certify.run([rec], certify.Particle([np.array([0.3, 1.0, -1.0, 0.5, 0.2])]))
     assert off_axis.measured == pytest.approx(0.5, abs=1e-6)
     assert off_axis.status == "pass"
+
+
+def test_a_nan_sample_is_not_a_pass():
+    # The second sample is NaN; a plain max([0.0, 1e-20, nan]) would report 1e-20.
+    measure = certify._worst(lambda s, v: v)
+    subject = certify.Particle([1e-20, math.nan])
+    assert math.isnan(measure(subject))
+    (result,) = certify.run([certify.Record("nan", 1e-8, "placeholder", "upper", measure)], subject)
+    assert result.status == "fail"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_measurements_of_an_overflowing_body_are_not_zero():
+    # I1 = I3 = 1e308 overflows A1*A3; these records measured 0.0 and passed
+    # while every sample was NaN, because max dropped the NaNs.
+    params, spec = BodyParams(1.0, 1e308, 1e308, 9.8), ProfileSpec.routh(1.0, 0.1)
+    states = [sample_state(0, k) for k in range(3)]
+    subject = certify.Solid(params, spec, states, closed_form_momenta(params, spec), None)
+    names = ("qp-linearity", "involution", "casimir-J2", "kernel-pair", "closed-form-ode-residual")
+    for result in certify.run([certify.RECORDS[n] for n in names], subject):
+        assert math.isnan(result.measured) and result.status == "fail", result.name

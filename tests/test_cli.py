@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nonholo import certify
 from nonholo.cli import (
     MAX_SAMPLES,
     CheckResult,
@@ -369,6 +370,54 @@ def test_particle_overflow_exits_2_without_a_csv(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: arithmetic overflow: non-finite state at step 0 of 10")
     assert not (tmp_path / "t.csv").exists()
+
+
+# Bodies whose arithmetic leaves floating-point range: A overflows A1*A3, so
+# its numeric momenta table is NaN (its closed forms stay finite); B's
+# squared semi-axes underflow d^(3/2) in the profile; C's disparate axes
+# make the Legendre denominator E of the Omega solve 0; D's vanishing
+# inertia does the same on a Routh body, whose simulate solves no table.
+OUT_OF_RANGE = {
+    "A": {"system": "routh", "params": {"m": 1, "I1": 1e308, "I3": 1e308, "grav": 9.8, "r": 1, "l": 0.1}},
+    "B": {"system": "ellipsoid", "params": {"m": 1, "I1": 2, "I3": 3, "grav": 9.8, "b": 1e-300, "c": 1e-300}},
+    "C": {"system": "ellipsoid", "params": {"m": 1, "I1": 2, "I3": 3, "grav": 9.8, "b": 1e300, "c": 1e-300}},
+    "D": {"system": "routh", "params": {"m": 1, "I1": 1e-300, "I3": 1e-300, "grav": 9.8, "r": 1, "l": 0},
+          "integrator": {"dt": 1e-3, "t_final": 0.01}},
+}
+
+
+def run_out_of_range(tmp_path, capsys, name, command):
+    raw = dict(OUT_OF_RANGE[name], initial={"gamma": [0.6, 0, 0.8], "M": [1, 2, 3]}, samples=3)
+    out_args = [] if command == "check" else ["--out", str(tmp_path / "out.csv")]
+    code = main([command, "--config", write_config(tmp_path, raw), *out_args])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize(
+    "name,command",
+    [("A", "check"), ("A", "momenta"), ("B", "simulate"), ("B", "check"), ("B", "momenta"),
+     ("C", "simulate"), ("C", "check"), ("C", "momenta"), ("D", "simulate")],
+)
+def test_values_outside_floating_point_range_exit_2(tmp_path, capsys, name, command):
+    code, out, err = run_out_of_range(tmp_path, capsys, name, command)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_closed_form_routh_run_of_an_overflowing_body_stays_finite(tmp_path, capsys):
+    code, out, _ = run_out_of_range(tmp_path, capsys, "A", "simulate")
+    assert code == 0 and "NaN" not in out and "Infinity" not in out
+    assert all(math.isfinite(v) for v in json.loads(out).values())
+
+
+def test_check_with_a_nan_measurement_prints_no_report(tmp_path, capsys, monkeypatch):
+    nan_record = certify.Record("nan-record", 1.0, "placeholder", "upper", lambda s: math.nan)
+    monkeypatch.setattr(certify, "PARTICLE", certify.PARTICLE + (nan_record,))
+    assert main(["check", "--config", write_config(tmp_path, PARTICLE_RAW)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: non-finite measurement (nan-record = nan)")
 
 
 @pytest.mark.parametrize("key,value", [("h", 1e-300), ("samples", 100_000_000_000)])

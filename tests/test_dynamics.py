@@ -26,7 +26,9 @@ from conftest import make_states
 
 
 def test_rhs_frozen(worked_params, worked_spec, worked_state):
-    gd, md = rhs(worked_params, worked_spec, worked_state)
+    xd = rhs(worked_params, worked_spec, worked_state)
+    assert xd.shape == (6,)
+    gd, md = xd[:3], xd[3:]
     assert np.allclose(gd, [-8.0 / 15.0, -5.0 / 36.0, 2.0 / 5.0], atol=1e-14)
     assert np.allclose(md, [-1.0 / 18.0, 25.0 / 36.0, -4.0 / 9.0], atol=1e-14)
 
@@ -34,7 +36,7 @@ def test_rhs_frozen(worked_params, worked_spec, worked_state):
 def test_rhs_is_tangent_to_the_sphere(routh_preset, ellipsoid_preset):
     for params, spec in (routh_preset, ellipsoid_preset):
         for state in make_states(31, 5):
-            gd, _ = rhs(params, spec, state)
+            gd = rhs(params, spec, state)[:3]
             assert abs(np.dot(gd, state.gamma)) <= 1e-13
 
 
@@ -62,6 +64,24 @@ def test_integrate_sampling(routh_preset):
         assert abs(np.dot(gamma, gamma) - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("start", [
+    [0.6, 0.0, 0.9, 1.0, 2.0, 3.0],  # |gamma| = 1.08
+    [0.6, 0.0, 0.8, 1.0, 2.0, np.nan],
+    [0.6, 0.0, 0.8, 1.0, 2.0, 3.0, 0.0],
+])
+def test_integrate_validates_its_start(routh_preset, start):
+    params, spec = routh_preset
+    with pytest.raises(ValueError):
+        integrate(params, spec, np.array(start), IntegratorConfig(1e-2, 0.1))
+
+
+def test_integrate_takes_a_packed_start_or_a_state(routh_preset):
+    params, spec = routh_preset
+    state = StateGM(np.array([0.6, 0.0, 0.8]), np.array([1.0, 2.0, 3.0]))
+    cfg = IntegratorConfig(1e-2, 0.1)
+    assert integrate(params, spec, state.packed(), cfg).tolist() == integrate(params, spec, state, cfg).tolist()
+
+
 @pytest.mark.parametrize("body", ["routh", "ellipsoid"])
 def test_columns_equal_the_scalar_kernels(body, routh_preset, ellipsoid_preset):
     # The derived columns are filled after the loop as arrays; each must keep
@@ -73,12 +93,10 @@ def test_columns_equal_the_scalar_kernels(body, routh_preset, ellipsoid_preset):
     traj = integrate(params, spec, state0, cfg, momenta=momenta)
     assert traj.shape == (21, 17) and ",".join(COLUMNS) == "t,g1,g2,g3,M1,M2,M3,tau1,tau2,tau3,tau4,tau5,E,J1,J2,j1,j2"
     for k, row in enumerate(traj):
-        state = StateGM.from_packed(row[1:7])
-        inv = invariants(state)
+        x = row[1:7]
         expected = [
-            k * cfg.dt, *state.gamma, *state.M, inv.t1, inv.t2, inv.t3, inv.t4, inv.t5,
-            energy(params, eval_profile(spec, state.gamma[2]), state),
-            *eval_gauge_momenta(momenta, state), *momentum_components(state),
+            k * cfg.dt, *x, *invariants(x), energy(params, eval_profile(spec, x[2]), x),
+            *eval_gauge_momenta(momenta, x), *momentum_components(x),
         ]
         assert row.tolist() == expected
 
@@ -136,8 +154,7 @@ def test_closed_form_momenta_do_not_warn_at_the_pole(routh_preset):
 
 
 def test_rate_law_anchor(worked_params, worked_spec, worked_state):
-    ev = eval_profile(worked_spec, 0.8)
-    rl = nonconservation_rates(worked_params, ev, worked_state)
+    rl = nonconservation_rates(worked_params, worked_spec, worked_state)
     assert rl.dj1 == pytest.approx(4.0 / 9.0, rel=1e-13)
     assert rl.dj1 == pytest.approx(rl.pred1, rel=1e-12)
     assert rl.dj2 == pytest.approx(rl.pred2, rel=1e-12, abs=1e-12)
@@ -146,8 +163,7 @@ def test_rate_law_anchor(worked_params, worked_spec, worked_state):
 def test_rate_law_random_states(ellipsoid_preset):
     params, spec = ellipsoid_preset
     for state in make_states(17, 10):
-        ev = eval_profile(spec, state.gamma[2])
-        rl = nonconservation_rates(params, ev, state)
+        rl = nonconservation_rates(params, spec, state)
         scale = max(abs(rl.pred1), abs(rl.pred2), 1e-6)
         assert abs(rl.dj1 - rl.pred1) / scale <= 1e-9
         assert abs(rl.dj2 - rl.pred2) / scale <= 1e-9

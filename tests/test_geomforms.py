@@ -60,10 +60,10 @@ def test_qp_linearity_dual_route(seed, kind):
     (state,) = make_states(seed, 1)
     ev = eval_profile(spec, state.gamma[2])
     vals = qpl_values(params, ev, state)
-    p = invariants(state)
-    mat = qp_matrix(params, spec, p.t1)
-    q2 = mat[0, 0] * p.t3 + mat[0, 1] * p.t4
-    p2 = mat[1, 0] * p.t3 + mat[1, 1] * p.t4
+    t1, _, t3, t4, _ = invariants(state)
+    mat = qp_matrix(params, spec, t1)
+    q2 = mat[0, 0] * t3 + mat[0, 1] * t4
+    p2 = mat[1, 0] * t3 + mat[1, 1] * t4
     den = max(abs(vals.Q), abs(vals.P), 1e-3)
     assert abs(vals.Q - q2) / den <= 1e-12
     assert abs(vals.P - p2) / den <= 1e-12

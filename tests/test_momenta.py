@@ -24,7 +24,7 @@ from nonholo import (
     routh_pair,
     solve_momenta,
 )
-from nonholo.errors import DomainError
+from nonholo.errors import DomainError, NonholoError
 from nonholo.momenta import MAX_HALF_GRID, _grid, grid_half
 from nonholo.smallalg import rk4_step
 
@@ -248,3 +248,17 @@ def test_eval_equals_np_interp_at_nodes_and_ends(ellipsoid_momenta):
         sol.eval(lo - 1e-11)
     with pytest.raises(DomainError):
         sol.eval(hi + 1e-11)
+
+
+@pytest.mark.parametrize(
+    "params,spec",
+    [
+        (BodyParams(m=1.0, I1=1e308, I3=1e308, grav=9.8), ProfileSpec.routh(1.0, 0.1)),
+        (BodyParams(m=1.0, I1=2.0, I3=3.0, grav=9.8), ProfileSpec.ellipsoid(1e-300, 1e-300)),
+        (BodyParams(m=1.0, I1=2.0, I3=3.0, grav=9.8), ProfileSpec.ellipsoid(1e300, 1e-300)),
+    ],
+    ids=["overflowing-inertia", "underflowing-axes", "disparate-axes"],
+)
+def test_a_non_finite_table_is_an_error(params, spec):
+    with pytest.raises(NonholoError, match="not finite"):
+        solve_momenta(params, spec, 1e-2, 1e-3)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from nonholo import (
     IntegratorConfig,
-    ParticleState,
     particle_bracket,
     particle_hamiltonian,
     particle_integrate,
@@ -20,18 +19,18 @@ coords = st.floats(-2.0, 2.0, allow_nan=False)
 
 
 def test_rhs_anchor():
-    out = particle_rhs(ParticleState(0.0, 1.0, 0.0, 1.0, 1.0))
+    out = particle_rhs(np.array([0.0, 1.0, 0.0, 1.0, 1.0]))
     assert np.allclose(out, [0.5, 1.0, 0.5, 0.5, 0.0], atol=1e-15)
 
 
 def test_momentum_and_energy():
-    s = ParticleState(0.2, 1.0, -0.3, 2.0, 0.5)
+    s = np.array([0.2, 1.0, -0.3, 2.0, 0.5])
     assert particle_momentum(s) == pytest.approx(2.0 / np.sqrt(2.0), rel=1e-15)
     assert particle_hamiltonian(s) == pytest.approx(0.5 * (4.0 / 2.0 + 0.25), rel=1e-15)
 
 
 def test_conservation_short_run():
-    traj = particle_integrate(ParticleState(0.0, 0.0, 0.0, 1.0, 1.0), IntegratorConfig(1e-3, 2.0))
+    traj = particle_integrate(np.array([0.0, 0.0, 0.0, 1.0, 1.0]), IntegratorConfig(1e-3, 2.0))
     assert len(traj) == 2001
     col = dict(zip(COLUMNS, traj.T))
     dj = np.max(np.abs(col["J"] - col["J"][0]))
@@ -41,10 +40,10 @@ def test_conservation_short_run():
 
 def test_columns_equal_the_scalar_kernels():
     cfg = IntegratorConfig(1e-2, 0.2)
-    traj = particle_integrate(ParticleState(0.1, -0.5, 0.2, 1.3, -0.7), cfg)
+    traj = particle_integrate(np.array([0.1, -0.5, 0.2, 1.3, -0.7]), cfg)
     assert traj.shape == (21, len(COLUMNS)) and COLUMNS == ("t", "x", "y", "z", "px", "py", "J", "E")
     for k, row in enumerate(traj):
-        state = ParticleState(*row[1:6].tolist())
+        state = row[1:6]
         assert row[0] == k * cfg.dt
         assert row[6] == particle_momentum(state)
         assert row[7] == particle_hamiltonian(state)
@@ -53,7 +52,7 @@ def test_columns_equal_the_scalar_kernels():
 @settings(max_examples=30)
 @given(coords, coords, coords, coords, coords)
 def test_frame_flow_reproduces_rhs(x, y, z, px, py):
-    s = ParticleState(x, y, z, px, py)
+    s = np.array([x, y, z, px, py])
     c = hamiltonian_frame_flow(s)
     coord_rate = np.array([c[0], c[1], y * c[0], c[2], c[3]])
     assert np.max(np.abs(coord_rate - particle_rhs(s))) <= 1e-9
@@ -70,7 +69,7 @@ def test_bracket_is_minus_the_inverse_frame_form(x, y, z, px, py, include_coupli
 def test_uncoupled_flow_is_wrong():
     # Diagnostic: dropping the curvature entry loses the px force, so the
     # flow no longer matches the constrained dynamics and J drifts.
-    s = ParticleState(0.0, 1.0, 0.0, 1.0, 1.0)
+    s = np.array([0.0, 1.0, 0.0, 1.0, 1.0])
     c = hamiltonian_frame_flow(s, include_coupling=False)
     coord_rate = np.array([c[0], c[1], 1.0 * c[0], c[2], c[3]])
     assert abs(coord_rate[3] - particle_rhs(s)[3]) > 0.1
@@ -113,12 +112,12 @@ def test_reduced_jacobiator_vanishes():
 def test_unreduced_jacobiator_closed_form(x, y, z, px, py):
     # Triples keeping the unreduced x fail Jacobi by exactly y/(1+y^2) —
     # the bracket is only Poisson after quotienting the translations.
-    val = particle_jacobiator_unreduced(ParticleState(x, y, z, px, py))
+    val = particle_jacobiator_unreduced(np.array([x, y, z, px, py]))
     assert val == pytest.approx(y / (1.0 + y * y), abs=1e-8)
 
 
 def test_jacobi_failure_is_order_one():
-    assert particle_jacobiator_unreduced(ParticleState(0.0, 1.0, 0.0, 1.0, 1.0)) == pytest.approx(
+    assert particle_jacobiator_unreduced(np.array([0.0, 1.0, 0.0, 1.0, 1.0])) == pytest.approx(
         0.5, abs=1e-9
     )
 

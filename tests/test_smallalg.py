@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
 from nonholo import cross, dot, grad_fd, rk4_step, vec3
-from nonholo.smallalg import hat, jacobi_trivector
+from nonholo.smallalg import hat, jacobi_trivector, nan_max
 
 finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 triples = st.tuples(finite, finite, finite)
@@ -72,3 +74,14 @@ def test_jacobi_trivector_of_a_non_poisson_bivector():
     assert abs(t[0, 1, 2] - 1.0) <= 1e-12
     assert np.max(np.abs(t + t.transpose(1, 0, 2))) <= 1e-15
     assert np.max(np.abs(t - t.transpose(1, 2, 0))) <= 1e-15
+
+
+def test_nan_max_propagates_nan_in_any_position():
+    assert max(0.0, 1e-20, math.nan) == 1e-20  # what a plain max reports
+    assert math.isnan(nan_max([1e-20, math.nan]))
+    assert math.isnan(nan_max([math.nan, 1e-20]))
+
+
+@given(st.lists(finite))
+def test_nan_max_picks_what_max_picks_without_nan(values):
+    assert nan_max(values) == max([0.0, *values])
