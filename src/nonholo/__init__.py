@@ -38,17 +38,14 @@ from .errors import (
 )
 from .geomforms import LQPValues, qp_matrix, qpl_values
 from .momenta import (
-    CoefficientPair,
     MomentaSolution,
     closed_form_momenta,
     eval_gauge_momenta,
     gauge_momentum_fields,
-    grid_pair,
     momenta_ode_rhs,
     ode_residual,
     routh_closed_form,
     routh_closed_form_derivative,
-    routh_pair,
     solve_momenta,
 )
 from .particle import (
@@ -77,7 +74,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BodyParams",
     "BracketKind",
-    "CoefficientPair",
     "ConfigError",
     "ConsistencyError",
     "DegeneracyError",
@@ -105,7 +101,6 @@ __all__ = [
     "eval_profile",
     "gauge_momentum_fields",
     "grad_fd",
-    "grid_pair",
     "hamiltonian_field",
     "integrate",
     "invariants",
@@ -133,7 +128,6 @@ __all__ = [
     "rk4_step",
     "routh_closed_form",
     "routh_closed_form_derivative",
-    "routh_pair",
     "solve_momenta",
     "vec3",
 ]

@@ -51,13 +51,10 @@ class ScalarField:
     grad: Callable[[np.ndarray], np.ndarray] | None = None
     name: str = ""
 
-    def value(self, x: np.ndarray) -> float:
-        return self.fn(x)
-
-    def gradient(self, x: np.ndarray, scale: float = 1e-5) -> np.ndarray:
+    def gradient(self, x: np.ndarray) -> np.ndarray:
         if self.grad is not None:
             return self.grad(x)
-        return grad_fd(self.fn, x, scale)
+        return grad_fd(self.fn, x)
 
 
 def _as_field(f) -> ScalarField:
@@ -108,7 +105,6 @@ def bracket(
     g,
     x,
     kind: BracketKind,
-    scale: float = 1e-5,
 ) -> float:
     """Evaluate {f, g} = grad(f)^T Pi grad(g) at a packed state.
 
@@ -118,7 +114,7 @@ def bracket(
     x = np.asarray(x, dtype=float)
     ff, gg = _as_field(f), _as_field(g)
     pi = bivector_packed(params, spec, x, kind)
-    return float(ff.gradient(x, scale) @ pi @ gg.gradient(x, scale))
+    return float(ff.gradient(x) @ pi @ gg.gradient(x))
 
 
 def jacobiator(
@@ -218,9 +214,9 @@ def casimir_residuals(
 ) -> CasimirResiduals:
     """Evaluate the Casimir certificate at a packed state.
 
-    ``momenta`` is a MomentaSolution; J-field gradients use the coefficient
-    ODE for the tau1-derivatives, so the residuals measure the structure,
-    not interpolation error.  ``kind`` defaults to the gauged bracket; the
+    ``momenta`` is a MomentaSolution; J-field gradients take the
+    tau1-derivatives from ``momenta.slope``, so the residuals measure the
+    structure, not interpolation error.  ``kind`` defaults to the gauged bracket; the
     nh bracket is accepted as a diagnostic (residuals are then O(1) rate
     defects, e.g. {J2-ish, tau4} ~ 0.4 at the worked state).
     """
@@ -229,15 +225,13 @@ def casimir_residuals(
     x = np.asarray(x, dtype=float)
     pi = bivector_packed(params, spec, x, kind)
     gen = s1_generator(x)
-    fields = gauge_momentum_fields(params, spec, momenta)
+    grads = [jf.gradient(x) for jf in gauge_momentum_fields(momenta)]
     pairs = momenta.eval(x[2])
     out = []
     verts = []
-    for idx, jf in enumerate(fields):
-        gj = jf.gradient(x)
+    for idx, gj in enumerate(grads):
         flow = pi @ gj
         out.append(nan_max(abs(float(t.gradient(x) @ flow)) for t in TAUS))
-        f_i = pairs[2 * idx]
-        verts.append(float(np.max(np.abs(flow - f_i * gen))))
-    inv = abs(float(fields[0].gradient(x) @ pi @ fields[1].gradient(x)))
+        verts.append(float(np.max(np.abs(flow - pairs[2 * idx] * gen))))
+    inv = abs(float(grads[0] @ pi @ grads[1]))
     return CasimirResiduals(out[0], out[1], inv, verts[0], verts[1])

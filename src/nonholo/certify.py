@@ -23,8 +23,9 @@ import numpy as np
 from .brackets import (BracketKind, J2_COMPONENT, TAU1, TAU4, TAUS, bivector_packed, bracket, casimir_residuals,
                        hamiltonian_field, jacobiator, pushforward_residual)
 from .dynamics import IntegratorConfig, drift, nonconservation_rates, rhs
-from .geomforms import qp_matrix, qpl_values
-from .momenta import closed_form_momenta, ode_residual, routh_closed_form, routh_pair, solve_momenta
+from .geomforms import qp_grid, qp_matrix, qpl_values
+from .momenta import (closed_form_momenta, ode_residual, routh_closed_form, routh_closed_form_derivative,
+                      solve_momenta)
 from .particle import (COLUMNS as PARTICLE_COLUMNS, hamiltonian_frame_flow, particle_bracket, particle_integrate,
                        particle_jacobiator_reduced, particle_jacobiator_unreduced, particle_momentum, particle_rhs)
 from .phase import invariants, omega_from_M, relation_residual
@@ -208,34 +209,34 @@ _TAU1_GRID = np.linspace(-0.999, 0.999, 1000)
 
 def _kernel_pair(s):
     r, l = s.spec.p1, s.spec.p2
-    qps = (qp_matrix(s.params, s.spec, float(t1)) for t1 in _TAU1_GRID)
-    return nan_max(v for qp in qps for v in (abs(qp[0, 0] * l + qp[1, 0] * r), abs(qp[0, 1] * l + qp[1, 1] * r)))
+    q00, q01, q10, q11 = qp_grid(s.params, s.spec, _TAU1_GRID)
+    return nan_max(np.abs([q00 * l + q10 * r, q01 * l + q11 * r]))
 
 
 def _closed_form_ode_residual(s):
-    pairs = (routh_pair(s.params, s.spec, 0), routh_pair(s.params, s.spec, 1))
-    return nan_max(ode_residual(s.params, s.spec, pair, float(t1)) for t1 in _TAU1_GRID for pair in pairs)
+    r, l = s.spec.p1, s.spec.p2
+    pairs = routh_closed_form(s.params, r, l, _TAU1_GRID)
+    slopes = routh_closed_form_derivative(s.params, r, l, _TAU1_GRID)
+    return nan_max(ode_residual(s.params, s.spec, _TAU1_GRID, fg, dfg) for fg, dfg in zip(pairs, slopes))
 
 
 def _span_containment(s):
-    closed = (routh_closed_form(s.params, s.spec.p1, s.spec.p2, float(t1)) for t1 in s.numeric.grid)
+    closed = closed_form_momenta(s.params, s.spec, s.numeric.delta, s.numeric.h).pairs  # on s.numeric.grid
     return span_residual(s.params, s.spec, s.numeric, closed)
 
 
 def span_residual(params, spec, numeric, closed) -> float:
     """Worst deviation of the Routh closed-form pairs from the numeric span.
 
-    ``closed`` yields the closed-form pairs (cf1, cf2) at the nodes of
-    ``numeric.grid``; the numeric pairs are combined as the closed forms
-    are at tau1 = 0, where the numeric basis is normalized.
+    ``closed`` holds the closed-form pairs (f1, g1, f2, g2) at the nodes of
+    ``numeric.grid``, one row each; the numeric pairs are combined as the
+    closed forms are at tau1 = 0, where the numeric basis is normalized.
     """
-    at_zero = routh_closed_form(params, spec.p1, spec.p2, 0.0)
-    return nan_max(
-        v
-        for row, cfs in zip(numeric.pairs, closed)
-        for c, cf in zip(at_zero, cfs)
-        for v in (abs(c[0] * row[0] + c[1] * row[2] - cf[0]), abs(c[0] * row[1] + c[1] * row[3] - cf[1]))
-    )
+    p, worst = numeric.pairs, []
+    for k, (c0, c1) in enumerate(routh_closed_form(params, spec.p1, spec.p2, 0.0)):
+        for j in (0, 1):  # f, then g; one column at a time keeps the temporaries small
+            worst.append(nan_max(np.abs(c0 * p[:, j] + c1 * p[:, j + 2] - closed[:, 2 * k + j])))
+    return nan_max(worst)
 
 
 def _particle_drift(column: str):

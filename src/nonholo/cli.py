@@ -94,7 +94,10 @@ def _number(obj: dict, key: str, pointer: str, default=None) -> float:
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise _err(f"{key!r} must be a number", f"{pointer}/{key}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError as exc:  # an integer literal beyond the float range
+        raise _err(f"{key!r} is too large for a float", f"{pointer}/{key}") from exc
 
 
 def _integer(obj: dict, key: str, pointer: str, default: int) -> int:
@@ -116,10 +119,18 @@ def _vector(obj: dict, key: str, n: int, pointer: str) -> tuple:
         not isinstance(v, list)
         or len(v) != n
         or any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in v)
-        or not all(math.isfinite(c) for c in v)
+        or not all(_finite(c) for c in v)
     ):
         raise _err(f"{key!r} must be a list of {n} finite numbers", f"{pointer}/{key}")
     return tuple(float(c) for c in v)
+
+
+def _finite(c) -> bool:
+    """math.isfinite, False for an integer literal beyond the float range."""
+    try:
+        return math.isfinite(c)
+    except OverflowError:
+        return False
 
 
 def parse_config(text: str) -> RunConfig:
@@ -130,7 +141,7 @@ def parse_config(text: str) -> RunConfig:
     """
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
         raise _err(f"invalid JSON: {exc}", "") from exc
     if not isinstance(raw, dict):
         raise _err("top level must be an object", "")
@@ -351,9 +362,7 @@ def cmd_momenta(cfg: RunConfig, out_path: str) -> int:
             header = ["tau1", "f1", "g1", "f2", "g2", "f1_cf", "g1_cf", "f2_cf", "g2_cf"]
             closed = closed_form_momenta(cfg.body, cfg.profile, cfg.delta, cfg.h).pairs  # on sol.grid
             _write_csv(out_path, header, ((t1, *row, *cf) for t1, row, cf in zip(sol.grid, sol.pairs, closed)))
-            summary["max_closed_form_deviation"] = certify.span_residual(
-                cfg.body, cfg.profile, sol, closed.reshape(-1, 2, 2)
-            )
+            summary["max_closed_form_deviation"] = certify.span_residual(cfg.body, cfg.profile, sol, closed)
         else:
             _write_csv(
                 out_path,

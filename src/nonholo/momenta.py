@@ -33,12 +33,16 @@ chunking bounds the transient arrays to a few hundred nodes.  A lookup
 (``MomentaSolution.eval``) finds its row pair with one ``searchsorted`` and
 interpolates all four columns with ``np.interp``'s formula, again bit for
 bit.
+
+Every consumer of a coefficient pair asks the solution: ``eval`` for the
+values and ``slope`` for the tau1-derivatives, so the choice between closed
+forms and table is made once, here.  The closed forms and ``ode_residual``
+also take a tau1 array, which the certificates sweep in one pass.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -77,7 +81,7 @@ class MomentaSolution:
     """Two coefficient pairs tabulated over a tau1 grid.
 
     ``pairs[k] = (f1, g1, f2, g2)`` at ``grid[k]``.  When ``routh_exact``
-    is set the evaluation bypasses the table and uses the closed forms
+    is set ``eval`` and ``slope`` bypass the table and use the closed forms
     (valid on all of [-1, 1], poles included).
     """
 
@@ -102,10 +106,7 @@ class MomentaSolution:
         """
         t1 = float(tau1)
         if self.routh_exact:
-            if abs(t1) > 1.0 + 1e-9:
-                raise DomainError(f"tau1={t1!r} outside [-1, 1]")
-            p1, p2 = routh_closed_form(self.params, self.spec.p1, self.spec.p2, t1)
-            return np.array([p1[0], p1[1], p2[0], p2[1]])
+            return self._closed(routh_closed_form, t1)
         grid, pairs = self.grid, self.pairs
         if t1 < grid[0] - 1e-12 or t1 > grid[-1] + 1e-12:
             raise DomainError(
@@ -125,6 +126,32 @@ class MomentaSolution:
             return np.array(row0)
         dx, dt = x1 - x0, t1 - x0
         return np.array([(p1 - p0) / dx * dt + p0 for p0, p1 in zip(row0, row1)])
+
+    def slope(self, tau1: float) -> np.ndarray:
+        """Return the tau1-derivatives (f1', g1', f2', g2') at tau1.
+
+        Closed-form mode differentiates the closed forms; tabulated mode
+        takes the coefficient ODE's right-hand side at the values of
+        ``eval``, so (value, slope) solves the ODE pointwise and carries no
+        interpolation kink.
+
+        Raises:
+            DomainError: where ``eval`` does.
+        """
+        t1 = float(tau1)
+        if self.routh_exact:
+            return self._closed(routh_closed_form_derivative, t1)
+        f1, g1, f2, g2 = self.eval(t1).tolist()
+        qp = qp_matrix(self.params, self.spec, t1)
+        q = (qp[0, 0], qp[0, 1], qp[1, 0], qp[1, 1])
+        return np.array([*_ode_slope(*q, t1, f1, g1), *_ode_slope(*q, t1, f2, g2)])
+
+    def _closed(self, form, t1: float) -> np.ndarray:
+        """``form`` (the closed pairs or their derivatives) at t1 as (f1, g1, f2, g2)."""
+        if abs(t1) > 1.0 + 1e-9:
+            raise DomainError(f"tau1={t1!r} outside [-1, 1]")
+        p1, p2 = form(self.params, self.spec.p1, self.spec.p2, t1)
+        return np.array([*p1, *p2])
 
     def independence(self) -> np.ndarray:
         """Determinant f1*g2 - f2*g1 per grid node."""
@@ -223,8 +250,9 @@ def _rk4_pairs(y: tuple, h: float, stage_t: list, qp: list) -> list:
     return out
 
 
-def _routh_zeta_p(params: BodyParams, r: float, l: float, gamma3: float) -> tuple[float, float]:
-    """zeta and P(gamma3) of the Routh sphere.
+def _routh_zeta_p(params: BodyParams, r: float, l: float, gamma3):
+    """zeta, P(gamma3) and sqrt(P) of the Routh sphere, on a float or elementwise
+    on an array (math.sqrt on floats, the per-step path of ``integrate``).
 
     Written out here rather than taken from the profile module: the closed
     forms are the independent oracle that the numeric path is checked against.
@@ -233,24 +261,23 @@ def _routh_zeta_p(params: BodyParams, r: float, l: float, gamma3: float) -> tupl
     p = params.I1 * params.I3 + params.m * (
         params.I1 * r * r * (1.0 - gamma3 * gamma3) + params.I3 * zeta * zeta
     )
-    return zeta, p
+    return zeta, p, (np.sqrt if isinstance(gamma3, np.ndarray) else math.sqrt)(p)
 
 
-def routh_closed_form(
-    params: BodyParams, r: float, l: float, gamma3: float
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """The two closed-form coefficient pairs of the Routh sphere at gamma3."""
-    zeta, p = _routh_zeta_p(params, r, l, gamma3)
-    sq = math.sqrt(p)
+def routh_closed_form(params: BodyParams, r: float, l: float, gamma3) -> tuple[tuple, tuple]:
+    """The two closed-form coefficient pairs of the Routh sphere at gamma3.
+
+    ``gamma3`` is a float or an array; on an array the second pair holds
+    arrays, equal bit for bit to the float calls, and the first stays (l, r).
+    """
+    zeta, p, sq = _routh_zeta_p(params, r, l, gamma3)
     return (l, r), (-(params.I1 + params.m * l * zeta) / sq, -params.m * r * zeta / sq)
 
 
-def routh_closed_form_derivative(
-    params: BodyParams, r: float, l: float, gamma3: float
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """gamma3-derivatives of the closed-form pairs (pair1 is constant)."""
-    zeta, p = _routh_zeta_p(params, r, l, gamma3)
-    sq = math.sqrt(p)
+def routh_closed_form_derivative(params: BodyParams, r: float, l: float, gamma3) -> tuple[tuple, tuple]:
+    """gamma3-derivatives of the closed-form pairs (pair1 is constant); a float
+    or an array ``gamma3`` as in ``routh_closed_form``."""
+    zeta, p, sq = _routh_zeta_p(params, r, l, gamma3)
     dp = 2.0 * params.m * (-params.I1 * r * r * gamma3 - r * params.I3 * zeta)
     u = -(params.I1 + params.m * l * zeta)
     du = params.m * l * r
@@ -259,6 +286,7 @@ def routh_closed_form_derivative(
     return (0.0, 0.0), (du / sq - u * dp / (2.0 * p * sq), dv / sq - v * dp / (2.0 * p * sq))
 
 
+@np.errstate(all="ignore")  # out-of-range bodies (say r = 1e200) give inf/NaN silently, as float calls do
 def closed_form_momenta(
     params: BodyParams, spec: ProfileSpec, delta: float = 1e-3, h: float = 1e-3
 ) -> MomentaSolution:
@@ -267,9 +295,9 @@ def closed_form_momenta(
         raise ValueError("closed forms are available for the routh profile only")
     grid = _grid(delta, h)
     pairs = np.empty((len(grid), 4))
-    for k, t in enumerate(grid):
-        p1, p2 = routh_closed_form(params, spec.p1, spec.p2, float(t))
-        pairs[k] = (p1[0], p1[1], p2[0], p2[1])
+    for k in range(0, len(grid), _CHUNK):  # chunks bound the transient arrays, as in the solve
+        p1, p2 = routh_closed_form(params, spec.p1, spec.p2, grid[k : k + _CHUNK])
+        pairs[k : k + _CHUNK] = np.column_stack(np.broadcast_arrays(*p1, *p2))
     return MomentaSolution(params, spec, grid, pairs, delta, h, routh_exact=True)
 
 
@@ -281,86 +309,34 @@ def eval_gauge_momenta(solution: MomentaSolution, x) -> tuple[float, float]:
     return f1 * j1 + g1 * j2, f2 * j1 + g2 * j2
 
 
-@dataclass(frozen=True)
-class CoefficientPair:
-    """A differentiable coefficient pair: values and tau1-derivatives."""
-
-    value: Callable[[float], tuple[float, float]]
-    derivative: Callable[[float], tuple[float, float]]
-    name: str = ""
-
-
-def routh_pair(params: BodyParams, spec: ProfileSpec, index: int) -> CoefficientPair:
-    """Closed-form pair 0 or 1 of a routh ProfileSpec as a CoefficientPair."""
-    if spec.kind != "routh":
-        raise ValueError("routh_pair needs a routh profile")
-    r, l = spec.p1, spec.p2
-
-    def value(t1, i=index):
-        return routh_closed_form(params, r, l, t1)[i]
-
-    def derivative(t1, i=index):
-        return routh_closed_form_derivative(params, r, l, t1)[i]
-
-    return CoefficientPair(value, derivative, name=f"routh-pair{index + 1}")
+def ode_residual(params: BodyParams, spec: ProfileSpec, tau1, fg, dfg) -> float:
+    """max-norm of a pair's derivative ``dfg`` minus the ODE right-hand side at
+    the pair ``fg``, at tau1 or worst over a tau1 array (``fg`` and ``dfg``
+    then hold arrays, or constants); NaN if any entry is NaN."""
+    rf, rg = _ode_slope(*qp_grid(params, spec, tau1), tau1, fg[0], fg[1])
+    return nan_max(np.abs([dfg[0] - rf, dfg[1] - rg]))
 
 
-def grid_pair(solution: MomentaSolution, index: int) -> CoefficientPair:
-    """Tabulated pair as a CoefficientPair; derivative by central FD of step h."""
+def gauge_momentum_fields(solution: MomentaSolution) -> tuple[ScalarField, ScalarField]:
+    """The two gauge momenta of ``solution`` as ScalarFields with analytic gradients.
 
-    def value(t1, i=index):
-        v = solution.eval(t1)
-        return v[2 * i], v[2 * i + 1]
-
-    def derivative(t1, i=index):
-        h = solution.h
-        vp = solution.eval(t1 + h)
-        vm = solution.eval(t1 - h)
-        return (vp[2 * i] - vm[2 * i]) / (2 * h), (vp[2 * i + 1] - vm[2 * i + 1]) / (2 * h)
-
-    return CoefficientPair(value, derivative, name=f"grid-pair{index + 1}")
-
-
-def ode_residual(
-    params: BodyParams, spec: ProfileSpec, pair: CoefficientPair, tau1: float
-) -> float:
-    """max-norm of pair.derivative(tau1) minus the ODE right-hand side."""
-    rhs = momenta_ode_rhs(params, spec, tau1, pair.value(tau1))
-    d = pair.derivative(tau1)
-    return nan_max(abs(d[i] - rhs[i]) for i in (0, 1))
-
-
-def gauge_momentum_fields(
-    params: BodyParams, spec: ProfileSpec, solution: MomentaSolution
-) -> tuple[ScalarField, ScalarField]:
-    """The two gauge momenta as ScalarFields with analytic gradients.
-
-    The tau1-derivatives of the coefficients are taken from the ODE itself
-    (closed-form derivatives in routh-exact mode), so the resulting
+    The tau1-derivatives of the coefficients are ``solution.slope``, so the
     quadruple (f, g, f', g') satisfies the coefficient ODE pointwise and
     Casimir residuals reflect structure rather than interpolation error.
     """
 
     def make(index: int) -> ScalarField:
-        def coeffs(t1):
-            v = solution.eval(t1)
-            return v[2 * index], v[2 * index + 1]
+        i, j = 2 * index, 2 * index + 1
 
         def fn(x):
-            f, g = coeffs(x[2])
-            return f * J1_COMPONENT.fn(x) + g * J2_COMPONENT.fn(x)
+            v = solution.eval(x[2])
+            return v[i] * J1_COMPONENT.fn(x) + v[j] * J2_COMPONENT.fn(x)
 
         def grad(x):
-            f, g = coeffs(x[2])
-            if solution.routh_exact:
-                dp = routh_closed_form_derivative(
-                    params, solution.spec.p1, solution.spec.p2, x[2]
-                )[index]
-            else:
-                dp = momenta_ode_rhs(params, spec, x[2], (f, g))
-            out = g * J2_COMPONENT.grad(x)
-            out[5] -= f  # + f * grad(j1)
-            out[2] += dp[0] * J1_COMPONENT.fn(x) + dp[1] * J2_COMPONENT.fn(x)
+            v, dv = solution.eval(x[2]), solution.slope(x[2])
+            out = v[j] * J2_COMPONENT.grad(x)
+            out[5] -= v[i]  # + f * grad(j1)
+            out[2] += dv[i] * J1_COMPONENT.fn(x) + dv[j] * J2_COMPONENT.fn(x)
             return out
 
         return ScalarField(fn, grad, name=f"J{index + 1}")

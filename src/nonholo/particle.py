@@ -53,19 +53,14 @@ def particle_rhs(v) -> np.ndarray:
     return np.array([c1, py, y * c1, w * py, 0.0])
 
 
-def _coupling(v: np.ndarray, include_coupling: bool) -> float:
-    """w = y*px/(1+y^2), or 0 when the coupling is switched off."""
-    return v[1] * v[3] / (1.0 + v[1] ** 2) if include_coupling else 0.0
+def _coupling(v: np.ndarray) -> float:
+    """w = y*px/(1+y^2), the constraint curvature coupling."""
+    return v[1] * v[3] / (1.0 + v[1] ** 2)
 
 
-def frame_form(v, include_coupling: bool = True) -> np.ndarray:
-    """The 4x4 constrained 2-form in the frame (e1, e2, e3, e4).
-
-    ``include_coupling=False`` zeroes the w = y*px/(1+y^2) entry — a
-    diagnostic: the resulting flow loses the pxdot = w*py force, stops
-    matching particle_rhs, and no longer conserves J.
-    """
-    w = _coupling(np.asarray(v, dtype=float), include_coupling)
+def frame_form(v) -> np.ndarray:
+    """The 4x4 constrained 2-form in the frame (e1, e2, e3, e4)."""
+    w = _coupling(np.asarray(v, dtype=float))
     return np.array(
         [
             [0.0, -w, 1.0, 0.0],
@@ -76,9 +71,9 @@ def frame_form(v, include_coupling: bool = True) -> np.ndarray:
     )
 
 
-def _bracket_matrix(v: np.ndarray, include_coupling: bool) -> np.ndarray:
+def _bracket_matrix(v: np.ndarray) -> np.ndarray:
     """B = -frame_form^-1 = [[0, I], [-I, -A(w)]] (see the module docstring)."""
-    w = _coupling(v, include_coupling)
+    w = _coupling(v)
     return np.array(
         [
             [0.0, 0.0, 1.0, 0.0],
@@ -89,12 +84,12 @@ def _bracket_matrix(v: np.ndarray, include_coupling: bool) -> np.ndarray:
     )
 
 
-def _frame_gradient(f: Callable[[np.ndarray], float], v: np.ndarray, scale: float) -> np.ndarray:
-    g = grad_fd(f, v, scale)
+def _frame_gradient(f: Callable[[np.ndarray], float], v: np.ndarray) -> np.ndarray:
+    g = grad_fd(f, v)
     return np.array([g[0] + v[1] * g[2], g[1], g[3], g[4]])
 
 
-def particle_bracket(f, g, v, include_coupling: bool = True, scale: float = 1e-5) -> float:
+def particle_bracket(f, g, v) -> float:
     """{f, g} for scalar functions of the packed 5-vector.
 
     Built as (frame grad f)^T B (frame grad g) with B = -(frame form)^-1;
@@ -102,8 +97,7 @@ def particle_bracket(f, g, v, include_coupling: bool = True, scale: float = 1e-5
     particle_rhs (the convention anchor, tested first).
     """
     v = np.asarray(v, dtype=float)
-    b = _bracket_matrix(v, include_coupling)
-    return float(_frame_gradient(f, v, scale) @ b @ _frame_gradient(g, v, scale))
+    return float(_frame_gradient(f, v) @ _bracket_matrix(v) @ _frame_gradient(g, v))
 
 
 def particle_momentum(v) -> float:
@@ -112,15 +106,14 @@ def particle_momentum(v) -> float:
     return v[3] / math.sqrt(1.0 + v[1] ** 2)
 
 
-def hamiltonian_frame_flow(v, include_coupling: bool = True) -> np.ndarray:
+def hamiltonian_frame_flow(v) -> np.ndarray:
     """Frame coefficients of the bracket-hamiltonian flow B . frame-grad(H).
 
     Coordinate velocities follow as (c1, c2, y*c1, c3, c4); equality with
     particle_rhs is the sign anchor for the whole particle module.
     """
     v = np.asarray(v, dtype=float)
-    b = _bracket_matrix(v, include_coupling)
-    return b @ _frame_gradient(particle_hamiltonian, v, 1e-5)
+    return _bracket_matrix(v) @ _frame_gradient(particle_hamiltonian, v)
 
 
 def _coordinate_bivector(v: np.ndarray) -> np.ndarray:
@@ -128,7 +121,7 @@ def _coordinate_bivector(v: np.ndarray) -> np.ndarray:
     are the frame e1 = d/dx + y d/dz, e2, e3, e4."""
     e = np.zeros((5, 4))
     e[0, 0], e[2, 0], e[1, 1], e[3, 2], e[4, 3] = 1.0, v[1], 1.0, 1.0, 1.0
-    return e @ _bracket_matrix(v, include_coupling=True) @ e.T
+    return e @ _bracket_matrix(v) @ e.T
 
 
 def particle_jacobiator_reduced(v) -> float:

@@ -17,6 +17,8 @@ E3 = np.array([0.0, 0.0, 1.0])
 
 #: relative step of the 5-point stencil that differentiates a bivector field
 TRIVECTOR_STEP = 1e-3
+#: relative step of the central differences of ``grad_fd``
+GRAD_STEP = 1e-5
 
 
 def vec3(x: float, y: float, z: float) -> Vec3:
@@ -52,11 +54,14 @@ def hat(v: Vec3) -> np.ndarray:
 
 
 def nan_max(values):
-    """The largest of 0.0 and ``values``, or NaN if any value is NaN.
+    """The largest of 0.0 and ``values`` (an iterable or an array), or NaN if
+    any value is NaN.
 
     Python's ``max`` drops a NaN that is not its first argument; otherwise
     this picks the same element.
     """
+    if isinstance(values, np.ndarray):
+        return float(np.max(values, initial=0.0))
     worst = 0.0
     for v in values:
         if v != v:
@@ -79,7 +84,7 @@ def rk4_step(f: Callable[[float, np.ndarray], np.ndarray], t: float, y: np.ndarr
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def grad_fd(f: Callable[[np.ndarray], float], x: np.ndarray, scale: float = 1e-5) -> np.ndarray:
+def grad_fd(f: Callable[[np.ndarray], float], x: np.ndarray, scale: float = GRAD_STEP) -> np.ndarray:
     """Central-difference gradient of f at x.
 
     Per-coordinate step h_i = scale * max(1, |x_i|); this keeps the step

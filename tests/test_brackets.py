@@ -173,10 +173,10 @@ def test_s1_generator(worked_state):
 def test_hamiltonian_field(worked_params, worked_spec, worked_state):
     h = hamiltonian_field(worked_params, worked_spec)
     x = worked_state.packed()
-    assert h.value(x) == pytest.approx(energy(worked_params, eval_profile(worked_spec, x[2]), x), rel=1e-15)
+    assert h.fn(x) == pytest.approx(energy(worked_params, eval_profile(worked_spec, x[2]), x), rel=1e-15)
     from nonholo import grad_fd
 
-    fd = grad_fd(h.value, x)
+    fd = grad_fd(h.fn, x)
     assert np.max(np.abs(h.gradient(x) - fd)) <= 1e-8
 
 

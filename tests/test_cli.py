@@ -1,6 +1,8 @@
 """Config parsing, deterministic sampling, and end-to-end command tests."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from nonholo import certify
 from nonholo.cli import (
     MAX_SAMPLES,
+    SYSTEMS,
     CheckResult,
     Report,
     main,
@@ -145,6 +148,18 @@ def _mutated(base, path, value):
 
 _DELETE = object()
 
+
+class _Verbatim(str):
+    """A value written into the config text unquoted, as is: an integer
+    literal too long for ``json.dumps`` to write."""
+
+
+def _config_text(base, path, value):
+    if isinstance(value, _Verbatim):
+        return json.dumps(_mutated(base, path, "@")).replace('"@"', value)
+    return json.dumps(_mutated(base, path, value))
+
+
 BAD_CASES = [
     (ROUTH_RAW, ("system",), "cube", "/system"),
     (ROUTH_RAW, ("system",), _DELETE, "/system"),
@@ -177,15 +192,72 @@ BAD_CASES = [
     (ROUTH_RAW, ("h",), 1e-7, "/h"),
     (PARTICLE_RAW, ("samples",), 100_000_000_000, "/samples"),
     (ROUTH_RAW, ("samples",), MAX_SAMPLES + 1, "/samples"),
+    # integer literals beyond the float range, and one beyond int's digit limit
+    pytest.param(ROUTH_RAW, ("params", "m"), 10**400, "/params/m", id="m-1e400"),
+    pytest.param(ROUTH_RAW, ("initial", "gamma"), [0.6, 10**400, 0.8], "/initial/gamma", id="gamma-1e400"),
+    pytest.param(ROUTH_RAW, ("integrator", "dt"), 10**400, "/integrator/dt", id="dt-1e400"),
+    pytest.param(ROUTH_RAW, ("seed",), _Verbatim("9" * 5000), "", id="seed-5000-digits"),
 ]
 
 
 @pytest.mark.parametrize("base,path,value,pointer", BAD_CASES)
 def test_parse_rejects_with_pointer(base, path, value, pointer):
-    raw = _mutated(base, path, value)
     with pytest.raises(ConfigError) as excinfo:
-        parse_config(json.dumps(raw))
+        parse_config(_config_text(base, path, value))
     assert excinfo.value.pointer == pointer
+
+
+def _paths(obj, prefix=()):
+    """The path of every object member and list entry below ``obj``."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+# Values no config key accepts.  Huge integers are negative, since a huge
+# seed or sample count is an integer and parses (samples then fails its cap).
+_INVALID = st.one_of(
+    st.none(),
+    st.text(max_size=6).filter(lambda t: t not in SYSTEMS),
+    st.lists(st.none(), max_size=3),
+    st.integers(-(10**400), -(10**309)),
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+)
+
+
+@st.composite
+def _malformed_config_texts(draw):
+    base = draw(st.sampled_from([ROUTH_RAW, ELLIPSOID_RAW, PARTICLE_RAW]))
+    paths = list(_paths(base))
+    objects = [()] + [p for p in paths if isinstance(_at(base, p), dict)]
+    how = draw(st.sampled_from(["value", "unknown-key", "truncated", "huge-seed"]))
+    if how == "value":
+        return _config_text(base, draw(st.sampled_from(paths)), draw(_INVALID))
+    if how == "unknown-key":
+        return _config_text(base, draw(st.sampled_from(objects)) + ("extra",), draw(st.integers()))
+    if how == "truncated":
+        text = json.dumps(base)
+        return text[: draw(st.integers(0, len(text) - 1))]
+    return _config_text(base, ("seed",), _Verbatim("1" * draw(st.integers(4301, 6000))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_malformed_config_texts())
+def test_a_malformed_config_exits_2_with_one_error_line(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "malformed.json"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check", "--config", str(path)])
+    assert code == 2 and out.getvalue() == ""
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_parse_rejects_non_object_and_bad_json():
@@ -505,7 +577,10 @@ def test_outputs_are_byte_identical_to_the_frozen_hashes(tmp_path, capsys, name)
     argv = [command, "--config", write_config(tmp_path, raw)]
     if command != "check":
         argv += ["--out", str(out)]
-    assert main(argv) == 0
+    # the pole-grazing run passes the end of the momenta table, and says so
+    pole = name == "ellipsoid-pole-simulate"
+    with pytest.warns(UserWarning, match="exceeded 1 - 0.001") if pole else contextlib.nullcontext():
+        assert main(argv) == 0
     digests = [hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()]
     if command != "check":
         digests.append(hashlib.sha256(out.read_bytes()).hexdigest())

@@ -9,19 +9,17 @@ from hypothesis import strategies as st
 
 from nonholo import (
     BodyParams,
-    CoefficientPair,
     ProfileSpec,
     StateGM,
     closed_form_momenta,
     eval_gauge_momenta,
     eval_profile,
     gauge_momentum_fields,
-    grid_pair,
     momenta_ode_rhs,
     ode_residual,
     omega_from_M,
     routh_closed_form,
-    routh_pair,
+    routh_closed_form_derivative,
     solve_momenta,
 )
 from nonholo.errors import DomainError, NonholoError
@@ -59,10 +57,10 @@ def test_ode_rhs_anchor():
 
 def test_closed_form_pairs_solve_the_ode():
     spec = ProfileSpec.routh(1.0, 0.1)
-    worst = [0.0, 0.0]
-    for t1 in np.linspace(-0.999, 0.999, 1000):
-        for i in range(2):
-            worst[i] = max(worst[i], ode_residual(P98, spec, routh_pair(P98, spec, i), t1))
+    t1 = np.linspace(-0.999, 0.999, 1000)
+    pairs = routh_closed_form(P98, 1.0, 0.1, t1)
+    slopes = routh_closed_form_derivative(P98, 1.0, 0.1, t1)
+    worst = [ode_residual(P98, spec, t1, fg, dfg) for fg, dfg in zip(pairs, slopes)]
     assert worst[0] <= 1e-12  # constants: exactly in the kernel
     assert worst[1] <= 1e-9
 
@@ -71,8 +69,16 @@ def test_non_solution_is_rejected():
     # Negative control: the pair (1, tau1) is not a solution and the
     # residual must say so loudly at a generic point.
     spec = ProfileSpec.routh(1.0, 0.1)
-    fake = CoefficientPair(lambda t1: (1.0, t1), lambda t1: (0.0, 1.0), name="fake")
-    assert ode_residual(P98, spec, fake, 0.3) > 1e-3
+    assert ode_residual(P98, spec, 0.3, (1.0, 0.3), (0.0, 1.0)) > 1e-3
+
+
+def test_ode_residual_of_an_array_is_the_worst_float_call(ellipsoid_preset, ellipsoid_momenta):
+    params, spec = ellipsoid_preset
+    t1 = np.linspace(-0.9, 0.9, 41)
+    fg = np.array([ellipsoid_momenta.eval(t) for t in t1]).T[:2]
+    dfg = (np.cos(t1), t1 * t1)  # not a solution: the residuals differ from node to node
+    worst = max(ode_residual(params, spec, float(t), fg[:, k], (dfg[0][k], dfg[1][k])) for k, t in enumerate(t1))
+    assert ode_residual(params, spec, t1, fg, dfg) == worst > 1e-3
 
 
 def test_solver_spans_the_closed_forms():
@@ -93,13 +99,49 @@ def test_solver_spans_the_closed_forms():
     assert worst <= 1e-9
 
 
-def test_grid_pair_solves_the_ode_inside_the_grid(ellipsoid_preset, ellipsoid_momenta):
-    params, spec = ellipsoid_preset
-    worst = 0.0
-    for t1 in np.linspace(-0.99, 0.99, 67):
-        for i in range(2):
-            worst = max(worst, ode_residual(params, spec, grid_pair(ellipsoid_momenta, i), t1))
+def test_table_differences_solve_the_ode_inside_the_grid(ellipsoid_preset, ellipsoid_momenta):
+    # Central differences of step h of the table's values against the ODE at those values.
+    (params, spec), sol = ellipsoid_preset, ellipsoid_momenta
+    t1 = np.linspace(-0.99, 0.99, 67)
+
+    def table(t):
+        return np.array([sol.eval(u) for u in t]).T
+
+    values, slopes = table(t1), (table(t1 + sol.h) - table(t1 - sol.h)) / (2 * sol.h)
+    worst = max(ode_residual(params, spec, t1, values[i:i + 2], slopes[i:i + 2]) for i in (0, 2))
     assert worst <= 1e-6  # linear interpolation leaves O(h) kinks in the derivative
+
+
+@pytest.mark.parametrize("t1", [-1.0, -0.73, 0.0, 0.2, 1.0])
+def test_closed_form_slope_is_the_closed_form_derivative(t1):
+    d1, d2 = routh_closed_form_derivative(P98, 1.0, 0.1, t1)
+    assert np.array_equal(closed_form_momenta(P98, ProfileSpec.routh(1.0, 0.1)).slope(t1), [*d1, *d2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-0.999, 0.999, allow_nan=False))
+def test_table_slope_is_the_ode_rhs_at_eval(ellipsoid_preset, ellipsoid_momenta, t1):
+    params, spec = ellipsoid_preset
+    v = ellipsoid_momenta.eval(t1)
+    rhs = [*momenta_ode_rhs(params, spec, t1, v[:2]), *momenta_ode_rhs(params, spec, t1, v[2:])]
+    assert np.array_equal(ellipsoid_momenta.slope(t1), rhs)
+
+
+def test_slope_refuses_where_eval_does(ellipsoid_momenta):
+    with pytest.raises(DomainError):
+        ellipsoid_momenta.slope(0.9999)
+    with pytest.raises(DomainError):
+        closed_form_momenta(P98, ProfileSpec.routh(1.0, 0.1)).slope(1.01)
+
+
+def test_array_closed_forms_equal_the_float_calls():
+    grid = _grid(1e-3, 1e-4)
+    for form in (routh_closed_form, routh_closed_form_derivative):
+        p1, p2 = form(P98, 1.0, 0.1, grid)
+        rows = np.array([[*q1, *q2] for q1, q2 in (form(P98, 1.0, 0.1, t) for t in grid.tolist())])
+        assert np.array_equal(np.column_stack(np.broadcast_arrays(*p1, *p2)), rows), form.__name__
+        if form is routh_closed_form:
+            assert np.array_equal(closed_form_momenta(P98, ProfileSpec.routh(1.0, 0.1), 1e-3, 1e-4).pairs, rows)
 
 
 def test_independence_margins(ellipsoid_momenta):
@@ -163,13 +205,13 @@ def test_gauge_momenta_anchors():
 def test_momentum_fields_gradients(seed):
     spec = ProfileSpec.routh(1.0, 0.1)
     sol = closed_form_momenta(P98, spec)
-    f1, f2 = gauge_momentum_fields(P98, spec, sol)
+    f1, f2 = gauge_momentum_fields(sol)
     from nonholo import grad_fd
 
     (state,) = make_states(seed, 1)
     x = state.packed()
     for f in (f1, f2):
-        assert np.max(np.abs(f.gradient(x) - grad_fd(f.value, x))) <= 1e-7
+        assert np.max(np.abs(f.gradient(x) - grad_fd(f.fn, x))) <= 1e-7
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from nonholo import (
     particle_rhs,
 )
 from nonholo.particle import COLUMNS, _bracket_matrix, _frame_gradient, frame_form, hamiltonian_frame_flow
+from nonholo.smallalg import grad_fd
 
 coords = st.floats(-2.0, 2.0, allow_nan=False)
 
@@ -59,18 +60,19 @@ def test_frame_flow_reproduces_rhs(x, y, z, px, py):
 
 
 @settings(max_examples=50)
-@given(coords, coords, coords, coords, coords, st.booleans())
-def test_bracket_is_minus_the_inverse_frame_form(x, y, z, px, py, include_coupling):
+@given(coords, coords, coords, coords, coords)
+def test_bracket_is_minus_the_inverse_frame_form(x, y, z, px, py):
     v = np.array([x, y, z, px, py])
-    b = _bracket_matrix(v, include_coupling)
-    assert np.max(np.abs(b @ frame_form(v, include_coupling) + np.eye(4))) <= 1e-15
+    assert np.max(np.abs(_bracket_matrix(v) @ frame_form(v) + np.eye(4))) <= 1e-15
 
 
 def test_uncoupled_flow_is_wrong():
-    # Diagnostic: dropping the curvature entry loses the px force, so the
+    # Diagnostic: dropping the curvature entry w loses the px force, so the
     # flow no longer matches the constrained dynamics and J drifts.
     s = np.array([0.0, 1.0, 0.0, 1.0, 1.0])
-    c = hamiltonian_frame_flow(s, include_coupling=False)
+    uncoupled = _bracket_matrix(s)
+    uncoupled[2, 3] = uncoupled[3, 2] = 0.0
+    c = uncoupled @ _frame_gradient(particle_hamiltonian, s)
     coord_rate = np.array([c[0], c[1], 1.0 * c[0], c[2], c[3]])
     assert abs(coord_rate[3] - particle_rhs(s)[3]) > 0.1
 
@@ -79,7 +81,7 @@ def nested_fd_jacobiator(v, fields):
     """The cyclic sum as frame central differences (outer step 1e-4) of
     particle brackets: the Jacobiator before the Jacobi trivector, kept as an
     independent oracle."""
-    bm = _bracket_matrix(v, include_coupling=True)
+    bm = _bracket_matrix(v)
     total = 0.0
     for i in range(3):
         a, b, c = fields[i], fields[(i + 1) % 3], fields[(i + 2) % 3]
@@ -87,7 +89,8 @@ def nested_fd_jacobiator(v, fields):
         def inner(u, b=b, c=c):
             return particle_bracket(b, c, u)
 
-        total += float(_frame_gradient(a, v, 1e-5) @ bm @ _frame_gradient(inner, v, 1e-4))
+        g = grad_fd(inner, v, 1e-4)
+        total += float(_frame_gradient(a, v) @ bm @ np.array([g[0] + v[1] * g[2], g[1], g[3], g[4]]))
     return total
 
 

@@ -80,8 +80,9 @@ def test_nan_max_propagates_nan_in_any_position():
     assert max(0.0, 1e-20, math.nan) == 1e-20  # what a plain max reports
     assert math.isnan(nan_max([1e-20, math.nan]))
     assert math.isnan(nan_max([math.nan, 1e-20]))
+    assert math.isnan(nan_max(np.array([[1e-20, 2.0], [math.nan, 3.0]])))
 
 
 @given(st.lists(finite))
 def test_nan_max_picks_what_max_picks_without_nan(values):
-    assert nan_max(values) == max([0.0, *values])
+    assert nan_max(values) == nan_max(np.array(values)) == max([0.0, *values])
