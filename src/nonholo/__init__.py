@@ -21,7 +21,6 @@ from .brackets import (
 )
 from .dynamics import (
     IntegratorConfig,
-    default_momenta,
     drift,
     drift_report,
     integrate,
@@ -46,6 +45,7 @@ from .momenta import (
     ode_residual,
     routh_closed_form,
     routh_closed_form_derivative,
+    solution_for,
     solve_momenta,
 )
 from .particle import (
@@ -67,7 +67,7 @@ from .phase import (
     omega_from_M,
 )
 from .profile import ProfileEval, ProfileSpec, contact_vector, eval_profile, profile_scalars
-from .smallalg import cross, dot, grad_fd, rk4_step, vec3
+from .smallalg import cross, dot, grad_fd, rk4_step
 
 __version__ = "0.1.0"
 
@@ -92,7 +92,6 @@ __all__ = [
     "closed_form_momenta",
     "contact_vector",
     "cross",
-    "default_momenta",
     "dot",
     "drift",
     "drift_report",
@@ -128,6 +127,6 @@ __all__ = [
     "rk4_step",
     "routh_closed_form",
     "routh_closed_form_derivative",
+    "solution_for",
     "solve_momenta",
-    "vec3",
 ]

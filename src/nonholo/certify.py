@@ -24,8 +24,7 @@ from .brackets import (BracketKind, J2_COMPONENT, TAU1, TAU4, TAUS, bivector_pac
                        hamiltonian_field, jacobiator, pushforward_residual)
 from .dynamics import IntegratorConfig, drift, nonconservation_rates, rhs
 from .geomforms import qp_grid, qp_matrix, qpl_values
-from .momenta import (closed_form_momenta, ode_residual, routh_closed_form, routh_closed_form_derivative,
-                      solve_momenta)
+from .momenta import ode_residual, routh_closed_form, routh_closed_form_derivative, solution_for, solve_momenta
 from .particle import (COLUMNS as PARTICLE_COLUMNS, hamiltonian_frame_flow, particle_bracket, particle_integrate,
                        particle_jacobiator_reduced, particle_jacobiator_unreduced, particle_momentum, particle_rhs)
 from .phase import invariants, omega_from_M, relation_residual
@@ -104,8 +103,9 @@ class Sample:
 class Solid:
     """A body and profile, the states the per-state records sweep, the momenta
     whose Casimir property is certified, and (Routh) the numeric solution
-    whose span must contain the closed forms.  A record that does not read
-    ``momenta`` or ``numeric`` accepts None there."""
+    whose span must contain the closed forms of ``momenta``, tabulated on
+    the same grid.  A record that does not read ``momenta`` or ``numeric``
+    accepts None there."""
 
     def __init__(self, params, spec, states, momenta, numeric):
         self.params, self.spec, self.momenta, self.numeric = params, spec, momenta, numeric
@@ -121,12 +121,11 @@ class Solid:
 
 
 def solid_subject(params, spec, states, delta: float, h: float) -> Solid:
-    """The Solid ``nonholo check`` certifies: Routh bodies with their closed-form
-    momenta and a numeric solve for the span, others with the numeric solve."""
-    if spec.kind == "routh":
-        momenta, numeric = closed_form_momenta(params, spec, delta), solve_momenta(params, spec, delta, h)
-    else:
-        momenta = numeric = solve_momenta(params, spec, delta, h)
+    """The Solid ``nonholo check`` certifies: the momenta ``solution_for`` the
+    (delta, h) grid, and for Routh bodies a numeric solve on the same grid for
+    the span."""
+    momenta = solution_for(params, spec, delta, h)
+    numeric = solve_momenta(params, spec, delta, h) if spec.kind == "routh" else momenta
     return Solid(params, spec, states, momenta, numeric)
 
 
@@ -221,8 +220,7 @@ def _closed_form_ode_residual(s):
 
 
 def _span_containment(s):
-    closed = closed_form_momenta(s.params, s.spec, s.numeric.delta, s.numeric.h).pairs  # on s.numeric.grid
-    return span_residual(s.params, s.spec, s.numeric, closed)
+    return span_residual(s.params, s.spec, s.numeric, s.momenta.pairs)  # both on one grid
 
 
 def span_residual(params, spec, numeric, closed) -> float:

@@ -26,7 +26,7 @@ from . import certify
 from .certify import CheckResult
 from .dynamics import COLUMNS, IntegratorConfig, drift, drift_report, integrate
 from .errors import ConfigError, NonholoError
-from .momenta import closed_form_momenta, grid_half, solve_momenta
+from .momenta import closed_form_momenta, grid_half, solution_for, solve_momenta
 from .particle import COLUMNS as PARTICLE_COLUMNS, particle_integrate
 from .phase import BodyParams, StateGM
 from .profile import ProfileSpec
@@ -308,8 +308,9 @@ def cmd_simulate(cfg: RunConfig, out_path: str) -> int:
     if cfg.system == "particle":
         columns, traj = PARTICLE_COLUMNS, particle_integrate(np.array(cfg.particle0), cfg.integrator)
     else:
-        state0 = StateGM(np.array(cfg.gamma0), np.array(cfg.M0))
-        columns, traj = COLUMNS, integrate(cfg.body, cfg.profile, state0, cfg.integrator)
+        momenta = solution_for(cfg.body, cfg.profile, cfg.delta, cfg.h)
+        state0 = np.array(cfg.gamma0 + cfg.M0)  # integrate validates it
+        columns, traj = COLUMNS, integrate(cfg.body, cfg.profile, state0, cfg.integrator, momenta)
     if len(traj) < cfg.integrator.steps + 1:
         at = f"step {len(traj)} of {cfg.integrator.steps}"
         print(f"error: arithmetic overflow: non-finite state at {at}; no CSV written", file=sys.stderr)
@@ -385,9 +386,12 @@ def _load_config(path: str) -> RunConfig:
     env = os.environ.get("NONHOLO_SEED")
     if env is not None:
         try:
-            cfg = dataclasses.replace(cfg, seed=int(env))
-        except ValueError as exc:
-            raise ConfigError(f"NONHOLO_SEED must be an integer, got {env!r}") from exc
+            seed = int(env)
+        except ValueError:
+            seed = None
+        if seed is None or seed < 0:  # numpy's generators take non-negative seeds only, as /seed
+            raise ConfigError(f"NONHOLO_SEED must be a non-negative integer, got {env!r}")
+        cfg = dataclasses.replace(cfg, seed=seed)
     return cfg
 
 

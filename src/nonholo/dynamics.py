@@ -21,13 +21,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
 from .geomforms import qpl_values
-from .momenta import MomentaSolution, closed_form_momenta, solve_momenta
+from .momenta import MomentaSolution
 from .phase import BodyParams, StateGM, energy, invariants, momentum_components, omega_from_M, relation_residual
 from .profile import ProfileSpec, eval_profile, profile_scalars
 from .smallalg import E3, cross, dot, hat, rk4_step
@@ -82,24 +81,12 @@ def rhs(params: BodyParams, spec: ProfileSpec, x) -> np.ndarray:
 _rhs_packed = rhs  # the name bench/kernels.py imports
 
 
-@lru_cache(maxsize=8)
-def default_momenta(params: BodyParams, spec: ProfileSpec) -> MomentaSolution:
-    """Momenta solution used when integrate() is not handed one explicitly.
-
-    Routh profiles get the exact closed forms; anything else a numeric
-    solve at the default grid.  Cached per (params, spec).
-    """
-    if spec.kind == "routh":
-        return closed_form_momenta(params, spec)
-    return solve_momenta(params, spec)
-
-
 def integrate(
     params: BodyParams,
     spec: ProfileSpec,
     state0: np.ndarray,
     cfg: IntegratorConfig,
-    momenta: MomentaSolution | None = None,
+    momenta: MomentaSolution,
 ) -> np.ndarray:
     """Integrate the reduced equations from the packed state ``state0``; one
     row per step, t=0 included.
@@ -107,10 +94,10 @@ def integrate(
     Returns a float array whose columns are ``COLUMNS``.  gamma is
     renormalized to the unit sphere after every accepted step
     (cfg.renormalize_gamma).  A non-finite state aborts the run with a
-    warning, returning the rows completed so far.  Approaching the
-    singular strata |gamma3| -> 1 warns once (tabulated momenta only; the
-    closed forms are pole-safe); gauge-momentum values outside a tabulated
-    grid degrade to NaN rather than aborting.
+    warning, returning the rows completed so far.  A row whose tau1 is
+    off ``momenta`` (past the end of a table; the closed forms cover
+    [-1, 1]) gets NaN gauge momenta rather than aborting, and the first
+    such row warns once with the lookup's own message.
 
     Per step only the state, E and the momenta coefficients are computed;
     the invariant and momentum columns are filled afterwards by
@@ -120,24 +107,26 @@ def integrate(
         ValueError: if ``state0`` is not a state: not six numbers, |gamma|
             not 1 within 1e-6, or M not finite (``StateGM``'s checks).
     """
-    if momenta is None:
-        momenta = default_momenta(params, spec)
     n_steps = cfg.steps
     out = np.empty((n_steps + 1, len(COLUMNS)))
     coeffs = np.empty((n_steps + 1, 4))  # (f1, g1, f2, g2) per row
     x = StateGM.from_packed(state0).packed()
-    warned_pole = False
+    off_table = False
 
     def f(t, y):
         return rhs(params, spec, y)
 
     def record(k, x):
+        nonlocal off_table
         out[k, 1:7] = x
         out[k, 12] = energy(params, eval_profile(spec, x[2]), x)  # E
         try:
             coeffs[k] = momenta.eval(x[2])
-        except DomainError:  # outside the momenta grid: keep going, flag with NaN
+        except DomainError as exc:  # off the momenta: keep going, flag with NaN
             coeffs[k] = np.nan
+            if not off_table:
+                warnings.warn(f"{exc} at step {k} (t={k * cfg.dt:g}); the gauge momenta of such rows are NaN")
+                off_table = True
 
     record(0, x)
     rows = n_steps + 1
@@ -149,9 +138,6 @@ def integrate(
             break
         if cfg.renormalize_gamma:
             x[:3] /= np.sqrt(dot(x[:3], x[:3]))
-        if not warned_pole and not momenta.routh_exact and abs(x[2]) > 1.0 - momenta.delta:
-            warnings.warn(f"|gamma3| exceeded 1 - {momenta.delta:g} at t={k * cfg.dt:g}")
-            warned_pole = True
         record(k, x)
 
     out, cf = out[:rows], coeffs[:rows]

@@ -34,10 +34,12 @@ chunking bounds the transient arrays to a few hundred nodes.  A lookup
 interpolates all four columns with ``np.interp``'s formula, again bit for
 bit.
 
-Every consumer of a coefficient pair asks the solution: ``eval`` for the
-values and ``slope`` for the tau1-derivatives, so the choice between closed
-forms and table is made once, here.  The closed forms and ``ode_residual``
-also take a tau1 array, which the certificates sweep in one pass.
+A run reads one solution, built by ``solution_for`` on its (delta, h)
+grid.  Every consumer of a coefficient pair asks that solution: ``eval``
+for the values and ``slope`` for the tau1-derivatives, so the choice
+between closed forms and table is made once, here.  The closed forms and
+``ode_residual`` also take a tau1 array, which the certificates sweep in
+one pass.
 """
 from __future__ import annotations
 
@@ -89,8 +91,6 @@ class MomentaSolution:
     spec: ProfileSpec
     grid: np.ndarray
     pairs: np.ndarray
-    delta: float
-    h: float
     routh_exact: bool = False
 
     def eval(self, tau1: float) -> np.ndarray:
@@ -212,7 +212,7 @@ def solve_momenta(
     if bad.size:
         raise NonholoError(f"momenta table not finite at {bad.size} of {len(grid)} nodes"
                            " (the configured values are outside floating-point range)")
-    return MomentaSolution(params, spec, grid, pairs, delta, h)
+    return MomentaSolution(params, spec, grid, pairs)
 
 
 def _rk4_pairs(y: tuple, h: float, stage_t: list, qp: list) -> list:
@@ -288,7 +288,7 @@ def routh_closed_form_derivative(params: BodyParams, r: float, l: float, gamma3)
 
 @np.errstate(all="ignore")  # out-of-range bodies (say r = 1e200) give inf/NaN silently, as float calls do
 def closed_form_momenta(
-    params: BodyParams, spec: ProfileSpec, delta: float = 1e-3, h: float = 1e-3
+    params: BodyParams, spec: ProfileSpec, delta: float = 1e-3, h: float = 1e-4
 ) -> MomentaSolution:
     """Routh closed forms packaged as a MomentaSolution (exact evaluation)."""
     if spec.kind != "routh":
@@ -298,7 +298,16 @@ def closed_form_momenta(
     for k in range(0, len(grid), _CHUNK):  # chunks bound the transient arrays, as in the solve
         p1, p2 = routh_closed_form(params, spec.p1, spec.p2, grid[k : k + _CHUNK])
         pairs[k : k + _CHUNK] = np.column_stack(np.broadcast_arrays(*p1, *p2))
-    return MomentaSolution(params, spec, grid, pairs, delta, h, routh_exact=True)
+    return MomentaSolution(params, spec, grid, pairs, routh_exact=True)
+
+
+def solution_for(
+    params: BodyParams, spec: ProfileSpec, delta: float = 1e-3, h: float = 1e-4
+) -> MomentaSolution:
+    """The momenta a run reads: the Routh closed forms, else a numeric solve,
+    both on the (delta, h) grid."""
+    build = closed_form_momenta if spec.kind == "routh" else solve_momenta
+    return build(params, spec, delta, h)
 
 
 def eval_gauge_momenta(solution: MomentaSolution, x) -> tuple[float, float]:

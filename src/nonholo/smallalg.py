@@ -21,11 +21,6 @@ TRIVECTOR_STEP = 1e-3
 GRAD_STEP = 1e-5
 
 
-def vec3(x: float, y: float, z: float) -> Vec3:
-    """Return a float 3-vector."""
-    return np.array([float(x), float(y), float(z)])
-
-
 def cross(a: Vec3, b: Vec3) -> Vec3:
     """Return the cross product a x b."""
     return np.array(

@@ -10,6 +10,7 @@ from nonholo import (
     ProfileSpec,
     StateGM,
     integrate,
+    solution_for,
     solve_momenta,
 )
 
@@ -75,7 +76,7 @@ def ellipsoid_momenta(ellipsoid_preset):
 def routh_traj(routh_preset):
     params, spec = routh_preset
     g0, m0 = ROUTH_START
-    return integrate(params, spec, StateGM(np.array(g0), np.array(m0)), RUN_CFG)
+    return integrate(params, spec, StateGM(np.array(g0), np.array(m0)), RUN_CFG, solution_for(params, spec))
 
 
 @pytest.fixture(scope="session")

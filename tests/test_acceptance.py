@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from conftest import ELLIPSOID_START, RUN_CFG, make_states
-from nonholo import (BodyParams, BracketKind, ProfileSpec, StateGM, default_momenta, drift_report, integrate,
-                     jacobiator, nonconservation_rates, qp_matrix, solve_momenta)
+from nonholo import (BodyParams, BracketKind, ProfileSpec, StateGM, closed_form_momenta, drift_report, integrate,
+                     jacobiator, nonconservation_rates, qp_matrix, solution_for, solve_momenta)
 from nonholo.brackets import J2_COMPONENT, TAU1, TAU4
 from nonholo.certify import RECORDS, Particle, Solid
 from nonholo.dynamics import COLUMNS, drift
@@ -122,7 +122,7 @@ def test_gauge_momenta_are_casimirs(capsys, routh_preset, ellipsoid_preset, elli
     (rp, rs), (ep, es) = routh_preset, ellipsoid_preset
     states = make_states(29, 100)
     subjects = [
-        Solid(rp, rs, states, default_momenta(rp, rs), None), Solid(ep, es, states, ellipsoid_momenta, None)
+        Solid(rp, rs, states, solution_for(rp, rs), None), Solid(ep, es, states, ellipsoid_momenta, None)
     ]
     result = _certify(["casimir-J1", "casimir-J2", "involution"], subjects)
     _gate(capsys, "A07", "J1, J2 are Casimirs and in involution", result)
@@ -155,7 +155,7 @@ def test_routh_closed_forms_solve_ode(capsys, routh_preset):
     # the closed forms must lie in the span of the numeric solutions, whose
     # basis is normalized at the central grid node
     params, spec = routh_preset
-    subject = Solid(params, spec, [], None, solve_momenta(params, spec))
+    subject = Solid(params, spec, [], closed_form_momenta(params, spec), solve_momenta(params, spec))
     _gate(
         capsys, "A09", "closed-form pairs solve the coefficient equation and span the numeric solution",
         ("residual", *_certify(["closed-form-ode-residual"], [subject])),

@@ -17,9 +17,9 @@ from nonholo import (
     profile_scalars,
     pushforward_residual,
     reduced_bivector_tau,
+    solution_for,
 )
 from nonholo.brackets import J2_COMPONENT, TAUS, _as_field, s1_generator
-from nonholo.dynamics import default_momenta
 from nonholo.errors import ConsistencyError, DomainError
 from nonholo.phase import energy, relation_residual
 from nonholo.smallalg import grad_fd
@@ -182,7 +182,7 @@ def test_hamiltonian_field(worked_params, worked_spec, worked_state):
 
 def test_casimir_residuals(routh_preset, ellipsoid_preset, ellipsoid_momenta):
     params, spec = routh_preset
-    mom = default_momenta(params, spec)
+    mom = solution_for(params, spec)
     for state in make_states(3, 6):
         res = casimir_residuals(params, spec, state, mom)
         assert max(res.max_j1, res.max_j2, res.involution) <= 1e-8

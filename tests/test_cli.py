@@ -377,9 +377,11 @@ def test_env_seed_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("NONHOLO_SEED", "11")
     assert main(["check", "--config", path]) == 0
     assert json.loads(capsys.readouterr().out)["seed"] == 11
-    monkeypatch.setenv("NONHOLO_SEED", "eleven")
-    assert main(["check", "--config", path]) == 2
-    assert "NONHOLO_SEED" in capsys.readouterr().err
+    for bad in ("eleven", "-1"):  # numpy refuses a negative seed, as /seed does
+        monkeypatch.setenv("NONHOLO_SEED", bad)
+        assert main(["check", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: NONHOLO_SEED") and err.count("\n") == 1
 
 
 def test_momenta_routh_tabulates_closed_forms(tmp_path, capsys):
@@ -403,6 +405,20 @@ def test_momenta_ellipsoid_has_no_closed_form_columns(tmp_path, capsys):
     assert lines[0] == "tau1,f1,g1,f2,g2"
     assert len(lines) - 1 == summary["rows"]
     assert "max_closed_form_deviation" not in summary
+
+
+def test_simulate_reads_the_configured_momenta_grid(tmp_path, capsys):
+    # The pole-grazing start has |gamma3| = 0.91 and stays below 0.999 up to
+    # t = 0.5: off a delta = 0.1 table from step 0, on the default one throughout.
+    raw = dict(ELLIPSOID_RAW, initial={"gamma": POLE_GRAZING_START[0], "M": POLE_GRAZING_START[1]},
+               integrator={"dt": 1e-3, "t_final": 0.5}, delta=0.1, h=1e-3)
+    out = tmp_path / "t.csv"
+    with pytest.warns(UserWarning, match=r"outside the momenta grid \[-0.9, 0.9\] at step 0 "):
+        assert main(["simulate", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 0
+    summary = json.loads(capsys.readouterr().out.replace("NaN", "null"))
+    assert summary["dJ1"] is None and summary["dJ2"] is None and summary["dE"] < 1e-10
+    rows = np.array([[float(v) for v in ln.split(",")] for ln in out.read_text().splitlines()[1:]])
+    assert np.isnan(rows[:, 13:15]).all() and np.isfinite(np.delete(rows, [13, 14], axis=1)).all()
 
 
 def test_error_exits(tmp_path, capsys):
@@ -521,7 +537,11 @@ def test_check_samples_inside_a_short_momenta_table(tmp_path, capsys, h, samples
 # routh, particle and pole-grazing simulate hashes before trajectories became
 # column arrays.  The check hashes were re-recorded when the Jacobiators
 # became contractions of the Jacobi trivector, which moved only the
-# measured values of the jacobi-* and reduced-jacobi records.  A change that
+# measured values of the jacobi-* and reduced-jacobi records.  The two
+# ellipsoid simulate hashes were re-recorded when ``simulate`` began to read
+# the config's momenta grid (delta = 1e-2, h = 1e-3) in place of the default
+# one: dJ1 and dJ2 of the short run grew to that grid's interpolation
+# error, and the pole-grazing run leaves the table earlier.  A change that
 # moves any output byte of these runs must say so and re-record them.
 FROZEN_SHA256 = {
     "ellipsoid-check": ("4c62d2a0dd3b7d08ee95a5e49e214d91f55a774e6e0f5cc7b07a854f36092f42",),
@@ -530,12 +550,12 @@ FROZEN_SHA256 = {
         "800cd1cec1d75f9b0dc49290f6d4a329fba857af2faae4ef00d1f0f0bc88320c",
     ),
     "ellipsoid-simulate": (
-        "ed005118067088dff5b5e522d143d9c3fb06807c42ed8b75c18a07195850f883",
-        "f1ddfe327aa4b739e677d7962b9be4de2fe84601a12b6efcf20d50d978095c7b",
+        "2b0f188a7422dab52ff2a4e64b6bf23276fa3800d145efacb7a455873185bbbb",
+        "34da07419c21ee8e75f50674be00b91ae706ce2ff8ae04a8e9dbdb3e1d996598",
     ),
     "ellipsoid-pole-simulate": (
         "f7f1ccead6d55c0bee4ac7cb8ef6147322552a09ac68c882f5a441b1f167dd05",
-        "7e4cdd7080840c28529d6397bb79d543514c32f17381932a42d71071637c1781",
+        "d1242c0456f98b24ae4abe5b84cd475c010407ec1e86900ddd8aad0a970cf197",
     ),
     "particle-check": ("70ee02cd864c3f6a7486179b4e5dd8ecd72ffd0ef3034e40b39f4c794b921d43",),
     "particle-simulate": (
@@ -579,7 +599,7 @@ def test_outputs_are_byte_identical_to_the_frozen_hashes(tmp_path, capsys, name)
         argv += ["--out", str(out)]
     # the pole-grazing run passes the end of the momenta table, and says so
     pole = name == "ellipsoid-pole-simulate"
-    with pytest.warns(UserWarning, match="exceeded 1 - 0.001") if pole else contextlib.nullcontext():
+    with pytest.warns(UserWarning, match="outside the momenta grid") if pole else contextlib.nullcontext():
         assert main(argv) == 0
     digests = [hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()]
     if command != "check":

@@ -17,9 +17,10 @@ from nonholo import (
     nonconservation_rates,
     reconstruct_full,
     rhs,
+    solution_for,
     solve_momenta,
 )
-from nonholo.dynamics import COLUMNS, MAX_STEPS, default_momenta
+from nonholo.dynamics import COLUMNS, MAX_STEPS
 from nonholo.errors import ConsistencyError
 
 from conftest import make_states
@@ -56,7 +57,7 @@ def test_integrator_config_guards():
 def test_integrate_sampling(routh_preset):
     params, spec = routh_preset
     state = StateGM(np.array([0.6, 0.0, 0.8]), np.array([1.0, 2.0, 3.0]))
-    traj = integrate(params, spec, state, IntegratorConfig(1e-2, 0.1))
+    traj = integrate(params, spec, state, IntegratorConfig(1e-2, 0.1), solution_for(params, spec))
     assert traj.shape == (11, len(COLUMNS))
     assert traj[0, 0] == 0.0
     assert traj[-1, 0] == pytest.approx(0.1)
@@ -72,14 +73,15 @@ def test_integrate_sampling(routh_preset):
 def test_integrate_validates_its_start(routh_preset, start):
     params, spec = routh_preset
     with pytest.raises(ValueError):
-        integrate(params, spec, np.array(start), IntegratorConfig(1e-2, 0.1))
+        integrate(params, spec, np.array(start), IntegratorConfig(1e-2, 0.1), solution_for(params, spec))
 
 
 def test_integrate_takes_a_packed_start_or_a_state(routh_preset):
     params, spec = routh_preset
     state = StateGM(np.array([0.6, 0.0, 0.8]), np.array([1.0, 2.0, 3.0]))
-    cfg = IntegratorConfig(1e-2, 0.1)
-    assert integrate(params, spec, state.packed(), cfg).tolist() == integrate(params, spec, state, cfg).tolist()
+    cfg, momenta = IntegratorConfig(1e-2, 0.1), solution_for(params, spec)
+    packed, state_run = (integrate(params, spec, start, cfg, momenta) for start in (state.packed(), state))
+    assert packed.tolist() == state_run.tolist()
 
 
 @pytest.mark.parametrize("body", ["routh", "ellipsoid"])
@@ -87,7 +89,7 @@ def test_columns_equal_the_scalar_kernels(body, routh_preset, ellipsoid_preset):
     # The derived columns are filled after the loop as arrays; each must keep
     # the bits of its one scalar definition at that row's state.
     params, spec = routh_preset if body == "routh" else ellipsoid_preset
-    momenta = default_momenta(params, spec) if body == "routh" else solve_momenta(params, spec, 1e-2, 1e-3)
+    momenta = solution_for(params, spec, 1e-2, 1e-3)
     state0 = StateGM(np.array([3.0 / 7.0, 2.0 / 7.0, 6.0 / 7.0]), np.array([1.2, -0.8, 1.0]))
     cfg = IntegratorConfig(1e-2, 0.2)
     traj = integrate(params, spec, state0, cfg, momenta=momenta)
@@ -104,7 +106,7 @@ def test_columns_equal_the_scalar_kernels(body, routh_preset, ellipsoid_preset):
 def test_short_run_conservation(routh_preset):
     params, spec = routh_preset
     state = StateGM(np.array([0.6, 0.0, 0.8]), np.array([1.0, 2.0, 3.0]))
-    rep = drift_report(integrate(params, spec, state, IntegratorConfig(1e-3, 1.0)))
+    rep = drift_report(integrate(params, spec, state, IntegratorConfig(1e-3, 1.0), solution_for(params, spec)))
     assert rep["dE"] <= 1e-10
     assert rep["dJ1"] <= 1e-10
     assert rep["dJ2"] <= 1e-10
@@ -113,14 +115,15 @@ def test_short_run_conservation(routh_preset):
 
 def test_pole_grazing_run_degrades_to_nan(ellipsoid_preset):
     # This start climbs past |gamma3| = 0.999 before t=1; the tabulated
-    # momenta stop there, so the run must warn and the gauge-momentum
-    # drifts must come back NaN instead of a silently clean number.
+    # momenta stop there, so the run must warn with the lookup's message and
+    # the gauge-momentum drifts must come back NaN instead of a silently
+    # clean number.
     params, spec = ellipsoid_preset
     g = np.array([0.3, 0.2, 0.8])
     g /= np.sqrt(g @ g)
     state = StateGM(g, np.array([0.5, -0.3, 2.5]))
     mom = solve_momenta(params, spec)
-    with pytest.warns(UserWarning, match="gamma3"):
+    with pytest.warns(UserWarning, match="outside the momenta grid .* at step"):
         traj = integrate(params, spec, state, IntegratorConfig(1e-3, 2.0), momenta=mom)
     rep = drift_report(traj)
     assert np.isnan(rep["dJ1"]) and np.isnan(rep["dJ2"])
@@ -136,9 +139,10 @@ def test_unexpected_momenta_errors_propagate(routh_preset, monkeypatch):
     def broken(self, tau1):
         raise RuntimeError("broken lookup")
 
+    momenta = solution_for(params, spec)
     monkeypatch.setattr(MomentaSolution, "eval", broken)
     with pytest.raises(RuntimeError, match="broken lookup"):
-        integrate(params, spec, state, IntegratorConfig(1e-2, 0.1))
+        integrate(params, spec, state, IntegratorConfig(1e-2, 0.1), momenta)
 
 
 def test_closed_form_momenta_do_not_warn_at_the_pole(routh_preset):
@@ -148,7 +152,7 @@ def test_closed_form_momenta_do_not_warn_at_the_pole(routh_preset):
     state = StateGM(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 3.0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        traj = integrate(params, spec, state, IntegratorConfig(1e-3, 0.5))
+        traj = integrate(params, spec, state, IntegratorConfig(1e-3, 0.5), solution_for(params, spec))
     rep = drift_report(traj)
     assert rep["dE"] == 0.0 and rep["dJ1"] == 0.0 and rep["dJ2"] == 0.0
 
@@ -169,16 +173,10 @@ def test_rate_law_random_states(ellipsoid_preset):
         assert abs(rl.dj2 - rl.pred2) / scale <= 1e-9
 
 
-def test_default_momenta_is_cached(routh_preset):
-    params, spec = routh_preset
-    assert default_momenta(params, spec) is default_momenta(params, spec)
-    assert default_momenta(params, spec).routh_exact
-
-
 def test_reconstruction_tracks_gamma(routh_preset):
     params, spec = routh_preset
     state = StateGM(np.array([0.6, 0.0, 0.8]), np.array([1.0, 2.0, 3.0]))
-    traj = integrate(params, spec, state, IntegratorConfig(1e-3, 1.0))
+    traj = integrate(params, spec, state, IntegratorConfig(1e-3, 1.0), solution_for(params, spec))
     g0 = np.array([[0.8, 0.0, -0.6], [0.0, 1.0, 0.0], [0.6, 0.0, 0.8]])
     full = reconstruct_full(params, spec, traj, g0, (0.0, 0.0))
     assert len(full) == len(traj)
@@ -192,7 +190,7 @@ def test_reconstruction_tracks_gamma(routh_preset):
 def test_reconstruction_guards(routh_preset):
     params, spec = routh_preset
     state = StateGM(np.array([0.6, 0.0, 0.8]), np.array([1.0, 2.0, 3.0]))
-    traj = integrate(params, spec, state, IntegratorConfig(1e-2, 0.1))
+    traj = integrate(params, spec, state, IntegratorConfig(1e-2, 0.1), solution_for(params, spec))
     with pytest.raises(ConsistencyError):
         reconstruct_full(params, spec, traj, 2.0 * np.eye(3), (0.0, 0.0))
     with pytest.raises(ConsistencyError):

@@ -100,14 +100,14 @@ def test_solver_spans_the_closed_forms():
 
 
 def test_table_differences_solve_the_ode_inside_the_grid(ellipsoid_preset, ellipsoid_momenta):
-    # Central differences of step h of the table's values against the ODE at those values.
-    (params, spec), sol = ellipsoid_preset, ellipsoid_momenta
+    # Central differences of the table's step h = 1e-4 of its values against the ODE at those values.
+    (params, spec), sol, h = ellipsoid_preset, ellipsoid_momenta, 1e-4
     t1 = np.linspace(-0.99, 0.99, 67)
 
     def table(t):
         return np.array([sol.eval(u) for u in t]).T
 
-    values, slopes = table(t1), (table(t1 + sol.h) - table(t1 - sol.h)) / (2 * sol.h)
+    values, slopes = table(t1), (table(t1 + h) - table(t1 - h)) / (2 * h)
     worst = max(ode_residual(params, spec, t1, values[i:i + 2], slopes[i:i + 2]) for i in (0, 2))
     assert worst <= 1e-6  # linear interpolation leaves O(h) kinks in the derivative
 
