@@ -286,15 +286,21 @@ def sample_particle(seed: int, index: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # formatting
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _write_csv(path: str, header: Sequence[str], rows) -> None:
+    """Write ``header`` and ``rows`` (an iterable of float sequences) as CSV,
+    each float with 17 significant digits (``nan``, ``inf`` and ``-0`` as such)."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(line % tuple(row))
+
+
+def _array_rows(a: np.ndarray):
+    """The rows of a 2-d array as lists of Python floats, converted 1,024 rows at
+    a time, so a trajectory is never held as Python floats all at once."""
+    for k in range(0, len(a), 1024):
+        yield from a[k : k + 1024].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +326,7 @@ def cmd_simulate(cfg: RunConfig, out_path: str) -> int:
     else:
         summary = drift_report(traj)
     try:
-        _write_csv(out_path, columns, traj.tolist())
+        _write_csv(out_path, columns, _array_rows(traj))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -84,14 +84,21 @@ class MomentaSolution:
 
     ``pairs[k] = (f1, g1, f2, g2)`` at ``grid[k]``.  When ``routh_exact``
     is set ``eval`` and ``slope`` bypass the table and use the closed forms
-    (valid on all of [-1, 1], poles included).
+    (valid on all of [-1, 1], poles included); their table is then built on
+    the first read of ``pairs``, since a trajectory never reads it.
     """
 
     params: BodyParams
     spec: ProfileSpec
     grid: np.ndarray
-    pairs: np.ndarray
+    _pairs: np.ndarray | None
     routh_exact: bool = False
+
+    @property
+    def pairs(self) -> np.ndarray:
+        if self._pairs is None:
+            self._pairs = _closed_form_table(self.params, self.spec, self.grid)
+        return self._pairs
 
     def eval(self, tau1: float) -> np.ndarray:
         """Return (f1, g1, f2, g2) at tau1.
@@ -286,19 +293,24 @@ def routh_closed_form_derivative(params: BodyParams, r: float, l: float, gamma3)
     return (0.0, 0.0), (du / sq - u * dp / (2.0 * p * sq), dv / sq - v * dp / (2.0 * p * sq))
 
 
-@np.errstate(all="ignore")  # out-of-range bodies (say r = 1e200) give inf/NaN silently, as float calls do
 def closed_form_momenta(
     params: BodyParams, spec: ProfileSpec, delta: float = 1e-3, h: float = 1e-4
 ) -> MomentaSolution:
-    """Routh closed forms packaged as a MomentaSolution (exact evaluation)."""
+    """Routh closed forms packaged as a MomentaSolution (exact evaluation); its
+    ``pairs`` are tabulated on the (delta, h) grid when first read."""
     if spec.kind != "routh":
         raise ValueError("closed forms are available for the routh profile only")
-    grid = _grid(delta, h)
+    return MomentaSolution(params, spec, _grid(delta, h), None, routh_exact=True)
+
+
+@np.errstate(all="ignore")  # out-of-range bodies (say r = 1e200) give inf/NaN silently, as float calls do
+def _closed_form_table(params: BodyParams, spec: ProfileSpec, grid: np.ndarray) -> np.ndarray:
+    """The closed-form pairs (f1, g1, f2, g2) at every node of ``grid``."""
     pairs = np.empty((len(grid), 4))
     for k in range(0, len(grid), _CHUNK):  # chunks bound the transient arrays, as in the solve
         p1, p2 = routh_closed_form(params, spec.p1, spec.p2, grid[k : k + _CHUNK])
         pairs[k : k + _CHUNK] = np.column_stack(np.broadcast_arrays(*p1, *p2))
-    return MomentaSolution(params, spec, grid, pairs, routh_exact=True)
+    return pairs
 
 
 def solution_for(

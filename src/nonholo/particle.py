@@ -40,17 +40,40 @@ from .smallalg import grad_fd, jacobi_trivector, rk4_step
 
 def particle_hamiltonian(v) -> float:
     """H = (px^2/(1+y^2) + py^2)/2 at the packed state v = (x, y, z, px, py)."""
-    v = np.asarray(v, dtype=float)
-    return 0.5 * (v[3] ** 2 / (1.0 + v[1] ** 2) + v[4] ** 2)
+    _, y, _, px, py = np.asarray(v, dtype=float).tolist()
+    return _hamiltonian(y, px, py)
 
 
 def particle_rhs(v) -> np.ndarray:
     """(xdot, ydot, zdot, pxdot, pydot) of the constrained dynamics."""
-    v = np.asarray(v, dtype=float)
-    y, px, py = v[1], v[3], v[4]
+    return np.array(_field(np.asarray(v, dtype=float).tolist()))
+
+
+def _square(a: float) -> float:
+    """a**2 as libm pow, the square these kernels have always taken (it differs
+    from a*a in the last bit for ~0.1% of values), and inf where it overflows."""
+    try:
+        return a**2
+    except OverflowError:
+        return math.inf
+
+
+def _hamiltonian(y: float, px: float, py: float) -> float:
+    """H on floats: the one body of ``particle_hamiltonian``."""
+    return 0.5 * (_square(px) / (1.0 + _square(y)) + _square(py))
+
+
+def _momentum(y: float, px: float) -> float:
+    """J on floats: the one body of ``particle_momentum``."""
+    return px / math.sqrt(1.0 + _square(y))
+
+
+def _field(v) -> tuple:
+    """The vector field at the packed state v, on floats: the one body of ``particle_rhs``."""
+    _, y, _, px, py = v
     c1 = px / (1.0 + y * y)
     w = y * c1
-    return np.array([c1, py, y * c1, w * py, 0.0])
+    return c1, py, y * c1, w * py, 0.0
 
 
 def _coupling(v: np.ndarray) -> float:
@@ -102,8 +125,8 @@ def particle_bracket(f, g, v) -> float:
 
 def particle_momentum(v) -> float:
     """J = px / sqrt(1 + y^2)."""
-    v = np.asarray(v, dtype=float)
-    return v[3] / math.sqrt(1.0 + v[1] ** 2)
+    _, y, _, px, _ = np.asarray(v, dtype=float).tolist()
+    return _momentum(y, px)
 
 
 def hamiltonian_frame_flow(v) -> np.ndarray:
@@ -150,19 +173,21 @@ def particle_integrate(state0, cfg) -> np.ndarray:
     scalar kernels ``particle_momentum`` and ``particle_hamiltonian`` at each
     row's state.  The array ends, with a warning, before the first row with a
     non-finite state, J or E (an H that overflows at a finite state included).
+    The state is a list of five Python floats stepped by ``rk4_step``.
     """
     n_steps = cfg.steps
     out = np.empty((n_steps + 1, len(COLUMNS)))
     out[:, 0] = np.arange(n_steps + 1) * cfg.dt
-    v = np.array(state0, dtype=float)
+    v = np.array(state0, dtype=float).tolist()
+    dt = cfg.dt
 
     def f(t, y):
-        return particle_rhs(y)
+        return _field(y)
 
-    out[0, 1:] = (*v, particle_momentum(v), particle_hamiltonian(v))
+    out[0, 1:] = (*v, _momentum(v[1], v[3]), _hamiltonian(v[1], v[3], v[4]))
     for k in range(1, n_steps + 1):
-        v = rk4_step(f, (k - 1) * cfg.dt, v, cfg.dt)
-        out[k, 1:] = (*v, particle_momentum(v), particle_hamiltonian(v))
+        v = rk4_step(f, (k - 1) * dt, v, dt)
+        out[k, 1:] = (*v, _momentum(v[1], v[3]), _hamiltonian(v[1], v[3], v[4]))
     bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
     if bad.size:
         warnings.warn(f"non-finite state at step {bad[0]}; aborting with {bad[0]} samples")

@@ -24,7 +24,10 @@ the S^1 x S^1 symmetry are linear in (tau3, tau4):
 
 Every kernel of the package reads a state as the packed 6-vector
 x = (gamma, M), via ``np.asarray(x, dtype=float)``; ``StateGM`` validates a
-state once, at the boundary, and converts to that vector.
+state once, at the boundary, and converts to that vector.  Omega and the
+energy each have one body on the six state floats (``omega_floats``,
+``energy_floats``), which the integrator steps with and which
+``omega_from_M`` and ``energy`` wrap.
 """
 from __future__ import annotations
 
@@ -116,7 +119,8 @@ def momentum_components(x) -> np.ndarray:
 
 
 def omega_from_M(params: BodyParams, ev: ProfileEval, x) -> Vec3:
-    """Invert M = A*Omega - m*<s,Omega>*s for Omega (closed form).
+    """Invert M = A*Omega - m*<s,Omega>*s for Omega (closed form); ``omega_floats``
+    at the packed state.
 
     The round trip M -> Omega -> M is an identity to ~1e-15; tested at 1e-10.
 
@@ -125,16 +129,26 @@ def omega_from_M(params: BodyParams, ev: ProfileEval, x) -> Vec3:
     """
     x = np.asarray(x, dtype=float)
     check_gamma3(ev, x[2])
-    s = ev.rho * x[:3]
-    s[2] -= ev.L
-    ss = dot(s, s)
-    a1 = params.I1 + params.m * ss
-    a = np.array([a1, a1, params.I3 + params.m * ss])  # the diagonal of A
-    ainv_m = x[3:6] / a
-    ainv_s = s / a
-    e = 1.0 - params.m * dot(ainv_s, s)
-    s_omega = dot(ainv_m, s) / e
-    return ainv_m + (params.m * s_omega) * ainv_s
+    return np.array(omega_floats(params, ev.rho, ev.L, *x[:6].tolist()))
+
+
+def omega_floats(params: BodyParams, rho: float, L: float, g1, g2, g3, m1, m2, m3) -> tuple:
+    """Omega at the state (g1, g2, g3, M1, M2, M3), on floats: the one body of
+    the inversion, read by ``omega_from_M``, ``energy`` and ``integrate``.
+
+    With s = (rho*g1, rho*g2, rho*g3 - L) and A = diag(a1, a1, a3),
+    Omega = A^-1 M + m*(<A^-1 M, s>/e) A^-1 s, e = 1 - m*<A^-1 s, s>.
+    """
+    m = params.m
+    s1, s2, s3 = rho * g1, rho * g2, rho * g3 - L
+    ss = s1 * s1 + s2 * s2 + s3 * s3
+    a1 = params.I1 + m * ss
+    a3 = params.I3 + m * ss
+    am1, am2, am3 = m1 / a1, m2 / a1, m3 / a3
+    as1, as2, as3 = s1 / a1, s2 / a1, s3 / a3
+    e = 1.0 - m * (as1 * s1 + as2 * s2 + as3 * s3)
+    k = m * ((am1 * s1 + am2 * s2 + am3 * s3) / e)
+    return am1 + k * as1, am2 + k * as2, am3 + k * as3
 
 
 def M_from_omega(params: BodyParams, ev: ProfileEval, gamma: Vec3, omega: Vec3) -> Vec3:
@@ -154,14 +168,23 @@ def M_from_omega(params: BodyParams, ev: ProfileEval, gamma: Vec3, omega: Vec3) 
 
 
 def energy(params: BodyParams, ev: ProfileEval, x) -> float:
-    """Total energy H = (1/2)<M, Omega> - m*grav*<gamma, s> at a packed state.
+    """Total energy H = (1/2)<M, Omega> - m*grav*<gamma, s> at a packed state
+    (``energy_floats`` at the Omega of ``omega_floats``).
 
     The height of the center of mass above the plane is -<gamma, s>, so the
     potential term is +m*grav*height.  This restriction of the full-space
     hamiltonian is pinned by the energy-conservation tests.
+
+    Raises:
+        ConsistencyError: if ``ev`` was evaluated at another gamma3 than the state's.
     """
     x = np.asarray(x, dtype=float)
-    omega = omega_from_M(params, ev, x)
-    gamma = x[:3]
-    gs = dot(gamma, ev.rho * gamma) - ev.L * gamma[2]
-    return 0.5 * dot(x[3:6], omega) - params.m * params.grav * gs
+    check_gamma3(ev, x[2])
+    y = x[:6].tolist()
+    return energy_floats(params, ev.rho, ev.L, *y, *omega_floats(params, ev.rho, ev.L, *y))
+
+
+def energy_floats(params: BodyParams, rho: float, L: float, g1, g2, g3, m1, m2, m3, w1, w2, w3) -> float:
+    """H at the state (g1, g2, g3, M1, M2, M3) whose Omega is (w1, w2, w3), on floats."""
+    gs = (g1 * (rho * g1) + g2 * (rho * g2) + g3 * (rho * g3)) - L * g3  # <gamma, s>
+    return 0.5 * (m1 * w1 + m2 * w2 + m3 * w3) - params.m * params.grav * gs

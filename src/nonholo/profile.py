@@ -91,9 +91,15 @@ def eval_profile(spec: ProfileSpec, gamma3: float) -> ProfileEval:
             sphere band; the presets themselves are regular at the poles).
     """
     g3 = float(gamma3)
+    check_domain(g3)
+    return ProfileEval(g3, *profile_terms(spec, g3))
+
+
+def check_domain(g3: float) -> None:
+    """Raise DomainError if |g3| > 1 + DOMAIN_SLACK: the one band check of the
+    profile, made by ``eval_profile`` and by every stage of ``integrate``."""
     if abs(g3) > 1.0 + DOMAIN_SLACK:
         raise DomainError(f"gamma3={g3!r} outside [-1-{DOMAIN_SLACK:g}, 1+{DOMAIN_SLACK:g}]")
-    return ProfileEval(g3, *profile_terms(spec, g3))
 
 
 def profile_terms(spec: ProfileSpec, g3, sqrt=math.sqrt) -> tuple:

@@ -1,0 +1,145 @@
+"""The numpy bodies that the float stepper replaced, kept as bit-for-bit oracles.
+
+``integrate``, ``particle_integrate`` and the kernels below are the
+3-vector numpy formulations that the package ran before its integrators
+stepped on Python floats: one ``rk4_step`` of arrays per step, ``rhs`` built
+from ``cross`` calls, ``omega_from_M`` and ``energy`` on arrays, and the
+particle's J and E taken from numpy scalars.  The package must reproduce
+them to the bit; ``test_float_stepper.py`` compares ``.view(np.int64)``.
+"""
+import math
+import warnings
+
+import numpy as np
+
+from nonholo import DomainError, StateGM, eval_profile, invariants, momentum_components
+from nonholo.dynamics import COLUMNS
+from nonholo.particle import COLUMNS as PARTICLE_COLUMNS
+from nonholo.profile import check_gamma3
+from nonholo.smallalg import E3, cross, dot
+
+
+def rk4_step(f, t, y, h):
+    k1 = f(t, y)
+    k2 = f(t + 0.5 * h, y + (0.5 * h) * k1)
+    k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
+    k4 = f(t + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def omega_from_M(params, ev, x):
+    x = np.asarray(x, dtype=float)
+    check_gamma3(ev, x[2])
+    s = ev.rho * x[:3]
+    s[2] -= ev.L
+    ss = dot(s, s)
+    a1 = params.I1 + params.m * ss
+    a = np.array([a1, a1, params.I3 + params.m * ss])  # the diagonal of A
+    ainv_m = x[3:6] / a
+    ainv_s = s / a
+    e = 1.0 - params.m * dot(ainv_s, s)
+    s_omega = dot(ainv_m, s) / e
+    return ainv_m + (params.m * s_omega) * ainv_s
+
+
+def energy(params, ev, x):
+    x = np.asarray(x, dtype=float)
+    omega = omega_from_M(params, ev, x)
+    gamma = x[:3]
+    gs = dot(gamma, ev.rho * gamma) - ev.L * gamma[2]
+    return 0.5 * dot(x[3:6], omega) - params.m * params.grav * gs
+
+
+def rhs(params, spec, x):
+    x = np.asarray(x, dtype=float)
+    ev = eval_profile(spec, x[2])
+    gamma, M = x[:3], x[3:6]
+    omega = omega_from_M(params, ev, x)
+    s = ev.rho * gamma - ev.L * E3
+    gd = cross(gamma, omega)
+    sd = ev.rho_p * gd[2] * gamma + ev.rho * gd
+    sd[2] -= ev.L_p * gd[2]
+    md = cross(M, omega) + params.m * cross(sd, cross(omega, s))
+    if params.grav:
+        md += (params.m * params.grav) * cross(s, gamma)
+    return np.concatenate([gd, md])
+
+
+def integrate(params, spec, state0, cfg, momenta):
+    n_steps = cfg.steps
+    out = np.empty((n_steps + 1, len(COLUMNS)))
+    coeffs = np.empty((n_steps + 1, 4))
+    x = StateGM.from_packed(state0).packed()
+    off_table = False
+
+    def f(t, y):
+        return rhs(params, spec, y)
+
+    def record(k, x):
+        nonlocal off_table
+        out[k, 1:7] = x
+        out[k, 12] = energy(params, eval_profile(spec, x[2]), x)
+        try:
+            coeffs[k] = momenta.eval(x[2])
+        except DomainError as exc:
+            coeffs[k] = np.nan
+            if not off_table:
+                warnings.warn(f"{exc} at step {k} (t={k * cfg.dt:g}); the gauge momenta of such rows are NaN")
+                off_table = True
+
+    record(0, x)
+    rows = n_steps + 1
+    for k in range(1, n_steps + 1):
+        x = rk4_step(f, (k - 1) * cfg.dt, x, cfg.dt)
+        if not np.all(np.isfinite(x)):
+            warnings.warn(f"non-finite state at step {k}; aborting with {k} samples")
+            rows = k
+            break
+        if cfg.renormalize_gamma:
+            x[:3] /= np.sqrt(dot(x[:3], x[:3]))
+        record(k, x)
+
+    out, cf = out[:rows], coeffs[:rows]
+    out[:, 0] = np.arange(rows) * cfg.dt
+    out[:, 7:12] = invariants(out[:, 1:7])
+    j1, j2 = momentum_components(out[:, 1:7]).T
+    out[:, 13:] = np.column_stack([cf[:, 0] * j1 + cf[:, 1] * j2, cf[:, 2] * j1 + cf[:, 3] * j2, j1, j2])
+    return out
+
+
+def particle_hamiltonian(v):
+    v = np.asarray(v, dtype=float)
+    return 0.5 * (v[3] ** 2 / (1.0 + v[1] ** 2) + v[4] ** 2)
+
+
+def particle_momentum(v):
+    v = np.asarray(v, dtype=float)
+    return v[3] / math.sqrt(1.0 + v[1] ** 2)
+
+
+def particle_rhs(v):
+    v = np.asarray(v, dtype=float)
+    y, px, py = v[1], v[3], v[4]
+    c1 = px / (1.0 + y * y)
+    w = y * c1
+    return np.array([c1, py, y * c1, w * py, 0.0])
+
+
+def particle_integrate(state0, cfg):
+    n_steps = cfg.steps
+    out = np.empty((n_steps + 1, len(PARTICLE_COLUMNS)))
+    out[:, 0] = np.arange(n_steps + 1) * cfg.dt
+    v = np.array(state0, dtype=float)
+
+    def f(t, y):
+        return particle_rhs(y)
+
+    out[0, 1:] = (*v, particle_momentum(v), particle_hamiltonian(v))
+    for k in range(1, n_steps + 1):
+        v = rk4_step(f, (k - 1) * cfg.dt, v, cfg.dt)
+        out[k, 1:] = (*v, particle_momentum(v), particle_hamiltonian(v))
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if bad.size:
+        warnings.warn(f"non-finite state at step {bad[0]}; aborting with {bad[0]} samples")
+        return out[: bad[0]]
+    return out

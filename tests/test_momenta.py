@@ -144,6 +144,14 @@ def test_array_closed_forms_equal_the_float_calls():
             assert np.array_equal(closed_form_momenta(P98, ProfileSpec.routh(1.0, 0.1), 1e-3, 1e-4).pairs, rows)
 
 
+def test_closed_form_table_is_built_on_first_read():
+    # a Routh trajectory reads only eval, and must not pay for the 19,981-row table
+    sol = closed_form_momenta(P98, ProfileSpec.routh(1.0, 0.1))
+    sol.eval(0.3), sol.slope(-0.7)
+    assert sol._pairs is None
+    assert sol.pairs is sol.pairs and sol.pairs.shape == (len(sol.grid), 4)
+
+
 def test_independence_margins(ellipsoid_momenta):
     sol = closed_form_momenta(P98, ProfileSpec.routh(1.0, 0.1))
     assert sol.min_independence() >= 1e-8

@@ -65,3 +65,22 @@ def test_tracer_argument_positions_match_the_signatures(bench_path):
         mod_name, _, attr = target.partition(".")
         params = list(inspect.signature(getattr(importlib.import_module(f"nonholo.{mod_name}"), attr)).parameters)
         assert params[positions[target]] == name, target
+
+
+def test_bench_facing_positions_and_names_are_pinned():
+    # bench/tracer.py reads cfg at these positional indices to report
+    # steps_done_ratio, and bench/kernels.py times these names with these
+    # leading parameters; a stepper refactor must keep both.
+    from nonholo import dynamics, particle, phase, profile, smallalg
+
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(dynamics.integrate)[3] == "cfg"
+    assert params(particle.particle_integrate)[1] == "cfg"
+    assert dynamics._rhs_packed is dynamics.rhs is nonholo.rhs
+    assert params(dynamics.rhs)[:3] == ["params", "spec", "x"]
+    assert smallalg.rk4_step is nonholo.rk4_step and params(smallalg.rk4_step)[:4] == ["f", "t", "y", "h"]
+    for fn in (phase.omega_from_M, phase.energy):
+        assert getattr(nonholo, fn.__name__) is fn and params(fn)[:3] == ["params", "ev", "x"]
+    assert profile.eval_profile is nonholo.eval_profile and params(profile.eval_profile)[:2] == ["spec", "gamma3"]
