@@ -18,6 +18,12 @@ gamma = e3, and {H, tau4} = +4/9 at the standard worked state.  All table
 entries below are the *pushforward* of Pi under tau, verified against the
 6x6 contraction at 50-digit precision.
 
+``bivector_packed`` builds Pi at one state or at each state of an (m, 6)
+stack, with the same bits: a stack runs the gauge-field body
+``geomforms.gauge_columns`` on state columns as arrays, one state on
+Python floats.  ``jacobiator`` hands it the whole 5-point stencil of the
+Jacobi trivector as one stack.
+
 <gamma, gamma> is a Casimir of Pi (the gamma-column blocks annihilate
 gradients along gamma), so bracket values at on-sphere points do not depend
 on how fields are extended off the sphere; central-difference gradients in
@@ -32,10 +38,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .geomforms import qp_matrix, qpl_values
+from .geomforms import gauge_columns, qp_matrix
 from .phase import BodyParams, energy, invariants, relation_residual
-from .profile import ProfileSpec, eval_profile
-from .smallalg import grad_fd, hat, jacobi_trivector, nan_max
+from .profile import DOMAIN_SLACK, ProfileSpec, check_domain, eval_profile, profile_terms
+from .smallalg import grad_fd, jacobi_trivector, nan_max
 
 
 class BracketKind(str, Enum):
@@ -82,20 +88,46 @@ def hamiltonian_field(params: BodyParams, spec: ProfileSpec) -> ScalarField:
 
 
 def bivector_packed(params: BodyParams, spec: ProfileSpec, x: np.ndarray, kind: BracketKind) -> np.ndarray:
-    """The 6x6 bracket matrix at a packed point (no state validation).
+    """The 6x6 bracket matrix at a packed point, or the (m, 6, 6) stack of them
+    at an (m, 6) stack of points (no state validation).
 
     Entries: {gamma_a, gamma_b} = 0, {gamma_a, M_i} = (gamma x e_i)_a,
     {M_i, M_j} = -eps_ijk (M + V)_k with V = L_vec (gauged) or K_vec (nh).
     Every block is a hat matrix, so antisymmetry is exact by construction.
+
+    One point is evaluated on Python floats, a stack on its columns as
+    arrays; ``geomforms.gauge_columns`` gives both the same bits, so each
+    matrix of a stack equals the matrix of its point.
+
+    Raises:
+        DomainError: if a point has |gamma3| > 1 + DOMAIN_SLACK.
     """
-    vals = qpl_values(params, eval_profile(spec, x[2]), x)
-    v = vals.Lvec if kind == BracketKind.GAUGED else vals.Kvec
-    pi = np.zeros((6, 6))
-    hg = hat(x[:3])
-    pi[:3, 3:] = hg
-    pi[3:, :3] = hg
-    pi[3:, 3:] = hat(x[3:6] + v)
-    return pi
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        cols = x[:6].tolist()
+        check_domain(cols[2])
+        terms = profile_terms(spec, cols[2])
+    else:
+        cols = list(x[:, :6].T)
+        outside = np.abs(cols[2]) > 1.0 + DOMAIN_SLACK
+        if outside.any():
+            check_domain(float(cols[2][outside][0]))  # raises for the first such point
+        terms = profile_terms(spec, cols[2], np.sqrt)
+    rho, _, L, rho_p, _, L_p = terms
+    vals = gauge_columns(params, rho, L, rho_p, L_p, *cols)
+    v = vals[3:6] if kind == BracketKind.GAUGED else vals[6:9]
+    g1, g2, g3 = cols[:3]
+    n1, n2, n3 = (mi + vi for mi, vi in zip(cols[3:6], v))
+    zero = 0.0 if x.ndim == 1 else np.zeros(len(x))
+    rows = [  # [[0, hat(gamma)], [hat(gamma), hat(M + V)]]
+        [zero, zero, zero, zero, -g3, g2],
+        [zero, zero, zero, g3, zero, -g1],
+        [zero, zero, zero, -g2, g1, zero],
+        [zero, -g3, g2, zero, -n3, n2],
+        [g3, zero, -g1, n3, zero, -n1],
+        [-g2, g1, zero, -n2, n1, zero],
+    ]
+    return np.array(rows) if x.ndim == 1 else np.ascontiguousarray(np.array(rows).transpose(2, 0, 1))
 
 
 def bracket(

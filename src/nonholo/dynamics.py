@@ -140,9 +140,9 @@ def integrate(
     stage checks the profile band and evaluates ``profile_terms``,
     ``omega_floats`` and ``field_floats``.  The Omega of each accepted state
     gives both its E and the next step's first stage.  Per step only the
-    state, E and the momenta coefficients are computed; the invariant and
-    momentum columns are filled afterwards by ``invariants`` and
-    ``momentum_components`` on the whole state block.
+    state and E are computed; the invariant, momentum and gauge-momentum
+    columns are filled afterwards by ``invariants``, ``momentum_components``
+    and one ``momenta.eval`` on the whole block.
 
     Raises:
         ValueError: if ``state0`` is not a state: not six numbers, |gamma|
@@ -151,10 +151,8 @@ def integrate(
     """
     n_steps = cfg.steps
     out = np.empty((n_steps + 1, len(COLUMNS)))
-    coeffs = np.empty((n_steps + 1, 4))  # (f1, g1, f2, g2) per row
     x = StateGM.from_packed(state0).packed().tolist()
     dt, renormalize, isfinite, sqrt = cfg.dt, cfg.renormalize_gamma, math.isfinite, math.sqrt
-    off_table = False
 
     def f(t, y):
         check_domain(y[2])
@@ -162,42 +160,54 @@ def integrate(
         return field_floats(params, rho, L, rho_p, L_p, *y, *omega_floats(params, rho, L, *y))
 
     def record(k, x):
-        """Fill row k's state, E and coefficients; return the field at x (the
-        next step's first stage)."""
-        nonlocal off_table
+        """Fill row k's state and E; return the field at x (the next step's
+        first stage)."""
         check_domain(x[2])
         rho, _, L, rho_p, _, L_p = profile_terms(spec, x[2])
         w = omega_floats(params, rho, L, *x)
         out[k, 1:7] = x
         out[k, 12] = energy_floats(params, rho, L, *x, *w)
-        try:
-            coeffs[k] = momenta.eval(x[2])
-        except DomainError as exc:  # off the momenta: keep going, flag with NaN
-            coeffs[k] = np.nan
-            if not off_table:
-                warnings.warn(f"{exc} at step {k} (t={k * dt:g}); the gauge momenta of such rows are NaN")
-                off_table = True
         return field_floats(params, rho, L, rho_p, L_p, *x, *w)
 
     xd = record(0, x)
-    rows = n_steps + 1
-    for k in range(1, n_steps + 1):
-        x = rk4_step(f, (k - 1) * dt, x, dt, xd)
-        if not all(map(isfinite, x)):
-            warnings.warn(f"non-finite state at step {k}; aborting with {k} samples")
-            rows = k
-            break
-        if renormalize:
-            n = sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
-            x[0], x[1], x[2] = x[0] / n, x[1] / n, x[2] / n
-        xd = record(k, x)
+    rows = 1
+    try:
+        for k in range(1, n_steps + 1):
+            x = rk4_step(f, (k - 1) * dt, x, dt, xd)
+            if not all(map(isfinite, x)):
+                break
+            if renormalize:
+                n = sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
+                x[0], x[1], x[2] = x[0] / n, x[1] / n, x[2] / n
+            xd = record(k, x)
+            rows = k + 1
+    finally:  # a stage off the band raises, after the off-table warning of the rows done
+        cf = _gauge_coefficients(momenta, out[:rows, 3], dt)
+    if rows <= n_steps:
+        warnings.warn(f"non-finite state at step {rows}; aborting with {rows} samples")
 
-    out, cf = out[:rows], coeffs[:rows]
+    out = out[:rows]
     out[:, 0] = np.arange(rows) * dt
     out[:, 7:12] = invariants(out[:, 1:7])
     j1, j2 = momentum_components(out[:, 1:7]).T
     out[:, 13:] = np.column_stack([cf[:, 0] * j1 + cf[:, 1] * j2, cf[:, 2] * j1 + cf[:, 3] * j2, j1, j2])
     return out
+
+
+def _gauge_coefficients(momenta: MomentaSolution, tau1: np.ndarray, dt: float) -> np.ndarray:
+    """The (f1, g1, f2, g2) rows of a tau1 column, looked up in one pass.
+
+    Rows off ``momenta`` are NaN, and the first of them warns once with the
+    message the lookup raises at it.
+    """
+    cf = momenta.eval(tau1)
+    for k in np.flatnonzero(np.isnan(cf[:, 0])).tolist():
+        try:
+            momenta.eval(tau1[k])
+        except DomainError as exc:
+            warnings.warn(f"{exc} at step {k} (t={k * dt:g}); the gauge momenta of such rows are NaN")
+            break
+    return cf
 
 
 def drift(column: np.ndarray) -> float:

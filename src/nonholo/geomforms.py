@@ -24,6 +24,12 @@ whose entries involve only the profile data and the inertia.  This
 linearity is what turns the search for conserved momenta into a linear ODE
 in tau1 (see the momenta module); it is covered by a standing dual-route
 consistency test.
+
+c3, Q, P, L_vec and K_vec have one body, ``gauge_columns``, on the state
+components: Python floats at one state (``qpl_values``), or arrays over a
+stack of states (``brackets.bivector_packed``), with the same bits, as
+``profile_terms`` and ``_qp_entries`` are written once for floats and
+arrays.
 """
 from __future__ import annotations
 
@@ -32,16 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .phase import BodyParams, omega_from_M
-from .profile import (
-    ProfileEval,
-    ProfileSpec,
-    contact_vector,
-    eval_profile,
-    legendre_ptau,
-    profile_terms,
-)
-from .smallalg import E3, Vec3, cross, dot
+from .phase import BodyParams, omega_floats
+from .profile import ProfileEval, ProfileSpec, check_gamma3, eval_profile, legendre_ptau, profile_terms
+from .smallalg import Vec3, pow2
 
 
 @dataclass(frozen=True)
@@ -61,18 +60,40 @@ class LQPValues:
 
 
 def qpl_values(params: BodyParams, ev: ProfileEval, x) -> LQPValues:
-    """Evaluate c3, Q, P, L_vec, K_vec at a packed state."""
+    """Evaluate c3, Q, P, L_vec, K_vec at a packed state (``gauge_columns`` on
+    its six floats)."""
     x = np.asarray(x, dtype=float)
-    omega = omega_from_M(params, ev, x)
-    gamma = x[:3]
-    s = contact_vector(ev, gamma)
-    c3 = cross(gamma, cross(omega, s))[2]
-    og = dot(omega, gamma)
-    q = params.m * (-ev.rho**2 * og + ev.rho_p * c3)
-    p = params.m * (ev.L * ev.rho * og - ev.L_p * c3)
-    lvec = q * gamma + p * E3
-    kvec = -params.m * ev.rho * dot(gamma, s) * omega + lvec
-    return LQPValues(float(c3), float(q), float(p), lvec, kvec)
+    check_gamma3(ev, x[2])
+    c3, q, p, l1, l2, l3, k1, k2, k3 = gauge_columns(params, ev.rho, ev.L, ev.rho_p, ev.L_p, *x[:6].tolist())
+    return LQPValues(c3, q, p, np.array([l1, l2, l3]), np.array([k1, k2, k3]))
+
+
+def gauge_columns(params: BodyParams, rho, L, rho_p, L_p, g1, g2, g3, m1, m2, m3) -> tuple:
+    """(c3, Q, P, L_vec, K_vec) at the state (g1, g2, g3, M1, M2, M3), the
+    vectors as three components each: the one body of the gauge fields.
+
+    The state components and profile terms are floats (``qpl_values``, one
+    state) or arrays (``brackets.bivector_packed`` on a stack of states), and
+    both give the same bits, since every operation is elementwise IEEE
+    arithmetic in the order of the 3-vector formulation: s = rho*gamma - L*e3
+    and L_vec = Q*gamma + P*e3 keep their products by the zeros of e3, which
+    fix the signs of zero components, and rho^2 is libm pow on each element
+    (``smallalg.pow2``).
+    """
+    m = params.m
+    w1, w2, w3 = omega_floats(params, rho, L, g1, g2, g3, m1, m2, m3)
+    z = L * 0.0
+    s1, s2, s3 = rho * g1 - z, rho * g2 - z, rho * g3 - L
+    u1 = w2 * s3 - w3 * s2  # Omega x s, first two components
+    u2 = w3 * s1 - w1 * s3
+    c3 = g1 * u2 - g2 * u1  # (gamma x (Omega x s))_3
+    og = w1 * g1 + w2 * g2 + w3 * g3
+    q = m * (-pow2(rho) * og + rho_p * c3)
+    p = m * (L * rho * og - L_p * c3)
+    zp = p * 0.0
+    l1, l2, l3 = q * g1 + zp, q * g2 + zp, q * g3 + p
+    k = -m * rho * (g1 * s1 + g2 * s2 + g3 * s3)
+    return c3, q, p, l1, l2, l3, k * w1 + l1, k * w2 + l2, k * w3 + l3
 
 
 def qp_matrix(params: BodyParams, spec: ProfileSpec, tau1: float) -> np.ndarray:

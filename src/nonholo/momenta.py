@@ -32,7 +32,8 @@ stepping the two pairs with ``rk4_step``, at a few percent of its cost;
 chunking bounds the transient arrays to a few hundred nodes.  A lookup
 (``MomentaSolution.eval``) finds its row pair with one ``searchsorted`` and
 interpolates all four columns with ``np.interp``'s formula, again bit for
-bit.
+bit; on a tau1 array (a trajectory's column) it does so for every element
+in one pass, with NaN rows where a float lookup raises.
 
 A run reads one solution, built by ``solution_for`` on its (delta, h)
 grid.  Every consumer of a coefficient pair asks that solution: ``eval``
@@ -57,6 +58,8 @@ from .smallalg import nan_max
 
 #: RK4 steps whose stage values of [QP] are evaluated in one array pass
 _CHUNK = 256
+#: Rows of a tau1 array that ``MomentaSolution.eval`` looks up in one array pass
+_EVAL_CHUNK = 1024
 #: Largest (1 - delta)/h, the nodes on each side of tau1 = 0, of a momenta table
 MAX_HALF_GRID = 1_000_000
 
@@ -100,25 +103,27 @@ class MomentaSolution:
             self._pairs = _closed_form_table(self.params, self.spec, self.grid)
         return self._pairs
 
-    def eval(self, tau1: float) -> np.ndarray:
-        """Return (f1, g1, f2, g2) at tau1.
+    def eval(self, tau1) -> np.ndarray:
+        """Return (f1, g1, f2, g2) at tau1, or their (n, 4) rows at the n
+        elements of a tau1 array.
 
         Tabulated mode interpolates linearly between the two nodes around
         tau1, with the same bits as ``np.interp`` on each column of a
-        finite table.
+        finite table.  An array is looked up in one pass, bit for bit the
+        rows of the float calls.
 
         Raises:
-            DomainError: if tau1 falls outside the grid (tabulated mode)
-                or beyond [-1, 1] (closed-form mode).
+            DomainError: if a float tau1 falls outside the grid (tabulated
+                mode) or beyond [-1, 1] (closed-form mode).  An array gets
+                NaN rows at such elements instead.
         """
+        if isinstance(tau1, np.ndarray):
+            return self._eval_array(tau1)
         t1 = float(tau1)
+        self._check(t1)
         if self.routh_exact:
             return self._closed(routh_closed_form, t1)
         grid, pairs = self.grid, self.pairs
-        if t1 < grid[0] - 1e-12 or t1 > grid[-1] + 1e-12:
-            raise DomainError(
-                f"tau1={t1!r} outside the momenta grid [{float(grid[0])!r}, {float(grid[-1])!r}]"
-            )
         # np.interp on each column, from one row pair: its NaN, end and node
         # cases, and its formula slope*(t - x0) + p0.
         if t1 != t1:
@@ -134,6 +139,47 @@ class MomentaSolution:
         dx, dt = x1 - x0, t1 - x0
         return np.array([(p1 - p0) / dx * dt + p0 for p0, p1 in zip(row0, row1)])
 
+    @np.errstate(all="ignore")  # the off rows are NaN whatever the closed forms give there
+    def _eval_array(self, tau1: np.ndarray) -> np.ndarray:
+        """``eval`` at each element of a float array: its cases and formula
+        elementwise, in chunks that bound the transient arrays."""
+        t = np.asarray(tau1, dtype=float)
+        out = np.empty((len(t), 4))
+        grid, n = self.grid, len(self.grid)
+        for k in range(0, len(t), _EVAL_CHUNK):
+            tk = t[k : k + _EVAL_CHUNK]
+            if self.routh_exact:
+                rows = _closed_form_table(self.params, self.spec, tk)
+            else:
+                pairs = self.pairs
+                j = grid.searchsorted(tk, "right") - 1
+                jc = np.clip(j, 0, n - 2)
+                x0, row0, row1 = grid[jc], pairs[jc], pairs[jc + 1]
+                rows = (row1 - row0) / (grid[jc + 1] - x0)[:, None] * (tk - x0)[:, None] + row0
+                node = x0 == tk
+                rows[node] = row0[node]
+                rows[j < 0] = pairs[0]
+                rows[j >= n - 1] = pairs[-1]
+                rows[tk != tk] = np.nan
+            rows[self._off(tk)] = np.nan
+            out[k : k + _EVAL_CHUNK] = rows
+        return out
+
+    def _off(self, tau1):
+        """Whether tau1 is off this solution: beyond [-1, 1] (closed forms), or
+        past an end of the grid (table); elementwise on an array."""
+        if self.routh_exact:
+            return abs(tau1) > 1.0 + 1e-9
+        return (tau1 < self.grid[0] - 1e-12) | (tau1 > self.grid[-1] + 1e-12)
+
+    def _check(self, t1: float) -> None:
+        """Raise DomainError if the float t1 is off this solution."""
+        if not self._off(t1):
+            return
+        if self.routh_exact:
+            raise DomainError(f"tau1={t1!r} outside [-1, 1]")
+        raise DomainError(f"tau1={t1!r} outside the momenta grid [{float(self.grid[0])!r}, {float(self.grid[-1])!r}]")
+
     def slope(self, tau1: float) -> np.ndarray:
         """Return the tau1-derivatives (f1', g1', f2', g2') at tau1.
 
@@ -147,6 +193,7 @@ class MomentaSolution:
         """
         t1 = float(tau1)
         if self.routh_exact:
+            self._check(t1)
             return self._closed(routh_closed_form_derivative, t1)
         f1, g1, f2, g2 = self.eval(t1).tolist()
         qp = qp_matrix(self.params, self.spec, t1)
@@ -155,8 +202,6 @@ class MomentaSolution:
 
     def _closed(self, form, t1: float) -> np.ndarray:
         """``form`` (the closed pairs or their derivatives) at t1 as (f1, g1, f2, g2)."""
-        if abs(t1) > 1.0 + 1e-9:
-            raise DomainError(f"tau1={t1!r} outside [-1, 1]")
         p1, p2 = form(self.params, self.spec.p1, self.spec.p2, t1)
         return np.array([*p1, *p2])
 

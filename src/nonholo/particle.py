@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .smallalg import grad_fd, jacobi_trivector, rk4_step
+from .smallalg import grad_fd, jacobi_trivector, pow2, rk4_step
 
 
 def particle_hamiltonian(v) -> float:
@@ -76,9 +76,11 @@ def _field(v) -> tuple:
     return c1, py, y * c1, w * py, 0.0
 
 
-def _coupling(v: np.ndarray) -> float:
-    """w = y*px/(1+y^2), the constraint curvature coupling."""
-    return v[1] * v[3] / (1.0 + v[1] ** 2)
+def _coupling(v: np.ndarray):
+    """w = y*px/(1+y^2), the constraint curvature coupling, at a packed state
+    or at each of an (m, 5) stack of them."""
+    y, px = v[..., 1][()], v[..., 3][()]  # [()]: float64 scalars at one state
+    return y * px / (1.0 + pow2(y))
 
 
 def frame_form(v) -> np.ndarray:
@@ -95,16 +97,15 @@ def frame_form(v) -> np.ndarray:
 
 
 def _bracket_matrix(v: np.ndarray) -> np.ndarray:
-    """B = -frame_form^-1 = [[0, I], [-I, -A(w)]] (see the module docstring)."""
+    """B = -frame_form^-1 = [[0, I], [-I, -A(w)]] (see the module docstring),
+    (4, 4) at a packed state or (m, 4, 4) at an (m, 5) stack of them."""
     w = _coupling(v)
-    return np.array(
-        [
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-            [-1.0, 0.0, 0.0, w],
-            [0.0, -1.0, -w, 0.0],
-        ]
-    )
+    b = np.zeros(np.shape(w) + (4, 4))
+    b[..., 0, 2] = b[..., 1, 3] = 1.0
+    b[..., 2, 0] = b[..., 3, 1] = -1.0
+    b[..., 2, 3] = w
+    b[..., 3, 2] = -w
+    return b
 
 
 def _frame_gradient(f: Callable[[np.ndarray], float], v: np.ndarray) -> np.ndarray:
@@ -140,16 +141,25 @@ def hamiltonian_frame_flow(v) -> np.ndarray:
 
 
 def _coordinate_bivector(v: np.ndarray) -> np.ndarray:
-    """E B E^T, the bracket on coordinate gradients; the columns of the 5x4 E
-    are the frame e1 = d/dx + y d/dz, e2, e3, e4."""
-    e = np.zeros((5, 4))
-    e[0, 0], e[2, 0], e[1, 1], e[3, 2], e[4, 3] = 1.0, v[1], 1.0, 1.0, 1.0
-    return e @ _bracket_matrix(v) @ e.T
+    """E B E^T, the bracket on coordinate gradients, at a packed state or at
+    each of an (m, 5) stack of them; the columns of the 5x4 E are the frame
+    e1 = d/dx + y d/dz, e2, e3, e4."""
+    e = np.zeros(v.shape[:-1] + (5, 4))
+    e[..., 0, 0] = e[..., 1, 1] = e[..., 3, 2] = e[..., 4, 3] = 1.0
+    e[..., 2, 0] = v[..., 1]
+    return e @ _bracket_matrix(v) @ np.swapaxes(e, -1, -2)
+
+
+def particle_trivector(v) -> np.ndarray:
+    """The 5x5x5 Jacobi trivector of the coordinate bracket at a packed state
+    (``smallalg.jacobi_trivector``); entry [a, b, c] is the cyclic Jacobiator
+    of the coordinates a, b, c."""
+    return jacobi_trivector(_coordinate_bivector, v)
 
 
 def particle_jacobiator_reduced(v) -> float:
     """|cyclic Jacobiator| on the reduced coordinate triple (y, px, py)."""
-    return abs(float(jacobi_trivector(_coordinate_bivector, v)[1, 3, 4]))
+    return abs(float(particle_trivector(v)[1, 3, 4]))
 
 
 def particle_jacobiator_unreduced(v) -> float:
@@ -159,7 +169,7 @@ def particle_jacobiator_unreduced(v) -> float:
     it the bracket genuinely fails Jacobi — the negative control showing
     the vanishing reduced-triple Jacobiator is not vacuous.
     """
-    return float(jacobi_trivector(_coordinate_bivector, v)[0, 3, 4])
+    return float(particle_trivector(v)[0, 3, 4])
 
 
 #: The columns of a particle trajectory array, which are also the ``simulate`` CSV header.

@@ -1,7 +1,11 @@
-"""Small linear algebra: 3-vectors, the hat map, RK4 step, finite differences.
+"""Small linear algebra: 3-vectors, the hat map, RK4 step, finite differences,
+and the Jacobi trivector of a bivector field.
 
 Everything here is deliberately written out (no LAPACK dispatch) so results
-are bit-reproducible across platforms.
+are bit-reproducible across platforms.  ``jacobi_trivector`` asks its
+bivector field for the whole 5-point stencil in one call on a stack of
+points, so a field written elementwise on columns (``bivector_packed``)
+builds all 4n+1 matrices in one array pass.
 """
 from __future__ import annotations
 
@@ -110,20 +114,34 @@ def grad_fd(f: Callable[[np.ndarray], float], x: np.ndarray, scale: float = GRAD
     return g
 
 
+def pow2(a):
+    """a**2 as libm pow: Python's ``**`` on a float, and on each element of an
+    array.  numpy's array ``a**2`` is a*a, which differs in the last bit for
+    about 0.1% of values; the per-state kernels have always squared with pow.
+    """
+    if isinstance(a, np.ndarray):
+        return np.array([v**2 for v in a.tolist()])
+    return a**2
+
+
 def jacobi_trivector(pi_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """The (n, n, n) array T with T(df, dg, dh) = {f,{g,h}} + {g,{h,f}} + {h,{f,g}}
     for the bracket {f, g} = df . pi_fn(x) . dg.
 
+    ``pi_fn`` maps an (m, n) stack of points to the (m, n, n) stack of their
+    bivectors.  It is called once, on the 4n+1 points of the stencil.
+
     T is the cyclic sum of A[i,a,b] = sum_k pi[i,k] d_k pi[a,b] (the Schouten
     bracket [pi, pi] up to a constant factor).  The second derivatives of f, g, h
     cancel in the cyclic sum because pi is antisymmetric, so gradients suffice.
-    d_k pi is the 5-point central stencil, step TRIVECTOR_STEP * max(1, |x_k|).
+    d_k pi is the 5-point central stencil at x +- e_k, x +- 2 e_k, with
+    |e_k| = TRIVECTOR_STEP * max(1, |x_k|).
     """
     x = np.asarray(x, dtype=float)
-    dpi = np.empty((x.size, x.size, x.size))
-    for k in range(x.size):
-        e = np.zeros(x.size)
-        e[k] = h = TRIVECTOR_STEP * max(1.0, abs(x[k]))
-        dpi[k] = (8.0 * (pi_fn(x + e) - pi_fn(x - e)) - (pi_fn(x + 2.0 * e) - pi_fn(x - 2.0 * e))) / (12.0 * h)
-    a = np.einsum("ik,kab->iab", pi_fn(x), dpi)
+    h = [TRIVECTOR_STEP * max(1.0, abs(v)) for v in x.tolist()]
+    e = np.diag(h)  # row k is e_k
+    pis = pi_fn(np.concatenate([x[None], x + e, x - e, x + 2.0 * e, x - 2.0 * e]))
+    plus, minus, plus2, minus2 = pis[1:].reshape(4, x.size, x.size, x.size)
+    dpi = (8.0 * (plus - minus) - (plus2 - minus2)) / (12.0 * np.array(h))[:, None, None]
+    a = np.einsum("ik,kab->iab", pis[0], dpi)
     return a + a.transpose(1, 2, 0) + a.transpose(2, 0, 1)

@@ -1,22 +1,33 @@
-"""The numpy bodies that the float stepper replaced, kept as bit-for-bit oracles.
+"""The per-state numpy bodies that the package replaced, kept as bit-for-bit oracles.
 
 ``integrate``, ``particle_integrate`` and the kernels below are the
 3-vector numpy formulations that the package ran before its integrators
 stepped on Python floats: one ``rk4_step`` of arrays per step, ``rhs`` built
-from ``cross`` calls, ``omega_from_M`` and ``energy`` on arrays, and the
-particle's J and E taken from numpy scalars.  The package must reproduce
-them to the bit; ``test_float_stepper.py`` compares ``.view(np.int64)``.
+from ``cross`` calls, ``omega_from_M`` and ``energy`` on arrays, the
+particle's J and E taken from numpy scalars, and one ``momenta.eval`` per
+trajectory row.  ``qpl_values``, ``bivector_packed`` and
+``jacobi_trivector`` are the one-state-at-a-time bracket bodies that the
+stacked bracket matrices replaced: the trivector builds the bivector of each
+stencil point with its own call.  The package must reproduce them to the
+bit; ``test_float_stepper.py`` and ``test_stacked_brackets.py`` compare
+``.view(np.int64)``.
 """
 import math
 import warnings
 
 import numpy as np
 
-from nonholo import DomainError, StateGM, eval_profile, invariants, momentum_components
+from nonholo import BracketKind, DomainError, StateGM, eval_profile, invariants, momentum_components
 from nonholo.dynamics import COLUMNS
 from nonholo.particle import COLUMNS as PARTICLE_COLUMNS
 from nonholo.profile import check_gamma3
-from nonholo.smallalg import E3, cross, dot
+from nonholo.smallalg import E3, TRIVECTOR_STEP, cross, dot, hat
+
+
+def same_bits(a, b) -> bool:
+    """Whether two arrays (or floats) have the same shape and the same bits."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def rk4_step(f, t, y, h):
@@ -48,6 +59,47 @@ def energy(params, ev, x):
     gamma = x[:3]
     gs = dot(gamma, ev.rho * gamma) - ev.L * gamma[2]
     return 0.5 * dot(x[3:6], omega) - params.m * params.grav * gs
+
+
+def qpl_values(params, ev, x):
+    """(c3, Q, P, L_vec, K_vec) at a packed state."""
+    x = np.asarray(x, dtype=float)
+    omega = omega_from_M(params, ev, x)
+    gamma = x[:3]
+    s = ev.rho * gamma - ev.L * E3
+    c3 = cross(gamma, cross(omega, s))[2]
+    og = dot(omega, gamma)
+    q = params.m * (-ev.rho**2 * og + ev.rho_p * c3)
+    p = params.m * (ev.L * ev.rho * og - ev.L_p * c3)
+    lvec = q * gamma + p * E3
+    kvec = -params.m * ev.rho * dot(gamma, s) * omega + lvec
+    return float(c3), float(q), float(p), lvec, kvec
+
+
+def bivector_packed(params, spec, x, kind):
+    """The 6x6 bracket matrix at one packed point."""
+    x = np.asarray(x, dtype=float)
+    _, _, _, lvec, kvec = qpl_values(params, eval_profile(spec, x[2]), x)
+    v = lvec if kind == BracketKind.GAUGED else kvec
+    pi = np.zeros((6, 6))
+    hg = hat(x[:3])
+    pi[:3, 3:] = hg
+    pi[3:, :3] = hg
+    pi[3:, 3:] = hat(x[3:6] + v)
+    return pi
+
+
+def jacobi_trivector(pi_fn, x):
+    """The Jacobi trivector with one ``pi_fn`` call per point of the stencil
+    (``pi_fn`` maps one point to its bivector)."""
+    x = np.asarray(x, dtype=float)
+    dpi = np.empty((x.size, x.size, x.size))
+    for k in range(x.size):
+        e = np.zeros(x.size)
+        e[k] = h = TRIVECTOR_STEP * max(1.0, abs(x[k]))
+        dpi[k] = (8.0 * (pi_fn(x + e) - pi_fn(x - e)) - (pi_fn(x + 2.0 * e) - pi_fn(x - 2.0 * e))) / (12.0 * h)
+    a = np.einsum("ik,kab->iab", pi_fn(x), dpi)
+    return a + a.transpose(1, 2, 0) + a.transpose(2, 0, 1)
 
 
 def rhs(params, spec, x):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import same_bits
 from nonholo import (
     BodyParams,
     DomainError,
@@ -29,11 +30,6 @@ from nonholo import (
 )
 
 from conftest import make_states
-
-
-def same_bits(a, b) -> bool:
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def run(fn, *args):
@@ -152,6 +148,22 @@ def test_a_stage_off_the_band_raises_as_before(routh_preset):
             fn(params, spec, start, cfg, momenta)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
+
+
+def test_a_run_off_the_table_warns_before_a_stage_off_the_band_raises(ellipsoid_preset):
+    # Off a delta = 0.1 table from step 0; a stage of dt = 0.1 then passes
+    # gamma3 = 1 + 1e-9.  The off-table warning of the rows done comes first.
+    params, spec = ellipsoid_preset
+    start = np.array([math.sin(0.05), 0.0, math.cos(0.05), 0.0, 5.0, 0.0])
+    cfg, momenta = IntegratorConfig(0.1, 1.0), solution_for(params, spec, 0.1, 1e-3)
+    outcomes = []
+    for fn in (integrate, oracles.integrate):
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(DomainError, match="outside") as info:
+            warnings.simplefilter("always")
+            fn(params, spec, start, cfg, momenta)
+        outcomes.append((str(info.value), [str(w.message) for w in caught]))
+    assert outcomes[0] == outcomes[1]
+    assert len(outcomes[0][1]) == 1 and "outside the momenta grid [-0.9, 0.9] at step 0 " in outcomes[0][1][0]
 
 
 def test_particle_kernels_match_the_numpy_bodies():

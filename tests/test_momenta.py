@@ -300,6 +300,43 @@ def test_eval_equals_np_interp_at_nodes_and_ends(ellipsoid_momenta):
         sol.eval(hi + 1e-11)
 
 
+def _eval_rows(sol, tau1):
+    """The per-row oracle of an array lookup: ``eval`` at each element, and a
+    NaN row where it raises DomainError."""
+    rows = []
+    for t1 in tau1.tolist():
+        try:
+            rows.append(sol.eval(t1))
+        except DomainError:
+            rows.append(np.full(4, np.nan))
+    return np.array(rows)
+
+
+def _probe_points(sol, seed):
+    """Every seventh node, the ends and their neighbours, the poles and just
+    past them, signed zeros, NaN, and uniform points over [-1.01, 1.01]."""
+    lo, hi = float(sol.grid[0]), float(sol.grid[-1])
+    special = [lo, hi, lo - 1e-12, hi + 1e-12, lo - 1e-11, hi + 1e-11, np.nextafter(lo, 0.0),
+               np.nextafter(hi, 0.0), -1.0, 1.0, 1.0 + 1e-9, -1.0 - 2e-9, 1.5, 0.0, -0.0, math.nan]
+    rng = np.random.default_rng(seed)
+    return np.array(sol.grid[::7].tolist() + special + rng.uniform(-1.01, 1.01, 3000).tolist())
+
+
+@pytest.mark.parametrize("which", ["default-table", "coarse-table", "closed-forms"])
+def test_array_lookup_is_the_per_row_lookup(ellipsoid_preset, ellipsoid_momenta, which):
+    params, spec = ellipsoid_preset
+    sol = {
+        "default-table": ellipsoid_momenta,
+        "coarse-table": solve_momenta(params, spec, 0.1, 1e-3),
+        "closed-forms": closed_form_momenta(P98, ProfileSpec.routh(1.0, 0.1)),
+    }[which]
+    tau1 = _probe_points(sol, 3)
+    rows = sol.eval(tau1)
+    assert rows.shape == (len(tau1), 4)
+    assert np.array_equal(rows.view(np.int64), _eval_rows(sol, tau1).view(np.int64))
+    assert np.isnan(rows).all(axis=1).sum() >= 4  # the points off the solution
+
+
 @pytest.mark.parametrize(
     "params,spec",
     [

@@ -56,6 +56,24 @@ def test_kernel_bench_runs_with_finite_metrics():
     assert metrics and all(math.isfinite(v) for v in metrics.values()), metrics
 
 
+def test_kernel_bench_calls_every_kernel_once(bench_path, monkeypatch, capsys):
+    # The microbench's timing loop replaced by one call per kernel, so an API
+    # slip in a kernel it times fails here, in-process and in well under a second.
+    kernels = importlib.import_module("kernels")
+    calls = []
+
+    def once(fn):
+        calls.append(fn())
+        return 1.0
+
+    monkeypatch.setattr(kernels, "per_call_us", once)
+    assert kernels.main() == 0
+    metrics = json.loads(capsys.readouterr().out)
+    assert len(metrics) == len(calls) and set(metrics.values()) == {1.0}
+    timed = {"brackets.jacobiator.us", "geomforms.qpl_values.us", "particle.particle_jacobiator_reduced.us"}
+    assert timed <= set(metrics)
+
+
 def test_tracer_argument_positions_match_the_signatures(bench_path):
     tracer = importlib.import_module("tracer")
     positions = {**tracer.STEPPED, **tracer.DISTINCT_ARG}

@@ -56,10 +56,13 @@ def test_grad_fd_on_a_polynomial():
 
 def test_jacobi_trivector_of_the_lie_poisson_bracket_vanishes():
     # pi(x) = hat(x) on so(3)* is Poisson ({x_a, x_b} = -eps_abk x_k).
+    def hats(xs):
+        return np.array([hat(x) for x in xs])
+
     rng = np.random.default_rng(5)
     for scale in (1.0, 3.0, 10.0):
         for _ in range(20):
-            t = jacobi_trivector(hat, rng.uniform(-scale, scale, 3))
+            t = jacobi_trivector(hats, rng.uniform(-scale, scale, 3))
             assert t.shape == (3, 3, 3)
             assert np.max(np.abs(t)) <= 1e-14
 
@@ -67,8 +70,8 @@ def test_jacobi_trivector_of_the_lie_poisson_bracket_vanishes():
 def test_jacobi_trivector_of_a_non_poisson_bivector():
     # {x1, x2} = 1, {x2, x3} = x2, {x1, x3} = 0: the cyclic sum on (x1, x2, x3)
     # is {x1, {x2, x3}} = {x1, x2} = 1, and T is totally antisymmetric.
-    def pi(x):
-        return np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, x[1]], [0.0, -x[1], 0.0]])
+    def pi(xs):
+        return np.array([[[0.0, 1.0, 0.0], [-1.0, 0.0, x[1]], [0.0, -x[1], 0.0]] for x in xs])
 
     t = jacobi_trivector(pi, np.array([0.3, -2.0, 5.0]))
     assert abs(t[0, 1, 2] - 1.0) <= 1e-12
