@@ -5,9 +5,10 @@ deterministic for a fixed seed: per-sample random generators are seeded by
 (seed, sample index), CSV floats carry 17 significant digits, and report
 checks are sorted by name, so identical inputs give byte-identical outputs.
 
-Exit codes: 0 success, 1 check failure, 2 usage or I/O error or a result
-that is not finite (no report or CSV is written then).  The
-environment variable NONHOLO_SEED overrides the config seed.
+Exit codes: 0 success, 1 check failure, 2 usage or I/O error (a closed
+standard output included) or a result that is not finite (no report or CSV
+is written then).  The environment variable NONHOLO_SEED overrides the
+config seed.
 """
 from __future__ import annotations
 
@@ -216,8 +217,8 @@ def parse_config(text: str) -> RunConfig:
 
     seed = _integer(raw, "seed", "", 0)
     samples = _integer(raw, "samples", "", 100)
-    if samples > MAX_SAMPLES:
-        raise _err(f"'samples' must be at most {MAX_SAMPLES}", "/samples")
+    if not 1 <= samples <= MAX_SAMPLES:  # no samples would certify nothing and pass
+        raise _err(f"'samples' must lie in [1, {MAX_SAMPLES}]", "/samples")
     delta = _number(raw, "delta", "", default=1e-3)
     h = _number(raw, "h", "", default=1e-4)
     if not 1e-6 <= delta <= 0.1:
@@ -296,11 +297,13 @@ def _write_csv(path: str, header: Sequence[str], rows) -> None:
             fh.write(line % tuple(row))
 
 
-def _array_rows(a: np.ndarray):
-    """The rows of a 2-d array as lists of Python floats, converted 1,024 rows at
-    a time, so a trajectory is never held as Python floats all at once."""
-    for k in range(0, len(a), 1024):
-        yield from a[k : k + 1024].tolist()
+def _array_rows(*columns: np.ndarray):
+    """The rows of arrays of equal length (1-d columns or 2-d blocks of them)
+    set side by side, as lists of Python floats.  They are stacked and
+    converted 1,024 rows at a time, so a table is never held whole as one
+    array or as Python floats."""
+    for k in range(0, len(columns[0]), 1024):
+        yield from np.column_stack([c[k : k + 1024] for c in columns]).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +371,10 @@ def cmd_momenta(cfg: RunConfig, out_path: str) -> int:
         if cfg.profile.kind == "routh":
             header = ["tau1", "f1", "g1", "f2", "g2", "f1_cf", "g1_cf", "f2_cf", "g2_cf"]
             closed = closed_form_momenta(cfg.body, cfg.profile, cfg.delta, cfg.h).pairs  # on sol.grid
-            _write_csv(out_path, header, ((t1, *row, *cf) for t1, row, cf in zip(sol.grid, sol.pairs, closed)))
+            _write_csv(out_path, header, _array_rows(sol.grid, sol.pairs, closed))
             summary["max_closed_form_deviation"] = certify.span_residual(cfg.body, cfg.profile, sol, closed)
         else:
-            _write_csv(
-                out_path,
-                ["tau1", "f1", "g1", "f2", "g2"],
-                ((t1, *row) for t1, row in zip(sol.grid, sol.pairs)),
-            )
+            _write_csv(out_path, ["tau1", "f1", "g1", "f2", "g2"], _array_rows(sol.grid, sol.pairs))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -425,12 +424,21 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "simulate":
-            return cmd_simulate(cfg, args.out)
-        if args.command == "momenta":
-            return cmd_momenta(cfg, args.out)
-        report = cmd_check(cfg)
-        print(report.to_json())
-        return 0 if report.passed else 1
+            code = cmd_simulate(cfg, args.out)
+        elif args.command == "momenta":
+            code = cmd_momenta(cfg, args.out)
+        else:
+            report = cmd_check(cfg)
+            print(report.to_json())
+            code = 0 if report.passed else 1
+        sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's flush at exit
+        return code
+    except BrokenPipeError as exc:
+        # Point the descriptor at devnull, so that the flush at exit of what
+        # is still buffered succeeds and prints no traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: standard output: {exc}", file=sys.stderr)
+        return 2
     except NonholoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,16 +16,17 @@ renormalizes gamma after every step by default; switching renormalization
 off is supported for the drift diagnostics (|gamma|-1 then stays < 1e-6
 over the standard runs instead of < 1e-9).
 
-``integrate`` steps on Python floats.  The state is a list of six floats,
-``smallalg.rk4_step`` combines the stages element by element, and a stage
-is the band check ``profile.check_domain``, ``profile_terms``,
-``phase.omega_floats`` and ``field_floats``; the energy column is
-``phase.energy_floats``.  ``rhs``, ``omega_from_M`` and ``energy`` are thin
-array wrappers over the same bodies.  Every element sees the IEEE operations
-of the 3-vector numpy formulation in their order (the products of s by the
-zeros of e3 included, which fix the signs of zero components), so the bits
-are those of stepping ``rhs`` with the array formula of RK4, at about a
-seventh of the cost per step.
+``integrate`` steps on Python floats.  The state is a list of six floats
+stepped by ``smallalg.rk4_step``, which takes its written-out six-element
+step: every stage combination component by component, with no per-element
+loop.  A stage is the band check ``profile.check_domain``,
+``profile_terms``, ``phase.omega_floats`` and ``field_floats``; the energy
+column is ``phase.energy_floats``.  ``rhs``, ``omega_from_M`` and ``energy``
+are thin array wrappers over the same bodies.  Every element sees the IEEE
+operations of the 3-vector numpy formulation in their order (the products
+of s by the zeros of e3 included, which fix the signs of zero components),
+so the bits are those of stepping ``rhs`` with the array formula of RK4, at
+about a tenth of the cost per step.
 """
 from __future__ import annotations
 
@@ -136,13 +137,14 @@ def integrate(
     [-1, 1]) gets NaN gauge momenta rather than aborting, and the first
     such row warns once with the lookup's own message.
 
-    The state is a list of six Python floats stepped by ``rk4_step``; every
-    stage checks the profile band and evaluates ``profile_terms``,
-    ``omega_floats`` and ``field_floats``.  The Omega of each accepted state
-    gives both its E and the next step's first stage.  Per step only the
-    state and E are computed; the invariant, momentum and gauge-momentum
-    columns are filled afterwards by ``invariants``, ``momentum_components``
-    and one ``momenta.eval`` on the whole block.
+    The state is a list of six Python floats stepped by ``rk4_step`` (its
+    written-out six-element step); every stage checks the profile band and
+    evaluates ``profile_terms``, ``omega_floats`` and ``field_floats``.  The
+    Omega of each accepted state gives both its E and the next step's first
+    stage.  Per step only the state and E are computed; the invariant,
+    momentum and gauge-momentum columns are filled afterwards by
+    ``invariants``, ``momentum_components`` and one ``momenta.eval`` on the
+    whole block.
 
     Raises:
         ValueError: if ``state0`` is not a state: not six numbers, |gamma|
@@ -154,20 +156,25 @@ def integrate(
     x = StateGM.from_packed(state0).packed().tolist()
     dt, renormalize, isfinite, sqrt = cfg.dt, cfg.renormalize_gamma, math.isfinite, math.sqrt
 
+    # The components are named, not star-unpacked: a call with positional
+    # arguments is cheaper than one through an unpacked sequence.
     def f(t, y):
-        check_domain(y[2])
-        rho, _, L, rho_p, _, L_p = profile_terms(spec, y[2])
-        return field_floats(params, rho, L, rho_p, L_p, *y, *omega_floats(params, rho, L, *y))
+        g1, g2, g3, m1, m2, m3 = y
+        check_domain(g3)
+        rho, _, L, rho_p, _, L_p = profile_terms(spec, g3)
+        w1, w2, w3 = omega_floats(params, rho, L, g1, g2, g3, m1, m2, m3)
+        return field_floats(params, rho, L, rho_p, L_p, g1, g2, g3, m1, m2, m3, w1, w2, w3)
 
     def record(k, x):
         """Fill row k's state and E; return the field at x (the next step's
         first stage)."""
-        check_domain(x[2])
-        rho, _, L, rho_p, _, L_p = profile_terms(spec, x[2])
-        w = omega_floats(params, rho, L, *x)
+        g1, g2, g3, m1, m2, m3 = x
+        check_domain(g3)
+        rho, _, L, rho_p, _, L_p = profile_terms(spec, g3)
+        w1, w2, w3 = omega_floats(params, rho, L, g1, g2, g3, m1, m2, m3)
         out[k, 1:7] = x
-        out[k, 12] = energy_floats(params, rho, L, *x, *w)
-        return field_floats(params, rho, L, rho_p, L_p, *x, *w)
+        out[k, 12] = energy_floats(params, rho, L, g1, g2, g3, m1, m2, m3, w1, w2, w3)
+        return field_floats(params, rho, L, rho_p, L_p, g1, g2, g3, m1, m2, m3, w1, w2, w3)
 
     xd = record(0, x)
     rows = 1

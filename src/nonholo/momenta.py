@@ -25,15 +25,17 @@ determinant f1*g2 - f2*g1 per node) is *reported*, not assumed.
 The solve never calls ``qp_matrix`` per stage.  [QP] is closed-form in
 tau1, so it is evaluated up front, as numpy arrays, at every stage time of
 a chunk of steps (t, t + h/2 and t + h; ``geomforms.qp_grid``).  The RK4
-steps of both pairs then run on Python floats with the operation order of
-``smallalg.rk4_step`` applied to ``momenta_ode_rhs``, whose arithmetic
-(``_ode_slope``) they share.  The table is therefore bit-identical to
-stepping the two pairs with ``rk4_step``, at a few percent of its cost;
-chunking bounds the transient arrays to a few hundred nodes.  A lookup
-(``MomentaSolution.eval``) finds its row pair with one ``searchsorted`` and
-interpolates all four columns with ``np.interp``'s formula, again bit for
-bit; on a tau1 array (a trajectory's column) it does so for every element
-in one pass, with NaN rows where a float lookup raises.
+steps of both pairs then run on Python floats, written out component by
+component: the stage combinations of ``smallalg.rk4_step`` and, for each of
+the eight slope evaluations of a step, the three lines of ``_ode_slope``
+(the arithmetic of ``momenta_ode_rhs``).  Every IEEE operation keeps its
+order, so the table is bit-identical to stepping the two pairs with
+``rk4_step``, at a few percent of its cost; chunking bounds the transient
+arrays to a few hundred nodes.  A lookup (``MomentaSolution.eval``) finds
+its row pair with one ``searchsorted`` and interpolates all four columns
+with ``np.interp``'s formula, again bit for bit; on a tau1 array (a
+trajectory's column) it does so for every element in one pass, with NaN
+rows where a float lookup raises.
 
 A run reads one solution, built by ``solution_for`` on its (delta, h)
 grid.  Every consumer of a coefficient pair asks that solution: ``eval``
@@ -271,9 +273,11 @@ def _rk4_pairs(y: tuple, h: float, stage_t: list, qp: list) -> list:
     """RK4 steps of both coefficient pairs y = (f1, g1, f2, g2), on floats.
 
     ``stage_t`` lists the m step starts, then their midpoints, then their
-    ends; ``qp`` holds the four [QP] entries at those times.  The operation
-    order is that of ``rk4_step`` with ``momenta_ode_rhs`` as right-hand
-    side, so the values are bit-identical to it.  Returns the m new states.
+    ends; ``qp`` holds the four [QP] entries at those times.  The stages of
+    ``rk4_step`` with ``momenta_ode_rhs`` as right-hand side are written out
+    component by component, each slope as ``_ode_slope``'s lines (a stage's
+    g' is its qf), so the values are bit-identical to it.  Returns the m new
+    states.
     """
     m = len(stage_t) // 3
     q00, q01, q10, q11 = qp
@@ -282,18 +286,29 @@ def _rk4_pairs(y: tuple, h: float, stage_t: list, qp: list) -> list:
     out = []
     for i in range(m):
         a, b, c, d, t = q00[i], q01[i], q10[i], q11[i], stage_t[i]
-        k1f1, k1g1 = _ode_slope(a, b, c, d, t, f1, g1)
-        k1f2, k1g2 = _ode_slope(a, b, c, d, t, f2, g2)
+        k1g1 = a * f1 + c * g1
+        k1f1 = t * k1g1 - (b * f1 + d * g1)
+        k1g2 = a * f2 + c * g2
+        k1f2 = t * k1g2 - (b * f2 + d * g2)
         j = m + i
         a, b, c, d, t = q00[j], q01[j], q10[j], q11[j], stage_t[j]
-        k2f1, k2g1 = _ode_slope(a, b, c, d, t, f1 + half * k1f1, g1 + half * k1g1)
-        k2f2, k2g2 = _ode_slope(a, b, c, d, t, f2 + half * k1f2, g2 + half * k1g2)
-        k3f1, k3g1 = _ode_slope(a, b, c, d, t, f1 + half * k2f1, g1 + half * k2g1)
-        k3f2, k3g2 = _ode_slope(a, b, c, d, t, f2 + half * k2f2, g2 + half * k2g2)
+        u1, v1, u2, v2 = f1 + half * k1f1, g1 + half * k1g1, f2 + half * k1f2, g2 + half * k1g2
+        k2g1 = a * u1 + c * v1
+        k2f1 = t * k2g1 - (b * u1 + d * v1)
+        k2g2 = a * u2 + c * v2
+        k2f2 = t * k2g2 - (b * u2 + d * v2)
+        u1, v1, u2, v2 = f1 + half * k2f1, g1 + half * k2g1, f2 + half * k2f2, g2 + half * k2g2
+        k3g1 = a * u1 + c * v1
+        k3f1 = t * k3g1 - (b * u1 + d * v1)
+        k3g2 = a * u2 + c * v2
+        k3f2 = t * k3g2 - (b * u2 + d * v2)
         j += m
         a, b, c, d, t = q00[j], q01[j], q10[j], q11[j], stage_t[j]
-        k4f1, k4g1 = _ode_slope(a, b, c, d, t, f1 + h * k3f1, g1 + h * k3g1)
-        k4f2, k4g2 = _ode_slope(a, b, c, d, t, f2 + h * k3f2, g2 + h * k3g2)
+        u1, v1, u2, v2 = f1 + h * k3f1, g1 + h * k3g1, f2 + h * k3f2, g2 + h * k3g2
+        k4g1 = a * u1 + c * v1
+        k4f1 = t * k4g1 - (b * u1 + d * v1)
+        k4g2 = a * u2 + c * v2
+        k4f2 = t * k4g2 - (b * u2 + d * v2)
         f1 = f1 + sixth * (k1f1 + 2.0 * k2f1 + 2.0 * k3f1 + k4f1)
         g1 = g1 + sixth * (k1g1 + 2.0 * k2g1 + 2.0 * k3g1 + k4g1)
         f2 = f2 + sixth * (k1f2 + 2.0 * k2f2 + 2.0 * k3f2 + k4f2)

@@ -183,7 +183,8 @@ def particle_integrate(state0, cfg) -> np.ndarray:
     scalar kernels ``particle_momentum`` and ``particle_hamiltonian`` at each
     row's state.  The array ends, with a warning, before the first row with a
     non-finite state, J or E (an H that overflows at a finite state included).
-    The state is a list of five Python floats stepped by ``rk4_step``.
+    The state is a list of five Python floats stepped by ``rk4_step``, whose
+    five-element step is written out component by component.
     """
     n_steps = cfg.steps
     out = np.empty((n_steps + 1, len(COLUMNS)))

@@ -82,9 +82,19 @@ def rk4_step(f: Callable[[float, Sequence[float]], Sequence[float]], t: float, y
     fraction of the cost of 3-vector numpy arithmetic.  A caller that
     already holds ``k1 = f(t, y)`` passes it.
 
+    A state of five or six elements (a particle's, a solid's) is stepped by
+    ``_rk4_step5`` or ``_rk4_step6``, which write the combinations out
+    component by component; any other length by the generic ``_rk4_step_n``,
+    the reference they are tested against bit for bit.
+
     Fixed step, no adaptivity: every integration in this package is meant to
     be bit-reproducible for a given (dt, t_final).
     """
+    return _UNROLLED.get(len(y), _rk4_step_n)(f, t, y, h, k1)
+
+
+def _rk4_step_n(f, t, y, h, k1=None) -> list[float]:
+    """``rk4_step`` of any length, one list comprehension per combination."""
     if k1 is None:
         k1 = f(t, y)
     half = 0.5 * h
@@ -93,6 +103,45 @@ def rk4_step(f: Callable[[float, Sequence[float]], Sequence[float]], t: float, y
     k4 = f(t + h, [a + h * b for a, b in zip(y, k3)])
     sixth = h / 6.0
     return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+
+
+def _rk4_step5(f, t, y, h, k1=None) -> list[float]:
+    """``_rk4_step_n`` of five elements, its combinations written out component
+    by component: the same operations in the same order, so the same bits and
+    the same stage arguments, without the per-element loops."""
+    y1, y2, y3, y4, y5 = y
+    a1, a2, a3, a4, a5 = f(t, y) if k1 is None else k1
+    half = 0.5 * h
+    b1, b2, b3, b4, b5 = f(t + half, [y1 + half * a1, y2 + half * a2, y3 + half * a3, y4 + half * a4,
+                                      y5 + half * a5])
+    c1, c2, c3, c4, c5 = f(t + half, [y1 + half * b1, y2 + half * b2, y3 + half * b3, y4 + half * b4,
+                                      y5 + half * b5])
+    d1, d2, d3, d4, d5 = f(t + h, [y1 + h * c1, y2 + h * c2, y3 + h * c3, y4 + h * c4, y5 + h * c5])
+    sixth = h / 6.0
+    return [y1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1), y2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+            y3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3), y4 + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4),
+            y5 + sixth * (a5 + 2.0 * b5 + 2.0 * c5 + d5)]
+
+
+def _rk4_step6(f, t, y, h, k1=None) -> list[float]:
+    """``_rk4_step_n`` of six elements, written out as ``_rk4_step5``."""
+    y1, y2, y3, y4, y5, y6 = y
+    a1, a2, a3, a4, a5, a6 = f(t, y) if k1 is None else k1
+    half = 0.5 * h
+    b1, b2, b3, b4, b5, b6 = f(t + half, [y1 + half * a1, y2 + half * a2, y3 + half * a3, y4 + half * a4,
+                                          y5 + half * a5, y6 + half * a6])
+    c1, c2, c3, c4, c5, c6 = f(t + half, [y1 + half * b1, y2 + half * b2, y3 + half * b3, y4 + half * b4,
+                                          y5 + half * b5, y6 + half * b6])
+    d1, d2, d3, d4, d5, d6 = f(t + h, [y1 + h * c1, y2 + h * c2, y3 + h * c3, y4 + h * c4, y5 + h * c5,
+                                       y6 + h * c6])
+    sixth = h / 6.0
+    return [y1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1), y2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+            y3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3), y4 + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4),
+            y5 + sixth * (a5 + 2.0 * b5 + 2.0 * c5 + d5), y6 + sixth * (a6 + 2.0 * b6 + 2.0 * c6 + d6)]
+
+
+#: The written-out steps of ``rk4_step``, by state length
+_UNROLLED = {5: _rk4_step5, 6: _rk4_step6}
 
 
 def grad_fd(f: Callable[[np.ndarray], float], x: np.ndarray, scale: float = GRAD_STEP) -> np.ndarray:

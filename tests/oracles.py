@@ -10,18 +10,45 @@ trajectory row.  ``qpl_values``, ``bivector_packed`` and
 stacked bracket matrices replaced: the trivector builds the bivector of each
 stencil point with its own call.  The package must reproduce them to the
 bit; ``test_float_stepper.py`` and ``test_stacked_brackets.py`` compare
-``.view(np.int64)``.
+``.view(np.int64)``.  ``same_bits`` and the float strategies below serve
+every such comparison.
 """
 import math
+import random
 import warnings
 
 import numpy as np
+from hypothesis import strategies as st
 
 from nonholo import BracketKind, DomainError, StateGM, eval_profile, invariants, momentum_components
 from nonholo.dynamics import COLUMNS
 from nonholo.particle import COLUMNS as PARTICLE_COLUMNS
 from nonholo.profile import check_gamma3
 from nonholo.smallalg import E3, TRIVECTOR_STEP, cross, dot, hat
+
+
+#: The NaN that arithmetic makes on this machine (inf - inf).  CPython's
+#: specialized float operations (3.11+) take the operands of a*b and a+b in
+#: the opposite order to its generic ones, so which of two different NaNs
+#: survives depends on how warm the bytecode is, not on the code.  Where every
+#: NaN is this one, a bit-for-bit comparison cannot see that.
+NAN = math.inf - math.inf
+
+#: Any float, NaN being ``NAN``; signed zeros, NaN, the infinities and
+#: magnitudes near overflow or underflow are drawn often.
+any_float = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, NAN, math.inf, -math.inf, 1.7e308, -1.7e308, 5e-324]),
+)
+
+#: A float strategy for all the values of one example: ``any_float``, or
+#: values of one scale, where rounding tells orders of operations apart.
+#: Hypothesis favours short floats, whose sums are often exact, so half of
+#: the latter are uniform draws with all 53 bits.
+float_kinds = st.sampled_from([
+    st.one_of(st.floats(-8.0, 8.0), st.integers(0, 2**32).map(lambda k: random.Random(k).uniform(-8.0, 8.0))),
+    any_float,
+])
 
 
 def same_bits(a, b) -> bool:

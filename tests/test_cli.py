@@ -5,12 +5,17 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nonholo
 from nonholo import certify
 from nonholo.cli import (
     MAX_SAMPLES,
@@ -106,7 +111,7 @@ def _valid_configs(draw):
     raw["integrator"] = {"dt": dt, "t_final": dt * draw(st.floats(1.0, 1000.0)),
                          "renormalize_gamma": draw(st.booleans())}
     raw["seed"] = draw(st.integers(0, 2**32))
-    raw["samples"] = draw(st.integers(0, MAX_SAMPLES))
+    raw["samples"] = draw(st.integers(1, MAX_SAMPLES))
     raw["delta"] = draw(st.floats(1e-6, 0.1))
     raw["h"] = draw(st.floats(1e-6, 1e-3))  # (1 - delta)/h <= MAX_HALF_GRID for every delta
     return raw
@@ -192,6 +197,7 @@ BAD_CASES = [
     (ROUTH_RAW, ("h",), 1e-7, "/h"),
     (PARTICLE_RAW, ("samples",), 100_000_000_000, "/samples"),
     (ROUTH_RAW, ("samples",), MAX_SAMPLES + 1, "/samples"),
+    (ELLIPSOID_RAW, ("samples",), 0, "/samples"),  # no samples would certify nothing and pass
     # integer literals beyond the float range, and one beyond int's digit limit
     pytest.param(ROUTH_RAW, ("params", "m"), 10**400, "/params/m", id="m-1e400"),
     pytest.param(ROUTH_RAW, ("initial", "gamma"), [0.6, 10**400, 0.8], "/initial/gamma", id="gamma-1e400"),
@@ -433,6 +439,26 @@ def test_error_exits(tmp_path, capsys):
     assert main(["simulate", "--config", sim, "--out", str(tmp_path / "no" / "dir" / "t.csv")]) == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 4
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_a_closed_stdout_exits_2_with_one_error_line(tmp_path, command):
+    # The pipe's read end is closed before the child starts, so its first
+    # write to stdout fails with EPIPE: no traceback, at exit included.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(nonholo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [command, "--config", write_config(tmp_path, PARTICLE_RAW)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "t.csv")]
+    try:
+        proc = subprocess.run([sys.executable, "-c", "import sys; from nonholo.cli import main; sys.exit(main())",
+                               *argv], stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=300)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -23,8 +23,9 @@ from nonholo import (
     solve_momenta,
 )
 from nonholo.errors import DomainError, NonholoError
-from nonholo.momenta import MAX_HALF_GRID, _grid, grid_half
+from nonholo.momenta import MAX_HALF_GRID, _grid, _ode_slope, _rk4_pairs, grid_half
 from nonholo.smallalg import rk4_step
+from oracles import float_kinds, same_bits
 
 from conftest import make_states
 
@@ -270,6 +271,31 @@ def test_solver_matches_rk4_step_bit_for_bit(name, delta, h):
     sol = solve_momenta(P98, spec, delta, h)
     assert np.array_equal(sol.grid, grid)
     assert np.array_equal(sol.pairs, pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_unrolled_coefficient_steps_are_rk4_step_bit_for_bit(data):
+    # m steps of both pairs from drawn [QP] entries: the written-out stages
+    # against rk4_step with _ode_slope as right-hand side, step by step.
+    m, fl = data.draw(st.integers(1, 3)), data.draw(float_kinds)
+    y = tuple(data.draw(st.lists(fl, min_size=4, max_size=4)))
+    h = data.draw(fl)
+    starts = data.draw(st.lists(fl, min_size=m, max_size=m))
+    stage_t = starts + [t + 0.5 * h for t in starts] + [t + h for t in starts]
+    qp = [data.draw(st.lists(fl, min_size=3 * m, max_size=3 * m)) for _ in range(4)]
+    rows = _rk4_pairs(y, h, stage_t, qp)
+    expected = []
+    for i, t in enumerate(starts):
+        entries = iter([[q[j] for q in qp] for j in (i, m + i, m + i, 2 * m + i)])
+
+        def f(t, y):
+            q = next(entries)
+            return [*_ode_slope(*q, t, y[0], y[1]), *_ode_slope(*q, t, y[2], y[3])]
+
+        y = rk4_step(f, t, y, h)
+        expected.append(y)
+    assert same_bits(rows, expected)
 
 
 def _interp_columns(sol, t1):

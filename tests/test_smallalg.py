@@ -1,11 +1,12 @@
 import math
 
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonholo import cross, dot, grad_fd, rk4_step
-from nonholo.smallalg import hat, jacobi_trivector, nan_max
+from nonholo.smallalg import _rk4_step5, _rk4_step6, _rk4_step_n, hat, jacobi_trivector, nan_max
+from oracles import float_kinds, same_bits
 
 finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 triples = st.tuples(finite, finite, finite)
@@ -44,6 +45,35 @@ def test_rk4_is_fourth_order():
         errs.append(abs(y[0] - np.e))
     ratio = errs[0] / errs[1]
     assert 12.0 < ratio < 20.0
+
+
+def stage_field(stages):
+    """A field that returns ``stages`` in turn and records each (t, *y) it is called at."""
+    calls, values = [], iter(stages)
+
+    def f(t, y):
+        calls.append([t, *y])
+        return next(values)
+
+    return f, calls
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_unrolled_steps_are_the_generic_step_bit_for_bit(data):
+    # rk4_step takes the written-out step of a 5- or 6-element state
+    n, fl = data.draw(st.sampled_from([5, 6])), data.draw(float_kinds)
+    vec = st.lists(fl, min_size=n, max_size=n)
+    y, t, h = data.draw(vec), data.draw(fl), data.draw(fl)
+    stages = [tuple(data.draw(vec)) for _ in range(4)]
+    k1 = stages.pop(0) if data.draw(st.booleans()) else None
+    f_ref, ref_calls = stage_field(stages)
+    ref = _rk4_step_n(f_ref, t, y, h, k1)
+    for step in ({5: _rk4_step5, 6: _rk4_step6}[n], rk4_step):
+        f, calls = stage_field(stages)
+        new = step(f, t, y, h, k1)
+        assert isinstance(new, list) and same_bits(new, ref)
+        assert same_bits(calls, ref_calls)  # the same stage times and arguments
 
 
 def test_grad_fd_on_a_polynomial():
