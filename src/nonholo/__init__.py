@@ -25,7 +25,6 @@ from .dynamics import (
     drift_report,
     integrate,
     nonconservation_rates,
-    reconstruct_full,
     rhs,
 )
 from .errors import (
@@ -35,7 +34,7 @@ from .errors import (
     DomainError,
     NonholoError,
 )
-from .geomforms import LQPValues, qp_matrix, qpl_values
+from .geomforms import qp_matrix, qpl_values
 from .momenta import (
     MomentaSolution,
     closed_form_momenta,
@@ -63,11 +62,10 @@ from .phase import (
     energy,
     invariants,
     momentum_components,
-    M_from_omega,
     omega_from_M,
 )
 from .profile import ProfileEval, ProfileSpec, contact_vector, eval_profile, profile_scalars
-from .smallalg import cross, dot, grad_fd, rk4_step
+from .smallalg import rk4_step
 
 __version__ = "0.1.0"
 
@@ -79,7 +77,6 @@ __all__ = [
     "DegeneracyError",
     "DomainError",
     "IntegratorConfig",
-    "LQPValues",
     "MomentaSolution",
     "NonholoError",
     "ProfileEval",
@@ -91,20 +88,16 @@ __all__ = [
     "casimir_residuals",
     "closed_form_momenta",
     "contact_vector",
-    "cross",
-    "dot",
     "drift",
     "drift_report",
     "energy",
     "eval_gauge_momenta",
     "eval_profile",
     "gauge_momentum_fields",
-    "grad_fd",
     "hamiltonian_field",
     "integrate",
     "invariants",
     "jacobiator",
-    "M_from_omega",
     "momenta_ode_rhs",
     "momentum_components",
     "nonconservation_rates",
@@ -121,7 +114,6 @@ __all__ = [
     "pushforward_residual",
     "qp_matrix",
     "qpl_values",
-    "reconstruct_full",
     "reduced_bivector_tau",
     "rhs",
     "rk4_step",

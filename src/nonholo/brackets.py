@@ -242,20 +242,17 @@ def casimir_residuals(
     spec: ProfileSpec,
     x,
     momenta,
-    kind: BracketKind = BracketKind.GAUGED,
 ) -> CasimirResiduals:
-    """Evaluate the Casimir certificate at a packed state.
+    """Evaluate the Casimir certificate of the gauged bracket at a packed state.
 
     ``momenta`` is a MomentaSolution; J-field gradients take the
     tau1-derivatives from ``momenta.slope``, so the residuals measure the
-    structure, not interpolation error.  ``kind`` defaults to the gauged bracket; the
-    nh bracket is accepted as a diagnostic (residuals are then O(1) rate
-    defects, e.g. {J2-ish, tau4} ~ 0.4 at the worked state).
+    structure, not interpolation error.
     """
     from .momenta import gauge_momentum_fields
 
     x = np.asarray(x, dtype=float)
-    pi = bivector_packed(params, spec, x, kind)
+    pi = bivector_packed(params, spec, x, BracketKind.GAUGED)
     gen = s1_generator(x)
     grads = [jf.gradient(x) for jf in gauge_momentum_fields(momenta)]
     pairs = momenta.eval(x[2])

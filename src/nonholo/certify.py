@@ -206,7 +206,8 @@ def _rate_law(s, p):
 
 def _consistency(s, p):
     xd = rhs(s.params, s.spec, p.x)
-    return nan_max(float(np.max(np.abs(xd - pi @ s.ham.gradient(p.x)))) for pi in p.pis)
+    dh = s.ham.gradient(p.x)
+    return nan_max(float(np.max(np.abs(xd - pi @ dh))) for pi in p.pis)
 
 
 _TAU1_GRID = np.linspace(-0.999, 0.999, 1000)

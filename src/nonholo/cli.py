@@ -7,12 +7,13 @@ checks are sorted by name, so identical inputs give byte-identical outputs.
 
 Exit codes: 0 success, 1 check failure, 2 usage or I/O error (a closed
 standard output included) or a result that is not finite (no report or CSV
-is written then).  The environment variable NONHOLO_SEED overrides the
-config seed.
+is written then, and a file already at ``--out`` is left as it was).  The
+environment variable NONHOLO_SEED overrides the config seed.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -204,14 +205,11 @@ def parse_config(text: str) -> RunConfig:
     integ = raw.get("integrator", {})
     if not isinstance(integ, dict):
         raise _err("'integrator' must be an object", "/integrator")
-    _check_keys(integ, {"dt", "t_final", "renormalize_gamma"}, "/integrator")
+    _check_keys(integ, {"dt", "t_final"}, "/integrator")
     dt = _number(integ, "dt", "/integrator", default=1e-3)
     t_final = _number(integ, "t_final", "/integrator", default=10.0)
-    renorm = integ.get("renormalize_gamma", True)
-    if not isinstance(renorm, bool):
-        raise _err("'renormalize_gamma' must be a boolean", "/integrator/renormalize_gamma")
     try:
-        integrator = IntegratorConfig(dt, t_final, renorm)
+        integrator = IntegratorConfig(dt, t_final)
     except ValueError as exc:
         raise _err(str(exc), "/integrator") from exc
 
@@ -252,7 +250,6 @@ def serialize_config(cfg: RunConfig) -> str:
     out["integrator"] = {
         "dt": cfg.integrator.dt,
         "t_final": cfg.integrator.t_final,
-        "renormalize_gamma": cfg.integrator.renormalize_gamma,
     }
     out["seed"] = cfg.seed
     out["samples"] = cfg.samples
@@ -297,6 +294,36 @@ def _write_csv(path: str, header: Sequence[str], rows) -> None:
             fh.write(line % tuple(row))
 
 
+def _publish(path: str, header: Sequence[str], rows, summary: dict) -> int:
+    """Write the CSV of ``header`` and ``rows`` to ``path`` and print the JSON
+    ``summary``; return the exit code.
+
+    The rows go to a temporary sibling of ``path``, which replaces it only
+    once standard output has taken the summary, so a run that fails on either
+    leaves ``path`` as it was.  A path that exists and is not a regular file
+    (``/dev/null``, a FIFO) is written in place.
+    """
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.getpid()}.tmp" if os.path.isfile(target) or not os.path.exists(target) else path
+    placed = tmp == path
+    try:
+        try:
+            _write_csv(tmp, header, rows)
+        except OSError as exc:
+            print(f"error: {OSError(exc.errno, exc.strerror, path)}", file=sys.stderr)
+            return 2
+        print(json.dumps(summary, sort_keys=True))
+        sys.stdout.flush()  # a closed stdout fails here, before the CSV is in place
+        if not placed:
+            os.replace(tmp, target)
+            placed = True
+    finally:
+        if not placed:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+    return 0
+
+
 def _array_rows(*columns: np.ndarray):
     """The rows of arrays of equal length (1-d columns or 2-d blocks of them)
     set side by side, as lists of Python floats.  They are stacked and
@@ -328,13 +355,7 @@ def cmd_simulate(cfg: RunConfig, out_path: str) -> int:
         summary = {"dE": drift(traj[:, -1]), "dJ": drift(traj[:, -2])}  # columns ..., J, E
     else:
         summary = drift_report(traj)
-    try:
-        _write_csv(out_path, columns, _array_rows(traj))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(json.dumps(summary, sort_keys=True))
-    return 0
+    return _publish(out_path, columns, _array_rows(traj), summary)
 
 
 def cmd_check(cfg: RunConfig) -> Report:
@@ -367,19 +388,15 @@ def cmd_momenta(cfg: RunConfig, out_path: str) -> int:
         "rows": len(sol.grid),
         "min_independence": sol.min_independence(),
     }
-    try:
-        if cfg.profile.kind == "routh":
-            header = ["tau1", "f1", "g1", "f2", "g2", "f1_cf", "g1_cf", "f2_cf", "g2_cf"]
-            closed = closed_form_momenta(cfg.body, cfg.profile, cfg.delta, cfg.h).pairs  # on sol.grid
-            _write_csv(out_path, header, _array_rows(sol.grid, sol.pairs, closed))
-            summary["max_closed_form_deviation"] = certify.span_residual(cfg.body, cfg.profile, sol, closed)
-        else:
-            _write_csv(out_path, ["tau1", "f1", "g1", "f2", "g2"], _array_rows(sol.grid, sol.pairs))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(json.dumps(summary, sort_keys=True))
-    return 0
+    if cfg.profile.kind == "routh":
+        header = ["tau1", "f1", "g1", "f2", "g2", "f1_cf", "g1_cf", "f2_cf", "g2_cf"]
+        closed = closed_form_momenta(cfg.body, cfg.profile, cfg.delta, cfg.h).pairs  # on sol.grid
+        summary["max_closed_form_deviation"] = certify.span_residual(cfg.body, cfg.profile, sol, closed)
+        rows = _array_rows(sol.grid, sol.pairs, closed)
+    else:
+        header = ["tau1", "f1", "g1", "f2", "g2"]
+        rows = _array_rows(sol.grid, sol.pairs)
+    return _publish(out_path, header, rows, summary)
 
 
 # ---------------------------------------------------------------------------

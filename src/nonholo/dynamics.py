@@ -12,9 +12,7 @@ exact flows; it is also consistent with both bracket kinds:
 xdot = Pi grad(H), a standing 1e-8 test.
 
 Conservation identities hold only on the unit sphere, so the integrator
-renormalizes gamma after every step by default; switching renormalization
-off is supported for the drift diagnostics (|gamma|-1 then stays < 1e-6
-over the standard runs instead of < 1e-9).
+renormalizes gamma after every step.
 
 ``integrate`` steps on Python floats.  The state is a list of six floats
 stepped by ``smallalg.rk4_step``, which takes its written-out six-element
@@ -36,13 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError
+from .errors import DomainError
 from .geomforms import qpl_values
 from .momenta import MomentaSolution
-from .phase import (BodyParams, StateGM, energy_floats, invariants, momentum_components, omega_floats, omega_from_M,
-                    relation_residual)
+from .phase import BodyParams, StateGM, energy_floats, invariants, momentum_components, omega_floats, relation_residual
 from .profile import ProfileSpec, check_domain, eval_profile, profile_scalars, profile_terms
-from .smallalg import E3, cross, dot, hat, rk4_step
+from .smallalg import dot, rk4_step
 
 
 #: Largest t_final/dt accepted; a trajectory is preallocated as one array.
@@ -59,7 +56,6 @@ class IntegratorConfig:
 
     dt: float
     t_final: float
-    renormalize_gamma: bool = True
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.dt) and self.dt > 0):
@@ -130,12 +126,12 @@ def integrate(
     row per step, t=0 included.
 
     Returns a float array whose columns are ``COLUMNS``.  gamma is
-    renormalized to the unit sphere after every accepted step
-    (cfg.renormalize_gamma).  A non-finite state aborts the run with a
-    warning, returning the rows completed so far.  A row whose tau1 is
-    off ``momenta`` (past the end of a table; the closed forms cover
-    [-1, 1]) gets NaN gauge momenta rather than aborting, and the first
-    such row warns once with the lookup's own message.
+    renormalized to the unit sphere after every accepted step.  A
+    non-finite state aborts the run with a warning, returning the rows
+    completed so far.  A row whose tau1 is off ``momenta`` (past the end of
+    a table; the closed forms cover [-1, 1]) gets NaN gauge momenta rather
+    than aborting, and the first such row warns once with the lookup's own
+    message.
 
     The state is a list of six Python floats stepped by ``rk4_step`` (its
     written-out six-element step); every stage checks the profile band and
@@ -154,7 +150,7 @@ def integrate(
     n_steps = cfg.steps
     out = np.empty((n_steps + 1, len(COLUMNS)))
     x = StateGM.from_packed(state0).packed().tolist()
-    dt, renormalize, isfinite, sqrt = cfg.dt, cfg.renormalize_gamma, math.isfinite, math.sqrt
+    dt, isfinite, sqrt = cfg.dt, math.isfinite, math.sqrt
 
     # The components are named, not star-unpacked: a call with positional
     # arguments is cheaper than one through an unpacked sequence.
@@ -183,9 +179,8 @@ def integrate(
             x = rk4_step(f, (k - 1) * dt, x, dt, xd)
             if not all(map(isfinite, x)):
                 break
-            if renormalize:
-                n = sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
-                x[0], x[1], x[2] = x[0] / n, x[1] / n, x[2] / n
+            n = sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
+            x[0], x[1], x[2] = x[0] / n, x[1] / n, x[2] / n
             xd = record(k, x)
             rows = k + 1
     finally:  # a stage off the band raises, after the off-table warning of the rows done
@@ -250,73 +245,6 @@ def nonconservation_rates(params: BodyParams, spec: ProfileSpec, x) -> RateLaw:
     sc = profile_scalars(params, ev, gamma)
     t2 = gamma[0] * M[1] - gamma[1] * M[0]
     return RateLaw(float(dj1), float(dj2), -vals.Q * t2 / sc.A1, -vals.P * t2 / sc.A1)
-
-
-def _reorthonormalize(g: np.ndarray) -> np.ndarray:
-    u, _, vt = np.linalg.svd(g)
-    r = u @ vt
-    if np.linalg.det(r) < 0:  # keep it a rotation
-        u[:, -1] = -u[:, -1]
-        r = u @ vt
-    return r
-
-
-def reconstruct_full(
-    params: BodyParams,
-    spec: ProfileSpec,
-    traj: np.ndarray,
-    g0: np.ndarray,
-    a0: tuple[float, float],
-) -> list[tuple[np.ndarray, tuple[float, float]]]:
-    """Reconstruct attitude and contact trace from a reduced trajectory.
-
-    Integrates g_dot = g*hat(Omega), a_dot = -g*(Omega x s) with the same
-    fixed step as the reduced run (an ``integrate`` array), re-orthonormalizing
-    g each step (polar projection).  gamma is identified with the third row
-    of g; its match with the reduced trajectory (< 1e-6 over the standard
-    runs) is the consistency test of the reconstruction.
-
-    Raises:
-        ConsistencyError: if g0 is not a rotation within 1e-8 or its third
-            row differs from the initial gamma by more than 1e-8.
-    """
-    g0 = np.asarray(g0, dtype=float)
-    if np.max(np.abs(g0.T @ g0 - np.eye(3))) > 1e-8 or np.linalg.det(g0) < 0:
-        raise ConsistencyError("g0 is not a rotation matrix (1e-8 tolerance)")
-    t, gamma0, m0 = traj[:, 0], traj[0, 1:4], traj[0, 4:7]
-    if np.max(np.abs(g0[2] - gamma0)) > 1e-8:
-        raise ConsistencyError("third row of g0 does not match the initial gamma")
-    dt = t[1] - t[0]
-    g = g0.copy()
-    ev0 = eval_profile(spec, gamma0[2])
-    s0 = ev0.rho * gamma0 - ev0.L * E3
-    a = np.array([a0[0], a0[1], -dot(gamma0, s0)])
-
-    out: list[tuple[np.ndarray, tuple[float, float]]] = []
-
-    def f(t, y):
-        y = np.asarray(y, dtype=float)
-        gm = y[:9].reshape(3, 3)
-        m = y[12:15]
-        gamma = gm[2] / np.sqrt(dot(gm[2], gm[2]))
-        x = np.concatenate([gamma, m])
-        ev = eval_profile(spec, gamma[2])
-        omega = omega_from_M(params, ev, x)
-        s = ev.rho * gamma - ev.L * E3
-        gd = gm @ hat(omega)
-        ad = -(gm @ cross(omega, s))
-        return np.concatenate([gd.reshape(9), ad, rhs(params, spec, x)[3:6]])
-
-    y = np.concatenate([g.reshape(9), a, m0])
-    for k, tk in enumerate(t):
-        gm = y[:9].reshape(3, 3)
-        out.append((gm.copy(), (float(y[9]), float(y[10]))))
-        if k == len(t) - 1:
-            break
-        y = np.array(rk4_step(f, tk, y, dt))
-        gm = _reorthonormalize(y[:9].reshape(3, 3))
-        y[:9] = gm.reshape(9)
-    return out
 
 
 def drift_report(traj: np.ndarray) -> dict:

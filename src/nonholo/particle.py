@@ -83,21 +83,8 @@ def _coupling(v: np.ndarray):
     return y * px / (1.0 + pow2(y))
 
 
-def frame_form(v) -> np.ndarray:
-    """The 4x4 constrained 2-form in the frame (e1, e2, e3, e4)."""
-    w = _coupling(np.asarray(v, dtype=float))
-    return np.array(
-        [
-            [0.0, -w, 1.0, 0.0],
-            [w, 0.0, 0.0, 1.0],
-            [-1.0, 0.0, 0.0, 0.0],
-            [0.0, -1.0, 0.0, 0.0],
-        ]
-    )
-
-
 def _bracket_matrix(v: np.ndarray) -> np.ndarray:
-    """B = -frame_form^-1 = [[0, I], [-I, -A(w)]] (see the module docstring),
+    """B = -(frame form)^-1 = [[0, I], [-I, -A(w)]] (see the module docstring),
     (4, 4) at a packed state or (m, 4, 4) at an (m, 5) stack of them."""
     w = _coupling(v)
     b = np.zeros(np.shape(w) + (4, 4))

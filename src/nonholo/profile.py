@@ -154,7 +154,6 @@ def check_gamma3(ev: ProfileEval, gamma3: float) -> None:
 class ProfileScalars:
     """Mass-metric scalars at a state. All are plain functions of (gamma3, tau1-free data):
 
-    sigma = m * <s, gamma>           (= m*(rho*(1-tau1^2) + zeta*tau1) on the sphere)
     A1    = I1 + m*<s, s>            (equatorial entry of A = I + m<s,s> Id)
     E     = 1 - m*<A^-1 s, s>        (Legendre denominator, provably > 0)
     Ptau  = I1*I3 + m*(I1*rho^2*(1-gamma3^2) + I3*zeta^2)   (= A1*A3*E)
@@ -162,7 +161,6 @@ class ProfileScalars:
     ss    = <s, s>
     """
 
-    sigma: float
     A1: float
     E: float
     Ptau: float
@@ -190,7 +188,7 @@ def profile_scalars(params: "BodyParams", ev: ProfileEval, gamma: Vec3) -> Profi
         raise DegeneracyError(f"Legendre denominator E={e!r} <= 1e-10")
     ptau = legendre_ptau(params, ev.rho, ev.zeta, 1.0 - ev.gamma3 * ev.gamma3)
     gs = dot(gamma, s)
-    return ProfileScalars(params.m * gs, a1, e, ptau, gs, ss)
+    return ProfileScalars(a1, e, ptau, gs, ss)
 
 
 def legendre_ptau(params: "BodyParams", rho: float, zeta: float, one_t2: float) -> float:

@@ -1,4 +1,4 @@
-"""Small linear algebra: 3-vectors, the hat map, RK4 step, finite differences,
+"""Small linear algebra: 3-vectors, RK4 step, finite differences,
 and the Jacobi trivector of a bivector field.
 
 Everything here is deliberately written out (no LAPACK dispatch) so results
@@ -39,17 +39,6 @@ def cross(a: Vec3, b: Vec3) -> Vec3:
 def dot(a: Vec3, b: Vec3) -> float:
     """Return the dot product of two 3-vectors."""
     return float(a[0] * b[0] + a[1] * b[1] + a[2] * b[2])
-
-
-def hat(v: Vec3) -> np.ndarray:
-    """The antisymmetric 3x3 matrix with hat(v) @ w = v x w."""
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
 
 
 def nan_max(values):

@@ -12,6 +12,13 @@ stencil point with its own call.  The package must reproduce them to the
 bit; ``test_float_stepper.py`` and ``test_stacked_brackets.py`` compare
 ``.view(np.int64)``.  ``same_bits`` and the float strategies below serve
 every such comparison.
+
+The last bodies are partners that only tests ever called, kept here as
+independent references rather than package code: ``hat``, ``M_from_omega``
+(the forward map of the ``omega_from_M`` round trip), ``frame_form`` (the
+2-form whose negative inverse is the particle's bracket matrix) and
+``reconstruct_full`` (the attitude and contact trace that cross-check
+``integrate``'s gamma column).
 """
 import math
 import random
@@ -22,9 +29,9 @@ from hypothesis import strategies as st
 
 from nonholo import BracketKind, DomainError, StateGM, eval_profile, invariants, momentum_components
 from nonholo.dynamics import COLUMNS
-from nonholo.particle import COLUMNS as PARTICLE_COLUMNS
-from nonholo.profile import check_gamma3
-from nonholo.smallalg import E3, TRIVECTOR_STEP, cross, dot, hat
+from nonholo.particle import COLUMNS as PARTICLE_COLUMNS, _coupling
+from nonholo.profile import check_gamma3, contact_vector
+from nonholo.smallalg import E3, TRIVECTOR_STEP, cross, dot
 
 
 #: The NaN that arithmetic makes on this machine (inf - inf).  CPython's
@@ -63,6 +70,17 @@ def rk4_step(f, t, y, h):
     k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
     k4 = f(t + h, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def hat(v):
+    """The antisymmetric 3x3 matrix with hat(v) @ w = v x w."""
+    return np.array(
+        [
+            [0.0, -v[2], v[1]],
+            [v[2], 0.0, -v[0]],
+            [-v[1], v[0], 0.0],
+        ]
+    )
 
 
 def omega_from_M(params, ev, x):
@@ -174,8 +192,7 @@ def integrate(params, spec, state0, cfg, momenta):
             warnings.warn(f"non-finite state at step {k}; aborting with {k} samples")
             rows = k
             break
-        if cfg.renormalize_gamma:
-            x[:3] /= np.sqrt(dot(x[:3], x[:3]))
+        x[:3] /= np.sqrt(dot(x[:3], x[:3]))
         record(k, x)
 
     out, cf = out[:rows], coeffs[:rows]
@@ -221,4 +238,83 @@ def particle_integrate(state0, cfg):
     if bad.size:
         warnings.warn(f"non-finite state at step {bad[0]}; aborting with {bad[0]} samples")
         return out[: bad[0]]
+    return out
+
+
+def M_from_omega(params, ev, gamma, omega):
+    """Forward map M = A*Omega - m*<s, Omega>*s."""
+    s = contact_vector(ev, gamma)
+    ss = dot(s, s)
+    a1 = params.I1 + params.m * ss
+    a3 = params.I3 + params.m * ss
+    so = dot(s, omega)
+    return np.array(
+        [
+            a1 * omega[0] - params.m * so * s[0],
+            a1 * omega[1] - params.m * so * s[1],
+            a3 * omega[2] - params.m * so * s[2],
+        ]
+    )
+
+
+def frame_form(v):
+    """The 4x4 constrained 2-form of the particle in the frame (e1, e2, e3, e4)."""
+    w = _coupling(np.asarray(v, dtype=float))
+    return np.array(
+        [
+            [0.0, -w, 1.0, 0.0],
+            [w, 0.0, 0.0, 1.0],
+            [-1.0, 0.0, 0.0, 0.0],
+            [0.0, -1.0, 0.0, 0.0],
+        ]
+    )
+
+
+def _reorthonormalize(g):
+    u, _, vt = np.linalg.svd(g)
+    r = u @ vt
+    if np.linalg.det(r) < 0:  # keep it a rotation
+        u[:, -1] = -u[:, -1]
+        r = u @ vt
+    return r
+
+
+def reconstruct_full(params, spec, traj, g0, a0):
+    """Reconstruct attitude and contact trace from a reduced trajectory.
+
+    Integrates g_dot = g*hat(Omega), a_dot = -g*(Omega x s) with the same
+    fixed step as the reduced run (an ``integrate`` array), re-orthonormalizing
+    g each step (polar projection); returns one (g, (a1, a2)) per row.  gamma
+    is identified with the third row of g, so ``g0`` is a rotation whose
+    third row is the initial gamma; its match with the reduced trajectory is
+    the consistency test of the reconstruction.
+    """
+    g0 = np.asarray(g0, dtype=float)
+    t, gamma0, m0 = traj[:, 0], traj[0, 1:4], traj[0, 4:7]
+    dt = t[1] - t[0]
+    ev0 = eval_profile(spec, gamma0[2])
+    s0 = ev0.rho * gamma0 - ev0.L * E3
+    a = np.array([a0[0], a0[1], -dot(gamma0, s0)])
+    out = []
+
+    def f(t, y):
+        gm = y[:9].reshape(3, 3)
+        m = y[12:15]
+        gamma = gm[2] / np.sqrt(dot(gm[2], gm[2]))
+        x = np.concatenate([gamma, m])
+        ev = eval_profile(spec, gamma[2])
+        omega = omega_from_M(params, ev, x)
+        s = ev.rho * gamma - ev.L * E3
+        gd = gm @ hat(omega)
+        ad = -(gm @ cross(omega, s))
+        return np.concatenate([gd.reshape(9), ad, rhs(params, spec, x)[3:6]])
+
+    y = np.concatenate([g0.reshape(9), a, m0])
+    for k, tk in enumerate(t):
+        gm = y[:9].reshape(3, 3)
+        out.append((gm.copy(), (float(y[9]), float(y[10]))))
+        if k == len(t) - 1:
+            break
+        y = rk4_step(f, tk, y, dt)
+        y[:9] = _reorthonormalize(y[:9].reshape(3, 3)).reshape(9)
     return out

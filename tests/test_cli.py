@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -108,8 +109,7 @@ def _valid_configs(draw):
         raw["params"] = params
         raw["initial"] = {"gamma": gamma, "M": draw(st.lists(_finite, min_size=3, max_size=3))}
     dt = draw(st.floats(1e-4, 0.1))
-    raw["integrator"] = {"dt": dt, "t_final": dt * draw(st.floats(1.0, 1000.0)),
-                         "renormalize_gamma": draw(st.booleans())}
+    raw["integrator"] = {"dt": dt, "t_final": dt * draw(st.floats(1.0, 1000.0))}
     raw["seed"] = draw(st.integers(0, 2**32))
     raw["samples"] = draw(st.integers(1, MAX_SAMPLES))
     raw["delta"] = draw(st.floats(1e-6, 0.1))
@@ -134,7 +134,6 @@ def test_defaults():
     assert cfg.body.grav == 0.0
     assert cfg.integrator.dt == 1e-3
     assert cfg.integrator.t_final == 10.0
-    assert cfg.integrator.renormalize_gamma is True
     assert (cfg.seed, cfg.samples) == (0, 100)
     assert (cfg.delta, cfg.h) == (1e-3, 1e-4)
 
@@ -198,6 +197,7 @@ BAD_CASES = [
     (PARTICLE_RAW, ("samples",), 100_000_000_000, "/samples"),
     (ROUTH_RAW, ("samples",), MAX_SAMPLES + 1, "/samples"),
     (ELLIPSOID_RAW, ("samples",), 0, "/samples"),  # no samples would certify nothing and pass
+    (ROUTH_RAW, ("integrator", "renormalize_gamma"), True, "/integrator/renormalize_gamma"),  # not a key
     # integer literals beyond the float range, and one beyond int's digit limit
     pytest.param(ROUTH_RAW, ("params", "m"), 10**400, "/params/m", id="m-1e400"),
     pytest.param(ROUTH_RAW, ("initial", "gamma"), [0.6, 10**400, 0.8], "/initial/gamma", id="gamma-1e400"),
@@ -441,24 +441,52 @@ def test_error_exits(tmp_path, capsys):
     assert err.count("error:") == 4
 
 
-@pytest.mark.parametrize("command", ["check", "simulate"])
-def test_a_closed_stdout_exits_2_with_one_error_line(tmp_path, command):
+def _run_with_closed_stdout(argv):
     # The pipe's read end is closed before the child starts, so its first
-    # write to stdout fails with EPIPE: no traceback, at exit included.
+    # write to stdout fails with EPIPE.
     read_end, write_end = os.pipe()
     os.close(read_end)
     src = str(Path(nonholo.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    argv = [command, "--config", write_config(tmp_path, PARTICLE_RAW)]
-    if command == "simulate":
-        argv += ["--out", str(tmp_path / "t.csv")]
     try:
-        proc = subprocess.run([sys.executable, "-c", "import sys; from nonholo.cli import main; sys.exit(main())",
+        return subprocess.run([sys.executable, "-c", "import sys; from nonholo.cli import main; sys.exit(main())",
                                *argv], stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=300)
     finally:
         os.close(write_end)
+
+
+@pytest.mark.parametrize("command", ["check", "simulate", "momenta"])
+def test_a_closed_stdout_exits_2_with_one_error_line(tmp_path, command):
+    # No traceback, at exit included, and no CSV: the summary that fails to
+    # reach stdout is printed before the CSV is put in place.
+    argv = [command, "--config", write_config(tmp_path, ROUTH_RAW if command == "momenta" else PARTICLE_RAW)]
+    out = tmp_path / "t.csv"
+    if command != "check":
+        argv += ["--out", str(out)]
+    proc = _run_with_closed_stdout(argv)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    if command != "check":
+        assert not out.exists() and not list(tmp_path.glob("t.csv*"))  # no temporary file left either
+        out.write_text("previous\n")  # nor is a file already there replaced
+        assert _run_with_closed_stdout(argv).returncode == 2
+        assert out.read_text() == "previous\n" and [p.name for p in tmp_path.glob("t.csv*")] == ["t.csv"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a FIFO")
+def test_an_out_path_that_is_not_a_regular_file_is_written_in_place(tmp_path):
+    # A FIFO or a device (say /dev/null) must not be replaced by a regular file.
+    fifo = tmp_path / "t.csv"
+    os.mkfifo(fifo)
+    cfg = dict(PARTICLE_RAW, integrator={"dt": 1e-3, "t_final": 0.01})  # 11 rows, well inside a pipe's buffer
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(fifo)]) == 0
+        text = os.read(reader, 1 << 16).decode()
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert text.startswith("t,x,y,z,px,py,J,E\n") and text.count("\n") == 12
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

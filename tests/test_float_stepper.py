@@ -90,10 +90,10 @@ def test_rk4_step_has_the_bits_of_the_array_formula():
 
 @pytest.mark.parametrize("index", range(16))
 def test_integrate_matches_the_numpy_body(index):
-    # both profiles, grav 0 and > 0, renormalization on and off
+    # both profiles, grav 0 and > 0
     params, spec = random_bodies(7, 16)[index]
     (state,) = make_states(200 + index, 1)
-    cfg = IntegratorConfig(2e-3, 0.3, renormalize_gamma=index % 3 != 2)
+    cfg = IntegratorConfig(2e-3, 0.3)
     momenta = solution_for(params, spec, 1e-2, 1e-3)
     new, new_warn = run(integrate, params, spec, state.packed(), cfg, momenta)
     old, old_warn = run(oracles.integrate, params, spec, state.packed(), cfg, momenta)

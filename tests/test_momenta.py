@@ -215,7 +215,7 @@ def test_momentum_fields_gradients(seed):
     spec = ProfileSpec.routh(1.0, 0.1)
     sol = closed_form_momenta(P98, spec)
     f1, f2 = gauge_momentum_fields(sol)
-    from nonholo import grad_fd
+    from nonholo.smallalg import grad_fd
 
     (state,) = make_states(seed, 1)
     x = state.packed()

@@ -13,8 +13,9 @@ from nonholo import (
     particle_momentum,
     particle_rhs,
 )
-from nonholo.particle import COLUMNS, _bracket_matrix, _frame_gradient, frame_form, hamiltonian_frame_flow
+from nonholo.particle import COLUMNS, _bracket_matrix, _frame_gradient, hamiltonian_frame_flow
 from nonholo.smallalg import grad_fd
+from oracles import frame_form
 
 coords = st.floats(-2.0, 2.0, allow_nan=False)
 

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from nonholo import (
     BodyParams,
-    M_from_omega,
     ProfileSpec,
     StateGM,
     energy,
@@ -15,6 +14,7 @@ from nonholo import (
     omega_from_M,
 )
 from nonholo.phase import relation_residual
+from oracles import M_from_omega
 
 from conftest import make_states
 

@@ -1,8 +1,11 @@
-"""Guards for the names that the benchmark harness binds to.
+"""Guards for the public surface and for the names that the benchmark
+harness binds to.
 
-``bench/kernels.py`` and ``bench/tracer.py`` import and wrap functions of
-this package by name; a refactor that renames or removes one of them must
-fail here instead of silently breaking ``bench/run.py --trace 1``.
+``nonholo.__all__`` is pinned: a name that joins or leaves it must edit the
+pin.  ``bench/kernels.py`` and ``bench/tracer.py`` import and wrap functions
+of this package by name; a refactor that renames or removes one of them must
+fail here instead of silently breaking ``bench/run.py --trace 1``.  The
+runtime imports numpy and the standard library only.
 """
 import importlib
 import inspect
@@ -25,6 +28,33 @@ def test_all_names_resolve_once():
     assert len(nonholo.__all__) == len(set(nonholo.__all__))
     for name in nonholo.__all__:
         assert hasattr(nonholo, name), name
+
+
+PUBLIC_NAMES = [
+    "BodyParams", "BracketKind", "ConfigError", "ConsistencyError", "DegeneracyError", "DomainError",
+    "IntegratorConfig", "MomentaSolution", "NonholoError", "ProfileEval", "ProfileSpec", "ScalarField", "StateGM",
+    "bivector_packed", "bracket", "casimir_residuals", "closed_form_momenta", "contact_vector", "drift",
+    "drift_report", "energy", "eval_gauge_momenta", "eval_profile", "gauge_momentum_fields", "hamiltonian_field",
+    "integrate", "invariants", "jacobiator", "momenta_ode_rhs", "momentum_components", "nonconservation_rates",
+    "ode_residual", "omega_from_M", "particle_bracket", "particle_hamiltonian", "particle_integrate",
+    "particle_jacobiator_reduced", "particle_jacobiator_unreduced", "particle_momentum", "particle_rhs",
+    "profile_scalars", "pushforward_residual", "qp_matrix", "qpl_values", "reduced_bivector_tau", "rhs",
+    "rk4_step", "routh_closed_form", "routh_closed_form_derivative", "solution_for", "solve_momenta",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(nonholo.__all__) == PUBLIC_NAMES
+
+
+def test_the_cli_imports_no_test_or_bench_dependency():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    code = "import json, sys, nonholo.cli; print(json.dumps([name.partition('.')[0] for name in sys.modules]))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert "numpy" in loaded
+    assert not loaded & {"scipy", "sympy", "mpmath", "hypothesis", "pytest", "_pytest"}
 
 
 @pytest.fixture
