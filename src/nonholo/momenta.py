@@ -22,6 +22,20 @@ are tabulated on a uniform grid in (-1+delta, 1-delta); evaluation between
 nodes is linear interpolation.  Independence of the two solutions (the
 determinant f1*g2 - f2*g1 per node) is *reported*, not assumed.
 
+An ellipsoid steps only its upper half.  The centred ellipsoid is symmetric
+under reflection through its equatorial plane: QP00 and QP11 are even in
+tau1, QP01 and QP10 odd, and the two solutions satisfy
+
+    (f1, g1, f2, g2)(-tau1) = (f1, -g1, -f2, g2)(tau1).
+
+Every operation of the profile terms, of [QP] and of the RK4 steps keeps
+this parity exactly, and round-to-nearest is symmetric under negation, so
+the reflected rows are the bits that stepping -h gives.  Only the sign of an
+exact zero (and NaN) can differ; a table whose upper half holds one steps
+the lower half as well (a balanced ellipsoid, c = b, has exact zeros in f2).
+An offset of the centre of mass along the axis breaks the evenness; an
+ellipsoid profile with one must reflect only where the offset is 0.
+
 The solve never calls ``qp_matrix`` per stage.  [QP] is closed-form in
 tau1, so it is evaluated up front, as numpy arrays, at every stage time of
 a chunk of steps (t, t + h/2 and t + h; ``geomforms.qp_grid``).  The RK4
@@ -236,7 +250,10 @@ def solve_momenta(
     """Integrate the coefficient ODE outward from tau1 = 0 with RK4.
 
     Initial pairs at tau1 = 0 are (1, 0) and (0, 1).  Grid spans
-    +-(1 - delta) with step h.
+    +-(1 - delta) with step h.  An ellipsoid steps +h only and fills the
+    lower half by reflection (``_reflect_lower_half``), unless its upper
+    half holds an exact zero or a non-finite value; then it steps -h too.
+    The table has the bits of stepping both halves either way.
 
     Raises:
         ValueError: if delta is outside [1e-6, 0.1], h > 1e-3 or (1 - delta)/h > MAX_HALF_GRID.
@@ -252,6 +269,8 @@ def solve_momenta(
     y0 = (1.0, 0.0, 0.0, 1.0)
     pairs[n] = y0
     for direction in (+1, -1):
+        if direction < 0 and spec.kind == "ellipsoid" and _reflect_lower_half(pairs, n):
+            break
         step = direction * h
         y = y0
         for k0 in range(1, n + 1, _CHUNK):
@@ -267,6 +286,21 @@ def solve_momenta(
         raise NonholoError(f"momenta table not finite at {bad.size} of {len(grid)} nodes"
                            " (the configured values are outside floating-point range)")
     return MomentaSolution(params, spec, grid, pairs)
+
+
+def _reflect_lower_half(pairs: np.ndarray, n: int) -> bool:
+    """Fill rows n-1 ... 0 of an ellipsoid table in place with rows 2n ... n+1,
+    g1 and f2 negated, if the upper half is finite and free of zeros (the
+    bits of stepping -h then; see the module docstring).  Return whether it did.
+    """
+    upper = pairs[n + 1 :]
+    # Reductions only: a boolean mask of the half-table raises peak RSS.  NaN fails both bounds.
+    finite = -math.inf < upper.min() and upper.max() < math.inf
+    if not (finite and np.count_nonzero(upper) == upper.size):
+        return False
+    pairs[:n] = pairs[:n:-1]
+    np.negative(pairs[:n, 1:3], out=pairs[:n, 1:3])
+    return True
 
 
 def _rk4_pairs(y: tuple, h: float, stage_t: list, qp: list) -> list:

@@ -21,6 +21,7 @@ from nonholo.errors import DomainError
 from nonholo.geomforms import qp_grid
 
 from conftest import make_states
+from oracles import same_bits
 
 PRESETS = {
     "routh": ProfileSpec.routh(1.0, 0.1),
@@ -122,7 +123,7 @@ def test_qp_grid_equals_qp_matrix_exactly(spec):
     tau1 = np.concatenate([np.linspace(-0.999999, 0.999999, 20001), [0.0, -0.0, 0.5e-4]])
     grid = np.array(qp_grid(params, spec, tau1))
     scalar = np.array([qp_matrix(params, spec, t).reshape(4) for t in tau1.tolist()]).T
-    assert np.array_equal(grid, scalar)
+    assert same_bits(grid, scalar)
 
 
 def test_qp_grid_domain_guard():

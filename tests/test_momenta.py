@@ -1,10 +1,11 @@
 """Coefficient ODE for the gauge momenta: closed forms, the tabulated
 solver, and the certificates tying one to the other."""
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nonholo import (
@@ -22,7 +23,9 @@ from nonholo import (
     routh_closed_form_derivative,
     solve_momenta,
 )
+from nonholo import momenta
 from nonholo.errors import DomainError, NonholoError
+from nonholo.geomforms import qp_grid
 from nonholo.momenta import MAX_HALF_GRID, _grid, _ode_slope, _rk4_pairs, grid_half
 from nonholo.smallalg import rk4_step
 from oracles import float_kinds, same_bits
@@ -235,9 +238,14 @@ def _solve_with_rk4_step(params, spec, delta, h):
     pairs = np.empty((len(grid), 4))
 
     def f(t, y):
-        return np.concatenate(
-            [momenta_ode_rhs(params, spec, t, y[:2]), momenta_ode_rhs(params, spec, t, y[2:])]
-        )
+        try:
+            return np.concatenate(
+                [momenta_ode_rhs(params, spec, t, y[:2]), momenta_ode_rhs(params, spec, t, y[2:])]
+            )
+        except ZeroDivisionError:  # Python's float division; qp_grid's twin gives inf/NaN there
+            with np.errstate(all="ignore"):
+                q = [float(e[0]) for e in qp_grid(params, spec, np.array([t]))]
+            return [*_ode_slope(*q, t, y[0], y[1]), *_ode_slope(*q, t, y[2], y[3])]
 
     y0 = np.array([1.0, 0.0, 0.0, 1.0])
     pairs[n] = y0
@@ -269,8 +277,64 @@ def test_solver_matches_rk4_step_bit_for_bit(name, delta, h):
     spec = SOLVER_SPECS[name]
     grid, pairs = _solve_with_rk4_step(P98, spec, delta, h)
     sol = solve_momenta(P98, spec, delta, h)
-    assert np.array_equal(sol.grid, grid)
-    assert np.array_equal(sol.pairs, pairs)
+    assert same_bits(sol.grid, grid)
+    assert same_bits(sol.pairs, pairs)
+
+
+#: A share of the drawn ellipsoids are balanced (c = b): their f2 column
+#: holds exact zeros, whose sign a reflected half could flip.
+_ellipsoids = st.tuples(
+    st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.sampled_from([True, False, False])
+).map(lambda t: ProfileSpec.ellipsoid(t[0], t[0] if t[2] else t[1]))
+_bodies = st.builds(
+    BodyParams,
+    m=st.floats(0.1, 10.0),
+    I1=st.floats(0.1, 10.0),
+    I3=st.floats(0.1, 10.0),
+    grav=st.sampled_from([0.0, 9.8]),
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(params=_bodies, spec=_ellipsoids, delta=st.floats(1e-2, 0.1), h=st.floats(2.5e-4, 1e-3))
+@example(params=P98, spec=ProfileSpec.ellipsoid(1.5, 1.5), delta=1e-2, h=1e-3)
+@example(params=P98, spec=ProfileSpec.ellipsoid(2.0, 2.0), delta=1e-2, h=1e-3)
+# the bodies of test_a_non_finite_table_is_an_error
+@example(params=BodyParams(m=1.0, I1=1e308, I3=1e308, grav=9.8), spec=ProfileSpec.routh(1.0, 0.1), delta=1e-2, h=1e-3)
+@example(params=P98, spec=ProfileSpec.ellipsoid(1e-300, 1e-300), delta=1e-2, h=1e-3)
+@example(params=P98, spec=ProfileSpec.ellipsoid(1e300, 1e-300), delta=1e-2, h=1e-3)
+def test_solve_is_the_two_sided_rk4_step_solve(params, spec, delta, h):
+    # An ellipsoid table reflects its upper half where that gives the bits of
+    # stepping -h; the oracle steps both halves.  A non-finite table is an
+    # error that counts the oracle's non-finite nodes.
+    grid, pairs = _solve_with_rk4_step(params, spec, delta, h)
+    bad = int((~np.isfinite(pairs).all(axis=1)).sum())
+    if bad:
+        with pytest.raises(NonholoError, match=re.escape(f"not finite at {bad} of {len(grid)} nodes")):
+            solve_momenta(params, spec, delta, h)
+        return
+    sol = solve_momenta(params, spec, delta, h)
+    assert same_bits(sol.grid, grid)
+    assert same_bits(sol.pairs, pairs)
+
+
+def test_an_ellipsoid_table_steps_one_half(monkeypatch, ellipsoid_preset, routh_preset):
+    # Counted, not timed: the RK4 steps that _rk4_pairs returns per solve.
+    steps = []
+
+    def counting(*args):
+        rows = _rk4_pairs(*args)
+        steps.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(momenta, "_rk4_pairs", counting)
+    n = grid_half(1e-3, 1e-4)
+    balanced = (P98, ProfileSpec.ellipsoid(1.5, 1.5))
+    for (params, spec), expected in ((ellipsoid_preset, n), (routh_preset, 2 * n), (balanced, 2 * n)):
+        steps.clear()
+        sol = solve_momenta(params, spec)
+        assert sum(steps) == expected, spec
+    assert (sol.pairs[n + 1 :] == 0).any()  # the balanced table's upper half holds an exact zero
 
 
 @settings(max_examples=300, deadline=None)
