@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NonholoError
 from .phase import BodyParams, omega_floats
 from .profile import ProfileEval, ProfileSpec, check_gamma3, eval_profile, legendre_ptau, profile_terms
 from .smallalg import Vec3, pow2
@@ -108,12 +108,18 @@ def qp_matrix(params: BodyParams, spec: ProfileSpec, tau1: float) -> np.ndarray:
     Raises:
         DomainError: if |tau1| > 1 - 1e-9 (reduced space is singular at the
             vertical strata).
+        NonholoError: if float arithmetic fails (a division by an underflowed
+            zero), where ``qp_grid`` gives NaN.
     """
     t1 = float(tau1)
     if abs(t1) > 1.0 - 1e-9:
         raise DomainError(f"tau1={t1!r} too close to the singular strata +-1")
-    ev = eval_profile(spec, t1)
-    q00, q01, q10, q11 = _qp_entries(params, t1, ev.rho, ev.zeta, ev.L, ev.rho_p, ev.L_p)
+    try:
+        ev = eval_profile(spec, t1)
+        q00, q01, q10, q11 = _qp_entries(params, t1, ev.rho, ev.zeta, ev.L, ev.rho_p, ev.L_p)
+    except ArithmeticError as exc:
+        raise NonholoError(f"[QP] at tau1={t1!r} is not finite"
+                           " (the configured values are outside floating-point range)") from exc
     return np.array([[q00, q01], [q10, q11]])
 
 

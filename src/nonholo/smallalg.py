@@ -15,25 +15,12 @@ import numpy as np
 
 Vec3 = np.ndarray  # shape (3,), float64
 
-E1 = np.array([1.0, 0.0, 0.0])
-E2 = np.array([0.0, 1.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
 
 #: relative step of the 5-point stencil that differentiates a bivector field
 TRIVECTOR_STEP = 1e-3
 #: relative step of the central differences of ``grad_fd``
 GRAD_STEP = 1e-5
-
-
-def cross(a: Vec3, b: Vec3) -> Vec3:
-    """Return the cross product a x b."""
-    return np.array(
-        [
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        ]
-    )
 
 
 def dot(a: Vec3, b: Vec3) -> float:

@@ -14,11 +14,11 @@ bit; ``test_float_stepper.py`` and ``test_stacked_brackets.py`` compare
 every such comparison.
 
 The last bodies are partners that only tests ever called, kept here as
-independent references rather than package code: ``hat``, ``M_from_omega``
-(the forward map of the ``omega_from_M`` round trip), ``frame_form`` (the
-2-form whose negative inverse is the particle's bracket matrix) and
-``reconstruct_full`` (the attitude and contact trace that cross-check
-``integrate``'s gamma column).
+independent references rather than package code: ``cross``, ``hat``,
+``M_from_omega`` (the forward map of the ``omega_from_M`` round trip),
+``frame_form`` (the 2-form whose negative inverse is the particle's bracket
+matrix) and ``reconstruct_full`` (the attitude and contact trace that
+cross-check ``integrate``'s gamma column).
 """
 import math
 import random
@@ -31,7 +31,7 @@ from nonholo import BracketKind, DomainError, StateGM, eval_profile, invariants,
 from nonholo.dynamics import COLUMNS
 from nonholo.particle import COLUMNS as PARTICLE_COLUMNS, _coupling
 from nonholo.profile import check_gamma3, contact_vector
-from nonholo.smallalg import E3, TRIVECTOR_STEP, cross, dot
+from nonholo.smallalg import E3, TRIVECTOR_STEP, dot
 
 
 #: The NaN that arithmetic makes on this machine (inf - inf).  CPython's
@@ -70,6 +70,17 @@ def rk4_step(f, t, y, h):
     k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
     k4 = f(t + h, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def cross(a, b):
+    """Return the cross product a x b."""
+    return np.array(
+        [
+            a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0],
+        ]
+    )
 
 
 def hat(v):

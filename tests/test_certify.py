@@ -1,6 +1,8 @@
 """The check registry: well-formed records, the batteries ``check`` runs, grading."""
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +12,7 @@ from nonholo.cli import cmd_check, parse_config, sample_state
 from test_cli import ELLIPSOID_RAW, PARTICLE_RAW, ROUTH_RAW
 
 SOLID_NAMES = {
-    "antisymmetry",
-    "leibniz",
     "qp-linearity",
-    "gauge-compatibility",
     "jacobi-gauged",
     "jacobi-ungauged-closed-form",
     "casimir-J1",
@@ -33,7 +32,6 @@ PARTICLE_NAMES = {
     "jacobi-unreduced-closed-form",
     "casimir-momentum",
     "rhs-anchor",
-    "momentum-equation",
 }
 BALANCED_RAW = dict(ELLIPSOID_RAW, params=dict(ELLIPSOID_RAW["params"], b=2.0, c=2.0))
 
@@ -106,3 +104,15 @@ def test_nan_measurements_of_an_overflowing_body_are_not_zero():
     names = ("qp-linearity", "involution", "casimir-J2", "kernel-pair", "closed-form-ode-residual")
     for result in certify.run([certify.RECORDS[n] for n in names], subject):
         assert math.isnan(result.measured) and result.status == "fail", result.name
+
+
+def test_readme_lists_exactly_the_records():
+    # One row per record of the README's table: name, systems, claim, mode and tolerance.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    row = re.compile(r"^\| `([a-zA-Z0-9-]+)` \| (\w+) \| (.+) \| ([<>]) (\S+) \|$", re.MULTILINE)
+    listed = {name: (system, claim, mode, float(tol)) for name, system, claim, mode, tol in row.findall(readme)}
+    systems = {"solid": certify.SOLID, "Routh": certify.ROUTH, "balanced": certify.BALANCED,
+               "particle": certify.PARTICLE}
+    records = {rec.name: (system, rec.claim, "<" if rec.mode == "upper" else ">", rec.tolerance)
+               for system, recs in systems.items() for rec in recs}
+    assert listed == records

@@ -14,10 +14,11 @@ from nonholo import (
     StateGM,
     eval_profile,
     invariants,
+    momenta_ode_rhs,
     qp_matrix,
     qpl_values,
 )
-from nonholo.errors import DomainError
+from nonholo.errors import DomainError, NonholoError
 from nonholo.geomforms import qp_grid
 
 from conftest import make_states
@@ -102,6 +103,19 @@ def test_qp_matrix_domain_guard():
         qp_matrix(params, spec, 1.0)
     with pytest.raises(DomainError):
         qp_matrix(params, spec, -1.0 - 1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("b,c", [(1e-300, 1e-300), (1e300, 1e-300)])
+def test_qp_matrix_out_of_float_range_is_an_error(b, c):
+    # The float body divides by an underflowed zero where the array body
+    # gives NaN; both must say the values are out of range, not crash.
+    params, spec = BodyParams(m=1.0, I1=2.0, I3=3.0, grav=9.8), ProfileSpec.ellipsoid(b, c)
+    assert np.isnan(qp_grid(params, spec, np.array([0.5]))).all()
+    with pytest.raises(NonholoError, match=r"tau1=0\.5 .*outside floating-point range"):
+        qp_matrix(params, spec, 0.5)
+    with pytest.raises(NonholoError, match=r"tau1=0\.5 .*outside floating-point range"):
+        momenta_ode_rhs(params, spec, 0.5, [1.0, 0.0])
 
 
 def test_P_vanishes_for_balanced_sphere_states(worked_params, worked_spec):

@@ -242,7 +242,7 @@ def _solve_with_rk4_step(params, spec, delta, h):
             return np.concatenate(
                 [momenta_ode_rhs(params, spec, t, y[:2]), momenta_ode_rhs(params, spec, t, y[2:])]
             )
-        except ZeroDivisionError:  # Python's float division; qp_grid's twin gives inf/NaN there
+        except NonholoError:  # a float division by zero in qp_matrix; qp_grid's twin gives inf/NaN there
             with np.errstate(all="ignore"):
                 q = [float(e[0]) for e in qp_grid(params, spec, np.array([t]))]
             return [*_ode_slope(*q, t, y[0], y[1]), *_ode_slope(*q, t, y[2], y[3])]

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonholo import rk4_step
-from nonholo.smallalg import _rk4_step5, _rk4_step6, _rk4_step_n, cross, dot, grad_fd, jacobi_trivector, nan_max
-from oracles import float_kinds, hat, same_bits
+from nonholo.smallalg import _rk4_step5, _rk4_step6, _rk4_step_n, dot, grad_fd, jacobi_trivector, nan_max
+from oracles import cross, float_kinds, hat, same_bits
 
 finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 triples = st.tuples(finite, finite, finite)
