@@ -18,16 +18,15 @@ gamma = e3, and {H, tau4} = +4/9 at the standard worked state.  All table
 entries below are the *pushforward* of Pi under tau, verified against the
 6x6 contraction at 50-digit precision.
 
-``bivector_packed`` builds Pi at one state or at each state of an (m, 6)
-stack, with the same bits: a stack runs the gauge-field body
-``geomforms.gauge_columns`` on state columns as arrays, one state on
-Python floats.  ``jacobiator`` hands it the whole 5-point stencil of the
-Jacobi trivector as one stack.
+``bivector_packed`` builds Pi at one state on Python floats, or with its
+derivative at the jet (``smallalg.Jet``) of a stack of states, through the
+one body ``geomforms.gauge_columns``, with the same bits.  The Jacobi
+trivector is Pi . dPi from that pass, cyclically summed.
 
 <gamma, gamma> is a Casimir of Pi (the gamma-column blocks annihilate
 gradients along gamma), so bracket values at on-sphere points do not depend
-on how fields are extended off the sphere; central-difference gradients in
-the ambient R^6 are therefore legitimate.
+on how fields are extended off the sphere; the exact jet gradients in the
+ambient R^6 are therefore legitimate, and they are defined at the poles.
 """
 from __future__ import annotations
 
@@ -39,9 +38,9 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError
 from .geomforms import gauge_columns, qp_matrix
-from .phase import BodyParams, energy, invariants, relation_residual
-from .profile import DOMAIN_SLACK, ProfileSpec, check_domain, eval_profile, profile_terms
-from .smallalg import grad_fd, jacobi_trivector, nan_max
+from .phase import BodyParams, energy_floats, invariants, omega_floats, relation_residual
+from .profile import DOMAIN_SLACK, ProfileSpec, check_domain, profile_terms
+from .smallalg import Jet, jacobi_trivector, jet_gradient, nan_max
 
 
 class BracketKind(str, Enum):
@@ -51,20 +50,11 @@ class BracketKind(str, Enum):
 
 @dataclass(frozen=True)
 class ScalarField:
-    """A scalar function of the packed state with an optional analytic gradient."""
+    """A scalar function of the packed state and its exact gradient."""
 
     fn: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray] | None = None
+    grad: Callable[[np.ndarray], np.ndarray]
     name: str = ""
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        if self.grad is not None:
-            return self.grad(x)
-        return grad_fd(self.fn, x)
-
-
-def _as_field(f) -> ScalarField:
-    return f if isinstance(f, ScalarField) else ScalarField(f)
 
 
 TAU1 = ScalarField(lambda x: x[2], lambda x: np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0]), "tau1")
@@ -82,52 +72,59 @@ J2_COMPONENT = ScalarField(lambda x: x[0] * x[3] + x[1] * x[4] + x[2] * x[5],
                            lambda x: np.array([x[3], x[4], x[5], x[0], x[1], x[2]]), "j2")
 
 
+def _columns(spec: ProfileSpec, x) -> tuple:
+    """The six state columns and the profile terms at them: floats at a packed
+    point, jets at the jet of an (m, 6) stack; DomainError off the band."""
+    if isinstance(x, Jet):
+        cols, g3 = [x[:, k] for k in range(6)], x.value[:, 2]
+        check_domain(float(g3[np.argmax(np.abs(g3) > 1.0 + DOMAIN_SLACK)]))  # the first point off the band, if any
+        return cols, profile_terms(spec, cols[2], Jet.sqrt)
+    cols = np.asarray(x, dtype=float)[:6].tolist()
+    check_domain(cols[2])
+    return cols, profile_terms(spec, cols[2])
+
+
+def energy_at(params: BodyParams, spec: ProfileSpec, x):
+    """``energy_floats`` at ``omega_floats``: ``phase.energy``'s bits at a point, a jet at a jet."""
+    cols, (rho, _, L, *_) = _columns(spec, x)
+    return energy_floats(params, rho, L, *cols, *omega_floats(params, rho, L, *cols))
+
+
 def hamiltonian_field(params: BodyParams, spec: ProfileSpec) -> ScalarField:
-    """The energy as a ScalarField (gradient by finite differences)."""
-    return ScalarField(lambda x: energy(params, eval_profile(spec, x[2]), x), name="H")
+    """The energy as a ScalarField, its gradient from a jet pass of ``energy_at``."""
+    return ScalarField(lambda x: energy_at(params, spec, x),
+                       lambda x: jet_gradient(lambda y: energy_at(params, spec, y), x), "H")
 
 
-def bivector_packed(params: BodyParams, spec: ProfileSpec, x: np.ndarray, kind: BracketKind) -> np.ndarray:
-    """The 6x6 bracket matrix at a packed point, or the (m, 6, 6) stack of them
-    at an (m, 6) stack of points (no state validation).
+def bivector_packed(params: BodyParams, spec: ProfileSpec, x, kind: BracketKind):
+    """The 6x6 bracket matrix at a packed point, or the jet of the (m, 6, 6)
+    stack of them at the jet of an (m, 6) stack (no state validation).
 
     Entries: {gamma_a, gamma_b} = 0, {gamma_a, M_i} = (gamma x e_i)_a,
     {M_i, M_j} = -eps_ijk (M + V)_k with V = L_vec (gauged) or K_vec (nh).
     Every block is a hat matrix, so antisymmetry is exact by construction.
 
-    One point is evaluated on Python floats, a stack on its columns as
-    arrays; ``geomforms.gauge_columns`` gives both the same bits, so each
-    matrix of a stack equals the matrix of its point.
+    One point is evaluated on Python floats, a stack on its columns as jets;
+    ``geomforms.gauge_columns`` gives both the same bits, so each matrix of
+    the value part equals the matrix of its point.
 
     Raises:
         DomainError: if a point has |gamma3| > 1 + DOMAIN_SLACK.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        cols = x[:6].tolist()
-        check_domain(cols[2])
-        terms = profile_terms(spec, cols[2])
-    else:
-        cols = list(x[:, :6].T)
-        outside = np.abs(cols[2]) > 1.0 + DOMAIN_SLACK
-        if outside.any():
-            check_domain(float(cols[2][outside][0]))  # raises for the first such point
-        terms = profile_terms(spec, cols[2], np.sqrt)
-    rho, _, L, rho_p, _, L_p = terms
+    cols, (rho, _, L, rho_p, _, L_p) = _columns(spec, x)
     vals = gauge_columns(params, rho, L, rho_p, L_p, *cols)
     v = vals[3:6] if kind == BracketKind.GAUGED else vals[6:9]
     g1, g2, g3 = cols[:3]
     n1, n2, n3 = (mi + vi for mi, vi in zip(cols[3:6], v))
-    zero = 0.0 if x.ndim == 1 else np.zeros(len(x))
     rows = [  # [[0, hat(gamma)], [hat(gamma), hat(M + V)]]
-        [zero, zero, zero, zero, -g3, g2],
-        [zero, zero, zero, g3, zero, -g1],
-        [zero, zero, zero, -g2, g1, zero],
-        [zero, -g3, g2, zero, -n3, n2],
-        [g3, zero, -g1, n3, zero, -n1],
-        [-g2, g1, zero, -n2, n1, zero],
+        [0.0, 0.0, 0.0, 0.0, -g3, g2],
+        [0.0, 0.0, 0.0, g3, 0.0, -g1],
+        [0.0, 0.0, 0.0, -g2, g1, 0.0],
+        [0.0, -g3, g2, 0.0, -n3, n2],
+        [g3, 0.0, -g1, n3, 0.0, -n1],
+        [-g2, g1, 0.0, -n2, n1, 0.0],
     ]
-    return np.array(rows) if x.ndim == 1 else np.ascontiguousarray(np.array(rows).transpose(2, 0, 1))
+    return Jet.matrix(rows) if isinstance(x, Jet) else np.array(rows)
 
 
 def bracket(
@@ -138,27 +135,21 @@ def bracket(
     x,
     kind: BracketKind,
 ) -> float:
-    """Evaluate {f, g} = grad(f)^T Pi grad(g) at a packed state.
-
-    f and g may be ScalarFields (analytic gradients used when registered)
-    or plain callables of the packed 6-vector (central differences).
-    """
+    """Evaluate {f, g} = grad(f)^T Pi grad(g) of ScalarFields at a packed state."""
     x = np.asarray(x, dtype=float)
-    ff, gg = _as_field(f), _as_field(g)
     pi = bivector_packed(params, spec, x, kind)
-    return float(ff.gradient(x) @ pi @ gg.gradient(x))
+    return float(f.grad(x) @ pi @ g.grad(x))
 
 
 def jacobiator(
     params: BodyParams, spec: ProfileSpec, f, g, h, x, kind: BracketKind
 ) -> float:
-    """Cyclic sum {f,{g,h}} + {g,{h,f}} + {h,{f,g}} at a packed state: the Jacobi
-    trivector of ``bivector_packed`` contracted with the three gradients.
+    """Cyclic sum {f,{g,h}} + {g,{h,f}} + {h,{f,g}} of ScalarFields at a packed
+    state: the Jacobi trivector contracted with the three gradients.
     """
     x = np.asarray(x, dtype=float)
-    t = jacobi_trivector(lambda y: bivector_packed(params, spec, y, kind), x)
-    df, dg, dh = (_as_field(u).gradient(x) for u in (f, g, h))
-    return float(np.einsum("iab,i,a,b->", t, df, dg, dh))
+    t = jacobi_trivector(bivector_packed(params, spec, Jet.seed(x[None]), kind))[0]
+    return float(np.einsum("iab,i,a,b->", t, f.grad(x), g.grad(x), h.grad(x)))
 
 
 def s1_generator(x: np.ndarray) -> np.ndarray:
@@ -213,7 +204,7 @@ def pushforward_residual(params: BodyParams, spec: ProfileSpec, x) -> float:
     """max over pairs |{tau_a, tau_b}_gauged - explicit table entry| at a packed state."""
     x = np.asarray(x, dtype=float)
     pi = bivector_packed(params, spec, x, BracketKind.GAUGED)
-    grads = [t.gradient(x) for t in TAUS]
+    grads = [t.grad(x) for t in TAUS]
     table = reduced_bivector_tau(params, spec, invariants(x))
     return nan_max(abs(float(grads[a] @ pi @ grads[b]) - table[a, b])
                    for a in range(5) for b in range(a + 1, 5))
@@ -254,13 +245,13 @@ def casimir_residuals(
     x = np.asarray(x, dtype=float)
     pi = bivector_packed(params, spec, x, BracketKind.GAUGED)
     gen = s1_generator(x)
-    grads = [jf.gradient(x) for jf in gauge_momentum_fields(momenta)]
+    grads = [jf.grad(x) for jf in gauge_momentum_fields(momenta)]
     pairs = momenta.eval(x[2])
     out = []
     verts = []
     for idx, gj in enumerate(grads):
         flow = pi @ gj
-        out.append(nan_max(abs(float(t.gradient(x) @ flow)) for t in TAUS))
+        out.append(nan_max(abs(float(t.grad(x) @ flow)) for t in TAUS))
         verts.append(float(np.max(np.abs(flow - pairs[2 * idx] * gen))))
     inv = abs(float(grads[0] @ pi @ grads[1]))
     return CasimirResiduals(out[0], out[1], inv, verts[0], verts[1])

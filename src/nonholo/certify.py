@@ -7,8 +7,8 @@ sampled states and the momenta under test) or a :class:`Particle` (sampled
 points of the particle example).  ``run`` grades records against their
 tolerances.  ``nonholo check`` and the acceptance tests measure through the
 same records, so each tolerance is written once, here.  What several records
-read at one sample (the bracket matrices, the Casimir residuals, the
-particle's Jacobi trivector) is computed once per sample.
+read at one sample is computed once: the Casimir residuals per sample; the
+bracket matrices, trivectors and energy gradients in one jet pass.
 
 Every record can fail: ``tests/test_defects.py`` names, for each one, a
 seeded defect in the package that makes ``check`` fail it.  A claim that
@@ -19,22 +19,23 @@ not a record.  README's record table lists this table, row for row.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .brackets import (BracketKind, J2_COMPONENT, TAU1, TAU4, TAUS, bivector_packed, casimir_residuals,
-                       hamiltonian_field, jacobiator, pushforward_residual)
+from .brackets import (BracketKind, J2_COMPONENT, TAU1, TAU4, TAUS, bivector_packed, casimir_residuals, energy_at,
+                       pushforward_residual)
 from .dynamics import IntegratorConfig, drift, nonconservation_rates, rhs
 from .geomforms import qp_grid, qp_matrix, qpl_values
 from .momenta import ode_residual, routh_closed_form, routh_closed_form_derivative, solution_for, solve_momenta
-from .particle import (COLUMNS as PARTICLE_COLUMNS, hamiltonian_frame_flow, particle_bracket, particle_integrate,
-                       particle_momentum, particle_rhs, particle_trivector)
+from .particle import (COLUMNS as PARTICLE_COLUMNS, COORDINATES, MOMENTUM, hamiltonian_frame_flow, particle_bracket,
+                       particle_integrate, particle_rhs, particle_trivector)
 from .phase import invariants, relation_residual
 from .profile import eval_profile, profile_scalars
-from .smallalg import jacobi_trivector, nan_max
+from .smallalg import Jet, jacobi_trivector, nan_max
 
 
 @dataclass(frozen=True)
@@ -81,11 +82,11 @@ def _worst(value):
 # subjects
 
 class Sample:
-    """One packed state of a Solid and what several records read at it, each
-    computed once; ``inv`` holds tau1..tau5 as floats."""
+    """One packed state of a Solid (row ``index`` of its ``jets``) and what several
+    records read at it, each computed once; ``inv`` holds tau1..tau5 as floats."""
 
-    def __init__(self, solid: "Solid", state):
-        self.solid, self.x = solid, np.asarray(state, dtype=float)
+    def __init__(self, solid: "Solid", index: int, state):
+        self.solid, self.index, self.x = solid, index, np.asarray(state, dtype=float)
         self.ev = eval_profile(solid.spec, self.x[2])
         self.inv = invariants(self.x).tolist()
 
@@ -94,15 +95,13 @@ class Sample:
         return qpl_values(self.solid.params, self.ev, self.x)
 
     @cached_property
-    def pis(self):
-        """The gauged and the nh bracket matrix."""
-        s, kinds = self.solid, (BracketKind.GAUGED, BracketKind.NH)
-        return [bivector_packed(s.params, s.spec, self.x, kind) for kind in kinds]
-
-    @cached_property
     def casimir(self):
         s = self.solid
         return casimir_residuals(s.params, s.spec, self.x, s.momenta)
+
+
+#: By kind (gauged, nh), then sample: the bracket matrices and trivectors; by sample, the energy gradient.
+Jets = namedtuple("Jets", "pis trivectors dh")
 
 
 class Solid:
@@ -114,8 +113,17 @@ class Solid:
 
     def __init__(self, params, spec, states, momenta, numeric):
         self.params, self.spec, self.momenta, self.numeric = params, spec, momenta, numeric
-        self.samples = [Sample(self, st) for st in states]
-        self.ham = hamiltonian_field(params, spec)
+        self.samples = [Sample(self, k, st) for k, st in enumerate(states)]
+
+    @cached_property
+    def jets(self) -> "Jets":
+        """One jet pass over every sample, for the gauged and the nh bracket."""
+        x, pis, trivectors = Jet.seed([p.x for p in self.samples]), [], []
+        for kind in (BracketKind.GAUGED, BracketKind.NH):  # one kind's derivative held at a time
+            pi = bivector_packed(self.params, self.spec, x, kind)
+            pis.append(pi.value)
+            trivectors.append(jacobi_trivector(pi))
+        return Jets(pis, trivectors, energy_at(self.params, self.spec, x).grad.T)
 
     @property
     def records(self) -> tuple[Record, ...]:
@@ -151,9 +159,10 @@ class Particle:
 
     @cached_property
     def trivectors(self):
-        """The Jacobi trivector of the coordinate bracket at each sample: entry
-        [1, 3, 4] is the (y, px, py) Jacobiator, [0, 3, 4] the (x, px, py) one."""
-        return [particle_trivector(v) for v in self.samples]
+        """The Jacobi trivector of the coordinate bracket at each sample, from one
+        jet pass: entry [1, 3, 4] is the (y, px, py) Jacobiator, [0, 3, 4] the
+        (x, px, py) one."""
+        return particle_trivector(np.array(self.samples))
 
     @cached_property
     def unreduced(self):
@@ -173,14 +182,14 @@ def _qp_linearity(s, p):
 
 
 def _jacobi_gauged(s, p):
-    t = jacobi_trivector(lambda y: bivector_packed(s.params, s.spec, y, BracketKind.GAUGED), p.x)
-    d = np.array([tau.gradient(p.x) for tau in TAUS])
+    d, t = np.array([tau.grad(p.x) for tau in TAUS]), s.jets.trivectors[0][p.index]
     jac = np.einsum("iab,pi,qa,rb->pqr", t, d, d, d)  # the Jacobiator of every triple of invariants
     return nan_max(abs(float(jac[a, b, c])) for a, b, c in itertools.combinations(range(5), 3))
 
 
 def _jacobi_ungauged(s, p):
-    jac = jacobiator(s.params, s.spec, TAU1, J2_COMPONENT, TAU4, p.x, BracketKind.NH)
+    grads = (f.grad(p.x) for f in (TAU1, J2_COMPONENT, TAU4))
+    jac = float(np.einsum("iab,i,a,b->", s.jets.trivectors[1][p.index], *grads))
     sc = profile_scalars(s.params, p.ev, p.x[:3])
     closed = -s.params.m * p.ev.rho * sc.gs * (1.0 - p.inv[0]**2) / sc.A1
     return abs(jac - closed) / abs(closed)
@@ -194,8 +203,8 @@ def _rate_law(s, p):
 
 def _consistency(s, p):
     xd = rhs(s.params, s.spec, p.x)
-    dh = s.ham.gradient(p.x)
-    return nan_max(float(np.max(np.abs(xd - pi @ dh))) for pi in p.pis)
+    dh = s.jets.dh[p.index]
+    return nan_max(float(np.max(np.abs(xd - pis[p.index] @ dh))) for pis in s.jets.pis)
 
 
 _TAU1_GRID = np.linspace(-0.999, 0.999, 1000)
@@ -237,7 +246,7 @@ def _particle_drift(column: str):
     return lambda s: drift(s.trajectory[:, PARTICLE_COLUMNS.index(column)])
 
 
-_COORDS = (lambda u: u[1], lambda u: u[3], lambda u: u[4])
+_COORDS = (COORDINATES[1], COORDINATES[3], COORDINATES[4])  # y, px, py
 
 
 def _rhs_anchor(s, v):
@@ -294,7 +303,7 @@ PARTICLE = (
     Record("jacobi-unreduced-closed-form", 1e-9, "the (x, px, py) Jacobiator equals y/(1+y^2)", "upper",
            lambda s: nan_max(abs(ju - v[1] / (1.0 + v[1] ** 2)) for v, ju in zip(s.samples, s.unreduced))),
     Record("casimir-momentum", 1e-8, "J is a Casimir of the reduced particle bracket", "upper",
-           _worst(lambda s, v: nan_max(abs(particle_bracket(particle_momentum, f, v)) for f in _COORDS))),
+           _worst(lambda s, v: nan_max(abs(particle_bracket(MOMENTUM, f, v)) for f in _COORDS))),
     Record("rhs-anchor", 1e-9, "bracket-hamiltonian flow equals the constrained dynamics", "upper",
            _worst(_rhs_anchor)),
 )

@@ -26,10 +26,10 @@ in tau1 (see the momenta module); it is covered by a standing dual-route
 consistency test.
 
 c3, Q, P, L_vec and K_vec have one body, ``gauge_columns``, on the state
-components: Python floats at one state (``qpl_values``), or arrays over a
-stack of states (``brackets.bivector_packed``), with the same bits, as
-``profile_terms`` and ``_qp_entries`` are written once for floats and
-arrays.
+components: Python floats at one state (``qpl_values``), or jets over a
+stack of states (``brackets.bivector_packed``), whose values have the same
+bits, as ``profile_terms`` and ``_qp_entries`` are written once for floats
+and arrays.
 """
 from __future__ import annotations
 
@@ -73,7 +73,7 @@ def gauge_columns(params: BodyParams, rho, L, rho_p, L_p, g1, g2, g3, m1, m2, m3
     vectors as three components each: the one body of the gauge fields.
 
     The state components and profile terms are floats (``qpl_values``, one
-    state) or arrays (``brackets.bivector_packed`` on a stack of states), and
+    state) or jets (``brackets.bivector_packed`` on a stack of states), and
     both give the same bits, since every operation is elementwise IEEE
     arithmetic in the order of the 3-vector formulation: s = rho*gamma - L*e3
     and L_vec = Q*gamma + P*e3 keep their products by the zeros of e3, which

@@ -25,7 +25,8 @@ bracket fail Jacobi (the (x, px, py) Jacobiator is y/(1+y^2) on the nose;
 particle_jacobiator_unreduced measures it).  The reduction by the (x, z)-translations leaves (y, px, py), where
 the bracket is genuinely Poisson and J is a Casimir.
 
-Every function reads a state as the packed 5-vector v = (x, y, z, px, py).
+Every function reads a state as the packed 5-vector v = (x, y, z, px, py);
+every gradient is a jet pass (``smallalg.Jet``) through the bodies of H, J, w.
 """
 from __future__ import annotations
 
@@ -35,7 +36,8 @@ from typing import Callable
 
 import numpy as np
 
-from .smallalg import grad_fd, jacobi_trivector, pow2, rk4_step
+from .brackets import ScalarField
+from .smallalg import Jet, jacobi_trivector, jet_gradient, pow2, rk4_step
 
 
 def particle_hamiltonian(v) -> float:
@@ -51,7 +53,8 @@ def particle_rhs(v) -> np.ndarray:
 
 def _square(a: float) -> float:
     """a**2 as libm pow, the square these kernels have always taken (it differs
-    from a*a in the last bit for ~0.1% of values), and inf where it overflows."""
+    from a*a in the last bit for ~0.1% of values), and inf where it overflows;
+    a jet squares through ``pow2``."""
     try:
         return a**2
     except OverflowError:
@@ -59,13 +62,14 @@ def _square(a: float) -> float:
 
 
 def _hamiltonian(y: float, px: float, py: float) -> float:
-    """H on floats: the one body of ``particle_hamiltonian``."""
+    """H on floats (or jets): the one body of ``particle_hamiltonian``."""
     return 0.5 * (_square(px) / (1.0 + _square(y)) + _square(py))
 
 
 def _momentum(y: float, px: float) -> float:
-    """J on floats: the one body of ``particle_momentum``."""
-    return px / math.sqrt(1.0 + _square(y))
+    """J on floats (or jets): the one body of ``particle_momentum``."""
+    d = 1.0 + _square(y)
+    return px / (d.sqrt() if isinstance(d, Jet) else math.sqrt(d))
 
 
 def _field(v) -> tuple:
@@ -76,32 +80,38 @@ def _field(v) -> tuple:
     return c1, py, y * c1, w * py, 0.0
 
 
-def _coupling(v: np.ndarray):
+def _coupling(v):
     """w = y*px/(1+y^2), the constraint curvature coupling, at a packed state
-    or at each of an (m, 5) stack of them."""
+    or, as a jet, at the jet of an (m, 5) stack of them."""
     y, px = v[..., 1][()], v[..., 3][()]  # [()]: float64 scalars at one state
     return y * px / (1.0 + pow2(y))
 
 
 def _bracket_matrix(v: np.ndarray) -> np.ndarray:
-    """B = -(frame form)^-1 = [[0, I], [-I, -A(w)]] (see the module docstring),
-    (4, 4) at a packed state or (m, 4, 4) at an (m, 5) stack of them."""
+    """B = -(frame form)^-1 = [[0, I], [-I, -A(w)]] (see the module docstring)
+    at a packed state."""
     w = _coupling(v)
-    b = np.zeros(np.shape(w) + (4, 4))
-    b[..., 0, 2] = b[..., 1, 3] = 1.0
-    b[..., 2, 0] = b[..., 3, 1] = -1.0
-    b[..., 2, 3] = w
-    b[..., 3, 2] = -w
-    return b
+    return np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0], [-1.0, 0.0, 0.0, w], [0.0, -1.0, -w, 0.0]])
 
 
-def _frame_gradient(f: Callable[[np.ndarray], float], v: np.ndarray) -> np.ndarray:
-    g = grad_fd(f, v)
+def _field_of(body: Callable, name: str, *cols: int) -> ScalarField:
+    """``body`` of the state components ``cols`` as a ScalarField, its gradient a jet pass."""
+    return ScalarField(lambda v: body(*(float(v[k]) for k in cols)),
+                       lambda v: jet_gradient(lambda u: body(*(u[:, k] for k in cols)), v), name)
+
+
+HAMILTONIAN = _field_of(_hamiltonian, "H", 1, 3, 4)
+MOMENTUM = _field_of(_momentum, "J", 1, 3)
+COORDINATES = tuple(_field_of(lambda c: c, name, k) for k, name in enumerate(("x", "y", "z", "px", "py")))
+
+
+def _frame_gradient(f: ScalarField, v: np.ndarray) -> np.ndarray:
+    g = f.grad(v)
     return np.array([g[0] + v[1] * g[2], g[1], g[3], g[4]])
 
 
-def particle_bracket(f, g, v) -> float:
-    """{f, g} for scalar functions of the packed 5-vector.
+def particle_bracket(f: ScalarField, g: ScalarField, v) -> float:
+    """{f, g} for ScalarFields of the packed 5-vector.
 
     Built as (frame grad f)^T B (frame grad g) with B = -(frame form)^-1;
     the overall sign is the one that makes B . frame-grad(H) reproduce
@@ -124,24 +134,24 @@ def hamiltonian_frame_flow(v) -> np.ndarray:
     particle_rhs is the sign anchor for the whole particle module.
     """
     v = np.asarray(v, dtype=float)
-    return _bracket_matrix(v) @ _frame_gradient(particle_hamiltonian, v)
+    return _bracket_matrix(v) @ _frame_gradient(HAMILTONIAN, v)
 
 
-def _coordinate_bivector(v: np.ndarray) -> np.ndarray:
-    """E B E^T, the bracket on coordinate gradients, at a packed state or at
-    each of an (m, 5) stack of them; the columns of the 5x4 E are the frame
-    e1 = d/dx + y d/dz, e2, e3, e4."""
-    e = np.zeros(v.shape[:-1] + (5, 4))
-    e[..., 0, 0] = e[..., 1, 1] = e[..., 3, 2] = e[..., 4, 3] = 1.0
-    e[..., 2, 0] = v[..., 1]
-    return e @ _bracket_matrix(v) @ np.swapaxes(e, -1, -2)
+def _coordinate_bivector(v: Jet) -> Jet:
+    """The jet of E B E^T, the bracket on coordinate gradients, at the jet of an (m, 5)
+    stack; the columns of the 5x4 E are the frame e1 = d/dx + y d/dz, e2, e3, e4."""
+    y, w = v[:, 1], _coupling(v)
+    return Jet.matrix([[0.0, 0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, y, 0.0],
+                       [-1.0, 0.0, -y, 0.0, w], [0.0, -1.0, 0.0, -w, 0.0]])
 
 
 def particle_trivector(v) -> np.ndarray:
-    """The 5x5x5 Jacobi trivector of the coordinate bracket at a packed state
-    (``smallalg.jacobi_trivector``); entry [a, b, c] is the cyclic Jacobiator
-    of the coordinates a, b, c."""
-    return jacobi_trivector(_coordinate_bivector, v)
+    """The 5x5x5 Jacobi trivector of the coordinate bracket at a packed state, or
+    the (m, 5, 5, 5) stack at an (m, 5) stack, from one jet pass; entry
+    [a, b, c] is the cyclic Jacobiator of the coordinates a, b, c."""
+    v = np.asarray(v, dtype=float)
+    t = jacobi_trivector(_coordinate_bivector(Jet.seed(v.reshape(-1, 5))))
+    return t.reshape(v.shape[:-1] + (5, 5, 5))
 
 
 def particle_jacobiator_reduced(v) -> float:

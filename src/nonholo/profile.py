@@ -37,7 +37,7 @@ from .smallalg import E3, Vec3, dot
 if TYPE_CHECKING:  # pragma: no cover
     from .phase import BodyParams
 
-#: slack beyond |gamma3| = 1 tolerated by eval_profile (FD side-steps etc.)
+#: slack beyond |gamma3| = 1 tolerated by eval_profile (a rounded gamma on the sphere)
 DOMAIN_SLACK = 1e-9
 
 
@@ -105,10 +105,10 @@ def check_domain(g3: float) -> None:
 def profile_terms(spec: ProfileSpec, g3, sqrt=math.sqrt) -> tuple:
     """(rho, zeta, L, rho', zeta', L') of ``spec`` at g3, without the domain check.
 
-    The one body of the profile formulas: ``g3`` is a float (``eval_profile``)
-    or a float array with ``sqrt=np.sqrt`` (the coefficient-ODE grid pass).
-    Both give the same bits, since every operation is elementwise IEEE
-    arithmetic.  Terms that do not depend on g3 stay scalars.
+    The one body of the profile formulas: ``g3`` is a float (``eval_profile``),
+    a float array with ``sqrt=np.sqrt`` (the coefficient-ODE grid pass) or a
+    jet with ``sqrt=Jet.sqrt``, all with the same bits, since every operation
+    is elementwise IEEE arithmetic.  Terms that do not depend on g3 stay scalars.
     """
     if spec.kind == "routh":
         r, l = spec.p1, spec.p2

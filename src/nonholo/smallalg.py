@@ -1,11 +1,10 @@
-"""Small linear algebra: 3-vectors, RK4 step, finite differences,
-and the Jacobi trivector of a bivector field.
+"""Small linear algebra: 3-vectors, RK4 step, forward-mode jets, and the
+Jacobi trivector of a bivector field.
 
 Everything here is deliberately written out (no LAPACK dispatch) so results
-are bit-reproducible across platforms.  ``jacobi_trivector`` asks its
-bivector field for the whole 5-point stencil in one call on a stack of
-points, so a field written elementwise on columns (``bivector_packed``)
-builds all 4n+1 matrices in one array pass.
+are bit-reproducible across platforms.  Every derivative in the package is
+a ``Jet`` pass through an elementwise body; ``grad_fd`` is only the
+reference that the tests compare the jets against.
 """
 from __future__ import annotations
 
@@ -16,12 +15,6 @@ import numpy as np
 Vec3 = np.ndarray  # shape (3,), float64
 
 E3 = np.array([0.0, 0.0, 1.0])
-
-#: relative step of the 5-point stencil that differentiates a bivector field
-TRIVECTOR_STEP = 1e-3
-#: relative step of the central differences of ``grad_fd``
-GRAD_STEP = 1e-5
-
 
 def dot(a: Vec3, b: Vec3) -> float:
     """Return the dot product of two 3-vectors."""
@@ -120,7 +113,7 @@ def _rk4_step6(f, t, y, h, k1=None) -> list[float]:
 _UNROLLED = {5: _rk4_step5, 6: _rk4_step6}
 
 
-def grad_fd(f: Callable[[np.ndarray], float], x: np.ndarray, scale: float = GRAD_STEP) -> np.ndarray:
+def grad_fd(f: Callable[[np.ndarray], float], x: np.ndarray, scale: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of f at x.
 
     Per-coordinate step h_i = scale * max(1, |x_i|); this keeps the step
@@ -149,24 +142,116 @@ def pow2(a):
     return a**2
 
 
-def jacobi_trivector(pi_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
-    """The (n, n, n) array T with T(df, dg, dh) = {f,{g,h}} + {g,{h,f}} + {h,{f,g}}
-    for the bracket {f, g} = df . pi_fn(x) . dg.
+class Jet:
+    """A value and its gradient along n seeded variables: forward-mode
+    automatic differentiation (Rall, *Automatic Differentiation*, LNCS 120,
+    1981; Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 3).
 
-    ``pi_fn`` maps an (m, n) stack of points to the (m, n, n) stack of their
-    bivectors.  It is called once, on the 4n+1 points of the stencil.
-
-    T is the cyclic sum of A[i,a,b] = sum_k pi[i,k] d_k pi[a,b] (the Schouten
-    bracket [pi, pi] up to a constant factor).  The second derivatives of f, g, h
-    cancel in the cyclic sum because pi is antisymmetric, so gradients suffice.
-    d_k pi is the 5-point central stencil at x +- e_k, x +- 2 e_k, with
-    |e_k| = TRIVECTOR_STEP * max(1, |x_k|).
+    ``value`` is a float array and ``grad`` has shape (n,) + value.shape;
+    ``grad[k]`` is the derivative of ``value`` along variable k.  Jets combine
+    with jets, floats and arrays under ``+ - * /``, their reflected forms,
+    negation and ``**2``.  Each value is the IEEE operation the float bodies
+    run on it, and the square is ``pow2``, so a body written elementwise on
+    its arguments returns on jets the bits of its array pass, and with them
+    the exact gradient.
     """
-    x = np.asarray(x, dtype=float)
-    h = [TRIVECTOR_STEP * max(1.0, abs(v)) for v in x.tolist()]
-    e = np.diag(h)  # row k is e_k
-    pis = pi_fn(np.concatenate([x[None], x + e, x - e, x + 2.0 * e, x - 2.0 * e]))
-    plus, minus, plus2, minus2 = pis[1:].reshape(4, x.size, x.size, x.size)
-    dpi = (8.0 * (plus - minus) - (plus2 - minus2)) / (12.0 * np.array(h))[:, None, None]
-    a = np.einsum("ik,kab->iab", pis[0], dpi)
-    return a + a.transpose(1, 2, 0) + a.transpose(2, 0, 1)
+
+    __slots__ = ("value", "grad")
+    __array_ufunc__ = None  # an array or numpy scalar on the left defers to the reflected operator
+
+    def __init__(self, value, grad):
+        self.value, self.grad = value, grad
+
+    @classmethod
+    def seed(cls, x) -> "Jet":
+        """The jet of the coordinates of an (m, n) stack of points: variable k
+        is coordinate k of every point."""
+        x = np.asarray(x, dtype=float)
+        grad = np.zeros((x.shape[-1],) + x.shape)
+        for k in range(x.shape[-1]):
+            grad[k, ..., k] = 1.0
+        return cls(x, grad)
+
+    @classmethod
+    def matrix(cls, rows) -> "Jet":
+        """The jet of the (m, r, c) stack of matrices whose entry [i][j] is
+        ``rows[i][j]``: a jet of an (m,) value, or a constant."""
+        n, m = next(e.grad.shape for row in rows for e in row if isinstance(e, Jet))
+        value = np.zeros((m, len(rows), len(rows[0])))
+        grad = np.zeros((n,) + value.shape)
+        for i, row in enumerate(rows):
+            for j, e in enumerate(row):
+                if isinstance(e, Jet):
+                    value[:, i, j], grad[:, :, i, j] = e.value, e.grad
+                else:
+                    value[:, i, j] = e
+        return cls(value, grad)
+
+    def __getitem__(self, index) -> "Jet":
+        index = index if isinstance(index, tuple) else (index,)
+        return Jet(self.value[index], self.grad[(slice(None),) + index])
+
+    def __neg__(self) -> "Jet":
+        return Jet(-self.value, -self.grad)
+
+    def __add__(self, other) -> "Jet":
+        if isinstance(other, Jet):
+            return Jet(self.value + other.value, self.grad + other.grad)
+        return Jet(self.value + other, self.grad)
+
+    def __radd__(self, other) -> "Jet":
+        return Jet(other + self.value, self.grad)
+
+    def __sub__(self, other) -> "Jet":
+        if isinstance(other, Jet):
+            return Jet(self.value - other.value, self.grad - other.grad)
+        return Jet(self.value - other, self.grad)
+
+    def __rsub__(self, other) -> "Jet":
+        return Jet(other - self.value, -self.grad)
+
+    def __mul__(self, other) -> "Jet":
+        if isinstance(other, Jet):
+            return Jet(self.value * other.value, self.grad * other.value + self.value * other.grad)
+        return Jet(self.value * other, self.grad * other)
+
+    def __rmul__(self, other) -> "Jet":
+        return Jet(other * self.value, other * self.grad)
+
+    def __truediv__(self, other) -> "Jet":
+        if isinstance(other, Jet):
+            q = self.value / other.value
+            return Jet(q, (self.grad - q * other.grad) / other.value)
+        return Jet(self.value / other, self.grad / other)
+
+    def __rtruediv__(self, other) -> "Jet":
+        q = other / self.value
+        return Jet(q, -q * self.grad / self.value)
+
+    def __pow__(self, k) -> "Jet":
+        if k != 2:
+            return NotImplemented
+        return Jet(pow2(self.value), 2.0 * self.value * self.grad)
+
+    def sqrt(self) -> "Jet":
+        """The jet of the square root, for ``profile_terms``'s ``sqrt``."""
+        r = np.sqrt(self.value)
+        return Jet(r, self.grad * (0.5 / r))
+
+
+def jet_gradient(fn: Callable[[Jet], Jet], x) -> np.ndarray:
+    """The gradient at the point x of ``fn``, a map from jets of (1, n) stacks to jets of (1,) values."""
+    return fn(Jet.seed(np.asarray(x, dtype=float)[None])).grad[:, 0]
+
+
+def jacobi_trivector(pi: Jet) -> np.ndarray:
+    """The (m, n, n, n) arrays T with T(df, dg, dh) = {f,{g,h}} + {g,{h,f}} + {h,{f,g}}
+    for {f, g} = df . pi . dg, ``pi`` the jet of an (m, n, n) stack of bivectors.
+
+    T is the cyclic sum of A[i,a,b] = sum_k pi[i,k] d_k pi[a,b] (the Schouten bracket
+    [pi, pi] up to a constant factor), d_k pi the gradient part of the jet.  The second
+    derivatives of f, g, h cancel in the cyclic sum because pi is antisymmetric."""
+    a = np.einsum("mik,kmab->miab", pi.value, pi.grad)
+    t = a + a.transpose(0, 2, 3, 1)
+    t += a.transpose(0, 3, 1, 2)  # in place: one temporary fewer
+    return t

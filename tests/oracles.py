@@ -5,12 +5,14 @@
 stepped on Python floats: one ``rk4_step`` of arrays per step, ``rhs`` built
 from ``cross`` calls, ``omega_from_M`` and ``energy`` on arrays, the
 particle's J and E taken from numpy scalars, and one ``momenta.eval`` per
-trajectory row.  ``qpl_values``, ``bivector_packed`` and
-``jacobi_trivector`` are the one-state-at-a-time bracket bodies that the
-stacked bracket matrices replaced: the trivector builds the bivector of each
-stencil point with its own call.  The package must reproduce them to the
-bit; ``test_float_stepper.py`` and ``test_stacked_brackets.py`` compare
-``.view(np.int64)``.  ``same_bits`` and the float strategies below serve
+trajectory row.  ``qpl_values`` and ``bivector_packed`` are the
+one-state-at-a-time bracket bodies that the stacked jet pass replaced.  The
+package must reproduce them to the bit; ``test_float_stepper.py`` and
+``test_stacked_brackets.py`` compare ``.view(np.int64)``.
+``jacobi_trivector`` is the 5-point stencil that the jets replaced, one
+``pi_fn`` call per stencil point at relative step ``STENCIL_STEP``: an
+independent reference that the jet trivector must match at the stencil's
+truncation floor.  ``same_bits`` and the float strategies below serve
 every such comparison.
 
 The last bodies are partners that only tests ever called, kept here as
@@ -31,7 +33,10 @@ from nonholo import BracketKind, DomainError, StateGM, eval_profile, invariants,
 from nonholo.dynamics import COLUMNS
 from nonholo.particle import COLUMNS as PARTICLE_COLUMNS, _coupling
 from nonholo.profile import check_gamma3, contact_vector
-from nonholo.smallalg import E3, TRIVECTOR_STEP, dot
+from nonholo.smallalg import E3, dot
+
+#: relative step of the 5-point stencil of ``jacobi_trivector``
+STENCIL_STEP = 1e-3
 
 
 #: The NaN that arithmetic makes on this machine (inf - inf).  CPython's
@@ -146,13 +151,13 @@ def bivector_packed(params, spec, x, kind):
 
 
 def jacobi_trivector(pi_fn, x):
-    """The Jacobi trivector with one ``pi_fn`` call per point of the stencil
-    (``pi_fn`` maps one point to its bivector)."""
+    """The Jacobi trivector by the 5-point central stencil, with one ``pi_fn``
+    call per point of the stencil (``pi_fn`` maps one point to its bivector)."""
     x = np.asarray(x, dtype=float)
     dpi = np.empty((x.size, x.size, x.size))
     for k in range(x.size):
         e = np.zeros(x.size)
-        e[k] = h = TRIVECTOR_STEP * max(1.0, abs(x[k]))
+        e[k] = h = STENCIL_STEP * max(1.0, abs(x[k]))
         dpi[k] = (8.0 * (pi_fn(x + e) - pi_fn(x - e)) - (pi_fn(x + 2.0 * e) - pi_fn(x - 2.0 * e))) / (12.0 * h)
     a = np.einsum("ik,kab->iab", pi_fn(x), dpi)
     return a + a.transpose(1, 2, 0) + a.transpose(2, 0, 1)

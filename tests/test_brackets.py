@@ -19,7 +19,7 @@ from nonholo import (
     reduced_bivector_tau,
     solution_for,
 )
-from nonholo.brackets import J2_COMPONENT, TAUS, _as_field, s1_generator
+from nonholo.brackets import J2_COMPONENT, TAUS, ScalarField, s1_generator
 from nonholo.errors import ConsistencyError, DomainError
 from nonholo.phase import energy, relation_residual
 from nonholo.smallalg import grad_fd
@@ -32,6 +32,11 @@ TAU3 = lambda x: x[0] * x[3] + x[1] * x[4]  # noqa: E731
 TAU4 = lambda x: x[5]  # noqa: E731
 TAU5 = lambda x: x[3] ** 2 + x[4] ** 2  # noqa: E731
 J2F = lambda x: x[0] * x[3] + x[1] * x[4] + x[2] * x[5]  # noqa: E731
+
+
+def fd(f):
+    """A plain function of the packed state as a ScalarField with central-difference gradients."""
+    return ScalarField(f, lambda x: grad_fd(f, x))
 
 
 class TestBivector:
@@ -62,19 +67,19 @@ class TestBracket:
     def test_tau1_tau2_anchor(self, worked_params, worked_spec, worked_state):
         # {tau1, tau2} = 1 - tau1^2 = 0.36, identical in both gauges.
         for kind in BracketKind:
-            val = bracket(worked_params, worked_spec, TAU1, TAU2, worked_state, kind)
+            val = bracket(worked_params, worked_spec, fd(TAU1), fd(TAU2), worked_state, kind)
             assert val == pytest.approx(0.36, abs=1e-9)
 
     def test_leibniz(self, worked_params, worked_spec, worked_state):
         def prod(x):
             return TAU2(x) * TAU3(x)
 
-        lhs = bracket(worked_params, worked_spec, prod, TAU4, worked_state, BracketKind.GAUGED)
+        lhs = bracket(worked_params, worked_spec, fd(prod), fd(TAU4), worked_state, BracketKind.GAUGED)
         t2 = TAU2(worked_state.packed())
         t3 = TAU3(worked_state.packed())
         rhs = t2 * bracket(
-            worked_params, worked_spec, TAU3, TAU4, worked_state, BracketKind.GAUGED
-        ) + t3 * bracket(worked_params, worked_spec, TAU2, TAU4, worked_state, BracketKind.GAUGED)
+            worked_params, worked_spec, fd(TAU3), fd(TAU4), worked_state, BracketKind.GAUGED
+        ) + t3 * bracket(worked_params, worked_spec, fd(TAU2), fd(TAU4), worked_state, BracketKind.GAUGED)
         assert lhs == pytest.approx(rhs, abs=1e-7)
 
 
@@ -84,7 +89,7 @@ def nested_fd_jacobiator(params, spec, f, g, h, state, kind):
     before the Jacobi trivector, kept as an independent oracle.  Its own
     truncation error is about 5e-8 on O(1) fields."""
     x = state.packed()
-    fields = [_as_field(f), _as_field(g), _as_field(h)]
+    fields = [f, g, h]
     total = 0.0
     for i in range(3):
         a, b, c = fields[i], fields[(i + 1) % 3], fields[(i + 2) % 3]
@@ -93,7 +98,7 @@ def nested_fd_jacobiator(params, spec, f, g, h, state, kind):
             return bracket(params, spec, b, c, y, kind)
 
         pi = bivector_packed(params, spec, x, kind)
-        total += float(a.gradient(x) @ pi @ grad_fd(inner, x, 1e-4))
+        total += float(a.grad(x) @ pi @ grad_fd(inner, x, 1e-4))
     return total
 
 
@@ -107,21 +112,21 @@ class TestJacobiator:
             for f, g, h in triples:
                 new = jacobiator(params, spec, f, g, h, state, kind)
                 assert abs(new - nested_fd_jacobiator(params, spec, f, g, h, state, kind)) <= 2e-7
-            # Plain callables get central-difference gradients, which are
-            # exact on these quadratics up to rounding.  (The oracle, which
-            # differences those gradients again, is off by about 1e-6 here.)
-            fd = jacobiator(params, spec, TAU2, TAU5, J2F, state, kind)
-            assert abs(fd - jacobiator(params, spec, TAUS[1], TAUS[4], J2_COMPONENT, state, kind)) <= 1e-10
+            # Central-difference gradients are exact on these quadratics up
+            # to rounding.  (The oracle, which differences those gradients
+            # again, is off by about 1e-6 here.)
+            by_fd = jacobiator(params, spec, fd(TAU2), fd(TAU5), fd(J2F), state, kind)
+            assert abs(by_fd - jacobiator(params, spec, TAUS[1], TAUS[4], J2_COMPONENT, state, kind)) <= 1e-10
 
     def test_ungauged_anchor(self, worked_params, worked_spec, worked_state):
         val = jacobiator(
-            worked_params, worked_spec, TAU1, J2F, TAU4, worked_state, BracketKind.NH
+            worked_params, worked_spec, fd(TAU1), fd(J2F), fd(TAU4), worked_state, BracketKind.NH
         )
         assert val == pytest.approx(-0.12, rel=1e-5)
 
     def test_gauged_vanishes_at_worked_state(self, worked_params, worked_spec, worked_state):
         val = jacobiator(
-            worked_params, worked_spec, TAU1, J2F, TAU4, worked_state, BracketKind.GAUGED
+            worked_params, worked_spec, fd(TAU1), fd(J2F), fd(TAU4), worked_state, BracketKind.GAUGED
         )
         assert abs(val) <= 1e-7
 
@@ -134,7 +139,7 @@ class TestJacobiator:
             t1 = state.gamma[2]
             expected = -params.m * ev.rho * sc.gs * (1.0 - t1 * t1) / sc.A1
             val = jacobiator(
-                params, spec, TAU1, J2F, TAU4, state, BracketKind.NH
+                params, spec, fd(TAU1), fd(J2F), fd(TAU4), state, BracketKind.NH
             )
             assert val == pytest.approx(expected, rel=1e-4, abs=1e-8)
 
@@ -174,8 +179,8 @@ def test_hamiltonian_field(worked_params, worked_spec, worked_state):
     h = hamiltonian_field(worked_params, worked_spec)
     x = worked_state.packed()
     assert h.fn(x) == pytest.approx(energy(worked_params, eval_profile(worked_spec, x[2]), x), rel=1e-15)
-    fd = grad_fd(h.fn, x)
-    assert np.max(np.abs(h.gradient(x) - fd)) <= 1e-8
+    by_fd = grad_fd(h.fn, x)
+    assert np.max(np.abs(h.grad(x) - by_fd)) <= 1e-8
 
 
 def test_casimir_residuals(routh_preset, ellipsoid_preset, ellipsoid_momenta):

@@ -17,6 +17,7 @@ import pytest
 
 from nonholo import BracketKind, certify
 from nonholo.cli import main
+from nonholo.smallalg import Jet
 from test_cli import ELLIPSOID_RAW, PARTICLE_RAW, ROUTH_RAW, write_config
 
 CONFIGS = {
@@ -48,6 +49,23 @@ def _gauge_fields(scale_l, scale_kl):
             return (c3, q, p, *l, *(a + b * scale_kl for a, b in zip(l, kl)))
         return defect
     return make
+
+
+def _scale_l1_derivative(gauge_columns):
+    """gauge_columns whose L_vec jet carries the gradient of its first component
+    times 1 + 1e-3, every value (and K_vec) unchanged: a fault that only a
+    derivative can see.
+
+    The fault breaks the S^1 symmetry of L_vec's derivative.  A symmetric one
+    (all three gradients, or that of L3, scaled alike) fails no record: the
+    Jacobiator on invariant triples does not see it.
+    """
+    def defect(*args):
+        c3, q, p, l1, *vec = gauge_columns(*args)
+        if isinstance(l1, Jet):
+            l1 = Jet(l1.value, l1.grad * (1.0 + 1e-3))
+        return (c3, q, p, l1, *vec)
+    return defect
 
 
 def _nh_for_gauged(bivector_packed):
@@ -138,6 +156,11 @@ DEFECTS = {
         "ellipsoid": {"relation-residual", "pushforward-table"},
         "balanced": {"relation-residual", "pushforward-table"},
         "routh": {"relation-residual", "pushforward-table"},
+    }),
+    "l1-derivative-scaled": Defect("geomforms", "gauge_columns", _scale_l1_derivative, {
+        "ellipsoid": {"jacobi-gauged"},
+        "balanced": {"jacobi-gauged"},
+        "routh": {"jacobi-gauged"},
     }),
     "coupling-scaled": Defect("particle", "_coupling", _coupling(lambda w, v: w * (1.0 + 1e-3)), {
         "particle": {"jacobi-unreduced-closed-form", "casimir-momentum", "rhs-anchor"},

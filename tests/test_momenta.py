@@ -223,7 +223,7 @@ def test_momentum_fields_gradients(seed):
     (state,) = make_states(seed, 1)
     x = state.packed()
     for f in (f1, f2):
-        assert np.max(np.abs(f.gradient(x) - grad_fd(f.fn, x))) <= 1e-7
+        assert np.max(np.abs(f.grad(x) - grad_fd(f.fn, x))) <= 1e-7
 
 
 # ---------------------------------------------------------------------------

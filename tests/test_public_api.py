@@ -132,3 +132,18 @@ def test_bench_facing_positions_and_names_are_pinned():
     for fn in (phase.omega_from_M, phase.energy):
         assert getattr(nonholo, fn.__name__) is fn and params(fn)[:3] == ["params", "ev", "x"]
     assert profile.eval_profile is nonholo.eval_profile and params(profile.eval_profile)[:2] == ["spec", "gamma3"]
+
+
+def test_no_package_code_differentiates_numerically():
+    # Every derivative is a jet pass; grad_fd stays in smallalg only as the
+    # reference the tests compare against (and a name bench/tracer.py wraps).
+    import pkgutil
+
+    from nonholo import smallalg
+
+    modules = [importlib.import_module(f"nonholo.{m.name}") for m in pkgutil.iter_modules(nonholo.__path__)]
+    binders = [m.__name__ for m in modules if any(v is smallalg.grad_fd for v in vars(m).values())]
+    assert binders == ["nonholo.smallalg"]
+    assert not any(hasattr(m, name) for m in modules for name in ("TRIVECTOR_STEP", "GRAD_STEP"))
+    grad = inspect.signature(nonholo.ScalarField).parameters["grad"]
+    assert grad.default is inspect.Parameter.empty

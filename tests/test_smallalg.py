@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonholo import rk4_step
-from nonholo.smallalg import _rk4_step5, _rk4_step6, _rk4_step_n, dot, grad_fd, jacobi_trivector, nan_max
-from oracles import cross, float_kinds, hat, same_bits
+from nonholo.smallalg import Jet, _rk4_step5, _rk4_step6, _rk4_step_n, dot, grad_fd, jacobi_trivector, nan_max
+from oracles import cross, float_kinds, same_bits
 
 finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 triples = st.tuples(finite, finite, finite)
@@ -86,24 +86,24 @@ def test_grad_fd_on_a_polynomial():
 
 def test_jacobi_trivector_of_the_lie_poisson_bracket_vanishes():
     # pi(x) = hat(x) on so(3)* is Poisson ({x_a, x_b} = -eps_abk x_k).
-    def hats(xs):
-        return np.array([hat(x) for x in xs])
+    def hats(x):
+        x1, x2, x3 = x[:, 0], x[:, 1], x[:, 2]
+        return Jet.matrix([[0.0, -x3, x2], [x3, 0.0, -x1], [-x2, x1, 0.0]])
 
     rng = np.random.default_rng(5)
     for scale in (1.0, 3.0, 10.0):
-        for _ in range(20):
-            t = jacobi_trivector(hats, rng.uniform(-scale, scale, 3))
-            assert t.shape == (3, 3, 3)
-            assert np.max(np.abs(t)) <= 1e-14
+        t = jacobi_trivector(hats(Jet.seed(rng.uniform(-scale, scale, (20, 3)))))
+        assert t.shape == (20, 3, 3, 3)
+        assert np.max(np.abs(t)) <= 1e-14
 
 
 def test_jacobi_trivector_of_a_non_poisson_bivector():
     # {x1, x2} = 1, {x2, x3} = x2, {x1, x3} = 0: the cyclic sum on (x1, x2, x3)
     # is {x1, {x2, x3}} = {x1, x2} = 1, and T is totally antisymmetric.
-    def pi(xs):
-        return np.array([[[0.0, 1.0, 0.0], [-1.0, 0.0, x[1]], [0.0, -x[1], 0.0]] for x in xs])
+    def pi(x):
+        return Jet.matrix([[0.0, 1.0, 0.0], [-1.0, 0.0, x[:, 1]], [0.0, -x[:, 1], 0.0]])
 
-    t = jacobi_trivector(pi, np.array([0.3, -2.0, 5.0]))
+    t = jacobi_trivector(pi(Jet.seed([[0.3, -2.0, 5.0]])))[0]
     assert abs(t[0, 1, 2] - 1.0) <= 1e-12
     assert np.max(np.abs(t + t.transpose(1, 0, 2))) <= 1e-15
     assert np.max(np.abs(t - t.transpose(1, 2, 0))) <= 1e-15

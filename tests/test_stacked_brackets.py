@@ -1,11 +1,12 @@
-"""Stacked bracket matrices and the one-call Jacobi trivector, bit for bit.
+"""Stacked bracket matrices and Jacobi trivectors from one jet pass, bit for bit.
 
-``bivector_packed`` on an (m, 6) stack must give, matrix by matrix, the bits
-of its one-state calls, and those must be the bits of the per-state numpy
-body it replaced (``oracles.bivector_packed``).  ``jacobi_trivector``, which
-now evaluates its whole stencil in one ``pi_fn`` call, must give the bits of
-the per-point body (``oracles.jacobi_trivector``).  Arrays are compared as
-``.view(np.int64)``, so signed zeros and NaN payloads count.
+``bivector_packed`` on the jet of an (m, 6) stack must give, in its value
+part and matrix by matrix, the bits of its one-state calls, and those must
+be the bits of the per-state numpy body it replaced
+(``oracles.bivector_packed``).  The trivectors of a stack must be, row by
+row, the bits of the trivector of one point, and must match the 5-point
+stencil (``oracles.jacobi_trivector``) at its truncation floor.  Arrays are
+compared as ``.view(np.int64)``, so signed zeros and NaN payloads count.
 """
 import math
 
@@ -18,7 +19,7 @@ import oracles
 from nonholo import (BodyParams, BracketKind, DomainError, ProfileSpec, bivector_packed, certify, eval_profile,
                      particle_jacobiator_reduced, particle_jacobiator_unreduced, qpl_values)
 from nonholo.particle import _coordinate_bivector, particle_trivector
-from nonholo.smallalg import jacobi_trivector
+from nonholo.smallalg import Jet, jacobi_trivector
 from oracles import same_bits
 
 from conftest import make_states
@@ -58,7 +59,7 @@ def packed_states(draw):
 
 
 def assert_stack_is_each_state(params, spec, xs, kind):
-    stack = bivector_packed(params, spec, xs, kind)
+    stack = bivector_packed(params, spec, Jet.seed(xs), kind).value
     assert stack.shape == (len(xs), 6, 6) and stack.flags.c_contiguous
     for x, pi in zip(xs, stack):
         one = bivector_packed(params, spec, x, kind)
@@ -100,78 +101,82 @@ def test_a_stack_leaving_the_band_raises():
     xs = np.array([s.packed() for s in make_states(4, 5)])
     xs[3, 2] = 1.0 + 1e-6
     with pytest.raises(DomainError) as stacked:
-        bivector_packed(params, spec, xs, BracketKind.GAUGED)
+        bivector_packed(params, spec, Jet.seed(xs), BracketKind.GAUGED)
     with pytest.raises(DomainError) as single:
         bivector_packed(params, spec, xs[3], BracketKind.GAUGED)
     assert str(stacked.value) == str(single.value)
     xs[3, 2] = 1.0 + 1e-9  # the band's own slack is accepted
-    assert np.isfinite(bivector_packed(params, spec, xs, BracketKind.GAUGED)).all()
+    assert np.isfinite(bivector_packed(params, spec, Jet.seed(xs), BracketKind.GAUGED).value).all()
+
+
+def solid_trivectors(params, spec, xs, kind):
+    return jacobi_trivector(bivector_packed(params, spec, Jet.seed(xs), kind))
+
+
+def particle_pi(v):
+    """The coordinate bivector at one point, for the stencil oracle."""
+    return _coordinate_bivector(Jet.seed(v[None])).value[0]
+
+
+def assert_near_the_stencil(t, stencil, floor):
+    assert np.max(np.abs(t - stencil)) <= floor * max(1.0, float(np.max(np.abs(t))))
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("body", sorted(BODIES))
 def test_solid_trivector_is_the_per_point_body(body, kind):
     params, spec = BODIES[body]
-
-    def pi(y):
-        return bivector_packed(params, spec, y, kind)
-
-    states = [s.packed() for s in make_states(8, 12)] + [np.array(SPECIAL_STATES[i]) for i in (4, 5)]
-    for x in states:
-        assert same_bits(jacobi_trivector(pi, x), oracles.jacobi_trivector(pi, x))
+    states = np.array([s.packed() for s in make_states(8, 12)] + [SPECIAL_STATES[i] for i in (4, 5)])
+    stack = solid_trivectors(params, spec, states, kind)
+    assert stack.shape == (len(states), 6, 6, 6)
+    for x, t in zip(states, stack):
+        assert same_bits(t, solid_trivectors(params, spec, x[None], kind)[0])
+        stencil = oracles.jacobi_trivector(lambda y: bivector_packed(params, spec, y, kind), x)
+        assert_near_the_stencil(t, stencil, 1e-9)
 
 
 def test_particle_trivector_is_the_per_point_body():
     rng = np.random.default_rng(12)
     points = list(rng.uniform(-2.0, 2.0, (40, 5))) + [np.zeros(5), np.array([0.0, -0.0, 0.0, -0.0, 0.0])]
-    for v in points:
-        new = particle_trivector(v)
-        assert same_bits(new, oracles.jacobi_trivector(_coordinate_bivector, v))
-        stack = _coordinate_bivector(np.array([v, -v]))
-        assert same_bits(stack[0], _coordinate_bivector(v)) and same_bits(stack[1], _coordinate_bivector(-v))
+    stack = particle_trivector(np.array(points))
+    for v, t in zip(points, stack):
+        assert same_bits(t, particle_trivector(v))
+        assert_near_the_stencil(t, oracles.jacobi_trivector(particle_pi, v), 1e-9)
 
 
-def test_a_stencil_leaving_the_band_raises_as_before():
+def test_the_trivector_at_a_pole_needs_no_stencil():
     params, spec = BODIES["ellipsoid"]
 
     def pi(y):
         return bivector_packed(params, spec, y, BracketKind.GAUGED)
 
-    x = np.array(SPECIAL_STATES[0])  # the stencil steps past gamma3 = 1
-    messages = []
-    for trivector in (jacobi_trivector, oracles.jacobi_trivector):
-        with pytest.raises(DomainError) as info:
-            trivector(pi, x)
-        messages.append(str(info.value))
-    assert messages[0] == messages[1]
+    x = np.array(SPECIAL_STATES[0])
+    with pytest.raises(DomainError):
+        oracles.jacobi_trivector(pi, x)  # the stencil steps past gamma3 = 1
+    assert np.isfinite(solid_trivectors(params, spec, x[None], BracketKind.GAUGED)).all()
 
 
-def test_the_stencil_is_one_call():
+def test_the_solid_battery_is_one_jet_pass(monkeypatch):
     params, spec = BODIES["ellipsoid"]
-    shapes = []
+    seen = []
 
-    def pi(y):
-        shapes.append(y.shape)
-        return bivector_packed(params, spec, y, BracketKind.GAUGED)
+    def counted(params, spec, x, kind):
+        seen.append((type(x), np.shape(x.value), kind))
+        return bivector_packed(params, spec, x, kind)
 
-    for x in [s.packed() for s in make_states(9, 3)]:
-        jacobi_trivector(pi, x)
-    assert shapes == [(25, 6)] * 3
-
-    def particle_pi(y):
-        shapes.append(y.shape)
-        return _coordinate_bivector(y)
-
-    shapes.clear()
-    jacobi_trivector(particle_pi, np.array([0.3, -0.5, 0.2, 1.0, -0.7]))
-    assert shapes == [(21, 5)]
+    monkeypatch.setattr(certify, "bivector_packed", counted)
+    states = [s.packed() for s in make_states(9, 7)]
+    subject = certify.Solid(params, spec, states, None, None)
+    names = ("jacobi-gauged", "jacobi-ungauged-closed-form", "bracket-dynamics-consistency")
+    assert all(r.status == "pass" for r in certify.run([certify.RECORDS[n] for n in names], subject))
+    assert seen == [(Jet, (7, 6), BracketKind.GAUGED), (Jet, (7, 6), BracketKind.NH)]
 
 
 def test_the_particle_battery_builds_one_trivector_per_sample(monkeypatch):
     calls = []
 
     def counted(v):
-        calls.append(1)
+        calls.append(np.shape(v))
         return particle_trivector(v)
 
     monkeypatch.setattr(certify, "particle_trivector", counted)
@@ -179,7 +184,7 @@ def test_the_particle_battery_builds_one_trivector_per_sample(monkeypatch):
     subject = certify.Particle(samples)
     names = ("reduced-jacobi", "jacobi-negative-control", "jacobi-unreduced-closed-form")
     results = certify.run([certify.RECORDS[n] for n in names], subject)
-    assert len(calls) == len(samples)
+    assert calls == [(len(samples), 5)]  # one jet pass, one trivector per sample
     reduced, control, _ = (r.measured for r in results)
     assert reduced == max(particle_jacobiator_reduced(v) for v in samples)
     assert control == max(abs(particle_jacobiator_unreduced(v)) for v in samples)
