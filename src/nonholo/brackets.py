@@ -21,7 +21,11 @@ entries below are the *pushforward* of Pi under tau, verified against the
 ``bivector_packed`` builds Pi at one state on Python floats, or with its
 derivative at the jet (``smallalg.Jet``) of a stack of states, through the
 one body ``geomforms.gauge_columns``, with the same bits.  The Jacobi
-trivector is Pi . dPi from that pass, cyclically summed.
+trivector is Pi . dPi from that pass, cyclically summed.  The certificate
+kernels (``pushforward_residual``, ``casimir_residuals``,
+``reduced_bivector_tau``) and the gradients of the invariants and of the
+gauge momenta take one state or an (m, 6) stack; a state is a stack of
+one, and the products are two-operand ``einsum`` steps, never BLAS.
 
 <gamma, gamma> is a Casimir of Pi (the gamma-column blocks annihilate
 gradients along gamma), so bracket values at on-sphere points do not depend
@@ -37,10 +41,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .geomforms import gauge_columns, qp_matrix
+from .geomforms import gauge_columns, qp_grid
 from .phase import BodyParams, energy_floats, invariants, omega_floats, relation_residual
-from .profile import DOMAIN_SLACK, ProfileSpec, check_domain, profile_terms
-from .smallalg import Jet, jacobi_trivector, jet_gradient, nan_max
+from .profile import ProfileSpec, state_terms
+from .smallalg import Jet, columns, jacobi_trivector, jet_gradient, pow2, stacked
 
 
 class BracketKind(str, Enum):
@@ -50,43 +54,41 @@ class BracketKind(str, Enum):
 
 @dataclass(frozen=True)
 class ScalarField:
-    """A scalar function of the packed state and its exact gradient."""
+    """A scalar function of the packed state and its exact gradient.  The
+    gradients of the package's own fields also take an (m, n) stack of
+    states, to (m, n) rows."""
 
     fn: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
     name: str = ""
 
 
-TAU1 = ScalarField(lambda x: x[2], lambda x: np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0]), "tau1")
-TAU2 = ScalarField(lambda x: x[0] * x[4] - x[1] * x[3],
-                   lambda x: np.array([x[4], -x[3], 0.0, -x[1], x[0], 0.0]), "tau2")
-TAU3 = ScalarField(lambda x: x[0] * x[3] + x[1] * x[4],
-                   lambda x: np.array([x[3], x[4], 0.0, x[0], x[1], 0.0]), "tau3")
-TAU4 = ScalarField(lambda x: x[5], lambda x: np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0]), "tau4")
-TAU5 = ScalarField(lambda x: x[3] ** 2 + x[4] ** 2,
-                   lambda x: np.array([0.0, 0.0, 0.0, 2.0 * x[3], 2.0 * x[4], 0.0]), "tau5")
+def _state_field(name: str, fn, grad) -> ScalarField:
+    """The ScalarField of ``fn`` and ``grad`` (its six gradient entries), both
+    written on the state columns c: floats at a packed state, arrays over an
+    (m, 6) stack (``smallalg.columns``)."""
+    def gradient(x):
+        c = columns(x)
+        return stacked(grad(c), c[0])
+
+    return ScalarField(lambda x: fn(columns(x)), gradient, name)
+
+
+TAU1 = _state_field("tau1", lambda c: c[2], lambda c: (0.0, 0.0, 1.0, 0.0, 0.0, 0.0))
+TAU2 = _state_field("tau2", lambda c: c[0] * c[4] - c[1] * c[3], lambda c: (c[4], -c[3], 0.0, -c[1], c[0], 0.0))
+TAU3 = _state_field("tau3", lambda c: c[0] * c[3] + c[1] * c[4], lambda c: (c[3], c[4], 0.0, c[0], c[1], 0.0))
+TAU4 = _state_field("tau4", lambda c: c[5], lambda c: (0.0, 0.0, 0.0, 0.0, 0.0, 1.0))
+TAU5 = _state_field("tau5", lambda c: pow2(c[3]) + pow2(c[4]), lambda c: (0.0, 0.0, 0.0, 2.0 * c[3], 2.0 * c[4], 0.0))
 TAUS: tuple[ScalarField, ...] = (TAU1, TAU2, TAU3, TAU4, TAU5)
 
-J1_COMPONENT = ScalarField(lambda x: -x[5], lambda x: np.array([0.0, 0.0, 0.0, 0.0, 0.0, -1.0]), "j1")
-J2_COMPONENT = ScalarField(lambda x: x[0] * x[3] + x[1] * x[4] + x[2] * x[5],
-                           lambda x: np.array([x[3], x[4], x[5], x[0], x[1], x[2]]), "j2")
-
-
-def _columns(spec: ProfileSpec, x) -> tuple:
-    """The six state columns and the profile terms at them: floats at a packed
-    point, jets at the jet of an (m, 6) stack; DomainError off the band."""
-    if isinstance(x, Jet):
-        cols, g3 = [x[:, k] for k in range(6)], x.value[:, 2]
-        check_domain(float(g3[np.argmax(np.abs(g3) > 1.0 + DOMAIN_SLACK)]))  # the first point off the band, if any
-        return cols, profile_terms(spec, cols[2], Jet.sqrt)
-    cols = np.asarray(x, dtype=float)[:6].tolist()
-    check_domain(cols[2])
-    return cols, profile_terms(spec, cols[2])
+J1_COMPONENT = _state_field("j1", lambda c: -c[5], lambda c: (0.0, 0.0, 0.0, 0.0, 0.0, -1.0))
+J2_COMPONENT = _state_field("j2", lambda c: c[0] * c[3] + c[1] * c[4] + c[2] * c[5],
+                            lambda c: (c[3], c[4], c[5], c[0], c[1], c[2]))
 
 
 def energy_at(params: BodyParams, spec: ProfileSpec, x):
     """``energy_floats`` at ``omega_floats``: ``phase.energy``'s bits at a point, a jet at a jet."""
-    cols, (rho, _, L, *_) = _columns(spec, x)
+    cols, (rho, _, L, *_) = state_terms(spec, x)
     return energy_floats(params, rho, L, *cols, *omega_floats(params, rho, L, *cols))
 
 
@@ -111,7 +113,7 @@ def bivector_packed(params: BodyParams, spec: ProfileSpec, x, kind: BracketKind)
     Raises:
         DomainError: if a point has |gamma3| > 1 + DOMAIN_SLACK.
     """
-    cols, (rho, _, L, rho_p, _, L_p) = _columns(spec, x)
+    cols, (rho, _, L, rho_p, _, L_p) = state_terms(spec, x)
     vals = gauge_columns(params, rho, L, rho_p, L_p, *cols)
     v = vals[3:6] if kind == BracketKind.GAUGED else vals[6:9]
     g1, g2, g3 = cols[:3]
@@ -152,13 +154,27 @@ def jacobiator(
     return float(np.einsum("iab,i,a,b->", t, f.grad(x), g.grad(x), h.grad(x)))
 
 
-def s1_generator(x: np.ndarray) -> np.ndarray:
-    """Infinitesimal generator of the S^1 action: (e3 x gamma, e3 x M)."""
-    return np.array([-x[1], x[0], 0.0, -x[4], x[3], 0.0])
+def s1_generator(x) -> np.ndarray:
+    """Infinitesimal generator of the S^1 action, (e3 x gamma, e3 x M), at a
+    packed state, or its (m, 6) rows at an (m, 6) stack."""
+    c = columns(x)
+    return stacked((-c[1], c[0], 0.0, -c[4], c[3], 0.0), c[0])
+
+
+def tau_gradients(xs: np.ndarray) -> np.ndarray:
+    """The (m, 5, 6) gradients of tau1..tau5 at an (m, 6) stack of states."""
+    return np.stack([t.grad(xs) for t in TAUS], axis=1)
+
+
+def _gauged_matrices(params: BodyParams, spec: ProfileSpec, xs: np.ndarray) -> np.ndarray:
+    """The (m, 6, 6) gauged bracket matrices at an (m, 6) stack, for a caller
+    that holds none (``certify`` passes the value part of its jet pass)."""
+    return np.array([bivector_packed(params, spec, x, BracketKind.GAUGED) for x in xs])
 
 
 def reduced_bivector_tau(params: BodyParams, spec: ProfileSpec, tau) -> np.ndarray:
-    """Explicit 5x5 bracket table at the invariants ``tau`` = (tau1, ..., tau5).
+    """Explicit 5x5 bracket table at the invariants ``tau`` = (tau1, ..., tau5),
+    or the (m, 5, 5) tables at an (m, 5) stack of them.
 
     This is the pushforward of the gauged 6x6 bracket (the table as
     sometimes displayed carries sign/factor slips in the tau2/tau5 rows and
@@ -171,48 +187,63 @@ def reduced_bivector_tau(params: BodyParams, spec: ProfileSpec, tau) -> np.ndarr
         {t3,t5} = -2 t2 (t4 + L3)     {t4,t5} = 2 t2 Q
         {t1,t3} = {t1,t4} = {t3,t4} = 0
 
-    with (Q, P) = [QP](t1) . (t3, t4) and L3 = Q t1 + P.
+    with (Q, P) = [QP](t1) . (t3, t4) and L3 = Q t1 + P.  Every entry is
+    elementwise in the stack, ``[QP]`` from ``qp_grid`` (the bits of
+    ``qp_matrix``), so a table has the same bits in a stack or alone.
 
     Raises:
-        ConsistencyError: if tau violates the semialgebraic relation
+        ConsistencyError: if a tau violates the semialgebraic relation
             by more than 1e-6.
-        DomainError: if |t1| > 1 - 1e-9.
+        DomainError: if a |t1| > 1 - 1e-9.
     """
-    t1, t2, t3, t4, t5 = np.asarray(tau, dtype=float).tolist()
+    tau = np.asarray(tau, dtype=float)
+    t1, t2, t3, t4, t5 = tau.reshape(-1, 5).T
     res = relation_residual(t1, t2, t3, t5)
-    if abs(res) > 1e-6:
-        raise ConsistencyError(f"invariant relation violated by {res!r}")
-    if abs(t1) > 1.0 - 1e-9:
-        raise DomainError(f"tau1={t1!r} too close to the singular strata +-1")
-    qp = qp_matrix(params, spec, t1)
-    q = qp[0, 0] * t3 + qp[0, 1] * t4
-    p = qp[1, 0] * t3 + qp[1, 1] * t4
+    bad = np.abs(res) > 1e-6
+    if bad.any():
+        raise ConsistencyError(f"invariant relation violated by {float(res[np.argmax(bad)])!r}")
+    bad = np.abs(t1) > 1.0 - 1e-9
+    if bad.any():
+        raise DomainError(f"tau1={float(t1[np.argmax(bad)])!r} too close to the singular strata +-1")
+    qp00, qp01, qp10, qp11 = qp_grid(params, spec, t1)
+    q = qp00 * t3 + qp01 * t4
+    p = qp10 * t3 + qp11 * t4
     l3 = q * t1 + p
     one_t2 = 1.0 - t1 * t1
-    upper = np.zeros((5, 5))
-    upper[0, 1] = one_t2
-    upper[0, 4] = 2.0 * t2
-    upper[1, 2] = one_t2 * (t4 + l3)
-    upper[1, 3] = -one_t2 * q
-    upper[1, 4] = -2.0 * (t1 * t5 - t3 * (t4 + l3))
-    upper[2, 4] = -2.0 * t2 * (t4 + l3)
-    upper[3, 4] = 2.0 * t2 * q
-    return upper - upper.T  # antisymmetric by construction
+    upper = np.zeros((len(t1), 5, 5))
+    upper[:, 0, 1] = one_t2
+    upper[:, 0, 4] = 2.0 * t2
+    upper[:, 1, 2] = one_t2 * (t4 + l3)
+    upper[:, 1, 3] = -one_t2 * q
+    upper[:, 1, 4] = -2.0 * (t1 * t5 - t3 * (t4 + l3))
+    upper[:, 2, 4] = -2.0 * t2 * (t4 + l3)
+    upper[:, 3, 4] = 2.0 * t2 * q
+    table = upper - upper.transpose(0, 2, 1)  # antisymmetric by construction
+    return table.reshape(tau.shape[:-1] + (5, 5))
 
 
-def pushforward_residual(params: BodyParams, spec: ProfileSpec, x) -> float:
-    """max over pairs |{tau_a, tau_b}_gauged - explicit table entry| at a packed state."""
+#: The pairs a < b of the five invariants, as two index arrays
+_PAIRS = np.triu_indices(5, 1)
+
+
+def pushforward_residual(params: BodyParams, spec: ProfileSpec, x, pi=None):
+    """max over pairs |{tau_a, tau_b}_gauged - explicit table entry| at a packed
+    state, or the (m,) values at an (m, 6) stack, whose gauged matrices ``pi``
+    a caller may pass."""
     x = np.asarray(x, dtype=float)
-    pi = bivector_packed(params, spec, x, BracketKind.GAUGED)
-    grads = [t.grad(x) for t in TAUS]
-    table = reduced_bivector_tau(params, spec, invariants(x))
-    return nan_max(abs(float(grads[a] @ pi @ grads[b]) - table[a, b])
-                   for a in range(5) for b in range(a + 1, 5))
+    xs = x.reshape(-1, 6)
+    pi = _gauged_matrices(params, spec, xs) if pi is None else pi
+    d = tau_gradients(xs)
+    brackets = np.einsum("nqb,npb->npq", d, np.einsum("npa,nab->npb", d, pi))
+    table = reduced_bivector_tau(params, spec, invariants(xs))
+    worst = np.max(np.abs(brackets - table)[:, _PAIRS[0], _PAIRS[1]], axis=1)
+    return worst if x.ndim > 1 else float(worst[0])
 
 
 @dataclass(frozen=True)
 class CasimirResiduals:
-    """Residuals certifying that the gauge momenta are Casimirs.
+    """Residuals certifying that the gauge momenta are Casimirs: floats at a
+    state, or (m,) arrays over a stack of them.
 
     max_j1 / max_j2: max |{J_i, tau_k}| over the five invariant coordinates;
     involution: |{J1, J2}|;
@@ -228,30 +259,25 @@ class CasimirResiduals:
     vertical2: float
 
 
-def casimir_residuals(
-    params: BodyParams,
-    spec: ProfileSpec,
-    x,
-    momenta,
-) -> CasimirResiduals:
-    """Evaluate the Casimir certificate of the gauged bracket at a packed state.
+def casimir_residuals(params: BodyParams, spec: ProfileSpec, x, momenta, pi=None) -> CasimirResiduals:
+    """Evaluate the Casimir certificate of the gauged bracket at a packed state,
+    or at each state of an (m, 6) stack, whose gauged matrices ``pi`` a caller
+    may pass.
 
     ``momenta`` is a MomentaSolution; J-field gradients take the
     tau1-derivatives from ``momenta.slope``, so the residuals measure the
-    structure, not interpolation error.
+    structure, not interpolation error.  A state off ``momenta`` gets NaN
+    residuals.
     """
     from .momenta import gauge_momentum_fields
 
     x = np.asarray(x, dtype=float)
-    pi = bivector_packed(params, spec, x, BracketKind.GAUGED)
-    gen = s1_generator(x)
-    grads = [jf.grad(x) for jf in gauge_momentum_fields(momenta)]
-    pairs = momenta.eval(x[2])
-    out = []
-    verts = []
-    for idx, gj in enumerate(grads):
-        flow = pi @ gj
-        out.append(nan_max(abs(float(t.grad(x) @ flow)) for t in TAUS))
-        verts.append(float(np.max(np.abs(flow - pairs[2 * idx] * gen))))
-    inv = abs(float(grads[0] @ pi @ grads[1]))
-    return CasimirResiduals(out[0], out[1], inv, verts[0], verts[1])
+    xs = x.reshape(-1, 6)
+    pi = _gauged_matrices(params, spec, xs) if pi is None else pi
+    d, gen, pairs = tau_gradients(xs), s1_generator(xs), momenta.eval(xs[:, 2])
+    grads = [jf.grad(xs) for jf in gauge_momentum_fields(momenta)]
+    flows = [np.einsum("nab,nb->na", pi, g) for g in grads]
+    values = [np.max(np.abs(np.einsum("npa,na->np", d, f)), axis=1) for f in flows]
+    values.append(np.abs(np.einsum("nb,nb->n", np.einsum("na,nab->nb", grads[0], pi), grads[1])))
+    values += [np.max(np.abs(f - pairs[:, 2 * k, None] * gen), axis=1) for k, f in enumerate(flows)]
+    return CasimirResiduals(*(v if x.ndim > 1 else float(v[0]) for v in values))

@@ -1,13 +1,16 @@
 """The certification battery: one flat table of check records.
 
 A record names a claim, the tolerance it is certified at, its mode, and a
-measure: a function of a subject that returns the worst value over the
-subject's samples.  A subject is a :class:`Solid` (a body, a profile,
-sampled states and the momenta under test) or a :class:`Particle` (sampled
-points of the particle example).  ``run`` grades records against their
-tolerances.  ``nonholo check`` and the acceptance tests measure through the
-same records, so each tolerance is written once, here.  What several records
-read at one sample is computed once: the Casimir residuals per sample; the
+measure: a function of a subject.  A subject is a :class:`Solid` (a body, a
+profile, sampled states and the momenta under test) or a :class:`Particle`
+(sampled points of the particle example).  A per-sample measure returns the
+(m,) array of its values at the subject's m samples, measured in one array
+pass; a record that is not per sample returns one value.  ``run`` reduces
+the arrays with ``nan_max``, keeps the index of the sample it picked, and
+grades records against their tolerances.  ``nonholo check`` and the
+acceptance tests measure through the same records, so each tolerance is
+written once, here.  What several records read is computed once per
+subject: the Casimir residuals per sample, the gauge fields, and the
 bracket matrices, trivectors and energy gradients in one jet pass.
 
 Every record can fail: ``tests/test_defects.py`` names, for each one, a
@@ -26,16 +29,16 @@ from typing import Callable
 
 import numpy as np
 
-from .brackets import (BracketKind, J2_COMPONENT, TAU1, TAU4, TAUS, bivector_packed, casimir_residuals, energy_at,
-                       pushforward_residual)
+from .brackets import (BracketKind, J2_COMPONENT, TAU1, TAU4, bivector_packed, casimir_residuals, energy_at,
+                       pushforward_residual, tau_gradients)
 from .dynamics import IntegratorConfig, drift, nonconservation_rates, rhs
-from .geomforms import qp_grid, qp_matrix, qpl_values
+from .geomforms import gauge_columns, qp_grid
 from .momenta import ode_residual, routh_closed_form, routh_closed_form_derivative, solution_for, solve_momenta
 from .particle import (COLUMNS as PARTICLE_COLUMNS, COORDINATES, MOMENTUM, hamiltonian_frame_flow, particle_bracket,
                        particle_integrate, particle_rhs, particle_trivector)
 from .phase import invariants, relation_residual
-from .profile import eval_profile, profile_scalars
-from .smallalg import Jet, jacobi_trivector, nan_max
+from .profile import mass_scalars, state_terms
+from .smallalg import Jet, jacobi_trivector, nan_max, pow2
 
 
 @dataclass(frozen=True)
@@ -46,61 +49,47 @@ class CheckResult:
     tolerance: float
     citation: str
     mode: str = "upper"  # "upper": pass iff measured < tolerance; "lower": >
+    worst_sample: int | None = None  # the sample ``measured`` was taken at; None if not per sample
 
 
 @dataclass(frozen=True)
 class Record:
     """A claim that passes iff its measure is below (mode "upper") or above
-    (mode "lower") its tolerance."""
+    (mode "lower") its tolerance.  ``measure`` returns one value per sample
+    (an array) or one value for the subject."""
 
     name: str
     tolerance: float
     claim: str
     mode: str
-    measure: Callable[[object], float]
+    measure: Callable[[object], float | np.ndarray]
 
 
 def run(records, subject) -> list[CheckResult]:
-    """Measure every record on ``subject`` and grade it against its tolerance."""
+    """Measure every record on ``subject`` and grade it against its tolerance.
+
+    A per-sample record measures its worst value (``nan_max``: the first NaN,
+    else the largest), at the first sample that has it.
+    """
     results = []
     for rec in records:
-        worst = rec.measure(subject)
+        values = rec.measure(subject)
+        if isinstance(values, np.ndarray):
+            worst, index = nan_max(values), int(np.argmax(values))
+        else:
+            worst, index = values, None
         passed = worst < rec.tolerance if rec.mode == "upper" else worst > rec.tolerance
         results.append(
-            CheckResult(rec.name, "pass" if passed else "fail", worst, rec.tolerance, rec.claim, rec.mode)
+            CheckResult(rec.name, "pass" if passed else "fail", worst, rec.tolerance, rec.claim, rec.mode, index)
         )
     return results
-
-
-def _worst(value):
-    """The measure that keeps the largest ``value(subject, sample)``, or 0 with no
-    samples; NaN if any value is NaN."""
-    return lambda subject: nan_max(value(subject, p) for p in subject.samples)
 
 
 # ---------------------------------------------------------------------------
 # subjects
 
-class Sample:
-    """One packed state of a Solid (row ``index`` of its ``jets``) and what several
-    records read at it, each computed once; ``inv`` holds tau1..tau5 as floats."""
-
-    def __init__(self, solid: "Solid", index: int, state):
-        self.solid, self.index, self.x = solid, index, np.asarray(state, dtype=float)
-        self.ev = eval_profile(solid.spec, self.x[2])
-        self.inv = invariants(self.x).tolist()
-
-    @cached_property
-    def vals(self):
-        return qpl_values(self.solid.params, self.ev, self.x)
-
-    @cached_property
-    def casimir(self):
-        s = self.solid
-        return casimir_residuals(s.params, s.spec, self.x, s.momenta)
-
-
-#: By kind (gauged, nh), then sample: the bracket matrices and trivectors; by sample, the energy gradient.
+#: By kind (gauged, nh): the (m, 6, 6) bracket matrices and (m, 6, 6, 6)
+#: trivectors; the (m, 6) energy gradients.
 Jets = namedtuple("Jets", "pis trivectors dh")
 
 
@@ -113,12 +102,33 @@ class Solid:
 
     def __init__(self, params, spec, states, momenta, numeric):
         self.params, self.spec, self.momenta, self.numeric = params, spec, momenta, numeric
-        self.samples = [Sample(self, k, st) for k, st in enumerate(states)]
+        self.x = np.asarray(states, dtype=float)  # (m, 6)
+
+    @cached_property
+    def inv(self) -> np.ndarray:
+        """The (m, 5) invariants tau1..tau5."""
+        return invariants(self.x)
+
+    @cached_property
+    def terms(self) -> tuple:
+        """The state columns and the profile terms at them (``state_terms``)."""
+        return state_terms(self.spec, self.x)
+
+    @cached_property
+    def gauge(self) -> tuple:
+        """c3, Q, P, L_vec and K_vec at every sample (``gauge_columns``)."""
+        cols, (rho, _, L, rho_p, _, L_p) = self.terms
+        return gauge_columns(self.params, rho, L, rho_p, L_p, *cols)
+
+    @cached_property
+    def casimir(self):
+        """The Casimir residuals at every sample, on the jet pass's gauged matrices."""
+        return casimir_residuals(self.params, self.spec, self.x, self.momenta, self.jets.pis[0])
 
     @cached_property
     def jets(self) -> "Jets":
         """One jet pass over every sample, for the gauged and the nh bracket."""
-        x, pis, trivectors = Jet.seed([p.x for p in self.samples]), [], []
+        x, pis, trivectors = Jet.seed(self.x), [], []
         for kind in (BracketKind.GAUGED, BracketKind.NH):  # one kind's derivative held at a time
             pi = bivector_packed(self.params, self.spec, x, kind)
             pis.append(pi.value)
@@ -146,7 +156,7 @@ class Particle:
     """The particle example and the sampled points the per-point records sweep."""
 
     def __init__(self, samples):
-        self.samples = samples
+        self.v = np.asarray(samples, dtype=float)  # (m, 5)
 
     @property
     def records(self) -> tuple[Record, ...]:
@@ -162,49 +172,59 @@ class Particle:
         """The Jacobi trivector of the coordinate bracket at each sample, from one
         jet pass: entry [1, 3, 4] is the (y, px, py) Jacobiator, [0, 3, 4] the
         (x, px, py) one."""
-        return particle_trivector(np.array(self.samples))
+        return particle_trivector(self.v)
 
     @cached_property
     def unreduced(self):
         """The (x, px, py) Jacobiator at each sample."""
-        return [float(t[0, 3, 4]) for t in self.trivectors]
+        return self.trivectors[:, 0, 3, 4]
 
 
 # ---------------------------------------------------------------------------
-# measures
+# measures: each returns the (m,) array of its values at the samples
 
-def _qp_linearity(s, p):
-    (t1, _, t3, t4, _), vals = p.inv, p.vals
-    qp = qp_matrix(s.params, s.spec, t1)
-    den = max(abs(vals.Q), abs(vals.P), 1e-3)
-    return nan_max((abs(qp[0, 0] * t3 + qp[0, 1] * t4 - vals.Q) / den,
-                    abs(qp[1, 0] * t3 + qp[1, 1] * t4 - vals.P) / den))
-
-
-def _jacobi_gauged(s, p):
-    d, t = np.array([tau.grad(p.x) for tau in TAUS]), s.jets.trivectors[0][p.index]
-    jac = np.einsum("iab,pi,qa,rb->pqr", t, d, d, d)  # the Jacobiator of every triple of invariants
-    return nan_max(abs(float(jac[a, b, c])) for a, b, c in itertools.combinations(range(5), 3))
+def _qp_linearity(s):
+    t1, _, t3, t4, _ = s.inv.T
+    q00, q01, q10, q11 = qp_grid(s.params, s.spec, t1)
+    _, q, p, *_ = s.gauge
+    den = np.maximum(np.maximum(np.abs(q), np.abs(p)), 1e-3)
+    return np.maximum(np.abs(q00 * t3 + q01 * t4 - q) / den, np.abs(q10 * t3 + q11 * t4 - p) / den)
 
 
-def _jacobi_ungauged(s, p):
-    grads = (f.grad(p.x) for f in (TAU1, J2_COMPONENT, TAU4))
-    jac = float(np.einsum("iab,i,a,b->", s.jets.trivectors[1][p.index], *grads))
-    sc = profile_scalars(s.params, p.ev, p.x[:3])
-    closed = -s.params.m * p.ev.rho * sc.gs * (1.0 - p.inv[0]**2) / sc.A1
-    return abs(jac - closed) / abs(closed)
+#: The triples a < b < c of the five invariants, as three index arrays
+_TRIPLES = tuple(np.array(list(itertools.combinations(range(5), 3))).T)
 
 
-def _rate_law(s, p):
-    rl = nonconservation_rates(s.params, s.spec, p.x)
-    scale = max(abs(rl.pred1), abs(rl.pred2), 1e-6)
-    return nan_max((abs(rl.dj1 - rl.pred1) / scale, abs(rl.dj2 - rl.pred2) / scale))
+def _jacobi_gauged(s):
+    # the Jacobiator of every triple of invariants, one two-operand contraction at a time
+    d = tau_gradients(s.x)
+    jac = np.einsum("niab,npi->npab", s.jets.trivectors[0], d)
+    jac = np.einsum("npab,nqa->npqb", jac, d)
+    jac = np.einsum("npqb,nrb->npqr", jac, d)
+    return np.max(np.abs(jac[:, _TRIPLES[0], _TRIPLES[1], _TRIPLES[2]]), axis=1)
 
 
-def _consistency(s, p):
-    xd = rhs(s.params, s.spec, p.x)
-    dh = s.jets.dh[p.index]
-    return nan_max(float(np.max(np.abs(xd - pis[p.index] @ dh))) for pis in s.jets.pis)
+def _jacobi_ungauged(s):
+    x, t = s.x, s.jets.trivectors[1]
+    jac = np.einsum("niab,ni->nab", t, TAU1.grad(x))
+    jac = np.einsum("nab,na->nb", jac, J2_COMPONENT.grad(x))
+    jac = np.einsum("nb,nb->n", jac, TAU4.grad(x))
+    (g1, g2, g3, *_), (rho, zeta, L, *_) = s.terms
+    sc = mass_scalars(s.params, rho, zeta, L, g1, g2, g3)
+    closed = -s.params.m * rho * sc.gs * (1.0 - pow2(s.inv[:, 0])) / sc.A1
+    return np.abs(jac - closed) / np.abs(closed)
+
+
+def _rate_law(s):
+    rl = nonconservation_rates(s.params, s.spec, s.x)
+    scale = np.maximum(np.maximum(np.abs(rl.pred1), np.abs(rl.pred2)), 1e-6)
+    return np.maximum(np.abs(rl.dj1 - rl.pred1) / scale, np.abs(rl.dj2 - rl.pred2) / scale)
+
+
+def _consistency(s):
+    xd, dh = rhs(s.params, s.spec, s.x), s.jets.dh
+    gauged, nh = (np.max(np.abs(xd - np.einsum("nab,nb->na", pi, dh)), axis=1) for pi in s.jets.pis)
+    return np.maximum(gauged, nh)
 
 
 _TAU1_GRID = np.linspace(-0.999, 0.999, 1000)
@@ -249,36 +269,44 @@ def _particle_drift(column: str):
 _COORDS = (COORDINATES[1], COORDINATES[3], COORDINATES[4])  # y, px, py
 
 
-def _rhs_anchor(s, v):
-    c = hamiltonian_frame_flow(v)
-    coord_rate = np.array([c[0], c[1], v[1] * c[0], c[2], c[3]])
-    return float(np.max(np.abs(coord_rate - particle_rhs(v))))
+def _casimir_momentum(s):
+    return np.max(np.abs([particle_bracket(MOMENTUM, f, s.v) for f in _COORDS]), axis=0)
+
+
+def _rhs_anchor(s):
+    c1, c2, c3, c4 = hamiltonian_frame_flow(s.v).T
+    coord_rate = np.column_stack([c1, c2, s.v[:, 1] * c1, c3, c4])
+    return np.max(np.abs(coord_rate - particle_rhs(s.v)), axis=1)
+
+
+def _unreduced_closed_form(s):
+    y = s.v[:, 1]
+    return np.abs(s.unreduced - y / (1.0 + pow2(y)))
 
 
 # ---------------------------------------------------------------------------
 # the table
 
 SOLID = (
-    Record("qp-linearity", 1e-9, "Q and P are linear in (tau3, tau4)", "upper", _worst(_qp_linearity)),
-    Record("jacobi-gauged", 1e-6, "gauged reduced bracket satisfies the Jacobi identity", "upper",
-           _worst(_jacobi_gauged)),
+    Record("qp-linearity", 1e-9, "Q and P are linear in (tau3, tau4)", "upper", _qp_linearity),
+    Record("jacobi-gauged", 1e-6, "gauged reduced bracket satisfies the Jacobi identity", "upper", _jacobi_gauged),
     Record("jacobi-ungauged-closed-form", 1e-4, "ungauged Jacobiator matches its closed-form obstruction",
-           "upper", _worst(_jacobi_ungauged)),
+           "upper", _jacobi_ungauged),
     Record("casimir-J1", 1e-8, "gauge momenta are Casimirs of the gauged bracket", "upper",
-           _worst(lambda s, p: p.casimir.max_j1)),
+           lambda s: s.casimir.max_j1),
     Record("casimir-J2", 1e-8, "gauge momenta are Casimirs of the gauged bracket", "upper",
-           _worst(lambda s, p: p.casimir.max_j2)),
+           lambda s: s.casimir.max_j2),
     Record("involution", 1e-8, "the two gauge momenta are in involution", "upper",
-           _worst(lambda s, p: p.casimir.involution)),
+           lambda s: s.casimir.involution),
     Record("vertical-generator", 1e-8, "momentum flows are proportional to the S1 generator", "upper",
-           _worst(lambda s, p: nan_max((p.casimir.vertical1, p.casimir.vertical2)))),
+           lambda s: np.maximum(s.casimir.vertical1, s.casimir.vertical2)),
     Record("pushforward-table", 1e-8, "tau-pushforward of the bracket matches the explicit table", "upper",
-           _worst(lambda s, p: pushforward_residual(s.params, s.spec, p.x))),
-    Record("rate-law", 1e-9, "momentum components drift at the predicted rate", "upper", _worst(_rate_law)),
+           lambda s: pushforward_residual(s.params, s.spec, s.x, s.jets.pis[0])),
+    Record("rate-law", 1e-9, "momentum components drift at the predicted rate", "upper", _rate_law),
     Record("relation-residual", 1e-12, "invariant coordinates satisfy their defining relation", "upper",
-           _worst(lambda s, p: abs(relation_residual(*p.inv[:3], p.inv[4])))),
+           lambda s: np.abs(relation_residual(*s.inv.T[:3], s.inv[:, 4]))),
     Record("bracket-dynamics-consistency", 1e-8, "dynamics is bracket-hamiltonian for both bracket kinds",
-           "upper", _worst(_consistency)),
+           "upper", _consistency),
 )
 ROUTH = (
     Record("kernel-pair", 1e-12, "the constant pair spans the coefficient-ODE kernel", "upper", _kernel_pair),
@@ -289,7 +317,7 @@ ROUTH = (
 )
 BALANCED = (
     Record("chaplygin-P-zero", 1e-12, "balanced ellipsoid limit has identically vanishing P", "upper",
-           _worst(lambda s, p: abs(p.vals.P))),
+           lambda s: np.abs(s.gauge[2])),
 )
 PARTICLE = (
     Record("energy-drift", 1e-8, "constrained particle conserves H", "upper",
@@ -297,14 +325,12 @@ PARTICLE = (
     Record("momentum-drift", 1e-8, "constrained particle conserves J", "upper",
            _particle_drift("J")),
     Record("reduced-jacobi", 1e-7, "reduced particle bracket is Poisson", "upper",
-           lambda s: nan_max(abs(float(t[1, 3, 4])) for t in s.trivectors)),
+           lambda s: np.abs(s.trivectors[:, 1, 3, 4])),
     Record("jacobi-negative-control", 1e-3, "triples keeping the unreduced x must fail Jacobi", "lower",
-           lambda s: nan_max(map(abs, s.unreduced))),
+           lambda s: np.abs(s.unreduced)),
     Record("jacobi-unreduced-closed-form", 1e-9, "the (x, px, py) Jacobiator equals y/(1+y^2)", "upper",
-           lambda s: nan_max(abs(ju - v[1] / (1.0 + v[1] ** 2)) for v, ju in zip(s.samples, s.unreduced))),
-    Record("casimir-momentum", 1e-8, "J is a Casimir of the reduced particle bracket", "upper",
-           _worst(lambda s, v: nan_max(abs(particle_bracket(MOMENTUM, f, v)) for f in _COORDS))),
-    Record("rhs-anchor", 1e-9, "bracket-hamiltonian flow equals the constrained dynamics", "upper",
-           _worst(_rhs_anchor)),
+           _unreduced_closed_form),
+    Record("casimir-momentum", 1e-8, "J is a Casimir of the reduced particle bracket", "upper", _casimir_momentum),
+    Record("rhs-anchor", 1e-9, "bracket-hamiltonian flow equals the constrained dynamics", "upper", _rhs_anchor),
 )
 RECORDS = {rec.name: rec for rec in SOLID + ROUTH + BALANCED + PARTICLE}

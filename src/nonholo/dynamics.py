@@ -35,11 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geomforms import qpl_values
+from .geomforms import gauge_columns
 from .momenta import MomentaSolution
 from .phase import BodyParams, StateGM, energy_floats, invariants, momentum_components, omega_floats, relation_residual
-from .profile import ProfileSpec, check_domain, eval_profile, profile_scalars, profile_terms
-from .smallalg import dot, rk4_step
+from .profile import ProfileSpec, check_domain, mass_scalars, profile_terms, state_terms
+from .smallalg import rk4_step, stacked
 
 
 #: Largest t_final/dt accepted; a trajectory is preallocated as one array.
@@ -72,13 +72,20 @@ class IntegratorConfig:
 
 
 def rhs(params: BodyParams, spec: ProfileSpec, x) -> np.ndarray:
-    """The vector field (gamma_dot, M_dot) at a packed state, as a 6-vector
-    (``field_floats`` at the profile and Omega of the state)."""
-    x = np.asarray(x, dtype=float)
-    ev = eval_profile(spec, x[2])
-    y = x[:6].tolist()
-    return np.array(field_floats(params, ev.rho, ev.L, ev.rho_p, ev.L_p, *y,
-                                 *omega_floats(params, ev.rho, ev.L, *y)))
+    """The vector field (gamma_dot, M_dot) at a packed state, as a 6-vector, or
+    its (m, 6) rows at an (m, 6) stack (``field_floats`` at the profile and
+    Omega of each state: on floats at a point, elementwise on a stack's
+    columns, with the same bits)."""
+    fields, cols, _ = _field_columns(params, spec, x)
+    return stacked(fields, cols[0])
+
+
+def _field_columns(params: BodyParams, spec: ProfileSpec, x) -> tuple:
+    """``field_floats`` at the state columns of x, and the columns and profile
+    terms (``profile.state_terms``) it was evaluated at."""
+    cols, terms = state_terms(spec, x)
+    rho, _, L, rho_p, _, L_p = terms
+    return field_floats(params, rho, L, rho_p, L_p, *cols, *omega_floats(params, rho, L, *cols)), cols, terms
 
 
 _rhs_packed = rhs  # the name bench/kernels.py imports
@@ -228,23 +235,24 @@ class RateLaw:
 
 
 def nonconservation_rates(params: BodyParams, spec: ProfileSpec, x) -> RateLaw:
-    """dj_i/dt along the dynamics vs. the predictions -Q*tau2/A1, -P*tau2/A1.
+    """dj_i/dt along the dynamics vs. the predictions -Q*tau2/A1, -P*tau2/A1, at
+    a packed state (floats), or at each state of an (m, 6) stack ((m,) arrays).
 
     The rates follow by the chain rule from the equations of motion; the
     predictions are the bracket-side computation.  Their agreement (1e-9
     relative, a standing test) certifies that j1, j2 fail to be conserved
-    by exactly the computable defect.
+    by exactly the computable defect.  Every quantity is elementwise, so a
+    state has the same bits in a stack or alone.
     """
     x = np.asarray(x, dtype=float)
-    gamma, M = x[:3], x[3:6]
-    xd = rhs(params, spec, x)
-    dj1 = -xd[5]
-    dj2 = dot(xd[:3], M) + dot(gamma, xd[3:6])
-    ev = eval_profile(spec, x[2])
-    vals = qpl_values(params, ev, x)
-    sc = profile_scalars(params, ev, gamma)
-    t2 = gamma[0] * M[1] - gamma[1] * M[0]
-    return RateLaw(float(dj1), float(dj2), -vals.Q * t2 / sc.A1, -vals.P * t2 / sc.A1)
+    (gd1, gd2, gd3, md1, md2, md3), cols, terms = _field_columns(params, spec, x.reshape(-1, 6))
+    g1, g2, g3, m1, m2, m3 = cols
+    rho, zeta, L, rho_p, _, L_p = terms
+    _, q, p, *_ = gauge_columns(params, rho, L, rho_p, L_p, *cols)
+    a1 = mass_scalars(params, rho, zeta, L, g1, g2, g3).A1
+    t2 = g1 * m2 - g2 * m1
+    rates = (-md3, (gd1 * m1 + gd2 * m2 + gd3 * m3) + (g1 * md1 + g2 * md2 + g3 * md3), -q * t2 / a1, -p * t2 / a1)
+    return RateLaw(*(r if x.ndim > 1 else float(r[0]) for r in rates))
 
 
 def drift_report(traj: np.ndarray) -> dict:
@@ -254,7 +262,7 @@ def drift_report(traj: np.ndarray) -> dict:
     make dJ1/dJ2 NaN; an off-grid run is never reported as clean.
     """
     col = dict(zip(COLUMNS, traj.T))
-    rel = [relation_residual(t1, t2, t3, t5) for t1, t2, t3, _, t5 in traj[:, 7:12].tolist()]
+    rel = relation_residual(col["tau1"], col["tau2"], col["tau3"], col["tau5"])
     return {
         "dE": drift(col["E"]),
         "dJ1": drift(col["J1"]),

@@ -196,25 +196,48 @@ class MomentaSolution:
             raise DomainError(f"tau1={t1!r} outside [-1, 1]")
         raise DomainError(f"tau1={t1!r} outside the momenta grid [{float(self.grid[0])!r}, {float(self.grid[-1])!r}]")
 
-    def slope(self, tau1: float) -> np.ndarray:
-        """Return the tau1-derivatives (f1', g1', f2', g2') at tau1.
+    def slope(self, tau1) -> np.ndarray:
+        """Return the tau1-derivatives (f1', g1', f2', g2') at tau1, or their
+        (n, 4) rows at the n elements of a tau1 array.
 
         Closed-form mode differentiates the closed forms; tabulated mode
         takes the coefficient ODE's right-hand side at the values of
         ``eval``, so (value, slope) solves the ODE pointwise and carries no
-        interpolation kink.
+        interpolation kink.  An array is evaluated in one pass, bit for bit
+        the rows of the float calls.
 
         Raises:
-            DomainError: where ``eval`` does.
+            DomainError: where ``eval`` does.  An array gets NaN rows at
+                such elements instead.
         """
+        if isinstance(tau1, np.ndarray):
+            return self._slope_array(np.asarray(tau1, dtype=float))
         t1 = float(tau1)
         if self.routh_exact:
             self._check(t1)
             return self._closed(routh_closed_form_derivative, t1)
+        if t1 != t1:  # the NaN of ``eval``'s rows, whichever NaN the arithmetic would keep
+            return np.full(4, t1)
         f1, g1, f2, g2 = self.eval(t1).tolist()
         qp = qp_matrix(self.params, self.spec, t1)
         q = (qp[0, 0], qp[0, 1], qp[1, 0], qp[1, 1])
         return np.array([*_ode_slope(*q, t1, f1, g1), *_ode_slope(*q, t1, f2, g2)])
+
+    @np.errstate(all="ignore")  # the off rows are NaN, as in ``_eval_array``
+    def _slope_array(self, t: np.ndarray) -> np.ndarray:
+        """``slope`` at each element of a float array: the float calls' formulas
+        elementwise, with [QP] from ``qp_grid`` (the bits of ``qp_matrix``)."""
+        off = self._off(t)
+        if self.routh_exact:
+            p1, p2 = routh_closed_form_derivative(self.params, self.spec.p1, self.spec.p2, t)
+            rows = np.column_stack(np.broadcast_arrays(*p1, *p2))
+        else:
+            f1, g1, f2, g2 = self.eval(t).T
+            q = qp_grid(self.params, self.spec, np.where(off, 0.0, t))  # no [QP] past the table's ends
+            rows = np.column_stack([*_ode_slope(*q, t, f1, g1), *_ode_slope(*q, t, f2, g2)])
+            rows[t != t] = np.nan
+        rows[off] = np.nan
+        return rows
 
     def _closed(self, form, t1: float) -> np.ndarray:
         """``form`` (the closed pairs or their derivatives) at t1 as (f1, g1, f2, g2)."""
@@ -314,40 +337,37 @@ def _rk4_pairs(y: tuple, h: float, stage_t: list, qp: list) -> list:
     states.
     """
     m = len(stage_t) // 3
-    q00, q01, q10, q11 = qp
+    # the four [QP] entries and the time at the starts, then the midpoints, then the ends
+    stages = [col[k * m : (k + 1) * m] for k in range(3) for col in (*qp, stage_t)]
     half, sixth = 0.5 * h, h / 6.0
     f1, g1, f2, g2 = y
     out = []
-    for i in range(m):
-        a, b, c, d, t = q00[i], q01[i], q10[i], q11[i], stage_t[i]
+    append = out.append
+    for a, b, c, d, t, a2, b2, c2, d2, t2, a3, b3, c3, d3, t3 in zip(*stages):
         k1g1 = a * f1 + c * g1
         k1f1 = t * k1g1 - (b * f1 + d * g1)
         k1g2 = a * f2 + c * g2
         k1f2 = t * k1g2 - (b * f2 + d * g2)
-        j = m + i
-        a, b, c, d, t = q00[j], q01[j], q10[j], q11[j], stage_t[j]
         u1, v1, u2, v2 = f1 + half * k1f1, g1 + half * k1g1, f2 + half * k1f2, g2 + half * k1g2
-        k2g1 = a * u1 + c * v1
-        k2f1 = t * k2g1 - (b * u1 + d * v1)
-        k2g2 = a * u2 + c * v2
-        k2f2 = t * k2g2 - (b * u2 + d * v2)
+        k2g1 = a2 * u1 + c2 * v1
+        k2f1 = t2 * k2g1 - (b2 * u1 + d2 * v1)
+        k2g2 = a2 * u2 + c2 * v2
+        k2f2 = t2 * k2g2 - (b2 * u2 + d2 * v2)
         u1, v1, u2, v2 = f1 + half * k2f1, g1 + half * k2g1, f2 + half * k2f2, g2 + half * k2g2
-        k3g1 = a * u1 + c * v1
-        k3f1 = t * k3g1 - (b * u1 + d * v1)
-        k3g2 = a * u2 + c * v2
-        k3f2 = t * k3g2 - (b * u2 + d * v2)
-        j += m
-        a, b, c, d, t = q00[j], q01[j], q10[j], q11[j], stage_t[j]
+        k3g1 = a2 * u1 + c2 * v1
+        k3f1 = t2 * k3g1 - (b2 * u1 + d2 * v1)
+        k3g2 = a2 * u2 + c2 * v2
+        k3f2 = t2 * k3g2 - (b2 * u2 + d2 * v2)
         u1, v1, u2, v2 = f1 + h * k3f1, g1 + h * k3g1, f2 + h * k3f2, g2 + h * k3g2
-        k4g1 = a * u1 + c * v1
-        k4f1 = t * k4g1 - (b * u1 + d * v1)
-        k4g2 = a * u2 + c * v2
-        k4f2 = t * k4g2 - (b * u2 + d * v2)
+        k4g1 = a3 * u1 + c3 * v1
+        k4f1 = t3 * k4g1 - (b3 * u1 + d3 * v1)
+        k4g2 = a3 * u2 + c3 * v2
+        k4f2 = t3 * k4g2 - (b3 * u2 + d3 * v2)
         f1 = f1 + sixth * (k1f1 + 2.0 * k2f1 + 2.0 * k3f1 + k4f1)
         g1 = g1 + sixth * (k1g1 + 2.0 * k2g1 + 2.0 * k3g1 + k4g1)
         f2 = f2 + sixth * (k1f2 + 2.0 * k2f2 + 2.0 * k3f2 + k4f2)
         g2 = g2 + sixth * (k1g2 + 2.0 * k2g2 + 2.0 * k3g2 + k4g2)
-        out.append((f1, g1, f2, g2))
+        append((f1, g1, f2, g2))
     return out
 
 
@@ -433,7 +453,8 @@ def ode_residual(params: BodyParams, spec: ProfileSpec, tau1, fg, dfg) -> float:
 
 
 def gauge_momentum_fields(solution: MomentaSolution) -> tuple[ScalarField, ScalarField]:
-    """The two gauge momenta of ``solution`` as ScalarFields with analytic gradients.
+    """The two gauge momenta of ``solution`` as ScalarFields with analytic
+    gradients, which also take an (m, 6) stack of states.
 
     The tau1-derivatives of the coefficients are ``solution.slope``, so the
     quadruple (f, g, f', g') satisfies the coefficient ODE pointwise and
@@ -448,10 +469,12 @@ def gauge_momentum_fields(solution: MomentaSolution) -> tuple[ScalarField, Scala
             return v[i] * J1_COMPONENT.fn(x) + v[j] * J2_COMPONENT.fn(x)
 
         def grad(x):
-            v, dv = solution.eval(x[2]), solution.slope(x[2])
-            out = v[j] * J2_COMPONENT.grad(x)
-            out[5] -= v[i]  # + f * grad(j1)
-            out[2] += dv[i] * J1_COMPONENT.fn(x) + dv[j] * J2_COMPONENT.fn(x)
+            x = np.asarray(x, dtype=float)
+            t1 = x[..., 2][()]  # a float64 at one state
+            v, dv = solution.eval(t1), solution.slope(t1)
+            out = v[..., j, None] * J2_COMPONENT.grad(x)
+            out[..., 5] -= v[..., i]  # + f * grad(j1)
+            out[..., 2] += dv[..., i] * J1_COMPONENT.fn(x) + dv[..., j] * J2_COMPONENT.fn(x)
             return out
 
         return ScalarField(fn, grad, name=f"J{index + 1}")

@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .brackets import ScalarField
-from .smallalg import Jet, jacobi_trivector, jet_gradient, pow2, rk4_step
+from .smallalg import Jet, columns, jacobi_trivector, jet_gradient, pow2, rk4_step, stacked
 
 
 def particle_hamiltonian(v) -> float:
@@ -47,8 +47,10 @@ def particle_hamiltonian(v) -> float:
 
 
 def particle_rhs(v) -> np.ndarray:
-    """(xdot, ydot, zdot, pxdot, pydot) of the constrained dynamics."""
-    return np.array(_field(np.asarray(v, dtype=float).tolist()))
+    """(xdot, ydot, zdot, pxdot, pydot) of the constrained dynamics at a packed
+    state, or their (m, 5) rows at an (m, 5) stack (``_field`` elementwise)."""
+    c = columns(v)
+    return stacked(_field(c), c[0])
 
 
 def _square(a: float) -> float:
@@ -73,7 +75,8 @@ def _momentum(y: float, px: float) -> float:
 
 
 def _field(v) -> tuple:
-    """The vector field at the packed state v, on floats: the one body of ``particle_rhs``."""
+    """The vector field at the packed state v, on floats (or elementwise on the
+    columns of a stack): the one body of ``particle_rhs``."""
     _, y, _, px, py = v
     c1 = px / (1.0 + y * y)
     w = y * c1
@@ -89,9 +92,13 @@ def _coupling(v):
 
 def _bracket_matrix(v: np.ndarray) -> np.ndarray:
     """B = -(frame form)^-1 = [[0, I], [-I, -A(w)]] (see the module docstring)
-    at a packed state."""
+    at a packed state, or the (m, 4, 4) stack at an (m, 5) stack."""
     w = _coupling(v)
-    return np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0], [-1.0, 0.0, 0.0, w], [0.0, -1.0, -w, 0.0]])
+    b = np.zeros(np.shape(w) + (4, 4))
+    b[..., 0, 2] = b[..., 1, 3] = 1.0
+    b[..., 2, 0] = b[..., 3, 1] = -1.0
+    b[..., 2, 3], b[..., 3, 2] = w, -w
+    return b
 
 
 def _field_of(body: Callable, name: str, *cols: int) -> ScalarField:
@@ -106,19 +113,26 @@ COORDINATES = tuple(_field_of(lambda c: c, name, k) for k, name in enumerate(("x
 
 
 def _frame_gradient(f: ScalarField, v: np.ndarray) -> np.ndarray:
+    """The frame components (e1 f, e2 f, e3 f, e4 f) of f's gradient, with
+    e1 = d/dx + y d/dz: (4,) at a packed state, (m, 4) at an (m, 5) stack."""
     g = f.grad(v)
-    return np.array([g[0] + v[1] * g[2], g[1], g[3], g[4]])
+    return stacked((g[..., 0] + v[..., 1] * g[..., 2], g[..., 1], g[..., 3], g[..., 4]), g[..., 0])
 
 
-def particle_bracket(f: ScalarField, g: ScalarField, v) -> float:
-    """{f, g} for ScalarFields of the packed 5-vector.
+def particle_bracket(f: ScalarField, g: ScalarField, v):
+    """{f, g} for ScalarFields of the packed 5-vector, or the (m,) values at an
+    (m, 5) stack.
 
     Built as (frame grad f)^T B (frame grad g) with B = -(frame form)^-1;
     the overall sign is the one that makes B . frame-grad(H) reproduce
-    particle_rhs (the convention anchor, tested first).
+    particle_rhs (the convention anchor, tested first).  The fields are
+    evaluated at v as given, a point or a stack, and the products are
+    ``einsum`` steps.
     """
     v = np.asarray(v, dtype=float)
-    return float(_frame_gradient(f, v) @ _bracket_matrix(v) @ _frame_gradient(g, v))
+    fb = np.einsum("...a,...ab->...b", _frame_gradient(f, v), _bracket_matrix(v))
+    out = np.einsum("...b,...b->...", fb, _frame_gradient(g, v))
+    return out if v.ndim > 1 else float(out)
 
 
 def particle_momentum(v) -> float:
@@ -128,13 +142,14 @@ def particle_momentum(v) -> float:
 
 
 def hamiltonian_frame_flow(v) -> np.ndarray:
-    """Frame coefficients of the bracket-hamiltonian flow B . frame-grad(H).
+    """Frame coefficients of the bracket-hamiltonian flow B . frame-grad(H) at a
+    packed state, or their (m, 4) rows at an (m, 5) stack.
 
     Coordinate velocities follow as (c1, c2, y*c1, c3, c4); equality with
     particle_rhs is the sign anchor for the whole particle module.
     """
     v = np.asarray(v, dtype=float)
-    return _bracket_matrix(v) @ _frame_gradient(HAMILTONIAN, v)
+    return np.einsum("...ab,...b->...a", _bracket_matrix(v), _frame_gradient(HAMILTONIAN, v))
 
 
 def _coordinate_bivector(v: Jet) -> Jet:

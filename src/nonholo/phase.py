@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .profile import ProfileEval, check_gamma3
-from .smallalg import Vec3, dot
+from .smallalg import Vec3, dot, pow2
 
 _NORM_TOL = 1e-6  # |gamma| - 1 allowed at the boundary: a gamma rounded to seven significant digits passes
 
@@ -100,10 +100,11 @@ class StateGM:
 
 
 def relation_residual(t1: float, t2: float, t3: float, t5: float) -> float:
-    """tau2^2 + tau3^2 - (1 - tau1^2)*tau5, zero on states, on floats (their ``**``
-    is libm pow, which differs from numpy's array square in the last bit for
-    ~0.1% of values)."""
-    return t2**2 + t3**2 - (1.0 - t1**2) * t5
+    """tau2^2 + tau3^2 - (1 - tau1^2)*tau5, zero on states, on floats or
+    elementwise on arrays with the same bits: the squares are libm pow
+    (``smallalg.pow2``), which differs from numpy's array square in the last
+    bit for ~0.1% of values."""
+    return pow2(t2) + pow2(t3) - (1.0 - pow2(t1)) * t5
 
 
 def invariants(x) -> np.ndarray:

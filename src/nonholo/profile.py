@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConsistencyError, DegeneracyError, DomainError
-from .smallalg import E3, Vec3, dot
+from .smallalg import E3, Jet, Vec3, columns
 
 if TYPE_CHECKING:  # pragma: no cover
     from .phase import BodyParams
@@ -102,6 +102,26 @@ def check_domain(g3: float) -> None:
         raise DomainError(f"gamma3={g3!r} outside [-1-{DOMAIN_SLACK:g}, 1+{DOMAIN_SLACK:g}]")
 
 
+def state_terms(spec: ProfileSpec, x) -> tuple:
+    """The six state columns of x and the profile terms at them: floats at a
+    packed point, arrays over an (m, 6) stack, jets at the jet of one.
+
+    Raises:
+        DomainError: at the first state with |gamma3| > 1 + DOMAIN_SLACK.
+    """
+    if isinstance(x, Jet):
+        cols, g3, sqrt = [x[:, k] for k in range(6)], x.value[:, 2], Jet.sqrt
+    else:
+        cols = columns(np.asarray(x, dtype=float)[..., :6])
+        g3 = cols[2]
+        sqrt = math.sqrt if isinstance(g3, float) else np.sqrt
+    if isinstance(g3, float):
+        check_domain(g3)
+    else:
+        check_domain(float(g3[np.argmax(np.abs(g3) > 1.0 + DOMAIN_SLACK)]))  # the first point off the band, if any
+    return cols, profile_terms(spec, cols[2], sqrt)
+
+
 def profile_terms(spec: ProfileSpec, g3, sqrt=math.sqrt) -> tuple:
     """(rho, zeta, L, rho', zeta', L') of ``spec`` at g3, without the domain check.
 
@@ -152,7 +172,8 @@ def check_gamma3(ev: ProfileEval, gamma3: float) -> None:
 
 @dataclass(frozen=True)
 class ProfileScalars:
-    """Mass-metric scalars at a state. All are plain functions of (gamma3, tau1-free data):
+    """Mass-metric scalars at a state (floats), or at each state of a stack
+    (arrays).  All are plain functions of (gamma3, tau1-free data):
 
     A1    = I1 + m*<s, s>            (equatorial entry of A = I + m<s,s> Id)
     E     = 1 - m*<A^-1 s, s>        (Legendre denominator, provably > 0)
@@ -169,26 +190,40 @@ class ProfileScalars:
 
 
 def profile_scalars(params: "BodyParams", ev: ProfileEval, gamma: Vec3) -> ProfileScalars:
-    """Scalar coefficients of the mass metric at a state.
+    """Scalar coefficients of the mass metric at a state (``mass_scalars``).
 
     Raises:
-        DegeneracyError: if the Legendre denominator E falls to <= 1e-10.
-            E = 1 - m*<A^-1 s, s> is strictly positive for any m > 0 and
-            positive inertia (each denominator I_i + m<s,s> exceeds m<s,s>),
-            but the margin degenerates as I -> 0, hence the guard.
-        ConsistencyError: propagated from contact_vector.
+        DegeneracyError: from ``mass_scalars``.
+        ConsistencyError: if ``ev`` was evaluated more than 1e-9 away from gamma[2].
     """
-    s = contact_vector(ev, gamma)
-    ss = dot(s, s)
+    check_gamma3(ev, gamma[2])
+    g1, g2, g3 = np.asarray(gamma, dtype=float)[:3]
+    return mass_scalars(params, ev.rho, ev.zeta, ev.L, g1, g2, g3)
+
+
+def mass_scalars(params: "BodyParams", rho, zeta, L, g1, g2, g3) -> ProfileScalars:
+    """The ProfileScalars at gamma = (g1, g2, g3) from the profile terms there:
+    floats at one state, or elementwise over the arrays of a stack.
+
+    s = rho*gamma - L*e3 keeps its products by the zeros of e3, as
+    ``contact_vector`` does.
+
+    Raises:
+        DegeneracyError: if the Legendre denominator E falls to <= 1e-10 at a
+            state.  E = 1 - m*<A^-1 s, s> is strictly positive for any m > 0
+            and positive inertia (each denominator I_i + m<s,s> exceeds
+            m<s,s>), but the margin degenerates as I -> 0, hence the guard.
+    """
+    z = L * 0.0
+    s1, s2, s3 = rho * g1 - z, rho * g2 - z, rho * g3 - L
+    ss = s1 * s1 + s2 * s2 + s3 * s3
     a1 = params.I1 + params.m * ss
     a3 = params.I3 + params.m * ss
-    ainv_s_s = (s[0] * s[0] + s[1] * s[1]) / a1 + s[2] * s[2] / a3
-    e = 1.0 - params.m * ainv_s_s
-    if e <= 1e-10:
-        raise DegeneracyError(f"Legendre denominator E={e!r} <= 1e-10")
-    ptau = legendre_ptau(params, ev.rho, ev.zeta, 1.0 - ev.gamma3 * ev.gamma3)
-    gs = dot(gamma, s)
-    return ProfileScalars(a1, e, ptau, gs, ss)
+    e = 1.0 - params.m * ((s1 * s1 + s2 * s2) / a1 + s3 * s3 / a3)
+    if np.any(e <= 1e-10):
+        raise DegeneracyError(f"Legendre denominator E={float(np.min(e))!r} <= 1e-10")
+    ptau = legendre_ptau(params, rho, zeta, 1.0 - g3 * g3)
+    return ProfileScalars(a1, e, ptau, g1 * s1 + g2 * s2 + g3 * s3, ss)
 
 
 def legendre_ptau(params: "BodyParams", rho: float, zeta: float, one_t2: float) -> float:

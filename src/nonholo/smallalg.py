@@ -39,6 +39,22 @@ def nan_max(values):
     return worst
 
 
+def columns(x) -> list:
+    """The components of a packed point as Python floats, or the columns of an
+    (m, n) stack as arrays: what an elementwise body reads."""
+    x = np.asarray(x, dtype=float)
+    return x.tolist() if x.ndim == 1 else list(x.T)
+
+
+def stacked(entries, like) -> np.ndarray:
+    """The vector of ``entries`` at a point, or their (m, k) rows over a stack:
+    each entry is a float or an array shaped as ``like``, a column of ``columns``."""
+    out = np.empty(np.shape(like) + (len(entries),))
+    for k, e in enumerate(entries):
+        out[..., k] = e
+    return out
+
+
 def rk4_step(f: Callable[[float, Sequence[float]], Sequence[float]], t: float, y: Sequence[float], h: float,
              k1: Sequence[float] | None = None) -> list[float]:
     """One classical Runge-Kutta step of size h for y' = f(t, y), as a list.
@@ -240,8 +256,10 @@ class Jet:
 
 
 def jet_gradient(fn: Callable[[Jet], Jet], x) -> np.ndarray:
-    """The gradient at the point x of ``fn``, a map from jets of (1, n) stacks to jets of (1,) values."""
-    return fn(Jet.seed(np.asarray(x, dtype=float)[None])).grad[:, 0]
+    """The gradient of ``fn`` at the point x, or its (m, n) rows at an (m, n) stack;
+    ``fn`` maps jets of (m, n) stacks to jets of (m,) values."""
+    x = np.asarray(x, dtype=float)
+    return fn(Jet.seed(x.reshape(-1, x.shape[-1]))).grad.T.reshape(x.shape)
 
 
 def jacobi_trivector(pi: Jet) -> np.ndarray:

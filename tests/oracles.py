@@ -15,13 +15,23 @@ independent reference that the jet trivector must match at the stencil's
 truncation floor.  ``same_bits`` and the float strategies below serve
 every such comparison.
 
-The last bodies are partners that only tests ever called, kept here as
+The next bodies are partners that only tests ever called, kept here as
 independent references rather than package code: ``cross``, ``hat``,
 ``M_from_omega`` (the forward map of the ``omega_from_M`` round trip),
 ``frame_form`` (the 2-form whose negative inverse is the particle's bracket
 matrix) and ``reconstruct_full`` (the attitude and contact trace that
 cross-check ``integrate``'s gamma column).
+
+The last are the per-sample check records that ``nonholo.certify`` replaced
+with one array pass over all samples (``per_sample``), and the one-state
+kernels with ``@`` products they called: ``casimir_residuals``,
+``pushforward_residual``, ``reduced_bivector_tau``,
+``nonconservation_rates``, ``particle_bracket`` and
+``hamiltonian_frame_flow``.  ``test_stacked_records.py`` compares the
+stacked records with them.
 """
+import functools
+import itertools
 import math
 import random
 import warnings
@@ -29,11 +39,17 @@ import warnings
 import numpy as np
 from hypothesis import strategies as st
 
-from nonholo import BracketKind, DomainError, StateGM, eval_profile, invariants, momentum_components
+from nonholo import (BracketKind, ConsistencyError, DomainError, StateGM, eval_profile, gauge_momentum_fields,
+                     invariants, momentum_components, qp_matrix)
+from nonholo import bivector_packed as package_bivector_packed, qpl_values as package_qpl_values
+from nonholo import particle_rhs as package_particle_rhs, rhs as package_rhs
+from nonholo.brackets import J2_COMPONENT, TAU1, TAU4, TAUS
 from nonholo.dynamics import COLUMNS
-from nonholo.particle import COLUMNS as PARTICLE_COLUMNS, _coupling
+from nonholo.phase import relation_residual
+from nonholo.particle import (COLUMNS as PARTICLE_COLUMNS, COORDINATES, HAMILTONIAN, MOMENTUM, _bracket_matrix,
+                              _coupling, _frame_gradient)
 from nonholo.profile import check_gamma3, contact_vector
-from nonholo.smallalg import E3, dot
+from nonholo.smallalg import E3, dot, nan_max
 
 #: relative step of the 5-point stencil of ``jacobi_trivector``
 STENCIL_STEP = 1e-3
@@ -334,3 +350,179 @@ def reconstruct_full(params, spec, traj, g0, a0):
         y = rk4_step(f, tk, y, dt)
         y[:9] = _reorthonormalize(y[:9].reshape(3, 3)).reshape(9)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The per-sample check records that ``nonholo.certify`` replaced with one
+# array pass over all samples, and the one-state kernels they called.  Every
+# value is taken at one sample, with the ``@`` products of the per-state code.
+
+def reduced_bivector_tau(params, spec, tau):
+    """The explicit 5x5 table at one tau, with ``qp_matrix``."""
+    t1, t2, t3, t4, t5 = np.asarray(tau, dtype=float).tolist()
+    res = relation_residual(t1, t2, t3, t5)
+    if abs(res) > 1e-6:
+        raise ConsistencyError(f"invariant relation violated by {res!r}")
+    if abs(t1) > 1.0 - 1e-9:
+        raise DomainError(f"tau1={t1!r} too close to the singular strata +-1")
+    qp = qp_matrix(params, spec, t1)
+    q = qp[0, 0] * t3 + qp[0, 1] * t4
+    p = qp[1, 0] * t3 + qp[1, 1] * t4
+    l3 = q * t1 + p
+    one_t2 = 1.0 - t1 * t1
+    upper = np.zeros((5, 5))
+    upper[0, 1] = one_t2
+    upper[0, 4] = 2.0 * t2
+    upper[1, 2] = one_t2 * (t4 + l3)
+    upper[1, 3] = -one_t2 * q
+    upper[1, 4] = -2.0 * (t1 * t5 - t3 * (t4 + l3))
+    upper[2, 4] = -2.0 * t2 * (t4 + l3)
+    upper[3, 4] = 2.0 * t2 * q
+    return upper - upper.T
+
+
+def pushforward_residual(params, spec, x):
+    x = np.asarray(x, dtype=float)
+    pi = package_bivector_packed(params, spec, x, BracketKind.GAUGED)
+    grads = [t.grad(x) for t in TAUS]
+    table = reduced_bivector_tau(params, spec, invariants(x))
+    return nan_max(abs(float(grads[a] @ pi @ grads[b]) - table[a, b]) for a in range(5) for b in range(a + 1, 5))
+
+
+def casimir_residuals(params, spec, x, momenta):
+    """(max_j1, max_j2, involution, vertical1, vertical2) at one state."""
+    x = np.asarray(x, dtype=float)
+    pi = package_bivector_packed(params, spec, x, BracketKind.GAUGED)
+    gen = np.array([-x[1], x[0], 0.0, -x[4], x[3], 0.0])
+    grads = [jf.grad(x) for jf in gauge_momentum_fields(momenta)]
+    pairs = momenta.eval(x[2])
+    out, verts = [], []
+    for idx, gj in enumerate(grads):
+        flow = pi @ gj
+        out.append(nan_max(abs(float(t.grad(x) @ flow)) for t in TAUS))
+        verts.append(float(np.max(np.abs(flow - pairs[2 * idx] * gen))))
+    return out[0], out[1], abs(float(grads[0] @ pi @ grads[1])), verts[0], verts[1]
+
+
+def a1_gs(params, ev, gamma):
+    """A1 = I1 + m*<s, s> and <gamma, s>, from the 3-vector s of ``contact_vector``."""
+    s = contact_vector(ev, gamma)
+    return params.I1 + params.m * dot(s, s), dot(gamma, s)
+
+
+def nonconservation_rates(params, spec, x):
+    """(dj1, dj2, pred1, pred2) at one state."""
+    x = np.asarray(x, dtype=float)
+    gamma, M = x[:3], x[3:6]
+    xd = package_rhs(params, spec, x)
+    dj1 = -xd[5]
+    dj2 = dot(xd[:3], M) + dot(gamma, xd[3:6])
+    ev = eval_profile(spec, x[2])
+    vals = package_qpl_values(params, ev, x)
+    a1, _ = a1_gs(params, ev, gamma)
+    t2 = gamma[0] * M[1] - gamma[1] * M[0]
+    return float(dj1), float(dj2), -vals.Q * t2 / a1, -vals.P * t2 / a1
+
+
+def particle_bracket(f, g, v):
+    v = np.asarray(v, dtype=float)
+    return float(_frame_gradient(f, v) @ _bracket_matrix(v) @ _frame_gradient(g, v))
+
+
+def hamiltonian_frame_flow(v):
+    v = np.asarray(v, dtype=float)
+    return _bracket_matrix(v) @ _frame_gradient(HAMILTONIAN, v)
+
+
+class Sample:
+    """One state of a ``certify.Solid`` (row ``index`` of its jets) and what
+    several records read at it."""
+
+    def __init__(self, solid, index):
+        self.solid, self.index, self.x = solid, index, solid.x[index]
+        self.ev = eval_profile(solid.spec, self.x[2])
+        self.inv = invariants(self.x).tolist()
+        self.vals = package_qpl_values(solid.params, self.ev, self.x)
+
+    @functools.cached_property
+    def casimir(self):
+        s = self.solid
+        return casimir_residuals(s.params, s.spec, self.x, s.momenta)
+
+
+def _qp_linearity(s, p):
+    (t1, _, t3, t4, _), vals = p.inv, p.vals
+    qp = qp_matrix(s.params, s.spec, t1)
+    den = max(abs(vals.Q), abs(vals.P), 1e-3)
+    return nan_max((abs(qp[0, 0] * t3 + qp[0, 1] * t4 - vals.Q) / den,
+                    abs(qp[1, 0] * t3 + qp[1, 1] * t4 - vals.P) / den))
+
+
+def _jacobi_gauged(s, p):
+    d, t = np.array([tau.grad(p.x) for tau in TAUS]), s.jets.trivectors[0][p.index]
+    jac = np.einsum("iab,pi,qa,rb->pqr", t, d, d, d)
+    return nan_max(abs(float(jac[a, b, c])) for a, b, c in itertools.combinations(range(5), 3))
+
+
+def _jacobi_ungauged(s, p):
+    grads = (f.grad(p.x) for f in (TAU1, J2_COMPONENT, TAU4))
+    jac = float(np.einsum("iab,i,a,b->", s.jets.trivectors[1][p.index], *grads))
+    a1, gs = a1_gs(s.params, p.ev, p.x[:3])
+    closed = -s.params.m * p.ev.rho * gs * (1.0 - p.inv[0]**2) / a1
+    return abs(jac - closed) / abs(closed)
+
+
+def _rate_law(s, p):
+    dj1, dj2, pred1, pred2 = nonconservation_rates(s.params, s.spec, p.x)
+    scale = max(abs(pred1), abs(pred2), 1e-6)
+    return nan_max((abs(dj1 - pred1) / scale, abs(dj2 - pred2) / scale))
+
+
+def _consistency(s, p):
+    xd = package_rhs(s.params, s.spec, p.x)
+    dh = s.jets.dh[p.index]
+    return nan_max(float(np.max(np.abs(xd - pis[p.index] @ dh))) for pis in s.jets.pis)
+
+
+#: The per-sample measure of each per-sample solid record, at (solid, sample)
+SOLID_MEASURES = {
+    "qp-linearity": _qp_linearity,
+    "jacobi-gauged": _jacobi_gauged,
+    "jacobi-ungauged-closed-form": _jacobi_ungauged,
+    "casimir-J1": lambda s, p: p.casimir[0],
+    "casimir-J2": lambda s, p: p.casimir[1],
+    "involution": lambda s, p: p.casimir[2],
+    "vertical-generator": lambda s, p: nan_max(p.casimir[3:]),
+    "pushforward-table": lambda s, p: pushforward_residual(s.params, s.spec, p.x),
+    "rate-law": _rate_law,
+    "relation-residual": lambda s, p: abs(relation_residual(*p.inv[:3], p.inv[4])),
+    "bracket-dynamics-consistency": _consistency,
+    "chaplygin-P-zero": lambda s, p: abs(p.vals.P),
+}
+
+_COORDS = (COORDINATES[1], COORDINATES[3], COORDINATES[4])  # y, px, py
+
+
+def _rhs_anchor(s, v):
+    c = hamiltonian_frame_flow(v)
+    coord_rate = np.array([c[0], c[1], v[1] * c[0], c[2], c[3]])
+    return float(np.max(np.abs(coord_rate - package_particle_rhs(v))))
+
+
+#: The per-sample measure of each per-sample particle record, at (particle, index)
+PARTICLE_MEASURES = {
+    "reduced-jacobi": lambda s, k: abs(float(s.trivectors[k][1, 3, 4])),
+    "jacobi-negative-control": lambda s, k: abs(float(s.trivectors[k][0, 3, 4])),
+    "jacobi-unreduced-closed-form":
+        lambda s, k: abs(float(s.trivectors[k][0, 3, 4]) - s.v[k][1] / (1.0 + s.v[k][1] ** 2)),
+    "casimir-momentum": lambda s, k: nan_max(abs(particle_bracket(MOMENTUM, f, s.v[k])) for f in _COORDS),
+    "rhs-anchor": lambda s, k: _rhs_anchor(s, s.v[k]),
+}
+
+
+def per_sample(name, subject) -> np.ndarray:
+    """The values of the per-sample record ``name`` at each sample of a
+    ``certify.Solid`` or ``certify.Particle``, one sample at a time."""
+    if name in PARTICLE_MEASURES:
+        return np.array([PARTICLE_MEASURES[name](subject, k) for k in range(len(subject.v))])
+    return np.array([SOLID_MEASURES[name](subject, Sample(subject, k)) for k in range(len(subject.x))])

@@ -16,7 +16,7 @@ from conftest import ELLIPSOID_START, RUN_CFG, make_states
 from nonholo import (BodyParams, BracketKind, ProfileSpec, StateGM, closed_form_momenta, drift_report, integrate,
                      jacobiator, nonconservation_rates, qp_matrix, solution_for, solve_momenta)
 from nonholo.brackets import J2_COMPONENT, TAU1, TAU4
-from nonholo.certify import RECORDS, Particle, Solid
+from nonholo.certify import RECORDS, Particle, Solid, run
 from nonholo.dynamics import COLUMNS, drift
 
 # A03: drift of E, J1, J2 over the t=10 reference trajectories (no record).
@@ -34,7 +34,7 @@ RELATION_ON_TRAJECTORIES = 1e-8
 def _certify(names, subjects):
     """(worst measure of the named records over the subjects, their tightest tolerance)."""
     records = [RECORDS[name] for name in names]
-    return max(rec.measure(s) for rec in records for s in subjects), min(rec.tolerance for rec in records)
+    return max(r.measured for s in subjects for r in run(records, s)), min(rec.tolerance for rec in records)
 
 
 def _solids(presets, states):

@@ -87,11 +87,19 @@ def test_negative_control_fails_where_the_obstruction_vanishes():
 
 def test_a_nan_sample_is_not_a_pass():
     # The second sample is NaN; a plain max([0.0, 1e-20, nan]) would report 1e-20.
-    measure = certify._worst(lambda s, v: v)
-    subject = certify.Particle([1e-20, math.nan])
-    assert math.isnan(measure(subject))
-    (result,) = certify.run([certify.Record("nan", 1e-8, "placeholder", "upper", measure)], subject)
-    assert result.status == "fail"
+    measure = lambda s: np.array([1e-20, math.nan, 2e-20, math.nan])  # noqa: E731
+    (result,) = certify.run([certify.Record("nan", 1e-8, "placeholder", "upper", measure)], None)
+    assert math.isnan(result.measured) and result.status == "fail"
+    assert result.worst_sample == 1  # the first NaN
+
+
+def test_worst_sample_is_the_first_maximum_and_none_for_a_subject_value():
+    records = [
+        certify.Record("per-sample", 1e-8, "placeholder", "upper", lambda s: np.array([1e-20, 3e-20, 3e-20])),
+        certify.Record("all-zero", 1e-8, "placeholder", "upper", lambda s: np.zeros(2)),
+        certify.Record("subject", 1e-8, "placeholder", "upper", lambda s: 3e-20),
+    ]
+    assert [(r.measured, r.worst_sample) for r in certify.run(records, None)] == [(3e-20, 1), (0.0, 0), (3e-20, None)]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -390,13 +390,13 @@ def test_eval_equals_np_interp_at_nodes_and_ends(ellipsoid_momenta):
         sol.eval(hi + 1e-11)
 
 
-def _eval_rows(sol, tau1):
-    """The per-row oracle of an array lookup: ``eval`` at each element, and a
-    NaN row where it raises DomainError."""
+def _float_rows(lookup, tau1):
+    """The per-row oracle of an array lookup: ``lookup`` (``eval`` or
+    ``slope``) at each element, and a NaN row where it raises DomainError."""
     rows = []
     for t1 in tau1.tolist():
         try:
-            rows.append(sol.eval(t1))
+            rows.append(lookup(t1))
         except DomainError:
             rows.append(np.full(4, np.nan))
     return np.array(rows)
@@ -421,9 +421,10 @@ def test_array_lookup_is_the_per_row_lookup(ellipsoid_preset, ellipsoid_momenta,
         "closed-forms": closed_form_momenta(P98, ProfileSpec.routh(1.0, 0.1)),
     }[which]
     tau1 = _probe_points(sol, 3)
-    rows = sol.eval(tau1)
-    assert rows.shape == (len(tau1), 4)
-    assert np.array_equal(rows.view(np.int64), _eval_rows(sol, tau1).view(np.int64))
+    for lookup in (sol.eval, sol.slope):
+        rows = lookup(tau1)
+        assert rows.shape == (len(tau1), 4)
+        assert np.array_equal(rows.view(np.int64), _float_rows(lookup, tau1).view(np.int64)), lookup
     assert np.isnan(rows).all(axis=1).sum() >= 4  # the points off the solution
 
 
