@@ -269,13 +269,13 @@ def casimir_residuals(params: BodyParams, spec: ProfileSpec, x, momenta, pi=None
     structure, not interpolation error.  A state off ``momenta`` gets NaN
     residuals.
     """
-    from .momenta import gauge_momentum_fields
+    from .momenta import _gauge_gradient
 
     x = np.asarray(x, dtype=float)
     xs = x.reshape(-1, 6)
     pi = _gauged_matrices(params, spec, xs) if pi is None else pi
-    d, gen, pairs = tau_gradients(xs), s1_generator(xs), momenta.eval(xs[:, 2])
-    grads = [jf.grad(xs) for jf in gauge_momentum_fields(momenta)]
+    d, gen, pairs, slopes = tau_gradients(xs), s1_generator(xs), momenta.eval(xs[:, 2]), momenta.slope(xs[:, 2])
+    grads = [_gauge_gradient(k, xs, pairs, slopes) for k in (0, 1)]
     flows = [np.einsum("nab,nb->na", pi, g) for g in grads]
     values = [np.max(np.abs(np.einsum("npa,na->np", d, f)), axis=1) for f in flows]
     values.append(np.abs(np.einsum("nb,nb->n", np.einsum("na,nab->nb", grads[0], pi), grads[1])))

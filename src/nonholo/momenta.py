@@ -45,16 +45,16 @@ the eight slope evaluations of a step, the three lines of ``_ode_slope``
 (the arithmetic of ``momenta_ode_rhs``).  Every IEEE operation keeps its
 order, so the table is bit-identical to stepping the two pairs with
 ``rk4_step``, at a few percent of its cost; chunking bounds the transient
-arrays to a few hundred nodes.  A lookup (``MomentaSolution.eval``) finds
-its row pair with one ``searchsorted`` and interpolates all four columns
-with ``np.interp``'s formula, again bit for bit; on a tau1 array (a
-trajectory's column) it does so for every element in one pass, with NaN
-rows where a float lookup raises.
+arrays to a few hundred nodes.
 
 A run reads one solution, built by ``solution_for`` on its (delta, h)
-grid.  Every consumer of a coefficient pair asks that solution: ``eval``
-for the values and ``slope`` for the tau1-derivatives, so the choice
-between closed forms and table is made once, here.  The closed forms and
+grid, and asks it for ``eval`` (the values) and ``slope`` (the
+tau1-derivatives).  The choice between closed forms and table is the
+solution's type, made once there: ``ClosedFormMomenta`` or the tabulated
+``MomentaSolution``.  Both look a tau1 array up in one chunked body, with
+NaN rows off the solution; a float tau1 is a stack of one that raises
+DomainError there instead.  A table interpolates with ``np.interp``'s
+cases and formula, which gives each column its bits.  The closed forms and
 ``ode_residual`` also take a tau1 array, which the certificates sweep in
 one pass.
 """
@@ -72,10 +72,8 @@ from .phase import BodyParams, momentum_components
 from .profile import ProfileSpec
 from .smallalg import nan_max
 
-#: RK4 steps whose stage values of [QP] are evaluated in one array pass
+#: RK4 steps of a solve, or elements of a tau1 array a lookup reads, in one array pass
 _CHUNK = 256
-#: Rows of a tau1 array that ``MomentaSolution.eval`` looks up in one array pass
-_EVAL_CHUNK = 1024
 #: Largest (1 - delta)/h, the nodes on each side of tau1 = 0, of a momenta table
 MAX_HALF_GRID = 1_000_000
 
@@ -101,148 +99,84 @@ def momenta_ode_rhs(
 class MomentaSolution:
     """Two coefficient pairs tabulated over a tau1 grid.
 
-    ``pairs[k] = (f1, g1, f2, g2)`` at ``grid[k]``.  When ``routh_exact``
-    is set ``eval`` and ``slope`` bypass the table and use the closed forms
-    (valid on all of [-1, 1], poles included); their table is then built on
-    the first read of ``pairs``, since a trajectory never reads it.
+    ``pairs[k] = (f1, g1, f2, g2)`` at ``grid[k]``.  ``eval`` interpolates
+    them linearly, and ``slope`` is the coefficient ODE's right-hand side at
+    those values, so (value, slope) solves the ODE pointwise.
     """
 
     params: BodyParams
     spec: ProfileSpec
     grid: np.ndarray
     _pairs: np.ndarray | None
-    routh_exact: bool = False
 
     @property
     def pairs(self) -> np.ndarray:
+        """The rows at the nodes of ``grid``, looked up on the first read if not given."""
         if self._pairs is None:
-            self._pairs = _closed_form_table(self.params, self.spec, self.grid)
+            self._pairs = self._lookup(self._values, self.grid)
         return self._pairs
 
     def eval(self, tau1) -> np.ndarray:
-        """Return (f1, g1, f2, g2) at tau1, or their (n, 4) rows at the n
-        elements of a tau1 array.
-
-        Tabulated mode interpolates linearly between the two nodes around
-        tau1, with the same bits as ``np.interp`` on each column of a
-        finite table.  An array is looked up in one pass, bit for bit the
-        rows of the float calls.
+        """Return (f1, g1, f2, g2) at tau1, or their (n, 4) rows at a tau1 array.
 
         Raises:
-            DomainError: if a float tau1 falls outside the grid (tabulated
-                mode) or beyond [-1, 1] (closed-form mode).  An array gets
-                NaN rows at such elements instead.
+            DomainError: if a float tau1 is off this solution; an array gets
+                NaN rows there instead.
         """
-        if isinstance(tau1, np.ndarray):
-            return self._eval_array(tau1)
-        t1 = float(tau1)
-        self._check(t1)
-        if self.routh_exact:
-            return self._closed(routh_closed_form, t1)
-        grid, pairs = self.grid, self.pairs
-        # np.interp on each column, from one row pair: its NaN, end and node
-        # cases, and its formula slope*(t - x0) + p0.
-        if t1 != t1:
-            return np.full(4, t1)
-        j = int(grid.searchsorted(t1, "right")) - 1
-        if j < 0:
-            return pairs[0].copy()
-        if j >= len(grid) - 1:
-            return pairs[-1].copy()
-        (x0, x1), (row0, row1) = grid[j : j + 2].tolist(), pairs[j : j + 2].tolist()
-        if x0 == t1:
-            return np.array(row0)
-        dx, dt = x1 - x0, t1 - x0
-        return np.array([(p1 - p0) / dx * dt + p0 for p0, p1 in zip(row0, row1)])
-
-    @np.errstate(all="ignore")  # the off rows are NaN whatever the closed forms give there
-    def _eval_array(self, tau1: np.ndarray) -> np.ndarray:
-        """``eval`` at each element of a float array: its cases and formula
-        elementwise, in chunks that bound the transient arrays."""
-        t = np.asarray(tau1, dtype=float)
-        out = np.empty((len(t), 4))
-        grid, n = self.grid, len(self.grid)
-        for k in range(0, len(t), _EVAL_CHUNK):
-            tk = t[k : k + _EVAL_CHUNK]
-            if self.routh_exact:
-                rows = _closed_form_table(self.params, self.spec, tk)
-            else:
-                pairs = self.pairs
-                j = grid.searchsorted(tk, "right") - 1
-                jc = np.clip(j, 0, n - 2)
-                x0, row0, row1 = grid[jc], pairs[jc], pairs[jc + 1]
-                rows = (row1 - row0) / (grid[jc + 1] - x0)[:, None] * (tk - x0)[:, None] + row0
-                node = x0 == tk
-                rows[node] = row0[node]
-                rows[j < 0] = pairs[0]
-                rows[j >= n - 1] = pairs[-1]
-                rows[tk != tk] = np.nan
-            rows[self._off(tk)] = np.nan
-            out[k : k + _EVAL_CHUNK] = rows
-        return out
-
-    def _off(self, tau1):
-        """Whether tau1 is off this solution: beyond [-1, 1] (closed forms), or
-        past an end of the grid (table); elementwise on an array."""
-        if self.routh_exact:
-            return abs(tau1) > 1.0 + 1e-9
-        return (tau1 < self.grid[0] - 1e-12) | (tau1 > self.grid[-1] + 1e-12)
-
-    def _check(self, t1: float) -> None:
-        """Raise DomainError if the float t1 is off this solution."""
-        if not self._off(t1):
-            return
-        if self.routh_exact:
-            raise DomainError(f"tau1={t1!r} outside [-1, 1]")
-        raise DomainError(f"tau1={t1!r} outside the momenta grid [{float(self.grid[0])!r}, {float(self.grid[-1])!r}]")
+        return self._lookup(self._values, tau1)
 
     def slope(self, tau1) -> np.ndarray:
-        """Return the tau1-derivatives (f1', g1', f2', g2') at tau1, or their
-        (n, 4) rows at the n elements of a tau1 array.
+        """Return (f1', g1', f2', g2') at tau1, or their (n, 4) rows at a tau1
+        array; raises DomainError where ``eval`` does."""
+        return self._lookup(self._slopes, tau1)
 
-        Closed-form mode differentiates the closed forms; tabulated mode
-        takes the coefficient ODE's right-hand side at the values of
-        ``eval``, so (value, slope) solves the ODE pointwise and carries no
-        interpolation kink.  An array is evaluated in one pass, bit for bit
-        the rows of the float calls.
+    @np.errstate(all="ignore")  # out-of-range bodies give inf/NaN silently, as float arithmetic does
+    def _lookup(self, body, tau1) -> np.ndarray:
+        """``body`` at a float tau1 (a stack of one), or at each element of an
+        array, in chunks that bound the transient arrays; off rows are NaN."""
+        lo, hi, name = self._domain()
+        if not isinstance(tau1, np.ndarray):
+            t1 = float(tau1)
+            if t1 < lo or t1 > hi:
+                raise DomainError(f"tau1={t1!r} outside {name}")
+            return self._lookup(body, np.array([t1]))[0]
+        out = np.empty((len(tau1), 4))
+        for k in range(0, len(tau1), _CHUNK):
+            tk = tau1[k : k + _CHUNK]
+            off = (tk < lo) | (tk > hi)
+            rows = body(np.where(off, 0.0, tk))  # float64; a body never sees a tau1 off the solution
+            rows[off] = np.nan
+            out[k : k + _CHUNK] = rows
+        return out
 
-        Raises:
-            DomainError: where ``eval`` does.  An array gets NaN rows at
-                such elements instead.
-        """
-        if isinstance(tau1, np.ndarray):
-            return self._slope_array(np.asarray(tau1, dtype=float))
-        t1 = float(tau1)
-        if self.routh_exact:
-            self._check(t1)
-            return self._closed(routh_closed_form_derivative, t1)
-        if t1 != t1:  # the NaN of ``eval``'s rows, whichever NaN the arithmetic would keep
-            return np.full(4, t1)
-        f1, g1, f2, g2 = self.eval(t1).tolist()
-        qp = qp_matrix(self.params, self.spec, t1)
-        q = (qp[0, 0], qp[0, 1], qp[1, 0], qp[1, 1])
-        return np.array([*_ode_slope(*q, t1, f1, g1), *_ode_slope(*q, t1, f2, g2)])
+    def _domain(self) -> tuple[float, float, str]:
+        """The tau1 range (lo, hi) this solution answers, and its name in a DomainError."""
+        lo, hi = float(self.grid[0]), float(self.grid[-1])
+        return lo - 1e-12, hi + 1e-12, f"the momenta grid [{lo!r}, {hi!r}]"
 
-    @np.errstate(all="ignore")  # the off rows are NaN, as in ``_eval_array``
-    def _slope_array(self, t: np.ndarray) -> np.ndarray:
-        """``slope`` at each element of a float array: the float calls' formulas
-        elementwise, with [QP] from ``qp_grid`` (the bits of ``qp_matrix``)."""
-        off = self._off(t)
-        if self.routh_exact:
-            p1, p2 = routh_closed_form_derivative(self.params, self.spec.p1, self.spec.p2, t)
-            rows = np.column_stack(np.broadcast_arrays(*p1, *p2))
-        else:
-            f1, g1, f2, g2 = self.eval(t).T
-            q = qp_grid(self.params, self.spec, np.where(off, 0.0, t))  # no [QP] past the table's ends
-            rows = np.column_stack([*_ode_slope(*q, t, f1, g1), *_ode_slope(*q, t, f2, g2)])
-            rows[t != t] = np.nan
-        rows[off] = np.nan
+    def _values(self, t: np.ndarray) -> np.ndarray:
+        """The rows at t, interpolated between the two nodes around each
+        element with ``np.interp``'s cases and formula (its bits on each
+        column of a finite table)."""
+        grid, pairs, n = self.grid, self.pairs, len(self.grid)
+        j = grid.searchsorted(t, "right") - 1
+        jc = np.clip(j, 0, n - 2)
+        x0, row0, row1 = grid[jc], pairs[jc], pairs[jc + 1]
+        rows = (row1 - row0) / (grid[jc + 1] - x0)[:, None] * (t - x0)[:, None] + row0
+        node = x0 == t
+        rows[node] = row0[node]
+        rows[j < 0] = pairs[0]
+        rows[j >= n - 1] = pairs[-1]
+        rows[t != t] = np.nan
         return rows
 
-    def _closed(self, form, t1: float) -> np.ndarray:
-        """``form`` (the closed pairs or their derivatives) at t1 as (f1, g1, f2, g2)."""
-        p1, p2 = form(self.params, self.spec.p1, self.spec.p2, t1)
-        return np.array([*p1, *p2])
+    def _slopes(self, t: np.ndarray) -> np.ndarray:
+        """``momenta_ode_rhs`` at t and the rows of ``_values``, bit for bit."""
+        f1, g1, f2, g2 = self._values(t).T
+        q = qp_grid(self.params, self.spec, t)
+        rows = np.column_stack([*_ode_slope(*q, t, f1, g1), *_ode_slope(*q, t, f2, g2)])
+        rows[t != t] = np.nan
+        return rows
 
     def independence(self) -> np.ndarray:
         """Determinant f1*g2 - f2*g1 per grid node."""
@@ -407,24 +341,33 @@ def routh_closed_form_derivative(params: BodyParams, r: float, l: float, gamma3)
     return (0.0, 0.0), (du / sq - u * dp / (2.0 * p * sq), dv / sq - v * dp / (2.0 * p * sq))
 
 
+class ClosedFormMomenta(MomentaSolution):
+    """The Routh closed forms as a MomentaSolution: exact rows and slopes,
+    valid on all of [-1, 1], poles included.  ``pairs`` are looked up on the
+    grid when first read, since a trajectory never reads them."""
+
+    def _domain(self) -> tuple[float, float, str]:
+        return -1.0 - 1e-9, 1.0 + 1e-9, "[-1, 1]"
+
+    def _values(self, t: np.ndarray) -> np.ndarray:
+        return self._rows(routh_closed_form, t)
+
+    def _slopes(self, t: np.ndarray) -> np.ndarray:
+        return self._rows(routh_closed_form_derivative, t)
+
+    def _rows(self, form, t: np.ndarray) -> np.ndarray:
+        p1, p2 = form(self.params, self.spec.p1, self.spec.p2, t)
+        return np.column_stack(np.broadcast_arrays(*p1, *p2))
+
+
 def closed_form_momenta(
     params: BodyParams, spec: ProfileSpec, delta: float = 1e-3, h: float = 1e-4
 ) -> MomentaSolution:
-    """Routh closed forms packaged as a MomentaSolution (exact evaluation); its
-    ``pairs`` are tabulated on the (delta, h) grid when first read."""
+    """Routh closed forms packaged as a MomentaSolution (exact evaluation) on
+    the (delta, h) grid."""
     if spec.kind != "routh":
         raise ValueError("closed forms are available for the routh profile only")
-    return MomentaSolution(params, spec, _grid(delta, h), None, routh_exact=True)
-
-
-@np.errstate(all="ignore")  # out-of-range bodies (say r = 1e200) give inf/NaN silently, as float calls do
-def _closed_form_table(params: BodyParams, spec: ProfileSpec, grid: np.ndarray) -> np.ndarray:
-    """The closed-form pairs (f1, g1, f2, g2) at every node of ``grid``."""
-    pairs = np.empty((len(grid), 4))
-    for k in range(0, len(grid), _CHUNK):  # chunks bound the transient arrays, as in the solve
-        p1, p2 = routh_closed_form(params, spec.p1, spec.p2, grid[k : k + _CHUNK])
-        pairs[k : k + _CHUNK] = np.column_stack(np.broadcast_arrays(*p1, *p2))
-    return pairs
+    return ClosedFormMomenta(params, spec, _grid(delta, h), None)
 
 
 def solution_for(
@@ -471,12 +414,18 @@ def gauge_momentum_fields(solution: MomentaSolution) -> tuple[ScalarField, Scala
         def grad(x):
             x = np.asarray(x, dtype=float)
             t1 = x[..., 2][()]  # a float64 at one state
-            v, dv = solution.eval(t1), solution.slope(t1)
-            out = v[..., j, None] * J2_COMPONENT.grad(x)
-            out[..., 5] -= v[..., i]  # + f * grad(j1)
-            out[..., 2] += dv[..., i] * J1_COMPONENT.fn(x) + dv[..., j] * J2_COMPONENT.fn(x)
-            return out
+            return _gauge_gradient(index, x, solution.eval(t1), solution.slope(t1))
 
         return ScalarField(fn, grad, name=f"J{index + 1}")
 
     return make(0), make(1)
+
+
+def _gauge_gradient(index: int, x: np.ndarray, v: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """The gradient of gauge momentum ``index`` (0 or 1) at a state or stack
+    ``x``, from the coefficient rows ``v`` and slopes ``dv`` at its tau1."""
+    i, j = 2 * index, 2 * index + 1
+    out = v[..., j, None] * J2_COMPONENT.grad(x)
+    out[..., 5] -= v[..., i]  # + f * grad(j1)
+    out[..., 2] += dv[..., i] * J1_COMPONENT.fn(x) + dv[..., j] * J2_COMPONENT.fn(x)
+    return out

@@ -116,10 +116,18 @@ def test_table_differences_solve_the_ode_inside_the_grid(ellipsoid_preset, ellip
     assert worst <= 1e-6  # linear interpolation leaves O(h) kinks in the derivative
 
 
-@pytest.mark.parametrize("t1", [-1.0, -0.73, 0.0, 0.2, 1.0])
-def test_closed_form_slope_is_the_closed_form_derivative(t1):
-    d1, d2 = routh_closed_form_derivative(P98, 1.0, 0.1, t1)
-    assert np.array_equal(closed_form_momenta(P98, ProfileSpec.routh(1.0, 0.1)).slope(t1), [*d1, *d2])
+@pytest.mark.parametrize(
+    "params,t1",
+    [pytest.param(P98, t1, id=str(t1)) for t1 in (-1.0, -0.73, 0.0, 0.2, 1.0)]
+    # P overflows to inf: the rows are (0.1, 1.0, -0.0, 0.0) and the slopes
+    # (0.0, 0.0, nan, 0.0), an inf/inf that float arithmetic gives silently
+    + [pytest.param(BodyParams(m=1.0, I1=1e308, I3=1e308, grav=9.8), 0.5, id="overflowing-inertia")],
+)
+def test_closed_form_slope_is_the_closed_form_derivative(params, t1):
+    sol = closed_form_momenta(params, ProfileSpec.routh(1.0, 0.1))
+    for lookup, form in ((sol.eval, routh_closed_form), (sol.slope, routh_closed_form_derivative)):
+        p1, p2 = form(params, 1.0, 0.1, t1)
+        assert same_bits(lookup(t1), [*p1, *p2]), form.__name__
 
 
 @settings(max_examples=200, deadline=None)
@@ -366,10 +374,15 @@ def _interp_columns(sol, t1):
     return np.array([np.interp(t1, sol.grid, sol.pairs[:, i]) for i in range(4)])
 
 
+_inside = st.floats(-0.999, 0.999, allow_nan=False)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.floats(-0.999, 0.999, allow_nan=False))
-def test_eval_equals_np_interp_inside_the_grid(ellipsoid_momenta, t1):
+@given(_inside, st.lists(_inside, max_size=40))
+def test_eval_equals_np_interp_inside_the_grid(ellipsoid_momenta, t1, tau1):
     assert np.array_equal(ellipsoid_momenta.eval(t1), _interp_columns(ellipsoid_momenta, t1))
+    tau1 = np.array(tau1, dtype=float)
+    assert same_bits(ellipsoid_momenta.eval(tau1), _interp_columns(ellipsoid_momenta, tau1).T)
 
 
 def test_eval_equals_np_interp_at_nodes_and_ends(ellipsoid_momenta):
@@ -390,15 +403,44 @@ def test_eval_equals_np_interp_at_nodes_and_ends(ellipsoid_momenta):
         sol.eval(hi + 1e-11)
 
 
-def _float_rows(lookup, tau1):
-    """The per-row oracle of an array lookup: ``lookup`` (``eval`` or
-    ``slope``) at each element, and a NaN row where it raises DomainError."""
+def _ode_rhs_at_interp(sol, t1):
+    """``momenta_ode_rhs`` of both pairs at the ``np.interp`` values (NaN at a NaN t1)."""
+    if t1 != t1:
+        return [t1] * 4
+    v = _interp_columns(sol, t1)
+    return [*momenta_ode_rhs(sol.params, sol.spec, t1, v[:2]), *momenta_ode_rhs(sol.params, sol.spec, t1, v[2:])]
+
+
+def _closed_rows(form):
+    """The float closed form ``form`` at t1, as the row (f1, g1, f2, g2)."""
+    def row(sol, t1):
+        p1, p2 = form(sol.params, sol.spec.p1, sol.spec.p2, t1)
+        return [*p1, *p2]
+
+    return row
+
+
+#: The reference each row of a lookup is compared with, outside the lookup's own body
+_REFERENCES = {
+    "table": {"eval": _interp_columns, "slope": _ode_rhs_at_interp},
+    "closed": {"eval": _closed_rows(routh_closed_form), "slope": _closed_rows(routh_closed_form_derivative)},
+}
+
+
+def _reference_rows(sol, name, tau1):
+    """The reference row of lookup ``name`` at each element of tau1, and a NaN
+    row where the float lookup raises DomainError (checking on the way that
+    the float lookup gives the reference row everywhere else)."""
+    reference = _REFERENCES["closed" if sol.spec.kind == "routh" else "table"][name]
     rows = []
     for t1 in tau1.tolist():
         try:
-            rows.append(lookup(t1))
+            row = getattr(sol, name)(t1)
         except DomainError:
             rows.append(np.full(4, np.nan))
+            continue
+        rows.append(reference(sol, t1))
+        assert same_bits(row, rows[-1]), (name, t1)
     return np.array(rows)
 
 
@@ -414,6 +456,9 @@ def _probe_points(sol, seed):
 
 @pytest.mark.parametrize("which", ["default-table", "coarse-table", "closed-forms"])
 def test_array_lookup_is_the_per_row_lookup(ellipsoid_preset, ellipsoid_momenta, which):
+    # Each row of an array lookup, and each float lookup, against a reference
+    # outside the lookup: np.interp on each column (table eval), the
+    # coefficient ODE at those values (table slope), the float closed forms.
     params, spec = ellipsoid_preset
     sol = {
         "default-table": ellipsoid_momenta,
@@ -421,10 +466,10 @@ def test_array_lookup_is_the_per_row_lookup(ellipsoid_preset, ellipsoid_momenta,
         "closed-forms": closed_form_momenta(P98, ProfileSpec.routh(1.0, 0.1)),
     }[which]
     tau1 = _probe_points(sol, 3)
-    for lookup in (sol.eval, sol.slope):
-        rows = lookup(tau1)
+    for name in ("eval", "slope"):
+        rows = getattr(sol, name)(tau1)
         assert rows.shape == (len(tau1), 4)
-        assert np.array_equal(rows.view(np.int64), _float_rows(lookup, tau1).view(np.int64)), lookup
+        assert same_bits(rows, _reference_rows(sol, name, tau1)), name
     assert np.isnan(rows).all(axis=1).sum() >= 4  # the points off the solution
 
 

@@ -132,6 +132,12 @@ def test_bench_facing_positions_and_names_are_pinned():
     for fn in (phase.omega_from_M, phase.energy):
         assert getattr(nonholo, fn.__name__) is fn and params(fn)[:3] == ["params", "ev", "x"]
     assert profile.eval_profile is nonholo.eval_profile and params(profile.eval_profile)[:2] == ["spec", "gamma3"]
+    # bench/tracer.py counts lookups by wrapping MomentaSolution.eval on that
+    # class; the closed-form type inherits the lookups, or its calls would escape.
+    closed = type(nonholo.closed_form_momenta(nonholo.BodyParams(1.0, 2.0, 3.0), nonholo.ProfileSpec.routh(1.0, 0.1)))
+    assert closed is not nonholo.MomentaSolution and closed.__name__ not in nonholo.__all__
+    for cls in closed.__mro__[: closed.__mro__.index(nonholo.MomentaSolution)]:
+        assert not {"eval", "slope"} & set(vars(cls)), cls
 
 
 def test_no_package_code_differentiates_numerically():
