@@ -18,9 +18,10 @@ gamma = e3, and {H, tau4} = +4/9 at the standard worked state.  All table
 entries below are the *pushforward* of Pi under tau, verified against the
 6x6 contraction at 50-digit precision.
 
-``bivector_packed`` builds Pi at one state on Python floats, or with its
-derivative at the jet (``smallalg.Jet``) of a stack of states, through the
-one body ``geomforms.gauge_columns``, with the same bits.  The Jacobi
+``bivector_packed`` builds Pi at one state on Python floats, at a stack of
+states on its columns, or with its derivative at the jet (``smallalg.Jet``)
+of a stack, through the one body ``geomforms.gauge_columns`` and the one
+assembly ``smallalg.matrix``, with the same bits.  The Jacobi
 trivector is Pi . dPi from that pass, cyclically summed.  The certificate
 kernels (``pushforward_residual``, ``casimir_residuals``,
 ``reduced_bivector_tau``) and the gradients of the invariants and of the
@@ -44,7 +45,7 @@ from .errors import ConsistencyError, DomainError
 from .geomforms import gauge_columns, qp_grid
 from .phase import BodyParams, energy_floats, invariants, omega_floats, relation_residual
 from .profile import ProfileSpec, state_terms
-from .smallalg import Jet, columns, jacobi_trivector, jet_gradient, pow2, stacked
+from .smallalg import Jet, columns, jacobi_trivector, jet_gradient, matrix, stacked
 
 
 class BracketKind(str, Enum):
@@ -78,7 +79,8 @@ TAU1 = _state_field("tau1", lambda c: c[2], lambda c: (0.0, 0.0, 1.0, 0.0, 0.0, 
 TAU2 = _state_field("tau2", lambda c: c[0] * c[4] - c[1] * c[3], lambda c: (c[4], -c[3], 0.0, -c[1], c[0], 0.0))
 TAU3 = _state_field("tau3", lambda c: c[0] * c[3] + c[1] * c[4], lambda c: (c[3], c[4], 0.0, c[0], c[1], 0.0))
 TAU4 = _state_field("tau4", lambda c: c[5], lambda c: (0.0, 0.0, 0.0, 0.0, 0.0, 1.0))
-TAU5 = _state_field("tau5", lambda c: pow2(c[3]) + pow2(c[4]), lambda c: (0.0, 0.0, 0.0, 2.0 * c[3], 2.0 * c[4], 0.0))
+TAU5 = _state_field("tau5", lambda c: c[3] * c[3] + c[4] * c[4],
+                    lambda c: (0.0, 0.0, 0.0, 2.0 * c[3], 2.0 * c[4], 0.0))
 TAUS: tuple[ScalarField, ...] = (TAU1, TAU2, TAU3, TAU4, TAU5)
 
 J1_COMPONENT = _state_field("j1", lambda c: -c[5], lambda c: (0.0, 0.0, 0.0, 0.0, 0.0, -1.0))
@@ -99,16 +101,18 @@ def hamiltonian_field(params: BodyParams, spec: ProfileSpec) -> ScalarField:
 
 
 def bivector_packed(params: BodyParams, spec: ProfileSpec, x, kind: BracketKind):
-    """The 6x6 bracket matrix at a packed point, or the jet of the (m, 6, 6)
-    stack of them at the jet of an (m, 6) stack (no state validation).
+    """The 6x6 bracket matrix at a packed point, the (m, 6, 6) stack of them at
+    an (m, 6) stack, or the jet of that stack at the jet of an (m, 6) stack
+    (no state validation).
 
     Entries: {gamma_a, gamma_b} = 0, {gamma_a, M_i} = (gamma x e_i)_a,
     {M_i, M_j} = -eps_ijk (M + V)_k with V = L_vec (gauged) or K_vec (nh).
     Every block is a hat matrix, so antisymmetry is exact by construction.
 
-    One point is evaluated on Python floats, a stack on its columns as jets;
-    ``geomforms.gauge_columns`` gives both the same bits, so each matrix of
-    the value part equals the matrix of its point.
+    One point is evaluated on Python floats, a stack on its columns (arrays,
+    or jets); ``geomforms.gauge_columns`` gives them all the same bits, so
+    each matrix of a stack, or of a jet's value part, equals the matrix of
+    its point.  ``smallalg.matrix`` assembles all three.
 
     Raises:
         DomainError: if a point has |gamma3| > 1 + DOMAIN_SLACK.
@@ -126,7 +130,7 @@ def bivector_packed(params: BodyParams, spec: ProfileSpec, x, kind: BracketKind)
         [g3, 0.0, -g1, n3, 0.0, -n1],
         [-g2, g1, 0.0, -n2, n1, 0.0],
     ]
-    return Jet.matrix(rows) if isinstance(x, Jet) else np.array(rows)
+    return matrix(rows)
 
 
 def bracket(
@@ -164,12 +168,6 @@ def s1_generator(x) -> np.ndarray:
 def tau_gradients(xs: np.ndarray) -> np.ndarray:
     """The (m, 5, 6) gradients of tau1..tau5 at an (m, 6) stack of states."""
     return np.stack([t.grad(xs) for t in TAUS], axis=1)
-
-
-def _gauged_matrices(params: BodyParams, spec: ProfileSpec, xs: np.ndarray) -> np.ndarray:
-    """The (m, 6, 6) gauged bracket matrices at an (m, 6) stack, for a caller
-    that holds none (``certify`` passes the value part of its jet pass)."""
-    return np.array([bivector_packed(params, spec, x, BracketKind.GAUGED) for x in xs])
 
 
 def reduced_bivector_tau(params: BodyParams, spec: ProfileSpec, tau) -> np.ndarray:
@@ -232,7 +230,7 @@ def pushforward_residual(params: BodyParams, spec: ProfileSpec, x, pi=None):
     a caller may pass."""
     x = np.asarray(x, dtype=float)
     xs = x.reshape(-1, 6)
-    pi = _gauged_matrices(params, spec, xs) if pi is None else pi
+    pi = bivector_packed(params, spec, xs, BracketKind.GAUGED) if pi is None else pi
     d = tau_gradients(xs)
     brackets = np.einsum("nqb,npb->npq", d, np.einsum("npa,nab->npb", d, pi))
     table = reduced_bivector_tau(params, spec, invariants(xs))
@@ -273,7 +271,7 @@ def casimir_residuals(params: BodyParams, spec: ProfileSpec, x, momenta, pi=None
 
     x = np.asarray(x, dtype=float)
     xs = x.reshape(-1, 6)
-    pi = _gauged_matrices(params, spec, xs) if pi is None else pi
+    pi = bivector_packed(params, spec, xs, BracketKind.GAUGED) if pi is None else pi
     d, gen, pairs, slopes = tau_gradients(xs), s1_generator(xs), momenta.eval(xs[:, 2]), momenta.slope(xs[:, 2])
     grads = [_gauge_gradient(k, xs, pairs, slopes) for k in (0, 1)]
     flows = [np.einsum("nab,nb->na", pi, g) for g in grads]

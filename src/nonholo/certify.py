@@ -34,8 +34,8 @@ from .brackets import (BracketKind, J2_COMPONENT, TAU1, TAU4, bivector_packed, c
 from .dynamics import IntegratorConfig, drift, nonconservation_rates, rhs
 from .geomforms import gauge_columns, qp_grid
 from .momenta import ode_residual, routh_closed_form, routh_closed_form_derivative, solution_for, solve_momenta
-from .particle import (COLUMNS as PARTICLE_COLUMNS, COORDINATES, MOMENTUM, hamiltonian_frame_flow, particle_bracket,
-                       particle_integrate, particle_rhs, particle_trivector)
+from .particle import (COLUMNS as PARTICLE_COLUMNS, COORDINATES, HAMILTONIAN, MOMENTUM, particle_bivector,
+                       particle_bracket, particle_integrate, particle_rhs, particle_trivector)
 from .phase import invariants, relation_residual
 from .profile import mass_scalars, state_terms
 from .smallalg import Jet, jacobi_trivector, nan_max, pow2
@@ -274,9 +274,8 @@ def _casimir_momentum(s):
 
 
 def _rhs_anchor(s):
-    c1, c2, c3, c4 = hamiltonian_frame_flow(s.v).T
-    coord_rate = np.column_stack([c1, c2, s.v[:, 1] * c1, c3, c4])
-    return np.max(np.abs(coord_rate - particle_rhs(s.v)), axis=1)
+    flow = np.einsum("nab,nb->na", particle_bivector(s.v), HAMILTONIAN.grad(s.v))
+    return np.max(np.abs(flow - particle_rhs(s.v)), axis=1)
 
 
 def _unreduced_closed_form(s):

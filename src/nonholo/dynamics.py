@@ -133,9 +133,11 @@ def integrate(
     row per step, t=0 included.
 
     Returns a float array whose columns are ``COLUMNS``.  gamma is
-    renormalized to the unit sphere after every accepted step.  A
-    non-finite state aborts the run with a warning, returning the rows
-    completed so far.  A row whose tau1 is off ``momenta`` (past the end of
+    renormalized to the unit sphere after every accepted step.  The run
+    stops, with a warning, at the first row whose state or energy is not
+    finite (an E that overflows at a finite state included), and returns the
+    rows before it; nothing past that row is stepped.  A gauge momentum that
+    is NaN does not stop it: a row whose tau1 is off ``momenta`` (past the end of
     a table; the closed forms cover [-1, 1]) gets NaN gauge momenta rather
     than aborting, and the first such row warns once with the lookup's own
     message.
@@ -169,26 +171,28 @@ def integrate(
         return field_floats(params, rho, L, rho_p, L_p, g1, g2, g3, m1, m2, m3, w1, w2, w3)
 
     def record(k, x):
-        """Fill row k's state and E; return the field at x (the next step's
-        first stage)."""
+        """Fill row k's state and E; return E and the field at x (the next
+        step's first stage)."""
         g1, g2, g3, m1, m2, m3 = x
         check_domain(g3)
         rho, _, L, rho_p, _, L_p = profile_terms(spec, g3)
         w1, w2, w3 = omega_floats(params, rho, L, g1, g2, g3, m1, m2, m3)
         out[k, 1:7] = x
-        out[k, 12] = energy_floats(params, rho, L, g1, g2, g3, m1, m2, m3, w1, w2, w3)
-        return field_floats(params, rho, L, rho_p, L_p, g1, g2, g3, m1, m2, m3, w1, w2, w3)
+        out[k, 12] = e = energy_floats(params, rho, L, g1, g2, g3, m1, m2, m3, w1, w2, w3)
+        return e, field_floats(params, rho, L, rho_p, L_p, g1, g2, g3, m1, m2, m3, w1, w2, w3)
 
-    xd = record(0, x)
-    rows = 1
+    rows = 0
     try:
-        for k in range(1, n_steps + 1):
-            x = rk4_step(f, (k - 1) * dt, x, dt, xd)
-            if not all(map(isfinite, x)):
+        for k in range(n_steps + 1):
+            if k:
+                x = rk4_step(f, (k - 1) * dt, x, dt, xd)
+                if not all(map(isfinite, x)):
+                    break
+                n = sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
+                x[0], x[1], x[2] = x[0] / n, x[1] / n, x[2] / n
+            e, xd = record(k, x)
+            if not isfinite(e):
                 break
-            n = sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
-            x[0], x[1], x[2] = x[0] / n, x[1] / n, x[2] / n
-            xd = record(k, x)
             rows = k + 1
     finally:  # a stage off the band raises, after the off-table warning of the rows done
         cf = _gauge_coefficients(momenta, out[:rows, 3], dt)

@@ -306,8 +306,8 @@ def _rk4_pairs(y: tuple, h: float, stage_t: list, qp: list) -> list:
 
 
 def _routh_zeta_p(params: BodyParams, r: float, l: float, gamma3):
-    """zeta, P(gamma3) and sqrt(P) of the Routh sphere, on a float or elementwise
-    on an array (math.sqrt on floats, the per-step path of ``integrate``).
+    """zeta, P(gamma3) and sqrt(P) of the Routh sphere, on a float (math.sqrt)
+    or elementwise on an array (np.sqrt).
 
     Written out here rather than taken from the profile module: the closed
     forms are the independent oracle that the numeric path is checked against.

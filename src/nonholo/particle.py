@@ -25,6 +25,12 @@ bracket fail Jacobi (the (x, px, py) Jacobiator is y/(1+y^2) on the nose;
 particle_jacobiator_unreduced measures it).  The reduction by the (x, z)-translations leaves (y, px, py), where
 the bracket is genuinely Poisson and J is a Casimir.
 
+On coordinate gradients the bracket is the 5x5 bivector P = E B E^T, the
+columns of E the frame: ``particle_bivector``, with entries 1, y and w.
+The bracket {f, g} = grad(f) . (P grad(g)), the flow P grad(H) and the
+Jacobi trivector all contract it; the frame form and B = -F^-1 are the
+tests' reference for it.
+
 Every function reads a state as the packed 5-vector v = (x, y, z, px, py);
 every gradient is a jet pass (``smallalg.Jet``) through the bodies of H, J, w.
 """
@@ -37,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .brackets import ScalarField
-from .smallalg import Jet, columns, jacobi_trivector, jet_gradient, pow2, rk4_step, stacked
+from .smallalg import Jet, columns, jacobi_trivector, jet_gradient, matrix, pow2, rk4_step, stacked
 
 
 def particle_hamiltonian(v) -> float:
@@ -84,21 +90,10 @@ def _field(v) -> tuple:
 
 
 def _coupling(v):
-    """w = y*px/(1+y^2), the constraint curvature coupling, at a packed state
-    or, as a jet, at the jet of an (m, 5) stack of them."""
+    """w = y*px/(1+y^2), the constraint curvature coupling, at a packed state,
+    over an (m, 5) stack, or as a jet at the jet of a stack."""
     y, px = v[..., 1][()], v[..., 3][()]  # [()]: float64 scalars at one state
     return y * px / (1.0 + pow2(y))
-
-
-def _bracket_matrix(v: np.ndarray) -> np.ndarray:
-    """B = -(frame form)^-1 = [[0, I], [-I, -A(w)]] (see the module docstring)
-    at a packed state, or the (m, 4, 4) stack at an (m, 5) stack."""
-    w = _coupling(v)
-    b = np.zeros(np.shape(w) + (4, 4))
-    b[..., 0, 2] = b[..., 1, 3] = 1.0
-    b[..., 2, 0] = b[..., 3, 1] = -1.0
-    b[..., 2, 3], b[..., 3, 2] = w, -w
-    return b
 
 
 def _field_of(body: Callable, name: str, *cols: int) -> ScalarField:
@@ -112,26 +107,27 @@ MOMENTUM = _field_of(_momentum, "J", 1, 3)
 COORDINATES = tuple(_field_of(lambda c: c, name, k) for k, name in enumerate(("x", "y", "z", "px", "py")))
 
 
-def _frame_gradient(f: ScalarField, v: np.ndarray) -> np.ndarray:
-    """The frame components (e1 f, e2 f, e3 f, e4 f) of f's gradient, with
-    e1 = d/dx + y d/dz: (4,) at a packed state, (m, 4) at an (m, 5) stack."""
-    g = f.grad(v)
-    return stacked((g[..., 0] + v[..., 1] * g[..., 2], g[..., 1], g[..., 3], g[..., 4]), g[..., 0])
+def particle_bivector(v):
+    """P = E B E^T, the bracket on coordinate gradients: the 5x5 matrix at a
+    packed state, the (m, 5, 5) stack at an (m, 5) stack, or its jet at the
+    jet of one.  The columns of the 5x4 E are the frame e1 = d/dx + y d/dz,
+    e2, e3, e4, and B = -(frame form)^-1 (see the module docstring)."""
+    y, w = v[..., 1][()], _coupling(v)  # [()]: a float64 scalar at one state
+    return matrix([[0.0, 0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, y, 0.0],
+                   [-1.0, 0.0, -y, 0.0, w], [0.0, -1.0, 0.0, -w, 0.0]])
 
 
 def particle_bracket(f: ScalarField, g: ScalarField, v):
-    """{f, g} for ScalarFields of the packed 5-vector, or the (m,) values at an
-    (m, 5) stack.
+    """{f, g} = grad(f) . (P grad(g)) for ScalarFields of the packed 5-vector,
+    or the (m,) values at an (m, 5) stack, P the ``particle_bivector``.
 
-    Built as (frame grad f)^T B (frame grad g) with B = -(frame form)^-1;
-    the overall sign is the one that makes B . frame-grad(H) reproduce
-    particle_rhs (the convention anchor, tested first).  The fields are
-    evaluated at v as given, a point or a stack, and the products are
-    ``einsum`` steps.
+    The overall sign is the one that makes P grad(H) reproduce particle_rhs
+    (the convention anchor, tested first).  The fields are evaluated at v as
+    given, a point or a stack, and the products are ``einsum`` steps.
     """
     v = np.asarray(v, dtype=float)
-    fb = np.einsum("...a,...ab->...b", _frame_gradient(f, v), _bracket_matrix(v))
-    out = np.einsum("...b,...b->...", fb, _frame_gradient(g, v))
+    pg = np.einsum("...ab,...b->...a", particle_bivector(v), g.grad(v))
+    out = np.einsum("...a,...a->...", f.grad(v), pg)
     return out if v.ndim > 1 else float(out)
 
 
@@ -141,31 +137,12 @@ def particle_momentum(v) -> float:
     return _momentum(y, px)
 
 
-def hamiltonian_frame_flow(v) -> np.ndarray:
-    """Frame coefficients of the bracket-hamiltonian flow B . frame-grad(H) at a
-    packed state, or their (m, 4) rows at an (m, 5) stack.
-
-    Coordinate velocities follow as (c1, c2, y*c1, c3, c4); equality with
-    particle_rhs is the sign anchor for the whole particle module.
-    """
-    v = np.asarray(v, dtype=float)
-    return np.einsum("...ab,...b->...a", _bracket_matrix(v), _frame_gradient(HAMILTONIAN, v))
-
-
-def _coordinate_bivector(v: Jet) -> Jet:
-    """The jet of E B E^T, the bracket on coordinate gradients, at the jet of an (m, 5)
-    stack; the columns of the 5x4 E are the frame e1 = d/dx + y d/dz, e2, e3, e4."""
-    y, w = v[:, 1], _coupling(v)
-    return Jet.matrix([[0.0, 0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, y, 0.0],
-                       [-1.0, 0.0, -y, 0.0, w], [0.0, -1.0, 0.0, -w, 0.0]])
-
-
 def particle_trivector(v) -> np.ndarray:
     """The 5x5x5 Jacobi trivector of the coordinate bracket at a packed state, or
     the (m, 5, 5, 5) stack at an (m, 5) stack, from one jet pass; entry
     [a, b, c] is the cyclic Jacobiator of the coordinates a, b, c."""
     v = np.asarray(v, dtype=float)
-    t = jacobi_trivector(_coordinate_bivector(Jet.seed(v.reshape(-1, 5))))
+    t = jacobi_trivector(particle_bivector(Jet.seed(v.reshape(-1, 5))))
     return t.reshape(v.shape[:-1] + (5, 5, 5))
 
 
@@ -193,26 +170,32 @@ def particle_integrate(state0, cfg) -> np.ndarray:
 
     Returns a float array whose columns are ``COLUMNS``; J and E are the
     scalar kernels ``particle_momentum`` and ``particle_hamiltonian`` at each
-    row's state.  The array ends, with a warning, before the first row with a
-    non-finite state, J or E (an H that overflows at a finite state included).
-    The state is a list of five Python floats stepped by ``rk4_step``, whose
-    five-element step is written out component by component.
+    row's state.  The run stops, with a warning, at the first row whose state
+    or E is not finite (an H that overflows at a finite state included; J is
+    finite wherever the state is), and returns the rows before it; nothing
+    past that row is stepped.  The state is a list of five Python floats
+    stepped by ``rk4_step``, whose five-element step is written out component
+    by component.
     """
     n_steps = cfg.steps
     out = np.empty((n_steps + 1, len(COLUMNS)))
-    out[:, 0] = np.arange(n_steps + 1) * cfg.dt
     v = np.array(state0, dtype=float).tolist()
-    dt = cfg.dt
+    dt, isfinite = cfg.dt, math.isfinite
 
     def f(t, y):
         return _field(y)
 
-    out[0, 1:] = (*v, _momentum(v[1], v[3]), _hamiltonian(v[1], v[3], v[4]))
-    for k in range(1, n_steps + 1):
-        v = rk4_step(f, (k - 1) * dt, v, dt)
-        out[k, 1:] = (*v, _momentum(v[1], v[3]), _hamiltonian(v[1], v[3], v[4]))
-    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
-    if bad.size:
-        warnings.warn(f"non-finite state at step {bad[0]}; aborting with {bad[0]} samples")
-        return out[: bad[0]]
+    rows = 0
+    for k in range(n_steps + 1):
+        if k:
+            v = rk4_step(f, (k - 1) * dt, v, dt)
+        row = (*v, _momentum(v[1], v[3]), _hamiltonian(v[1], v[3], v[4]))
+        if not all(map(isfinite, row)):
+            break
+        out[k, 1:] = row
+        rows = k + 1
+    if rows <= n_steps:
+        warnings.warn(f"non-finite state at step {rows}; aborting with {rows} samples")
+    out = out[:rows]
+    out[:, 0] = np.arange(rows) * dt
     return out

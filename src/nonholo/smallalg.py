@@ -1,5 +1,6 @@
-"""Small linear algebra: 3-vectors, RK4 step, forward-mode jets, and the
-Jacobi trivector of a bivector field.
+"""Small linear algebra: 3-vectors, RK4 step, forward-mode jets, the one
+assembly of a matrix from its entries, and the Jacobi trivector of a
+bivector field.
 
 Everything here is deliberately written out (no LAPACK dispatch) so results
 are bit-reproducible across platforms.  Every derivative in the package is
@@ -188,21 +189,6 @@ class Jet:
             grad[k, ..., k] = 1.0
         return cls(x, grad)
 
-    @classmethod
-    def matrix(cls, rows) -> "Jet":
-        """The jet of the (m, r, c) stack of matrices whose entry [i][j] is
-        ``rows[i][j]``: a jet of an (m,) value, or a constant."""
-        n, m = next(e.grad.shape for row in rows for e in row if isinstance(e, Jet))
-        value = np.zeros((m, len(rows), len(rows[0])))
-        grad = np.zeros((n,) + value.shape)
-        for i, row in enumerate(rows):
-            for j, e in enumerate(row):
-                if isinstance(e, Jet):
-                    value[:, i, j], grad[:, :, i, j] = e.value, e.grad
-                else:
-                    value[:, i, j] = e
-        return cls(value, grad)
-
     def __getitem__(self, index) -> "Jet":
         index = index if isinstance(index, tuple) else (index,)
         return Jet(self.value[index], self.grad[(slice(None),) + index])
@@ -253,6 +239,26 @@ class Jet:
         """The jet of the square root, for ``profile_terms``'s ``sqrt``."""
         r = np.sqrt(self.value)
         return Jet(r, self.grad * (0.5 / r))
+
+
+def matrix(rows):
+    """The matrix whose entry [i][j] is ``rows[i][j]``: the (r, c) array when
+    every entry is a float, the C-contiguous (m, r, c) stack when an entry is
+    an (m,) column, and the jet of that stack when an entry is a jet (of an
+    (m,) value).  A float entry is the same in every matrix of a stack, with
+    a zero gradient."""
+    entries = [e for row in rows for e in row]
+    jet = next((e for e in entries if isinstance(e, Jet)), None)
+    column = jet.value if jet is not None else next((e for e in entries if isinstance(e, np.ndarray)), 0.0)
+    value = np.zeros(np.shape(column) + (len(rows), len(rows[0])))
+    grad = None if jet is None else np.zeros(jet.grad.shape[:1] + value.shape)
+    for i, row in enumerate(rows):
+        for j, e in enumerate(row):
+            if isinstance(e, Jet):
+                value[..., i, j], grad[..., i, j] = e.value, e.grad
+            else:
+                value[..., i, j] = e
+    return value if grad is None else Jet(value, grad)
 
 
 def jet_gradient(fn: Callable[[Jet], Jet], x) -> np.ndarray:

@@ -18,17 +18,22 @@ every such comparison.
 The next bodies are partners that only tests ever called, kept here as
 independent references rather than package code: ``cross``, ``hat``,
 ``M_from_omega`` (the forward map of the ``omega_from_M`` round trip),
-``frame_form`` (the 2-form whose negative inverse is the particle's bracket
-matrix) and ``reconstruct_full`` (the attitude and contact trace that
-cross-check ``integrate``'s gamma column).
+the particle's frame form (``frame_form``, the constrained 2-form F in the
+frame e1 = d/dx + y d/dz, e2, e3, e4; ``frame_bracket``, B = -F^-1 by
+LAPACK; ``frame``, the 5x4 matrix E of the frame; ``frame_gradient``,
+E^T grad f), written from the particle's definition with no package body,
+and ``reconstruct_full`` (the attitude and contact trace that cross-check
+``integrate``'s gamma column).
 
 The last are the per-sample check records that ``nonholo.certify`` replaced
 with one array pass over all samples (``per_sample``), and the one-state
 kernels with ``@`` products they called: ``casimir_residuals``,
-``pushforward_residual``, ``reduced_bivector_tau``,
-``nonconservation_rates``, ``particle_bracket`` and
-``hamiltonian_frame_flow``.  ``test_stacked_records.py`` compares the
-stacked records with them.
+``pushforward_residual``, ``reduced_bivector_tau`` and
+``nonconservation_rates``.  The particle's records contract the frame form
+instead of the package's coordinate bivector P = E B E^T:
+``particle_bracket`` is (frame grad f) . B . (frame grad g) and
+``hamiltonian_frame_flow`` is B . frame grad(H).  ``test_stacked_records.py``
+compares the stacked records with them.
 """
 import functools
 import itertools
@@ -46,8 +51,7 @@ from nonholo import particle_rhs as package_particle_rhs, rhs as package_rhs
 from nonholo.brackets import J2_COMPONENT, TAU1, TAU4, TAUS
 from nonholo.dynamics import COLUMNS
 from nonholo.phase import relation_residual
-from nonholo.particle import (COLUMNS as PARTICLE_COLUMNS, COORDINATES, HAMILTONIAN, MOMENTUM, _bracket_matrix,
-                              _coupling, _frame_gradient)
+from nonholo.particle import COLUMNS as PARTICLE_COLUMNS, COORDINATES, HAMILTONIAN, MOMENTUM
 from nonholo.profile import check_gamma3, contact_vector
 from nonholo.smallalg import E3, dot, nan_max
 
@@ -205,9 +209,12 @@ def integrate(params, spec, state0, cfg, momenta):
         return rhs(params, spec, y)
 
     def record(k, x):
+        """Fill row k; return whether its energy is finite."""
         nonlocal off_table
         out[k, 1:7] = x
         out[k, 12] = energy(params, eval_profile(spec, x[2]), x)
+        if not np.isfinite(out[k, 12]):
+            return False
         try:
             coeffs[k] = momenta.eval(x[2])
         except DomainError as exc:
@@ -215,17 +222,18 @@ def integrate(params, spec, state0, cfg, momenta):
             if not off_table:
                 warnings.warn(f"{exc} at step {k} (t={k * cfg.dt:g}); the gauge momenta of such rows are NaN")
                 off_table = True
+        return True
 
-    record(0, x)
     rows = n_steps + 1
-    for k in range(1, n_steps + 1):
-        x = rk4_step(f, (k - 1) * cfg.dt, x, cfg.dt)
-        if not np.all(np.isfinite(x)):
+    for k in range(n_steps + 1):
+        if k:
+            x = rk4_step(f, (k - 1) * cfg.dt, x, cfg.dt)
+            if np.all(np.isfinite(x)):
+                x[:3] /= np.sqrt(dot(x[:3], x[:3]))
+        if not (np.all(np.isfinite(x)) and record(k, x)):  # the first row with a non-finite state or E
             warnings.warn(f"non-finite state at step {k}; aborting with {k} samples")
             rows = k
             break
-        x[:3] /= np.sqrt(dot(x[:3], x[:3]))
-        record(k, x)
 
     out, cf = out[:rows], coeffs[:rows]
     out[:, 0] = np.arange(rows) * cfg.dt
@@ -290,8 +298,10 @@ def M_from_omega(params, ev, gamma, omega):
 
 
 def frame_form(v):
-    """The 4x4 constrained 2-form of the particle in the frame (e1, e2, e3, e4)."""
-    w = _coupling(np.asarray(v, dtype=float))
+    """The 4x4 constrained 2-form F of the particle in the frame (e1, e2, e3, e4),
+    w = y px / (1 + y^2) its curvature coupling."""
+    _, y, _, px, _ = np.asarray(v, dtype=float)
+    w = y * px / (1.0 + y * y)
     return np.array(
         [
             [0.0, -w, 1.0, 0.0],
@@ -300,6 +310,24 @@ def frame_form(v):
             [0.0, -1.0, 0.0, 0.0],
         ]
     )
+
+
+def frame_bracket(v):
+    """B = -F^-1, the particle's bracket matrix in the frame."""
+    return -np.linalg.inv(frame_form(v))
+
+
+def frame(v):
+    """The 5x4 matrix E whose columns are the frame e1 = d/dx + y d/dz, e2 = d/dy,
+    e3 = d/dpx, e4 = d/dpy at the packed state v."""
+    e = np.zeros((5, 4))
+    e[0, 0], e[2, 0], e[1, 1], e[3, 2], e[4, 3] = 1.0, v[1], 1.0, 1.0, 1.0
+    return e
+
+
+def frame_gradient(f, v):
+    """The frame components (e1 f, e2 f, e3 f, e4 f) = E^T grad(f) at v."""
+    return frame(v).T @ f.grad(v)
 
 
 def _reorthonormalize(g):
@@ -426,12 +454,12 @@ def nonconservation_rates(params, spec, x):
 
 def particle_bracket(f, g, v):
     v = np.asarray(v, dtype=float)
-    return float(_frame_gradient(f, v) @ _bracket_matrix(v) @ _frame_gradient(g, v))
+    return float(frame_gradient(f, v) @ frame_bracket(v) @ frame_gradient(g, v))
 
 
 def hamiltonian_frame_flow(v):
     v = np.asarray(v, dtype=float)
-    return _bracket_matrix(v) @ _frame_gradient(HAMILTONIAN, v)
+    return frame_bracket(v) @ frame_gradient(HAMILTONIAN, v)
 
 
 class Sample:

@@ -19,12 +19,13 @@ from nonholo import (
     reduced_bivector_tau,
     solution_for,
 )
-from nonholo.brackets import J2_COMPONENT, TAUS, ScalarField, s1_generator
+from nonholo.brackets import J1_COMPONENT, J2_COMPONENT, TAUS, ScalarField, s1_generator
 from nonholo.errors import ConsistencyError, DomainError
-from nonholo.phase import energy, relation_residual
+from nonholo.phase import energy, momentum_components, relation_residual
 from nonholo.smallalg import grad_fd
 
 from conftest import make_states
+from oracles import same_bits
 
 TAU1 = lambda x: x[2]  # noqa: E731
 TAU2 = lambda x: x[0] * x[4] - x[1] * x[3]  # noqa: E731
@@ -195,3 +196,13 @@ def test_casimir_residuals(routh_preset, ellipsoid_preset, ellipsoid_momenta):
         res = casimir_residuals(params, spec, state, ellipsoid_momenta)
         assert max(res.max_j1, res.max_j2, res.involution) <= 1e-8
         assert max(res.vertical1, res.vertical2) <= 1e-8
+
+
+def test_invariant_and_momentum_fields_are_the_phase_kernels():
+    # tau5 = M1*M1 + M2*M2 as phase.invariants squares, not pow: the two
+    # differ in the last bit for about 0.1% of uniform states.
+    xs = np.random.default_rng(23).uniform(-3.0, 3.0, (20_000, 6))
+    for k, tau in enumerate(TAUS):
+        assert same_bits(tau.fn(xs), invariants(xs)[:, k]), tau.name
+    for k, j in enumerate((J1_COMPONENT, J2_COMPONENT)):
+        assert same_bits(j.fn(xs), momentum_components(xs)[:, k]), j.name

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nonholo
-from nonholo import certify
+from nonholo import certify, dynamics, particle, rk4_step
 from nonholo.cli import (
     MAX_SAMPLES,
     SYSTEMS,
@@ -512,6 +512,45 @@ def test_particle_overflow_exits_2_without_a_csv(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: arithmetic overflow: non-finite state at step 0 of 10")
     assert not (tmp_path / "t.csv").exists()
+
+
+def counted_steps(monkeypatch, module):
+    """The times of the RK4 steps that ``module``'s integrator takes, from now on."""
+    steps = []
+
+    def step(f, t, *args):
+        steps.append(t)
+        return rk4_step(f, t, *args)
+
+    monkeypatch.setattr(module, "rk4_step", step)
+    return steps
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_energy_that_overflows_at_a_finite_state_exits_2(tmp_path, capsys, monkeypatch):
+    # Spinning upright, the state is an equilibrium and stays finite, but
+    # E = M3^2 / (2 A3) overflows at the first row: no step is taken.
+    steps = counted_steps(monkeypatch, dynamics)
+    spin = dict(ROUTH_RAW, initial={"gamma": [0.0, 0.0, 1.0], "M": [0.0, 0.0, 1e160]})
+    spin["integrator"] = {"dt": 1e-3, "t_final": 0.01}
+    with pytest.warns(UserWarning, match="non-finite state at step 0"):
+        assert main(["simulate", "--config", write_config(tmp_path, spin), "--out", str(tmp_path / "t.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: arithmetic overflow: non-finite state at step 0")
+    assert not (tmp_path / "t.csv").exists() and not steps
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_particle_overflow_stops_stepping(tmp_path, capsys, monkeypatch):
+    # H overflows at the first row; the run stops there instead of stepping
+    # to t_final first (steps are counted, not timed).
+    steps = counted_steps(monkeypatch, particle)
+    huge = dict(PARTICLE_RAW, initial={"position": [0.0, 0.0, 0.0], "momentum": [1e200, 1.0]})
+    huge["integrator"] = {"dt": 1e-3, "t_final": 10.0}
+    with pytest.warns(UserWarning, match="non-finite state at step 0"):
+        assert main(["simulate", "--config", write_config(tmp_path, huge), "--out", str(tmp_path / "t.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: arithmetic overflow: non-finite state at step 0 of 10000")
+    assert len(steps) <= 1 and not (tmp_path / "t.csv").exists()
 
 
 # Bodies whose arithmetic leaves floating-point range: A overflows A1*A3, so

@@ -14,9 +14,9 @@ from nonholo import (
     particle_rhs,
 )
 from nonholo.brackets import ScalarField
-from nonholo.particle import COLUMNS, _bracket_matrix, _frame_gradient, hamiltonian_frame_flow
-from nonholo.smallalg import grad_fd
-from oracles import frame_form
+from nonholo.particle import COLUMNS, HAMILTONIAN, particle_bivector
+from nonholo.smallalg import Jet, grad_fd
+from oracles import frame, frame_bracket, same_bits
 
 coords = st.floats(-2.0, 2.0, allow_nan=False)
 
@@ -61,34 +61,37 @@ def test_columns_equal_the_scalar_kernels():
 @given(coords, coords, coords, coords, coords)
 def test_frame_flow_reproduces_rhs(x, y, z, px, py):
     s = np.array([x, y, z, px, py])
-    c = hamiltonian_frame_flow(s)
-    coord_rate = np.array([c[0], c[1], y * c[0], c[2], c[3]])
-    assert np.max(np.abs(coord_rate - particle_rhs(s))) <= 1e-9
+    flow = particle_bivector(s) @ HAMILTONIAN.grad(s)
+    assert np.max(np.abs(flow - particle_rhs(s))) <= 1e-9
 
 
 @settings(max_examples=50)
 @given(coords, coords, coords, coords, coords)
 def test_bracket_is_minus_the_inverse_frame_form(x, y, z, px, py):
+    # P at a point, in a stack of one and as a jet's value part is E (-F^-1) E^T.
     v = np.array([x, y, z, px, py])
-    assert np.max(np.abs(_bracket_matrix(v) @ frame_form(v) + np.eye(4))) <= 1e-15
+    p = particle_bivector(v)
+    assert same_bits(p, particle_bivector(v[None])[0])
+    assert same_bits(p, particle_bivector(Jet.seed(v[None])).value[0])
+    e = frame(v)
+    assert np.max(np.abs(p - e @ frame_bracket(v) @ e.T)) <= 1e-15
 
 
 def test_uncoupled_flow_is_wrong():
     # Diagnostic: dropping the curvature entry w loses the px force, so the
     # flow no longer matches the constrained dynamics and J drifts.
     s = np.array([0.0, 1.0, 0.0, 1.0, 1.0])
-    uncoupled = _bracket_matrix(s)
-    uncoupled[2, 3] = uncoupled[3, 2] = 0.0
-    c = uncoupled @ _frame_gradient(fd(particle_hamiltonian), s)
-    coord_rate = np.array([c[0], c[1], 1.0 * c[0], c[2], c[3]])
+    uncoupled = particle_bivector(s)
+    uncoupled[3, 4] = uncoupled[4, 3] = 0.0
+    coord_rate = uncoupled @ fd(particle_hamiltonian).grad(s)
     assert abs(coord_rate[3] - particle_rhs(s)[3]) > 0.1
 
 
 def nested_fd_jacobiator(v, fields):
-    """The cyclic sum as frame central differences (outer step 1e-4) of
-    particle brackets: the Jacobiator before the Jacobi trivector, kept as an
+    """The cyclic sum as central differences (outer step 1e-4) of particle
+    brackets: the Jacobiator before the Jacobi trivector, kept as an
     independent oracle."""
-    bm = _bracket_matrix(v)
+    p = particle_bivector(v)
     total = 0.0
     for i in range(3):
         a, b, c = fields[i], fields[(i + 1) % 3], fields[(i + 2) % 3]
@@ -96,8 +99,7 @@ def nested_fd_jacobiator(v, fields):
         def inner(u, b=b, c=c):
             return particle_bracket(b, c, u)
 
-        g = grad_fd(inner, v, 1e-4)
-        total += float(_frame_gradient(a, v) @ bm @ np.array([g[0] + v[1] * g[2], g[1], g[3], g[4]]))
+        total += float(a.grad(v) @ p @ grad_fd(inner, v, 1e-4))
     return total
 
 

@@ -153,3 +153,16 @@ def test_no_package_code_differentiates_numerically():
     assert not any(hasattr(m, name) for m in modules for name in ("TRIVECTOR_STEP", "GRAD_STEP"))
     grad = inspect.signature(nonholo.ScalarField).parameters["grad"]
     assert grad.default is inspect.Parameter.empty
+
+
+def test_every_bracket_matrix_has_one_assembly():
+    # smallalg.matrix builds every bracket matrix (a point, a stack, a jet);
+    # the per-state matrix loop and the particle's frame-form bodies are gone.
+    import pkgutil
+
+    from nonholo import smallalg
+
+    modules = [importlib.import_module(f"nonholo.{m.name}") for m in pkgutil.iter_modules(nonholo.__path__)]
+    gone = ("_gauged_matrices", "_bracket_matrix", "_frame_gradient", "hamiltonian_frame_flow")
+    assert not [(m.__name__, name) for m in modules for name in gone if hasattr(m, name)]
+    assert not hasattr(smallalg.Jet, "matrix")

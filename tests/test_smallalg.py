@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonholo import rk4_step
-from nonholo.smallalg import Jet, _rk4_step5, _rk4_step6, _rk4_step_n, dot, grad_fd, jacobi_trivector, nan_max
+from nonholo.smallalg import (Jet, _rk4_step5, _rk4_step6, _rk4_step_n, dot, grad_fd, jacobi_trivector, matrix,
+                              nan_max)
 from oracles import cross, float_kinds, same_bits
 
 finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -88,7 +89,7 @@ def test_jacobi_trivector_of_the_lie_poisson_bracket_vanishes():
     # pi(x) = hat(x) on so(3)* is Poisson ({x_a, x_b} = -eps_abk x_k).
     def hats(x):
         x1, x2, x3 = x[:, 0], x[:, 1], x[:, 2]
-        return Jet.matrix([[0.0, -x3, x2], [x3, 0.0, -x1], [-x2, x1, 0.0]])
+        return matrix([[0.0, -x3, x2], [x3, 0.0, -x1], [-x2, x1, 0.0]])
 
     rng = np.random.default_rng(5)
     for scale in (1.0, 3.0, 10.0):
@@ -101,12 +102,34 @@ def test_jacobi_trivector_of_a_non_poisson_bivector():
     # {x1, x2} = 1, {x2, x3} = x2, {x1, x3} = 0: the cyclic sum on (x1, x2, x3)
     # is {x1, {x2, x3}} = {x1, x2} = 1, and T is totally antisymmetric.
     def pi(x):
-        return Jet.matrix([[0.0, 1.0, 0.0], [-1.0, 0.0, x[:, 1]], [0.0, -x[:, 1], 0.0]])
+        return matrix([[0.0, 1.0, 0.0], [-1.0, 0.0, x[:, 1]], [0.0, -x[:, 1], 0.0]])
 
     t = jacobi_trivector(pi(Jet.seed([[0.3, -2.0, 5.0]])))[0]
     assert abs(t[0, 1, 2] - 1.0) <= 1e-12
     assert np.max(np.abs(t + t.transpose(1, 0, 2))) <= 1e-15
     assert np.max(np.abs(t - t.transpose(1, 2, 0))) <= 1e-15
+
+
+def hat_rows(x1, x2, x3):
+    """The entries of hat(x) with a constant 2.0 on the diagonal."""
+    return [[2.0, -x3, x2], [x3, 2.0, -x1], [-x2, x1, 2.0]]
+
+
+def test_matrix_of_a_point_a_stack_and_a_jet():
+    xs = np.random.default_rng(3).uniform(-2.0, 2.0, (7, 3))
+    one = matrix(hat_rows(*xs[0].tolist()))
+    assert type(one) is np.ndarray and one.shape == (3, 3)
+    assert same_bits(one, np.array(hat_rows(*xs[0].tolist())))
+    stack = matrix(hat_rows(*xs.T))
+    assert stack.shape == (7, 3, 3) and stack.flags.c_contiguous
+    for x, m in zip(xs, stack):
+        assert same_bits(m, matrix(hat_rows(*x.tolist())))
+    x = Jet.seed(xs)
+    jet = matrix(hat_rows(x[:, 0], x[:, 1], x[:, 2]))
+    assert same_bits(jet.value, stack) and jet.value.flags.c_contiguous
+    assert jet.grad.shape == (3, 7, 3, 3) and jet.grad.flags.c_contiguous
+    assert not jet.grad[:, :, [0, 1, 2], [0, 1, 2]].any()  # the constant diagonal
+    assert same_bits(jet.grad[2, :, 0, 1], np.full(7, -1.0)) and not jet.grad[:2, :, 0, 1].any()  # d(-x3)
 
 
 def test_nan_max_propagates_nan_in_any_position():

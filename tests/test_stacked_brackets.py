@@ -1,7 +1,7 @@
 """Stacked bracket matrices and Jacobi trivectors from one jet pass, bit for bit.
 
-``bivector_packed`` on the jet of an (m, 6) stack must give, in its value
-part and matrix by matrix, the bits of its one-state calls, and those must
+``bivector_packed`` on an (m, 6) stack, and on its jet in the value part,
+must give matrix by matrix the bits of its one-state calls, and those must
 be the bits of the per-state numpy body it replaced
 (``oracles.bivector_packed``).  The trivectors of a stack must be, row by
 row, the bits of the trivector of one point, and must match the 5-point
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import oracles
 from nonholo import (BodyParams, BracketKind, DomainError, ProfileSpec, bivector_packed, certify, eval_profile,
                      particle_jacobiator_reduced, particle_jacobiator_unreduced, qpl_values)
-from nonholo.particle import _coordinate_bivector, particle_trivector
+from nonholo.particle import particle_bivector, particle_trivector
 from nonholo.smallalg import Jet, jacobi_trivector
 from oracles import same_bits
 
@@ -61,6 +61,8 @@ def packed_states(draw):
 def assert_stack_is_each_state(params, spec, xs, kind):
     stack = bivector_packed(params, spec, Jet.seed(xs), kind).value
     assert stack.shape == (len(xs), 6, 6) and stack.flags.c_contiguous
+    arrays = bivector_packed(params, spec, xs, kind)  # the stack without its derivative
+    assert arrays.flags.c_contiguous and same_bits(arrays, stack)
     for x, pi in zip(xs, stack):
         one = bivector_packed(params, spec, x, kind)
         assert one.shape == (6, 6)
@@ -113,11 +115,6 @@ def solid_trivectors(params, spec, xs, kind):
     return jacobi_trivector(bivector_packed(params, spec, Jet.seed(xs), kind))
 
 
-def particle_pi(v):
-    """The coordinate bivector at one point, for the stencil oracle."""
-    return _coordinate_bivector(Jet.seed(v[None])).value[0]
-
-
 def assert_near_the_stencil(t, stencil, floor):
     assert np.max(np.abs(t - stencil)) <= floor * max(1.0, float(np.max(np.abs(t))))
 
@@ -141,7 +138,7 @@ def test_particle_trivector_is_the_per_point_body():
     stack = particle_trivector(np.array(points))
     for v, t in zip(points, stack):
         assert same_bits(t, particle_trivector(v))
-        assert_near_the_stencil(t, oracles.jacobi_trivector(particle_pi, v), 1e-9)
+        assert_near_the_stencil(t, oracles.jacobi_trivector(particle_bivector, v), 1e-9)
 
 
 def test_the_trivector_at_a_pole_needs_no_stencil():

@@ -21,7 +21,7 @@ import oracles
 from nonholo import (BodyParams, ProfileSpec, casimir_residuals, certify, nonconservation_rates, particle_bracket,
                      pushforward_residual, reduced_bivector_tau, solution_for)
 from nonholo.cli import grid_half, parse_config, sample_particle, sample_state
-from nonholo.particle import COORDINATES, MOMENTUM, hamiltonian_frame_flow
+from nonholo.particle import COORDINATES, MOMENTUM, particle_bivector
 from nonholo.phase import invariants
 from oracles import same_bits
 from test_cli import ELLIPSOID_RAW, PARTICLE_RAW, ROUTH_RAW
@@ -125,7 +125,7 @@ def test_one_state_is_a_stack_of_one(body):
 
 def test_one_particle_point_is_a_stack_of_one():
     for v in np.random.default_rng(5).uniform(-2.0, 2.0, (20, 5)):
-        assert same_bits(hamiltonian_frame_flow(v), hamiltonian_frame_flow(v[None])[0])
+        assert same_bits(particle_bivector(v), particle_bivector(v[None])[0])
         for f in COORDINATES:
             one = particle_bracket(MOMENTUM, f, v)
             assert isinstance(one, float)
