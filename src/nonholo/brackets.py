@@ -88,6 +88,16 @@ J2_COMPONENT = _state_field("j2", lambda c: c[0] * c[3] + c[1] * c[4] + c[2] * c
                             lambda c: (c[3], c[4], c[5], c[0], c[1], c[2]))
 
 
+def _gauge_gradient(index: int, x: np.ndarray, v: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """The gradient of gauge momentum ``index`` (0 or 1) at a state or stack
+    ``x``, from the coefficient rows ``v`` and slopes ``dv`` at its tau1."""
+    i, j = 2 * index, 2 * index + 1
+    out = v[..., j, None] * J2_COMPONENT.grad(x)
+    out[..., 5] -= v[..., i]  # + f * grad(j1)
+    out[..., 2] += dv[..., i] * J1_COMPONENT.fn(x) + dv[..., j] * J2_COMPONENT.fn(x)
+    return out
+
+
 def energy_at(params: BodyParams, spec: ProfileSpec, x):
     """``energy_floats`` at ``omega_floats``: ``phase.energy``'s bits at a point, a jet at a jet."""
     cols, (rho, _, L, *_) = state_terms(spec, x)
@@ -267,8 +277,6 @@ def casimir_residuals(params: BodyParams, spec: ProfileSpec, x, momenta, pi=None
     structure, not interpolation error.  A state off ``momenta`` gets NaN
     residuals.
     """
-    from .momenta import _gauge_gradient
-
     x = np.asarray(x, dtype=float)
     xs = x.reshape(-1, 6)
     pi = bivector_packed(params, spec, xs, BracketKind.GAUGED) if pi is None else pi

@@ -33,7 +33,7 @@ from .brackets import (BracketKind, J2_COMPONENT, TAU1, TAU4, bivector_packed, c
                        pushforward_residual, tau_gradients)
 from .dynamics import IntegratorConfig, drift, nonconservation_rates, rhs
 from .geomforms import gauge_columns, qp_grid
-from .momenta import ode_residual, routh_closed_form, routh_closed_form_derivative, solution_for, solve_momenta
+from .momenta import ode_residual, routh_closed_form, routh_closed_form_derivative
 from .particle import (COLUMNS as PARTICLE_COLUMNS, COORDINATES, HAMILTONIAN, MOMENTUM, particle_bivector,
                        particle_bracket, particle_integrate, particle_rhs, particle_trivector)
 from .phase import invariants, relation_residual
@@ -141,15 +141,6 @@ class Solid:
         if self.spec.kind == "routh":
             return SOLID + ROUTH
         return SOLID + BALANCED if self.spec.p1 == self.spec.p2 else SOLID
-
-
-def solid_subject(params, spec, states, delta: float, h: float) -> Solid:
-    """The Solid ``nonholo check`` certifies: the momenta ``solution_for`` the
-    (delta, h) grid, and for Routh bodies a numeric solve on the same grid for
-    the span."""
-    momenta = solution_for(params, spec, delta, h)
-    numeric = solve_momenta(params, spec, delta, h) if spec.kind == "routh" else momenta
-    return Solid(params, spec, states, momenta, numeric)
 
 
 class Particle:

@@ -5,6 +5,11 @@ deterministic for a fixed seed: per-sample random generators are seeded by
 (seed, sample index), CSV floats carry 17 significant digits, and report
 checks are sorted by name, so identical inputs give byte-identical outputs.
 
+``parse_config`` and its inverse ``serialize_config`` read one table of the
+config format, ``_FORMATS`` (each system's ``params`` keys and ``initial``
+vectors, which ``RunConfig.state0`` packs as one start), with ``_DEFAULTS``.
+The grid keys ``delta`` and ``h`` are checked by ``momenta.grid_half`` alone.
+
 Exit codes: 0 success, 1 check failure, 2 usage or I/O error (a closed
 standard output included) or a result that is not finite (no report or CSV
 is written then, and a file already at ``--out`` is left as it was).  The
@@ -15,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -33,7 +39,21 @@ from .particle import COLUMNS as PARTICLE_COLUMNS, particle_integrate
 from .phase import BodyParams, StateGM
 from .profile import ProfileSpec
 
-SYSTEMS = ("routh", "ellipsoid", "particle")
+#: The ``params`` keys of a solid that ``BodyParams`` takes, in its argument order
+_BODY = ("m", "I1", "I3", "grav")
+#: The ``integrator`` keys, the ``IntegratorConfig`` arguments
+_INTEGRATOR = ("dt", "t_final")
+#: Each system's ``ProfileSpec`` preset (None: no body and no ``params``
+#: keys) and its argument names, the ``params`` keys after _BODY; then the
+#: ``initial`` vectors and their lengths, in the order ``state0`` packs them
+_FORMATS = {
+    "routh": (ProfileSpec.routh, ("r", "l"), (("gamma", 3), ("M", 3))),
+    "ellipsoid": (ProfileSpec.ellipsoid, ("b", "c"), (("gamma", 3), ("M", 3))),
+    "particle": (None, (), (("position", 3), ("momentum", 2))),
+}
+SYSTEMS = tuple(_FORMATS)
+#: The defaults of the optional numbers; a number not named here is required
+_DEFAULTS = {"grav": 0.0, "dt": 1e-3, "t_final": 10.0, "seed": 0, "samples": 100, "delta": 1e-3, "h": 1e-4}
 #: Largest ``samples`` of a config (100 times the default)
 MAX_SAMPLES = 10_000
 
@@ -43,9 +63,7 @@ class RunConfig:
     system: str
     body: BodyParams | None
     profile: ProfileSpec | None
-    gamma0: tuple[float, float, float] | None
-    M0: tuple[float, float, float] | None
-    particle0: tuple[float, float, float, float, float] | None
+    state0: tuple[float, ...]  # the packed start: (gamma, M), or a particle's (position, momentum)
     integrator: IntegratorConfig
     seed: int
     samples: int
@@ -78,183 +96,133 @@ class Report:
 # ---------------------------------------------------------------------------
 # config parsing
 
-def _err(msg: str, pointer: str) -> ConfigError:
-    return ConfigError(msg, pointer)
-
-
-def _check_keys(obj: dict, allowed: set[str], pointer: str) -> None:
+def _check_keys(obj: dict, allowed, pointer: str) -> None:
     for k in obj:
         if k not in allowed:
-            raise _err(f"unknown key {k!r}", f"{pointer}/{k}")
+            raise ConfigError(f"unknown key {k!r}", f"{pointer}/{k}")
 
 
-def _number(obj: dict, key: str, pointer: str, default=None) -> float:
-    if key not in obj:
-        if default is None:
-            raise _err(f"missing required key {key!r}", f"{pointer}/{key}")
-        return default
-    v = obj[key]
+def _object(raw: dict, key: str, allowed, required: bool = True) -> dict:
+    """The object at ``raw[key]`` ({} if absent and not ``required``), with keys among ``allowed``."""
+    if key not in raw and required:
+        raise ConfigError(f"missing required key {key!r}", f"/{key}")
+    obj = raw.get(key, {})
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{key!r} must be an object", f"/{key}")
+    _check_keys(obj, allowed, f"/{key}")
+    return obj
+
+
+def _float(v) -> float | None:
+    """``v`` as a float if it is a JSON number within the float range, else None."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise _err(f"{key!r} must be a number", f"{pointer}/{key}")
-    try:
+        return None
+    with contextlib.suppress(OverflowError):  # an integer literal beyond the float range
         return float(v)
-    except OverflowError as exc:  # an integer literal beyond the float range
-        raise _err(f"{key!r} is too large for a float", f"{pointer}/{key}") from exc
+    return None
 
 
-def _integer(obj: dict, key: str, pointer: str, default: int) -> int:
+def _number(obj: dict, key: str, pointer: str) -> float:
     if key not in obj:
-        return default
-    v = obj[key]
+        if key not in _DEFAULTS:
+            raise ConfigError(f"missing required key {key!r}", f"{pointer}/{key}")
+        return _DEFAULTS[key]
+    x = _float(obj[key])
+    if x is None:
+        raise ConfigError(f"{key!r} must be a number within the float range", f"{pointer}/{key}")
+    return x
+
+
+def _integer(obj: dict, key: str) -> int:
+    v = obj.get(key, _DEFAULTS[key])
     if isinstance(v, bool) or not isinstance(v, int):
-        raise _err(f"{key!r} must be an integer", f"{pointer}/{key}")
+        raise ConfigError(f"{key!r} must be an integer", f"/{key}")
     if v < 0:
-        raise _err(f"{key!r} must be non-negative", f"{pointer}/{key}")
+        raise ConfigError(f"{key!r} must be non-negative", f"/{key}")
     return v
 
 
 def _vector(obj: dict, key: str, n: int, pointer: str) -> tuple:
     if key not in obj:
-        raise _err(f"missing required key {key!r}", f"{pointer}/{key}")
+        raise ConfigError(f"missing required key {key!r}", f"{pointer}/{key}")
     v = obj[key]
-    if (
-        not isinstance(v, list)
-        or len(v) != n
-        or any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in v)
-        or not all(_finite(c) for c in v)
-    ):
-        raise _err(f"{key!r} must be a list of {n} finite numbers", f"{pointer}/{key}")
-    return tuple(float(c) for c in v)
+    x = tuple(map(_float, v)) if isinstance(v, list) and len(v) == n else (None,)
+    if not all(c is not None and math.isfinite(c) for c in x):
+        raise ConfigError(f"{key!r} must be a list of {n} finite numbers", f"{pointer}/{key}")
+    return x
 
 
-def _finite(c) -> bool:
-    """math.isfinite, False for an integer literal beyond the float range."""
+def _build(make, obj: dict, keys, pointer: str):
+    """``make`` of the numbers at ``keys`` of ``obj`` (see ``_checked``)."""
+    return _checked(make, pointer, *(_number(obj, k, pointer) for k in keys))
+
+
+def _checked(make, pointer: str, *args):
+    """``make(*args)``, its ValueError raised as a ConfigError at ``pointer``,
+    or at the key below ``pointer`` that the error names as its second argument."""
     try:
-        return math.isfinite(c)
-    except OverflowError:
-        return False
+        return make(*args)
+    except ValueError as exc:
+        raise ConfigError(exc.args[0], f"{pointer}/{exc.args[1]}" if len(exc.args) > 1 else pointer) from exc
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a strict-JSON run configuration.
 
     Unknown keys, wrong types, and violated invariants raise ConfigError
-    carrying a JSON pointer to the offending element.
+    carrying a JSON pointer to the offending element.  The keys are read in
+    the order system, params, initial, integrator, seed, samples, delta, h,
+    and the first fault is the one reported.
     """
     try:
         raw = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
-        raise _err(f"invalid JSON: {exc}", "") from exc
+        raise ConfigError(f"invalid JSON: {exc}", "") from exc
     if not isinstance(raw, dict):
-        raise _err("top level must be an object", "")
-    _check_keys(
-        raw, {"system", "params", "initial", "integrator", "seed", "samples", "delta", "h"}, ""
-    )
+        raise ConfigError("top level must be an object", "")
+    _check_keys(raw, ("system", "params", "initial", "integrator", "seed", "samples", "delta", "h"), "")
     if "system" not in raw:
-        raise _err("missing required key 'system'", "/system")
+        raise ConfigError("missing required key 'system'", "/system")
     system = raw["system"]
     if system not in SYSTEMS:
-        raise _err(f"system must be one of {SYSTEMS}", "/system")
+        raise ConfigError(f"system must be one of {SYSTEMS}", "/system")
+    preset, shape, start = _FORMATS[system]
 
     body = profile = None
-    gamma0 = M0 = particle0 = None
-    if system == "particle":
-        params = raw.get("params", {})
-        if not isinstance(params, dict):
-            raise _err("'params' must be an object", "/params")
-        _check_keys(params, set(), "/params")
-        initial = raw.get("initial")
-        if not isinstance(initial, dict):
-            raise _err("missing or invalid 'initial'", "/initial")
-        _check_keys(initial, {"position", "momentum"}, "/initial")
-        pos = _vector(initial, "position", 3, "/initial")
-        mom = _vector(initial, "momentum", 2, "/initial")
-        particle0 = pos + mom
-    else:
-        params = raw.get("params")
-        if not isinstance(params, dict):
-            raise _err("missing or invalid 'params'", "/params")
-        shape_keys = {"r", "l"} if system == "routh" else {"b", "c"}
-        _check_keys(params, {"m", "I1", "I3", "grav"} | shape_keys, "/params")
-        m = _number(params, "m", "/params")
-        i1 = _number(params, "I1", "/params")
-        i3 = _number(params, "I3", "/params")
-        grav = _number(params, "grav", "/params", default=0.0)
-        try:
-            body = BodyParams(m, i1, i3, grav)
-        except ValueError as exc:
-            raise _err(str(exc), "/params") from exc
-        try:
-            if system == "routh":
-                profile = ProfileSpec.routh(_number(params, "r", "/params"), _number(params, "l", "/params"))
-            else:
-                profile = ProfileSpec.ellipsoid(_number(params, "b", "/params"), _number(params, "c", "/params"))
-        except ValueError as exc:
-            raise _err(str(exc), "/params") from exc
-        initial = raw.get("initial")
-        if not isinstance(initial, dict):
-            raise _err("missing or invalid 'initial'", "/initial")
-        _check_keys(initial, {"gamma", "M"}, "/initial")
-        gamma0 = _vector(initial, "gamma", 3, "/initial")
-        M0 = _vector(initial, "M", 3, "/initial")
-        try:
-            StateGM(np.array(gamma0), np.array(M0))
-        except ValueError as exc:
-            raise _err(str(exc), "/initial/gamma") from exc
+    params = _object(raw, "params", _BODY + shape if preset else (), required=bool(preset))
+    if preset:
+        body = _build(BodyParams, params, _BODY, "/params")
+        profile = _build(preset, params, shape, "/params")
+    initial = _object(raw, "initial", [key for key, _ in start])
+    state0 = sum((_vector(initial, key, n, "/initial") for key, n in start), ())
+    if preset:
+        _checked(StateGM.from_packed, "/initial/gamma", state0)
 
-    integ = raw.get("integrator", {})
-    if not isinstance(integ, dict):
-        raise _err("'integrator' must be an object", "/integrator")
-    _check_keys(integ, {"dt", "t_final"}, "/integrator")
-    dt = _number(integ, "dt", "/integrator", default=1e-3)
-    t_final = _number(integ, "t_final", "/integrator", default=10.0)
-    try:
-        integrator = IntegratorConfig(dt, t_final)
-    except ValueError as exc:
-        raise _err(str(exc), "/integrator") from exc
-
-    seed = _integer(raw, "seed", "", 0)
-    samples = _integer(raw, "samples", "", 100)
+    integ = _object(raw, "integrator", _INTEGRATOR, required=False)
+    integrator = _build(IntegratorConfig, integ, _INTEGRATOR, "/integrator")
+    seed, samples = _integer(raw, "seed"), _integer(raw, "samples")
     if not 1 <= samples <= MAX_SAMPLES:  # no samples would certify nothing and pass
-        raise _err(f"'samples' must lie in [1, {MAX_SAMPLES}]", "/samples")
-    delta = _number(raw, "delta", "", default=1e-3)
-    h = _number(raw, "h", "", default=1e-4)
-    if not 1e-6 <= delta <= 0.1:
-        raise _err("'delta' must lie in [1e-6, 0.1]", "/delta")
-    if not 0 < h <= 1e-3:
-        raise _err("'h' must lie in (0, 1e-3]", "/h")
-    try:
-        grid_half(delta, h)
-    except ValueError as exc:
-        raise _err(str(exc), "/h") from exc
-    return RunConfig(system, body, profile, gamma0, M0, particle0, integrator, seed, samples, delta, h)
+        raise ConfigError(f"'samples' must lie in [1, {MAX_SAMPLES}]", "/samples")
+    delta, h = _number(raw, "delta", ""), _number(raw, "h", "")
+    _checked(grid_half, "", delta, h)
+    return RunConfig(system, body, profile, state0, integrator, seed, samples, delta, h)
 
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical JSON for a RunConfig; parse_config(serialize_config(c)) == c."""
-    out: dict = {"system": cfg.system}
-    if cfg.system == "particle":
-        out["params"] = {}
-        out["initial"] = {
-            "position": list(cfg.particle0[:3]),
-            "momentum": list(cfg.particle0[3:]),
-        }
-    else:
-        p = {"m": cfg.body.m, "I1": cfg.body.I1, "I3": cfg.body.I3, "grav": cfg.body.grav}
-        if cfg.system == "routh":
-            p["r"], p["l"] = cfg.profile.p1, cfg.profile.p2
-        else:
-            p["b"], p["c"] = cfg.profile.p1, cfg.profile.p2
-        out["params"] = p
-        out["initial"] = {"gamma": list(cfg.gamma0), "M": list(cfg.M0)}
-    out["integrator"] = {
-        "dt": cfg.integrator.dt,
-        "t_final": cfg.integrator.t_final,
+    preset, shape, start = _FORMATS[cfg.system]
+    numbers = (*dataclasses.astuple(cfg.body), cfg.profile.p1, cfg.profile.p2) if preset else ()
+    state0 = iter(cfg.state0)
+    out = {
+        "system": cfg.system,
+        "params": dict(zip(_BODY + shape, numbers)),
+        "initial": {key: list(itertools.islice(state0, n)) for key, n in start},
+        "integrator": dataclasses.asdict(cfg.integrator),
+        "seed": cfg.seed,
+        "samples": cfg.samples,
+        "delta": cfg.delta,
+        "h": cfg.h,
     }
-    out["seed"] = cfg.seed
-    out["samples"] = cfg.samples
-    out["delta"] = cfg.delta
-    out["h"] = cfg.h
     return json.dumps(out, indent=2, sort_keys=True)
 
 
@@ -339,17 +307,16 @@ def _array_rows(*columns: np.ndarray):
 def cmd_simulate(cfg: RunConfig, out_path: str) -> int:
     """Run the configured trajectory, print a drift summary, write the CSV.
 
-    A run aborted by a non-finite state exits 2 and writes no CSV.
+    A run aborted by a non-finite state or energy exits 2 and writes no CSV.
     """
     if cfg.system == "particle":
-        columns, traj = PARTICLE_COLUMNS, particle_integrate(np.array(cfg.particle0), cfg.integrator)
+        columns, traj = PARTICLE_COLUMNS, particle_integrate(cfg.state0, cfg.integrator)
     else:
         momenta = solution_for(cfg.body, cfg.profile, cfg.delta, cfg.h)
-        state0 = np.array(cfg.gamma0 + cfg.M0)  # integrate validates it
-        columns, traj = COLUMNS, integrate(cfg.body, cfg.profile, state0, cfg.integrator, momenta)
+        columns, traj = COLUMNS, integrate(cfg.body, cfg.profile, cfg.state0, cfg.integrator, momenta)
     if len(traj) < cfg.integrator.steps + 1:
         at = f"step {len(traj)} of {cfg.integrator.steps}"
-        print(f"error: arithmetic overflow: non-finite state at {at}; no CSV written", file=sys.stderr)
+        print(f"error: arithmetic overflow: non-finite state or energy at {at}; no CSV written", file=sys.stderr)
         return 2
     if cfg.system == "particle":
         summary = {"dE": drift(traj[:, -1]), "dJ": drift(traj[:, -2])}  # columns ..., J, E
@@ -358,19 +325,27 @@ def cmd_simulate(cfg: RunConfig, out_path: str) -> int:
     return _publish(out_path, columns, _array_rows(traj), summary)
 
 
+def check_subject(cfg: RunConfig) -> certify.Solid | certify.Particle:
+    """The subject ``check`` certifies: ``cfg.samples`` seeded samples of the
+    configured system.  A solid's states lie inside its momenta table, the
+    solution a run reads; a Routh body also gets a numeric solve for the span."""
+    if cfg.system == "particle":
+        return certify.Particle([sample_particle(cfg.seed, k) for k in range(cfg.samples)])
+    cap = min(0.95, grid_half(cfg.delta, cfg.h) * cfg.h)  # where the solved momenta table ends
+    states = [sample_state(cfg.seed, k, cap) for k in range(cfg.samples)]
+    momenta = solution_for(cfg.body, cfg.profile, cfg.delta, cfg.h)
+    numeric = solve_momenta(cfg.body, cfg.profile, cfg.delta, cfg.h) if cfg.profile.kind == "routh" else momenta
+    return certify.Solid(cfg.body, cfg.profile, states, momenta, numeric)
+
+
 def cmd_check(cfg: RunConfig) -> Report:
-    """Run the certification battery (``nonholo.certify``) for the configured system.
+    """Run the certification battery (``nonholo.certify``) on ``check_subject(cfg)``.
 
     Raises:
         NonholoError: if a record measures a non-finite value, which no
             report could carry as strict JSON.
     """
-    if cfg.system == "particle":
-        subject = certify.Particle([sample_particle(cfg.seed, k) for k in range(cfg.samples)])
-    else:
-        cap = min(0.95, grid_half(cfg.delta, cfg.h) * cfg.h)  # where the solved momenta table ends
-        states = [sample_state(cfg.seed, k, cap) for k in range(cfg.samples)]
-        subject = certify.solid_subject(cfg.body, cfg.profile, states, cfg.delta, cfg.h)
+    subject = check_subject(cfg)
     checks = certify.run(subject.records, subject)
     bad = [f"{c.name} = {float(c.measured)}" for c in checks if not math.isfinite(c.measured)]
     if bad:

@@ -134,13 +134,13 @@ def integrate(
 
     Returns a float array whose columns are ``COLUMNS``.  gamma is
     renormalized to the unit sphere after every accepted step.  The run
-    stops, with a warning, at the first row whose state or energy is not
-    finite (an E that overflows at a finite state included), and returns the
-    rows before it; nothing past that row is stepped.  A gauge momentum that
-    is NaN does not stop it: a row whose tau1 is off ``momenta`` (past the end of
-    a table; the closed forms cover [-1, 1]) gets NaN gauge momenta rather
-    than aborting, and the first such row warns once with the lookup's own
-    message.
+    stops at the first row whose state or energy is not finite (an E that
+    overflows at a finite state included), with a warning that names which,
+    and returns the rows before it; nothing past that row is stepped.  A
+    gauge momentum that is NaN does not stop it: a row whose tau1 is off
+    ``momenta`` (past the end of a table; the closed forms cover [-1, 1])
+    gets NaN gauge momenta rather than aborting, and the first such row warns
+    once with the lookup's own message.
 
     The state is a list of six Python floats stepped by ``rk4_step`` (its
     written-out six-element step); every stage checks the profile band and
@@ -181,7 +181,7 @@ def integrate(
         out[k, 12] = e = energy_floats(params, rho, L, g1, g2, g3, m1, m2, m3, w1, w2, w3)
         return e, field_floats(params, rho, L, rho_p, L_p, g1, g2, g3, m1, m2, m3, w1, w2, w3)
 
-    rows = 0
+    rows, fault = 0, "state"
     try:
         for k in range(n_steps + 1):
             if k:
@@ -192,12 +192,13 @@ def integrate(
                 x[0], x[1], x[2] = x[0] / n, x[1] / n, x[2] / n
             e, xd = record(k, x)
             if not isfinite(e):
+                fault = "energy"
                 break
             rows = k + 1
     finally:  # a stage off the band raises, after the off-table warning of the rows done
         cf = _gauge_coefficients(momenta, out[:rows, 3], dt)
     if rows <= n_steps:
-        warnings.warn(f"non-finite state at step {rows}; aborting with {rows} samples")
+        warnings.warn(f"non-finite {fault} at step {rows}; aborting with {rows} samples")
 
     out = out[:rows]
     out[:, 0] = np.arange(rows) * dt

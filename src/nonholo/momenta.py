@@ -65,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brackets import J1_COMPONENT, J2_COMPONENT, ScalarField
+from .brackets import J1_COMPONENT, J2_COMPONENT, ScalarField, _gauge_gradient
 from .errors import DomainError, NonholoError
 from .geomforms import qp_grid, qp_matrix
 from .phase import BodyParams, momentum_components
@@ -188,11 +188,18 @@ class MomentaSolution:
 
 
 def grid_half(delta: float, h: float) -> int:
-    """Nodes on each side of tau1 = 0 of the (delta, h) grid; ValueError if
-    (1 - delta)/h, an overflowing inf included, exceeds MAX_HALF_GRID."""
-    if not (1.0 - delta) / h <= MAX_HALF_GRID:
-        raise ValueError(f"(1 - delta)/h = {(1.0 - delta) / h:g} exceeds {MAX_HALF_GRID} nodes per half-grid")
-    return int(math.floor((1.0 - delta) / h + 1e-9))
+    """Nodes on each side of tau1 = 0 of the (delta, h) grid, the one check of
+    a grid.  ValueError(message, name of the parameter at fault) if delta is
+    outside [1e-6, 0.1], h outside (0, 1e-3], or (1 - delta)/h, an
+    overflowing inf included, above MAX_HALF_GRID (then h is at fault)."""
+    if not 1e-6 <= delta <= 0.1:
+        raise ValueError(f"delta={delta!r} outside [1e-6, 0.1]", "delta")
+    if not 0 < h <= 1e-3:
+        raise ValueError(f"h={h!r} outside (0, 1e-3]", "h")
+    half = (1.0 - delta) / h
+    if not half <= MAX_HALF_GRID:
+        raise ValueError(f"(1 - delta)/h = {half:g} exceeds {MAX_HALF_GRID} nodes per half-grid", "h")
+    return int(math.floor(half + 1e-9))
 
 
 def _grid(delta: float, h: float) -> np.ndarray:
@@ -213,13 +220,9 @@ def solve_momenta(
     The table has the bits of stepping both halves either way.
 
     Raises:
-        ValueError: if delta is outside [1e-6, 0.1], h > 1e-3 or (1 - delta)/h > MAX_HALF_GRID.
+        ValueError: if ``grid_half`` refuses (delta, h).
         NonholoError: if a node of the table is not finite.
     """
-    if not 1e-6 <= delta <= 0.1:
-        raise ValueError(f"delta={delta!r} outside [1e-6, 0.1]")
-    if not 0 < h <= 1e-3:
-        raise ValueError(f"h={h!r} outside (0, 1e-3]")
     grid = _grid(delta, h)
     n = (len(grid) - 1) // 2
     pairs = np.empty((len(grid), 4))
@@ -364,7 +367,7 @@ def closed_form_momenta(
     params: BodyParams, spec: ProfileSpec, delta: float = 1e-3, h: float = 1e-4
 ) -> MomentaSolution:
     """Routh closed forms packaged as a MomentaSolution (exact evaluation) on
-    the (delta, h) grid."""
+    the (delta, h) grid; ValueError if ``grid_half`` refuses it."""
     if spec.kind != "routh":
         raise ValueError("closed forms are available for the routh profile only")
     return ClosedFormMomenta(params, spec, _grid(delta, h), None)
@@ -374,7 +377,7 @@ def solution_for(
     params: BodyParams, spec: ProfileSpec, delta: float = 1e-3, h: float = 1e-4
 ) -> MomentaSolution:
     """The momenta a run reads: the Routh closed forms, else a numeric solve,
-    both on the (delta, h) grid."""
+    both on the (delta, h) grid (ValueError if ``grid_half`` refuses it)."""
     build = closed_form_momenta if spec.kind == "routh" else solve_momenta
     return build(params, spec, delta, h)
 
@@ -420,12 +423,3 @@ def gauge_momentum_fields(solution: MomentaSolution) -> tuple[ScalarField, Scala
 
     return make(0), make(1)
 
-
-def _gauge_gradient(index: int, x: np.ndarray, v: np.ndarray, dv: np.ndarray) -> np.ndarray:
-    """The gradient of gauge momentum ``index`` (0 or 1) at a state or stack
-    ``x``, from the coefficient rows ``v`` and slopes ``dv`` at its tau1."""
-    i, j = 2 * index, 2 * index + 1
-    out = v[..., j, None] * J2_COMPONENT.grad(x)
-    out[..., 5] -= v[..., i]  # + f * grad(j1)
-    out[..., 2] += dv[..., i] * J1_COMPONENT.fn(x) + dv[..., j] * J2_COMPONENT.fn(x)
-    return out

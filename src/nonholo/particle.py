@@ -170,12 +170,12 @@ def particle_integrate(state0, cfg) -> np.ndarray:
 
     Returns a float array whose columns are ``COLUMNS``; J and E are the
     scalar kernels ``particle_momentum`` and ``particle_hamiltonian`` at each
-    row's state.  The run stops, with a warning, at the first row whose state
-    or E is not finite (an H that overflows at a finite state included; J is
-    finite wherever the state is), and returns the rows before it; nothing
-    past that row is stepped.  The state is a list of five Python floats
-    stepped by ``rk4_step``, whose five-element step is written out component
-    by component.
+    row's state.  The run stops at the first row whose state or E is not
+    finite (an H that overflows at a finite state included; J is finite
+    wherever the state is), with a warning that names which, and returns the
+    rows before it; nothing past that row is stepped.  The state is a list of
+    five Python floats stepped by ``rk4_step``, whose five-element step is
+    written out component by component.
     """
     n_steps = cfg.steps
     out = np.empty((n_steps + 1, len(COLUMNS)))
@@ -191,11 +191,11 @@ def particle_integrate(state0, cfg) -> np.ndarray:
             v = rk4_step(f, (k - 1) * dt, v, dt)
         row = (*v, _momentum(v[1], v[3]), _hamiltonian(v[1], v[3], v[4]))
         if not all(map(isfinite, row)):
+            fault = "energy" if all(map(isfinite, v)) else "state"
+            warnings.warn(f"non-finite {fault} at step {k}; aborting with {k} samples")
             break
         out[k, 1:] = row
         rows = k + 1
-    if rows <= n_steps:
-        warnings.warn(f"non-finite state at step {rows}; aborting with {rows} samples")
     out = out[:rows]
     out[:, 0] = np.arange(rows) * dt
     return out

@@ -230,8 +230,9 @@ def integrate(params, spec, state0, cfg, momenta):
             x = rk4_step(f, (k - 1) * cfg.dt, x, cfg.dt)
             if np.all(np.isfinite(x)):
                 x[:3] /= np.sqrt(dot(x[:3], x[:3]))
-        if not (np.all(np.isfinite(x)) and record(k, x)):  # the first row with a non-finite state or E
-            warnings.warn(f"non-finite state at step {k}; aborting with {k} samples")
+        finite = np.all(np.isfinite(x))
+        if not (finite and record(k, x)):  # the first row with a non-finite state or E
+            warnings.warn(f"non-finite {'energy' if finite else 'state'} at step {k}; aborting with {k} samples")
             rows = k
             break
 
@@ -276,7 +277,8 @@ def particle_integrate(state0, cfg):
         out[k, 1:] = (*v, particle_momentum(v), particle_hamiltonian(v))
     bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
     if bad.size:
-        warnings.warn(f"non-finite state at step {bad[0]}; aborting with {bad[0]} samples")
+        fault = "energy" if np.isfinite(out[bad[0], 1:6]).all() else "state"
+        warnings.warn(f"non-finite {fault} at step {bad[0]}; aborting with {bad[0]} samples")
         return out[: bad[0]]
     return out
 

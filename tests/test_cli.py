@@ -205,12 +205,11 @@ BAD_CASES = [
     pytest.param(ROUTH_RAW, ("seed",), _Verbatim("9" * 5000), "", id="seed-5000-digits"),
 ]
 
-
-@pytest.mark.parametrize("base,path,value,pointer", BAD_CASES)
-def test_parse_rejects_with_pointer(base, path, value, pointer):
-    with pytest.raises(ConfigError) as excinfo:
-        parse_config(_config_text(base, path, value))
-    assert excinfo.value.pointer == pointer
+# Configs with two faults report the first in the order parse_config reads
+MULTI_FAULT_CASES = [
+    pytest.param({"system": "routh"}, ("params",), {"m": 1}, "/params/I1", id="I1-missing-before-initial"),
+    pytest.param(ROUTH_RAW, ("params",), dict(ROUTH_RAW["params"], m=-1.0, r="x"), "/params", id="body-before-r"),
+]
 
 
 def _paths(obj, prefix=()):
@@ -225,6 +224,24 @@ def _at(obj, path):
     for key in path:
         obj = obj[key]
     return obj
+
+
+def _string_leaf_cases():
+    """Every leaf of the three configs set to a string: reported at its own
+    path, or at its vector for a vector entry."""
+    for name, base in (("routh", ROUTH_RAW), ("ellipsoid", ELLIPSOID_RAW), ("particle", PARTICLE_RAW)):
+        for path in _paths(base):
+            if not isinstance(_at(base, path), (dict, list)):
+                keys = path[:-1] if isinstance(path[-1], int) else path
+                at = "/".join(map(str, path))
+                yield pytest.param(base, path, "x", "".join(f"/{k}" for k in keys), id=f"{name}-string-at-{at}")
+
+
+@pytest.mark.parametrize("base,path,value,pointer", BAD_CASES + MULTI_FAULT_CASES + list(_string_leaf_cases()))
+def test_parse_rejects_with_pointer(base, path, value, pointer):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(_config_text(base, path, value))
+    assert excinfo.value.pointer == pointer
 
 
 # Values no config key accepts.  Huge integers are negative, since a huge
@@ -494,9 +511,9 @@ def test_overflow_is_a_usage_error_not_a_check_failure(tmp_path, capsys):
     huge = dict(ROUTH_RAW, initial={"gamma": [0.6, 0.0, 0.8], "M": [1e308, 2.0, 3.0]})
     huge["integrator"] = {"dt": 1e-3, "t_final": 0.01}
     path = write_config(tmp_path, huge)
-    with pytest.warns(UserWarning, match="non-finite state"):
+    with pytest.warns(UserWarning, match="non-finite energy at step 0"):
         assert main(["simulate", "--config", path, "--out", str(tmp_path / "t.csv")]) == 2
-    assert capsys.readouterr().err.startswith("error: arithmetic overflow")
+    assert capsys.readouterr().err.startswith("error: arithmetic overflow: non-finite state or energy at step 0")
     assert not (tmp_path / "t.csv").exists()  # an aborted run leaves no CSV
 
 
@@ -506,11 +523,11 @@ def test_particle_overflow_exits_2_without_a_csv(tmp_path, capsys):
     huge = dict(PARTICLE_RAW, initial={"position": [0.0, 0.0, 0.0], "momentum": [1e200, 1.0]})
     huge["integrator"] = {"dt": 1e-3, "t_final": 0.01}
     path = write_config(tmp_path, huge)
-    with pytest.warns(UserWarning, match="non-finite state"):
+    with pytest.warns(UserWarning, match="non-finite energy at step 0"):
         assert main(["simulate", "--config", path, "--out", str(tmp_path / "t.csv")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: arithmetic overflow: non-finite state at step 0 of 10")
+    assert captured.err.startswith("error: arithmetic overflow: non-finite state or energy at step 0 of 10")
     assert not (tmp_path / "t.csv").exists()
 
 
@@ -533,10 +550,11 @@ def test_an_energy_that_overflows_at_a_finite_state_exits_2(tmp_path, capsys, mo
     steps = counted_steps(monkeypatch, dynamics)
     spin = dict(ROUTH_RAW, initial={"gamma": [0.0, 0.0, 1.0], "M": [0.0, 0.0, 1e160]})
     spin["integrator"] = {"dt": 1e-3, "t_final": 0.01}
-    with pytest.warns(UserWarning, match="non-finite state at step 0"):
+    with pytest.warns(UserWarning, match="non-finite energy at step 0"):
         assert main(["simulate", "--config", write_config(tmp_path, spin), "--out", str(tmp_path / "t.csv")]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: arithmetic overflow: non-finite state at step 0")
+    assert captured.out == ""
+    assert captured.err.startswith("error: arithmetic overflow: non-finite state or energy at step 0")
     assert not (tmp_path / "t.csv").exists() and not steps
 
 
@@ -547,9 +565,9 @@ def test_a_particle_overflow_stops_stepping(tmp_path, capsys, monkeypatch):
     steps = counted_steps(monkeypatch, particle)
     huge = dict(PARTICLE_RAW, initial={"position": [0.0, 0.0, 0.0], "momentum": [1e200, 1.0]})
     huge["integrator"] = {"dt": 1e-3, "t_final": 10.0}
-    with pytest.warns(UserWarning, match="non-finite state at step 0"):
+    with pytest.warns(UserWarning, match="non-finite energy at step 0"):
         assert main(["simulate", "--config", write_config(tmp_path, huge), "--out", str(tmp_path / "t.csv")]) == 2
-    assert capsys.readouterr().err.startswith("error: arithmetic overflow: non-finite state at step 0 of 10000")
+    assert capsys.readouterr().err.startswith("error: arithmetic overflow: non-finite state or energy at step 0 of 10000")
     assert len(steps) <= 1 and not (tmp_path / "t.csv").exists()
 
 

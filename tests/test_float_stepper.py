@@ -16,10 +16,12 @@ from nonholo import (
     DomainError,
     IntegratorConfig,
     ProfileSpec,
+    dynamics,
     energy,
     eval_profile,
     integrate,
     omega_from_M,
+    particle,
     particle_hamiltonian,
     particle_integrate,
     particle_momentum,
@@ -133,8 +135,21 @@ def test_diverging_run_aborts_at_the_same_row(routh_preset):
     cfg, momenta = IntegratorConfig(1e-3, 0.01), solution_for(params, spec)
     new, new_warn = run(integrate, params, spec, start, cfg, momenta)
     old, old_warn = run(oracles.integrate, params, spec, start, cfg, momenta)
-    assert len(new) < cfg.steps + 1 and new_warn[-1].startswith("non-finite state at step")
+    assert len(new) < cfg.steps + 1 and new_warn[-1].startswith("non-finite energy at step 0")
     assert same_bits(new, old) and new_warn == old_warn
+
+
+def test_a_state_that_turns_non_finite_is_named(routh_preset, monkeypatch):
+    # A field of NaNs makes the first step's state NaN at a finite energy.
+    monkeypatch.setattr(dynamics, "field_floats", lambda *args: (math.nan,) * 6)
+    monkeypatch.setattr(particle, "_field", lambda y: (math.nan,) * 5)
+    params, spec = routh_preset
+    cfg = IntegratorConfig(1e-3, 0.01)
+    runs = [(integrate, params, spec, np.array([0.6, 0.0, 0.8, 1.0, 2.0, 3.0]), cfg, solution_for(params, spec)),
+            (particle_integrate, np.array([0.0, 0.0, 0.0, 1.0, 1.0]), cfg)]
+    for fn, *args in runs:
+        traj, texts = run(fn, *args)
+        assert len(traj) == 1 and texts == ["non-finite state at step 1; aborting with 1 samples"]
 
 
 def test_a_stage_off_the_band_raises_as_before(routh_preset):

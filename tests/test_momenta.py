@@ -21,6 +21,7 @@ from nonholo import (
     omega_from_M,
     routh_closed_form,
     routh_closed_form_derivative,
+    solution_for,
     solve_momenta,
 )
 from nonholo import momenta
@@ -179,6 +180,12 @@ def test_solution_grid_bounds():
         solve_momenta(P98, ProfileSpec.routh(1.0, 0.1), delta=0.5)
     with pytest.raises(ValueError):
         solve_momenta(P98, ProfileSpec.routh(1.0, 0.1), h=0.01)
+    # grid_half is the one check of a grid: every constructor of a solution makes it, naming the parameter at fault
+    for delta, h, name in [(1e-3, -1e-3, "h"), (1e-3, 0.0, "h"), (0.5, 1e-4, "delta"), (1e-3, 0.01, "h")]:
+        for build in (solve_momenta, closed_form_momenta, solution_for):
+            with pytest.raises(ValueError) as excinfo:
+                build(P98, ProfileSpec.routh(1.0, 0.1), delta, h)
+            assert excinfo.value.args[1] == name
 
 
 @pytest.mark.parametrize("h", [1e-300, 1e-7])

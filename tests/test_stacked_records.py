@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import oracles
 from nonholo import (BodyParams, ProfileSpec, casimir_residuals, certify, nonconservation_rates, particle_bracket,
                      pushforward_residual, reduced_bivector_tau, solution_for)
-from nonholo.cli import grid_half, parse_config, sample_particle, sample_state
+from nonholo import cli
 from nonholo.particle import COORDINATES, MOMENTUM, particle_bivector
 from nonholo.phase import invariants
 from oracles import same_bits
@@ -59,12 +59,7 @@ def assert_records_match_the_per_sample_bodies(subject, rounding=ROUNDING):
 
 def check_subject(raw):
     """The subject ``nonholo check`` certifies for the config ``raw``."""
-    cfg = parse_config(json.dumps(raw))
-    if cfg.system == "particle":
-        return certify.Particle([sample_particle(cfg.seed, k) for k in range(cfg.samples)])
-    cap = min(0.95, grid_half(cfg.delta, cfg.h) * cfg.h)
-    states = [sample_state(cfg.seed, k, cap) for k in range(cfg.samples)]
-    return certify.solid_subject(cfg.body, cfg.profile, states, cfg.delta, cfg.h)
+    return cli.check_subject(cli.parse_config(json.dumps(raw)))
 
 
 @pytest.mark.parametrize("raw", [ROUTH_RAW, ELLIPSOID_RAW, PARTICLE_RAW], ids=["routh", "ellipsoid", "particle"])
