@@ -14,7 +14,6 @@ from .brackets import (
     bivector_packed,
     bracket,
     casimir_residuals,
-    hamiltonian_field,
     jacobiator,
     pushforward_residual,
     reduced_bivector_tau,
@@ -39,7 +38,6 @@ from .momenta import (
     MomentaSolution,
     closed_form_momenta,
     eval_gauge_momenta,
-    gauge_momentum_fields,
     momenta_ode_rhs,
     ode_residual,
     routh_closed_form,
@@ -64,7 +62,7 @@ from .phase import (
     momentum_components,
     omega_from_M,
 )
-from .profile import ProfileEval, ProfileSpec, contact_vector, eval_profile, profile_scalars
+from .profile import ProfileEval, ProfileSpec, eval_profile
 from .smallalg import rk4_step
 
 __version__ = "0.1.0"
@@ -87,14 +85,11 @@ __all__ = [
     "bracket",
     "casimir_residuals",
     "closed_form_momenta",
-    "contact_vector",
     "drift",
     "drift_report",
     "energy",
     "eval_gauge_momenta",
     "eval_profile",
-    "gauge_momentum_fields",
-    "hamiltonian_field",
     "integrate",
     "invariants",
     "jacobiator",
@@ -110,7 +105,6 @@ __all__ = [
     "particle_jacobiator_unreduced",
     "particle_momentum",
     "particle_rhs",
-    "profile_scalars",
     "pushforward_residual",
     "qp_matrix",
     "qpl_values",

@@ -41,11 +41,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError
 from .geomforms import gauge_columns, qp_grid
 from .phase import BodyParams, energy_floats, invariants, omega_floats, relation_residual
 from .profile import ProfileSpec, state_terms
-from .smallalg import Jet, columns, jacobi_trivector, jet_gradient, matrix, stacked
+from .smallalg import Jet, columns, jacobi_trivector, matrix, stacked
 
 
 class BracketKind(str, Enum):
@@ -102,12 +102,6 @@ def energy_at(params: BodyParams, spec: ProfileSpec, x):
     """``energy_floats`` at ``omega_floats``: ``phase.energy``'s bits at a point, a jet at a jet."""
     cols, (rho, _, L, *_) = state_terms(spec, x)
     return energy_floats(params, rho, L, *cols, *omega_floats(params, rho, L, *cols))
-
-
-def hamiltonian_field(params: BodyParams, spec: ProfileSpec) -> ScalarField:
-    """The energy as a ScalarField, its gradient from a jet pass of ``energy_at``."""
-    return ScalarField(lambda x: energy_at(params, spec, x),
-                       lambda x: jet_gradient(lambda y: energy_at(params, spec, y), x), "H")
 
 
 def bivector_packed(params: BodyParams, spec: ProfileSpec, x, kind: BracketKind):
@@ -202,7 +196,7 @@ def reduced_bivector_tau(params: BodyParams, spec: ProfileSpec, tau) -> np.ndarr
     Raises:
         ConsistencyError: if a tau violates the semialgebraic relation
             by more than 1e-6.
-        DomainError: if a |t1| > 1 - 1e-9.
+        DomainError: from ``qp_grid``, at the first |t1| > STRATA_BOUND.
     """
     tau = np.asarray(tau, dtype=float)
     t1, t2, t3, t4, t5 = tau.reshape(-1, 5).T
@@ -210,9 +204,6 @@ def reduced_bivector_tau(params: BodyParams, spec: ProfileSpec, tau) -> np.ndarr
     bad = np.abs(res) > 1e-6
     if bad.any():
         raise ConsistencyError(f"invariant relation violated by {float(res[np.argmax(bad)])!r}")
-    bad = np.abs(t1) > 1.0 - 1e-9
-    if bad.any():
-        raise DomainError(f"tau1={float(t1[np.argmax(bad)])!r} too close to the singular strata +-1")
     qp00, qp01, qp10, qp11 = qp_grid(params, spec, t1)
     q = qp00 * t3 + qp01 * t4
     p = qp10 * t3 + qp11 * t4

@@ -200,8 +200,8 @@ def _jacobi_ungauged(s):
     jac = np.einsum("niab,ni->nab", t, TAU1.grad(x))
     jac = np.einsum("nab,na->nb", jac, J2_COMPONENT.grad(x))
     jac = np.einsum("nb,nb->n", jac, TAU4.grad(x))
-    (g1, g2, g3, *_), (rho, zeta, L, *_) = s.terms
-    sc = mass_scalars(s.params, rho, zeta, L, g1, g2, g3)
+    (g1, g2, g3, *_), (rho, _, L, *_) = s.terms
+    sc = mass_scalars(s.params, rho, L, g1, g2, g3)
     closed = -s.params.m * rho * sc.gs * (1.0 - pow2(s.inv[:, 0])) / sc.A1
     return np.abs(jac - closed) / np.abs(closed)
 
@@ -231,7 +231,8 @@ def _closed_form_ode_residual(s):
     r, l = s.spec.p1, s.spec.p2
     pairs = routh_closed_form(s.params, r, l, _TAU1_GRID)
     slopes = routh_closed_form_derivative(s.params, r, l, _TAU1_GRID)
-    return nan_max(ode_residual(s.params, s.spec, _TAU1_GRID, fg, dfg) for fg, dfg in zip(pairs, slopes))
+    return nan_max(np.array([ode_residual(s.params, s.spec, _TAU1_GRID, fg, dfg)
+                             for fg, dfg in zip(pairs, slopes)]))
 
 
 def _span_containment(s):
@@ -249,7 +250,7 @@ def span_residual(params, spec, numeric, closed) -> float:
     for k, (c0, c1) in enumerate(routh_closed_form(params, spec.p1, spec.p2, 0.0)):
         for j in (0, 1):  # f, then g; one column at a time keeps the temporaries small
             worst.append(nan_max(np.abs(c0 * p[:, j] + c1 * p[:, j + 2] - closed[:, 2 * k + j])))
-    return nan_max(worst)
+    return nan_max(np.array(worst))
 
 
 def _particle_drift(column: str):

@@ -33,7 +33,7 @@ import numpy as np
 from . import certify
 from .certify import CheckResult
 from .dynamics import COLUMNS, IntegratorConfig, drift, drift_report, integrate
-from .errors import ConfigError, NonholoError
+from .errors import ConfigError, GridError, NonholoError
 from .momenta import closed_form_momenta, grid_half, solution_for, solve_momenta
 from .particle import COLUMNS as PARTICLE_COLUMNS, particle_integrate
 from .phase import BodyParams, StateGM
@@ -159,11 +159,11 @@ def _build(make, obj: dict, keys, pointer: str):
 
 def _checked(make, pointer: str, *args):
     """``make(*args)``, its ValueError raised as a ConfigError at ``pointer``,
-    or at the key below ``pointer`` that the error names as its second argument."""
+    or, a GridError, at the key below ``pointer`` that it names."""
     try:
         return make(*args)
     except ValueError as exc:
-        raise ConfigError(exc.args[0], f"{pointer}/{exc.args[1]}" if len(exc.args) > 1 else pointer) from exc
+        raise ConfigError(str(exc), f"{pointer}/{exc.param}" if isinstance(exc, GridError) else pointer) from exc
 
 
 def parse_config(text: str) -> RunConfig:
@@ -319,7 +319,7 @@ def cmd_simulate(cfg: RunConfig, out_path: str) -> int:
         print(f"error: arithmetic overflow: non-finite state or energy at {at}; no CSV written", file=sys.stderr)
         return 2
     if cfg.system == "particle":
-        summary = {"dE": drift(traj[:, -1]), "dJ": drift(traj[:, -2])}  # columns ..., J, E
+        summary = {f"d{key}": drift(traj[:, PARTICLE_COLUMNS.index(key)]) for key in ("E", "J")}
     else:
         summary = drift_report(traj)
     return _publish(out_path, columns, _array_rows(traj), summary)

@@ -252,9 +252,9 @@ def nonconservation_rates(params: BodyParams, spec: ProfileSpec, x) -> RateLaw:
     x = np.asarray(x, dtype=float)
     (gd1, gd2, gd3, md1, md2, md3), cols, terms = _field_columns(params, spec, x.reshape(-1, 6))
     g1, g2, g3, m1, m2, m3 = cols
-    rho, zeta, L, rho_p, _, L_p = terms
+    rho, _, L, rho_p, _, L_p = terms
     _, q, p, *_ = gauge_columns(params, rho, L, rho_p, L_p, *cols)
-    a1 = mass_scalars(params, rho, zeta, L, g1, g2, g3).A1
+    a1 = mass_scalars(params, rho, L, g1, g2, g3).A1
     t2 = g1 * m2 - g2 * m1
     rates = (-md3, (gd1 * m1 + gd2 * m2 + gd3 * m3) + (g1 * md1 + g2 * md2 + g3 * md3), -q * t2 / a1, -p * t2 / a1)
     return RateLaw(*(r if x.ndim > 1 else float(r[0]) for r in rates))

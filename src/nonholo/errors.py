@@ -28,3 +28,11 @@ class ConfigError(NonholoError):
         if self.pointer:
             return f"{self.args[0]} (at {self.pointer!r})"
         return str(self.args[0])
+
+
+class GridError(ValueError):
+    """A (delta, h) grid that ``momenta.grid_half`` refuses; ``param`` names the parameter at fault."""
+
+    def __init__(self, message: str, param: str):
+        super().__init__(message)
+        self.param = param

@@ -39,8 +39,11 @@ import numpy as np
 
 from .errors import DomainError, NonholoError
 from .phase import BodyParams, omega_floats
-from .profile import ProfileEval, ProfileSpec, check_gamma3, eval_profile, legendre_ptau, profile_terms
+from .profile import ProfileEval, ProfileSpec, check_gamma3, eval_profile, profile_terms
 from .smallalg import Vec3, pow2
+
+#: Largest |tau1| at which [QP] is evaluated (the reduced space is singular at tau1 = +-1)
+STRATA_BOUND = 1.0 - 1e-9
 
 
 @dataclass(frozen=True)
@@ -106,13 +109,12 @@ def qp_matrix(params: BodyParams, spec: ProfileSpec, tau1: float) -> np.ndarray:
     constant kernel (L, -rho) up to scale.
 
     Raises:
-        DomainError: if |tau1| > 1 - 1e-9 (reduced space is singular at the
-            vertical strata).
+        DomainError: if |tau1| > STRATA_BOUND.
         NonholoError: if float arithmetic fails (a division by an underflowed
             zero), where ``qp_grid`` gives NaN.
     """
     t1 = float(tau1)
-    if abs(t1) > 1.0 - 1e-9:
+    if abs(t1) > STRATA_BOUND:
         raise DomainError(f"tau1={t1!r} too close to the singular strata +-1")
     try:
         ev = eval_profile(spec, t1)
@@ -131,11 +133,13 @@ def qp_grid(params: BodyParams, spec: ProfileSpec, tau1: np.ndarray) -> tuple:
     elementwise.
 
     Raises:
-        DomainError: if any |tau1| > 1 - 1e-9.
+        DomainError: at the first |tau1| > STRATA_BOUND.
     """
     t1 = np.asarray(tau1, dtype=float)
-    if float(np.max(np.abs(t1))) > 1.0 - 1e-9:
-        raise DomainError("tau1 grid reaches the singular strata +-1")
+    size = np.abs(t1)
+    if float(np.max(size)) > STRATA_BOUND:
+        first = float(t1.flat[np.argmax(size > STRATA_BOUND)])
+        raise DomainError(f"tau1={first!r} too close to the singular strata +-1")
     rho, zeta, L, rho_p, _, L_p = profile_terms(spec, t1, np.sqrt)
     return _qp_entries(params, t1, rho, zeta, L, rho_p, L_p)
 
@@ -155,7 +159,7 @@ def _qp_entries(params: BodyParams, t1, rho, zeta, L, rho_p, L_p) -> tuple:
     ss = rho * rho * one_t2 + zeta * zeta
     a1 = params.I1 + m * ss
     a3 = params.I3 + m * ss
-    e = legendre_ptau(params, rho, zeta, one_t2) / (a1 * a3)
+    e = (params.I1 * params.I3 + m * (params.I1 * rho * rho * one_t2 + params.I3 * zeta * zeta)) / (a1 * a3)
     big_g = rho * one_t2 / a1 + zeta * t1 / a3
     gs = rho - L * t1
 

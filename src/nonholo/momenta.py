@@ -48,12 +48,14 @@ order, so the table is bit-identical to stepping the two pairs with
 arrays to a few hundred nodes.
 
 A run reads one solution, built by ``solution_for`` on its (delta, h)
-grid, and asks it for ``eval`` (the values) and ``slope`` (the
-tau1-derivatives).  The choice between closed forms and table is the
-solution's type, made once there: ``ClosedFormMomenta`` or the tabulated
-``MomentaSolution``.  Both look a tau1 array up in one chunked body, with
-NaN rows off the solution; a float tau1 is a stack of one that raises
-DomainError there instead.  A table interpolates with ``np.interp``'s
+grid (``grid_half`` checks it, and its GridError names the parameter at
+fault), and asks it for ``eval`` (the values) and ``slope`` (the
+tau1-derivatives); ``brackets.casimir_residuals`` builds the gradients of
+the gauge momenta from the two.  The choice between closed forms and table
+is the solution's type, made once there: ``ClosedFormMomenta`` or the
+tabulated ``MomentaSolution``.  Both look a tau1 array up in one chunked
+body, with NaN rows off the solution; a float tau1 is a stack of one that
+raises DomainError there instead.  A table interpolates with ``np.interp``'s
 cases and formula, which gives each column its bits.  The closed forms and
 ``ode_residual`` also take a tau1 array, which the certificates sweep in
 one pass.
@@ -65,11 +67,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brackets import J1_COMPONENT, J2_COMPONENT, ScalarField, _gauge_gradient
-from .errors import DomainError, NonholoError
+from .errors import DomainError, GridError, NonholoError
 from .geomforms import qp_grid, qp_matrix
 from .phase import BodyParams, momentum_components
-from .profile import ProfileSpec
+from .profile import DOMAIN_SLACK, ProfileSpec
 from .smallalg import nan_max
 
 #: RK4 steps of a solve, or elements of a tau1 array a lookup reads, in one array pass
@@ -189,16 +190,16 @@ class MomentaSolution:
 
 def grid_half(delta: float, h: float) -> int:
     """Nodes on each side of tau1 = 0 of the (delta, h) grid, the one check of
-    a grid.  ValueError(message, name of the parameter at fault) if delta is
-    outside [1e-6, 0.1], h outside (0, 1e-3], or (1 - delta)/h, an
-    overflowing inf included, above MAX_HALF_GRID (then h is at fault)."""
+    a grid.  GridError, naming the parameter at fault, if delta is outside
+    [1e-6, 0.1], h outside (0, 1e-3], or (1 - delta)/h, an overflowing inf
+    included, above MAX_HALF_GRID (then h is at fault)."""
     if not 1e-6 <= delta <= 0.1:
-        raise ValueError(f"delta={delta!r} outside [1e-6, 0.1]", "delta")
+        raise GridError(f"delta={delta!r} outside [1e-6, 0.1]", "delta")
     if not 0 < h <= 1e-3:
-        raise ValueError(f"h={h!r} outside (0, 1e-3]", "h")
+        raise GridError(f"h={h!r} outside (0, 1e-3]", "h")
     half = (1.0 - delta) / h
     if not half <= MAX_HALF_GRID:
-        raise ValueError(f"(1 - delta)/h = {half:g} exceeds {MAX_HALF_GRID} nodes per half-grid", "h")
+        raise GridError(f"(1 - delta)/h = {half:g} exceeds {MAX_HALF_GRID} nodes per half-grid", "h")
     return int(math.floor(half + 1e-9))
 
 
@@ -350,7 +351,7 @@ class ClosedFormMomenta(MomentaSolution):
     grid when first read, since a trajectory never reads them."""
 
     def _domain(self) -> tuple[float, float, str]:
-        return -1.0 - 1e-9, 1.0 + 1e-9, "[-1, 1]"
+        return -1.0 - DOMAIN_SLACK, 1.0 + DOMAIN_SLACK, "[-1, 1]"
 
     def _values(self, t: np.ndarray) -> np.ndarray:
         return self._rows(routh_closed_form, t)
@@ -396,30 +397,3 @@ def ode_residual(params: BodyParams, spec: ProfileSpec, tau1, fg, dfg) -> float:
     then hold arrays, or constants); NaN if any entry is NaN."""
     rf, rg = _ode_slope(*qp_grid(params, spec, tau1), tau1, fg[0], fg[1])
     return nan_max(np.abs([dfg[0] - rf, dfg[1] - rg]))
-
-
-def gauge_momentum_fields(solution: MomentaSolution) -> tuple[ScalarField, ScalarField]:
-    """The two gauge momenta of ``solution`` as ScalarFields with analytic
-    gradients, which also take an (m, 6) stack of states.
-
-    The tau1-derivatives of the coefficients are ``solution.slope``, so the
-    quadruple (f, g, f', g') satisfies the coefficient ODE pointwise and
-    Casimir residuals reflect structure rather than interpolation error.
-    """
-
-    def make(index: int) -> ScalarField:
-        i, j = 2 * index, 2 * index + 1
-
-        def fn(x):
-            v = solution.eval(x[2])
-            return v[i] * J1_COMPONENT.fn(x) + v[j] * J2_COMPONENT.fn(x)
-
-        def grad(x):
-            x = np.asarray(x, dtype=float)
-            t1 = x[..., 2][()]  # a float64 at one state
-            return _gauge_gradient(index, x, solution.eval(t1), solution.slope(t1))
-
-        return ScalarField(fn, grad, name=f"J{index + 1}")
-
-    return make(0), make(1)
-

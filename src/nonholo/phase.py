@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .profile import ProfileEval, check_gamma3
-from .smallalg import Vec3, dot, pow2
+from .smallalg import Vec3, pow2
 
 _NORM_TOL = 1e-6  # |gamma| - 1 allowed at the boundary: a gamma rounded to seven significant digits passes
 
@@ -76,7 +76,8 @@ class StateGM:
         self.M = np.asarray(self.M, dtype=float)
         if self.gamma.shape != (3,) or self.M.shape != (3,):
             raise ValueError("gamma and M must be 3-vectors")
-        n = float(np.sqrt(dot(self.gamma, self.gamma)))
+        g1, g2, g3 = self.gamma.tolist()  # Python floats: a huge entry overflows to inf without a warning
+        n = math.sqrt(g1 * g1 + g2 * g2 + g3 * g3)
         if not abs(n - 1.0) <= _NORM_TOL:
             raise ValueError(f"|gamma| = {n!r} is not 1 within {_NORM_TOL:g}")
         M = self.M

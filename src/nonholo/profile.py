@@ -8,8 +8,8 @@ vertical component gamma3 of the Poisson vector:
 
 where s is the body-frame vector from the center of mass to the contact
 point.  The pair (rho, zeta) and their gamma3-derivatives determine every
-geometric quantity downstream (contact vector, mass-metric scalars, the
-gauge fields).  Two presets are supported:
+geometric quantity downstream; each kernel writes s out component by
+component from them.  Two presets are supported:
 
 * ``routh(r, l)`` — a ball of radius r whose center of mass sits at distance
   l from the geometric center along the symmetry axis:
@@ -19,9 +19,12 @@ gauge fields).  Two presets are supported:
   rho = -b/sqrt(D), zeta = -c*gamma3/sqrt(D),  D = b*(1-gamma3^2) + c*gamma3^2.
 
 Both presets are real-analytic on a neighbourhood of [-1, 1]; evaluation is
-refused only beyond the sphere band (|gamma3| > 1 + 1e-9), never at the
-poles themselves.  ``ellipsoid(b, b)`` coincides identically with
+refused only beyond the sphere band (|gamma3| > 1 + DOMAIN_SLACK), never at
+the poles themselves.  ``ellipsoid(b, b)`` coincides identically with
 ``routh(sqrt(b), 0)`` (the Chaplygin sphere).
+
+``profile_terms`` is the one body of the formulas, on floats, arrays or
+jets; ``state_terms`` reads it at a state or a stack after the band check.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConsistencyError, DegeneracyError, DomainError
-from .smallalg import E3, Jet, Vec3, columns
+from .smallalg import Jet, columns
 
 if TYPE_CHECKING:  # pragma: no cover
     from .phase import BodyParams
@@ -153,17 +156,6 @@ def profile_terms(spec: ProfileSpec, g3, sqrt=math.sqrt) -> tuple:
     raise ValueError(f"unknown profile kind {spec.kind!r}")
 
 
-def contact_vector(ev: ProfileEval, gamma: Vec3) -> Vec3:
-    """Body-frame vector s = rho*gamma - L*e3 from center of mass to contact point.
-
-    Raises:
-        ConsistencyError: if ``ev`` was evaluated at a gamma3 that differs
-            from gamma[2] by more than 1e-9.
-    """
-    check_gamma3(ev, gamma[2])
-    return ev.rho * gamma - ev.L * E3
-
-
 def check_gamma3(ev: ProfileEval, gamma3: float) -> None:
     """Raise ConsistencyError if ``ev`` was evaluated more than 1e-9 away from gamma3."""
     if abs(ev.gamma3 - gamma3) > 1e-9:
@@ -173,40 +165,22 @@ def check_gamma3(ev: ProfileEval, gamma3: float) -> None:
 @dataclass(frozen=True)
 class ProfileScalars:
     """Mass-metric scalars at a state (floats), or at each state of a stack
-    (arrays).  All are plain functions of (gamma3, tau1-free data):
+    (arrays):
 
     A1    = I1 + m*<s, s>            (equatorial entry of A = I + m<s,s> Id)
-    E     = 1 - m*<A^-1 s, s>        (Legendre denominator, provably > 0)
-    Ptau  = I1*I3 + m*(I1*rho^2*(1-gamma3^2) + I3*zeta^2)   (= A1*A3*E)
     gs    = <gamma, s>
-    ss    = <s, s>
     """
 
     A1: float
-    E: float
-    Ptau: float
     gs: float
-    ss: float
 
 
-def profile_scalars(params: "BodyParams", ev: ProfileEval, gamma: Vec3) -> ProfileScalars:
-    """Scalar coefficients of the mass metric at a state (``mass_scalars``).
-
-    Raises:
-        DegeneracyError: from ``mass_scalars``.
-        ConsistencyError: if ``ev`` was evaluated more than 1e-9 away from gamma[2].
-    """
-    check_gamma3(ev, gamma[2])
-    g1, g2, g3 = np.asarray(gamma, dtype=float)[:3]
-    return mass_scalars(params, ev.rho, ev.zeta, ev.L, g1, g2, g3)
-
-
-def mass_scalars(params: "BodyParams", rho, zeta, L, g1, g2, g3) -> ProfileScalars:
+def mass_scalars(params: "BodyParams", rho, L, g1, g2, g3) -> ProfileScalars:
     """The ProfileScalars at gamma = (g1, g2, g3) from the profile terms there:
     floats at one state, or elementwise over the arrays of a stack.
 
-    s = rho*gamma - L*e3 keeps its products by the zeros of e3, as
-    ``contact_vector`` does.
+    s = rho*gamma - L*e3 keeps its products by the zeros of e3, which fix the
+    signs of its zero components.
 
     Raises:
         DegeneracyError: if the Legendre denominator E falls to <= 1e-10 at a
@@ -222,12 +196,4 @@ def mass_scalars(params: "BodyParams", rho, zeta, L, g1, g2, g3) -> ProfileScala
     e = 1.0 - params.m * ((s1 * s1 + s2 * s2) / a1 + s3 * s3 / a3)
     if np.any(e <= 1e-10):
         raise DegeneracyError(f"Legendre denominator E={float(np.min(e))!r} <= 1e-10")
-    ptau = legendre_ptau(params, rho, zeta, 1.0 - g3 * g3)
-    return ProfileScalars(a1, e, ptau, g1 * s1 + g2 * s2 + g3 * s3, ss)
-
-
-def legendre_ptau(params: "BodyParams", rho: float, zeta: float, one_t2: float) -> float:
-    """Ptau = I1*I3 + m*(I1*rho^2*(1-tau1^2) + I3*zeta^2), given one_t2 = 1-tau1^2."""
-    return params.I1 * params.I3 + params.m * (
-        params.I1 * rho * rho * one_t2 + params.I3 * zeta * zeta
-    )
+    return ProfileScalars(a1, g1 * s1 + g2 * s2 + g3 * s3)

@@ -1,11 +1,14 @@
-"""Small linear algebra: 3-vectors, RK4 step, forward-mode jets, the one
-assembly of a matrix from its entries, and the Jacobi trivector of a
-bivector field.
+"""Small numerics: the NaN-aware maximum, the columns of a state stack, the
+RK4 step, forward-mode jets, the one assembly of a matrix from its entries,
+and the Jacobi trivector of a bivector field.
 
 Everything here is deliberately written out (no LAPACK dispatch) so results
-are bit-reproducible across platforms.  Every derivative in the package is
-a ``Jet`` pass through an elementwise body; ``grad_fd`` is only the
-reference that the tests compare the jets against.
+are bit-reproducible across platforms.  The derivatives of the profile,
+Omega, the energy, the gauge fields and the particle's H, J and w are
+``Jet`` passes through their elementwise bodies; the gradients of the
+polynomials tau1..tau5, j1 and j2 are written by hand
+(``brackets._state_field``).  ``grad_fd`` is only the reference that the
+tests compare the gradients against.
 """
 from __future__ import annotations
 
@@ -15,29 +18,12 @@ import numpy as np
 
 Vec3 = np.ndarray  # shape (3,), float64
 
-E3 = np.array([0.0, 0.0, 1.0])
 
-def dot(a: Vec3, b: Vec3) -> float:
-    """Return the dot product of two 3-vectors."""
-    return float(a[0] * b[0] + a[1] * b[1] + a[2] * b[2])
-
-
-def nan_max(values):
-    """The largest of 0.0 and ``values`` (an iterable or an array), or NaN if
-    any value is NaN.
-
-    Python's ``max`` drops a NaN that is not its first argument; otherwise
-    this picks the same element.
-    """
-    if isinstance(values, np.ndarray):
-        return float(np.max(values, initial=0.0))
-    worst = 0.0
-    for v in values:
-        if v != v:
-            return v
-        if v > worst:
-            worst = v
-    return worst
+def nan_max(values: np.ndarray) -> float:
+    """The largest of 0.0 and the entries of the array ``values``, or NaN if
+    any entry is NaN (Python's ``max`` drops a NaN that is not its first
+    argument)."""
+    return float(np.max(values, initial=0.0))
 
 
 def columns(x) -> list:

@@ -16,7 +16,8 @@ truncation floor.  ``same_bits`` and the float strategies below serve
 every such comparison.
 
 The next bodies are partners that only tests ever called, kept here as
-independent references rather than package code: ``cross``, ``hat``,
+independent references rather than package code: ``dot``, ``E3``,
+``contact_vector`` (the 3-vector s = rho*gamma - L*e3), ``cross``, ``hat``,
 ``M_from_omega`` (the forward map of the ``omega_from_M`` round trip),
 the particle's frame form (``frame_form``, the constrained 2-form F in the
 frame e1 = d/dx + y d/dz, e2, e3, e4; ``frame_bracket``, B = -F^-1 by
@@ -27,10 +28,11 @@ and ``reconstruct_full`` (the attitude and contact trace that cross-check
 
 The last are the per-sample check records that ``nonholo.certify`` replaced
 with one array pass over all samples (``per_sample``), and the one-state
-kernels with ``@`` products they called: ``casimir_residuals``,
-``pushforward_residual``, ``reduced_bivector_tau`` and
-``nonconservation_rates``.  The particle's records contract the frame form
-instead of the package's coordinate bivector P = E B E^T:
+kernels with ``@`` products they called: ``casimir_residuals`` (on the
+ScalarFields of ``gauge_momentum_fields``), ``pushforward_residual``,
+``reduced_bivector_tau`` and ``nonconservation_rates``.  The particle's
+records contract the frame form instead of the package's coordinate
+bivector P = E B E^T:
 ``particle_bracket`` is (frame grad f) . B . (frame grad g) and
 ``hamiltonian_frame_flow`` is B . frame grad(H).  ``test_stacked_records.py``
 compares the stacked records with them.
@@ -44,16 +46,16 @@ import warnings
 import numpy as np
 from hypothesis import strategies as st
 
-from nonholo import (BracketKind, ConsistencyError, DomainError, StateGM, eval_profile, gauge_momentum_fields,
-                     invariants, momentum_components, qp_matrix)
+from nonholo import (BracketKind, ConsistencyError, DomainError, ScalarField, StateGM, eval_profile, invariants,
+                     momentum_components, qp_matrix)
 from nonholo import bivector_packed as package_bivector_packed, qpl_values as package_qpl_values
 from nonholo import particle_rhs as package_particle_rhs, rhs as package_rhs
-from nonholo.brackets import J2_COMPONENT, TAU1, TAU4, TAUS
+from nonholo.brackets import J1_COMPONENT, J2_COMPONENT, TAU1, TAU4, TAUS, _gauge_gradient
 from nonholo.dynamics import COLUMNS
 from nonholo.phase import relation_residual
 from nonholo.particle import COLUMNS as PARTICLE_COLUMNS, COORDINATES, HAMILTONIAN, MOMENTUM
-from nonholo.profile import check_gamma3, contact_vector
-from nonholo.smallalg import E3, dot, nan_max
+from nonholo.profile import check_gamma3
+from nonholo.smallalg import nan_max
 
 #: relative step of the 5-point stencil of ``jacobi_trivector``
 STENCIL_STEP = 1e-3
@@ -95,6 +97,20 @@ def rk4_step(f, t, y, h):
     k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
     k4 = f(t + h, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+E3 = np.array([0.0, 0.0, 1.0])
+
+
+def dot(a, b):
+    """Return the dot product of two 3-vectors."""
+    return float(a[0] * b[0] + a[1] * b[1] + a[2] * b[2])
+
+
+def contact_vector(ev, gamma):
+    """Body-frame vector s = rho*gamma - L*e3 from center of mass to contact point."""
+    check_gamma3(ev, gamma[2])
+    return ev.rho * gamma - ev.L * E3
 
 
 def cross(a, b):
@@ -416,7 +432,30 @@ def pushforward_residual(params, spec, x):
     pi = package_bivector_packed(params, spec, x, BracketKind.GAUGED)
     grads = [t.grad(x) for t in TAUS]
     table = reduced_bivector_tau(params, spec, invariants(x))
-    return nan_max(abs(float(grads[a] @ pi @ grads[b]) - table[a, b]) for a in range(5) for b in range(a + 1, 5))
+    return nan_max(np.array([abs(float(grads[a] @ pi @ grads[b]) - table[a, b])
+                             for a in range(5) for b in range(a + 1, 5)]))
+
+
+def gauge_momentum_fields(solution):
+    """The two gauge momenta of ``solution`` as ScalarFields, their gradients
+    (``brackets._gauge_gradient``) from ``solution.slope``, at a state or an
+    (m, 6) stack."""
+
+    def make(index):
+        i, j = 2 * index, 2 * index + 1
+
+        def fn(x):
+            v = solution.eval(x[2])
+            return v[i] * J1_COMPONENT.fn(x) + v[j] * J2_COMPONENT.fn(x)
+
+        def grad(x):
+            x = np.asarray(x, dtype=float)
+            t1 = x[..., 2][()]  # a float64 at one state
+            return _gauge_gradient(index, x, solution.eval(t1), solution.slope(t1))
+
+        return ScalarField(fn, grad, name=f"J{index + 1}")
+
+    return make(0), make(1)
 
 
 def casimir_residuals(params, spec, x, momenta):
@@ -429,7 +468,7 @@ def casimir_residuals(params, spec, x, momenta):
     out, verts = [], []
     for idx, gj in enumerate(grads):
         flow = pi @ gj
-        out.append(nan_max(abs(float(t.grad(x) @ flow)) for t in TAUS))
+        out.append(nan_max(np.array([abs(float(t.grad(x) @ flow)) for t in TAUS])))
         verts.append(float(np.max(np.abs(flow - pairs[2 * idx] * gen))))
     return out[0], out[1], abs(float(grads[0] @ pi @ grads[1])), verts[0], verts[1]
 
@@ -484,14 +523,14 @@ def _qp_linearity(s, p):
     (t1, _, t3, t4, _), vals = p.inv, p.vals
     qp = qp_matrix(s.params, s.spec, t1)
     den = max(abs(vals.Q), abs(vals.P), 1e-3)
-    return nan_max((abs(qp[0, 0] * t3 + qp[0, 1] * t4 - vals.Q) / den,
-                    abs(qp[1, 0] * t3 + qp[1, 1] * t4 - vals.P) / den))
+    return nan_max(np.array([abs(qp[0, 0] * t3 + qp[0, 1] * t4 - vals.Q) / den,
+                             abs(qp[1, 0] * t3 + qp[1, 1] * t4 - vals.P) / den]))
 
 
 def _jacobi_gauged(s, p):
     d, t = np.array([tau.grad(p.x) for tau in TAUS]), s.jets.trivectors[0][p.index]
     jac = np.einsum("iab,pi,qa,rb->pqr", t, d, d, d)
-    return nan_max(abs(float(jac[a, b, c])) for a, b, c in itertools.combinations(range(5), 3))
+    return nan_max(np.array([abs(float(jac[a, b, c])) for a, b, c in itertools.combinations(range(5), 3)]))
 
 
 def _jacobi_ungauged(s, p):
@@ -505,13 +544,13 @@ def _jacobi_ungauged(s, p):
 def _rate_law(s, p):
     dj1, dj2, pred1, pred2 = nonconservation_rates(s.params, s.spec, p.x)
     scale = max(abs(pred1), abs(pred2), 1e-6)
-    return nan_max((abs(dj1 - pred1) / scale, abs(dj2 - pred2) / scale))
+    return nan_max(np.array([abs(dj1 - pred1) / scale, abs(dj2 - pred2) / scale]))
 
 
 def _consistency(s, p):
     xd = package_rhs(s.params, s.spec, p.x)
     dh = s.jets.dh[p.index]
-    return nan_max(float(np.max(np.abs(xd - pis[p.index] @ dh))) for pis in s.jets.pis)
+    return nan_max(np.array([float(np.max(np.abs(xd - pis[p.index] @ dh))) for pis in s.jets.pis]))
 
 
 #: The per-sample measure of each per-sample solid record, at (solid, sample)
@@ -522,7 +561,7 @@ SOLID_MEASURES = {
     "casimir-J1": lambda s, p: p.casimir[0],
     "casimir-J2": lambda s, p: p.casimir[1],
     "involution": lambda s, p: p.casimir[2],
-    "vertical-generator": lambda s, p: nan_max(p.casimir[3:]),
+    "vertical-generator": lambda s, p: nan_max(np.array(p.casimir[3:])),
     "pushforward-table": lambda s, p: pushforward_residual(s.params, s.spec, p.x),
     "rate-law": _rate_law,
     "relation-residual": lambda s, p: abs(relation_residual(*p.inv[:3], p.inv[4])),
@@ -545,7 +584,7 @@ PARTICLE_MEASURES = {
     "jacobi-negative-control": lambda s, k: abs(float(s.trivectors[k][0, 3, 4])),
     "jacobi-unreduced-closed-form":
         lambda s, k: abs(float(s.trivectors[k][0, 3, 4]) - s.v[k][1] / (1.0 + s.v[k][1] ** 2)),
-    "casimir-momentum": lambda s, k: nan_max(abs(particle_bracket(MOMENTUM, f, s.v[k])) for f in _COORDS),
+    "casimir-momentum": lambda s, k: nan_max(np.array([abs(particle_bracket(MOMENTUM, f, s.v[k])) for f in _COORDS])),
     "rhs-anchor": lambda s, k: _rhs_anchor(s, s.v[k]),
 }
 

@@ -11,18 +11,17 @@ from nonholo import (
     bracket,
     casimir_residuals,
     eval_profile,
-    hamiltonian_field,
     invariants,
     jacobiator,
-    profile_scalars,
     pushforward_residual,
     reduced_bivector_tau,
     solution_for,
 )
-from nonholo.brackets import J1_COMPONENT, J2_COMPONENT, TAUS, ScalarField, s1_generator
+from nonholo.brackets import J1_COMPONENT, J2_COMPONENT, TAUS, ScalarField, energy_at, s1_generator
 from nonholo.errors import ConsistencyError, DomainError
 from nonholo.phase import energy, momentum_components, relation_residual
-from nonholo.smallalg import grad_fd
+from nonholo.profile import mass_scalars
+from nonholo.smallalg import grad_fd, jet_gradient
 
 from conftest import make_states
 from oracles import same_bits
@@ -136,7 +135,7 @@ class TestJacobiator:
         params, spec = routh_preset if preset == "routh" else ellipsoid_preset
         for state in make_states(11, 5):
             ev = eval_profile(spec, state.gamma[2])
-            sc = profile_scalars(params, ev, state.gamma)
+            sc = mass_scalars(params, ev.rho, ev.L, *state.gamma.tolist())
             t1 = state.gamma[2]
             expected = -params.m * ev.rho * sc.gs * (1.0 - t1 * t1) / sc.A1
             val = jacobiator(
@@ -177,11 +176,12 @@ def test_s1_generator(worked_state):
 
 
 def test_hamiltonian_field(worked_params, worked_spec, worked_state):
-    h = hamiltonian_field(worked_params, worked_spec)
+    # the energy that the dynamics-consistency record differentiates: energy_at and its jet gradient
     x = worked_state.packed()
-    assert h.fn(x) == pytest.approx(energy(worked_params, eval_profile(worked_spec, x[2]), x), rel=1e-15)
-    by_fd = grad_fd(h.fn, x)
-    assert np.max(np.abs(h.grad(x) - by_fd)) <= 1e-8
+    h = lambda y: energy_at(worked_params, worked_spec, y)  # noqa: E731
+    assert h(x) == pytest.approx(energy(worked_params, eval_profile(worked_spec, x[2]), x), rel=1e-15)
+    by_fd = grad_fd(h, x)
+    assert np.max(np.abs(jet_gradient(h, x) - by_fd)) <= 1e-8
 
 
 def test_casimir_residuals(routh_preset, ellipsoid_preset, ellipsoid_momenta):

@@ -203,6 +203,9 @@ BAD_CASES = [
     pytest.param(ROUTH_RAW, ("initial", "gamma"), [0.6, 10**400, 0.8], "/initial/gamma", id="gamma-1e400"),
     pytest.param(ROUTH_RAW, ("integrator", "dt"), 10**400, "/integrator/dt", id="dt-1e400"),
     pytest.param(ROUTH_RAW, ("seed",), _Verbatim("9" * 5000), "", id="seed-5000-digits"),
+    # huge finite entries: |gamma| overflows to inf, refused with no numpy warning
+    pytest.param(ROUTH_RAW, ("initial", "gamma"), [1e308, 0.0, 0.0], "/initial/gamma", id="gamma-1e308"),
+    pytest.param(ROUTH_RAW, ("initial", "gamma"), [1e200, 1e200, 0.0], "/initial/gamma", id="gamma-1e200-1e200"),
 ]
 
 # Configs with two faults report the first in the order parse_config reads
@@ -260,7 +263,10 @@ def _malformed_config_texts(draw):
     base = draw(st.sampled_from([ROUTH_RAW, ELLIPSOID_RAW, PARTICLE_RAW]))
     paths = list(_paths(base))
     objects = [()] + [p for p in paths if isinstance(_at(base, p), dict)]
-    how = draw(st.sampled_from(["value", "unknown-key", "truncated", "huge-seed"]))
+    how = draw(st.sampled_from(["value", "unknown-key", "truncated", "huge-seed", "huge-gamma"]))
+    if how == "huge-gamma":  # finite entries whose |gamma| overflows
+        gamma = draw(st.sampled_from([[1e308, 0.0, 0.0], [1e200, 1e200, 0.0]]))
+        return _config_text(draw(st.sampled_from([ROUTH_RAW, ELLIPSOID_RAW])), ("initial", "gamma"), gamma)
     if how == "value":
         return _config_text(base, draw(st.sampled_from(paths)), draw(_INVALID))
     if how == "unknown-key":

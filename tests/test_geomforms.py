@@ -147,3 +147,9 @@ def test_qp_grid_domain_guard():
         qp_grid(params, spec, np.array([0.0, 1.0]))
     with pytest.raises(DomainError):
         qp_grid(params, spec, np.array([-1.0 - 1e-12]))
+    # the error names the first tau1 off the bound, in qp_matrix's words
+    with pytest.raises(DomainError) as grid_error:
+        qp_grid(params, spec, np.array([0.5, -1.0, 1.0]))
+    with pytest.raises(DomainError) as point_error:
+        qp_matrix(params, spec, -1.0)
+    assert str(grid_error.value) == str(point_error.value) == "tau1=-1.0 too close to the singular strata +-1"

@@ -8,14 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonholo import (
-    BodyParams,
-    ProfileSpec,
-    contact_vector,
-    eval_profile,
-    profile_scalars,
-)
+from nonholo import BodyParams, ProfileSpec, eval_profile
 from nonholo.errors import ConsistencyError, DegeneracyError, DomainError
+from nonholo.profile import check_gamma3, mass_scalars
+from oracles import contact_vector, dot
 
 g3s = st.floats(-1.0, 1.0, allow_nan=False)
 axes = st.floats(0.2, 5.0, allow_nan=False)
@@ -100,23 +96,33 @@ def test_contact_vector_consistency_guard():
     spec = ProfileSpec.routh(1.0, 0.1)
     ev = eval_profile(spec, 0.8)
     with pytest.raises(ConsistencyError):
-        contact_vector(ev, np.array([1.0, 0.0, 0.0]))
+        check_gamma3(ev, 0.0)
+    check_gamma3(ev, 0.8)
     s = contact_vector(ev, np.array([0.6, 0.0, 0.8]))
     assert np.allclose(s, [-0.6, 0.0, -0.7])  # rho*gamma - L*e3
 
 
 def test_profile_scalars_identity():
+    # A1 and <gamma, s> are those of the 3-vector s, and the Legendre
+    # denominator E = 1 - m<A^-1 s, s> is Ptau/(A1*A3), as [QP] writes it
     params = BodyParams(m=1.3, I1=2.0, I3=3.0)
     spec = ProfileSpec.ellipsoid(2.0, 1.0)
     gamma = np.array([0.6, 0.0, 0.8])
-    sc = profile_scalars(params, eval_profile(spec, 0.8), gamma)
-    a3 = params.I3 + params.m * sc.ss
-    assert sc.Ptau == pytest.approx(sc.A1 * a3 * sc.E, rel=1e-14)
-    assert sc.E > 0.0
+    ev = eval_profile(spec, 0.8)
+    sc = mass_scalars(params, ev.rho, ev.L, *gamma.tolist())
+    s = contact_vector(ev, gamma)
+    ss = dot(s, s)
+    a3 = params.I3 + params.m * ss
+    assert sc.A1 == pytest.approx(params.I1 + params.m * ss, rel=1e-15)
+    assert sc.gs == pytest.approx(dot(gamma, s), rel=1e-15)
+    e = 1.0 - params.m * ((s[0] ** 2 + s[1] ** 2) / sc.A1 + s[2] ** 2 / a3)
+    ptau = params.I1 * params.I3 + params.m * (params.I1 * ev.rho**2 * (1.0 - 0.8**2) + params.I3 * ev.zeta**2)
+    assert ptau == pytest.approx(sc.A1 * a3 * e, rel=1e-14)
+    assert e > 0.0
 
 
 def test_profile_scalars_degeneracy_guard():
     params = BodyParams(m=1.0, I1=1e-12, I3=1e-12)
-    spec = ProfileSpec.routh(1.0, 0.0)
+    ev = eval_profile(ProfileSpec.routh(1.0, 0.0), 0.8)
     with pytest.raises(DegeneracyError):
-        profile_scalars(params, eval_profile(spec, 0.8), np.array([0.6, 0.0, 0.8]))
+        mass_scalars(params, ev.rho, ev.L, 0.6, 0.0, 0.8)

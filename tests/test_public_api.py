@@ -4,9 +4,14 @@ harness binds to.
 ``nonholo.__all__`` is pinned: a name that joins or leaves it must edit the
 pin.  ``bench/kernels.py`` and ``bench/tracer.py`` import and wrap functions
 of this package by name; a refactor that renames or removes one of them must
-fail here instead of silently breaking ``bench/run.py --trace 1``.  The
-runtime imports numpy and the standard library only.
+fail here instead of silently breaking ``bench/run.py --trace 1``.  Every
+definition in ``src/`` is reached from ``src/`` itself, bound by the bench,
+or kept for a stated reason (``KEEP``): a helper that only tests call
+belongs in ``tests/oracles.py``.  The runtime imports numpy and the
+standard library only.
 """
+import ast
+import collections
 import importlib
 import inspect
 import json
@@ -33,13 +38,12 @@ def test_all_names_resolve_once():
 PUBLIC_NAMES = [
     "BodyParams", "BracketKind", "ConfigError", "ConsistencyError", "DegeneracyError", "DomainError",
     "IntegratorConfig", "MomentaSolution", "NonholoError", "ProfileEval", "ProfileSpec", "ScalarField", "StateGM",
-    "bivector_packed", "bracket", "casimir_residuals", "closed_form_momenta", "contact_vector", "drift",
-    "drift_report", "energy", "eval_gauge_momenta", "eval_profile", "gauge_momentum_fields", "hamiltonian_field",
-    "integrate", "invariants", "jacobiator", "momenta_ode_rhs", "momentum_components", "nonconservation_rates",
-    "ode_residual", "omega_from_M", "particle_bracket", "particle_hamiltonian", "particle_integrate",
-    "particle_jacobiator_reduced", "particle_jacobiator_unreduced", "particle_momentum", "particle_rhs",
-    "profile_scalars", "pushforward_residual", "qp_matrix", "qpl_values", "reduced_bivector_tau", "rhs",
-    "rk4_step", "routh_closed_form", "routh_closed_form_derivative", "solution_for", "solve_momenta",
+    "bivector_packed", "bracket", "casimir_residuals", "closed_form_momenta", "drift", "drift_report", "energy",
+    "eval_gauge_momenta", "eval_profile", "integrate", "invariants", "jacobiator", "momenta_ode_rhs",
+    "momentum_components", "nonconservation_rates", "ode_residual", "omega_from_M", "particle_bracket",
+    "particle_hamiltonian", "particle_integrate", "particle_jacobiator_reduced", "particle_jacobiator_unreduced",
+    "particle_momentum", "particle_rhs", "pushforward_residual", "qp_matrix", "qpl_values", "reduced_bivector_tau",
+    "rhs", "rk4_step", "routh_closed_form", "routh_closed_form_derivative", "solution_for", "solve_momenta",
 ]
 
 
@@ -166,3 +170,54 @@ def test_every_bracket_matrix_has_one_assembly():
     gone = ("_gauged_matrices", "_bracket_matrix", "_frame_gradient", "hamiltonian_frame_flow")
     assert not [(m.__name__, name) for m in modules for name in gone if hasattr(m, name)]
     assert not hasattr(smallalg.Jet, "matrix")
+
+
+#: Definitions that no other ``src/`` code references, each kept for a reason
+KEEP = {
+    "serialize_config": "the inverse of parse_config, which the config round-trip properties pin",
+    "particle_hamiltonian": "the particle's H at a packed state, public beside particle_rhs",
+    "particle_momentum": "the particle's J at a packed state, public beside particle_rhs",
+}
+
+
+def _definitions(tree):
+    """(name, node) of every top-level function and class of a module and of
+    every method of its classes; dunder methods are called by the language."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield item.name, item
+
+
+def _bench_bound() -> set:
+    """The names bench/kernels.py imports from the package, and the functions
+    and methods bench/tracer.py wraps."""
+    tree = ast.parse((BENCH / "kernels.py").read_text())
+    names = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             and (node.module or "").startswith("nonholo") for a in node.names}
+    tracer = importlib.import_module("tracer")
+    return names | {target.rpartition(".")[2] for target in tracer.SPANS + tracer.COUNTERS}
+
+
+def test_every_src_definition_is_reached_from_src_or_bench_or_kept(bench_path):
+    # A reference is a name or an attribute in code (a docstring, a comment
+    # or an ``__all__`` entry is none) outside the definition's own body.
+    trees = [ast.parse(path.read_text()) for path in sorted((ROOT / "src" / "nonholo").glob("*.py"))]
+    defs = [d for tree in trees for d in _definitions(tree)]
+    inside = collections.defaultdict(set)  # node -> the definitions it lies in
+    for name, d in defs:
+        for node in ast.walk(d):
+            inside[id(node)].add(name)
+    refs = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if name is not None and name not in inside[id(node)]:
+                refs.add(name)
+    names = {name for name, _ in defs}
+    assert set(KEEP) <= names - refs  # an entry that src defines and does not reach
+    unreached = sorted(names - refs - _bench_bound() - set(KEEP))
+    assert not unreached, f"src definitions that only tests reach: {unreached}"

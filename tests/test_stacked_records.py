@@ -54,7 +54,7 @@ def assert_records_match_the_per_sample_bodies(subject, rounding=ROUNDING):
         else:
             assert np.max(np.abs(stacked - reference)) <= rounding, rec.name
         (result,) = certify.run([rec], subject)
-        assert abs(result.measured - oracles.nan_max(reference.tolist())) <= rounding, rec.name
+        assert abs(result.measured - oracles.nan_max(reference)) <= rounding, rec.name
 
 
 def check_subject(raw):
