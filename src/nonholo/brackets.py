@@ -45,7 +45,7 @@ from .errors import ConsistencyError
 from .geomforms import gauge_columns, qp_grid
 from .phase import BodyParams, energy_floats, invariants, omega_floats, relation_residual
 from .profile import ProfileSpec, state_terms
-from .smallalg import Jet, columns, jacobi_trivector, matrix, stacked
+from .smallalg import Jet, columns, jacobi_trivector, jet_gradient, matrix, stacked
 
 
 class BracketKind(str, Enum):
@@ -64,28 +64,22 @@ class ScalarField:
     name: str = ""
 
 
-def _state_field(name: str, fn, grad) -> ScalarField:
-    """The ScalarField of ``fn`` and ``grad`` (its six gradient entries), both
-    written on the state columns c: floats at a packed state, arrays over an
-    (m, 6) stack (``smallalg.columns``)."""
-    def gradient(x):
-        c = columns(x)
-        return stacked(grad(c), c[0])
-
-    return ScalarField(lambda x: fn(columns(x)), gradient, name)
+def state_field(name: str, body) -> ScalarField:
+    """The one ScalarField builder: ``body`` of the state columns c
+    (``smallalg.columns``) at a packed state, its gradient at a state, or its
+    (m, n) rows at an (m, n) stack, a jet pass through ``body`` (``jet_gradient``)."""
+    return ScalarField(lambda x: body(columns(x)), lambda x: jet_gradient(lambda u: body(columns(u)), x), name)
 
 
-TAU1 = _state_field("tau1", lambda c: c[2], lambda c: (0.0, 0.0, 1.0, 0.0, 0.0, 0.0))
-TAU2 = _state_field("tau2", lambda c: c[0] * c[4] - c[1] * c[3], lambda c: (c[4], -c[3], 0.0, -c[1], c[0], 0.0))
-TAU3 = _state_field("tau3", lambda c: c[0] * c[3] + c[1] * c[4], lambda c: (c[3], c[4], 0.0, c[0], c[1], 0.0))
-TAU4 = _state_field("tau4", lambda c: c[5], lambda c: (0.0, 0.0, 0.0, 0.0, 0.0, 1.0))
-TAU5 = _state_field("tau5", lambda c: c[3] * c[3] + c[4] * c[4],
-                    lambda c: (0.0, 0.0, 0.0, 2.0 * c[3], 2.0 * c[4], 0.0))
+TAU1 = state_field("tau1", lambda c: c[2])
+TAU2 = state_field("tau2", lambda c: c[0] * c[4] - c[1] * c[3])
+TAU3 = state_field("tau3", lambda c: c[0] * c[3] + c[1] * c[4])
+TAU4 = state_field("tau4", lambda c: c[5])
+TAU5 = state_field("tau5", lambda c: c[3] * c[3] + c[4] * c[4])
 TAUS: tuple[ScalarField, ...] = (TAU1, TAU2, TAU3, TAU4, TAU5)
 
-J1_COMPONENT = _state_field("j1", lambda c: -c[5], lambda c: (0.0, 0.0, 0.0, 0.0, 0.0, -1.0))
-J2_COMPONENT = _state_field("j2", lambda c: c[0] * c[3] + c[1] * c[4] + c[2] * c[5],
-                            lambda c: (c[3], c[4], c[5], c[0], c[1], c[2]))
+J1_COMPONENT = state_field("j1", lambda c: -c[5])
+J2_COMPONENT = state_field("j2", lambda c: c[0] * c[3] + c[1] * c[4] + c[2] * c[5])
 
 
 def _gauge_gradient(index: int, x: np.ndarray, v: np.ndarray, dv: np.ndarray) -> np.ndarray:

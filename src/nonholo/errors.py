@@ -24,7 +24,7 @@ class ConfigError(NonholoError):
         super().__init__(message)
         self.pointer = pointer
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         if self.pointer:
             return f"{self.args[0]} (at {self.pointer!r})"
         return str(self.args[0])

@@ -54,11 +54,10 @@ tau1-derivatives); ``brackets.casimir_residuals`` builds the gradients of
 the gauge momenta from the two.  The choice between closed forms and table
 is the solution's type, made once there: ``ClosedFormMomenta`` or the
 tabulated ``MomentaSolution``.  Both look a tau1 array up in one chunked
-body, with NaN rows off the solution; a float tau1 is a stack of one that
-raises DomainError there instead.  A table interpolates with ``np.interp``'s
-cases and formula, which gives each column its bits.  The closed forms and
-``ode_residual`` also take a tau1 array, which the certificates sweep in
-one pass.
+body, with NaN rows off the solution; a float tau1 (or a 0-d array) is a
+stack of one that raises DomainError there instead.  A table reads each
+column with ``np.interp``.  The closed forms and ``ode_residual`` also take
+a tau1 array, which the certificates sweep in one pass.
 """
 from __future__ import annotations
 
@@ -136,7 +135,7 @@ class MomentaSolution:
         """``body`` at a float tau1 (a stack of one), or at each element of an
         array, in chunks that bound the transient arrays; off rows are NaN."""
         lo, hi, name = self._domain()
-        if not isinstance(tau1, np.ndarray):
+        if np.ndim(tau1) == 0:  # a float, a numpy scalar or a 0-d array
             t1 = float(tau1)
             if t1 < lo or t1 > hi:
                 raise DomainError(f"tau1={t1!r} outside {name}")
@@ -156,20 +155,9 @@ class MomentaSolution:
         return lo - 1e-12, hi + 1e-12, f"the momenta grid [{lo!r}, {hi!r}]"
 
     def _values(self, t: np.ndarray) -> np.ndarray:
-        """The rows at t, interpolated between the two nodes around each
-        element with ``np.interp``'s cases and formula (its bits on each
-        column of a finite table)."""
-        grid, pairs, n = self.grid, self.pairs, len(self.grid)
-        j = grid.searchsorted(t, "right") - 1
-        jc = np.clip(j, 0, n - 2)
-        x0, row0, row1 = grid[jc], pairs[jc], pairs[jc + 1]
-        rows = (row1 - row0) / (grid[jc + 1] - x0)[:, None] * (t - x0)[:, None] + row0
-        node = x0 == t
-        rows[node] = row0[node]
-        rows[j < 0] = pairs[0]
-        rows[j >= n - 1] = pairs[-1]
-        rows[t != t] = np.nan
-        return rows
+        """The rows at t, each column interpolated linearly between the nodes
+        around each element by ``np.interp``."""
+        return np.column_stack([np.interp(t, self.grid, column) for column in self.pairs.T])
 
     def _slopes(self, t: np.ndarray) -> np.ndarray:
         """``momenta_ode_rhs`` at t and the rows of ``_values``, bit for bit."""
@@ -226,7 +214,7 @@ def solve_momenta(
     """
     grid = _grid(delta, h)
     n = (len(grid) - 1) // 2
-    pairs = np.empty((len(grid), 4))
+    pairs = np.empty((4, len(grid))).T  # column-major: np.interp reads each column without a copy
     y0 = (1.0, 0.0, 0.0, 1.0)
     pairs[n] = y0
     for direction in (+1, -1):

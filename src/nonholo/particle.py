@@ -38,12 +38,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Callable
 
 import numpy as np
 
-from .brackets import ScalarField
-from .smallalg import Jet, columns, jacobi_trivector, jet_gradient, matrix, pow2, rk4_step, stacked
+from .brackets import ScalarField, state_field
+from .smallalg import Jet, columns, jacobi_trivector, matrix, pow2, rk4_step, stacked
 
 
 def particle_hamiltonian(v) -> float:
@@ -59,24 +58,14 @@ def particle_rhs(v) -> np.ndarray:
     return stacked(_field(c), c[0])
 
 
-def _square(a: float) -> float:
-    """a**2 as libm pow, the square these kernels have always taken (it differs
-    from a*a in the last bit for ~0.1% of values), and inf where it overflows;
-    a jet squares through ``pow2``."""
-    try:
-        return a**2
-    except OverflowError:
-        return math.inf
-
-
 def _hamiltonian(y: float, px: float, py: float) -> float:
     """H on floats (or jets): the one body of ``particle_hamiltonian``."""
-    return 0.5 * (_square(px) / (1.0 + _square(y)) + _square(py))
+    return 0.5 * (pow2(px) / (1.0 + pow2(y)) + pow2(py))
 
 
 def _momentum(y: float, px: float) -> float:
     """J on floats (or jets): the one body of ``particle_momentum``."""
-    d = 1.0 + _square(y)
+    d = 1.0 + pow2(y)
     return px / (d.sqrt() if isinstance(d, Jet) else math.sqrt(d))
 
 
@@ -96,15 +85,9 @@ def _coupling(v):
     return y * px / (1.0 + pow2(y))
 
 
-def _field_of(body: Callable, name: str, *cols: int) -> ScalarField:
-    """``body`` of the state components ``cols`` as a ScalarField, its gradient a jet pass."""
-    return ScalarField(lambda v: body(*(float(v[k]) for k in cols)),
-                       lambda v: jet_gradient(lambda u: body(*(u[:, k] for k in cols)), v), name)
-
-
-HAMILTONIAN = _field_of(_hamiltonian, "H", 1, 3, 4)
-MOMENTUM = _field_of(_momentum, "J", 1, 3)
-COORDINATES = tuple(_field_of(lambda c: c, name, k) for k, name in enumerate(("x", "y", "z", "px", "py")))
+HAMILTONIAN = state_field("H", lambda c: _hamiltonian(c[1], c[3], c[4]))
+MOMENTUM = state_field("J", lambda c: _momentum(c[1], c[3]))
+COORDINATES = tuple(state_field(name, lambda c, k=k: c[k]) for k, name in enumerate(("x", "y", "z", "px", "py")))
 
 
 def particle_bivector(v):

@@ -113,7 +113,7 @@ def state_terms(spec: ProfileSpec, x) -> tuple:
         DomainError: at the first state with |gamma3| > 1 + DOMAIN_SLACK.
     """
     if isinstance(x, Jet):
-        cols, g3, sqrt = [x[:, k] for k in range(6)], x.value[:, 2], Jet.sqrt
+        cols, g3, sqrt = columns(x), x.value[:, 2], Jet.sqrt
     else:
         cols = columns(np.asarray(x, dtype=float)[..., :6])
         g3 = cols[2]

@@ -3,15 +3,16 @@ RK4 step, forward-mode jets, the one assembly of a matrix from its entries,
 and the Jacobi trivector of a bivector field.
 
 Everything here is deliberately written out (no LAPACK dispatch) so results
-are bit-reproducible across platforms.  The derivatives of the profile,
-Omega, the energy, the gauge fields and the particle's H, J and w are
-``Jet`` passes through their elementwise bodies; the gradients of the
-polynomials tau1..tau5, j1 and j2 are written by hand
-(``brackets._state_field``).  ``grad_fd`` is only the reference that the
+are bit-reproducible across platforms.  Every derivative in the package is a
+``Jet`` pass through an elementwise body: the profile, Omega, the energy and
+the gauge fields, and, through ``jet_gradient``, every ``ScalarField``
+gradient (tau1..tau5, j1, j2, and the particle's H, J and coordinates;
+``brackets.state_field``).  ``grad_fd`` is only the reference that the
 tests compare the gradients against.
 """
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,8 +28,11 @@ def nan_max(values: np.ndarray) -> float:
 
 
 def columns(x) -> list:
-    """The components of a packed point as Python floats, or the columns of an
-    (m, n) stack as arrays: what an elementwise body reads."""
+    """The components of a packed point as Python floats, the columns of an
+    (m, n) stack as arrays, or the column jets of the jet of one: what an
+    elementwise body reads."""
+    if isinstance(x, Jet):
+        return [x[:, k] for k in range(x.value.shape[-1])]
     x = np.asarray(x, dtype=float)
     return x.tolist() if x.ndim == 1 else list(x.T)
 
@@ -56,31 +60,21 @@ def rk4_step(f: Callable[[float, Sequence[float]], Sequence[float]], t: float, y
 
     A state of five or six elements (a particle's, a solid's) is stepped by
     ``_rk4_step5`` or ``_rk4_step6``, which write the combinations out
-    component by component; any other length by the generic ``_rk4_step_n``,
-    the reference they are tested against bit for bit.
+    component by component; a state of any other length is a ValueError.
 
     Fixed step, no adaptivity: every integration in this package is meant to
     be bit-reproducible for a given (dt, t_final).
     """
-    return _UNROLLED.get(len(y), _rk4_step_n)(f, t, y, h, k1)
-
-
-def _rk4_step_n(f, t, y, h, k1=None) -> list[float]:
-    """``rk4_step`` of any length, one list comprehension per combination."""
-    if k1 is None:
-        k1 = f(t, y)
-    half = 0.5 * h
-    k2 = f(t + half, [a + half * b for a, b in zip(y, k1)])
-    k3 = f(t + half, [a + half * b for a, b in zip(y, k2)])
-    k4 = f(t + h, [a + h * b for a, b in zip(y, k3)])
-    sixth = h / 6.0
-    return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    step = _UNROLLED.get(len(y))
+    if step is None:
+        raise ValueError(f"rk4_step steps states of 5 or 6 elements, not {len(y)}")
+    return step(f, t, y, h, k1)
 
 
 def _rk4_step5(f, t, y, h, k1=None) -> list[float]:
-    """``_rk4_step_n`` of five elements, its combinations written out component
-    by component: the same operations in the same order, so the same bits and
-    the same stage arguments, without the per-element loops."""
+    """``rk4_step`` of five elements, its combinations written out component by
+    component: each element sees the operations, in order, of a per-element
+    loop over each combination, so the same bits, without the loops."""
     y1, y2, y3, y4, y5 = y
     a1, a2, a3, a4, a5 = f(t, y) if k1 is None else k1
     half = 0.5 * h
@@ -96,7 +90,7 @@ def _rk4_step5(f, t, y, h, k1=None) -> list[float]:
 
 
 def _rk4_step6(f, t, y, h, k1=None) -> list[float]:
-    """``_rk4_step_n`` of six elements, written out as ``_rk4_step5``."""
+    """``rk4_step`` of six elements, written out as ``_rk4_step5``."""
     y1, y2, y3, y4, y5, y6 = y
     a1, a2, a3, a4, a5, a6 = f(t, y) if k1 is None else k1
     half = 0.5 * h
@@ -136,13 +130,21 @@ def grad_fd(f: Callable[[np.ndarray], float], x: np.ndarray, scale: float = 1e-5
 
 
 def pow2(a):
-    """a**2 as libm pow: Python's ``**`` on a float, and on each element of an
-    array.  numpy's array ``a**2`` is a*a, which differs in the last bit for
-    about 0.1% of values; the per-state kernels have always squared with pow.
-    """
-    if isinstance(a, np.ndarray):
+    """a**2 as libm pow: Python's ``**`` on a float (or a jet), and on each
+    element of a 1-d array, but inf past the float range (where ``**`` raises
+    OverflowError).  numpy's array ``a**2`` is a*a, which differs in the last
+    bit for about 0.1% of values; the per-state kernels have always squared
+    with pow."""
+    # a float is tested first: the per-row kernels square floats, and an ndarray test costs more than the square
+    if isinstance(a, float) or not isinstance(a, np.ndarray):
+        try:
+            return a**2
+        except OverflowError:
+            return math.inf
+    try:  # a.tolist() inline: the list of floats is freed before np.array builds the result
         return np.array([v**2 for v in a.tolist()])
-    return a**2
+    except OverflowError:  # the rare array with an overflowing square pays a call per element
+        return np.array([pow2(v) for v in a.tolist()])
 
 
 class Jet:
@@ -248,10 +250,11 @@ def matrix(rows):
 
 
 def jet_gradient(fn: Callable[[Jet], Jet], x) -> np.ndarray:
-    """The gradient of ``fn`` at the point x, or its (m, n) rows at an (m, n) stack;
+    """The gradient of ``fn`` at the point x, or its (m, n) rows at an (m, n) stack,
+    C-contiguous (``einsum`` sums a strided operand in another order, other bits);
     ``fn`` maps jets of (m, n) stacks to jets of (m,) values."""
     x = np.asarray(x, dtype=float)
-    return fn(Jet.seed(x.reshape(-1, x.shape[-1]))).grad.T.reshape(x.shape)
+    return np.ascontiguousarray(fn(Jet.seed(x.reshape(-1, x.shape[-1]))).grad.T).reshape(x.shape)
 
 
 def jacobi_trivector(pi: Jet) -> np.ndarray:

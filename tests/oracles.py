@@ -12,8 +12,11 @@ package must reproduce them to the bit; ``test_float_stepper.py`` and
 ``jacobi_trivector`` is the 5-point stencil that the jets replaced, one
 ``pi_fn`` call per stencil point at relative step ``STENCIL_STEP``: an
 independent reference that the jet trivector must match at the stencil's
-truncation floor.  ``same_bits`` and the float strategies below serve
-every such comparison.
+truncation floor.  ``rk4_step_n`` is the generic float step that the
+package's written-out five- and six-element RK4 steps reproduce, and
+``state_gradient`` the hand-written gradients of tau1..tau5, j1 and j2 that
+the jet passes replaced.  ``same_bits`` and the float strategies below
+serve every such comparison.
 
 The next bodies are partners that only tests ever called, kept here as
 independent references rather than package code: ``dot``, ``E3``,
@@ -55,7 +58,7 @@ from nonholo.dynamics import COLUMNS
 from nonholo.phase import relation_residual
 from nonholo.particle import COLUMNS as PARTICLE_COLUMNS, COORDINATES, HAMILTONIAN, MOMENTUM
 from nonholo.profile import check_gamma3
-from nonholo.smallalg import nan_max
+from nonholo.smallalg import columns, nan_max, stacked
 
 #: relative step of the 5-point stencil of ``jacobi_trivector``
 STENCIL_STEP = 1e-3
@@ -97,6 +100,20 @@ def rk4_step(f, t, y, h):
     k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
     k4 = f(t + h, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def rk4_step_n(f, t, y, h, k1=None) -> list:
+    """``rk4_step`` of any length, one list comprehension per combination: the
+    generic step that the package's written-out five- and six-element steps
+    reproduce bit for bit, and the step of the tests' other state lengths."""
+    if k1 is None:
+        k1 = f(t, y)
+    half = 0.5 * h
+    k2 = f(t + half, [a + half * b for a, b in zip(y, k1)])
+    k3 = f(t + half, [a + half * b for a, b in zip(y, k2)])
+    k4 = f(t + h, [a + h * b for a, b in zip(y, k3)])
+    sixth = h / 6.0
+    return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
 
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -434,6 +451,26 @@ def pushforward_residual(params, spec, x):
     table = reduced_bivector_tau(params, spec, invariants(x))
     return nan_max(np.array([abs(float(grads[a] @ pi @ grads[b]) - table[a, b])
                              for a in range(5) for b in range(a + 1, 5)]))
+
+
+#: The gradients of tau1..tau5, j1 and j2 written by hand on the state columns
+#: c, before every ScalarField gradient became a jet pass
+STATE_GRADIENTS = {
+    "tau1": lambda c: (0.0, 0.0, 1.0, 0.0, 0.0, 0.0),
+    "tau2": lambda c: (c[4], -c[3], 0.0, -c[1], c[0], 0.0),
+    "tau3": lambda c: (c[3], c[4], 0.0, c[0], c[1], 0.0),
+    "tau4": lambda c: (0.0, 0.0, 0.0, 0.0, 0.0, 1.0),
+    "tau5": lambda c: (0.0, 0.0, 0.0, 2.0 * c[3], 2.0 * c[4], 0.0),
+    "j1": lambda c: (0.0, 0.0, 0.0, 0.0, 0.0, -1.0),
+    "j2": lambda c: (c[3], c[4], c[5], c[0], c[1], c[2]),
+}
+
+
+def state_gradient(name, x):
+    """The hand-written gradient of field ``name`` at a packed state, or its
+    (m, 6) rows at an (m, 6) stack."""
+    c = columns(x)
+    return stacked(STATE_GRADIENTS[name](c), c[0])
 
 
 def gauge_momentum_fields(solution):

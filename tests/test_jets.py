@@ -9,7 +9,8 @@ part must be their derivative: against sympy's derivatives of the same
 bodies run on symbols, and against the central differences of ``grad_fd``
 at their floor.  At the poles, where no stencil can be centred, the jets
 must give a finite trivector and energy gradient, and a vanishing gauged
-Jacobiator.
+Jacobiator.  The gradients of the invariants and of j1, j2 are jet passes
+too, and must be the hand-written gradients they replaced.
 """
 import itertools
 import math
@@ -19,13 +20,13 @@ import pytest
 import sympy
 
 from nonholo import BodyParams, BracketKind, ProfileSpec, bivector_packed
-from nonholo.brackets import TAUS, energy_at
+from nonholo.brackets import J1_COMPONENT, J2_COMPONENT, TAUS, energy_at
 from nonholo.geomforms import gauge_columns
 from nonholo.particle import HAMILTONIAN, MOMENTUM, _coupling
 from nonholo.phase import energy_floats, omega_floats
 from nonholo.profile import profile_terms
 from nonholo.smallalg import Jet, grad_fd, jacobi_trivector, jet_gradient
-from oracles import same_bits
+from oracles import same_bits, state_gradient
 
 BODIES = {
     "routh": (BodyParams(1.0, 2.0, 3.0, 9.8), ProfileSpec.routh(1.0, 0.1)),
@@ -153,3 +154,15 @@ def test_trivector_and_energy_gradient_at_the_poles(body):
         d = np.array([tau.grad(state) for tau in TAUS])
         jac = np.einsum("iab,pi,qa,rb->pqr", t, d, d, d)
         assert max(abs(jac[a, b, c]) for a, b, c in itertools.combinations(range(5), 3)) <= 1e-13
+
+
+def test_field_gradients_are_the_hand_written_gradients():
+    # as values, so a zero may carry either sign; exact zeros and -0.0 in the state
+    xs = np.vstack([states(7, 20), [[0.0, -0.0, 0.5, -0.0, 0.0, 1.0], [-0.0, -0.0, -0.0, -0.0, -0.0, -0.0],
+                                    [0.6, 0.0, -0.8, 0.0, -2.0, -0.0]]])
+    for field in (*TAUS, J1_COMPONENT, J2_COMPONENT):
+        rows = field.grad(xs)
+        assert rows.flags.c_contiguous and rows.shape == xs.shape, field.name
+        assert np.array_equal(rows, state_gradient(field.name, xs)), field.name
+        for x in xs:
+            assert np.array_equal(field.grad(x), state_gradient(field.name, x)), (field.name, x)

@@ -27,8 +27,7 @@ from nonholo import momenta
 from nonholo.errors import DomainError, NonholoError
 from nonholo.geomforms import qp_grid
 from nonholo.momenta import MAX_HALF_GRID, _grid, _ode_slope, _rk4_pairs, grid_half
-from nonholo.smallalg import rk4_step
-from oracles import float_kinds, gauge_momentum_fields, same_bits
+from oracles import float_kinds, gauge_momentum_fields, rk4_step_n, same_bits
 
 from conftest import make_states
 
@@ -146,6 +145,17 @@ def test_slope_refuses_where_eval_does(ellipsoid_momenta):
         closed_form_momenta(P98, ProfileSpec.routh(1.0, 0.1)).slope(1.01)
 
 
+@pytest.mark.parametrize("spec", [ProfileSpec.ellipsoid(2.0, 1.0), ProfileSpec.routh(1.0, 0.1)])
+def test_a_0d_array_is_looked_up_as_a_float(spec):
+    # a table and the closed forms; a 0-d tau1 off the solution raises as a float does
+    sol = solution_for(P98, spec, 1e-2, 1e-3)
+    for lookup in (sol.eval, sol.slope):
+        assert same_bits(lookup(np.array(0.3)), lookup(0.3))
+        assert lookup(np.array(-0.7)).shape == (4,)
+        with pytest.raises(DomainError):
+            lookup(np.array(1.5))
+
+
 def test_array_closed_forms_equal_the_float_calls():
     grid = _grid(1e-3, 1e-4)
     for form in (routh_closed_form, routh_closed_form_derivative):
@@ -246,7 +256,7 @@ def test_momentum_fields_gradients(seed):
 
 
 def _solve_with_rk4_step(params, spec, delta, h):
-    """The coefficient ODE stepped with rk4_step + momenta_ode_rhs: one scalar
+    """The coefficient ODE stepped with the generic RK4 step + momenta_ode_rhs: one scalar
     [QP] evaluation per pair and stage, the way the table used to be built."""
     grid = _grid(delta, h)
     n = (len(grid) - 1) // 2
@@ -267,7 +277,7 @@ def _solve_with_rk4_step(params, spec, delta, h):
     for direction in (+1, -1):
         y = y0.copy()
         for k in range(1, n + 1):
-            y = rk4_step(f, direction * (k - 1) * h, y, direction * h)
+            y = rk4_step_n(f, direction * (k - 1) * h, y, direction * h)
             pairs[n + direction * k] = y
     return grid, pairs
 
@@ -356,7 +366,7 @@ def test_an_ellipsoid_table_steps_one_half(monkeypatch, ellipsoid_preset, routh_
 @given(st.data())
 def test_unrolled_coefficient_steps_are_rk4_step_bit_for_bit(data):
     # m steps of both pairs from drawn [QP] entries: the written-out stages
-    # against rk4_step with _ode_slope as right-hand side, step by step.
+    # against the generic RK4 step with _ode_slope as right-hand side, step by step.
     m, fl = data.draw(st.integers(1, 3)), data.draw(float_kinds)
     y = tuple(data.draw(st.lists(fl, min_size=4, max_size=4)))
     h = data.draw(fl)
@@ -372,7 +382,7 @@ def test_unrolled_coefficient_steps_are_rk4_step_bit_for_bit(data):
             q = next(entries)
             return [*_ode_slope(*q, t, y[0], y[1]), *_ode_slope(*q, t, y[2], y[3])]
 
-        y = rk4_step(f, t, y, h)
+        y = rk4_step_n(f, t, y, h)
         expected.append(y)
     assert same_bits(rows, expected)
 

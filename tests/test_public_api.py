@@ -172,6 +172,25 @@ def test_every_bracket_matrix_has_one_assembly():
     assert not hasattr(smallalg.Jet, "matrix")
 
 
+def test_every_field_has_one_builder():
+    # brackets.state_field builds every ScalarField of the package, its gradient a
+    # jet pass; the particle's builder, its second square and the generic RK4 step are gone.
+    import pkgutil
+
+    modules = [importlib.import_module(f"nonholo.{m.name}") for m in pkgutil.iter_modules(nonholo.__path__)]
+    gone = ("_square", "_field_of", "_rk4_step_n")
+    assert not [(m.__name__, name) for m in modules for name in gone if hasattr(m, name)]
+    calls, builder = [], set()  # the ScalarField(...) calls of src; the nodes of the builder
+    for path in sorted((ROOT / "src" / "nonholo").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and (path.stem, node.name) == ("brackets", "state_field"):
+                builder |= {id(n) for n in ast.walk(node)}
+            if isinstance(node, ast.Call) and "ScalarField" in (getattr(node.func, "id", None),
+                                                                getattr(node.func, "attr", None)):
+                calls.append(node)
+    assert calls and all(id(c) in builder for c in calls)
+
+
 #: Definitions that no other ``src/`` code references, each kept for a reason
 KEEP = {
     "serialize_config": "the inverse of parse_config, which the config round-trip properties pin",

@@ -1,12 +1,14 @@
 import math
+import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonholo import rk4_step
-from nonholo.smallalg import Jet, _rk4_step5, _rk4_step6, _rk4_step_n, grad_fd, jacobi_trivector, matrix, nan_max
-from oracles import cross, dot, float_kinds, same_bits
+from nonholo.smallalg import Jet, _rk4_step5, _rk4_step6, grad_fd, jacobi_trivector, matrix, nan_max, pow2
+from oracles import cross, dot, float_kinds, rk4_step_n, same_bits
 
 finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 triples = st.tuples(finite, finite, finite)
@@ -41,10 +43,16 @@ def test_rk4_is_fourth_order():
         y = np.array([1.0])
         h = 1.0 / n
         for k in range(n):
-            y = rk4_step(f, k * h, y, h)
+            y = rk4_step_n(f, k * h, y, h)
         errs.append(abs(y[0] - np.e))
     ratio = errs[0] / errs[1]
     assert 12.0 < ratio < 20.0
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 7])
+def test_rk4_step_refuses_a_state_it_has_no_step_for(n):
+    with pytest.raises(ValueError, match=f"not {n}$"):
+        rk4_step(lambda t, y: y, 0.0, [1.0] * n, 0.1)
 
 
 def stage_field(stages):
@@ -68,12 +76,20 @@ def test_unrolled_steps_are_the_generic_step_bit_for_bit(data):
     stages = [tuple(data.draw(vec)) for _ in range(4)]
     k1 = stages.pop(0) if data.draw(st.booleans()) else None
     f_ref, ref_calls = stage_field(stages)
-    ref = _rk4_step_n(f_ref, t, y, h, k1)
+    ref = rk4_step_n(f_ref, t, y, h, k1)
     for step in ({5: _rk4_step5, 6: _rk4_step6}[n], rk4_step):
         f, calls = stage_field(stages)
         new = step(f, t, y, h, k1)
         assert isinstance(new, list) and same_bits(new, ref)
         assert same_bits(calls, ref_calls)  # the same stage times and arguments
+
+
+def test_pow2_is_inf_past_the_float_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pow2(1e200) == math.inf
+        assert same_bits(pow2(np.array([1.0, 1e200, -3.0])), [1.0, math.inf, 9.0])
+        assert same_bits(pow2(np.array([0.1, -3.0])), [0.1**2, 9.0])
 
 
 def test_grad_fd_on_a_polynomial():
