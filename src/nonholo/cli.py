@@ -10,16 +10,26 @@ config format, ``_FORMATS`` (each system's ``params`` keys and ``initial``
 vectors, which ``RunConfig.state0`` packs as one start), with ``_DEFAULTS``.
 The grid keys ``delta`` and ``h`` are checked by ``momenta.grid_half`` alone.
 
+``simulate`` and ``momenta`` write their CSV through ``_publish``: a
+forked writer process formats each block of rows, handed over as float64
+bytes through a pipe, while this process computes the next one (the
+integrators' ``sink``).  The writer runs no numpy, so the fork is safe in a
+process where numpy's OpenBLAS has started threads, although Python 3.12
+and later warn on ``os.fork`` there.
+
 Exit codes: 0 success, 1 check failure, 2 usage or I/O error (a closed
-standard output included) or a result that is not finite (no report or CSV
-is written then, and a file already at ``--out`` is left as it was).  The
-environment variable NONHOLO_SEED overrides the config seed.
+standard output and a failed CSV write included) or a result that is not
+finite (no report or CSV is written then, and a file already at ``--out``
+is left as it was).  The environment variable NONHOLO_SEED overrides the
+config seed.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import dataclasses
+import errno
+import functools
 import itertools
 import json
 import math
@@ -32,7 +42,7 @@ import numpy as np
 
 from . import certify
 from .certify import CheckResult
-from .dynamics import COLUMNS, IntegratorConfig, drift, drift_report, integrate
+from .dynamics import BLOCK_ROWS, COLUMNS, IntegratorConfig, drift, drift_report, integrate
 from .errors import ConfigError, GridError, NonholoError
 from .momenta import closed_form_momenta, grid_half, solution_for, solve_momenta
 from .particle import COLUMNS as PARTICLE_COLUMNS, particle_integrate
@@ -250,35 +260,110 @@ def sample_particle(seed: int, index: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# formatting
+# the CSV writer
 
-def _write_csv(path: str, header: Sequence[str], rows) -> None:
-    """Write ``header`` and ``rows`` (an iterable of float sequences) as CSV,
-    each float with 17 significant digits (``nan``, ``inf`` and ``-0`` as such)."""
-    line = ",".join(["%.17g"] * len(header)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(line % tuple(row))
+def _format_csv(path: str, header: Sequence[str], read) -> int:
+    """Write ``header``, then the rows that ``read()`` returns as float64
+    bytes until it returns b"", to ``path`` as CSV, each float with 17
+    significant digits (``nan``, ``inf`` and ``-0`` as such); return 0, or
+    the errno of the OSError that stopped it.  A block is decoded by
+    ``array`` and formatted in one ``%``: no numpy runs here (see ``_publish``)."""
+    from array import array  # here, not at the top: only the writer needs its extension module
+
+    n = len(header)
+    line = ",".join(["%.17g"] * n) + "\n"
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            for data in iter(read, b""):
+                values = array("d", data)
+                fh.write((line * (len(values) // n)) % tuple(values))
+    except OSError as exc:
+        return exc.errno or errno.EIO
+    return 0
 
 
-def _publish(path: str, header: Sequence[str], rows, summary: dict) -> int:
-    """Write the CSV of ``header`` and ``rows`` to ``path`` and print the JSON
-    ``summary``; return the exit code.
+def _publish(path: str, header: Sequence[str], run) -> int:
+    """Run ``run(sink)``, write its rows to ``path`` as CSV and print its JSON
+    summary; return the exit code.
+
+    ``run`` returns an exit code (it has reported the failure; nothing is
+    written), or the summary and the table: arrays of equal length (1-d
+    columns or 2-d blocks of them) to set side by side.  ``sink``, when not
+    None, takes finished rows while ``run`` still computes the next: a 2-d
+    block of them, in order.  The rows it was not handed are sent at the end.
+
+    The writer is a process forked before ``run`` starts, so that it formats
+    a block (``_format_csv``, 1,024 rows per read) while this one computes
+    the next; the blocks reach it through a pipe as raw float64 bytes.  It
+    runs only the standard library, never numpy, which is why forking is
+    safe although numpy's OpenBLAS has started threads (Python 3.12 and
+    later warn on ``os.fork`` in a threaded process).  It ends with
+    ``os._exit``, its exit status the errno of a failed write.  Without
+    ``os.fork``, and for a target written in place, the rows are formatted
+    here once ``run`` has returned.
 
     The rows go to a temporary sibling of ``path``, which replaces it only
-    once standard output has taken the summary, so a run that fails on either
-    leaves ``path`` as it was.  A path that exists and is not a regular file
-    (``/dev/null``, a FIFO) is written in place.
+    once the writer has succeeded and standard output has taken the summary,
+    so a run that fails on either, or raises, leaves ``path`` as it was.  A
+    path that exists and is not a regular file (``/dev/null``, a FIFO) is
+    written in place, and only by a run that succeeded.  The writer is
+    reaped on every path, and no temporary file is left behind.
     """
     target = os.path.realpath(path)
-    tmp = f"{target}.{os.getpid()}.tmp" if os.path.isfile(target) or not os.path.exists(target) else path
-    placed = tmp == path
+    in_place = os.path.exists(target) and not os.path.isfile(target)
+    tmp = path if in_place else f"{target}.{os.getpid()}.tmp"
+    placed, sent, pid, pipe = in_place, 0, 0, None
+    if not in_place and hasattr(os, "fork"):
+        read_end, pipe = os.pipe()
+        pid = os.fork()
+        if not pid:  # the writer
+            code = 255
+            try:
+                os.close(pipe)
+                with open(read_end, "rb") as src:
+                    code = _format_csv(tmp, header, functools.partial(src.read, BLOCK_ROWS * 8 * len(header)))
+            finally:
+                os._exit(code)
+        os.close(read_end)
+
+    def sink(block: np.ndarray) -> None:
+        nonlocal sent, pipe
+        sent += len(block)
+        if pipe is not None:
+            try:
+                data = memoryview(block.tobytes())
+                while data:
+                    data = data[os.write(pipe, data):]
+            except BrokenPipeError:  # the writer has stopped; its exit status says why
+                os.close(pipe)
+                pipe = None
+
+    def reap() -> int:
+        """Close the pipe, so that the writer ends, and wait for it; its exit code."""
+        nonlocal pid, pipe
+        if pipe is not None:
+            os.close(pipe)
+            pipe = None
+        status, pid = os.waitpid(pid, 0)[1], 0
+        return os.waitstatus_to_exitcode(status)
+
     try:
-        try:
-            _write_csv(tmp, header, rows)
-        except OSError as exc:
-            print(f"error: {OSError(exc.errno, exc.strerror, path)}", file=sys.stderr)
+        result = run(sink if pid else None)
+        if isinstance(result, int):
+            return result
+        summary, table = result
+        blocks = (np.column_stack([c[k : k + BLOCK_ROWS] for c in table])
+                  for k in range(sent, len(table[0]), BLOCK_ROWS))
+        if pid:
+            for block in blocks:
+                sink(block)
+            code = reap()
+        else:
+            code = _format_csv(tmp, header, lambda: next(blocks, np.empty(0)).tobytes())
+        if code:
+            failure = OSError(code, os.strerror(code), path) if code > 0 else f"CSV writer ended by signal {-code}"
+            print(f"error: {failure}", file=sys.stderr)
             return 2
         print(json.dumps(summary, sort_keys=True))
         sys.stdout.flush()  # a closed stdout fails here, before the CSV is in place
@@ -286,19 +371,12 @@ def _publish(path: str, header: Sequence[str], rows, summary: dict) -> int:
             os.replace(tmp, target)
             placed = True
     finally:
+        if pid:  # the run failed or raised
+            reap()
         if not placed:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
     return 0
-
-
-def _array_rows(*columns: np.ndarray):
-    """The rows of arrays of equal length (1-d columns or 2-d blocks of them)
-    set side by side, as lists of Python floats.  They are stacked and
-    converted 1,024 rows at a time, so a table is never held whole as one
-    array or as Python floats."""
-    for k in range(0, len(columns[0]), 1024):
-        yield from np.column_stack([c[k : k + 1024] for c in columns]).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -307,22 +385,26 @@ def _array_rows(*columns: np.ndarray):
 def cmd_simulate(cfg: RunConfig, out_path: str) -> int:
     """Run the configured trajectory, print a drift summary, write the CSV.
 
-    A run aborted by a non-finite state or energy exits 2 and writes no CSV.
+    The CSV writer formats each block of rows while the next is stepped
+    (``_publish``).  A run aborted by a non-finite state or energy exits 2
+    and writes no CSV.
     """
-    if cfg.system == "particle":
-        columns, traj = PARTICLE_COLUMNS, particle_integrate(cfg.state0, cfg.integrator)
-    else:
-        momenta = solution_for(cfg.body, cfg.profile, cfg.delta, cfg.h)
-        columns, traj = COLUMNS, integrate(cfg.body, cfg.profile, cfg.state0, cfg.integrator, momenta)
-    if len(traj) < cfg.integrator.steps + 1:
-        at = f"step {len(traj)} of {cfg.integrator.steps}"
-        print(f"error: arithmetic overflow: non-finite state or energy at {at}; no CSV written", file=sys.stderr)
-        return 2
-    if cfg.system == "particle":
-        summary = {f"d{key}": drift(traj[:, PARTICLE_COLUMNS.index(key)]) for key in ("E", "J")}
-    else:
-        summary = drift_report(traj)
-    return _publish(out_path, columns, _array_rows(traj), summary)
+
+    def run(sink):
+        if cfg.system == "particle":
+            traj = particle_integrate(cfg.state0, cfg.integrator, sink=sink)
+        else:
+            momenta = solution_for(cfg.body, cfg.profile, cfg.delta, cfg.h)
+            traj = integrate(cfg.body, cfg.profile, cfg.state0, cfg.integrator, momenta, sink=sink)
+        if len(traj) < cfg.integrator.steps + 1:
+            at = f"step {len(traj)} of {cfg.integrator.steps}"
+            print(f"error: arithmetic overflow: non-finite state or energy at {at}; no CSV written", file=sys.stderr)
+            return 2
+        if cfg.system == "particle":
+            return {f"d{key}": drift(traj[:, PARTICLE_COLUMNS.index(key)]) for key in ("E", "J")}, (traj,)
+        return drift_report(traj), (traj,)
+
+    return _publish(out_path, PARTICLE_COLUMNS if cfg.system == "particle" else COLUMNS, run)
 
 
 def check_subject(cfg: RunConfig) -> certify.Solid | certify.Particle:
@@ -354,24 +436,26 @@ def cmd_check(cfg: RunConfig) -> Report:
 
 
 def cmd_momenta(cfg: RunConfig, out_path: str) -> int:
-    """Tabulate the momenta coefficient solutions as CSV."""
+    """Tabulate the momenta coefficient solutions as CSV (``_publish``)."""
     if cfg.system == "particle":
         print("error: momenta requires a solids system (routh or ellipsoid)", file=sys.stderr)
         return 2
-    sol = solve_momenta(cfg.body, cfg.profile, cfg.delta, cfg.h)
-    summary = {
-        "rows": len(sol.grid),
-        "min_independence": sol.min_independence(),
-    }
-    if cfg.profile.kind == "routh":
-        header = ["tau1", "f1", "g1", "f2", "g2", "f1_cf", "g1_cf", "f2_cf", "g2_cf"]
+    routh = cfg.profile.kind == "routh"
+    header = ["tau1", "f1", "g1", "f2", "g2"] + (["f1_cf", "g1_cf", "f2_cf", "g2_cf"] if routh else [])
+
+    def run(sink):
+        sol = solve_momenta(cfg.body, cfg.profile, cfg.delta, cfg.h)
+        summary = {
+            "rows": len(sol.grid),
+            "min_independence": sol.min_independence(),
+        }
+        if not routh:
+            return summary, (sol.grid, sol.pairs)
         closed = closed_form_momenta(cfg.body, cfg.profile, cfg.delta, cfg.h).pairs  # on sol.grid
         summary["max_closed_form_deviation"] = certify.span_residual(cfg.body, cfg.profile, sol, closed)
-        rows = _array_rows(sol.grid, sol.pairs, closed)
-    else:
-        header = ["tau1", "f1", "g1", "f2", "g2"]
-        rows = _array_rows(sol.grid, sol.pairs)
-    return _publish(out_path, header, rows, summary)
+        return summary, (sol.grid, sol.pairs, closed)
+
+    return _publish(out_path, header, run)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,9 @@ from .smallalg import rk4_step, stacked
 
 #: Largest t_final/dt accepted; a trajectory is preallocated as one array.
 MAX_STEPS = 10_000_000
+#: Rows per block of a trajectory: its derived columns are filled, and a
+#: ``sink`` is handed it, a block at a time
+BLOCK_ROWS = 1024
 
 #: The columns of a trajectory array, which are also the ``simulate`` CSV header.
 COLUMNS = ("t", "g1", "g2", "g3", "M1", "M2", "M3", "tau1", "tau2", "tau3", "tau4", "tau5",
@@ -128,6 +131,8 @@ def integrate(
     state0: np.ndarray,
     cfg: IntegratorConfig,
     momenta: MomentaSolution,
+    *,
+    sink=None,
 ) -> np.ndarray:
     """Integrate the reduced equations from the packed state ``state0``; one
     row per step, t=0 included.
@@ -146,10 +151,14 @@ def integrate(
     written-out six-element step); every stage checks the profile band and
     evaluates ``profile_terms``, ``omega_floats`` and ``field_floats``.  The
     Omega of each accepted state gives both its E and the next step's first
-    stage.  Per step only the state and E are computed; the invariant,
-    momentum and gauge-momentum columns are filled afterwards by
-    ``invariants``, ``momentum_components`` and one ``momenta.eval`` on the
-    whole block.
+    stage.  Per step only the state and E are computed; the t, invariant,
+    momentum and gauge-momentum columns are filled a block of ``BLOCK_ROWS``
+    rows at a time, by ``invariants``, ``momentum_components`` and one
+    ``momenta.eval`` on the block (elementwise, so the bits are those of one
+    pass over the whole array).  ``sink``, if given, is called with each
+    finished block, every column filled, as soon as it is: ``simulate``
+    writes the CSV from it while the next block is stepped.  A block is a
+    view of the returned array.
 
     Raises:
         ValueError: if ``state0`` is not a state: not six numbers, |gamma|
@@ -181,6 +190,23 @@ def integrate(
         out[k, 12] = e = energy_floats(params, rho, L, g1, g2, g3, m1, m2, m3, w1, w2, w3)
         return e, field_floats(params, rho, L, rho_p, L_p, g1, g2, g3, m1, m2, m3, w1, w2, w3)
 
+    warned = False
+
+    def fill(a, b):
+        """Fill the derived columns of rows a..b-1 and hand them to sink; the
+        first row off ``momenta`` warns once per run."""
+        nonlocal warned
+        block = out[a:b]
+        block[:, 0] = np.arange(a, b) * dt
+        block[:, 7:12] = invariants(block[:, 1:7])
+        j1, j2 = momentum_components(block[:, 1:7]).T
+        cf = momenta.eval(block[:, 3])
+        if not warned:
+            warned = _warn_off_table(momenta, block[:, 3], cf, a, dt)
+        block[:, 13:] = np.column_stack([cf[:, 0] * j1 + cf[:, 1] * j2, cf[:, 2] * j1 + cf[:, 3] * j2, j1, j2])
+        if sink is not None and b > a:
+            sink(block)
+
     rows, fault = 0, "state"
     try:
         for k in range(n_steps + 1):
@@ -195,33 +221,27 @@ def integrate(
                 fault = "energy"
                 break
             rows = k + 1
+            if not rows % BLOCK_ROWS:
+                fill(rows - BLOCK_ROWS, rows)
     finally:  # a stage off the band raises, after the off-table warning of the rows done
-        cf = _gauge_coefficients(momenta, out[:rows, 3], dt)
+        fill(rows - rows % BLOCK_ROWS, rows)
     if rows <= n_steps:
         warnings.warn(f"non-finite {fault} at step {rows}; aborting with {rows} samples")
-
-    out = out[:rows]
-    out[:, 0] = np.arange(rows) * dt
-    out[:, 7:12] = invariants(out[:, 1:7])
-    j1, j2 = momentum_components(out[:, 1:7]).T
-    out[:, 13:] = np.column_stack([cf[:, 0] * j1 + cf[:, 1] * j2, cf[:, 2] * j1 + cf[:, 3] * j2, j1, j2])
-    return out
+    return out[:rows]
 
 
-def _gauge_coefficients(momenta: MomentaSolution, tau1: np.ndarray, dt: float) -> np.ndarray:
-    """The (f1, g1, f2, g2) rows of a tau1 column, looked up in one pass.
-
-    Rows off ``momenta`` are NaN, and the first of them warns once with the
-    message the lookup raises at it.
-    """
-    cf = momenta.eval(tau1)
+def _warn_off_table(momenta: MomentaSolution, tau1: np.ndarray, cf: np.ndarray, start: int, dt: float) -> bool:
+    """Warn at the first row of a tau1 block (step ``start`` + its index)
+    that is off ``momenta``, with the message the lookup raises at it; return
+    whether a row warned.  ``cf`` is the block's lookup, NaN on such rows."""
     for k in np.flatnonzero(np.isnan(cf[:, 0])).tolist():
         try:
             momenta.eval(tau1[k])
         except DomainError as exc:
-            warnings.warn(f"{exc} at step {k} (t={k * dt:g}); the gauge momenta of such rows are NaN")
-            break
-    return cf
+            step = start + k
+            warnings.warn(f"{exc} at step {step} (t={step * dt:g}); the gauge momenta of such rows are NaN")
+            return True
+    return False
 
 
 def drift(column: np.ndarray) -> float:

@@ -42,6 +42,7 @@ import warnings
 import numpy as np
 
 from .brackets import ScalarField, state_field
+from .dynamics import BLOCK_ROWS
 from .smallalg import Jet, columns, jacobi_trivector, matrix, pow2, rk4_step, stacked
 
 
@@ -148,7 +149,7 @@ def particle_jacobiator_unreduced(v) -> float:
 COLUMNS = ("t", "x", "y", "z", "px", "py", "J", "E")
 
 
-def particle_integrate(state0, cfg) -> np.ndarray:
+def particle_integrate(state0, cfg, *, sink=None) -> np.ndarray:
     """Fixed-step RK4 run of the particle; one row per step, t=0 included.
 
     Returns a float array whose columns are ``COLUMNS``; J and E are the
@@ -158,7 +159,10 @@ def particle_integrate(state0, cfg) -> np.ndarray:
     wherever the state is), with a warning that names which, and returns the
     rows before it; nothing past that row is stepped.  The state is a list of
     five Python floats stepped by ``rk4_step``, whose five-element step is
-    written out component by component.
+    written out component by component.  The t column is filled a block of
+    ``dynamics.BLOCK_ROWS`` rows at a time, and ``sink``, if given, is called
+    with each finished block (a view of the returned array), as
+    ``dynamics.integrate`` does.
     """
     n_steps = cfg.steps
     out = np.empty((n_steps + 1, len(COLUMNS)))
@@ -167,6 +171,11 @@ def particle_integrate(state0, cfg) -> np.ndarray:
 
     def f(t, y):
         return _field(y)
+
+    def fill(a, b):
+        out[a:b, 0] = np.arange(a, b) * dt
+        if sink is not None and b > a:
+            sink(out[a:b])
 
     rows = 0
     for k in range(n_steps + 1):
@@ -179,6 +188,7 @@ def particle_integrate(state0, cfg) -> np.ndarray:
             break
         out[k, 1:] = row
         rows = k + 1
-    out = out[:rows]
-    out[:, 0] = np.arange(rows) * dt
-    return out
+        if not rows % BLOCK_ROWS:
+            fill(rows - BLOCK_ROWS, rows)
+    fill(rows - rows % BLOCK_ROWS, rows)
+    return out[:rows]

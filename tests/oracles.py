@@ -39,6 +39,10 @@ bivector P = E B E^T:
 ``particle_bracket`` is (frame grad f) . B . (frame grad g) and
 ``hamiltonian_frame_flow`` is B . frame grad(H).  ``test_stacked_records.py``
 compares the stacked records with them.
+
+``write_csv`` is the CSV writer that ``simulate`` and ``momenta`` ran in
+process, one ``%`` per row of Python floats, before a forked writer came to
+format blocks of raw float64 bytes; ``test_cli.py`` compares the bytes.
 """
 import functools
 import itertools
@@ -632,3 +636,17 @@ def per_sample(name, subject) -> np.ndarray:
     if name in PARTICLE_MEASURES:
         return np.array([PARTICLE_MEASURES[name](subject, k) for k in range(len(subject.v))])
     return np.array([SOLID_MEASURES[name](subject, Sample(subject, k)) for k in range(len(subject.x))])
+
+
+# ---------------------------------------------------------------------------
+# the CSV writer
+
+
+def write_csv(path, header, rows):
+    """Write ``header`` and ``rows`` (an iterable of float sequences) as CSV,
+    each float with 17 significant digits (``nan``, ``inf`` and ``-0`` as such)."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(line % tuple(row))

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nonholo
-from nonholo import certify, dynamics, particle, rk4_step
+from nonholo import cli, certify, dynamics, particle, rk4_step
 from nonholo.cli import (
     MAX_SAMPLES,
     SYSTEMS,
@@ -29,7 +29,9 @@ from nonholo.cli import (
     sample_state,
     serialize_config,
 )
-from nonholo.errors import ConfigError
+from nonholo.errors import ConfigError, DomainError
+
+from oracles import write_csv
 
 ROUTH_RAW = {
     "system": "routh",
@@ -65,6 +67,17 @@ PARTICLE_RAW = {
 @pytest.fixture(autouse=True)
 def _no_ambient_seed(monkeypatch):
     monkeypatch.delenv("NONHOLO_SEED", raising=False)
+
+
+@pytest.fixture(autouse=True)
+def _no_writer_left(tmp_path):
+    # Every CSV writer that a test forked has been reaped, on every path, and
+    # no temporary CSV is left next to an --out: a process left running or a
+    # stray file is a fault even when the command's exit code is right.
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def write_config(tmp_path, raw, name="cfg.json"):
@@ -510,6 +523,122 @@ def test_an_out_path_that_is_not_a_regular_file_is_written_in_place(tmp_path):
         os.close(reader)
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
     assert text.startswith("t,x,y,z,px,py,J,E\n") and text.count("\n") == 12
+
+
+# ---------------------------------------------------------------------------
+# the CSV writer: a forked process formats each block of rows while the
+# next is computed
+
+
+#: Entries the 17-digit format must carry through as the oracle does
+SPECIAL_ENTRIES = [math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-310, 1.7976931348623157e308]
+
+
+def _table(n_rows, n_cols):
+    rng = np.random.default_rng((n_rows, n_cols))
+    table = rng.standard_normal((n_rows, n_cols)) * 10.0 ** rng.integers(-300, 300, (n_rows, n_cols))
+    table.flat[:: 7] = np.resize(SPECIAL_ENTRIES, table.flat[:: 7].shape)
+    return table
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "in-process"])
+@pytest.mark.parametrize("n_cols", [5, 8, 9, 17])
+def test_the_csv_writer_matches_the_oracle_byte_for_byte(tmp_path, capsys, monkeypatch, n_cols, fork):
+    # The rows reach the writer in blocks of any size while the run goes on
+    # (the sink), or at the end; without os.fork the same formatting runs
+    # in process.  The row counts sit around the 1,024-row block.
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    header = [f"c{k}" for k in range(n_cols)]
+    for n_rows in (0, 1, 1023, 1024, 1025, 2049):
+        table = _table(n_rows, n_cols)
+
+        def run(sink):
+            assert (sink is not None) == fork
+            if sink is not None:  # the first rows in uneven blocks, the rest at the end
+                for a, b in ((0, 300), (300, 1100), (1100, 1101)):
+                    if b <= n_rows:
+                        sink(table[a:b])
+            return {"rows": n_rows}, (table[:, :2], table[:, 2], table[:, 3:])
+
+        out, want = tmp_path / "out.csv", tmp_path / "want.csv"
+        assert cli._publish(str(out), header, run) == 0
+        write_csv(want, header, table.tolist())
+        assert out.read_bytes() == want.read_bytes(), n_rows
+        assert capsys.readouterr().out == f'{{"rows": {n_rows}}}\n'
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_state_overflow_past_the_first_block_writes_no_csv(tmp_path, capsys, monkeypatch):
+    # The first 1,024-row block has reached the writer when the state
+    # overflows at step 1,501.
+    def step(f, t, *args):
+        return [math.inf] * 5 if t >= 1.5 else rk4_step(f, t, *args)
+
+    monkeypatch.setattr(particle, "rk4_step", step)
+    out = tmp_path / "t.csv"
+    out.write_text("previous\n")
+    cfg = dict(PARTICLE_RAW, integrator={"dt": 1e-3, "t_final": 2.0})
+    with pytest.warns(UserWarning, match="non-finite state at step 1501"):
+        assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: arithmetic overflow: non-finite state or energy at step 1501 of 2000; no CSV written\n"
+    assert out.read_text() == "previous\n"
+
+
+def test_a_domain_error_past_the_first_block_writes_no_csv(tmp_path, capsys, monkeypatch):
+    def step(f, t, *args):
+        if t >= 1.5:
+            raise DomainError("|gamma3| past the band")
+        return rk4_step(f, t, *args)
+
+    monkeypatch.setattr(dynamics, "rk4_step", step)
+    out = tmp_path / "t.csv"
+    out.write_text("previous\n")
+    cfg = dict(ROUTH_RAW, integrator={"dt": 1e-3, "t_final": 2.0})
+    assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: |gamma3| past the band\n"
+    assert out.read_text() == "previous\n"
+
+
+def test_a_write_failure_in_the_writer_exits_2_with_the_errno(tmp_path):
+    # RLIMIT_FSIZE stops the writer's CSV at 64 KiB: the write fails with
+    # EFBIG (CPython ignores SIGXFSZ), the writer exits with that errno,
+    # and the parent reports it for --out and prints no summary.
+    out = tmp_path / "t.csv"
+    out.write_text("previous\n")
+    cfg = write_config(tmp_path, dict(PARTICLE_RAW, integrator={"dt": 1e-3, "t_final": 2.0}))
+    src = str(Path(nonholo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 16, 1 << 16)); "
+            "from nonholo.cli import main; sys.exit(main())")
+    proc = subprocess.run([sys.executable, "-c", code, "simulate", "--config", cfg, "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: [Errno 27] File too large: {str(out)!r}\n"
+    assert out.read_text() == "previous\n"
+
+
+def test_the_off_table_warning_fires_once_past_the_first_block(tmp_path, capsys):
+    # The pole-grazing start at dt = 5e-4 leaves a delta = 1e-2 table at
+    # step 1,706, in the second block, and stays off it into the third: one
+    # warning, with the step and the message of one pass over the whole
+    # tau1 column.
+    raw = dict(ELLIPSOID_RAW, initial={"gamma": POLE_GRAZING_START[0], "M": POLE_GRAZING_START[1]},
+               integrator={"dt": 5e-4, "t_final": 1.5})
+    out = tmp_path / "t.csv"
+    with pytest.warns(UserWarning) as record:
+        assert main(["simulate", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 0
+    assert [str(w.message) for w in record] == [
+        "tau1=0.9900436846507795 outside the momenta grid [-0.99, 0.99] at step 1706 (t=0.853);"
+        " the gauge momenta of such rows are NaN"
+    ]
+    j1 = np.array([float(ln.split(",")[13]) for ln in out.read_text().splitlines()[1:]])
+    off = np.flatnonzero(np.isnan(j1))
+    assert off[0] == 1706 and off[-1] >= 2048 and len(j1) == 3001
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
