@@ -115,7 +115,7 @@ def bivector_packed(params: BodyParams, spec: ProfileSpec, x, kind: BracketKind)
     Raises:
         DomainError: if a point has |gamma3| > 1 + DOMAIN_SLACK.
     """
-    cols, (rho, _, L, rho_p, _, L_p) = state_terms(spec, x)
+    cols, (rho, _, L, rho_p, L_p) = state_terms(spec, x)
     vals = gauge_columns(params, rho, L, rho_p, L_p, *cols)
     v = vals[3:6] if kind == BracketKind.GAUGED else vals[6:9]
     g1, g2, g3 = cols[:3]

@@ -117,7 +117,7 @@ class Solid:
     @cached_property
     def gauge(self) -> tuple:
         """c3, Q, P, L_vec and K_vec at every sample (``gauge_columns``)."""
-        cols, (rho, _, L, rho_p, _, L_p) = self.terms
+        cols, (rho, _, L, rho_p, L_p) = self.terms
         return gauge_columns(self.params, rho, L, rho_p, L_p, *cols)
 
     @cached_property

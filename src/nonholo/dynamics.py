@@ -87,7 +87,7 @@ def _field_columns(params: BodyParams, spec: ProfileSpec, x) -> tuple:
     """``field_floats`` at the state columns of x, and the columns and profile
     terms (``profile.state_terms``) it was evaluated at."""
     cols, terms = state_terms(spec, x)
-    rho, _, L, rho_p, _, L_p = terms
+    rho, _, L, rho_p, L_p = terms
     return field_floats(params, rho, L, rho_p, L_p, *cols, *omega_floats(params, rho, L, *cols)), cols, terms
 
 
@@ -175,7 +175,7 @@ def integrate(
     def f(t, y):
         g1, g2, g3, m1, m2, m3 = y
         check_domain(g3)
-        rho, _, L, rho_p, _, L_p = profile_terms(spec, g3)
+        rho, _, L, rho_p, L_p = profile_terms(spec, g3)
         w1, w2, w3 = omega_floats(params, rho, L, g1, g2, g3, m1, m2, m3)
         return field_floats(params, rho, L, rho_p, L_p, g1, g2, g3, m1, m2, m3, w1, w2, w3)
 
@@ -184,7 +184,7 @@ def integrate(
         step's first stage)."""
         g1, g2, g3, m1, m2, m3 = x
         check_domain(g3)
-        rho, _, L, rho_p, _, L_p = profile_terms(spec, g3)
+        rho, _, L, rho_p, L_p = profile_terms(spec, g3)
         w1, w2, w3 = omega_floats(params, rho, L, g1, g2, g3, m1, m2, m3)
         out[k, 1:7] = x
         out[k, 12] = e = energy_floats(params, rho, L, g1, g2, g3, m1, m2, m3, w1, w2, w3)
@@ -272,7 +272,7 @@ def nonconservation_rates(params: BodyParams, spec: ProfileSpec, x) -> RateLaw:
     x = np.asarray(x, dtype=float)
     (gd1, gd2, gd3, md1, md2, md3), cols, terms = _field_columns(params, spec, x.reshape(-1, 6))
     g1, g2, g3, m1, m2, m3 = cols
-    rho, _, L, rho_p, _, L_p = terms
+    rho, _, L, rho_p, L_p = terms
     _, q, p, *_ = gauge_columns(params, rho, L, rho_p, L_p, *cols)
     a1 = mass_scalars(params, rho, L, g1, g2, g3).A1
     t2 = g1 * m2 - g2 * m1

@@ -140,8 +140,7 @@ def qp_grid(params: BodyParams, spec: ProfileSpec, tau1: np.ndarray) -> tuple:
     if float(np.max(size)) > STRATA_BOUND:
         first = float(t1.flat[np.argmax(size > STRATA_BOUND)])
         raise DomainError(f"tau1={first!r} too close to the singular strata +-1")
-    rho, zeta, L, rho_p, _, L_p = profile_terms(spec, t1, np.sqrt)
-    return _qp_entries(params, t1, rho, zeta, L, rho_p, L_p)
+    return _qp_entries(params, t1, *profile_terms(spec, t1, np.sqrt))
 
 
 def _qp_entries(params: BodyParams, t1, rho, zeta, L, rho_p, L_p) -> tuple:

@@ -7,7 +7,7 @@ vertical component gamma3 of the Poisson vector:
     s(gamma) = rho(gamma3) * gamma - L(gamma3) * e3,      L = rho*gamma3 - zeta
 
 where s is the body-frame vector from the center of mass to the contact
-point.  The pair (rho, zeta) and their gamma3-derivatives determine every
+point.  rho, zeta, L and the gamma3-derivatives rho', L' determine every
 geometric quantity downstream; each kernel writes s out component by
 component from them.  Two presets are supported:
 
@@ -75,14 +75,13 @@ class ProfileSpec:
 
 @dataclass(frozen=True)
 class ProfileEval:
-    """Profile functions and their gamma3-derivatives at one gamma3."""
+    """The profile terms rho, zeta, L, rho', L' (``profile_terms``) at one gamma3."""
 
     gamma3: float
     rho: float
     zeta: float
     L: float
     rho_p: float
-    zeta_p: float
     L_p: float
 
 
@@ -126,7 +125,7 @@ def state_terms(spec: ProfileSpec, x) -> tuple:
 
 
 def profile_terms(spec: ProfileSpec, g3, sqrt=math.sqrt) -> tuple:
-    """(rho, zeta, L, rho', zeta', L') of ``spec`` at g3, without the domain check.
+    """(rho, zeta, L, rho', L') of ``spec`` at g3, without the domain check.
 
     The one body of the profile formulas: ``g3`` is a float (``eval_profile``),
     a float array with ``sqrt=np.sqrt`` (the coefficient-ODE grid pass) or a
@@ -137,7 +136,7 @@ def profile_terms(spec: ProfileSpec, g3, sqrt=math.sqrt) -> tuple:
         r, l = spec.p1, spec.p2
         rho = -r
         zeta = -r * g3 + l
-        return rho, zeta, rho * g3 - zeta, 0.0, -r, 0.0
+        return rho, zeta, rho * g3 - zeta, 0.0, 0.0
     if spec.kind == "ellipsoid":
         b, c = spec.p1, spec.p2
         d = b * (1.0 - g3 * g3) + c * g3 * g3
@@ -150,7 +149,6 @@ def profile_terms(spec: ProfileSpec, g3, sqrt=math.sqrt) -> tuple:
             zeta,
             rho * g3 - zeta,
             b * (c - b) * g3 / d32,
-            -b * c / d32,
             (c - b) * b / d32,
         )
     raise ValueError(f"unknown profile kind {spec.kind!r}")

@@ -20,7 +20,8 @@ serve every such comparison.
 
 The next bodies are partners that only tests ever called, kept here as
 independent references rather than package code: ``dot``, ``E3``,
-``contact_vector`` (the 3-vector s = rho*gamma - L*e3), ``cross``, ``hat``,
+``contact_vector`` (the 3-vector s = rho*gamma - L*e3), ``zeta_prime`` (the
+profile's zeta', which no package code reads), ``cross``, ``hat``,
 ``M_from_omega`` (the forward map of the ``omega_from_M`` round trip),
 the particle's frame form (``frame_form``, the constrained 2-form F in the
 frame e1 = d/dx + y d/dz, e2, e3, e4; ``frame_bracket``, B = -F^-1 by
@@ -132,6 +133,17 @@ def contact_vector(ev, gamma):
     """Body-frame vector s = rho*gamma - L*e3 from center of mass to contact point."""
     check_gamma3(ev, gamma[2])
     return ev.rho * gamma - ev.L * E3
+
+
+def zeta_prime(spec, g3):
+    """zeta' of ``spec`` at g3, written out as ``profile_terms`` computed it
+    until no package code read it: -r for a Routh body, -b*c/D^(3/2) for an
+    ellipsoid."""
+    if spec.kind == "routh":
+        return -spec.p1
+    b, c = spec.p1, spec.p2
+    d = b * (1.0 - g3 * g3) + c * g3 * g3
+    return -b * c / (d * math.sqrt(d))
 
 
 def cross(a, b):

@@ -3,10 +3,13 @@
 A defect is a small, deliberate error in one kernel of the package (mutation
 analysis: DeMillo, Lipton & Sayward, *Hints on test data selection*, 1978).
 It is installed with ``monkeypatch`` in every ``nonholo`` module that bound
-the kernel's name, so it is seen however the kernel is reached.  Each defect
-runs ``check`` in process on the 5-sample configs below; ``check`` must exit
-1 and fail at least the records the defect names.  A record that no defect
-can fail measures nothing, and has no place in the battery.
+the kernel's name, so it is seen however the kernel is reached by name, and
+``install`` counts its calls: a defect that ``check`` never calls is an
+error.  Each defect runs ``check`` in process on the 5-sample configs below;
+``check`` must exit 1 and fail at least the records the defect names.  A
+record that no defect can fail measures nothing, and has no place in the
+battery.  ``test_mutants.py`` sweeps one-operator mutants of the kernels
+through the same ``install`` and configs.
 """
 import json
 import sys
@@ -25,6 +28,11 @@ CONFIGS = {
     "balanced": dict(ELLIPSOID_RAW, params=dict(ELLIPSOID_RAW["params"], b=2.0, c=2.0), seed=0, samples=5),
     "routh": dict(ROUTH_RAW, seed=0, samples=5),
     "particle": dict(PARTICLE_RAW, seed=0, samples=5),
+    # c - b = +-1 makes b*(c - b) equal b/(c - b), and m = r = 1 makes x/r
+    # equal x*r and 2/m equal 2*m: faults that these two configs show.
+    "ellipsoid-3-1": dict(ELLIPSOID_RAW, params=dict(ELLIPSOID_RAW["params"], b=3.0, c=1.0), seed=0, samples=5),
+    "routh-nonunit": dict(ROUTH_RAW, params=dict(ROUTH_RAW["params"], m=1.3, I1=2.3, I3=3.7, r=1.5, l=0.2),
+                          h=1e-3, seed=0, samples=5),
 }
 
 
@@ -83,8 +91,8 @@ def _negate_qp01(qp_entries):
 
 def _shift_l_prime(profile_terms):
     def defect(*args):
-        rho, zeta, L, rho_p, zeta_p, L_p = profile_terms(*args)
-        return rho, zeta, L, rho_p, zeta_p, L_p + 1e-6
+        rho, zeta, L, rho_p, L_p = profile_terms(*args)
+        return rho, zeta, L, rho_p, L_p + 1e-6
     return defect
 
 
@@ -122,45 +130,63 @@ SOLID_FAILS = {"casimir-J1", "casimir-J2", "vertical-generator", "pushforward-ta
 DEFECTS = {
     "gauge-vector-scaled": Defect("geomforms", "gauge_columns", _gauge_fields(1.0 + 1e-6, 1.0), {
         "ellipsoid": SOLID_FAILS | {"bracket-dynamics-consistency"},
+        "ellipsoid-3-1": SOLID_FAILS | {"bracket-dynamics-consistency"},
         "balanced": SOLID_FAILS - {"casimir-J2"} | {"bracket-dynamics-consistency"},
         "routh": SOLID_FAILS - {"casimir-J1"} | {"bracket-dynamics-consistency"},
+        "routh-nonunit": SOLID_FAILS - {"casimir-J1"} | {"bracket-dynamics-consistency"},
     }),
     "nh-passed-off-as-gauged": Defect("brackets", "bivector_packed", _nh_for_gauged, {
         "ellipsoid": SOLID_FAILS | {"jacobi-gauged", "involution"},
+        "ellipsoid-3-1": SOLID_FAILS | {"jacobi-gauged", "involution"},
         "balanced": SOLID_FAILS | {"jacobi-gauged", "involution"},
         "routh": SOLID_FAILS | {"jacobi-gauged", "involution"},
+        "routh-nonunit": SOLID_FAILS | {"jacobi-gauged", "involution"},
     }),
     "qp01-negated": Defect("geomforms", "_qp_entries", _negate_qp01, {
         "ellipsoid": SOLID_FAILS | {"qp-linearity"},
+        "ellipsoid-3-1": SOLID_FAILS | {"qp-linearity"},
         "balanced": SOLID_FAILS - {"casimir-J2"} | {"qp-linearity"},
         "routh": {"qp-linearity", "pushforward-table", "kernel-pair", "closed-form-ode-residual",
                   "span-containment"},
+        "routh-nonunit": {"qp-linearity", "pushforward-table", "kernel-pair", "closed-form-ode-residual",
+                          "span-containment"},
     }),
     "l-prime-shifted": Defect("profile", "profile_terms", _shift_l_prime, {
         "ellipsoid": {"bracket-dynamics-consistency"},
+        "ellipsoid-3-1": {"bracket-dynamics-consistency"},
         "balanced": {"bracket-dynamics-consistency", "chaplygin-P-zero"},
         "routh": SOLID_FAILS - {"pushforward-table"} | {"bracket-dynamics-consistency", "kernel-pair",
                                                         "closed-form-ode-residual"},
+        "routh-nonunit": SOLID_FAILS - {"pushforward-table"} | {"bracket-dynamics-consistency", "kernel-pair",
+                                                                "closed-form-ode-residual"},
     }),
     "ungauged-term-scaled": Defect("geomforms", "gauge_columns", _gauge_fields(1.0, 1.0 + 1e-3), {
         "ellipsoid": {"jacobi-ungauged-closed-form"},
+        "ellipsoid-3-1": {"jacobi-ungauged-closed-form"},
         "balanced": {"jacobi-ungauged-closed-form"},
         "routh": {"jacobi-ungauged-closed-form"},
+        "routh-nonunit": {"jacobi-ungauged-closed-form"},
     }),
     "mdot1-scaled": Defect("dynamics", "field_floats", _scale_mdot1, {
         "ellipsoid": {"rate-law", "bracket-dynamics-consistency"},
+        "ellipsoid-3-1": {"rate-law", "bracket-dynamics-consistency"},
         "balanced": {"rate-law", "bracket-dynamics-consistency"},
         "routh": {"rate-law", "bracket-dynamics-consistency"},
+        "routh-nonunit": {"rate-law", "bracket-dynamics-consistency"},
     }),
     "tau5-scaled": Defect("phase", "invariants", _scale_tau5, {
         "ellipsoid": {"relation-residual", "pushforward-table"},
+        "ellipsoid-3-1": {"relation-residual", "pushforward-table"},
         "balanced": {"relation-residual", "pushforward-table"},
         "routh": {"relation-residual", "pushforward-table"},
+        "routh-nonunit": {"relation-residual", "pushforward-table"},
     }),
     "l1-derivative-scaled": Defect("geomforms", "gauge_columns", _scale_l1_derivative, {
         "ellipsoid": {"jacobi-gauged"},
+        "ellipsoid-3-1": {"jacobi-gauged"},
         "balanced": {"jacobi-gauged"},
         "routh": {"jacobi-gauged"},
+        "routh-nonunit": {"jacobi-gauged"},
     }),
     "coupling-scaled": Defect("particle", "_coupling", _coupling(lambda w, v: w * (1.0 + 1e-3)), {
         "particle": {"jacobi-unreduced-closed-form", "casimir-momentum", "rhs-anchor"},
@@ -177,15 +203,28 @@ DEFECTS = {
 }
 
 
-def install(monkeypatch, defect: Defect) -> None:
-    """Replace the kernel in every loaded ``nonholo`` module that bound it."""
-    original = getattr(sys.modules[f"nonholo.{defect.module}"], defect.name)
-    replacement = defect.make(original)
-    for mod_name, module in list(sys.modules.items()):
+def install(monkeypatch, module: str, name: str, make: Callable[[Callable], Callable]) -> list[int]:
+    """Replace the kernel ``nonholo.<module>.<name>`` by ``make(kernel)`` in
+    every loaded ``nonholo`` module that bound it; return a one-item list
+    that counts the calls to the replacement.
+
+    A binding held elsewhere (a table of functions, such as
+    ``smallalg._UNROLLED``) keeps the kernel: a replacement that ``check``
+    never calls was never installed, and the count shows it.
+    """
+    original = getattr(sys.modules[f"nonholo.{module}"], name)
+    replacement, calls = make(original), [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return replacement(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
         if mod_name == "nonholo" or mod_name.startswith("nonholo."):
-            for key, value in list(vars(module).items()):
+            for key, value in list(vars(mod).items()):
                 if value is original:
-                    monkeypatch.setattr(module, key, replacement)
+                    monkeypatch.setattr(mod, key, counted)
+    return calls
 
 
 def run_check(tmp_path, capsys, system: str) -> tuple[int, set[str]]:
@@ -204,11 +243,21 @@ def test_every_config_passes_without_a_defect(tmp_path, capsys, system):
 @pytest.mark.parametrize("name", sorted(DEFECTS))
 def test_check_fails_on_the_defect(tmp_path, capsys, monkeypatch, name):
     defect = DEFECTS[name]
-    install(monkeypatch, defect)
+    calls = install(monkeypatch, defect.module, defect.name, defect.make)
     for system, expected in defect.fails.items():
+        before = calls[0]
         code, failed = run_check(tmp_path, capsys, system)
+        assert calls[0] > before, f"check on {system} never called the defect"
         assert code == 1, (name, system)
         assert expected <= failed, (name, system, expected - failed)
+
+
+def test_install_counts_only_the_calls_that_reach_the_replacement(tmp_path, capsys, monkeypatch):
+    # rk4_step dispatches through smallalg._UNROLLED, a table install does not rebind
+    step = install(monkeypatch, "smallalg", "_rk4_step5", lambda kernel: kernel)
+    field = install(monkeypatch, "particle", "_field", lambda kernel: kernel)
+    assert run_check(tmp_path, capsys, "particle") == (0, set())
+    assert step == [0] and field[0] > 0
 
 
 def test_every_record_is_failed_by_a_named_defect():

@@ -50,7 +50,7 @@ def solid_bodies(params, spec, cols, sqrt):
     """Every solid body on the six state columns: the profile terms, the gauge
     columns, Omega and the energy."""
     terms = profile_terms(spec, cols[2], sqrt)
-    rho, _, L, rho_p, _, L_p = terms
+    rho, _, L, rho_p, L_p = terms
     omega = omega_floats(params, rho, L, *cols)
     return (*terms, *gauge_columns(params, rho, L, rho_p, L_p, *cols), *omega,
             energy_floats(params, rho, L, *cols, *omega))
@@ -113,7 +113,7 @@ def test_gradient_part_is_the_sympy_derivative():
     # so one body and one state exercise every operation they run.
     params, spec = BODIES["ellipsoid"]
     state = [0.6, 0.0, 0.8, 1.0, -2.0, 0.5]
-    rho, _, L, rho_p, _, L_p = profile_terms(spec, state[2])
+    rho, _, L, rho_p, L_p = profile_terms(spec, state[2])
     assert_sympy_gradients(lambda *a: omega_floats(params, *a), [rho, L, *state], 1e-14)
     assert_sympy_gradients(lambda *a: (energy_floats(params, *a),), [rho, L, *state, 0.3, -0.7, 1.1], 1e-14)
     # c3, Q and P; L_vec and K_vec are their products with the state and Omega
