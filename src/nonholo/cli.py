@@ -17,6 +17,12 @@ integrators' ``sink``).  The writer runs no numpy, so the fork is safe in a
 process where numpy's OpenBLAS has started threads, although Python 3.12
 and later warn on ``os.fork`` there.
 
+The module ends by freezing the heap its import built (``gc.freeze``): a
+process imports it to run one command and exit, so those objects live until
+exit anyway, and interpreter shutdown then neither walks nor frees them.
+``import nonholo`` alone freezes nothing, and ``nonholo.certify`` is
+imported only by the commands that run it (``check``, a Routh ``momenta``).
+
 Exit codes: 0 success, 1 check failure, 2 usage or I/O error (a closed
 standard output and a failed CSV write included) or a result that is not
 finite (no report or CSV is written then, and a file already at ``--out``
@@ -30,24 +36,27 @@ import contextlib
 import dataclasses
 import errno
 import functools
+import gc
 import itertools
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from . import certify
-from .certify import CheckResult
 from .dynamics import BLOCK_ROWS, COLUMNS, IntegratorConfig, drift, drift_report, integrate
 from .errors import ConfigError, GridError, NonholoError
 from .momenta import closed_form_momenta, grid_half, solution_for, solve_momenta
 from .particle import COLUMNS as PARTICLE_COLUMNS, particle_integrate
 from .phase import BodyParams, StateGM
 from .profile import ProfileSpec
+
+if TYPE_CHECKING:  # the commands that run certify import it (see check_subject)
+    from . import certify
+    from .certify import CheckResult
 
 #: The ``params`` keys of a solid that ``BodyParams`` takes, in its argument order
 _BODY = ("m", "I1", "I3", "grav")
@@ -298,7 +307,9 @@ def _publish(path: str, header: Sequence[str], run) -> int:
     the next; the blocks reach it through a pipe as raw float64 bytes.  It
     runs only the standard library, never numpy, which is why forking is
     safe although numpy's OpenBLAS has started threads (Python 3.12 and
-    later warn on ``os.fork`` in a threaded process).  It ends with
+    later warn on ``os.fork`` in a threaded process).  It is forked from a
+    frozen heap (the end of this module), so the collector's header writes
+    do not copy the pages it shares with this process.  It ends with
     ``os._exit``, its exit status the errno of a failed write.  Without
     ``os.fork``, and for a target written in place, the rows are formatted
     here once ``run`` has returned.
@@ -411,6 +422,8 @@ def check_subject(cfg: RunConfig) -> certify.Solid | certify.Particle:
     """The subject ``check`` certifies: ``cfg.samples`` seeded samples of the
     configured system.  A solid's states lie inside its momenta table, the
     solution a run reads; a Routh body also gets a numeric solve for the span."""
+    from . import certify
+
     if cfg.system == "particle":
         return certify.Particle([sample_particle(cfg.seed, k) for k in range(cfg.samples)])
     cap = min(0.95, grid_half(cfg.delta, cfg.h) * cfg.h)  # where the solved momenta table ends
@@ -427,6 +440,8 @@ def cmd_check(cfg: RunConfig) -> Report:
         NonholoError: if a record measures a non-finite value, which no
             report could carry as strict JSON.
     """
+    from . import certify
+
     subject = check_subject(cfg)
     checks = certify.run(subject.records, subject)
     bad = [f"{c.name} = {float(c.measured)}" for c in checks if not math.isfinite(c.measured)]
@@ -451,6 +466,8 @@ def cmd_momenta(cfg: RunConfig, out_path: str) -> int:
         }
         if not routh:
             return summary, (sol.grid, sol.pairs)
+        from . import certify
+
         closed = closed_form_momenta(cfg.body, cfg.profile, cfg.delta, cfg.h).pairs  # on sol.grid
         summary["max_closed_form_deviation"] = certify.span_residual(cfg.body, cfg.profile, sol, closed)
         return summary, (sol.grid, sol.pairs, closed)
@@ -523,6 +540,16 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
 
+
+# This module is imported to run one command in a short-lived process, so
+# every object alive now (modules, functions, classes, numpy's internals)
+# lives until exit anyway.  Freezing them moves them out of the collector's
+# reach: interpreter shutdown no longer walks that graph and frees it, and
+# the pages the forked CSV writer shares with this process are not copied
+# for the collector's header writes (CPython's documented use of gc.freeze
+# before fork).  What a command creates is collected as before, and
+# ``import nonholo`` alone freezes nothing.
+gc.freeze()
 
 if __name__ == "__main__":  # pragma: no cover
     sys.exit(main())

@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 
 import nonholo
 from nonholo import cli, certify, dynamics, particle, rk4_step
+from nonholo.certify import CheckResult
 from nonholo.cli import (
     MAX_SAMPLES,
     SYSTEMS,
-    CheckResult,
     Report,
     main,
     parse_config,
@@ -477,16 +477,24 @@ def test_error_exits(tmp_path, capsys):
     assert err.count("error:") == 4
 
 
+#: The CLI as a user runs it, in a fresh interpreter that exits through ``sys.exit``
+CLI = "import sys; from nonholo.cli import main; sys.exit(main())"
+
+
+def _python(code: str, *argv: str, **kwargs) -> subprocess.CompletedProcess:
+    """``python -c code *argv`` with this package on the path (``subprocess.run``'s ``kwargs``)."""
+    src = str(Path(nonholo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, timeout=300, **kwargs)
+
+
 def _run_with_closed_stdout(argv):
     # The pipe's read end is closed before the child starts, so its first
     # write to stdout fails with EPIPE.
     read_end, write_end = os.pipe()
     os.close(read_end)
-    src = str(Path(nonholo.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     try:
-        return subprocess.run([sys.executable, "-c", "import sys; from nonholo.cli import main; sys.exit(main())",
-                               *argv], stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=300)
+        return _python(CLI, *argv, stdout=write_end, stderr=subprocess.PIPE, text=True)
     finally:
         os.close(write_end)
 
@@ -610,12 +618,8 @@ def test_a_write_failure_in_the_writer_exits_2_with_the_errno(tmp_path):
     out = tmp_path / "t.csv"
     out.write_text("previous\n")
     cfg = write_config(tmp_path, dict(PARTICLE_RAW, integrator={"dt": 1e-3, "t_final": 2.0}))
-    src = str(Path(nonholo.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 16, 1 << 16)); "
-            "from nonholo.cli import main; sys.exit(main())")
-    proc = subprocess.run([sys.executable, "-c", code, "simulate", "--config", cfg, "--out", str(out)],
-                          capture_output=True, text=True, env=env, timeout=300)
+    code = f"import resource; resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 16, 1 << 16)); {CLI}"
+    proc = _python(code, "simulate", "--config", cfg, "--out", str(out), capture_output=True, text=True)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == f"error: [Errno 27] File too large: {str(out)!r}\n"
@@ -863,3 +867,30 @@ def test_outputs_are_byte_identical_to_the_frozen_hashes(tmp_path, capsys, name)
     if command != "check":
         digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
     assert tuple(digests) == FROZEN_SHA256[name]
+
+
+@pytest.mark.parametrize("name", ["routh-simulate", "ellipsoid-momenta", "routh-check"])
+def test_a_fresh_process_gives_the_frozen_hashes_through_its_exit(tmp_path, name):
+    # The run above calls main in this process; here the command runs as a
+    # user runs it, and the process ends through the interpreter's shutdown,
+    # the path that the CLI's frozen import-time heap alters.
+    command, raw = FROZEN_RUNS[name]
+    out = tmp_path / "out.csv"
+    argv = [command, "--config", write_config(tmp_path, raw)] + (["--out", str(out)] if command != "check" else [])
+    proc = _python(CLI, *argv, capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    digests = [hashlib.sha256(proc.stdout).hexdigest()]
+    if command != "check":
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert tuple(digests) == FROZEN_SHA256[name]
+
+
+def test_only_the_cli_freezes_its_import_time_heap():
+    code = ("import gc, json, sys; import nonholo; library = gc.get_freeze_count(); import nonholo.cli; "
+            "print(json.dumps([library, gc.get_freeze_count(), 'nonholo.certify' in sys.modules]))")
+    proc = _python(code, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    library, cli_frozen, certify_loaded = json.loads(proc.stdout)
+    assert library == 0
+    assert cli_frozen > 0
+    assert not certify_loaded  # only check and a Routh momenta import it
