@@ -13,7 +13,9 @@ The grid keys ``delta`` and ``h`` are checked by ``momenta.grid_half`` alone.
 ``simulate`` and ``momenta`` write their CSV through ``_publish``: a
 forked writer process formats each block of rows, handed over as float64
 bytes through a pipe, while this process computes the next one (the
-integrators' ``sink``).  The writer runs no numpy, so the fork is safe in a
+integrators' ``sink``).  A ``simulate`` so holds one block of rows at a
+time, whatever its step count, and prints the drifts folded from the
+blocks.  The writer runs no numpy, so the fork is safe in a
 process where numpy's OpenBLAS has started threads, although Python 3.12
 and later warn on ``os.fork`` there.
 
@@ -47,7 +49,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .dynamics import BLOCK_ROWS, COLUMNS, IntegratorConfig, drift, drift_report, integrate
+from .dynamics import BLOCK_ROWS, COLUMNS, IntegratorConfig, integrate
 from .errors import ConfigError, GridError, NonholoError
 from .momenta import closed_form_momenta, grid_half, solution_for, solve_momenta
 from .particle import COLUMNS as PARTICLE_COLUMNS, particle_integrate
@@ -296,11 +298,10 @@ def _publish(path: str, header: Sequence[str], run) -> int:
     """Run ``run(sink)``, write its rows to ``path`` as CSV and print its JSON
     summary; return the exit code.
 
-    ``run`` returns an exit code (it has reported the failure; nothing is
-    written), or the summary and the table: arrays of equal length (1-d
-    columns or 2-d blocks of them) to set side by side.  ``sink``, when not
-    None, takes finished rows while ``run`` still computes the next: a 2-d
-    block of them, in order.  The rows it was not handed are sent at the end.
+    ``run`` hands ``sink`` every row, in order, as 2-d float blocks, and
+    returns an exit code (it has reported the failure; nothing is written)
+    or the summary.  ``sink`` is done with a block when it returns, so the
+    caller may then reuse the block's memory.
 
     The writer is a process forked before ``run`` starts, so that it formats
     a block (``_format_csv``, 1,024 rows per read) while this one computes
@@ -311,8 +312,9 @@ def _publish(path: str, header: Sequence[str], run) -> int:
     frozen heap (the end of this module), so the collector's header writes
     do not copy the pages it shares with this process.  It ends with
     ``os._exit``, its exit status the errno of a failed write.  Without
-    ``os.fork``, and for a target written in place, the rows are formatted
-    here once ``run`` has returned.
+    ``os.fork``, and for a target written in place, ``sink`` keeps a copy of
+    each block's bytes, and the rows are formatted here once ``run`` has
+    returned.
 
     The rows go to a temporary sibling of ``path``, which replaces it only
     once the writer has succeeded and standard output has taken the summary,
@@ -324,7 +326,7 @@ def _publish(path: str, header: Sequence[str], run) -> int:
     target = os.path.realpath(path)
     in_place = os.path.exists(target) and not os.path.isfile(target)
     tmp = path if in_place else f"{target}.{os.getpid()}.tmp"
-    placed, sent, pid, pipe = in_place, 0, 0, None
+    placed, pid, pipe, kept = in_place, 0, None, []
     if not in_place and hasattr(os, "fork"):
         read_end, pipe = os.pipe()
         pid = os.fork()
@@ -339,11 +341,12 @@ def _publish(path: str, header: Sequence[str], run) -> int:
         os.close(read_end)
 
     def sink(block: np.ndarray) -> None:
-        nonlocal sent, pipe
-        sent += len(block)
-        if pipe is not None:
-            try:
-                data = memoryview(block.tobytes())
+        nonlocal pipe
+        if not pid:
+            kept.append(block.tobytes())
+        elif pipe is not None:
+            try:  # the block's own bytes, not a copy: the write ends before this returns
+                data = memoryview(np.ascontiguousarray(block)).cast("B")
                 while data:
                     data = data[os.write(pipe, data):]
             except BrokenPipeError:  # the writer has stopped; its exit status says why
@@ -360,18 +363,10 @@ def _publish(path: str, header: Sequence[str], run) -> int:
         return os.waitstatus_to_exitcode(status)
 
     try:
-        result = run(sink if pid else None)
-        if isinstance(result, int):
-            return result
-        summary, table = result
-        blocks = (np.column_stack([c[k : k + BLOCK_ROWS] for c in table])
-                  for k in range(sent, len(table[0]), BLOCK_ROWS))
-        if pid:
-            for block in blocks:
-                sink(block)
-            code = reap()
-        else:
-            code = _format_csv(tmp, header, lambda: next(blocks, np.empty(0)).tobytes())
+        summary = run(sink)
+        if isinstance(summary, int):
+            return summary
+        code = reap() if pid else _format_csv(tmp, header, functools.partial(next, filter(None, kept), b""))
         if code:
             failure = OSError(code, os.strerror(code), path) if code > 0 else f"CSV writer ended by signal {-code}"
             print(f"error: {failure}", file=sys.stderr)
@@ -396,9 +391,10 @@ def _publish(path: str, header: Sequence[str], run) -> int:
 def cmd_simulate(cfg: RunConfig, out_path: str) -> int:
     """Run the configured trajectory, print a drift summary, write the CSV.
 
-    The CSV writer formats each block of rows while the next is stepped
-    (``_publish``).  A run aborted by a non-finite state or energy exits 2
-    and writes no CSV.
+    The integrator hands ``_publish``'s sink each block of rows while the
+    next is stepped, and holds only that block; the summary is the drifts
+    folded from the blocks (``dynamics.Streamed``).  A run aborted by a
+    non-finite state or energy exits 2 and writes no CSV.
     """
 
     def run(sink):
@@ -411,9 +407,7 @@ def cmd_simulate(cfg: RunConfig, out_path: str) -> int:
             at = f"step {len(traj)} of {cfg.integrator.steps}"
             print(f"error: arithmetic overflow: non-finite state or energy at {at}; no CSV written", file=sys.stderr)
             return 2
-        if cfg.system == "particle":
-            return {f"d{key}": drift(traj[:, PARTICLE_COLUMNS.index(key)]) for key in ("E", "J")}, (traj,)
-        return drift_report(traj), (traj,)
+        return traj.drifts
 
     return _publish(out_path, PARTICLE_COLUMNS if cfg.system == "particle" else COLUMNS, run)
 
@@ -464,13 +458,16 @@ def cmd_momenta(cfg: RunConfig, out_path: str) -> int:
             "rows": len(sol.grid),
             "min_independence": sol.min_independence(),
         }
-        if not routh:
-            return summary, (sol.grid, sol.pairs)
-        from . import certify
+        table = [sol.grid, sol.pairs]
+        if routh:
+            from . import certify
 
-        closed = closed_form_momenta(cfg.body, cfg.profile, cfg.delta, cfg.h).pairs  # on sol.grid
-        summary["max_closed_form_deviation"] = certify.span_residual(cfg.body, cfg.profile, sol, closed)
-        return summary, (sol.grid, sol.pairs, closed)
+            closed = closed_form_momenta(cfg.body, cfg.profile, cfg.delta, cfg.h).pairs  # on sol.grid
+            summary["max_closed_form_deviation"] = certify.span_residual(cfg.body, cfg.profile, sol, closed)
+            table.append(closed)
+        for k in range(0, len(sol.grid), BLOCK_ROWS):
+            sink(np.column_stack([c[k : k + BLOCK_ROWS] for c in table]))
+        return summary
 
     return _publish(out_path, header, run)
 

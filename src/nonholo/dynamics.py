@@ -42,10 +42,13 @@ from .profile import ProfileSpec, check_domain, mass_scalars, profile_terms, sta
 from .smallalg import rk4_step, stacked
 
 
-#: Largest t_final/dt accepted; a trajectory is preallocated as one array.
+#: Largest t_final/dt accepted.  A run with a ``sink`` holds one block of
+#: rows whatever its length; one without returns every row as one array
+#: (10,000,001 rows of 17 floats, 1.4 GB, at this bound).
 MAX_STEPS = 10_000_000
 #: Rows per block of a trajectory: its derived columns are filled, and a
-#: ``sink`` is handed it, a block at a time
+#: ``sink`` is handed it, a block at a time.  A run with a ``sink`` steps
+#: into one buffer of this many rows, reused for every block.
 BLOCK_ROWS = 1024
 
 #: The columns of a trajectory array, which are also the ``simulate`` CSV header.
@@ -133,19 +136,20 @@ def integrate(
     momenta: MomentaSolution,
     *,
     sink=None,
-) -> np.ndarray:
+) -> np.ndarray | Streamed:
     """Integrate the reduced equations from the packed state ``state0``; one
     row per step, t=0 included.
 
-    Returns a float array whose columns are ``COLUMNS``.  gamma is
-    renormalized to the unit sphere after every accepted step.  The run
-    stops at the first row whose state or energy is not finite (an E that
-    overflows at a finite state included), with a warning that names which,
-    and returns the rows before it; nothing past that row is stepped.  A
-    gauge momentum that is NaN does not stop it: a row whose tau1 is off
-    ``momenta`` (past the end of a table; the closed forms cover [-1, 1])
-    gets NaN gauge momenta rather than aborting, and the first such row warns
-    once with the lookup's own message.
+    Returns a float array whose columns are ``COLUMNS``, or, given a
+    ``sink``, a ``Streamed`` record of the run.  gamma is renormalized to
+    the unit sphere after every accepted step.  The run stops at the first
+    row whose state or energy is not finite (an E that overflows at a finite
+    state included), with a warning that names which, and ends with the rows
+    before it; nothing past that row is stepped.  A gauge momentum that is
+    NaN does not stop it: a row whose tau1 is off ``momenta`` (past the end
+    of a table; the closed forms cover [-1, 1]) gets NaN gauge momenta rather
+    than aborting, and the first such row warns once with the lookup's own
+    message.
 
     The state is a list of six Python floats stepped by ``rk4_step`` (its
     written-out six-element step); every stage checks the profile band and
@@ -155,10 +159,16 @@ def integrate(
     momentum and gauge-momentum columns are filled a block of ``BLOCK_ROWS``
     rows at a time, by ``invariants``, ``momentum_components`` and one
     ``momenta.eval`` on the block (elementwise, so the bits are those of one
-    pass over the whole array).  ``sink``, if given, is called with each
-    finished block, every column filled, as soon as it is: ``simulate``
-    writes the CSV from it while the next block is stepped.  A block is a
-    view of the returned array.
+    pass over the whole array).
+
+    ``sink``, if given, is called with each finished block, every column
+    filled, the last partial one included, as soon as it is: ``simulate``
+    writes the CSV from it while the next block is stepped.  The run then
+    steps into one buffer of ``BLOCK_ROWS`` rows, so its memory does not
+    grow with the step count: a block is valid only during the call, and a
+    sink that keeps rows copies them.  The returned ``Streamed`` holds the
+    number of rows and the ``drift_report`` of the whole run, folded from
+    the blocks.
 
     Raises:
         ValueError: if ``state0`` is not a state: not six numbers, |gamma|
@@ -166,7 +176,9 @@ def integrate(
         DomainError: if a stage has |gamma3| > 1 + 1e-9 (``profile.check_domain``).
     """
     n_steps = cfg.steps
-    out = np.empty((n_steps + 1, len(COLUMNS)))
+    streamed = None if sink is None else Streamed(drift_report)
+    out = np.empty((n_steps + 1 if streamed is None else BLOCK_ROWS, len(COLUMNS)))
+    base = 0  # the step of out's first row
     x = StateGM.from_packed(state0).packed().tolist()
     dt, isfinite, sqrt = cfg.dt, math.isfinite, math.sqrt
 
@@ -186,8 +198,8 @@ def integrate(
         check_domain(g3)
         rho, _, L, rho_p, L_p = profile_terms(spec, g3)
         w1, w2, w3 = omega_floats(params, rho, L, g1, g2, g3, m1, m2, m3)
-        out[k, 1:7] = x
-        out[k, 12] = e = energy_floats(params, rho, L, g1, g2, g3, m1, m2, m3, w1, w2, w3)
+        out[k - base, 1:7] = x
+        out[k - base, 12] = e = energy_floats(params, rho, L, g1, g2, g3, m1, m2, m3, w1, w2, w3)
         return e, field_floats(params, rho, L, rho_p, L_p, g1, g2, g3, m1, m2, m3, w1, w2, w3)
 
     warned = False
@@ -195,8 +207,8 @@ def integrate(
     def fill(a, b):
         """Fill the derived columns of rows a..b-1 and hand them to sink; the
         first row off ``momenta`` warns once per run."""
-        nonlocal warned
-        block = out[a:b]
+        nonlocal warned, base
+        block = out[a - base : b - base]
         block[:, 0] = np.arange(a, b) * dt
         block[:, 7:12] = invariants(block[:, 1:7])
         j1, j2 = momentum_components(block[:, 1:7]).T
@@ -204,8 +216,10 @@ def integrate(
         if not warned:
             warned = _warn_off_table(momenta, block[:, 3], cf, a, dt)
         block[:, 13:] = np.column_stack([cf[:, 0] * j1 + cf[:, 1] * j2, cf[:, 2] * j1 + cf[:, 3] * j2, j1, j2])
-        if sink is not None and b > a:
+        if streamed is not None and b > a:
             sink(block)
+            streamed.add(block)
+            base = b
 
     rows, fault = 0, "state"
     try:
@@ -227,7 +241,7 @@ def integrate(
         fill(rows - rows % BLOCK_ROWS, rows)
     if rows <= n_steps:
         warnings.warn(f"non-finite {fault} at step {rows}; aborting with {rows} samples")
-    return out[:rows]
+    return out[:rows] if streamed is None else streamed
 
 
 def _warn_off_table(momenta: MomentaSolution, tau1: np.ndarray, cf: np.ndarray, start: int, dt: float) -> bool:
@@ -247,6 +261,36 @@ def _warn_off_table(momenta: MomentaSolution, tau1: np.ndarray, cf: np.ndarray, 
 def drift(column: np.ndarray) -> float:
     """Largest change of a trajectory column from its first value (NaN if any is NaN)."""
     return float(np.max(np.abs(column - column[0])))
+
+
+class Streamed:
+    """A run whose rows went to a ``sink`` (``integrate``,
+    ``particle.particle_integrate``): ``len()`` is the number of rows it
+    produced, and ``drifts`` the ``report`` of all of them.
+
+    ``add`` folds each block in as it is handed on: ``report`` on the run's
+    first row stacked on the block, the maxima combined by ``np.maximum``,
+    which keeps a NaN.  Every entry of a report is a maximum over rows, and
+    the first row adds only its own entries (a drift of 0, or NaN, which is
+    NaN on the whole array too), so the fold has the bits of ``report`` on
+    the whole array.
+    """
+
+    __slots__ = ("rows", "drifts", "_report", "_first")
+
+    def __init__(self, report) -> None:
+        self.rows, self.drifts, self._report = 0, {}, report
+
+    def __len__(self) -> int:
+        return self.rows
+
+    def add(self, block: np.ndarray) -> None:
+        """Count the rows of ``block``, the run's next, and fold in its report."""
+        if not self.rows:
+            self._first = block[0].copy()
+        part = self._report(np.vstack((self._first, block)))
+        self.drifts = {key: float(np.maximum(self.drifts.get(key, value), value)) for key, value in part.items()}
+        self.rows += len(block)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ import warnings
 import numpy as np
 
 from .brackets import ScalarField, state_field
-from .dynamics import BLOCK_ROWS
+from .dynamics import BLOCK_ROWS, Streamed, drift
 from .smallalg import Jet, columns, jacobi_trivector, matrix, pow2, rk4_step, stacked
 
 
@@ -149,23 +149,28 @@ def particle_jacobiator_unreduced(v) -> float:
 COLUMNS = ("t", "x", "y", "z", "px", "py", "J", "E")
 
 
-def particle_integrate(state0, cfg, *, sink=None) -> np.ndarray:
+def particle_integrate(state0, cfg, *, sink=None) -> np.ndarray | Streamed:
     """Fixed-step RK4 run of the particle; one row per step, t=0 included.
 
-    Returns a float array whose columns are ``COLUMNS``; J and E are the
-    scalar kernels ``particle_momentum`` and ``particle_hamiltonian`` at each
-    row's state.  The run stops at the first row whose state or E is not
-    finite (an H that overflows at a finite state included; J is finite
-    wherever the state is), with a warning that names which, and returns the
-    rows before it; nothing past that row is stepped.  The state is a list of
-    five Python floats stepped by ``rk4_step``, whose five-element step is
-    written out component by component.  The t column is filled a block of
-    ``dynamics.BLOCK_ROWS`` rows at a time, and ``sink``, if given, is called
-    with each finished block (a view of the returned array), as
-    ``dynamics.integrate`` does.
+    Returns a float array whose columns are ``COLUMNS``, or, given a
+    ``sink``, a ``dynamics.Streamed`` record of the run, whose drifts are
+    ``particle_drift_report``'s.  J and E are the scalar kernels
+    ``particle_momentum`` and ``particle_hamiltonian`` at each row's state.
+    The run stops at the first row whose state or E is not finite (an H that
+    overflows at a finite state included; J is finite wherever the state
+    is), with a warning that names which, and ends with the rows before it;
+    nothing past that row is stepped.  The state is a list of five Python
+    floats stepped by ``rk4_step``, whose five-element step is written out
+    component by component.  The t column is filled a block of
+    ``dynamics.BLOCK_ROWS`` rows at a time, and ``sink``, if given, is
+    called with each finished block, as ``dynamics.integrate`` does: the run
+    then steps into one reused buffer of that many rows, and a block is
+    valid only during the call.
     """
     n_steps = cfg.steps
-    out = np.empty((n_steps + 1, len(COLUMNS)))
+    streamed = None if sink is None else Streamed(particle_drift_report)
+    out = np.empty((n_steps + 1 if streamed is None else BLOCK_ROWS, len(COLUMNS)))
+    base = 0  # the step of out's first row
     v = np.array(state0, dtype=float).tolist()
     dt, isfinite = cfg.dt, math.isfinite
 
@@ -173,9 +178,13 @@ def particle_integrate(state0, cfg, *, sink=None) -> np.ndarray:
         return _field(y)
 
     def fill(a, b):
-        out[a:b, 0] = np.arange(a, b) * dt
-        if sink is not None and b > a:
-            sink(out[a:b])
+        nonlocal base
+        block = out[a - base : b - base]
+        block[:, 0] = np.arange(a, b) * dt
+        if streamed is not None and b > a:
+            sink(block)
+            streamed.add(block)
+            base = b
 
     rows = 0
     for k in range(n_steps + 1):
@@ -186,9 +195,15 @@ def particle_integrate(state0, cfg, *, sink=None) -> np.ndarray:
             fault = "energy" if all(map(isfinite, v)) else "state"
             warnings.warn(f"non-finite {fault} at step {k}; aborting with {k} samples")
             break
-        out[k, 1:] = row
+        out[k - base, 1:] = row
         rows = k + 1
         if not rows % BLOCK_ROWS:
             fill(rows - BLOCK_ROWS, rows)
     fill(rows - rows % BLOCK_ROWS, rows)
-    return out[:rows]
+    return out[:rows] if streamed is None else streamed
+
+
+def particle_drift_report(traj: np.ndarray) -> dict:
+    """Max absolute drifts of E and J (``dE``, ``dJ``) over a particle trajectory."""
+    col = dict(zip(COLUMNS, traj.T))
+    return {"dE": drift(col["E"]), "dJ": drift(col["J"])}

@@ -552,9 +552,10 @@ def _table(n_rows, n_cols):
 @pytest.mark.parametrize("fork", [True, False], ids=["forked", "in-process"])
 @pytest.mark.parametrize("n_cols", [5, 8, 9, 17])
 def test_the_csv_writer_matches_the_oracle_byte_for_byte(tmp_path, capsys, monkeypatch, n_cols, fork):
-    # The rows reach the writer in blocks of any size while the run goes on
-    # (the sink), or at the end; without os.fork the same formatting runs
-    # in process.  The row counts sit around the 1,024-row block.
+    # The rows reach the writer in blocks of any size, one of them not
+    # C-contiguous, while the run goes on (the sink); without os.fork the
+    # sink keeps their bytes and the same formatting runs in process.  The
+    # row counts sit around the 1,024-row block.
     if not fork:
         monkeypatch.delattr(os, "fork")
     header = [f"c{k}" for k in range(n_cols)]
@@ -562,12 +563,11 @@ def test_the_csv_writer_matches_the_oracle_byte_for_byte(tmp_path, capsys, monke
         table = _table(n_rows, n_cols)
 
         def run(sink):
-            assert (sink is not None) == fork
-            if sink is not None:  # the first rows in uneven blocks, the rest at the end
-                for a, b in ((0, 300), (300, 1100), (1100, 1101)):
-                    if b <= n_rows:
-                        sink(table[a:b])
-            return {"rows": n_rows}, (table[:, :2], table[:, 2], table[:, 3:])
+            for a, b in ((0, 300), (300, 1100), (1100, 1101), (1101, n_rows)):
+                if a < min(b, n_rows):
+                    block = table[a : min(b, n_rows)]
+                    sink(np.asfortranarray(block) if a == 300 else block)
+            return {"rows": n_rows}
 
         out, want = tmp_path / "out.csv", tmp_path / "want.csv"
         assert cli._publish(str(out), header, run) == 0
@@ -852,8 +852,17 @@ FROZEN_RUNS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(FROZEN_RUNS))
-def test_outputs_are_byte_identical_to_the_frozen_hashes(tmp_path, capsys, name):
+PUBLISHED_RUNS = sorted(name for name, (command, _) in FROZEN_RUNS.items() if command != "check")
+
+
+@pytest.mark.parametrize("name,fork", [pytest.param(name, True, id=name) for name in sorted(FROZEN_RUNS)]
+                         + [pytest.param(name, False, id=f"{name}-no-fork") for name in PUBLISHED_RUNS])
+def test_outputs_are_byte_identical_to_the_frozen_hashes(tmp_path, capsys, monkeypatch, name, fork):
+    # With os.fork the rows of a simulate or momenta stream to the forked
+    # writer; without it, _publish's sink keeps each block's bytes and the
+    # same formatting runs in process.  Both must give the same bytes.
+    if not fork:
+        monkeypatch.delattr(os, "fork")
     command, raw = FROZEN_RUNS[name]
     out = tmp_path / "out.csv"
     argv = [command, "--config", write_config(tmp_path, raw)]

@@ -79,15 +79,18 @@ def test_kernels_match_the_numpy_bodies(index):
 
 
 def test_rk4_step_has_the_bits_of_the_array_formula():
+    # Both written-out steps, the particle's five elements and a solid's
+    # six, on a field that reads t (the solid's does not).
     rng = np.random.default_rng(4)
-    a = rng.standard_normal((5, 5))
+    for n in (5, 6):
+        a = rng.standard_normal((n, n))
 
-    def f(t, y):
-        return a @ np.asarray(y) + t
+        def f(t, y, a=a):
+            return a @ np.asarray(y) + t
 
-    for _ in range(20):
-        y, h = rng.standard_normal(5), rng.uniform(1e-3, 0.5)
-        assert same_bits(rk4_step(f, 0.3, y, h), oracles.rk4_step(f, 0.3, y, h))
+        for _ in range(20):
+            y, h = rng.standard_normal(n), rng.uniform(1e-3, 0.5)
+            assert same_bits(rk4_step(f, 0.3, y, h), oracles.rk4_step(f, 0.3, y, h))
 
 
 @pytest.mark.parametrize("index", range(16))

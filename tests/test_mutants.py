@@ -15,12 +15,14 @@ there must name a mutant that exists and survives, so the table cannot go
 stale, and a mutant that ``check`` never calls is an error, not a survivor.
 
 The written-out RK4 steps ``smallalg._rk4_step5`` and ``_rk4_step6`` are
-not swept.  ``rk4_step`` reaches them through ``smallalg._UNROLLED``, which
-``install`` does not rebind, so ``check`` would call none of their mutants.
-With that table patched too, all 120 ``_rk4_step6`` mutants survive, since
-``check`` integrates no solid, and 55 of the 101 ``_rk4_step5`` mutants
-survive, since the particle's reference run also steps x, z, py and t,
-none of which feeds H or J.
+swept against another killer (``STEPPERS``).  ``check`` cannot see their
+faults: all 120 ``_rk4_step6`` mutants survive it, since it integrates no
+solid, and 55 of the 101 ``_rk4_step5`` mutants, since the particle's
+reference run also steps x, z, py and t, none of which feeds H or J.  So
+each of their mutants is installed in ``smallalg._UNROLLED``, the table
+through which ``rk4_step`` reaches them (``install`` does not rebind it),
+and must fail an oracle test of ``tests/test_float_stepper.py``: the step
+against the array formula, or a run against the numpy integrator.
 
 The momenta solve and the particle's reference run are most of a
 ``check``'s time.  Each is computed once per config (``_recording``) and
@@ -31,6 +33,7 @@ Run alone with ``python3 -m pytest tests/test_mutants.py``.
 import __future__
 import ast
 import collections
+import functools
 import inspect
 import json
 import pickle
@@ -39,7 +42,8 @@ import warnings
 
 import pytest
 
-from nonholo import cli
+import test_float_stepper as stepper_oracles
+from nonholo import cli, smallalg
 from test_defects import CONFIGS, install
 
 SOLIDS = ("ellipsoid-3-1", "routh-nonunit", "ellipsoid", "balanced", "routh")
@@ -69,6 +73,15 @@ KERNELS = {
     "particle._coupling": ("particle",),
     "particle._hamiltonian": ("particle",),
     "particle._momentum": ("particle",),
+}
+
+#: The written-out RK4 steps, by the state length under which ``smallalg._UNROLLED``
+#: holds them, and the oracle tests that must fail on each of their mutants.
+STEPPERS = {
+    "smallalg._rk4_step5": (5, [stepper_oracles.test_rk4_step_has_the_bits_of_the_array_formula] + [
+        functools.partial(stepper_oracles.test_particle_integrate_matches_the_numpy_body, seed) for seed in range(6)]),
+    "smallalg._rk4_step6": (6, [stepper_oracles.test_rk4_step_has_the_bits_of_the_array_formula] + [
+        functools.partial(stepper_oracles.test_integrate_matches_the_numpy_body, index) for index in range(16)]),
 }
 
 _ZERO_SIGN = "changes only the sign of a zero component of s or L_vec, which no record reads"
@@ -231,3 +244,35 @@ def test_every_mutant_dies_in_check_or_is_equivalent(sweep, kernel):
 def test_equivalent_names_swept_kernels_with_reasons():
     assert {kernel for kernel, _ in EQUIVALENT} <= set(KERNELS)
     assert all(EQUIVALENT.values())
+
+
+def _oracle_fails(test) -> bool:
+    """Whether the oracle test fails: an assertion or any other error."""
+    try:
+        test()
+    except Exception:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("kernel", sorted(STEPPERS))
+def test_every_rk4_step_mutant_dies_in_the_stepper_oracles(kernel):
+    n, oracle_tests = STEPPERS[kernel]
+    assert not any(_oracle_fails(test) for test in oracle_tests)  # the unmutated step passes them
+    survivors, uncalled = set(), set()
+    for label, make in mutants(kernel).items():
+        mutant, calls = make(None), [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return mutant(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(smallalg._UNROLLED, n, counted)
+            died = any(_oracle_fails(test) for test in oracle_tests)
+        if not calls[0]:
+            uncalled.add(label)
+        elif not died:
+            survivors.add(label)
+    assert not uncalled, f"the oracles never called these mutants: {sorted(uncalled)}"
+    assert not survivors, f"mutants that the stepper oracles miss: {sorted(survivors)}"
