@@ -13,11 +13,11 @@ The grid keys ``delta`` and ``h`` are checked by ``momenta.grid_half`` alone.
 ``simulate`` and ``momenta`` write their CSV through ``_publish``: a
 forked writer process formats each block of rows, handed over as float64
 bytes through a pipe, while this process computes the next one (the
-integrators' ``sink``).  A ``simulate`` so holds one block of rows at a
-time, whatever its step count, and prints the drifts folded from the
-blocks.  The writer runs no numpy, so the fork is safe in a
-process where numpy's OpenBLAS has started threads, although Python 3.12
-and later warn on ``os.fork`` there.
+integrators' ``sink``), or without ``os.fork`` the sink formats it here.
+A ``simulate`` so holds one block of rows, whatever its step count and
+target, and prints the drifts folded from the blocks.  The writer runs no
+numpy, so the fork is safe in a process where numpy's OpenBLAS has started
+threads, although Python 3.12 and later warn on ``os.fork`` there.
 
 The module ends by freezing the heap its import built (``gc.freeze``): a
 process imports it to run one command and exit, so those objects live until
@@ -43,7 +43,9 @@ import itertools
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -273,25 +275,12 @@ def sample_particle(seed: int, index: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the CSV writer
 
-def _format_csv(path: str, header: Sequence[str], read) -> int:
-    """Write ``header``, then the rows that ``read()`` returns as float64
-    bytes until it returns b"", to ``path`` as CSV, each float with 17
-    significant digits (``nan``, ``inf`` and ``-0`` as such); return 0, or
-    the errno of the OSError that stopped it.  A block is decoded by
-    ``array`` and formatted in one ``%``: no numpy runs here (see ``_publish``)."""
-    from array import array  # here, not at the top: only the writer needs its extension module
-
-    n = len(header)
-    line = ",".join(["%.17g"] * n) + "\n"
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for data in iter(read, b""):
-                values = array("d", data)
-                fh.write((line * (len(values) // n)) % tuple(values))
-    except OSError as exc:
-        return exc.errno or errno.EIO
-    return 0
+def _format_csv(fh, n: int, data) -> None:
+    """Write ``data``, the float64 bytes of rows of ``n`` values, to ``fh`` as
+    CSV, each float with 17 significant digits (``nan``, ``inf`` and ``-0``
+    as such), in one ``%``: no numpy runs here (see ``_publish``)."""
+    values = memoryview(data).cast("d")
+    fh.write(((",".join(["%.17g"] * n) + "\n") * (len(values) // n)) % tuple(values))
 
 
 def _publish(path: str, header: Sequence[str], run) -> int:
@@ -300,8 +289,8 @@ def _publish(path: str, header: Sequence[str], run) -> int:
 
     ``run`` hands ``sink`` every row, in order, as 2-d float blocks, and
     returns an exit code (it has reported the failure; nothing is written)
-    or the summary.  ``sink`` is done with a block when it returns, so the
-    caller may then reuse the block's memory.
+    or the summary.  ``sink`` writes a block out before it returns, so the
+    caller may then reuse the block's memory, and no row is kept.
 
     The writer is a process forked before ``run`` starts, so that it formats
     a block (``_format_csv``, 1,024 rows per read) while this one computes
@@ -310,48 +299,37 @@ def _publish(path: str, header: Sequence[str], run) -> int:
     safe although numpy's OpenBLAS has started threads (Python 3.12 and
     later warn on ``os.fork`` in a threaded process).  It is forked from a
     frozen heap (the end of this module), so the collector's header writes
-    do not copy the pages it shares with this process.  It ends with
-    ``os._exit``, its exit status the errno of a failed write.  Without
-    ``os.fork``, and for a target written in place, ``sink`` keeps a copy of
-    each block's bytes, and the rows are formatted here once ``run`` has
-    returned.
+    do not copy the pages it shares with this process.  Its exit status is
+    the errno of a failed write.  Without ``os.fork``, ``sink`` formats each
+    block here.
 
     The rows go to a temporary sibling of ``path``, which replaces it only
-    once the writer has succeeded and standard output has taken the summary,
-    so a run that fails on either, or raises, leaves ``path`` as it was.  A
-    path that exists and is not a regular file (``/dev/null``, a FIFO) is
-    written in place, and only by a run that succeeded.  The writer is
-    reaped on every path, and no temporary file is left behind.
+    once the rows are written and standard output has taken the summary, so
+    a run that fails on either, or raises, leaves ``path`` as it was.  For a
+    path that is not a regular file (``/dev/null``, a FIFO) they go to an
+    unnamed temporary file, copied into ``path`` before the summary is
+    printed.  The writer is reaped, and the temporary file removed, on every path.
     """
     target = os.path.realpath(path)
     in_place = os.path.exists(target) and not os.path.isfile(target)
-    tmp = path if in_place else f"{target}.{os.getpid()}.tmp"
-    placed, pid, pipe, kept = in_place, 0, None, []
-    if not in_place and hasattr(os, "fork"):
-        read_end, pipe = os.pipe()
-        pid = os.fork()
-        if not pid:  # the writer
-            code = 255
-            try:
-                os.close(pipe)
-                with open(read_end, "rb") as src:
-                    code = _format_csv(tmp, header, functools.partial(src.read, BLOCK_ROWS * 8 * len(header)))
-            finally:
-                os._exit(code)
-        os.close(read_end)
+    tmp = f"{target}.{os.getpid()}.tmp"
+    n, placed, pid, pipe, csv, code = len(header), in_place, 0, None, None, 0
 
     def sink(block: np.ndarray) -> None:
-        nonlocal pipe
-        if not pid:
-            kept.append(block.tobytes())
-        elif pipe is not None:
-            try:  # the block's own bytes, not a copy: the write ends before this returns
-                data = memoryview(np.ascontiguousarray(block)).cast("B")
-                while data:
+        nonlocal pipe, code
+        data = memoryview(np.ascontiguousarray(block)).cast("B")  # the block's own bytes, if C-contiguous
+        if pid:
+            try:  # the write ends before this returns
+                while pipe is not None and data:
                     data = data[os.write(pipe, data):]
             except BrokenPipeError:  # the writer has stopped; its exit status says why
                 os.close(pipe)
                 pipe = None
+        elif not code:
+            try:
+                _format_csv(csv, n, data)
+            except OSError as exc:
+                code = exc.errno or errno.EIO
 
     def reap() -> int:
         """Close the pipe, so that the writer ends, and wait for it; its exit code."""
@@ -363,10 +341,44 @@ def _publish(path: str, header: Sequence[str], run) -> int:
         return os.waitstatus_to_exitcode(status)
 
     try:
+        try:
+            csv = (tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") if in_place
+                   else open(tmp, "w", encoding="utf-8", newline="\n"))
+            csv.write(",".join(header) + "\n")
+            csv.flush()  # before the fork: the writer's copy of the buffer starts empty
+        except OSError as exc:
+            code = exc.errno or errno.EIO
+        if csv and hasattr(os, "fork"):
+            read_end, pipe = os.pipe()
+            pid = os.fork()
+            if not pid:  # the writer
+                code = 255
+                try:
+                    os.close(pipe)
+                    with open(read_end, "rb") as src:
+                        for data in iter(functools.partial(src.read, BLOCK_ROWS * 8 * n), b""):
+                            _format_csv(csv, n, data)
+                    csv.flush()
+                    code = 0
+                except OSError as exc:
+                    code = exc.errno or errno.EIO
+                finally:
+                    os._exit(code)
+            os.close(read_end)
         summary = run(sink)
         if isinstance(summary, int):
             return summary
-        code = reap() if pid else _format_csv(tmp, header, functools.partial(next, filter(None, kept), b""))
+        try:
+            if pid:
+                code = reap()
+            if in_place and not code:
+                csv.seek(0)  # after flushing what this process wrote
+                with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                    shutil.copyfileobj(csv, fh)
+            if not code:
+                csv.close()  # flushes what this process wrote; closed before it is renamed
+        except OSError as exc:
+            code = exc.errno or errno.EIO
         if code:
             failure = OSError(code, os.strerror(code), path) if code > 0 else f"CSV writer ended by signal {-code}"
             print(f"error: {failure}", file=sys.stderr)
@@ -379,6 +391,9 @@ def _publish(path: str, header: Sequence[str], run) -> int:
     finally:
         if pid:  # the run failed or raised
             reap()
+        if csv:
+            with contextlib.suppress(OSError):
+                csv.close()
         if not placed:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)

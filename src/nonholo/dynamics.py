@@ -42,16 +42,15 @@ from .profile import ProfileSpec, check_domain, mass_scalars, profile_terms, sta
 from .smallalg import rk4_step, stacked
 
 
-#: Largest t_final/dt accepted.  A run with a ``sink`` holds one block of
-#: rows whatever its length; one without returns every row as one array
-#: (10,000,001 rows of 17 floats, 1.4 GB, at this bound).
+#: Largest t_final/dt accepted.  A run holds one block of rows whatever
+#: its length, so this bounds its time, not its memory.
 MAX_STEPS = 10_000_000
-#: Rows per block of a trajectory: its derived columns are filled, and a
-#: ``sink`` is handed it, a block at a time.  A run with a ``sink`` steps
-#: into one buffer of this many rows, reused for every block.
+#: Rows per block of a trajectory: a run steps into one buffer of this many
+#: rows, reused for every block, fills its derived columns and hands it to
+#: the ``sink`` a block at a time.
 BLOCK_ROWS = 1024
 
-#: The columns of a trajectory array, which are also the ``simulate`` CSV header.
+#: The columns of a trajectory's rows, which are also the ``simulate`` CSV header.
 COLUMNS = ("t", "g1", "g2", "g3", "M1", "M2", "M3", "tau1", "tau2", "tau3", "tau4", "tau5",
            "E", "J1", "J2", "j1", "j2")
 
@@ -135,40 +134,33 @@ def integrate(
     cfg: IntegratorConfig,
     momenta: MomentaSolution,
     *,
-    sink=None,
-) -> np.ndarray | Streamed:
-    """Integrate the reduced equations from the packed state ``state0``; one
-    row per step, t=0 included.
+    sink,
+) -> Streamed:
+    """Integrate the reduced equations from the packed state ``state0``: one
+    row per step, t=0 included, whose columns are ``COLUMNS``, stepped into
+    one buffer of ``BLOCK_ROWS`` rows reused for every block, so memory does
+    not grow with the step count.  ``sink`` gets each finished block, every
+    column filled, the last partial one included, as soon as it is
+    (``simulate`` writes the CSV from it while the next is stepped); a block
+    is valid only during the call.  Returns the run's ``Streamed`` record.
 
-    Returns a float array whose columns are ``COLUMNS``, or, given a
-    ``sink``, a ``Streamed`` record of the run.  gamma is renormalized to
-    the unit sphere after every accepted step.  The run stops at the first
-    row whose state or energy is not finite (an E that overflows at a finite
-    state included), with a warning that names which, and ends with the rows
-    before it; nothing past that row is stepped.  A gauge momentum that is
-    NaN does not stop it: a row whose tau1 is off ``momenta`` (past the end
-    of a table; the closed forms cover [-1, 1]) gets NaN gauge momenta rather
-    than aborting, and the first such row warns once with the lookup's own
-    message.
+    gamma is renormalized to the unit sphere after every accepted step.  The
+    run stops at the first row whose state or energy is not finite (an E
+    that overflows at a finite state included), with a warning that names
+    which, and ends with the rows before it; nothing past that row is
+    stepped.  A gauge momentum that is NaN does not stop it: a row whose
+    tau1 is off ``momenta`` (past the end of a table; the closed forms cover
+    [-1, 1]) gets NaN gauge momenta rather than aborting, and the first such
+    row warns once with the lookup's own message.
 
     The state is a list of six Python floats stepped by ``rk4_step`` (its
     written-out six-element step); every stage checks the profile band and
     evaluates ``profile_terms``, ``omega_floats`` and ``field_floats``.  The
     Omega of each accepted state gives both its E and the next step's first
     stage.  Per step only the state and E are computed; the t, invariant,
-    momentum and gauge-momentum columns are filled a block of ``BLOCK_ROWS``
-    rows at a time, by ``invariants``, ``momentum_components`` and one
-    ``momenta.eval`` on the block (elementwise, so the bits are those of one
-    pass over the whole array).
-
-    ``sink``, if given, is called with each finished block, every column
-    filled, the last partial one included, as soon as it is: ``simulate``
-    writes the CSV from it while the next block is stepped.  The run then
-    steps into one buffer of ``BLOCK_ROWS`` rows, so its memory does not
-    grow with the step count: a block is valid only during the call, and a
-    sink that keeps rows copies them.  The returned ``Streamed`` holds the
-    number of rows and the ``drift_report`` of the whole run, folded from
-    the blocks.
+    momentum and gauge-momentum columns are filled a block at a time, by
+    ``invariants``, ``momentum_components`` and one ``momenta.eval`` on the
+    block (elementwise, so the bits are those of one pass over all rows).
 
     Raises:
         ValueError: if ``state0`` is not a state: not six numbers, |gamma|
@@ -176,9 +168,8 @@ def integrate(
         DomainError: if a stage has |gamma3| > 1 + 1e-9 (``profile.check_domain``).
     """
     n_steps = cfg.steps
-    streamed = None if sink is None else Streamed(drift_report)
-    out = np.empty((n_steps + 1 if streamed is None else BLOCK_ROWS, len(COLUMNS)))
-    base = 0  # the step of out's first row
+    streamed = Streamed(drift_report, sink)
+    out = np.empty((BLOCK_ROWS, len(COLUMNS)))
     x = StateGM.from_packed(state0).packed().tolist()
     dt, isfinite, sqrt = cfg.dt, math.isfinite, math.sqrt
 
@@ -198,17 +189,17 @@ def integrate(
         check_domain(g3)
         rho, _, L, rho_p, L_p = profile_terms(spec, g3)
         w1, w2, w3 = omega_floats(params, rho, L, g1, g2, g3, m1, m2, m3)
-        out[k - base, 1:7] = x
-        out[k - base, 12] = e = energy_floats(params, rho, L, g1, g2, g3, m1, m2, m3, w1, w2, w3)
+        out[k % BLOCK_ROWS, 1:7] = x
+        out[k % BLOCK_ROWS, 12] = e = energy_floats(params, rho, L, g1, g2, g3, m1, m2, m3, w1, w2, w3)
         return e, field_floats(params, rho, L, rho_p, L_p, g1, g2, g3, m1, m2, m3, w1, w2, w3)
 
     warned = False
 
     def fill(a, b):
-        """Fill the derived columns of rows a..b-1 and hand them to sink; the
-        first row off ``momenta`` warns once per run."""
-        nonlocal warned, base
-        block = out[a - base : b - base]
+        """Fill the derived columns of rows a..b-1, the buffer's first b - a,
+        and hand them on; the first row off ``momenta`` warns once per run."""
+        nonlocal warned
+        block = out[: b - a]
         block[:, 0] = np.arange(a, b) * dt
         block[:, 7:12] = invariants(block[:, 1:7])
         j1, j2 = momentum_components(block[:, 1:7]).T
@@ -216,10 +207,7 @@ def integrate(
         if not warned:
             warned = _warn_off_table(momenta, block[:, 3], cf, a, dt)
         block[:, 13:] = np.column_stack([cf[:, 0] * j1 + cf[:, 1] * j2, cf[:, 2] * j1 + cf[:, 3] * j2, j1, j2])
-        if streamed is not None and b > a:
-            sink(block)
-            streamed.add(block)
-            base = b
+        streamed.add(block)
 
     rows, fault = 0, "state"
     try:
@@ -241,7 +229,7 @@ def integrate(
         fill(rows - rows % BLOCK_ROWS, rows)
     if rows <= n_steps:
         warnings.warn(f"non-finite {fault} at step {rows}; aborting with {rows} samples")
-    return out[:rows] if streamed is None else streamed
+    return streamed
 
 
 def _warn_off_table(momenta: MomentaSolution, tau1: np.ndarray, cf: np.ndarray, start: int, dt: float) -> bool:
@@ -268,24 +256,28 @@ class Streamed:
     ``particle.particle_integrate``): ``len()`` is the number of rows it
     produced, and ``drifts`` the ``report`` of all of them.
 
-    ``add`` folds each block in as it is handed on: ``report`` on the run's
-    first row stacked on the block, the maxima combined by ``np.maximum``,
-    which keeps a NaN.  Every entry of a report is a maximum over rows, and
-    the first row adds only its own entries (a drift of 0, or NaN, which is
-    NaN on the whole array too), so the fold has the bits of ``report`` on
-    the whole array.
+    ``add`` hands each block on as the run finishes it and folds it in:
+    ``report`` on the run's first row stacked on the block, the maxima
+    combined by ``np.maximum``, which keeps a NaN.  Every entry of a report
+    is a maximum over rows, and the first row adds only its own entries (a
+    drift of 0, or NaN, which is NaN over all rows too), so the fold has the
+    bits of ``report`` on the whole trajectory.
     """
 
-    __slots__ = ("rows", "drifts", "_report", "_first")
+    __slots__ = ("rows", "drifts", "_report", "_sink", "_first")
 
-    def __init__(self, report) -> None:
-        self.rows, self.drifts, self._report = 0, {}, report
+    def __init__(self, report, sink) -> None:
+        self.rows, self.drifts, self._report, self._sink = 0, {}, report, sink
 
     def __len__(self) -> int:
         return self.rows
 
     def add(self, block: np.ndarray) -> None:
-        """Count the rows of ``block``, the run's next, and fold in its report."""
+        """Hand ``block``, the run's next rows, to the sink, then count them
+        and fold in their report; an empty block is neither."""
+        if not len(block):
+            return
+        self._sink(block)
         if not self.rows:
             self._first = block[0].copy()
         part = self._report(np.vstack((self._first, block)))

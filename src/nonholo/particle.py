@@ -145,32 +145,27 @@ def particle_jacobiator_unreduced(v) -> float:
     return float(particle_trivector(v)[0, 3, 4])
 
 
-#: The columns of a particle trajectory array, which are also the ``simulate`` CSV header.
+#: The columns of a particle trajectory's rows, which are also the ``simulate`` CSV header.
 COLUMNS = ("t", "x", "y", "z", "px", "py", "J", "E")
 
 
-def particle_integrate(state0, cfg, *, sink=None) -> np.ndarray | Streamed:
-    """Fixed-step RK4 run of the particle; one row per step, t=0 included.
-
-    Returns a float array whose columns are ``COLUMNS``, or, given a
-    ``sink``, a ``dynamics.Streamed`` record of the run, whose drifts are
-    ``particle_drift_report``'s.  J and E are the scalar kernels
+def particle_integrate(state0, cfg, *, sink) -> Streamed:
+    """Fixed-step RK4 run of the particle, one row per step, t=0 included,
+    whose columns are ``COLUMNS``: as ``dynamics.integrate`` does, it steps
+    into one reused buffer of ``dynamics.BLOCK_ROWS`` rows, fills the t
+    column and hands ``sink`` each finished block (valid only during the
+    call), and returns the run's ``dynamics.Streamed`` record, whose drifts
+    are ``particle_drift_report``'s.  J and E are the scalar kernels
     ``particle_momentum`` and ``particle_hamiltonian`` at each row's state.
     The run stops at the first row whose state or E is not finite (an H that
     overflows at a finite state included; J is finite wherever the state
     is), with a warning that names which, and ends with the rows before it;
     nothing past that row is stepped.  The state is a list of five Python
     floats stepped by ``rk4_step``, whose five-element step is written out
-    component by component.  The t column is filled a block of
-    ``dynamics.BLOCK_ROWS`` rows at a time, and ``sink``, if given, is
-    called with each finished block, as ``dynamics.integrate`` does: the run
-    then steps into one reused buffer of that many rows, and a block is
-    valid only during the call.
+    component by component.
     """
-    n_steps = cfg.steps
-    streamed = None if sink is None else Streamed(particle_drift_report)
-    out = np.empty((n_steps + 1 if streamed is None else BLOCK_ROWS, len(COLUMNS)))
-    base = 0  # the step of out's first row
+    streamed = Streamed(particle_drift_report, sink)
+    out = np.empty((BLOCK_ROWS, len(COLUMNS)))
     v = np.array(state0, dtype=float).tolist()
     dt, isfinite = cfg.dt, math.isfinite
 
@@ -178,16 +173,12 @@ def particle_integrate(state0, cfg, *, sink=None) -> np.ndarray | Streamed:
         return _field(y)
 
     def fill(a, b):
-        nonlocal base
-        block = out[a - base : b - base]
+        block = out[: b - a]
         block[:, 0] = np.arange(a, b) * dt
-        if streamed is not None and b > a:
-            sink(block)
-            streamed.add(block)
-            base = b
+        streamed.add(block)
 
     rows = 0
-    for k in range(n_steps + 1):
+    for k in range(cfg.steps + 1):
         if k:
             v = rk4_step(f, (k - 1) * dt, v, dt)
         row = (*v, _momentum(v[1], v[3]), _hamiltonian(v[1], v[3], v[4]))
@@ -195,12 +186,12 @@ def particle_integrate(state0, cfg, *, sink=None) -> np.ndarray | Streamed:
             fault = "energy" if all(map(isfinite, v)) else "state"
             warnings.warn(f"non-finite {fault} at step {k}; aborting with {k} samples")
             break
-        out[k - base, 1:] = row
+        out[k % BLOCK_ROWS, 1:] = row
         rows = k + 1
         if not rows % BLOCK_ROWS:
             fill(rows - BLOCK_ROWS, rows)
     fill(rows - rows % BLOCK_ROWS, rows)
-    return out[:rows] if streamed is None else streamed
+    return streamed
 
 
 def particle_drift_report(traj: np.ndarray) -> dict:

@@ -1,6 +1,9 @@
 """Shared fixtures: the worked routh state, the two presets, and the
 session-scoped reference trajectories that several test modules certify
-against (integrating them once keeps the suite fast)."""
+against (integrating them once keeps the suite fast); ``whole``, which
+collects the blocks an integrator streams into one array."""
+import sys
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,17 @@ ROUTH_START = ((0.6, 0.0, 0.8), (1.0, 2.0, 3.0))
 ELLIPSOID_START = ((3.0 / 7.0, 2.0 / 7.0, 6.0 / 7.0), (1.2, -0.8, 1.0))
 
 RUN_CFG = IntegratorConfig(dt=1e-3, t_final=10.0)
+
+
+def whole(integrator):
+    """``integrator`` (``integrate``, ``particle_integrate``) as a function that
+    returns every row its run hands the sink, as one array whose columns are
+    its module's ``COLUMNS`` (none when it streams no row)."""
+    def run(*args, **kwargs):
+        blocks = [np.empty((0, len(sys.modules[integrator.__module__].COLUMNS)))]
+        integrator(*args, **kwargs, sink=lambda block: blocks.append(block.copy()))  # valid only during the call
+        return np.concatenate(blocks)
+    return run
 
 
 def make_states(seed: int, n: int, cap: float = 0.95) -> list[StateGM]:
@@ -76,13 +90,13 @@ def ellipsoid_momenta(ellipsoid_preset):
 def routh_traj(routh_preset):
     params, spec = routh_preset
     g0, m0 = ROUTH_START
-    return integrate(params, spec, StateGM(np.array(g0), np.array(m0)), RUN_CFG, solution_for(params, spec))
+    return whole(integrate)(params, spec, StateGM(np.array(g0), np.array(m0)), RUN_CFG, solution_for(params, spec))
 
 
 @pytest.fixture(scope="session")
 def ellipsoid_traj(ellipsoid_preset, ellipsoid_momenta):
     params, spec = ellipsoid_preset
     g0, m0 = ELLIPSOID_START
-    return integrate(
+    return whole(integrate)(
         params, spec, StateGM(np.array(g0), np.array(m0)), RUN_CFG, momenta=ellipsoid_momenta
     )

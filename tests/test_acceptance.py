@@ -12,7 +12,7 @@ track the implementation.
 import numpy as np
 import pytest
 
-from conftest import ELLIPSOID_START, RUN_CFG, make_states
+from conftest import ELLIPSOID_START, RUN_CFG, make_states, whole
 from nonholo import (BodyParams, BracketKind, ProfileSpec, StateGM, closed_form_momenta, drift_report, integrate,
                      jacobiator, nonconservation_rates, qp_matrix, solution_for, solve_momenta)
 from nonholo.brackets import J2_COMPONENT, TAU1, TAU4
@@ -61,7 +61,7 @@ def chaplygin_run():
     spec = ProfileSpec.ellipsoid(2.0, 2.0)
     momenta = solve_momenta(params, spec)
     g0, m0 = ELLIPSOID_START
-    traj = integrate(params, spec, StateGM(np.array(g0), np.array(m0)), RUN_CFG, momenta=momenta)
+    traj = whole(integrate)(params, spec, StateGM(np.array(g0), np.array(m0)), RUN_CFG, momenta=momenta)
     return params, spec, momenta, traj
 
 

@@ -9,6 +9,7 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -533,6 +534,56 @@ def test_an_out_path_that_is_not_a_regular_file_is_written_in_place(tmp_path):
     assert text.startswith("t,x,y,z,px,py,J,E\n") and text.count("\n") == 12
 
 
+@pytest.fixture()
+def tmpdir_of_tempfile(tmp_path, monkeypatch):
+    """An empty directory that ``tempfile`` makes its files in, for this test."""
+    directory = tmp_path / "tempfile"
+    directory.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(directory))
+    return directory
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a FIFO")
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "in-process"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_run_that_fails_into_a_fifo_writes_no_byte_there(tmp_path, capsys, monkeypatch, tmpdir_of_tempfile, fork):
+    # The state overflows at step 1,501, past the first 1,024-row block: the
+    # FIFO's reader gets no byte, and no temporary file is left anywhere.
+    def step(f, t, *args):
+        return [math.inf] * 5 if t >= 1.5 else rk4_step(f, t, *args)
+
+    monkeypatch.setattr(particle, "rk4_step", step)
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    fifo = tmp_path / "t.csv"
+    os.mkfifo(fifo)
+    cfg = write_config(tmp_path, dict(PARTICLE_RAW, integrator={"dt": 1e-3, "t_final": 2.0}))
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        with pytest.warns(UserWarning, match="non-finite state at step 1501"):
+            assert main(["simulate", "--config", cfg, "--out", str(fifo)]) == 2
+        assert os.read(reader, 1 << 16) == b""
+    finally:
+        os.close(reader)
+    assert capsys.readouterr().out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "t.csv", "tempfile"]
+    assert not list(tmpdir_of_tempfile.iterdir())
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "in-process"])
+def test_a_directory_out_exits_2_with_the_errno(tmp_path, capsys, monkeypatch, tmpdir_of_tempfile, fork):
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    out = tmp_path / "d"
+    out.mkdir()
+    cfg = write_config(tmp_path, dict(PARTICLE_RAW, integrator={"dt": 1e-3, "t_final": 2.0}))
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: [Errno 21] Is a directory: {str(out)!r}\n"
+    assert not list(out.iterdir()) and not list(tmpdir_of_tempfile.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "d", "tempfile"]
+
+
 # ---------------------------------------------------------------------------
 # the CSV writer: a forked process formats each block of rows while the
 # next is computed
@@ -554,8 +605,8 @@ def _table(n_rows, n_cols):
 def test_the_csv_writer_matches_the_oracle_byte_for_byte(tmp_path, capsys, monkeypatch, n_cols, fork):
     # The rows reach the writer in blocks of any size, one of them not
     # C-contiguous, while the run goes on (the sink); without os.fork the
-    # sink keeps their bytes and the same formatting runs in process.  The
-    # row counts sit around the 1,024-row block.
+    # sink formats each block in process as it arrives.  The row counts sit
+    # around the 1,024-row block.
     if not fork:
         monkeypatch.delattr(os, "fork")
     header = [f"c{k}" for k in range(n_cols)]
@@ -614,16 +665,18 @@ def test_a_domain_error_past_the_first_block_writes_no_csv(tmp_path, capsys, mon
 def test_a_write_failure_in_the_writer_exits_2_with_the_errno(tmp_path):
     # RLIMIT_FSIZE stops the writer's CSV at 64 KiB: the write fails with
     # EFBIG (CPython ignores SIGXFSZ), the writer exits with that errno,
-    # and the parent reports it for --out and prints no summary.
+    # and the parent reports it for --out and prints no summary.  Without
+    # os.fork the same write fails in process, with the same report.
     out = tmp_path / "t.csv"
     out.write_text("previous\n")
     cfg = write_config(tmp_path, dict(PARTICLE_RAW, integrator={"dt": 1e-3, "t_final": 2.0}))
-    code = f"import resource; resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 16, 1 << 16)); {CLI}"
-    proc = _python(code, "simulate", "--config", cfg, "--out", str(out), capture_output=True, text=True)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stdout == ""
-    assert proc.stderr == f"error: [Errno 27] File too large: {str(out)!r}\n"
-    assert out.read_text() == "previous\n"
+    for fork in ("", "import os; del os.fork; "):
+        code = f"import resource; resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 16, 1 << 16)); {fork}{CLI}"
+        proc = _python(code, "simulate", "--config", cfg, "--out", str(out), capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: [Errno 27] File too large: {str(out)!r}\n"
+        assert out.read_text() == "previous\n"
 
 
 def test_the_off_table_warning_fires_once_past_the_first_block(tmp_path, capsys):
@@ -859,8 +912,8 @@ PUBLISHED_RUNS = sorted(name for name, (command, _) in FROZEN_RUNS.items() if co
                          + [pytest.param(name, False, id=f"{name}-no-fork") for name in PUBLISHED_RUNS])
 def test_outputs_are_byte_identical_to_the_frozen_hashes(tmp_path, capsys, monkeypatch, name, fork):
     # With os.fork the rows of a simulate or momenta stream to the forked
-    # writer; without it, _publish's sink keeps each block's bytes and the
-    # same formatting runs in process.  Both must give the same bytes.
+    # writer; without it, _publish's sink formats each block in process as
+    # it arrives.  Both must give the same bytes.
     if not fork:
         monkeypatch.delattr(os, "fork")
     command, raw = FROZEN_RUNS[name]

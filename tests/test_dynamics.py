@@ -21,7 +21,7 @@ from nonholo import (
 )
 from nonholo.dynamics import COLUMNS, MAX_STEPS
 
-from conftest import make_states
+from conftest import make_states, whole
 from oracles import reconstruct_full
 
 
@@ -56,7 +56,7 @@ def test_integrator_config_guards():
 def test_integrate_sampling(routh_preset):
     params, spec = routh_preset
     state = StateGM(np.array([0.6, 0.0, 0.8]), np.array([1.0, 2.0, 3.0]))
-    traj = integrate(params, spec, state, IntegratorConfig(1e-2, 0.1), solution_for(params, spec))
+    traj = whole(integrate)(params, spec, state, IntegratorConfig(1e-2, 0.1), solution_for(params, spec))
     assert traj.shape == (11, len(COLUMNS))
     assert traj[0, 0] == 0.0
     assert traj[-1, 0] == pytest.approx(0.1)
@@ -72,14 +72,14 @@ def test_integrate_sampling(routh_preset):
 def test_integrate_validates_its_start(routh_preset, start):
     params, spec = routh_preset
     with pytest.raises(ValueError):
-        integrate(params, spec, np.array(start), IntegratorConfig(1e-2, 0.1), solution_for(params, spec))
+        whole(integrate)(params, spec, np.array(start), IntegratorConfig(1e-2, 0.1), solution_for(params, spec))
 
 
 def test_integrate_takes_a_packed_start_or_a_state(routh_preset):
     params, spec = routh_preset
     state = StateGM(np.array([0.6, 0.0, 0.8]), np.array([1.0, 2.0, 3.0]))
     cfg, momenta = IntegratorConfig(1e-2, 0.1), solution_for(params, spec)
-    packed, state_run = (integrate(params, spec, start, cfg, momenta) for start in (state.packed(), state))
+    packed, state_run = (whole(integrate)(params, spec, start, cfg, momenta) for start in (state.packed(), state))
     assert packed.tolist() == state_run.tolist()
 
 
@@ -91,7 +91,7 @@ def test_columns_equal_the_scalar_kernels(body, routh_preset, ellipsoid_preset):
     momenta = solution_for(params, spec, 1e-2, 1e-3)
     state0 = StateGM(np.array([3.0 / 7.0, 2.0 / 7.0, 6.0 / 7.0]), np.array([1.2, -0.8, 1.0]))
     cfg = IntegratorConfig(1e-2, 0.2)
-    traj = integrate(params, spec, state0, cfg, momenta=momenta)
+    traj = whole(integrate)(params, spec, state0, cfg, momenta=momenta)
     assert traj.shape == (21, 17) and ",".join(COLUMNS) == "t,g1,g2,g3,M1,M2,M3,tau1,tau2,tau3,tau4,tau5,E,J1,J2,j1,j2"
     for k, row in enumerate(traj):
         x = row[1:7]
@@ -105,7 +105,7 @@ def test_columns_equal_the_scalar_kernels(body, routh_preset, ellipsoid_preset):
 def test_short_run_conservation(routh_preset):
     params, spec = routh_preset
     state = StateGM(np.array([0.6, 0.0, 0.8]), np.array([1.0, 2.0, 3.0]))
-    rep = drift_report(integrate(params, spec, state, IntegratorConfig(1e-3, 1.0), solution_for(params, spec)))
+    rep = drift_report(whole(integrate)(params, spec, state, IntegratorConfig(1e-3, 1.0), solution_for(params, spec)))
     assert rep["dE"] <= 1e-10
     assert rep["dJ1"] <= 1e-10
     assert rep["dJ2"] <= 1e-10
@@ -123,7 +123,7 @@ def test_pole_grazing_run_degrades_to_nan(ellipsoid_preset):
     state = StateGM(g, np.array([0.5, -0.3, 2.5]))
     mom = solve_momenta(params, spec)
     with pytest.warns(UserWarning, match="outside the momenta grid .* at step"):
-        traj = integrate(params, spec, state, IntegratorConfig(1e-3, 2.0), momenta=mom)
+        traj = whole(integrate)(params, spec, state, IntegratorConfig(1e-3, 2.0), momenta=mom)
     rep = drift_report(traj)
     assert np.isnan(rep["dJ1"]) and np.isnan(rep["dJ2"])
     assert rep["dE"] <= 1e-10  # energy is grid-free and stays certified
@@ -141,7 +141,7 @@ def test_unexpected_momenta_errors_propagate(routh_preset, monkeypatch):
     momenta = solution_for(params, spec)
     monkeypatch.setattr(MomentaSolution, "eval", broken)
     with pytest.raises(RuntimeError, match="broken lookup"):
-        integrate(params, spec, state, IntegratorConfig(1e-2, 0.1), momenta)
+        whole(integrate)(params, spec, state, IntegratorConfig(1e-2, 0.1), momenta)
 
 
 def test_closed_form_momenta_do_not_warn_at_the_pole(routh_preset):
@@ -151,7 +151,7 @@ def test_closed_form_momenta_do_not_warn_at_the_pole(routh_preset):
     state = StateGM(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 3.0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        traj = integrate(params, spec, state, IntegratorConfig(1e-3, 0.5), solution_for(params, spec))
+        traj = whole(integrate)(params, spec, state, IntegratorConfig(1e-3, 0.5), solution_for(params, spec))
     rep = drift_report(traj)
     assert rep["dE"] == 0.0 and rep["dJ1"] == 0.0 and rep["dJ2"] == 0.0
 
@@ -175,7 +175,7 @@ def test_rate_law_random_states(ellipsoid_preset):
 def test_reconstruction_tracks_gamma(routh_preset):
     params, spec = routh_preset
     state = StateGM(np.array([0.6, 0.0, 0.8]), np.array([1.0, 2.0, 3.0]))
-    traj = integrate(params, spec, state, IntegratorConfig(1e-3, 1.0), solution_for(params, spec))
+    traj = whole(integrate)(params, spec, state, IntegratorConfig(1e-3, 1.0), solution_for(params, spec))
     g0 = np.array([[0.8, 0.0, -0.6], [0.0, 1.0, 0.0], [0.6, 0.0, 0.8]])
     full = reconstruct_full(params, spec, traj, g0, (0.0, 0.0))
     assert len(full) == len(traj)

@@ -31,7 +31,7 @@ from nonholo import (
     solution_for,
 )
 
-from conftest import make_states
+from conftest import make_states, whole
 
 
 def run(fn, *args):
@@ -100,7 +100,7 @@ def test_integrate_matches_the_numpy_body(index):
     (state,) = make_states(200 + index, 1)
     cfg = IntegratorConfig(2e-3, 0.3)
     momenta = solution_for(params, spec, 1e-2, 1e-3)
-    new, new_warn = run(integrate, params, spec, state.packed(), cfg, momenta)
+    new, new_warn = run(whole(integrate), params, spec, state.packed(), cfg, momenta)
     old, old_warn = run(oracles.integrate, params, spec, state.packed(), cfg, momenta)
     assert same_bits(new, old) and new_warn == old_warn
 
@@ -114,7 +114,7 @@ def test_integrate_keeps_signed_zeros(body, start, routh_preset, ellipsoid_prese
         assert same_bits(rhs(grav_params, spec, x), oracles.rhs(grav_params, spec, x))
         momenta = solution_for(grav_params, spec)
         cfg = IntegratorConfig(1e-3, 0.02)
-        new, _ = run(integrate, grav_params, spec, x, cfg, momenta)
+        new, _ = run(whole(integrate), grav_params, spec, x, cfg, momenta)
         old, _ = run(oracles.integrate, grav_params, spec, x, cfg, momenta)
         assert same_bits(new, old)
 
@@ -126,7 +126,7 @@ def test_off_table_run_matches_the_numpy_body(ellipsoid_preset):
     g = np.array([0.3, 0.2, 0.8]) / math.sqrt(0.77)
     start = np.array([*g, 0.5, -0.3, 2.5])
     for momenta in (solution_for(params, spec, 0.1, 1e-3), solution_for(params, spec)):
-        new, new_warn = run(integrate, params, spec, start, IntegratorConfig(1e-3, 1.0), momenta)
+        new, new_warn = run(whole(integrate), params, spec, start, IntegratorConfig(1e-3, 1.0), momenta)
         old, old_warn = run(oracles.integrate, params, spec, start, IntegratorConfig(1e-3, 1.0), momenta)
         assert np.isnan(new[:, 13]).any() and len(new_warn) == 1
         assert same_bits(new, old) and new_warn == old_warn
@@ -136,7 +136,7 @@ def test_diverging_run_aborts_at_the_same_row(routh_preset):
     params, spec = routh_preset
     start = np.array([0.6, 0.0, 0.8, 1e308, 2.0, 3.0])
     cfg, momenta = IntegratorConfig(1e-3, 0.01), solution_for(params, spec)
-    new, new_warn = run(integrate, params, spec, start, cfg, momenta)
+    new, new_warn = run(whole(integrate), params, spec, start, cfg, momenta)
     old, old_warn = run(oracles.integrate, params, spec, start, cfg, momenta)
     assert len(new) < cfg.steps + 1 and new_warn[-1].startswith("non-finite energy at step 0")
     assert same_bits(new, old) and new_warn == old_warn
@@ -148,8 +148,8 @@ def test_a_state_that_turns_non_finite_is_named(routh_preset, monkeypatch):
     monkeypatch.setattr(particle, "_field", lambda y: (math.nan,) * 5)
     params, spec = routh_preset
     cfg = IntegratorConfig(1e-3, 0.01)
-    runs = [(integrate, params, spec, np.array([0.6, 0.0, 0.8, 1.0, 2.0, 3.0]), cfg, solution_for(params, spec)),
-            (particle_integrate, np.array([0.0, 0.0, 0.0, 1.0, 1.0]), cfg)]
+    runs = [(whole(integrate), params, spec, np.array([0.6, 0.0, 0.8, 1.0, 2.0, 3.0]), cfg, solution_for(params, spec)),
+            (whole(particle_integrate), np.array([0.0, 0.0, 0.0, 1.0, 1.0]), cfg)]
     for fn, *args in runs:
         traj, texts = run(fn, *args)
         assert len(traj) == 1 and texts == ["non-finite state at step 1; aborting with 1 samples"]
@@ -161,7 +161,7 @@ def test_a_stage_off_the_band_raises_as_before(routh_preset):
     start = np.array([math.sin(0.05), 0.0, math.cos(0.05), 0.0, 5.0, 0.0])
     cfg, momenta = IntegratorConfig(0.1, 1.0), solution_for(params, spec)
     messages = []
-    for fn in (integrate, oracles.integrate):
+    for fn in (whole(integrate), oracles.integrate):
         with pytest.raises(DomainError, match="outside") as info:
             fn(params, spec, start, cfg, momenta)
         messages.append(str(info.value))
@@ -175,7 +175,7 @@ def test_a_run_off_the_table_warns_before_a_stage_off_the_band_raises(ellipsoid_
     start = np.array([math.sin(0.05), 0.0, math.cos(0.05), 0.0, 5.0, 0.0])
     cfg, momenta = IntegratorConfig(0.1, 1.0), solution_for(params, spec, 0.1, 1e-3)
     outcomes = []
-    for fn in (integrate, oracles.integrate):
+    for fn in (whole(integrate), oracles.integrate):
         with warnings.catch_warnings(record=True) as caught, pytest.raises(DomainError, match="outside") as info:
             warnings.simplefilter("always")
             fn(params, spec, start, cfg, momenta)
@@ -197,7 +197,7 @@ def test_particle_kernels_match_the_numpy_bodies():
 def test_particle_integrate_matches_the_numpy_body(seed):
     v0 = np.random.default_rng(seed).uniform(-2.0, 2.0, 5)
     cfg = IntegratorConfig(1e-3, 0.5)
-    assert same_bits(particle_integrate(v0, cfg), oracles.particle_integrate(v0, cfg))
+    assert same_bits(whole(particle_integrate)(v0, cfg), oracles.particle_integrate(v0, cfg))
 
 
 @pytest.mark.parametrize("momentum", [(1e200, 1.0), (1e154, 1e154)])
@@ -205,6 +205,6 @@ def test_particle_overflow_matches_the_numpy_body(momentum):
     # H overflows at a finite state: the run ends before that row, with one warning
     v0 = np.array([0.0, 0.0, 0.0, *momentum])
     cfg = IntegratorConfig(1e-3, 0.01)
-    new, new_warn = run(particle_integrate, v0, cfg)
+    new, new_warn = run(whole(particle_integrate), v0, cfg)
     old, old_warn = run(oracles.particle_integrate, v0, cfg)
     assert len(new_warn) == 1 and same_bits(new, old) and new_warn == old_warn

@@ -16,6 +16,7 @@ from nonholo import (
 from nonholo.brackets import ScalarField
 from nonholo.particle import COLUMNS, HAMILTONIAN, particle_bivector
 from nonholo.smallalg import Jet, grad_fd
+from conftest import whole
 from oracles import frame, frame_bracket, same_bits
 
 coords = st.floats(-2.0, 2.0, allow_nan=False)
@@ -38,7 +39,7 @@ def test_momentum_and_energy():
 
 
 def test_conservation_short_run():
-    traj = particle_integrate(np.array([0.0, 0.0, 0.0, 1.0, 1.0]), IntegratorConfig(1e-3, 2.0))
+    traj = whole(particle_integrate)(np.array([0.0, 0.0, 0.0, 1.0, 1.0]), IntegratorConfig(1e-3, 2.0))
     assert len(traj) == 2001
     col = dict(zip(COLUMNS, traj.T))
     dj = np.max(np.abs(col["J"] - col["J"][0]))
@@ -48,7 +49,7 @@ def test_conservation_short_run():
 
 def test_columns_equal_the_scalar_kernels():
     cfg = IntegratorConfig(1e-2, 0.2)
-    traj = particle_integrate(np.array([0.1, -0.5, 0.2, 1.3, -0.7]), cfg)
+    traj = whole(particle_integrate)(np.array([0.1, -0.5, 0.2, 1.3, -0.7]), cfg)
     assert traj.shape == (21, len(COLUMNS)) and COLUMNS == ("t", "x", "y", "z", "px", "py", "J", "E")
     for k, row in enumerate(traj):
         state = row[1:6]

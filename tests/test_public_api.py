@@ -130,6 +130,11 @@ def test_bench_facing_positions_and_names_are_pinned():
 
     assert params(dynamics.integrate)[3] == "cfg"
     assert params(particle.particle_integrate)[1] == "cfg"
+    # Both integrators only stream: ``sink`` is a required keyword, so no
+    # call can fall back to building the whole trajectory.
+    for fn in (dynamics.integrate, particle.particle_integrate):
+        sink = inspect.signature(fn).parameters["sink"]
+        assert sink.kind is inspect.Parameter.KEYWORD_ONLY and sink.default is inspect.Parameter.empty
     assert dynamics._rhs_packed is dynamics.rhs is nonholo.rhs
     assert params(dynamics.rhs)[:3] == ["params", "spec", "x"]
     assert smallalg.rk4_step is nonholo.rk4_step and params(smallalg.rk4_step)[:4] == ["f", "t", "y", "h"]

@@ -1,11 +1,12 @@
-"""Streamed runs: ``integrate`` and ``particle_integrate`` given a ``sink``.
+"""Streamed runs: ``integrate`` and ``particle_integrate`` hand their rows to a ``sink``.
 
-Such a run steps into one reused block of ``BLOCK_ROWS`` rows, hands each
+A run steps into one reused block of ``BLOCK_ROWS`` rows, hands each
 finished block to the sink, and returns a ``dynamics.Streamed`` record whose
-drifts are folded from the blocks.  The rows the sink sees must be the rows
-of the array path bit for bit, and the record's drifts the report on that
-array, NaN included.  ``simulate`` then holds one block of rows whatever its
-step count, which the peak resident memory of a fresh process shows.
+drifts are folded from the blocks.  The rows the sink sees must be those of
+the numpy integrators of ``tests/oracles.py`` bit for bit, and the record's
+drifts the report on that reference array, NaN included.  ``simulate`` then
+holds one block of rows whatever its step count and wherever its CSV goes,
+which the peak resident memory of a fresh process shows.
 """
 import json
 import math
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 import nonholo
+import oracles
 from nonholo import IntegratorConfig, dynamics, drift_report, integrate, particle, particle_integrate, solution_for
 from nonholo.dynamics import BLOCK_ROWS, Streamed
 from nonholo.particle import particle_drift_report
@@ -29,6 +31,8 @@ ELLIPSOID_START = np.array([3 / 7, 2 / 7, 6 / 7, 1.2, -0.8, 1.0])
 PARTICLE_START = np.array([0.1, -0.5, 0.2, 1.3, -0.7])
 # Climbs past the end of a delta = 1e-2 table (the pole-grazing start of tests/test_cli.py).
 POLE_GRAZING_START = np.array([*(c / math.sqrt(0.77) for c in (0.3, 0.2, 0.8)), 0.5, -0.3, 2.5])
+#: Each integrator's bit-for-bit reference, which returns every row as one array
+REFERENCE = {integrate: oracles.integrate, particle_integrate: oracles.particle_integrate}
 
 
 def recorded(fn, *args, **kwargs):
@@ -40,14 +44,14 @@ def recorded(fn, *args, **kwargs):
 
 
 def both_paths(fn, *args):
-    """The array run of fn(*args), and the streamed one: (array, warnings),
+    """The reference run of fn(*args), and the streamed one: (array, warnings),
     (rows the sink saw, block sizes, block addresses, record, warnings)."""
     blocks = []
 
     def sink(block):
         blocks.append((block.copy(), block.ctypes.data))  # a block is valid only during the call
 
-    array, array_warnings = recorded(fn, *args)
+    array, array_warnings = recorded(REFERENCE[fn], *args)
     record, stream_warnings = recorded(fn, *args, sink=sink)
     rows = np.concatenate([b for b, _ in blocks]) if blocks else array[:0]
     return (array, array_warnings), (rows, [len(b) for b, _ in blocks], {a for _, a in blocks}, record,
@@ -86,9 +90,12 @@ def test_the_sink_sees_the_rows_of_the_array_path_and_the_record_its_report(syst
 @pytest.mark.parametrize("system", ["routh", "particle"])
 def test_a_run_that_aborts_at_the_first_step_streams_its_one_row(system, monkeypatch):
     # A field of NaNs makes the first step's state NaN: the run ends with
-    # one row, handed over as the last (partial) block.
+    # one row, handed over as the last (partial) block.  The references step
+    # their own field bodies, which get the same NaNs.
     monkeypatch.setattr(dynamics, "field_floats", lambda *args: (math.nan,) * 6)
     monkeypatch.setattr(particle, "_field", lambda y: (math.nan,) * 5)
+    monkeypatch.setattr(oracles, "rhs", lambda *args: np.full(6, math.nan))
+    monkeypatch.setattr(oracles, "particle_rhs", lambda y: np.full(5, math.nan))
     fn, args, report = system_run(system, 11)
     (array, array_warnings), (rows, sizes, _, record, stream_warnings) = both_paths(fn, *args)
     assert len(record) == len(array) == 1 and sizes == [1]
@@ -127,7 +134,7 @@ def test_a_nan_survives_the_fold_whichever_block_it_is_in():
     # would drop one met in a later block.
     J1 = dynamics.COLUMNS.index("J1")
     for nan_block in range(3):
-        record = Streamed(drift_report)
+        record = Streamed(drift_report, lambda block: None)
         for k in range(3):
             block = np.full((2, len(dynamics.COLUMNS)), float(k))
             block[1, J1] = math.nan if k == nan_block else block[1, J1]
@@ -155,26 +162,38 @@ MEASURE = ("import os, subprocess, sys; proc = subprocess.Popen(sys.argv[1:], st
            "print(proc.returncode, usage.ru_maxrss)")
 
 
-def peak_rss_mb(tmp_path, system: str, steps: int) -> float:
+def peak_rss_mb(tmp_path, system: str, steps: int, target: str) -> float:
     """The peak resident memory of a fresh ``nonholo simulate`` process of
-    ``steps`` steps, in MB."""
+    ``steps`` steps, in MB.  ``target`` is where its CSV goes: ``"file"``
+    (a regular file), ``os.devnull``, or ``"no-fork"`` (a regular file,
+    written by a process without ``os.fork``)."""
     config = tmp_path / f"{system}-{steps}.json"
     config.write_text(json.dumps(dict(CONFIGS[system], integrator={"dt": 1e-3, "t_final": steps * 1e-3})))
     src = str(Path(nonholo.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    cli = "import sys; from nonholo.cli import main; sys.exit(main())"
-    argv = [sys.executable, "-c", cli, "simulate", "--config", str(config), "--out", str(tmp_path / "out.csv")]
+    fork = "del os.fork; " if target == "no-fork" else ""
+    cli = f"import os, sys; {fork}from nonholo.cli import main; sys.exit(main())"
+    out = target if target == os.devnull else str(tmp_path / "out.csv")
+    argv = [sys.executable, "-c", cli, "simulate", "--config", str(config), "--out", out]
     proc = subprocess.run([sys.executable, "-c", MEASURE, *argv], capture_output=True, text=True, env=env,
                           timeout=300)
     code, maxrss = map(int, proc.stdout.split())
     assert code == 0, proc.stderr
-    assert (tmp_path / "out.csv").read_text().count("\n") == steps + 2
+    if target != os.devnull:
+        assert Path(out).read_text().count("\n") == steps + 2
     return maxrss / 1024.0
 
 
-@pytest.mark.parametrize("system", ["routh", "particle"])
-def test_simulate_memory_does_not_grow_with_the_step_count(tmp_path, system):
+@pytest.mark.parametrize("system,target", [
+    pytest.param("routh", "file", id="routh"),
+    pytest.param("particle", "file", id="particle"),
+    pytest.param("routh", os.devnull, id="routh-devnull"),
+    pytest.param("routh", "no-fork", id="routh-no-fork"),
+])
+def test_simulate_memory_does_not_grow_with_the_step_count(tmp_path, system, target):
     # Holding every row, 40,000 Routh steps peak 8.6 MB above 2,000 (the
-    # particle 2.9 MB); one reused block keeps the two within rounding.
-    short, long = (peak_rss_mb(tmp_path, system, steps) for steps in (2_000, 40_000))
+    # particle 2.9 MB), and keeping every block's bytes about 5 MB; one
+    # reused block, written out as it arrives, keeps the two within rounding
+    # whatever the target.
+    short, long = (peak_rss_mb(tmp_path, system, steps, target) for steps in (2_000, 40_000))
     assert abs(long - short) < 0.5, (short, long)
