@@ -33,7 +33,7 @@ from .brackets import (BracketKind, J2_COMPONENT, TAU1, TAU4, bivector_packed, c
                        pushforward_residual, tau_gradients)
 from .dynamics import IntegratorConfig, nonconservation_rates, rhs
 from .geomforms import gauge_columns, qp_grid
-from .momenta import ode_residual, routh_closed_form, routh_closed_form_derivative
+from .momenta import march, ode_residual, routh_closed_form, routh_closed_form_derivative
 from .particle import (COORDINATES, HAMILTONIAN, MOMENTUM, particle_bivector, particle_bracket, particle_integrate,
                        particle_rhs, particle_trivector)
 from .phase import invariants, relation_residual
@@ -95,13 +95,13 @@ Jets = namedtuple("Jets", "pis trivectors dh")
 
 class Solid:
     """A body and profile, the states the per-state records sweep, the momenta
-    whose Casimir property is certified, and (Routh) the numeric solution
-    whose span must contain the closed forms of ``momenta``, tabulated on
-    the same grid.  A record that does not read ``momenta`` or ``numeric``
-    accepts None there."""
+    whose Casimir property is certified, and the (delta, h) grid on which
+    ``span-containment`` marches the Routh coefficient ODE against the closed
+    forms.  A record that does not read ``momenta`` or ``grid`` accepts None
+    there."""
 
-    def __init__(self, params, spec, states, momenta, numeric):
-        self.params, self.spec, self.momenta, self.numeric = params, spec, momenta, numeric
+    def __init__(self, params, spec, states, momenta, grid):
+        self.params, self.spec, self.momenta, self.grid = params, spec, momenta, grid
         self.x = np.asarray(states, dtype=float)  # (m, 6)
 
     @cached_property
@@ -138,8 +138,8 @@ class Solid:
     @property
     def records(self) -> tuple[Record, ...]:
         """The records ``nonholo check`` runs for this profile."""
-        if self.spec.kind == "routh":
-            return SOLID + ROUTH
+        if self.spec.kind == "routh":  # the march first: its overflow is an error before any record warns
+            return ROUTH + SOLID
         return SOLID + BALANCED if self.spec.p1 == self.spec.p2 else SOLID
 
 
@@ -236,22 +236,36 @@ def _closed_form_ode_residual(s):
                              for fg, dfg in zip(pairs, slopes)]))
 
 
-def _span_containment(s):
-    return span_residual(s.params, s.spec, s.numeric, s.momenta.pairs)  # both on one grid
+@np.errstate(all="ignore")  # a march that overflows is raised as an error instead
+def span_containment(params, spec, delta, h) -> float:
+    """``Span`` folded over ``momenta.march`` on the (delta, h) grid, chunk by
+    chunk, with no table of the grid; NonholoError if a node is not finite."""
+    span = Span(params, spec)
+    for nodes, rows in march(params, spec, delta, h):
+        span.add(nodes * h, rows)
+    return span.worst
 
 
-def span_residual(params, spec, numeric, closed) -> float:
-    """Worst deviation of the Routh closed-form pairs from the numeric span.
+class Span:
+    """Worst deviation of the Routh closed-form pairs from the numeric span,
+    folded over blocks of grid nodes.  The numeric pairs are combined as the
+    closed forms are at tau1 = 0, where the numeric basis is normalized;
+    ``worst`` is a maximum over rows that keeps a NaN, whatever the blocks."""
 
-    ``closed`` holds the closed-form pairs (f1, g1, f2, g2) at the nodes of
-    ``numeric.grid``, one row each; the numeric pairs are combined as the
-    closed forms are at tau1 = 0, where the numeric basis is normalized.
-    """
-    p, worst = numeric.pairs, []
-    for k, (c0, c1) in enumerate(routh_closed_form(params, spec.p1, spec.p2, 0.0)):
-        for j in (0, 1):  # f, then g; one column at a time keeps the temporaries small
-            worst.append(nan_max(np.abs(c0 * p[:, j] + c1 * p[:, j + 2] - closed[:, 2 * k + j])))
-    return nan_max(np.array(worst))
+    def __init__(self, params, spec):
+        self.params, self.spec, self.worst = params, spec, 0.0
+        (l, r), (u, v) = routh_closed_form(params, spec.p1, spec.p2, 0.0)
+        self._basis = np.array([[l, l, u, u], [r, r, v, v]])  # the coefficients of (f1, g1) and of (f2, g2)
+
+    def add(self, tau1: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Fold in the numeric rows (f1, g1, f2, g2) at the nodes ``tau1``, and
+        return the closed-form rows there."""
+        p1, p2 = routh_closed_form(self.params, self.spec.p1, self.spec.p2, tau1)
+        closed = np.column_stack(np.broadcast_arrays(*p1, *p2))
+        c0, c1 = self._basis
+        deviation = np.abs(c0 * rows[:, [0, 1, 0, 1]] + c1 * rows[:, [2, 3, 2, 3]] - closed)
+        self.worst = float(np.max(deviation, initial=self.worst))
+        return closed
 
 
 def _discard(block) -> None:
@@ -300,11 +314,11 @@ SOLID = (
            "upper", _consistency),
 )
 ROUTH = (
+    Record("span-containment", 1e-6, "numeric solution span contains the closed forms", "upper",
+           lambda s: span_containment(s.params, s.spec, *s.grid)),
     Record("kernel-pair", 1e-12, "the constant pair spans the coefficient-ODE kernel", "upper", _kernel_pair),
     Record("closed-form-ode-residual", 1e-9, "closed-form pairs solve the coefficient ODE", "upper",
            _closed_form_ode_residual),
-    Record("span-containment", 1e-6, "numeric solution span contains the closed forms", "upper",
-           _span_containment),
 )
 BALANCED = (
     Record("chaplygin-P-zero", 1e-12, "balanced ellipsoid limit has identically vanishing P", "upper",

@@ -53,7 +53,7 @@ import numpy as np
 
 from .dynamics import BLOCK_ROWS, COLUMNS, IntegratorConfig, integrate
 from .errors import ConfigError, GridError, NonholoError
-from .momenta import closed_form_momenta, grid_half, solution_for, solve_momenta
+from .momenta import grid_half, solution_for, solve_momenta
 from .particle import COLUMNS as PARTICLE_COLUMNS, particle_integrate
 from .phase import BodyParams, StateGM
 from .profile import ProfileSpec
@@ -308,7 +308,8 @@ def _publish(path: str, header: Sequence[str], run) -> int:
     a run that fails on either, or raises, leaves ``path`` as it was.  For a
     path that is not a regular file (``/dev/null``, a FIFO) they go to an
     unnamed temporary file, copied into ``path`` before the summary is
-    printed.  The writer is reaped, and the temporary file removed, on every path.
+    printed.  A file that cannot be opened or take the header fails before
+    ``run`` starts.  The writer is reaped, and the temporary file removed, on every path.
     """
     target = os.path.realpath(path)
     in_place = os.path.exists(target) and not os.path.isfile(target)
@@ -331,6 +332,12 @@ def _publish(path: str, header: Sequence[str], run) -> int:
             except OSError as exc:
                 code = exc.errno or errno.EIO
 
+    def failed(code: int) -> int:
+        """Report the failure ``code`` (an errno, or minus a signal that ended the writer); exit code 2."""
+        failure = OSError(code, os.strerror(code), path) if code > 0 else f"CSV writer ended by signal {-code}"
+        print(f"error: {failure}", file=sys.stderr)
+        return 2
+
     def reap() -> int:
         """Close the pipe, so that the writer ends, and wait for it; its exit code."""
         nonlocal pid, pipe
@@ -346,9 +353,9 @@ def _publish(path: str, header: Sequence[str], run) -> int:
                    else open(tmp, "w", encoding="utf-8", newline="\n"))
             csv.write(",".join(header) + "\n")
             csv.flush()  # before the fork: the writer's copy of the buffer starts empty
-        except OSError as exc:
-            code = exc.errno or errno.EIO
-        if csv and hasattr(os, "fork"):
+        except OSError as exc:  # before the run: no step is taken
+            return failed(exc.errno or errno.EIO)
+        if hasattr(os, "fork"):
             read_end, pipe = os.pipe()
             pid = os.fork()
             if not pid:  # the writer
@@ -380,9 +387,7 @@ def _publish(path: str, header: Sequence[str], run) -> int:
         except OSError as exc:
             code = exc.errno or errno.EIO
         if code:
-            failure = OSError(code, os.strerror(code), path) if code > 0 else f"CSV writer ended by signal {-code}"
-            print(f"error: {failure}", file=sys.stderr)
-            return 2
+            return failed(code)
         print(json.dumps(summary, sort_keys=True))
         sys.stdout.flush()  # a closed stdout fails here, before the CSV is in place
         if not placed:
@@ -430,7 +435,8 @@ def cmd_simulate(cfg: RunConfig, out_path: str) -> int:
 def check_subject(cfg: RunConfig) -> certify.Solid | certify.Particle:
     """The subject ``check`` certifies: ``cfg.samples`` seeded samples of the
     configured system.  A solid's states lie inside its momenta table, the
-    solution a run reads; a Routh body also gets a numeric solve for the span."""
+    solution a run reads; its grid is the one a Routh ``span-containment``
+    marches, which solves nothing here."""
     from . import certify
 
     if cfg.system == "particle":
@@ -438,8 +444,7 @@ def check_subject(cfg: RunConfig) -> certify.Solid | certify.Particle:
     cap = min(0.95, grid_half(cfg.delta, cfg.h) * cfg.h)  # where the solved momenta table ends
     states = [sample_state(cfg.seed, k, cap) for k in range(cfg.samples)]
     momenta = solution_for(cfg.body, cfg.profile, cfg.delta, cfg.h)
-    numeric = solve_momenta(cfg.body, cfg.profile, cfg.delta, cfg.h) if cfg.profile.kind == "routh" else momenta
-    return certify.Solid(cfg.body, cfg.profile, states, momenta, numeric)
+    return certify.Solid(cfg.body, cfg.profile, states, momenta, (cfg.delta, cfg.h))
 
 
 def cmd_check(cfg: RunConfig) -> Report:
@@ -460,7 +465,8 @@ def cmd_check(cfg: RunConfig) -> Report:
 
 
 def cmd_momenta(cfg: RunConfig, out_path: str) -> int:
-    """Tabulate the momenta coefficient solutions as CSV (``_publish``)."""
+    """Tabulate the momenta coefficient solutions as CSV (``_publish``); a
+    Routh table adds the closed forms, one ``certify.Span`` block at a time."""
     if cfg.system == "particle":
         print("error: momenta requires a solids system (routh or ellipsoid)", file=sys.stderr)
         return 2
@@ -473,15 +479,15 @@ def cmd_momenta(cfg: RunConfig, out_path: str) -> int:
             "rows": len(sol.grid),
             "min_independence": sol.min_independence(),
         }
-        table = [sol.grid, sol.pairs]
         if routh:
             from . import certify
 
-            closed = closed_form_momenta(cfg.body, cfg.profile, cfg.delta, cfg.h).pairs  # on sol.grid
-            summary["max_closed_form_deviation"] = certify.span_residual(cfg.body, cfg.profile, sol, closed)
-            table.append(closed)
+            span = certify.Span(cfg.body, cfg.profile)
         for k in range(0, len(sol.grid), BLOCK_ROWS):
-            sink(np.column_stack([c[k : k + BLOCK_ROWS] for c in table]))
+            block = [sol.grid[k : k + BLOCK_ROWS], sol.pairs[k : k + BLOCK_ROWS]]
+            sink(np.column_stack([*block, span.add(*block)] if routh else block))
+        if routh:
+            summary["max_closed_form_deviation"] = span.worst
         return summary
 
     return _publish(out_path, header, run)

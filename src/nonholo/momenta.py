@@ -44,8 +44,10 @@ component: the stage combinations of ``smallalg.rk4_step`` and, for each of
 the eight slope evaluations of a step, the three lines of ``_ode_slope``
 (the arithmetic of ``momenta_ode_rhs``).  Every IEEE operation keeps its
 order, so the table is bit-identical to stepping the two pairs with
-``rk4_step``, at a few percent of its cost; chunking bounds the transient
-arrays to a few hundred nodes.
+``rk4_step``, at a few percent of its cost.  ``march`` yields the rows a
+chunk at a time, which bounds the transient arrays to a few hundred nodes:
+``solve_momenta`` tabulates them, and the Routh ``span-containment`` record
+folds them against the closed forms without a table.
 
 A run reads one solution, built by ``solution_for`` on its (delta, h)
 grid (``grid_half`` checks it, and its GridError names the parameter at
@@ -63,6 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -200,7 +203,7 @@ def _grid(delta: float, h: float) -> np.ndarray:
 def solve_momenta(
     params: BodyParams, spec: ProfileSpec, delta: float = 1e-3, h: float = 1e-4
 ) -> MomentaSolution:
-    """Integrate the coefficient ODE outward from tau1 = 0 with RK4.
+    """Integrate the coefficient ODE outward from tau1 = 0 with RK4 (``march``).
 
     Initial pairs at tau1 = 0 are (1, 0) and (0, 1).  Grid spans
     +-(1 - delta) with step h.  An ellipsoid steps +h only and fills the
@@ -215,11 +218,24 @@ def solve_momenta(
     grid = _grid(delta, h)
     n = (len(grid) - 1) // 2
     pairs = np.empty((4, len(grid))).T  # column-major: np.interp reads each column without a copy
+    for nodes, rows in march(params, spec, delta, h):
+        pairs[n + nodes] = rows
+        if nodes[-1] == n and spec.kind == "ellipsoid" and _reflect_lower_half(pairs, n):
+            break  # the march stops here: the lower half is never stepped
+    return MomentaSolution(params, spec, grid, pairs)
+
+
+def march(params: BodyParams, spec: ProfileSpec, delta: float, h: float):
+    """Step both pairs from (1, 0, 0, 1) at tau1 = 0 over the (delta, h) grid,
+    ``_CHUNK`` RK4 steps at a time, yielding each chunk's node numbers k
+    (tau1 = k*h) and (m, 4) rows: the centre, then +h to node n, then -h to
+    -n.  ValueError if ``grid_half`` refuses the grid; NonholoError, once
+    every row is yielded, if any is not finite."""
+    n = grid_half(delta, h)
     y0 = (1.0, 0.0, 0.0, 1.0)
-    pairs[n] = y0
+    yield np.zeros(1, dtype=int), np.array([y0])
+    bad = 0
     for direction in (+1, -1):
-        if direction < 0 and spec.kind == "ellipsoid" and _reflect_lower_half(pairs, n):
-            break
         step = direction * h
         y = y0
         for k0 in range(1, n + 1, _CHUNK):
@@ -227,14 +243,13 @@ def solve_momenta(
             t = (direction * (ks - 1)) * h  # as rk4_step's t = direction*(k-1)*h
             stage_t = np.concatenate([t, t + 0.5 * step, t + step])
             qp = [q.tolist() for q in qp_grid(params, spec, stage_t)]
-            rows = _rk4_pairs(y, step, stage_t.tolist(), qp)
-            pairs[n + direction * ks] = rows
-            y = rows[-1]
-    bad = np.flatnonzero(~np.isfinite(pairs).all(axis=1))
-    if bad.size:
-        raise NonholoError(f"momenta table not finite at {bad.size} of {len(grid)} nodes"
+            steps = _rk4_pairs(y, step, stage_t.tolist(), qp)
+            y, rows = steps[-1], np.array(steps)
+            bad += len(rows) - np.count_nonzero(np.isfinite(rows).all(axis=1))
+            yield direction * ks, rows
+    if bad:
+        raise NonholoError(f"momenta table not finite at {bad} of {2 * n + 1} nodes"
                            " (the configured values are outside floating-point range)")
-    return MomentaSolution(params, spec, grid, pairs)
 
 
 def _reflect_lower_half(pairs: np.ndarray, n: int) -> bool:
@@ -335,8 +350,16 @@ def routh_closed_form_derivative(params: BodyParams, r: float, l: float, gamma3)
 
 class ClosedFormMomenta(MomentaSolution):
     """The Routh closed forms as a MomentaSolution: exact rows and slopes,
-    valid on all of [-1, 1], poles included.  ``pairs`` are looked up on the
-    grid when first read, since a trajectory never reads them."""
+    valid on all of [-1, 1], poles included.  The (delta, h) ``grid`` and
+    the ``pairs`` on it are built when first read, since a run reads neither."""
+
+    def __init__(self, params: BodyParams, spec: ProfileSpec, delta: float, h: float) -> None:
+        grid_half(delta, h)  # refuses the grid as a table's solve does
+        self.params, self.spec, self._pairs, self._delta_h = params, spec, None, (delta, h)
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        return _grid(*self._delta_h)
 
     def _domain(self) -> tuple[float, float, str]:
         return -1.0 - DOMAIN_SLACK, 1.0 + DOMAIN_SLACK, "[-1, 1]"
@@ -359,7 +382,7 @@ def closed_form_momenta(
     the (delta, h) grid; ValueError if ``grid_half`` refuses it."""
     if spec.kind != "routh":
         raise ValueError("closed forms are available for the routh profile only")
-    return ClosedFormMomenta(params, spec, _grid(delta, h), None)
+    return ClosedFormMomenta(params, spec, delta, h)
 
 
 def solution_for(

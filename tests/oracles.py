@@ -39,7 +39,10 @@ records contract the frame form instead of the package's coordinate
 bivector P = E B E^T:
 ``particle_bracket`` is (frame grad f) . B . (frame grad g) and
 ``hamiltonian_frame_flow`` is B . frame grad(H).  ``test_stacked_records.py``
-compares the stacked records with them.
+compares the stacked records with them.  ``span_residual`` is the
+``span-containment`` measure on a whole numeric table and a whole
+closed-form table, which ``certify.Span`` replaced with a fold over blocks
+of nodes; ``test_certify.py`` compares the two.
 
 ``write_csv`` is the CSV writer that ``simulate`` and ``momenta`` ran in
 process, one ``%`` per row of Python floats, before a forked writer came to
@@ -55,7 +58,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from nonholo import (BracketKind, ConsistencyError, DomainError, ScalarField, StateGM, eval_profile, invariants,
-                     momentum_components, qp_matrix)
+                     momentum_components, qp_matrix, routh_closed_form)
 from nonholo import bivector_packed as package_bivector_packed, qpl_values as package_qpl_values
 from nonholo import particle_rhs as package_particle_rhs, rhs as package_rhs
 from nonholo.brackets import J1_COMPONENT, J2_COMPONENT, TAU1, TAU4, TAUS, _gauge_gradient
@@ -640,6 +643,22 @@ PARTICLE_MEASURES = {
     "casimir-momentum": lambda s, k: nan_max(np.array([abs(particle_bracket(MOMENTUM, f, s.v[k])) for f in _COORDS])),
     "rhs-anchor": lambda s, k: _rhs_anchor(s, s.v[k]),
 }
+
+
+def span_residual(params, spec, numeric, closed) -> float:
+    """Worst deviation of the Routh closed-form pairs from the numeric span,
+    on whole tables: what ``span-containment`` measured before it folded
+    ``certify.Span`` over the march.
+
+    ``closed`` holds the closed-form pairs (f1, g1, f2, g2) at the nodes of
+    ``numeric.grid``, one row each; the numeric pairs are combined as the
+    closed forms are at tau1 = 0, where the numeric basis is normalized.
+    """
+    p, worst = numeric.pairs, []
+    for k, (c0, c1) in enumerate(routh_closed_form(params, spec.p1, spec.p2, 0.0)):
+        for j in (0, 1):  # f, then g; one column at a time keeps the temporaries small
+            worst.append(nan_max(np.abs(c0 * p[:, j] + c1 * p[:, j + 2] - closed[:, 2 * k + j])))
+    return nan_max(np.array(worst))
 
 
 def per_sample(name, subject) -> np.ndarray:

@@ -1,14 +1,22 @@
-"""The check registry: well-formed records, the batteries ``check`` runs, grading."""
+"""The check registry: well-formed records, the batteries ``check`` runs, grading, and the span fold."""
+import contextlib
+import io
 import json
 import math
+import os
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from nonholo import BodyParams, ProfileSpec, certify, closed_form_momenta
-from nonholo.cli import cmd_check, parse_config, sample_state
+import oracles
+from nonholo import BodyParams, MomentaSolution, NonholoError, ProfileSpec, certify, closed_form_momenta
+from nonholo.cli import check_subject, cmd_check, cmd_momenta, parse_config, sample_state
+from nonholo.momenta import _grid, march
+from oracles import same_bits
 from test_cli import ELLIPSOID_RAW, PARTICLE_RAW, ROUTH_RAW
 
 SOLID_NAMES = {
@@ -124,3 +132,53 @@ def test_readme_lists_exactly_the_records():
     records = {rec.name: (system, rec.claim, "<" if rec.mode == "upper" else ">", rec.tolerance)
                for system, recs in systems.items() for rec in recs}
     assert listed == records
+
+
+#: Routh bodies: moderate ones, and a share whose m, I1 or I3 is too large
+#: for floating-point range somewhere in the march or the closed forms.
+_routh_bodies = st.builds(
+    lambda body, huge, grav, r, lean: (BodyParams(*{**body, **huge}.values(), grav), ProfileSpec.routh(r, lean * r)),
+    body=st.fixed_dictionaries({"m": st.floats(0.1, 10.0), "I1": st.floats(0.1, 10.0), "I3": st.floats(0.1, 10.0)}),
+    huge=st.sampled_from([{}] * 5 + [{"m": 1e300}, {"I1": 1e300}, {"I1": 1e308, "I3": 1e308}, {"I3": 1e308}]),
+    grav=st.sampled_from([0.0, 9.8]),
+    r=st.floats(0.1, 10.0),
+    lean=st.floats(-0.99, 0.99),
+)
+#: (delta, h) grids, with steps that do not divide 1 - delta (3.7e-4 does not)
+_grids = st.tuples(st.floats(1e-3, 0.1), st.one_of(st.sampled_from([1e-3, 3.7e-4]), st.floats(2.5e-4, 1e-3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(body=_routh_bodies, grid=_grids)
+@example(body=(BodyParams(1.0, 2.0, 3.0, 9.8), ProfileSpec.routh(1.0, 0.1)), grid=(1e-3, 1e-4))
+@example(body=(BodyParams(1.0, 1e308, 1e308, 9.8), ProfileSpec.routh(1.0, 0.1)), grid=(1e-3, 3.7e-4))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_the_span_fold_has_the_bits_of_the_whole_table_span(body, grid):
+    # The march's chunks folded by certify.Span against the whole-table
+    # measure on the same rows, NaN included; then span-containment, and
+    # momenta's max_closed_form_deviation, on the config of the same grid.
+    (params, spec), (delta, h) = body, grid
+    nodes, span = _grid(delta, h), certify.Span(params, spec)
+    table, n = np.empty((len(nodes), 4)), len(nodes) // 2
+    with contextlib.suppress(NonholoError), np.errstate(all="ignore"):
+        for k, rows in march(params, spec, delta, h):
+            span.add(k * h, rows)
+            table[n + k] = rows
+    whole = oracles.span_residual(params, spec, MomentaSolution(params, spec, nodes, table),
+                                  closed_form_momenta(params, spec, delta, h).pairs)
+    assert same_bits(span.worst, whole)
+    raw = {"m": params.m, "I1": params.I1, "I3": params.I3, "grav": params.grav, "r": spec.p1, "l": spec.p2}
+    cfg = parse_config(json.dumps(dict(ROUTH_RAW, params=raw, samples=1, delta=delta, h=h)))
+    # check's measure on check's subject: its other records may measure NaN
+    # on a finite table, and then no report carries span-containment
+    subject, measure = check_subject(cfg), certify.RECORDS["span-containment"].measure
+    if not np.isfinite(table).all():
+        with pytest.raises(NonholoError, match="momenta table not finite at"):
+            measure(subject)
+        with pytest.raises(NonholoError, match="momenta table not finite at"):
+            cmd_momenta(cfg, os.devnull)
+        return
+    assert same_bits(measure(subject), whole)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cmd_momenta(cfg, os.devnull) == 0
+    assert same_bits(json.loads(out.getvalue())["max_closed_form_deviation"], whole)

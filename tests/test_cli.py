@@ -571,6 +571,21 @@ def test_a_run_that_fails_into_a_fifo_writes_no_byte_there(tmp_path, capsys, mon
 
 
 @pytest.mark.parametrize("fork", [True, False], ids=["forked", "in-process"])
+def test_an_out_that_cannot_be_opened_fails_before_the_first_step(tmp_path, capsys, monkeypatch, fork):
+    # The CSV's directory does not exist: the run of 200,000 steps is not
+    # started (steps are counted, not timed), and the errno line is unchanged.
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    steps = counted_steps(monkeypatch, dynamics)
+    out = tmp_path / "missing" / "dir" / "t.csv"
+    cfg = write_config(tmp_path, dict(ROUTH_RAW, integrator={"dt": 1e-3, "t_final": 200.0}))
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+    assert not steps and sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "in-process"])
 def test_a_directory_out_exits_2_with_the_errno(tmp_path, capsys, monkeypatch, tmpdir_of_tempfile, fork):
     if not fork:
         monkeypatch.delattr(os, "fork")

@@ -24,9 +24,10 @@ through which ``rk4_step`` reaches them (``install`` does not rebind it),
 and must fail an oracle test of ``tests/test_float_stepper.py``: the step
 against the array formula, or a run against the numpy integrator.
 
-The momenta solve and the particle's reference run are most of a
-``check``'s time.  Each is computed once per config (``_recording``) and
-replayed to the mutants of every kernel it does not call (``_replaying``).
+The momenta solve, the Routh ``span-containment`` fold over the march and
+the particle's reference run are most of a ``check``'s time.  Each is
+computed once per config (``_recording``) and replayed to the mutants of
+every kernel it does not call (``_replaying``).
 
 Run alone with ``python3 -m pytest tests/test_mutants.py``.
 """
@@ -155,9 +156,9 @@ def _maker(code, mod, name):
     return make
 
 
-#: The slow steps of ``check`` that a mutant may share: the momenta solve and
-#: the particle's reference run, as (module, name).
-_SHARED = (("momenta", "solve_momenta"), ("particle", "particle_integrate"))
+#: The slow steps of ``check`` that a mutant may share: the momenta solve, the
+#: Routh span fold over the march, and the particle's reference run, as (module, name).
+_SHARED = (("momenta", "solve_momenta"), ("certify", "span_containment"), ("particle", "particle_integrate"))
 
 
 def _recording(results: dict, counts: dict, called: set):

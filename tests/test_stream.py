@@ -6,7 +6,8 @@ drifts are folded from the blocks.  The rows the sink sees must be those of
 the numpy integrators of ``tests/oracles.py`` bit for bit, and the record's
 drifts the report on that reference array, NaN included.  ``simulate`` then
 holds one block of rows whatever its step count and wherever its CSV goes,
-which the peak resident memory of a fresh process shows.
+and a Routh ``check`` no table of its grid, which the peak resident memory
+of a fresh process shows.
 """
 import json
 import math
@@ -162,26 +163,34 @@ MEASURE = ("import os, subprocess, sys; proc = subprocess.Popen(sys.argv[1:], st
            "print(proc.returncode, usage.ru_maxrss)")
 
 
+def fresh_run(tmp_path, config: dict, command: str, *args: str, fork: bool = True) -> tuple[int, float, str]:
+    """Run ``nonholo <command> --config <config> <args>`` in a fresh process
+    (without ``os.fork`` unless ``fork``): its exit code, peak resident
+    memory in MB, and standard error."""
+    path = tmp_path / f"{command}-{len(list(tmp_path.iterdir()))}.json"
+    path.write_text(json.dumps(config))
+    src = str(Path(nonholo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cli = f"import os, sys; {'' if fork else 'del os.fork; '}from nonholo.cli import main; sys.exit(main())"
+    argv = [sys.executable, "-c", cli, command, "--config", str(path), *args]
+    proc = subprocess.run([sys.executable, "-c", MEASURE, *argv], capture_output=True, text=True, env=env,
+                          timeout=300)
+    code, maxrss = map(int, proc.stdout.split())
+    return code, maxrss / 1024.0, proc.stderr
+
+
 def peak_rss_mb(tmp_path, system: str, steps: int, target: str) -> float:
     """The peak resident memory of a fresh ``nonholo simulate`` process of
     ``steps`` steps, in MB.  ``target`` is where its CSV goes: ``"file"``
     (a regular file), ``os.devnull``, or ``"no-fork"`` (a regular file,
     written by a process without ``os.fork``)."""
-    config = tmp_path / f"{system}-{steps}.json"
-    config.write_text(json.dumps(dict(CONFIGS[system], integrator={"dt": 1e-3, "t_final": steps * 1e-3})))
-    src = str(Path(nonholo.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    fork = "del os.fork; " if target == "no-fork" else ""
-    cli = f"import os, sys; {fork}from nonholo.cli import main; sys.exit(main())"
+    config = dict(CONFIGS[system], integrator={"dt": 1e-3, "t_final": steps * 1e-3})
     out = target if target == os.devnull else str(tmp_path / "out.csv")
-    argv = [sys.executable, "-c", cli, "simulate", "--config", str(config), "--out", out]
-    proc = subprocess.run([sys.executable, "-c", MEASURE, *argv], capture_output=True, text=True, env=env,
-                          timeout=300)
-    code, maxrss = map(int, proc.stdout.split())
-    assert code == 0, proc.stderr
+    code, peak, err = fresh_run(tmp_path, config, "simulate", "--out", out, fork=target != "no-fork")
+    assert code == 0, err
     if target != os.devnull:
         assert Path(out).read_text().count("\n") == steps + 2
-    return maxrss / 1024.0
+    return peak
 
 
 @pytest.mark.parametrize("system,target", [
@@ -197,3 +206,28 @@ def test_simulate_memory_does_not_grow_with_the_step_count(tmp_path, system, tar
     # whatever the target.
     short, long = (peak_rss_mb(tmp_path, system, steps, target) for steps in (2_000, 40_000))
     assert abs(long - short) < 0.5, (short, long)
+
+
+# ---------------------------------------------------------------------------
+# memory: a fresh Routh ``check`` marches its span without a table of the grid
+
+def test_routh_check_memory_does_not_grow_with_the_grid(tmp_path):
+    # Tabulating the march and the closed forms on the whole grid, h = 1e-5
+    # (199,981 nodes) peaked 17.5 MB above h = 1e-4; the span folded chunk by
+    # chunk, and closed forms that build no grid, keep the two within 1 MB.
+    peaks = []
+    for h in (1e-4, 1e-5):
+        code, peak, err = fresh_run(tmp_path, dict(CONFIGS["routh"], samples=10, h=h), "check")
+        assert code == 0, err
+        peaks.append(peak)
+    assert abs(peaks[1] - peaks[0]) < 1.0, peaks
+
+
+def test_a_routh_check_whose_march_overflows_exits_2(tmp_path):
+    # I1 = I3 = 1e308 overflows A1*A3: the march's rows are not finite, which
+    # is an error before any record measures (or warns on) the body.
+    body = {"m": 1.0, "I1": 1e308, "I3": 1e308, "grav": 9.8, "r": 1.0, "l": 0.1}
+    code, _, err = fresh_run(tmp_path, dict(CONFIGS["routh"], params=body, samples=3), "check")
+    assert code == 2
+    assert err == ("error: momenta table not finite at 19980 of 19981 nodes"
+                   " (the configured values are outside floating-point range)\n")
