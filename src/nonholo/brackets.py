@@ -142,7 +142,7 @@ def bracket(
     """Evaluate {f, g} = grad(f)^T Pi grad(g) of ScalarFields at a packed state."""
     x = np.asarray(x, dtype=float)
     pi = bivector_packed(params, spec, x, kind)
-    return float(f.grad(x) @ pi @ g.grad(x))
+    return float(np.einsum("a,a->", f.grad(x), np.einsum("ab,b->a", pi, g.grad(x))))
 
 
 def jacobiator(
@@ -258,9 +258,8 @@ def casimir_residuals(params: BodyParams, spec: ProfileSpec, x, momenta, pi=None
     may pass.
 
     ``momenta`` is a MomentaSolution; J-field gradients take the
-    tau1-derivatives from ``momenta.slope``, so the residuals measure the
-    structure, not interpolation error.  A state off ``momenta`` gets NaN
-    residuals.
+    tau1-derivatives from ``momenta.slope``: the closed forms' derivatives,
+    or the derivative of the series, so the residuals measure the solve too.
     """
     x = np.asarray(x, dtype=float)
     xs = x.reshape(-1, 6)

@@ -33,7 +33,7 @@ from .brackets import (BracketKind, J2_COMPONENT, TAU1, TAU4, bivector_packed, c
                        pushforward_residual, tau_gradients)
 from .dynamics import IntegratorConfig, nonconservation_rates, rhs
 from .geomforms import gauge_columns, qp_grid
-from .momenta import march, ode_residual, routh_closed_form, routh_closed_form_derivative
+from .momenta import ode_residual, routh_closed_form, routh_closed_form_derivative, solve_momenta
 from .particle import (COORDINATES, HAMILTONIAN, MOMENTUM, particle_bivector, particle_bracket, particle_integrate,
                        particle_rhs, particle_trivector)
 from .phase import invariants, relation_residual
@@ -94,14 +94,13 @@ Jets = namedtuple("Jets", "pis trivectors dh")
 
 
 class Solid:
-    """A body and profile, the states the per-state records sweep, the momenta
-    whose Casimir property is certified, and the (delta, h) grid on which
-    ``span-containment`` marches the Routh coefficient ODE against the closed
-    forms.  A record that does not read ``momenta`` or ``grid`` accepts None
-    there."""
+    """A body and profile, the states the per-state records sweep, and the
+    momenta whose Casimir property is certified (a run's solution: the series
+    solve, or the Routh closed forms).  A record that does not read
+    ``momenta`` accepts None there."""
 
-    def __init__(self, params, spec, states, momenta, grid):
-        self.params, self.spec, self.momenta, self.grid = params, spec, momenta, grid
+    def __init__(self, params, spec, states, momenta):
+        self.params, self.spec, self.momenta = params, spec, momenta
         self.x = np.asarray(states, dtype=float)  # (m, 6)
 
     @cached_property
@@ -138,7 +137,7 @@ class Solid:
     @property
     def records(self) -> tuple[Record, ...]:
         """The records ``nonholo check`` runs for this profile."""
-        if self.spec.kind == "routh":  # the march first: its overflow is an error before any record warns
+        if self.spec.kind == "routh":  # the series solve first: its overflow is an error before any record warns
             return ROUTH + SOLID
         return SOLID + BALANCED if self.spec.p1 == self.spec.p2 else SOLID
 
@@ -236,36 +235,25 @@ def _closed_form_ode_residual(s):
                              for fg, dfg in zip(pairs, slopes)]))
 
 
-@np.errstate(all="ignore")  # a march that overflows is raised as an error instead
-def span_containment(params, spec, delta, h) -> float:
-    """``Span`` folded over ``momenta.march`` on the (delta, h) grid, chunk by
-    chunk, with no table of the grid; NonholoError if a node is not finite."""
-    span = Span(params, spec)
-    for nodes, rows in march(params, spec, delta, h):
-        span.add(nodes * h, rows)
-    return span.worst
+#: The tau1 at which span-containment compares the Routh series with the closed forms: [-1, 1], poles included
+_SPAN_GRID = np.linspace(-1.0, 1.0, 1001)
 
 
-class Span:
-    """Worst deviation of the Routh closed-form pairs from the numeric span,
-    folded over blocks of grid nodes.  The numeric pairs are combined as the
-    closed forms are at tau1 = 0, where the numeric basis is normalized;
-    ``worst`` is a maximum over rows that keeps a NaN, whatever the blocks."""
+def _span_containment(s):
+    """``span_deviation`` of the Routh series solve on ``_SPAN_GRID`` (NonholoError if it is not finite)."""
+    return span_deviation(s.params, s.spec, _SPAN_GRID, solve_momenta(s.params, s.spec).eval(_SPAN_GRID))[1]
 
-    def __init__(self, params, spec):
-        self.params, self.spec, self.worst = params, spec, 0.0
-        (l, r), (u, v) = routh_closed_form(params, spec.p1, spec.p2, 0.0)
-        self._basis = np.array([[l, l, u, u], [r, r, v, v]])  # the coefficients of (f1, g1) and of (f2, g2)
 
-    def add(self, tau1: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Fold in the numeric rows (f1, g1, f2, g2) at the nodes ``tau1``, and
-        return the closed-form rows there."""
-        p1, p2 = routh_closed_form(self.params, self.spec.p1, self.spec.p2, tau1)
-        closed = np.column_stack(np.broadcast_arrays(*p1, *p2))
-        c0, c1 = self._basis
-        deviation = np.abs(c0 * rows[:, [0, 1, 0, 1]] + c1 * rows[:, [2, 3, 2, 3]] - closed)
-        self.worst = float(np.max(deviation, initial=self.worst))
-        return closed
+def span_deviation(params, spec, tau1: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, float]:
+    """The Routh closed-form rows at tau1, and the worst deviation from them
+    of the numeric span, whose rows (f1, g1, f2, g2) at tau1 are ``rows``:
+    the numeric pairs are combined as the closed forms are at tau1 = 0, where
+    the numeric basis is normalized.  The worst is NaN if a deviation is."""
+    p1, p2 = routh_closed_form(params, spec.p1, spec.p2, tau1)
+    closed = np.column_stack(np.broadcast_arrays(*p1, *p2))
+    (l, r), (u, v) = routh_closed_form(params, spec.p1, spec.p2, 0.0)
+    c0, c1 = np.array([l, l, u, u]), np.array([r, r, v, v])  # the coefficients of (f1, g1) and of (f2, g2)
+    return closed, nan_max(np.abs(c0 * rows[:, [0, 1, 0, 1]] + c1 * rows[:, [2, 3, 2, 3]] - closed))
 
 
 def _discard(block) -> None:
@@ -314,8 +302,8 @@ SOLID = (
            "upper", _consistency),
 )
 ROUTH = (
-    Record("span-containment", 1e-6, "numeric solution span contains the closed forms", "upper",
-           lambda s: span_containment(s.params, s.spec, *s.grid)),
+    Record("span-containment", 1e-6, "numeric solution span contains the closed forms on [-1, 1]", "upper",
+           _span_containment),
     Record("kernel-pair", 1e-12, "the constant pair spans the coefficient-ODE kernel", "upper", _kernel_pair),
     Record("closed-form-ode-residual", 1e-9, "closed-form pairs solve the coefficient ODE", "upper",
            _closed_form_ode_residual),

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
 from .geomforms import gauge_columns
 from .momenta import MomentaSolution
 from .phase import BodyParams, StateGM, energy_floats, invariants, momentum_components, omega_floats, relation_residual
@@ -148,10 +147,8 @@ def integrate(
     run stops at the first row whose state or energy is not finite (an E
     that overflows at a finite state included), with a warning that names
     which, and ends with the rows before it; nothing past that row is
-    stepped.  A gauge momentum that is NaN does not stop it: a row whose
-    tau1 is off ``momenta`` (past the end of a table; the closed forms cover
-    [-1, 1]) gets NaN gauge momenta rather than aborting, and the first such
-    row warns once with the lookup's own message.
+    stepped.  ``momenta`` answers on all of [-1, 1] (series or closed forms),
+    so every row the band check lets through has its gauge momenta.
 
     The state is a list of six Python floats stepped by ``rk4_step`` (its
     written-out six-element step); every stage checks the profile band and
@@ -193,19 +190,14 @@ def integrate(
         out[k % BLOCK_ROWS, 12] = e = energy_floats(params, rho, L, g1, g2, g3, m1, m2, m3, w1, w2, w3)
         return e, field_floats(params, rho, L, rho_p, L_p, g1, g2, g3, m1, m2, m3, w1, w2, w3)
 
-    warned = False
-
     def fill(a, b):
         """Fill the derived columns of rows a..b-1, the buffer's first b - a,
-        and hand them on; the first row off ``momenta`` warns once per run."""
-        nonlocal warned
+        and hand them on."""
         block = out[: b - a]
         block[:, 0] = np.arange(a, b) * dt
         block[:, 7:12] = invariants(block[:, 1:7])
         j1, j2 = momentum_components(block[:, 1:7]).T
         cf = momenta.eval(block[:, 3])
-        if not warned:
-            warned = _warn_off_table(momenta, block[:, 3], cf, a, dt)
         block[:, 13:] = np.column_stack([cf[:, 0] * j1 + cf[:, 1] * j2, cf[:, 2] * j1 + cf[:, 3] * j2, j1, j2])
         streamed.add(block)
 
@@ -225,25 +217,11 @@ def integrate(
             rows = k + 1
             if not rows % BLOCK_ROWS:
                 fill(rows - BLOCK_ROWS, rows)
-    finally:  # a stage off the band raises, after the off-table warning of the rows done
+    finally:  # a stage off the band raises, after the rows done are handed on
         fill(rows - rows % BLOCK_ROWS, rows)
     if rows <= n_steps:
         warnings.warn(f"non-finite {fault} at step {rows}; aborting with {rows} samples")
     return streamed
-
-
-def _warn_off_table(momenta: MomentaSolution, tau1: np.ndarray, cf: np.ndarray, start: int, dt: float) -> bool:
-    """Warn at the first row of a tau1 block (step ``start`` + its index)
-    that is off ``momenta``, with the message the lookup raises at it; return
-    whether a row warned.  ``cf`` is the block's lookup, NaN on such rows."""
-    for k in np.flatnonzero(np.isnan(cf[:, 0])).tolist():
-        try:
-            momenta.eval(tau1[k])
-        except DomainError as exc:
-            step = start + k
-            warnings.warn(f"{exc} at step {step} (t={step * dt:g}); the gauge momenta of such rows are NaN")
-            return True
-    return False
 
 
 def drift(column: np.ndarray) -> float:
@@ -319,8 +297,8 @@ def nonconservation_rates(params: BodyParams, spec: ProfileSpec, x) -> RateLaw:
 def drift_report(traj: np.ndarray) -> dict:
     """Max absolute drifts of E, J1, J2 and the invariant-relation residual.
 
-    NaN gauge-momentum samples (a trajectory that left the tabulated grid)
-    make dJ1/dJ2 NaN; an off-grid run is never reported as clean.
+    A NaN sample in a column makes its drift NaN; such a run is never
+    reported as clean.
     """
     col = dict(zip(COLUMNS, traj.T))
     rel = relation_residual(col["tau1"], col["tau2"], col["tau3"], col["tau5"])

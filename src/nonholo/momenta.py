@@ -17,54 +17,52 @@ with zeta = -r*gamma3 + l and P(gamma3) = I1*I3 + m*(I1*r^2*(1-gamma3^2)
 + I3*zeta^2).  pair1 spans the kernel of [QP]^T (so Q*l + ... = 0 row by
 row); pair2 was checked symbolically against the ODE.
 
-Numeric solutions integrate outward from tau1 = 0 with fixed-step RK4 and
-are tabulated on a uniform grid in (-1+delta, 1-delta); evaluation between
-nodes is linear interpolation.  Independence of the two solutions (the
-determinant f1*g2 - f2*g1 per node) is *reported*, not assumed.
+A numeric solution is a Chebyshev series of both pairs on all of [-1, 1],
+poles included, normalized to (1, 0) and (0, 1) at tau1 = 0.  [QP] is
+real-analytic on a neighbourhood of [-1, 1] for both presets, so a few dozen
+coefficients reach rounding.  The solve is integral-form collocation
+(Greengard, SIAM J. Numer. Anal. 28, 1991): the unknowns are the values y of
+both pairs at the N Chebyshev points of the first kind, which are interior
+(``qp_grid``'s strata guard never fires), and they solve y = y0 + S.(A y),
+where S integrates the interpolant from the anchor tau1 = 0 and A is the
+ODE's matrix at the nodes.  One dense 2N x 2N elimination with partial
+pivoting takes both pairs as right-hand sides (``_eliminate``).  The slope
+series interpolates A y at the nodes, its coefficients from the discrete
+orthogonality of the nodes, and the value series is y0 plus its integral:
+N + 1 coefficients whose derivative is the slope series exactly, with none
+of the N^2 growth of rounding that differentiating a series brings.  N
+starts at 17 and doubles (17, 33, 65) until the last four value
+coefficients fall below 1e-13 of the largest (the chop of Aurentz &
+Trefethen, ACM TOMS 43, 2017).  A body that needs more (a prolate
+ellipsoid, whose profile is singular near the real axis) splits [-1, 1] at
+0 into panels chained outward as an initial-value problem: each panel
+starts from the value of the one before it at their shared end, and is
+bisected, inner half first, until its series chops.  No product of the
+solve or of a lookup runs in BLAS or LAPACK (only elementwise arithmetic
+and two-operand ``einsum``), so the bits do not depend on the host's BLAS
+kernels, and numpy.polynomial, whose import a short-lived process would
+pay, is not used.
 
-An ellipsoid steps only its upper half.  The centred ellipsoid is symmetric
-under reflection through its equatorial plane: QP00 and QP11 are even in
-tau1, QP01 and QP10 odd, and the two solutions satisfy
+A run reads one solution, built by ``solution_for``, and asks it for
+``eval`` (the values) and ``slope`` (the tau1-derivatives);
+``brackets.casimir_residuals`` builds the gradients of the gauge momenta
+from the two.  The choice between closed forms and series is the solution's
+type, made once there: ``ClosedFormMomenta`` or the numeric
+``MomentaSolution``.  Both answer on [-1, 1] within ``DOMAIN_SLACK`` and
+look a tau1 array up in one pass (a float tau1, or a 0-d array, is a stack
+of one); a tau1 beyond that raises DomainError.  A series is summed by
+Clenshaw's recurrence, and its ``slope`` is the derivative of the series,
+not the ODE at the values, so the Casimir records measure the solve.  The
+closed forms and ``ode_residual`` also take a tau1 array, which the
+certificates sweep in one pass.
 
-    (f1, g1, f2, g2)(-tau1) = (f1, -g1, -f2, g2)(tau1).
-
-Every operation of the profile terms, of [QP] and of the RK4 steps keeps
-this parity exactly, and round-to-nearest is symmetric under negation, so
-the reflected rows are the bits that stepping -h gives.  Only the sign of an
-exact zero (and NaN) can differ; a table whose upper half holds one steps
-the lower half as well (a balanced ellipsoid, c = b, has exact zeros in f2).
-An offset of the centre of mass along the axis breaks the evenness; an
-ellipsoid profile with one must reflect only where the offset is 0.
-
-The solve never calls ``qp_matrix`` per stage.  [QP] is closed-form in
-tau1, so it is evaluated up front, as numpy arrays, at every stage time of
-a chunk of steps (t, t + h/2 and t + h; ``geomforms.qp_grid``).  The RK4
-steps of both pairs then run on Python floats, written out component by
-component: the stage combinations of ``smallalg.rk4_step`` and, for each of
-the eight slope evaluations of a step, the three lines of ``_ode_slope``
-(the arithmetic of ``momenta_ode_rhs``).  Every IEEE operation keeps its
-order, so the table is bit-identical to stepping the two pairs with
-``rk4_step``, at a few percent of its cost.  ``march`` yields the rows a
-chunk at a time, which bounds the transient arrays to a few hundred nodes:
-``solve_momenta`` tabulates them, and the Routh ``span-containment`` record
-folds them against the closed forms without a table.
-
-A run reads one solution, built by ``solution_for`` on its (delta, h)
-grid (``grid_half`` checks it, and its GridError names the parameter at
-fault), and asks it for ``eval`` (the values) and ``slope`` (the
-tau1-derivatives); ``brackets.casimir_residuals`` builds the gradients of
-the gauge momenta from the two.  The choice between closed forms and table
-is the solution's type, made once there: ``ClosedFormMomenta`` or the
-tabulated ``MomentaSolution``.  Both look a tau1 array up in one chunked
-body, with NaN rows off the solution; a float tau1 (or a 0-d array) is a
-stack of one that raises DomainError there instead.  A table reads each
-column with ``np.interp``.  The closed forms and ``ode_residual`` also take
-a tau1 array, which the certificates sweep in one pass.
+The (delta, h) grid is only the output grid of the ``momenta`` command
+(``grid``): ``grid_half`` checks it, and its GridError names the parameter
+at fault.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -75,14 +73,19 @@ from .phase import BodyParams, momentum_components
 from .profile import DOMAIN_SLACK, ProfileSpec
 from .smallalg import nan_max
 
-#: RK4 steps of a solve, or elements of a tau1 array a lookup reads, in one array pass
-_CHUNK = 256
-#: Largest (1 - delta)/h, the nodes on each side of tau1 = 0, of a momenta table
+#: Largest (1 - delta)/h, the nodes on each side of tau1 = 0, of a momenta output grid
 MAX_HALF_GRID = 1_000_000
+#: The collocation sizes a series tries, in order, before its panel is bisected
+_SIZES = (17, 33, 65)
+#: A series chops where its last four coefficients fall below this share of its largest
+_CHOP = 1e-13
+#: The narrowest panel (its nodes stay inside geomforms.STRATA_BOUND), and
+#: the most panels of a side, done and pending
+_MIN_WIDTH, _MAX_PANELS = 2.0 ** -16, 32
 
 
 def _ode_slope(q00, q01, q10, q11, tau1, f, g) -> tuple:
-    """(f', g') from the entries of [QP] at tau1, on floats."""
+    """(f', g') from the entries of [QP] at tau1, on floats or elementwise on arrays."""
     qf = q00 * f + q10 * g   # [QP]^T . (f, g)
     qg = q01 * f + q11 * g
     return tau1 * qf - qg, qf
@@ -98,33 +101,31 @@ def momenta_ode_rhs(
     )
 
 
-@dataclass
 class MomentaSolution:
-    """Two coefficient pairs tabulated over a tau1 grid.
+    """Two coefficient pairs (f1, g1, f2, g2) as Chebyshev series on [-1, 1].
 
-    ``pairs[k] = (f1, g1, f2, g2)`` at ``grid[k]``.  ``eval`` interpolates
-    them linearly, and ``slope`` is the coefficient ODE's right-hand side at
-    those values, so (value, slope) solves the ODE pointwise.
+    ``panels`` holds, for each panel [lo, hi] of [-1, 1] in order, the
+    tuple (lo, hi, value coefficients, slope coefficients), an (N + 1, 4)
+    and an (N, 4) array in the panel's own variable x = (tau1 - mid)/half;
+    the slope series is the derivative of the value series in tau1.
+    ``grid`` is the (delta, h) output grid of the ``momenta`` command, built
+    on first read.
     """
 
-    params: BodyParams
-    spec: ProfileSpec
-    grid: np.ndarray
-    _pairs: np.ndarray | None
+    def __init__(self, params: BodyParams, spec: ProfileSpec, delta: float, h: float, panels=()) -> None:
+        grid_half(delta, h)
+        self.params, self.spec, self.panels, self._delta_h = params, spec, tuple(panels), (delta, h)
+        self._breaks = np.array([hi for _, hi, _, _ in self.panels[:-1]])
 
-    @property
-    def pairs(self) -> np.ndarray:
-        """The rows at the nodes of ``grid``, looked up on the first read if not given."""
-        if self._pairs is None:
-            self._pairs = self._lookup(self._values, self.grid)
-        return self._pairs
+    @cached_property
+    def grid(self) -> np.ndarray:
+        return _grid(*self._delta_h)
 
     def eval(self, tau1) -> np.ndarray:
         """Return (f1, g1, f2, g2) at tau1, or their (n, 4) rows at a tau1 array.
 
         Raises:
-            DomainError: if a float tau1 is off this solution; an array gets
-                NaN rows there instead.
+            DomainError: at the first tau1 off [-1, 1] by more than DOMAIN_SLACK.
         """
         return self._lookup(self._values, tau1)
 
@@ -135,48 +136,34 @@ class MomentaSolution:
 
     @np.errstate(all="ignore")  # out-of-range bodies give inf/NaN silently, as float arithmetic does
     def _lookup(self, body, tau1) -> np.ndarray:
-        """``body`` at a float tau1 (a stack of one), or at each element of an
-        array, in chunks that bound the transient arrays; off rows are NaN."""
-        lo, hi, name = self._domain()
-        if np.ndim(tau1) == 0:  # a float, a numpy scalar or a 0-d array
-            t1 = float(tau1)
-            if t1 < lo or t1 > hi:
-                raise DomainError(f"tau1={t1!r} outside {name}")
-            return self._lookup(body, np.array([t1]))[0]
-        out = np.empty((len(tau1), 4))
-        for k in range(0, len(tau1), _CHUNK):
-            tk = tau1[k : k + _CHUNK]
-            off = (tk < lo) | (tk > hi)
-            rows = body(np.where(off, 0.0, tk))  # float64; a body never sees a tau1 off the solution
-            rows[off] = np.nan
-            out[k : k + _CHUNK] = rows
-        return out
-
-    def _domain(self) -> tuple[float, float, str]:
-        """The tau1 range (lo, hi) this solution answers, and its name in a DomainError."""
-        lo, hi = float(self.grid[0]), float(self.grid[-1])
-        return lo - 1e-12, hi + 1e-12, f"the momenta grid [{lo!r}, {hi!r}]"
+        """``body`` at each element of tau1 in one pass, a float tau1 as a
+        stack of one; a NaN tau1 gives a NaN row."""
+        t = np.asarray(tau1, dtype=float)
+        flat = t.reshape(-1)
+        size = np.abs(flat)
+        # fmax skips a NaN, whose row is NaN.  A boolean any() here raised a
+        # Routh simulate's peak RSS by 0.1 MB; a run's drift report already
+        # makes float reductions.
+        if np.fmax.reduce(size, initial=0.0) > 1.0 + DOMAIN_SLACK:
+            raise DomainError(f"tau1={float(flat[np.argmax(size > 1.0 + DOMAIN_SLACK)])!r} outside [-1, 1]")
+        rows = body(flat)
+        return rows[0] if t.ndim == 0 else rows
 
     def _values(self, t: np.ndarray) -> np.ndarray:
-        """The rows at t, each column interpolated linearly between the nodes
-        around each element by ``np.interp``."""
-        return np.column_stack([np.interp(t, self.grid, column) for column in self.pairs.T])
+        return self._sum(t, 2)
 
     def _slopes(self, t: np.ndarray) -> np.ndarray:
-        """``momenta_ode_rhs`` at t and the rows of ``_values``, bit for bit."""
-        f1, g1, f2, g2 = self._values(t).T
-        q = qp_grid(self.params, self.spec, t)
-        rows = np.column_stack([*_ode_slope(*q, t, f1, g1), *_ode_slope(*q, t, f2, g2)])
-        rows[t != t] = np.nan
-        return rows
+        return self._sum(t, 3)
 
-    def independence(self) -> np.ndarray:
-        """Determinant f1*g2 - f2*g1 per grid node."""
-        return self.pairs[:, 0] * self.pairs[:, 3] - self.pairs[:, 2] * self.pairs[:, 1]
-
-    def min_independence(self) -> float:
-        """Smallest |det| over the grid (reported by checks, never assumed)."""
-        return float(np.min(np.abs(self.independence())))
+    def _sum(self, t: np.ndarray, which: int) -> np.ndarray:
+        """The series ``panels[k][which]`` of each element's panel at t."""
+        if len(self.panels) == 1:
+            return _clenshaw(self.panels[0][which], t)
+        at, out = np.searchsorted(self._breaks, t), np.empty((len(t), 4))
+        for k, panel in enumerate(self.panels):
+            lo, hi, mine = *panel[:2], at == k
+            out[mine] = _clenshaw(panel[which], (t[mine] - 0.5 * (lo + hi)) / (0.5 * (hi - lo)))
+        return out
 
 
 def grid_half(delta: float, h: float) -> int:
@@ -199,117 +186,155 @@ def _grid(delta: float, h: float) -> np.ndarray:
     return np.arange(-n, n + 1) * h
 
 
-@np.errstate(all="ignore")  # a non-finite table is raised as an error instead
+@np.errstate(all="ignore")  # a non-finite series is raised as an error instead
 def solve_momenta(
     params: BodyParams, spec: ProfileSpec, delta: float = 1e-3, h: float = 1e-4
 ) -> MomentaSolution:
-    """Integrate the coefficient ODE outward from tau1 = 0 with RK4 (``march``).
-
-    Initial pairs at tau1 = 0 are (1, 0) and (0, 1).  Grid spans
-    +-(1 - delta) with step h.  An ellipsoid steps +h only and fills the
-    lower half by reflection (``_reflect_lower_half``), unless its upper
-    half holds an exact zero or a non-finite value; then it steps -h too.
-    The table has the bits of stepping both halves either way.
+    """Solve the coefficient ODE as Chebyshev series on [-1, 1] (see the
+    module docstring), from the pairs (1, 0) and (0, 1) at tau1 = 0; (delta,
+    h) is the solution's output ``grid``.
 
     Raises:
         ValueError: if ``grid_half`` refuses (delta, h).
-        NonholoError: if a node of the table is not finite.
+        NonholoError: if the values at the nodes of a collocation are not
+            finite, or a panel of width ``_MIN_WIDTH`` (or a side's
+            ``_MAX_PANELS``-th) does not chop.
     """
-    grid = _grid(delta, h)
-    n = (len(grid) - 1) // 2
-    pairs = np.empty((4, len(grid))).T  # column-major: np.interp reads each column without a copy
-    for nodes, rows in march(params, spec, delta, h):
-        pairs[n + nodes] = rows
-        if nodes[-1] == n and spec.kind == "ellipsoid" and _reflect_lower_half(pairs, n):
-            break  # the march stops here: the lower half is never stepped
-    return MomentaSolution(params, spec, grid, pairs)
+    grid_half(delta, h)
+    y0 = np.array([1.0, 0.0, 0.0, 1.0])
+    whole = _collocate(params, spec, -1.0, 1.0, 0.0, y0)
+    if whole is not None:
+        panels = [(-1.0, 1.0, *whole)]
+    else:
+        panels = _side(params, spec, y0, -1.0)[::-1] + _side(params, spec, y0, 1.0)
+    return MomentaSolution(params, spec, delta, h, panels)
 
 
-def march(params: BodyParams, spec: ProfileSpec, delta: float, h: float):
-    """Step both pairs from (1, 0, 0, 1) at tau1 = 0 over the (delta, h) grid,
-    ``_CHUNK`` RK4 steps at a time, yielding each chunk's node numbers k
-    (tau1 = k*h) and (m, 4) rows: the centre, then +h to node n, then -h to
-    -n.  ValueError if ``grid_half`` refuses the grid; NonholoError, once
-    every row is yielded, if any is not finite."""
-    n = grid_half(delta, h)
-    y0 = (1.0, 0.0, 0.0, 1.0)
-    yield np.zeros(1, dtype=int), np.array([y0])
-    bad = 0
-    for direction in (+1, -1):
-        step = direction * h
-        y = y0
-        for k0 in range(1, n + 1, _CHUNK):
-            ks = np.arange(k0, min(k0 + _CHUNK, n + 1))
-            t = (direction * (ks - 1)) * h  # as rk4_step's t = direction*(k-1)*h
-            stage_t = np.concatenate([t, t + 0.5 * step, t + step])
-            qp = [q.tolist() for q in qp_grid(params, spec, stage_t)]
-            steps = _rk4_pairs(y, step, stage_t.tolist(), qp)
-            y, rows = steps[-1], np.array(steps)
-            bad += len(rows) - np.count_nonzero(np.isfinite(rows).all(axis=1))
-            yield direction * ks, rows
-    if bad:
-        raise NonholoError(f"momenta table not finite at {bad} of {2 * n + 1} nodes"
-                           " (the configured values are outside floating-point range)")
+def _side(params: BodyParams, spec: ProfileSpec, y0: np.ndarray, end: float) -> list:
+    """The panels of [0, end] as (lo, hi, value and slope coefficients), from
+    tau1 = 0 outward: each starts from the value of the one before it at
+    their shared end (``y0`` at 0), and is halved, inner half first, until
+    its series chops."""
+    panels, inner, edges = [], 0.0, [end]  # the outer ends of the pending panels, nearest last
+    while edges:
+        outer = edges[-1]
+        lo, hi = sorted((inner, outer))
+        series = _collocate(params, spec, lo, hi, math.copysign(1.0, -end), y0)
+        if series is None:
+            if hi - lo <= _MIN_WIDTH or len(panels) + len(edges) >= _MAX_PANELS:
+                raise NonholoError(f"momenta series does not converge on [{lo!r}, {hi!r}]"
+                                   " (the profile is singular too close to the real axis)")
+            edges.append(0.5 * (inner + outer))
+            continue
+        panels.append((lo, hi, *series))
+        y0 = _clenshaw(series[0], np.array([math.copysign(1.0, end)]))[0]
+        inner = edges.pop()
+    return panels
 
 
-def _reflect_lower_half(pairs: np.ndarray, n: int) -> bool:
-    """Fill rows n-1 ... 0 of an ellipsoid table in place with rows 2n ... n+1,
-    g1 and f2 negated, if the upper half is finite and free of zeros (the
-    bits of stepping -h then; see the module docstring).  Return whether it did.
+def _collocate(params: BodyParams, spec: ProfileSpec, lo: float, hi: float, x0: float, y0: np.ndarray):
+    """Both pairs as series on [lo, hi] from their values ``y0`` (f1, g1, f2,
+    g2) at the point x0 (-1, 0 or 1) of the panel's variable x = (tau1 -
+    mid)/half: the value and slope coefficients at the first size of
+    ``_SIZES`` whose series chops, else None.  The slope series interpolates
+    A y at the nodes, and the value series is y0 plus its integral from x0,
+    so each is the other's derivative or integral exactly, and no
+    differentiation multiplies the rounding.  NonholoError if the values at
+    the nodes, or the coefficients, are not finite."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    for n in _SIZES:
+        x, to_coefficients, to_integral, integral = _chebyshev(n, x0)
+        t = mid + half * x
+        q00, q01, q10, q11 = qp_grid(params, spec, t)
+        a = (t * q00 - q01, t * q10 - q11, q00, q10)  # A = [[a0, a1], [a2, a3]]: y' = A y
+        system = np.empty((2 * n, 2 * n))
+        for i in range(2):
+            for j in range(2):
+                system[i * n:(i + 1) * n, j * n:(j + 1) * n] = (-half) * integral * a[2 * i + j]
+        system[np.arange(2 * n), np.arange(2 * n)] += 1.0
+        rhs = np.repeat(y0.reshape(2, 2).T, n, axis=0)  # the rows (f1, f2) n times, then (g1, g2)
+        y = _eliminate(system, rhs)
+        (f1, f2), (g1, g2) = y[:n].T, y[n:].T
+        slopes = np.column_stack([a[0] * f1 + a[1] * g1, a[2] * f1 + a[3] * g1,  # A y of each pair at the nodes
+                                  a[0] * f2 + a[1] * g2, a[2] * f2 + a[3] * g2])
+        dc = np.einsum("kj,jc->kc", to_coefficients, slopes)
+        c = np.einsum("kj,jc->kc", to_integral, half * slopes)
+        c[0] += y0
+        finite = np.isfinite(y).all(axis=1)
+        bad = np.count_nonzero(~(finite[:n] & finite[n:]))
+        # a non-finite coefficient spoils the series at every node
+        if bad or not (np.isfinite(c).all() and np.isfinite(dc).all()):
+            raise NonholoError(f"momenta table not finite at {bad or n} of {n} nodes"
+                               " (the configured values are outside floating-point range)")
+        if np.max(np.abs(c[-4:])) <= _CHOP * np.max(np.abs(c)):
+            return c, dc
+    return None
+
+
+def _chebyshev(n: int, x0: float) -> tuple:
+    """The n Chebyshev points x_j = cos(pi (2j + 1)/(2n)) of the first kind,
+    the (n, n) map of values there to the coefficients of their interpolant,
+    the (n + 1, n) map of the same values to the coefficients of the
+    interpolant's integral from x0 (-1, 0 or 1), and the (n, n) map of them
+    to that integral's values at the points.
+
+    T_k(x_j) = cos(pi m/(2n)) with m = k (2j + 1) reduced exactly, mod 4n and
+    then by the cosine's evenness to [0, 2n], is taken as sin(pi (n - m)/(2n)),
+    an odd function of n - m: no entry carries the rounding of a large angle,
+    and T_k(-x) = (-1)^k T_k(x) holds to the bit at the nodes.
     """
-    upper = pairs[n + 1 :]
-    # Reductions only: a boolean mask of the half-table raises peak RSS.  NaN fails both bounds.
-    finite = -math.inf < upper.min() and upper.max() < math.inf
-    if not (finite and np.count_nonzero(upper) == upper.size):
-        return False
-    pairs[:n] = pairs[:n:-1]
-    np.negative(pairs[:n, 1:3], out=pairs[:n, 1:3])
-    return True
+    j, k = np.arange(n), np.arange(n + 1)
+    m = k * (2 * j[:, None] + 1) % (4 * n)
+    cos = np.sin((n - np.minimum(m, 4 * n - m)) * (math.pi / (2 * n)))  # T_k(x_j), k <= n
+    to_coefficients = cos[:, :n].T * (2.0 / n)
+    to_coefficients[0] *= 0.5
+    # the integral's coefficient of T_k: (c_{k-1} - c_{k+1})/(2k), and c_0 - c_2/2 for T_1
+    padded = np.zeros((n + 2, n))
+    padded[:n] = to_coefficients
+    to_integral = np.zeros((n + 1, n))
+    to_integral[1] = padded[0] - 0.5 * padded[2]
+    to_integral[2:] = (padded[1:n] - padded[3:]) / (2.0 * k[2:, None])
+    at_x0 = np.ones(n + 1)  # T_k(x0) by the recurrence, exact for x0 in (-1, 0, 1)
+    at_x0[1] = x0
+    for q in range(2, n + 1):
+        at_x0[q] = 2.0 * x0 * at_x0[q - 1] - at_x0[q - 2]
+    to_integral[0] = -np.einsum("k,kj->j", at_x0, to_integral)  # the constant that makes it 0 at x0
+    return cos[:, 1].copy(), to_coefficients, to_integral, np.einsum("ik,kj->ij", cos, to_integral)
 
 
-def _rk4_pairs(y: tuple, h: float, stage_t: list, qp: list) -> list:
-    """RK4 steps of both coefficient pairs y = (f1, g1, f2, g2), on floats.
+def _eliminate(m: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Solve m x = r by Gaussian elimination with partial pivoting, in place
+    (m and r are overwritten; x is returned in r's buffer), on elementwise
+    numpy only: no BLAS or LAPACK call, so no host kernel moves a bit."""
+    n = len(m)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(m[k:, k])))
+        if p != k:
+            m[[k, p]], r[[k, p]] = m[[p, k]], r[[p, k]]
+        f = m[k + 1:, k] / m[k, k]
+        m[k + 1:, k + 1:] -= f[:, None] * m[k, k + 1:]
+        r[k + 1:] -= f[:, None] * r[k]
+    for k in range(n - 1, -1, -1):
+        r[k] /= m[k, k]
+        r[:k] -= m[:k, k, None] * r[k]
+    return r
 
-    ``stage_t`` lists the m step starts, then their midpoints, then their
-    ends; ``qp`` holds the four [QP] entries at those times.  The stages of
-    ``rk4_step`` with ``momenta_ode_rhs`` as right-hand side are written out
-    component by component, each slope as ``_ode_slope``'s lines (a stage's
-    g' is its qf), so the values are bit-identical to it.  Returns the m new
-    states.
-    """
-    m = len(stage_t) // 3
-    # the four [QP] entries and the time at the starts, then the midpoints, then the ends
-    stages = [col[k * m : (k + 1) * m] for k in range(3) for col in (*qp, stage_t)]
-    half, sixth = 0.5 * h, h / 6.0
-    f1, g1, f2, g2 = y
-    out = []
-    append = out.append
-    for a, b, c, d, t, a2, b2, c2, d2, t2, a3, b3, c3, d3, t3 in zip(*stages):
-        k1g1 = a * f1 + c * g1
-        k1f1 = t * k1g1 - (b * f1 + d * g1)
-        k1g2 = a * f2 + c * g2
-        k1f2 = t * k1g2 - (b * f2 + d * g2)
-        u1, v1, u2, v2 = f1 + half * k1f1, g1 + half * k1g1, f2 + half * k1f2, g2 + half * k1g2
-        k2g1 = a2 * u1 + c2 * v1
-        k2f1 = t2 * k2g1 - (b2 * u1 + d2 * v1)
-        k2g2 = a2 * u2 + c2 * v2
-        k2f2 = t2 * k2g2 - (b2 * u2 + d2 * v2)
-        u1, v1, u2, v2 = f1 + half * k2f1, g1 + half * k2g1, f2 + half * k2f2, g2 + half * k2g2
-        k3g1 = a2 * u1 + c2 * v1
-        k3f1 = t2 * k3g1 - (b2 * u1 + d2 * v1)
-        k3g2 = a2 * u2 + c2 * v2
-        k3f2 = t2 * k3g2 - (b2 * u2 + d2 * v2)
-        u1, v1, u2, v2 = f1 + h * k3f1, g1 + h * k3g1, f2 + h * k3f2, g2 + h * k3g2
-        k4g1 = a3 * u1 + c3 * v1
-        k4f1 = t3 * k4g1 - (b3 * u1 + d3 * v1)
-        k4g2 = a3 * u2 + c3 * v2
-        k4f2 = t3 * k4g2 - (b3 * u2 + d3 * v2)
-        f1 = f1 + sixth * (k1f1 + 2.0 * k2f1 + 2.0 * k3f1 + k4f1)
-        g1 = g1 + sixth * (k1g1 + 2.0 * k2g1 + 2.0 * k3g1 + k4g1)
-        f2 = f2 + sixth * (k1f2 + 2.0 * k2f2 + 2.0 * k3f2 + k4f2)
-        g2 = g2 + sixth * (k1g2 + 2.0 * k2g2 + 2.0 * k3g2 + k4g2)
-        append((f1, g1, f2, g2))
-    return out
+
+def _clenshaw(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The (len(x), m) sums of the Chebyshev series of each column of the
+    (n, m) coefficients c at each element of x: Clenshaw's recurrence
+    b_k = c_k + 2x b_{k+1} - b_{k+2}, one pass over the stack."""
+    x = x[:, None]
+    x2, b1, b2 = x + x, np.zeros((len(x), c.shape[1])), np.zeros((len(x), c.shape[1]))
+    for ck in c[:0:-1]:
+        b = x2 * b1
+        b -= b2
+        b += ck
+        b1, b2 = b, b1
+    b1 *= x
+    b1 -= b2
+    b1 += c[0]
+    return b1
 
 
 def _routh_zeta_p(params: BodyParams, r: float, l: float, gamma3):
@@ -345,24 +370,13 @@ def routh_closed_form_derivative(params: BodyParams, r: float, l: float, gamma3)
     du = params.m * l * r
     v = -params.m * r * zeta
     dv = params.m * r * r
-    return (0.0, 0.0), (du / sq - u * dp / (2.0 * p * sq), dv / sq - v * dp / (2.0 * p * sq))
+    rate = dp / (2.0 * p)  # each quotient before a product, so no intermediate overflows that the result does not
+    return (0.0, 0.0), (du / sq - u / sq * rate, dv / sq - v / sq * rate)
 
 
 class ClosedFormMomenta(MomentaSolution):
-    """The Routh closed forms as a MomentaSolution: exact rows and slopes,
-    valid on all of [-1, 1], poles included.  The (delta, h) ``grid`` and
-    the ``pairs`` on it are built when first read, since a run reads neither."""
-
-    def __init__(self, params: BodyParams, spec: ProfileSpec, delta: float, h: float) -> None:
-        grid_half(delta, h)  # refuses the grid as a table's solve does
-        self.params, self.spec, self._pairs, self._delta_h = params, spec, None, (delta, h)
-
-    @cached_property
-    def grid(self) -> np.ndarray:
-        return _grid(*self._delta_h)
-
-    def _domain(self) -> tuple[float, float, str]:
-        return -1.0 - DOMAIN_SLACK, 1.0 + DOMAIN_SLACK, "[-1, 1]"
+    """The Routh closed forms as a MomentaSolution: exact rows and slopes on
+    all of [-1, 1], poles included."""
 
     def _values(self, t: np.ndarray) -> np.ndarray:
         return self._rows(routh_closed_form, t)
@@ -378,8 +392,8 @@ class ClosedFormMomenta(MomentaSolution):
 def closed_form_momenta(
     params: BodyParams, spec: ProfileSpec, delta: float = 1e-3, h: float = 1e-4
 ) -> MomentaSolution:
-    """Routh closed forms packaged as a MomentaSolution (exact evaluation) on
-    the (delta, h) grid; ValueError if ``grid_half`` refuses it."""
+    """Routh closed forms packaged as a MomentaSolution (exact evaluation)
+    whose output grid is (delta, h); ValueError if ``grid_half`` refuses it."""
     if spec.kind != "routh":
         raise ValueError("closed forms are available for the routh profile only")
     return ClosedFormMomenta(params, spec, delta, h)
@@ -388,8 +402,8 @@ def closed_form_momenta(
 def solution_for(
     params: BodyParams, spec: ProfileSpec, delta: float = 1e-3, h: float = 1e-4
 ) -> MomentaSolution:
-    """The momenta a run reads: the Routh closed forms, else a numeric solve,
-    both on the (delta, h) grid (ValueError if ``grid_half`` refuses it)."""
+    """The momenta a run reads: the Routh closed forms, else the series solve,
+    with the output grid (delta, h) (ValueError if ``grid_half`` refuses it)."""
     build = closed_form_momenta if spec.kind == "routh" else solve_momenta
     return build(params, spec, delta, h)
 

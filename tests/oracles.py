@@ -39,10 +39,13 @@ records contract the frame form instead of the package's coordinate
 bivector P = E B E^T:
 ``particle_bracket`` is (frame grad f) . B . (frame grad g) and
 ``hamiltonian_frame_flow`` is B . frame grad(H).  ``test_stacked_records.py``
-compares the stacked records with them.  ``span_residual`` is the
-``span-containment`` measure on a whole numeric table and a whole
-closed-form table, which ``certify.Span`` replaced with a fold over blocks
-of nodes; ``test_certify.py`` compares the two.
+compares the stacked records with them.
+
+``rk4_table`` is the coefficient ODE marched by RK4 over a uniform grid, the
+solve that the package ran before the Chebyshev series replaced it: its
+written-out steps of both pairs (``rk4_pairs``) on [QP] evaluated a chunk
+of stage times at a time.  ``test_momenta.py`` holds the series to it at
+its nodes, and ``rk4_pairs`` to ``rk4_step_n`` bit for bit.
 
 ``write_csv`` is the CSV writer that ``simulate`` and ``momenta`` ran in
 process, one ``%`` per row of Python floats, before a forked writer came to
@@ -58,11 +61,13 @@ import numpy as np
 from hypothesis import strategies as st
 
 from nonholo import (BracketKind, ConsistencyError, DomainError, ScalarField, StateGM, eval_profile, invariants,
-                     momentum_components, qp_matrix, routh_closed_form)
+                     momentum_components, qp_matrix)
 from nonholo import bivector_packed as package_bivector_packed, qpl_values as package_qpl_values
 from nonholo import particle_rhs as package_particle_rhs, rhs as package_rhs
 from nonholo.brackets import J1_COMPONENT, J2_COMPONENT, TAU1, TAU4, TAUS, _gauge_gradient
 from nonholo.dynamics import COLUMNS
+from nonholo.geomforms import qp_grid
+from nonholo.momenta import _grid
 from nonholo.phase import relation_residual
 from nonholo.particle import COLUMNS as PARTICLE_COLUMNS, COORDINATES, HAMILTONIAN, MOMENTUM
 from nonholo.profile import check_gamma3
@@ -255,25 +260,17 @@ def integrate(params, spec, state0, cfg, momenta):
     out = np.empty((n_steps + 1, len(COLUMNS)))
     coeffs = np.empty((n_steps + 1, 4))
     x = StateGM.from_packed(state0).packed()
-    off_table = False
 
     def f(t, y):
         return rhs(params, spec, y)
 
     def record(k, x):
         """Fill row k; return whether its energy is finite."""
-        nonlocal off_table
         out[k, 1:7] = x
         out[k, 12] = energy(params, eval_profile(spec, x[2]), x)
         if not np.isfinite(out[k, 12]):
             return False
-        try:
-            coeffs[k] = momenta.eval(x[2])
-        except DomainError as exc:
-            coeffs[k] = np.nan
-            if not off_table:
-                warnings.warn(f"{exc} at step {k} (t={k * cfg.dt:g}); the gauge momenta of such rows are NaN")
-                off_table = True
+        coeffs[k] = momenta.eval(x[2])
         return True
 
     rows = n_steps + 1
@@ -645,20 +642,68 @@ PARTICLE_MEASURES = {
 }
 
 
-def span_residual(params, spec, numeric, closed) -> float:
-    """Worst deviation of the Routh closed-form pairs from the numeric span,
-    on whole tables: what ``span-containment`` measured before it folded
-    ``certify.Span`` over the march.
+def rk4_pairs(y: tuple, h: float, stage_t: list, qp: list) -> list:
+    """RK4 steps of both coefficient pairs y = (f1, g1, f2, g2), on floats.
 
-    ``closed`` holds the closed-form pairs (f1, g1, f2, g2) at the nodes of
-    ``numeric.grid``, one row each; the numeric pairs are combined as the
-    closed forms are at tau1 = 0, where the numeric basis is normalized.
+    ``stage_t`` lists the m step starts, then their midpoints, then their
+    ends; ``qp`` holds the four [QP] entries at those times.  The stages of
+    ``rk4_step_n`` with the coefficient ODE as right-hand side are written
+    out component by component (a stage's g' is its qf), so the values are
+    bit-identical to it.  Returns the m new states.
     """
-    p, worst = numeric.pairs, []
-    for k, (c0, c1) in enumerate(routh_closed_form(params, spec.p1, spec.p2, 0.0)):
-        for j in (0, 1):  # f, then g; one column at a time keeps the temporaries small
-            worst.append(nan_max(np.abs(c0 * p[:, j] + c1 * p[:, j + 2] - closed[:, 2 * k + j])))
-    return nan_max(np.array(worst))
+    m = len(stage_t) // 3
+    # the four [QP] entries and the time at the starts, then the midpoints, then the ends
+    stages = [col[k * m : (k + 1) * m] for k in range(3) for col in (*qp, stage_t)]
+    half, sixth = 0.5 * h, h / 6.0
+    f1, g1, f2, g2 = y
+    out = []
+    append = out.append
+    for a, b, c, d, t, a2, b2, c2, d2, t2, a3, b3, c3, d3, t3 in zip(*stages):
+        k1g1 = a * f1 + c * g1
+        k1f1 = t * k1g1 - (b * f1 + d * g1)
+        k1g2 = a * f2 + c * g2
+        k1f2 = t * k1g2 - (b * f2 + d * g2)
+        u1, v1, u2, v2 = f1 + half * k1f1, g1 + half * k1g1, f2 + half * k1f2, g2 + half * k1g2
+        k2g1 = a2 * u1 + c2 * v1
+        k2f1 = t2 * k2g1 - (b2 * u1 + d2 * v1)
+        k2g2 = a2 * u2 + c2 * v2
+        k2f2 = t2 * k2g2 - (b2 * u2 + d2 * v2)
+        u1, v1, u2, v2 = f1 + half * k2f1, g1 + half * k2g1, f2 + half * k2f2, g2 + half * k2g2
+        k3g1 = a2 * u1 + c2 * v1
+        k3f1 = t2 * k3g1 - (b2 * u1 + d2 * v1)
+        k3g2 = a2 * u2 + c2 * v2
+        k3f2 = t2 * k3g2 - (b2 * u2 + d2 * v2)
+        u1, v1, u2, v2 = f1 + h * k3f1, g1 + h * k3g1, f2 + h * k3f2, g2 + h * k3g2
+        k4g1 = a3 * u1 + c3 * v1
+        k4f1 = t3 * k4g1 - (b3 * u1 + d3 * v1)
+        k4g2 = a3 * u2 + c3 * v2
+        k4f2 = t3 * k4g2 - (b3 * u2 + d3 * v2)
+        f1 = f1 + sixth * (k1f1 + 2.0 * k2f1 + 2.0 * k3f1 + k4f1)
+        g1 = g1 + sixth * (k1g1 + 2.0 * k2g1 + 2.0 * k3g1 + k4g1)
+        f2 = f2 + sixth * (k1f2 + 2.0 * k2f2 + 2.0 * k3f2 + k4f2)
+        g2 = g2 + sixth * (k1g2 + 2.0 * k2g2 + 2.0 * k3g2 + k4g2)
+        append((f1, g1, f2, g2))
+    return out
+
+
+def rk4_table(params, spec, delta, h, chunk=256):
+    """The coefficient ODE marched by RK4 from (1, 0, 0, 1) at tau1 = 0 over
+    the (delta, h) grid, +h to its upper end and -h to its lower one, ``chunk``
+    steps per ``qp_grid`` pass: the grid and the (m, 4) rows at its nodes."""
+    grid = _grid(delta, h)
+    n = (len(grid) - 1) // 2
+    y0 = (1.0, 0.0, 0.0, 1.0)
+    pairs = np.empty((len(grid), 4))
+    pairs[n] = y0
+    for direction in (+1, -1):
+        step, y = direction * h, y0
+        for k0 in range(1, n + 1, chunk):
+            ks = np.arange(k0, min(k0 + chunk, n + 1))
+            t = (direction * (ks - 1)) * h  # as rk4_step's t = direction*(k-1)*h
+            stage_t = np.concatenate([t, t + 0.5 * step, t + step])
+            steps = rk4_pairs(y, step, stage_t.tolist(), [q.tolist() for q in qp_grid(params, spec, stage_t)])
+            y, pairs[n + direction * ks] = steps[-1], steps
+    return grid, pairs
 
 
 def per_sample(name, subject) -> np.ndarray:

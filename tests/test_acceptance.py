@@ -39,7 +39,7 @@ def _certify(names, subjects):
 
 def _solids(presets, states):
     """One Solid per (params, spec) preset over the same states, without momenta."""
-    return [Solid(params, spec, states, None, None) for params, spec in presets]
+    return [Solid(params, spec, states, None) for params, spec in presets]
 
 
 def _gate(capsys, tag, label, *parts):
@@ -94,7 +94,7 @@ def test_momentum_rate_law(capsys, worked_params, worked_spec, worked_state, rou
     assert anchor.dj1 == pytest.approx(4.0 / 9.0, rel=1e-12)
 
     subjects = [
-        Solid(params, spec, [row[1:7] for row in traj[::10]], None, None)
+        Solid(params, spec, [row[1:7] for row in traj[::10]], None)
         for (params, spec), traj in ((routh_preset, routh_traj), (ellipsoid_preset, ellipsoid_traj))
     ]
     worst, _ = _certify(["rate-law"], subjects)
@@ -122,7 +122,7 @@ def test_gauge_momenta_are_casimirs(capsys, routh_preset, ellipsoid_preset, elli
     (rp, rs), (ep, es) = routh_preset, ellipsoid_preset
     states = make_states(29, 100)
     subjects = [
-        Solid(rp, rs, states, solution_for(rp, rs), None), Solid(ep, es, states, ellipsoid_momenta, None)
+        Solid(rp, rs, states, solution_for(rp, rs)), Solid(ep, es, states, ellipsoid_momenta)
     ]
     result = _certify(["casimir-J1", "casimir-J2", "involution"], subjects)
     _gate(capsys, "A07", "J1, J2 are Casimirs and in involution", result)
@@ -155,7 +155,7 @@ def test_routh_closed_forms_solve_ode(capsys, routh_preset):
     # the closed forms must lie in the span of the numeric solutions, whose
     # basis is normalized at the central grid node
     params, spec = routh_preset
-    subject = Solid(params, spec, [], closed_form_momenta(params, spec), (1e-3, 1e-4))
+    subject = Solid(params, spec, [], closed_form_momenta(params, spec))
     _gate(
         capsys, "A09", "closed-form pairs solve the coefficient equation and span the numeric solution",
         ("residual", *_certify(["closed-form-ode-residual"], [subject])),

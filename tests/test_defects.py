@@ -33,6 +33,12 @@ CONFIGS = {
     "ellipsoid-3-1": dict(ELLIPSOID_RAW, params=dict(ELLIPSOID_RAW["params"], b=3.0, c=1.0), seed=0, samples=5),
     "routh-nonunit": dict(ROUTH_RAW, params=dict(ROUTH_RAW["params"], m=1.3, I1=2.3, I3=3.7, r=1.5, l=0.2),
                           h=1e-3, seed=0, samples=5),
+    # The momenta series of these two take paths the others do not: this
+    # Routh body's collocation systems swap pivot rows, and this prolate
+    # ellipsoid splits [-1, 1] into six panels, halving twice.
+    "routh-pivoting": dict(ROUTH_RAW, params=dict(ROUTH_RAW["params"], m=5.0, I1=1.0, I3=1.0, r=3.0, l=2.0),
+                           seed=0, samples=5),
+    "ellipsoid-prolate": dict(ELLIPSOID_RAW, params=dict(ELLIPSOID_RAW["params"], b=0.01, c=3.0), seed=0, samples=5),
 }
 
 

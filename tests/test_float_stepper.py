@@ -120,15 +120,16 @@ def test_integrate_keeps_signed_zeros(body, start, routh_preset, ellipsoid_prese
 
 
 def test_off_table_run_matches_the_numpy_body(ellipsoid_preset):
-    # The pole-grazing start is off a delta = 0.1 table from step 0 and
-    # passes the end of the default one before t = 1.
+    # The pole-grazing start passes |gamma3| = 0.999 before t = 1, off the
+    # tables of the default grid and of delta = 0.1 that the momenta once
+    # were; every row reads the series, with no warning.
     params, spec = ellipsoid_preset
     g = np.array([0.3, 0.2, 0.8]) / math.sqrt(0.77)
     start = np.array([*g, 0.5, -0.3, 2.5])
     for momenta in (solution_for(params, spec, 0.1, 1e-3), solution_for(params, spec)):
         new, new_warn = run(whole(integrate), params, spec, start, IntegratorConfig(1e-3, 1.0), momenta)
         old, old_warn = run(oracles.integrate, params, spec, start, IntegratorConfig(1e-3, 1.0), momenta)
-        assert np.isnan(new[:, 13]).any() and len(new_warn) == 1
+        assert np.max(np.abs(new[:, 3])) > 0.999 and np.isfinite(new).all() and new_warn == []
         assert same_bits(new, old) and new_warn == old_warn
 
 
@@ -168,9 +169,10 @@ def test_a_stage_off_the_band_raises_as_before(routh_preset):
     assert messages[0] == messages[1]
 
 
-def test_a_run_off_the_table_warns_before_a_stage_off_the_band_raises(ellipsoid_preset):
-    # Off a delta = 0.1 table from step 0; a stage of dt = 0.1 then passes
-    # gamma3 = 1 + 1e-9.  The off-table warning of the rows done comes first.
+def test_an_ellipsoid_run_raises_at_a_stage_off_the_band_with_no_warning(ellipsoid_preset):
+    # dt = 0.1 near the pole: a stage passes gamma3 = 1 + 1e-9, and the run
+    # raises as the numpy body does; the rows done read the series, which
+    # answers up to the pole, so nothing warns first.
     params, spec = ellipsoid_preset
     start = np.array([math.sin(0.05), 0.0, math.cos(0.05), 0.0, 5.0, 0.0])
     cfg, momenta = IntegratorConfig(0.1, 1.0), solution_for(params, spec, 0.1, 1e-3)
@@ -181,7 +183,7 @@ def test_a_run_off_the_table_warns_before_a_stage_off_the_band_raises(ellipsoid_
             fn(params, spec, start, cfg, momenta)
         outcomes.append((str(info.value), [str(w.message) for w in caught]))
     assert outcomes[0] == outcomes[1]
-    assert len(outcomes[0][1]) == 1 and "outside the momenta grid [-0.9, 0.9] at step 0 " in outcomes[0][1][0]
+    assert outcomes[0][1] == []
 
 
 def test_particle_kernels_match_the_numpy_bodies():

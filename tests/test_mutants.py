@@ -24,10 +24,11 @@ through which ``rk4_step`` reaches them (``install`` does not rebind it),
 and must fail an oracle test of ``tests/test_float_stepper.py``: the step
 against the array formula, or a run against the numpy integrator.
 
-The momenta solve, the Routh ``span-containment`` fold over the march and
-the particle's reference run are most of a ``check``'s time.  Each is
-computed once per config (``_recording``) and replayed to the mutants of
-every kernel it does not call (``_replaying``).
+The momenta series solve (twice for a Routh config: the run's closed forms
+need none, and ``span-containment`` solves the series) and the particle's
+reference run are most of a ``check``'s time.  Each is computed once per
+distinct call (``_recording``) and replayed to the mutants of every kernel
+it does not call (``_replaying``).
 
 Run alone with ``python3 -m pytest tests/test_mutants.py``.
 """
@@ -49,6 +50,8 @@ from test_defects import CONFIGS, install
 
 SOLIDS = ("ellipsoid-3-1", "routh-nonunit", "ellipsoid", "balanced", "routh")
 ROUTH = ("routh-nonunit", "routh")
+#: The configs whose momenta series take every path of the solve: pivoting, panels
+SERIES = ("routh", "routh-nonunit", "ellipsoid-3-1", "ellipsoid", "balanced", "routh-pivoting", "ellipsoid-prolate")
 
 #: Each swept kernel and the configs that run its mutants, the likeliest to kill first.
 KERNELS = {
@@ -65,8 +68,13 @@ KERNELS = {
     "brackets.reduced_bivector_tau": SOLIDS,
     "smallalg.jacobi_trivector": SOLIDS + ("particle",),
     "momenta._ode_slope": SOLIDS,
-    # span-containment holds the Routh solve to the closed forms
-    "momenta._rk4_pairs": ("routh-nonunit", "ellipsoid-3-1", "ellipsoid", "balanced", "routh"),
+    # the series solve: span-containment holds the Routh series to the closed
+    # forms, and the Casimir records the ellipsoid's values to its slopes
+    "momenta._collocate": SERIES,
+    "momenta._chebyshev": SERIES,
+    "momenta._eliminate": SERIES,
+    "momenta._clenshaw": SERIES,
+    "momenta._side": ("ellipsoid-prolate",),
     "momenta._routh_zeta_p": ROUTH,
     "momenta.routh_closed_form": ROUTH,
     "momenta.routh_closed_form_derivative": ROUTH,
@@ -86,6 +94,10 @@ STEPPERS = {
 }
 
 _ZERO_SIGN = "changes only the sign of a zero component of s or L_vec, which no record reads"
+_UNCONVERGED = ("a bound on the panels of a series that does not chop, which a valid config never reaches; "
+                "such a body is an error whichever bound stops it")
+_SAME_COSINE = ("sin((n - m) pi/(2n)) is cos(m pi/(2n)) for every m, and so is sin((n + m) pi/(2n)): the "
+                "reduction only keeps the angle small, so the mutant moves T_k(x_j) by rounding alone")
 _GUARD = ("feeds only E's DegeneracyError guard (E = 1 - m<A^-1 s, s> > 0 for any m, I1, I3 > 0), "
           "which no valid config trips")
 
@@ -115,6 +127,15 @@ EQUIVALENT = {
     ("profile.mass_scalars", "s2 * s2 -> s2 + s2 #2"): _GUARD,
     ("profile.mass_scalars", "s3 * s3 -> s3 / s3 #2"): _GUARD,
     ("profile.mass_scalars", "s3 * s3 -> s3 + s3 #2"): _GUARD,
+    ("momenta._chebyshev", "4 * n - m -> 4 * n + m"): _SAME_COSINE,
+    ("momenta._chebyshev", "n - np.minimum(m, 4 * n - m) -> n + np.minimum(m, 4 * n - m)"): _SAME_COSINE,
+    ("momenta._chebyshev", "n + 1 -> n - 1 #4"):
+        "leaves T_n(x0) at 1: the integral then misses 0 at x0 by the last coefficient over 2n, "
+        "below rounding in a series that chops",
+    ("momenta._collocate", "_CHOP * np.max(np.abs(c)) -> _CHOP / np.max(np.abs(c))"):
+        "the largest coefficient is at least about 1 (the pairs start at (1, 0) and (0, 1)), so the threshold "
+        "is never looser: a series can only take a larger size, as accurate",
+    ("momenta._side", "len(panels) + len(edges) -> len(panels) - len(edges)"): _UNCONVERGED,
     ("brackets.reduced_bivector_tau", "upper - upper.transpose(0, 2, 1) -> upper + upper.transpose(0, 2, 1)"):
         "the lower triangle, which no record reads (pushforward-table compares the pairs a < b); "
         "test_brackets' test_table_is_a_table pins the antisymmetry",
@@ -156,9 +177,9 @@ def _maker(code, mod, name):
     return make
 
 
-#: The slow steps of ``check`` that a mutant may share: the momenta solve, the
-#: Routh span fold over the march, and the particle's reference run, as (module, name).
-_SHARED = (("momenta", "solve_momenta"), ("certify", "span_containment"), ("particle", "particle_integrate"))
+#: The slow steps of ``check`` that a mutant may share: the momenta series
+#: solve and the particle's reference run, as (module, name).
+_SHARED = (("momenta", "solve_momenta"), ("particle", "particle_integrate"))
 
 
 def _recording(results: dict, counts: dict, called: set):

@@ -245,3 +245,52 @@ def test_every_src_definition_is_reached_from_src_or_bench_or_kept(bench_path):
     assert set(KEEP) <= names - refs  # an entry that src defines and does not reach
     unreached = sorted(names - refs - _bench_bound() - set(KEEP))
     assert not unreached, f"src definitions that only tests reach: {unreached}"
+
+
+#: Attributes whose products run in BLAS or LAPACK (OpenBLAS picks its kernels
+#: by CPU at run time, so their sums' order, and the output bytes, would depend
+#: on the host), and numpy.polynomial, whose import a short-lived process pays
+_HOST_DEPENDENT = {"dot", "vdot", "matmul", "inner", "tensordot", "linalg", "polynomial"}
+
+
+def _host_dependent(tree) -> list:
+    """(line, form) of each BLAS or LAPACK product and each numpy.polynomial
+    or numpy.linalg import of a module's tree: elementwise arithmetic and
+    two-operand einsum (numpy's own loops, no BLAS without optimize=) pass."""
+    found = []
+    for node in ast.walk(tree):
+        line = getattr(node, "lineno", 0)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((line, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in _HOST_DEPENDENT:
+            found.append((line, node.attr))
+        elif (isinstance(node, ast.Call) and "einsum" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+              and any(k.arg == "optimize" for k in node.keywords)):
+            found.append((line, "einsum(optimize=...)"))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+            if any(part in _HOST_DEPENDENT for m in modules for part in m.split(".")):
+                found.append((line, "import"))
+    return found
+
+
+def test_src_calls_no_blas_or_lapack_and_imports_no_numpy_polynomial():
+    paths = sorted((ROOT / "src" / "nonholo").glob("*.py"))
+    found = [(path.name, *hit) for path in paths for hit in _host_dependent(ast.parse(path.read_text()))]
+    assert paths and not found
+
+
+def test_the_guard_sees_each_form():
+    sample = ("import numpy.polynomial\nfrom numpy import linalg\nx = a @ b\nx @= b\ny = np.dot(a, b)\n"
+              "z = np.einsum('i,i->', a, b, optimize=True)\nw = a.dot(b)\nv = np.einsum('i,i->', a, b)\n")
+    assert sorted(line for line, _ in _host_dependent(ast.parse(sample))) == [1, 2, 3, 4, 5, 6, 7]
+
+
+def test_a_command_loads_no_numpy_polynomial():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    code = ("import sys, nonholo.cli; from nonholo import BodyParams, ProfileSpec, solve_momenta; "
+            "solve_momenta(BodyParams(1.0, 2.0, 3.0, 9.8), ProfileSpec.ellipsoid(0.05, 3.0)).eval(0.3); "
+            "print('numpy.polynomial' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

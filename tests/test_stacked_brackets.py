@@ -163,7 +163,7 @@ def test_the_solid_battery_is_one_jet_pass(monkeypatch):
 
     monkeypatch.setattr(certify, "bivector_packed", counted)
     states = [s.packed() for s in make_states(9, 7)]
-    subject = certify.Solid(params, spec, states, None, None)
+    subject = certify.Solid(params, spec, states, None)
     names = ("jacobi-gauged", "jacobi-ungauged-closed-form", "bracket-dynamics-consistency")
     assert all(r.status == "pass" for r in certify.run([certify.RECORDS[n] for n in names], subject))
     assert seen == [(Jet, (7, 6), BracketKind.GAUGED), (Jet, (7, 6), BracketKind.NH)]

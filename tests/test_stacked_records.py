@@ -81,7 +81,7 @@ def solid_states(draw):
 def test_drawn_solid_stacks_match_the_per_sample_bodies(body, states):
     params, spec = BODIES[body]
     scale = max(1.0, float(np.max(np.abs(np.array(states)[:, 3:])))) ** 2
-    assert_records_match_the_per_sample_bodies(certify.Solid(params, spec, states, MOMENTA[body], None),
+    assert_records_match_the_per_sample_bodies(certify.Solid(params, spec, states, MOMENTA[body]),
                                                ROUNDING * scale)
 
 
