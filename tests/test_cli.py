@@ -469,6 +469,26 @@ def test_simulate_does_not_depend_on_the_momenta_grid(tmp_path, capsys):
     assert summary["dJ1"] < 1e-10 and summary["dJ2"] < 1e-10 and summary["dE"] < 1e-10
 
 
+def test_simulate_reads_finite_gauge_momenta_past_the_first_block_near_the_pole(tmp_path, capsys):
+    # The pole-grazing start at dt = 5e-4 first passes |tau1| = 0.99, where a
+    # delta = 1e-2 table once ended, at step 1,706, in the second block, and
+    # stays past it into the third.  The series reads on: no warning, a
+    # finite J1 and J2 in every row, and both conserved within A01's 1e-8.
+    raw = dict(ELLIPSOID_RAW, initial={"gamma": POLE_GRAZING_START[0], "M": POLE_GRAZING_START[1]},
+               integrator={"dt": 5e-4, "t_final": 1.5})
+    out = tmp_path / "t.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    rows = np.array([[float(v) for v in ln.split(",")] for ln in out.read_text().splitlines()[1:]])
+    tau1, J1, J2 = (rows[:, dynamics.COLUMNS.index(name)] for name in ("tau1", "J1", "J2"))
+    past = np.flatnonzero(np.abs(tau1) > 0.99)
+    assert len(rows) == 3001 and past[0] == 1706 and past[-1] >= 2048
+    assert np.all(np.isfinite(J1)) and np.all(np.isfinite(J2))
+    assert summary["dJ1"] <= 1e-8 and summary["dJ2"] <= 1e-8
+
+
 def test_error_exits(tmp_path, capsys):
     assert main(["check", "--config", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"
