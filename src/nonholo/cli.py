@@ -1,9 +1,15 @@
 """Command-line interface: ``simulate``, ``check``, ``momenta``.
 
 JSON config in, CSV trajectories and JSON reports out.  Everything is
-deterministic for a fixed seed: per-sample random generators are seeded by
-(seed, sample index), CSV floats carry 17 significant digits, and report
-checks are sorted by name, so identical inputs give byte-identical outputs.
+deterministic for a fixed seed: each ``check`` sample is drawn from its own
+standard-library ``random.Random``, seeded by (seed, sample index), CSV
+floats carry 17 significant digits, and report checks are sorted by name,
+so identical inputs give byte-identical outputs.  A sample's gamma is the
+first point of the cube [-1, 1]^3 inside the unit ball, scaled to unit
+length (``sample_state``).  Its draws are ``random()``, whose sequence for a
+seed Python keeps across versions, and only IEEE arithmetic and
+``math.sqrt`` touch them, so a sample is the same on every platform and
+under every numpy; ``numpy.random`` is never imported.
 
 ``parse_config`` and its inverse ``serialize_config`` read one table of the
 config format, ``_FORMATS`` (each system's ``params`` keys and ``initial``
@@ -44,6 +50,7 @@ import itertools
 import json
 import math
 import os
+import random
 import shutil
 import sys
 import tempfile
@@ -253,24 +260,41 @@ def serialize_config(cfg: RunConfig) -> str:
 # ---------------------------------------------------------------------------
 # deterministic sampling
 
+def _generator(seed: int, index: int) -> random.Random:
+    """The generator of sample ``index`` of ``seed``: a Mersenne Twister
+    seeded from the string ``"seed:index"`` (injective in the pair)."""
+    return random.Random(f"{seed}:{index}")
+
+
+def _uniform(rng: random.Random, lo: float, hi: float, n: int) -> list[float]:
+    """``n`` draws uniform in [lo, hi], each one ``random()`` call."""
+    return [lo + (hi - lo) * rng.random() for _ in range(n)]
+
+
 def sample_state(seed: int, index: int) -> StateGM:
-    """gamma uniform on S^2 with |gamma3| < 0.95, M uniform in [-3, 3]^3."""
-    rng = np.random.default_rng((seed, index))
+    """gamma uniform on S^2 with |gamma3| < 0.95, M uniform in [-3, 3]^3.
+
+    gamma is the first point of the cube [-1, 1]^3 inside the unit ball
+    (the origin excluded) that passes the cap, scaled to unit length; M
+    takes the next three draws.  The draws are ``random()`` of the
+    standard library's Mersenne Twister, whose sequence for a seed Python
+    keeps across versions, and only IEEE arithmetic and ``math.sqrt`` touch
+    them, so a sample's bits depend on neither the platform nor numpy.
+    """
+    rng = _generator(seed, index)
     while True:
-        v = rng.standard_normal(3)
-        n = math.sqrt(float(v[0] * v[0] + v[1] * v[1] + v[2] * v[2]))  # not v @ v, a BLAS ddot whose bits vary
-        if n < 1e-12:
-            continue
-        g = v / n
-        if abs(g[2]) < 0.95:
-            break
-    return StateGM(g, rng.uniform(-3.0, 3.0, 3))
+        x, y, z = _uniform(rng, -1.0, 1.0, 3)
+        s = x * x + y * y + z * z
+        if 0.0 < s <= 1.0:
+            n = math.sqrt(s)
+            if abs(z / n) < 0.95:
+                break
+    return StateGM(np.array([x / n, y / n, z / n]), np.array(_uniform(rng, -3.0, 3.0, 3)))
 
 
 def sample_particle(seed: int, index: int) -> np.ndarray:
-    """Particle states componentwise uniform in [-2, 2]^5."""
-    rng = np.random.default_rng((seed, index))
-    return rng.uniform(-2.0, 2.0, 5)
+    """Particle states componentwise uniform in [-2, 2]^5 (drawn as ``sample_state``'s M)."""
+    return np.array(_uniform(_generator(seed, index), -2.0, 2.0, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +531,7 @@ def _load_config(path: str) -> RunConfig:
             seed = int(env)
         except ValueError:
             seed = None
-        if seed is None or seed < 0:  # numpy's generators take non-negative seeds only, as /seed
+        if seed is None or seed < 0:  # non-negative, as /seed
             raise ConfigError(f"NONHOLO_SEED must be a non-negative integer, got {env!r}")
         cfg = dataclasses.replace(cfg, seed=seed)
     return cfg

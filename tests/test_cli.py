@@ -25,6 +25,7 @@ from nonholo.cli import (
     MAX_SAMPLES,
     SYSTEMS,
     Report,
+    check_subject,
     main,
     parse_config,
     sample_particle,
@@ -32,6 +33,7 @@ from nonholo.cli import (
     serialize_config,
 )
 from nonholo.errors import ConfigError, DomainError
+from nonholo.momenta import grid_half
 
 from oracles import write_csv
 
@@ -316,11 +318,11 @@ def test_parse_rejects_non_object_and_bad_json():
 
 
 def test_sample_state_is_capped_and_reproducible():
-    for k in range(50):
-        st = sample_state(3, k)
-        assert abs(float(st.gamma @ st.gamma) - 1.0) < 1e-12
-        assert abs(st.gamma[2]) < 0.95
-        assert np.all(np.abs(st.M) <= 3.0)
+    for k in range(2000):
+        g1, g2, g3, *M = sample_state(3, k).packed().tolist()
+        assert abs(math.sqrt(g1 * g1 + g2 * g2 + g3 * g3) - 1.0) <= 1e-15
+        assert abs(g3) < 0.95
+        assert all(-3.0 <= c <= 3.0 for c in M)
     again = sample_state(3, 17)
     assert np.array_equal(again.gamma, sample_state(3, 17).gamma)
     assert np.array_equal(again.M, sample_state(3, 17).M)
@@ -328,10 +330,47 @@ def test_sample_state_is_capped_and_reproducible():
 
 
 def test_sample_particle_box():
-    pts = np.array([sample_particle(5, k) for k in range(40)])
-    assert pts.shape == (40, 5)
+    pts = np.array([sample_particle(5, k) for k in range(2000)])
+    assert pts.shape == (2000, 5)
     assert np.all(np.abs(pts) <= 2.0)
     assert np.array_equal(sample_particle(5, 3), sample_particle(5, 3))
+
+
+@pytest.mark.parametrize("sample,expected", [
+    (lambda: sample_state(0, 0).packed(),
+     ["0x1.353631edf8e53p-1", "0x1.0ac5266245675p-1", "0x1.34d0470b0bb01p-1",
+      "-0x1.361a92e74d4c4p+1", "0x1.a9858daaa9718p+0", "-0x1.ae9e6cf317ebfp+0"]),
+    (lambda: sample_state(2**70, MAX_SAMPLES - 1).packed(),
+     ["-0x1.8c97d66e8a2e6p-1", "0x1.a2d50477356abp-3", "-0x1.326be6d42c1aap-1",
+      "0x1.2cade624f230ep+1", "-0x1.6d2ab92c0770ap+1", "0x1.5d09cd17ee568p+1"]),
+    (lambda: sample_particle(0, 0),
+     ["0x1.5aeee559b7b30p-2", "0x1.2b5065c2e92a8p-2", "0x1.5a7c8b92c3560p-2",
+      "-0x1.9d78c3df11bb0p+0", "0x1.1bae5e71c64bcp+0"]),
+], ids=["state-0-0", "state-2**70-last", "particle-0-0"])
+def test_the_samples_are_pinned_bit_for_bit(sample, expected):
+    # The standard library keeps random()'s sequence for a seed across
+    # versions, and only IEEE arithmetic and sqrt touch the draws, so these
+    # bits hold on every platform and under every numpy.
+    assert [v.hex() for v in sample().tolist()] == expected
+
+
+@pytest.mark.parametrize("raw", [ELLIPSOID_RAW, PARTICLE_RAW], ids=["solid", "particle"])
+def test_fewer_samples_are_the_first_of_more(raw):
+    # Each sample depends on (seed, index) alone.
+    few, many = (check_subject(parse_config(json.dumps(dict(raw, seed=5, samples=n)))) for n in (10, 100))
+    attr = "v" if raw["system"] == "particle" else "x"
+    assert np.array_equal(getattr(few, attr), getattr(many, attr)[:10])
+
+
+def test_gamma_is_uniform_on_the_capped_sphere():
+    # On the uniform sphere gamma3 is uniform on [-1, 1] (Archimedes) and
+    # the azimuth uniform on [-pi, pi]; the cap keeps gamma3 uniform on
+    # (-0.95, 0.95).  The draws are seeded, so the p-values are fixed.
+    from scipy import stats
+
+    g = np.array([sample_state(0, k).gamma for k in range(4000)])
+    assert stats.kstest(g[:, 2], "uniform", args=(-0.95, 1.9)).pvalue > 0.01
+    assert stats.kstest(np.arctan2(g[:, 1], g[:, 0]), "uniform", args=(-math.pi, 2 * math.pi)).pvalue > 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -841,13 +880,15 @@ def test_grid_and_samples_bounds_exit_2(tmp_path, capsys, key, value):
     assert err.startswith("error:") and err.rstrip().endswith(f"(at '/{key}')")
 
 
-@pytest.mark.parametrize("h,samples,seed", [(1e-3, 40, 0), (7e-4, 10, 18)])
+@pytest.mark.parametrize("h,samples,seed", [(1e-3, 40, 1), (7e-4, 10, 6)])
 def test_check_samples_inside_a_short_momenta_table(tmp_path, capsys, h, samples, seed):
     # With delta = 0.1 the output grid ends at |tau1| = 0.9 (h = 1e-3), or
     # at 0.8995 (h = 7e-4 does not divide 0.9), inside the sampler's cap of
-    # 0.95.  Each config once drew states past a table's end; the series
-    # answers on [-1, 1], so the grid changes neither the samples nor the
-    # report.
+    # 0.95.  Each seed is the smallest whose samples include a state past
+    # that end, where a table once stopped; the series answers on [-1, 1],
+    # so the grid changes neither the samples nor the report.
+    end = grid_half(0.1, h) * h
+    assert any(abs(sample_state(seed, k).gamma[2]) > end for k in range(samples))
     reports = []
     for grid in ({"delta": 0.1, "h": h}, {"delta": 1e-3, "h": 1e-4}):
         cfg = dict(ELLIPSOID_RAW, samples=samples, seed=seed, **grid)
@@ -891,10 +932,15 @@ def test_check_samples_inside_a_short_momenta_table(tmp_path, capsys, h, samples
 # 1.7e-7 to 6.2e-15, the pole-grazing run reads finite gauge momenta to the
 # pole (dJ1 and dJ2 were NaN), and the Routh check's span-containment, now
 # measured up to the poles, went from 7.8e-15 to 2.2e-16 (its claim now
-# says "on [-1, 1]").  A change that moves any output byte of these runs
-# must say so and re-record them.
+# says "on [-1, 1]").  The three check hashes were re-recorded when the
+# samples came to be drawn from a standard-library ``random.Random`` per
+# (seed, index) in place of numpy's ``default_rng``: the samples changed, so
+# every record measured at them moved (value and ``worst_sample``), while
+# the particle's drifts and the Routh span-containment, kernel-pair and
+# closed-form-ode-residual, which read no sample, kept their bits.  A change
+# that moves any output byte of these runs must say so and re-record them.
 FROZEN_SHA256 = {
-    "ellipsoid-check": ("266ab29bb0e182f5a93d3ea6236c66f4206ca8892b349cb9fce7ef4ef8f0a060",),
+    "ellipsoid-check": ("34710cb063cfb24afe2bb0a236a5e5c6e5a485047251bef4625e98052b068d40",),
     "ellipsoid-momenta": (
         "5cafae4f8d2ae806979f334cc6e897a81ce579590a0fefaac088dbe0aa0b24a6",
         "7f96545cc36aa77e43bc593f93aaaeb70856f7dd55eec6ce606114ad52a75164",
@@ -907,12 +953,12 @@ FROZEN_SHA256 = {
         "99fd916a2682de43874befdc67b74cc8ae509d3182d083324c1d3e7f2d57995f",
         "315243503e3c945c51075ee367f5b9532fb8850a11901d5b3ca379be9cd8c7fc",
     ),
-    "particle-check": ("ad80fa9b2740f88a964f2d7b0ceae017bdb4619bc5fa2be8c3599e86d45aec02",),
+    "particle-check": ("47b0cedeff3f121bd4ff3f1db206fd11e9b2c49744e692fe0023bb08055d73f9",),
     "particle-simulate": (
         "642e76a0f174bdf26652e2e542132ed5dfbc5d5d41d1f5c4edcdb6b6eaab7b8e",
         "3b36efee4f8138e82c88f9ea382183e97af094353b59df6c3c0e80af6a276972",
     ),
-    "routh-check": ("a370b42dacaf6fcc5f74e12d440fb36b79c9b5dda45559d41dc97fb96a5d9797",),
+    "routh-check": ("30f6ef17babc7ceee614e6faeee37bef7790e970ab115fad123f630b99cbcd42",),
     "routh-momenta": (
         "c92aae250ce5a98e744e3dca13653a81fd96c373647994a622e765f56a59147b",
         "1bd987a70e41a2b95558131502dfd3f1ecfe5b772a856b137417bad78da7cc9d",

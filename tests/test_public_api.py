@@ -254,9 +254,12 @@ _HOST_DEPENDENT = {"dot", "vdot", "matmul", "inner", "tensordot", "linalg", "pol
 
 
 def _host_dependent(tree) -> list:
-    """(line, form) of each BLAS or LAPACK product and each numpy.polynomial
-    or numpy.linalg import of a module's tree: elementwise arithmetic and
-    two-operand einsum (numpy's own loops, no BLAS without optimize=) pass."""
+    """(line, form) of each BLAS or LAPACK product, each numpy.polynomial or
+    numpy.linalg import, and each use or import of numpy.random (whose
+    Generator streams NumPy may change between versions, and whose import
+    costs a ``check`` process 6 MB) in a module's tree: elementwise
+    arithmetic, two-operand einsum (numpy's own loops, no BLAS without
+    optimize=) and the standard library's ``random`` pass."""
     found = []
     for node in ast.walk(tree):
         line = getattr(node, "lineno", 0)
@@ -264,12 +267,16 @@ def _host_dependent(tree) -> list:
             found.append((line, "@"))
         elif isinstance(node, ast.Attribute) and node.attr in _HOST_DEPENDENT:
             found.append((line, node.attr))
+        elif isinstance(node, ast.Attribute) and node.attr == "random" and getattr(node.value, "id", None) in ("np", "numpy"):
+            found.append((line, "numpy.random"))
         elif (isinstance(node, ast.Call) and "einsum" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
               and any(k.arg == "optimize" for k in node.keywords)):
             found.append((line, "einsum(optimize=...)"))
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            modules = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
-            if any(part in _HOST_DEPENDENT for m in modules for part in m.split(".")):
+            module = getattr(node, "module", None)
+            names = [f"{module}.{a.name}" if module else a.name for a in node.names] + [module or ""]
+            if any(part in _HOST_DEPENDENT for m in names for part in m.split(".")) or any(
+                    m.split(".")[:2] == ["numpy", "random"] for m in names):
                 found.append((line, "import"))
     return found
 
@@ -282,15 +289,37 @@ def test_src_calls_no_blas_or_lapack_and_imports_no_numpy_polynomial():
 
 def test_the_guard_sees_each_form():
     sample = ("import numpy.polynomial\nfrom numpy import linalg\nx = a @ b\nx @= b\ny = np.dot(a, b)\n"
-              "z = np.einsum('i,i->', a, b, optimize=True)\nw = a.dot(b)\nv = np.einsum('i,i->', a, b)\n")
-    assert sorted(line for line, _ in _host_dependent(ast.parse(sample))) == [1, 2, 3, 4, 5, 6, 7]
+              "z = np.einsum('i,i->', a, b, optimize=True)\nw = a.dot(b)\nv = np.einsum('i,i->', a, b)\n"
+              "import numpy.random\nfrom numpy import random\nfrom numpy.random import default_rng\n"
+              "u = np.random.default_rng(0)\nt = numpy.random.uniform()\n"
+              "import random\nfrom random import Random\nq = random.Random(0).random() + rng.random()\n")
+    assert sorted(line for line, _ in _host_dependent(ast.parse(sample))) == [1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13]
 
 
-def test_a_command_loads_no_numpy_polynomial():
+#: Configs of a small check of each system
+_CHECKS = {
+    "ellipsoid": {"params": {"m": 1.0, "I1": 2.0, "I3": 3.0, "b": 2.0, "c": 1.0},
+                  "initial": {"gamma": [0.6, 0.0, 0.8], "M": [1.0, 2.0, 3.0]}},
+    "routh": {"params": {"m": 1.0, "I1": 2.0, "I3": 3.0, "r": 1.0, "l": 0.1},
+              "initial": {"gamma": [0.6, 0.0, 0.8], "M": [1.0, 2.0, 3.0]}},
+    "particle": {"initial": {"position": [0.0, 0.0, 0.0], "momentum": [1.0, 1.0]}},
+}
+
+
+def test_a_command_loads_no_numpy_polynomial(tmp_path):
+    # Neither the panel path of a solve nor a check of any system (whose
+    # samples come from the standard library's random) loads numpy.random
+    # or numpy.polynomial.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    loaded = "print(sorted(m for m in ('numpy.random', 'numpy.polynomial') if m in sys.modules), file=sys.stderr)"
     code = ("import sys, nonholo.cli; from nonholo import BodyParams, ProfileSpec, solve_momenta; "
-            "solve_momenta(BodyParams(1.0, 2.0, 3.0, 9.8), ProfileSpec.ellipsoid(0.05, 3.0)).eval(0.3); "
-            "print('numpy.polynomial' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+            "solve_momenta(BodyParams(1.0, 2.0, 3.0, 9.8), ProfileSpec.ellipsoid(0.05, 3.0)).eval(0.3); " + loaded)
+    runs = [[code]]
+    for system, raw in _CHECKS.items():
+        path = tmp_path / f"{system}.json"
+        path.write_text(json.dumps(dict(raw, system=system, samples=10)))
+        runs.append([f"import sys, nonholo.cli; code = nonholo.cli.main(['check', '--config', sys.argv[1]]); {loaded}; sys.exit(code)", str(path)])
+    for argv in runs:
+        proc = subprocess.run([sys.executable, "-c", *argv], capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "[]\n", argv[1:]
